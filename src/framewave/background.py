@@ -135,7 +135,7 @@ class BumpBackground(Background):
         return self.epsilon * grad[:, :, None, None] * self.direction[None, None, :, :]
 
     def sup_abs(self):
-        return self.epsilon
+        return abs(self.epsilon)
 
 
 class PolyBackground(Background):

@@ -124,18 +124,14 @@ def check_divergence_identity(seed=17, n_fields=10):
     return CheckResult("divergence_identity", worst, 1e-12, worst <= 1e-12)
 
 
-def check_commutator_identity(seed=19, n_pairs=50, max_order=3, n_pts=20,
-                              time_budget=None):
+def check_commutator_identity(seed=19, n_pairs=50, max_order=3, n_pts=20):
     """The exact commutator expansion on seeded (H, phi) pairs.
 
     For each pair a mixed random multi-index of every length up to
     max_order (scaling generator included with its own draw) is checked at
     sampled points with r > 0.
     """
-    import time
-
     rng = np.random.default_rng(seed)
-    start = time.monotonic()
     worst = 0.0
     checked = 0
     for _ in range(n_pairs):
@@ -148,11 +144,8 @@ def check_commutator_identity(seed=19, n_pairs=50, max_order=3, n_pts=20,
                 gens = gens[:-1] + (SCALING,)
             worst = max(worst, estimates.identity_residual(H, phi, gens, pts))
             checked += 1
-        if time_budget is not None and time.monotonic() - start > time_budget:
-            break
-    elapsed = time.monotonic() - start
     return CheckResult("commutator_identity", worst, 1e-10, worst <= 1e-10,
-                       detail=f"{checked} multi-indices in {elapsed:.1f}s")
+                       detail=f"{checked} multi-indices")
 
 
 def check_slash_representations(seed=23, n_pts=1000):

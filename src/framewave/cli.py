@@ -179,8 +179,8 @@ def parse_config(path):
         raise ConstraintError("gamma must be > 0")
     if not cfg["weights"]["mu"] < 0:
         raise ConstraintError("mu must be < 0")
-    if cfg["background"]["epsilon"] > 0.3:
-        raise ConstraintError("epsilon must be <= 0.3 (|H| < 1/3 hypothesis)")
+    if abs(cfg["background"]["epsilon"]) > 0.3:
+        raise ConstraintError("|epsilon| must be <= 0.3 (|H| < 1/3 hypothesis)")
     if cfg["times"]["cfl"] > 0.5:
         raise ConstraintError("cfl must be <= 0.5")
     if cfg["grid"]["N"] % 2 or cfg["grid"]["N"] < 8:
@@ -227,7 +227,8 @@ def mode_conserve(cfg, out_dir, refine=3):
             rows.append((N, term, val))
     hs = [2.0 * cfg["grid"]["X"] / N for N in Ns]
     order = measure_order(hs, residuals)
-    payload = {"N": Ns, "residuals": residuals, "measured_order": order,
+    payload = {"N": Ns, "residuals": residuals,
+               "measured_order": order if np.isfinite(order) else None,
                "seed": cfg["seed"]}
     energy.write_json(os.path.join(out_dir, "conserve.json"), payload)
     energy.write_series_csv(os.path.join(out_dir, "budget_terms.csv"),

@@ -166,7 +166,9 @@ class CommutatorIdentityRHS:
                 if c56:
                     self._hterms.append((c56, I2, I4))
 
-    def _accumulate(self, pts, magnitude=False):
+    def _accumulate(self, pts):
+        """Signed sum and summed term magnitudes of the expansion at pts,
+        from one evaluation of every Hessian and H factor."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
         fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])
@@ -175,11 +177,12 @@ class CommutatorIdentityRHS:
         eA = [fr["e1"].T, fr["e2"].T]
         hess_ev = {s: h.eval(pts) for s, h in self._hess.items()}  # (n,4,4,ch)
         hlow_ev = {s: h.eval(pts)[..., 0] for s, h in self._hlow.items()}  # (n,4,4)
-        fold = np.abs if magnitude else (lambda x: x)
-        out = np.zeros((n, self.channels))
+        signed = np.zeros((n, self.channels))
+        magnitude = np.zeros((n, self.channels))
         for c, I2 in self._flat:
-            Hs = hess_ev[I2]
-            out += fold(float(c) * np.einsum("ab,nabc->nc", MINKOWSKI_INV, Hs))
+            term = float(c) * np.einsum("ab,nabc->nc", MINKOWSKI_INV, hess_ev[I2])
+            signed += term
+            magnitude += np.abs(term)
         for c56, I2, I4 in self._hterms:
             Hl = hlow_ev[I4]
             Hs = hess_ev[I2]
@@ -187,27 +190,28 @@ class CommutatorIdentityRHS:
             H_LLb = np.einsum("nm,nk,nmk->n", L, Lb, Hl)
             hLbLb = np.einsum("nm,nk,nmkc->nc", Lb, Lb, Hs)
             hLbL = np.einsum("nm,nk,nmkc->nc", Lb, L, Hs)
-            term = fold(0.25 * H_LL[:, None] * hLbLb) + fold(0.25 * H_LLb[:, None] * hLbL)
+            parts = [0.25 * H_LL[:, None] * hLbLb, 0.25 * H_LLb[:, None] * hLbL]
             for a in range(2):
                 H_Le = np.einsum("nm,nk,nmk->n", L, eA[a], Hl)
                 hLbe = np.einsum("nm,nk,nmkc->nc", Lb, eA[a], Hs)
-                term += fold(-0.5 * H_Le[:, None] * hLbe)
+                parts.append(-0.5 * H_Le[:, None] * hLbe)
             H_Lb_up = np.einsum("nm,nmb->nb", Lb, Hl) * _MSIGN[None, :]
             hL = np.einsum("nm,nmbc->nbc", L, Hs)
-            term += fold(-0.5 * np.einsum("nb,nbc->nc", H_Lb_up, hL))
+            parts.append(-0.5 * np.einsum("nb,nbc->nc", H_Lb_up, hL))
             for a in range(2):
                 H_e_up = np.einsum("nm,nmb->nb", eA[a], Hl) * _MSIGN[None, :]
                 he = np.einsum("nm,nmbc->nbc", eA[a], Hs)
-                term += fold(np.einsum("nb,nbc->nc", H_e_up, he))
-            out += fold(float(c56)) * term if magnitude else float(c56) * term
-        return out
+                parts.append(np.einsum("nb,nbc->nc", H_e_up, he))
+            signed += float(c56) * sum(parts)
+            magnitude += abs(float(c56)) * sum(np.abs(p) for p in parts)
+        return signed, magnitude
 
     def eval(self, pts):
-        return self._accumulate(pts, magnitude=False)
+        return self._accumulate(pts)[0]
 
     def eval_magnitude(self, pts):
         """Sum of term magnitudes: the roundoff scale for the identity."""
-        return self._accumulate(pts, magnitude=True)
+        return self._accumulate(pts)[1]
 
 
 def commutator_identity_rhs(H, phi, I):
@@ -223,10 +227,14 @@ def identity_residual(H, phi, I, pts):
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     lhs = commutator_exact_lhs(H, phi, I).eval(pts)
-    rhs_eval = commutator_identity_rhs(H, phi, I)
-    rhs = rhs_eval.eval(pts)
+    return _relative_residual(lhs, commutator_identity_rhs(H, phi, I), pts)
+
+
+def _relative_residual(lhs, rhs_eval, pts):
+    """identity_residual from the evaluated lhs and the expansion."""
+    rhs, magnitude = rhs_eval._accumulate(pts)
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
-                np.max(rhs_eval.eval_magnitude(pts), initial=0.0), 1e-30)
+                np.max(magnitude, initial=0.0), 1e-30)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
@@ -324,53 +332,60 @@ class CommutatorBound:
                         self.terms.append(BoundTerm("t_weighted", J, K, "full", ("all",)))
                         self.terms.append(
                             BoundTerm("q_weighted", J, K, "LL", tuple(self.component_set)))
+        self._norms = None
 
     def _weights(self, pts):
         r = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
         q = r - pts[:, 0]
         return 1.0 / (1.0 + pts[:, 0] + np.abs(q)), 1.0 / (1.0 + np.abs(q))
 
+    def _factor_norms(self, pts):
+        """Pointwise norms of every cached factor at pts.
+
+        The norms of the last point batch are kept, so evaluating both
+        conventions on one batch evaluates each factor once.
+        """
+        if self._norms is not None and np.array_equal(self._norms[0], pts):
+            return self._norms[1]
+        flat = np.zeros(len(pts))
+        for box in self._box_V.values():
+            flat += _norm_eval(box, pts)
+        norms = {"flat": flat}
+        if self.H is not None:
+            norms["grad_full"] = {K: _norm_eval(g, pts) for K, g in self._grad_full.items()}
+            norms["grad_comp"] = {key: _norm_eval(g, pts) for key, g in self._grad_comp.items()}
+            norms["H"] = {J: _norm_eval(h, pts) for J, h in self._H_norm.items()}
+            norms["H_LL"] = {J: np.abs(h.eval(pts)[:, 0]) for J, h in self._H_LL.items()}
+        self._norms = (pts.copy(), norms)
+        return norms
+
     def family_values(self, pts, convention="collapsed"):
         """Dict of family -> (n,) arrays under the requested convention."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if convention not in ("collapsed", "nested"):
+            raise ValueError(f"unknown convention {convention!r}")
         wt, wq = self._weights(pts)
-        flat = np.zeros(len(pts))
-        for K, box in self._box_V.items():
-            flat += _norm_eval(box, pts)
+        norms = self._factor_norms(pts)
         t_fam = np.zeros(len(pts))
         q_fam = np.zeros(len(pts))
         if self.H is not None:
-            grad_full_n = {K: _norm_eval(g, pts) for K, g in self._grad_full.items()}
-            grad_comp_n = {}
-            for name in self.component_set:
-                for K in self.K_set:
-                    grad_comp_n[(name, K)] = _norm_eval(self._grad_comp[(name, K)], pts)
-            Hn = {J: _norm_eval(h, pts) for J, h in self._H_norm.items()}
-            HLL = {J: np.abs(self._H_LL[J].eval(pts)[:, 0]) for J in self._H_LL}
+            grad_full_n, grad_comp_n = norms["grad_full"], norms["grad_comp"]
+            Hn, HLL = norms["H"], norms["H_LL"]
             if convention == "collapsed":
-                for J, K in self.pairs:
-                    t_fam += Hn[J] * grad_full_n[K]
-                    comp_sum = np.zeros(len(pts))
-                    for name in self.component_set:
-                        comp_sum += grad_comp_n[(name, K)]
-                    q_fam += HLL[J] * comp_sum
-            elif convention == "nested":
-                subs = subsequences(self.I)
-                for J in subs:
-                    for K in subs:
-                        if len(J) + len(K) > len(self.I) or len(K) >= len(self.I):
-                            continue
-                        Ms = [K] + [K + (g,) for g in GENERATORS]
-                        for M in Ms:
-                            t_fam += Hn[J] * grad_full_n[M]
-                            comp_sum = np.zeros(len(pts))
-                            for name in self.component_set:
-                                comp_sum += grad_comp_n[(name, M)]
-                            q_fam += HLL[J] * comp_sum
+                pairs = self.pairs
             else:
-                raise ValueError(f"unknown convention {convention!r}")
+                subs = subsequences(self.I)
+                pairs = [(J, M) for J in subs for K in subs
+                         if len(J) + len(K) <= len(self.I) and len(K) < len(self.I)
+                         for M in [K] + [K + (g,) for g in GENERATORS]]
+            for J, K in pairs:
+                t_fam += Hn[J] * grad_full_n[K]
+                comp_sum = np.zeros(len(pts))
+                for name in self.component_set:
+                    comp_sum += grad_comp_n[(name, K)]
+                q_fam += HLL[J] * comp_sum
         return {
-            "flat": flat,
+            "flat": norms["flat"].copy(),
             "t_weighted": wt * t_fam,
             "q_weighted": wq * q_fam,
         }
@@ -416,9 +431,9 @@ def commutator_report(H, phi, I, V, pts, frame_set="T"):
     """Exact lhs, identity residual, and measured bound constants at points."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     phi_V = project_component(phi, V)
-    lhs = commutator_exact_lhs(H, phi_V, I)
-    lhs_vals = np.sqrt(np.sum(lhs.eval(pts) ** 2, axis=1))
-    ident = identity_residual(H, phi_V, I, pts)
+    lhs = commutator_exact_lhs(H, phi_V, I).eval(pts)
+    lhs_vals = np.sqrt(np.sum(lhs ** 2, axis=1))
+    ident = _relative_residual(lhs, commutator_identity_rhs(H, phi_V, I), pts)
     bound = commutator_bound_rhs(H, phi, I, V, frame_set=frame_set)
     bvals = bound.eval(pts)
     bvals_nested = bound.eval(pts, convention="nested")

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EmptyRegion, GhostInvalid, PoleDegenerate
 from .geometry import MINKOWSKI_INV, frame_arrays, null_frame_at
-from .poly import Poly, RadPoly
+from .poly import Poly, RadPoly, _eval_scalars
 
 GHOST = 2
 
@@ -141,25 +141,23 @@ class PolyField:
         return PolyField(self.rank + 1, self.channels, comps,
                          ("d",) + self.variance)
 
-    def lower_slot(self, slot):
-        assert self.variance[slot] == "u"
+    def _move_slot(self, slot, src, dst):
+        """Flip the variance of ``slot`` from src to dst with the Minkowski
+        metric, which only negates the time entries."""
+        assert self.variance[slot] == src
         comps = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(self.shape):
             sign = -1 if idx[slot] == 0 else 1
             comps[idx] = self.comps[idx] * sign
         var = list(self.variance)
-        var[slot] = "d"
+        var[slot] = dst
         return PolyField(self.rank, self.channels, comps, var)
 
+    def lower_slot(self, slot):
+        return self._move_slot(slot, "u", "d")
+
     def raise_slot(self, slot):
-        assert self.variance[slot] == "d"
-        comps = np.empty(self.shape, dtype=object)
-        for idx in np.ndindex(self.shape):
-            sign = -1 if idx[slot] == 0 else 1
-            comps[idx] = self.comps[idx] * sign
-        var = list(self.variance)
-        var[slot] = "u"
-        return PolyField(self.rank, self.channels, comps, var)
+        return self._move_slot(slot, "d", "u")
 
     def lower_all(self):
         f = self
@@ -170,13 +168,8 @@ class PolyField:
 
     def eval(self, pts):
         """Evaluate at points (n, 4) -> array (n,) + (4,)*rank + (channels,)."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        out = np.zeros((pts.shape[0],) + self.shape)
-        for idx in np.ndindex(self.shape):
-            out[(slice(None),) + idx] = self.comps[idx].eval_many(pts)
-        return out
+        vals = _eval_scalars(self.comps.ravel(), pts)
+        return vals.reshape((vals.shape[0],) + self.shape)
 
     def eval_at(self, pt):
         return self.eval(np.asarray(pt, dtype=float)[None, :])[0]

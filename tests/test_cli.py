@@ -3,6 +3,7 @@ import json
 import pytest
 
 from framewave import cli
+from framewave.background import make_background
 from framewave.errors import ConstraintError, SchemaError
 
 
@@ -84,21 +85,65 @@ def test_evolve_zero_data_zero_series(tmp_path):
     assert all(float(r.split(",")[2]) == 0.0 for r in rows)
 
 
-def test_determinism_bit_identical(tmp_path):
-    path = _write(tmp_path, {
-        "mode": "evolve",
+DETERMINISM_CONFIGS = {
+    "evolve": {
         "grid": {"N": 12, "X": 4.0},
         "times": {"t1": 0.0, "t2": 0.3},
         "data": {"family": "gaussian", "center": [0, 0, 1.5], "sigma": 0.8},
         "monitors": 3,
+    },
+    "certify": {"certify": {"fast": True}},
+    "commutator": {"multi_indices": ["S", "Z12"], "components": ["L", "Lbar"]},
+    "estimate": {
+        "grid": {"N": 12, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.3},
+        "region": {"q0": "-inf"},
+        "data": {"family": "gaussian", "center": [0, 0, 1.5], "sigma": 0.8},
+        "multi_indices": ["", "S"],
+        "monitors": 5,
+    },
+}
+
+
+def test_determinism_bit_identical(tmp_path):
+    for mode, body in DETERMINISM_CONFIGS.items():
+        path = _write(tmp_path, {"mode": mode, **body}, name=f"{mode}.json")
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / mode / run
+            assert cli.main([mode, "--config", path, "--out", str(out),
+                             "--seed", "77"]) == 0
+            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outs[0].keys() == outs[1].keys(), mode
+        for name in outs[0]:
+            assert outs[0][name] == outs[1][name], f"{mode}: {name} differs"
+
+
+def test_conserve_unmeasured_order_is_null(tmp_path):
+    # zero data: every budget residual is 0, so no order can be measured
+    path = _write(tmp_path, {
+        "mode": "conserve",
+        "grid": {"N": 8, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.2},
+        "data": {"family": "zero"},
+        "monitors": 3,
     })
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        assert cli.main(["evolve", "--config", path, "--out", str(out),
-                         "--seed", "77"]) == 0
-        outs.append((out / "energy_series.csv").read_bytes())
-    assert outs[0] == outs[1]
+    out = tmp_path / "out"
+    assert cli.main(["conserve", "--config", path, "--out", str(out),
+                     "--refine", "2"]) == 0
+    payload = json.loads((out / "conserve.json").read_text())
+    assert payload["residuals"] == [0.0, 0.0]
+    assert payload["measured_order"] is None
+
+
+def test_negative_epsilon_rejected(tmp_path, capsys):
+    path = _write(tmp_path, {"mode": "evolve", "background": {
+        "family": "static-bump", "epsilon": -2.0}})
+    rc = cli.main(["evolve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "epsilon" in capsys.readouterr().err
+    # the smallness flag reads |H|, whatever the sign of epsilon
+    assert make_background("static-bump", epsilon=-0.2).sup_abs() == 0.2
 
 
 def test_commutator_mode(tmp_path):

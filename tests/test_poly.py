@@ -1,7 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framewave import poly as poly_mod
+from framewave.fields import PolyField
 from framewave.poly import GaussPoly, Poly, RadPoly, measure_order, random_poly
 
 
@@ -92,3 +96,64 @@ def test_measure_order():
     hs = [0.1, 0.05, 0.025]
     errs = [h ** 2 for h in hs]
     assert measure_order(hs, errs) == pytest.approx(2.0, abs=1e-10)
+
+
+def test_measure_order_needs_two_positive_errors():
+    order = measure_order([0.1, 0.05, 0.025], [0.0, 0.0, 1e-3])
+    assert np.isnan(order)
+    assert not order >= 1.9
+
+
+def _reference_eval(s, pts):
+    """Per-monomial evaluation: (value, sum of |monomial terms|) at pts."""
+    if isinstance(s, GaussPoly):
+        val, mag = _reference_eval(s.poly, pts)
+        env = s.envelope_many(pts)
+        return val * env, mag * env
+    terms = s.terms.items() if isinstance(s, RadPoly) else [((0, 0, 0), s)]
+    radii = [np.sqrt(sum(pts[:, a] ** 2 for a in axes))
+             for axes in ((1, 2, 3), (1, 2), (2, 3))]
+    val, mag = np.zeros(len(pts)), np.zeros(len(pts))
+    for rad, p in terms:
+        for key, c in p.c.items():
+            term = np.full(len(pts), float(c))
+            for ax, e in enumerate(key):
+                term = term * pts[:, ax] ** e
+            for radius, e in zip(radii, rad):
+                term = term / radius ** e
+            val += term
+            mag += np.abs(term)
+    return val, mag
+
+
+def _assert_matches_reference(got, scalar, pts):
+    want, mag = _reference_eval(scalar, pts)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * mag)
+
+
+@pytest.mark.parametrize("n", [1, 257])
+@pytest.mark.parametrize("block", [None, 50])
+def test_batched_eval_matches_per_monomial_reference(n, block, monkeypatch):
+    # block=50 entries splits the points into many blocks, the last one partial
+    if block is not None:
+        monkeypatch.setattr(poly_mod, "_BLOCK_ENTRIES", block)
+    rng = np.random.default_rng(2024)
+    pts = rng.uniform(0.5, 2.0, size=(n, 4)) * rng.choice([-1.0, 1.0], size=(n, 4))
+    polys = [random_poly(rng, degree=4, nterms=8) for _ in range(4)]
+    rad = RadPoly({(0, 0, 0): polys[0], (1, 0, 0): polys[1],
+                   (2, 1, 0): polys[2], (3, 2, 1): polys[3] * Fraction(1, 3)})
+    scalars = polys + [rad, Poly(), RadPoly(), Poly.const(2.5),
+                       Poly.const(Fraction(1, 3)), RadPoly.radical(2, 3)]
+    for s in scalars:
+        _assert_matches_reference(s.eval_many(pts), s, pts)
+    g = GaussPoly(polys[0], center=(0.2, -0.1, 0.3), sigma=1.4)
+    _assert_matches_reference(g.eval_many(pts), g, pts)
+    for rank in (0, 1, 2):
+        f = PolyField.random(rng, rank=rank, channels=3, degree=3, nterms=5)
+        f.comps.flat[1] = Poly()  # a zero component among nonzero ones
+        f.comps.flat[2] = rad
+        vals = f.eval(pts)
+        assert vals.shape == (n,) + f.shape
+        for idx in np.ndindex(f.shape):
+            _assert_matches_reference(vals[(slice(None),) + idx], f.comps[idx], pts)
