@@ -106,7 +106,7 @@ CONFIG_SCHEMA = {
         "multi_indices": {"type": "array", "items": {"type": "string"}},
         "components": {"type": "array", "items": {"type": "string"}},
         "boundary": {"enum": ["sommerfeld", "periodic"]},
-        "monitors": {"type": "integer"},
+        "monitors": {"type": "integer", "minimum": 2},
         "snapshots": {"type": "boolean"},
         "certify": {
             "type": "object",

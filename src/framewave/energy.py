@@ -341,6 +341,8 @@ class SliceState:
 
     Holds psi, d_t psi, d_tt psi on the full cube (valid ghosts) and
     derives stress densities lazily.  Arrays follow (channels, n, n, n).
+    psi_tt may be given as a zero-argument callable; it is called the
+    first time d_tt psi is read (only the wave operator reads it).
     """
 
     def __init__(self, geom, t, psi, psi_t, psi_tt, background):
@@ -348,9 +350,15 @@ class SliceState:
         self.t = float(t)
         self.psi = psi
         self.psi_t = psi_t
-        self.psi_tt = psi_tt
+        self._psi_tt = psi_tt
         self.bg = background
         self._cache = {}
+
+    @property
+    def psi_tt(self):
+        if callable(self._psi_tt):
+            self._psi_tt = self._psi_tt()
+        return self._psi_tt
 
     def _get(self, key, fn):
         if key not in self._cache:
@@ -516,7 +524,12 @@ class SliceState:
 
 
 class ComponentSeries:
-    """Uniformly spaced monitored snapshots of one scalar component."""
+    """Uniformly spaced monitored snapshots of one scalar component.
+
+    psi, psi_t and psi_tt are sequences of (channels, n, n, n) arrays;
+    a slice state reads psi_tt[k] only when its wave operator is needed,
+    so psi_tt may compute its items on first access.
+    """
 
     def __init__(self, geom, background, times, psi, psi_t, psi_tt):
         self.geom = geom
@@ -544,7 +557,7 @@ class ComponentSeries:
 
     def state(self, k):
         return SliceState(self.geom, self.times[k], self.psi[k],
-                          self.psi_t[k], self.psi_tt[k], self.background)
+                          self.psi_t[k], lambda: self.psi_tt[k], self.background)
 
     def state_at(self, t):
         return self.state(self.index_of(t))

@@ -45,6 +45,10 @@ class CFLViolation(FramewaveError):
     """Requested time step exceeds the stability limit."""
 
 
+class NonFiniteResult(FramewaveError):
+    """A monitored field or slice energy is inf or NaN."""
+
+
 class FrameMismatch(FramewaveError):
     """Frame component incompatible with the requested frame set."""
 

@@ -646,7 +646,9 @@ def lie_component_series(history, I, component):
     if len(times) < 5:
         raise HistoryMissing("Lie-applied series needs >= 5 stored snapshots")
     dt = times[1] - times[0]
-    level = [history.fields[k] for k in range(len(times))]
+    level = [F.copy() for F in history.fields]
+    for F in level:
+        fill_ghosts_array(F, history.ghost_mode)
     level_t = [history.dfields[k] for k in range(len(times))]
     rank = history.rank
     for gen in reversed(I):

@@ -7,14 +7,18 @@ analytically (see :mod:`framewave.background`), never solved for, which
 isolates verification of the estimates from any constraint solve.
 
 Boundary handling: ghost layers are zero-filled and the outer width-2
-shell is advanced with a second-order outgoing (radiation) condition
-using one-sided differences; experiments keep support at least 4 cells
-from the edge, so the condition is inert for acceptance runs.  A periodic
-mode exists for exact plane-wave convergence tests.
+shell of interior cells is advanced with a second-order outgoing
+(radiation) condition whose differences never read ghosts.  The shell
+update runs on its six edge slabs only; the bulk update covers the whole
+cube and the shell overwrites its part.
+Experiments keep support at least 4 cells from the edge, so the condition
+is inert for acceptance runs.  A periodic mode exists for exact
+plane-wave convergence tests.
 
-Stencil updates vectorize over the whole cube (slab decomposition would
-apply along the leading spatial axis); steps are sequential; monitors run
-on immutable stored snapshots.
+Steps are sequential.  Monitors run on immutable stored snapshots: a
+component series projects copies of them, and evaluates d_tt of the
+component from the evolution equation on copies only when a monitor
+reads it (the wave operator of the budget and the estimate).
 """
 
 from __future__ import annotations
@@ -22,17 +26,18 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .background import Background, make_background
 from .energy import ComponentSeries, ExteriorRegion, slice_energy, write_series_csv
-from .errors import CFLViolation, ConstraintError, PoleDegenerate
+from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
 from .fields import (GHOST, GridField, GridGeometry, d1_axis, d2_axis,
                      fill_ghosts_array, save_snapshot)
 from .geometry import MINKOWSKI, MINKOWSKI_INV
-from .poly import GaussPoly, Poly
+from .poly import GaussPoly, Poly, _eval_scalars
 from .weights import WeightParams
 
 CFL_LIMIT = 0.5
@@ -191,15 +196,17 @@ def manufactured_source(target_comps, background, geom):
     target_comps: object array (4,)*rank + (channels,) of exact scalars
     (Poly or GaussPoly).  Returns fn(t) -> g^{ab} d_a d_b target sampled
     on the full cube; evolving with it reproduces the target up to
-    discretization error.
+    discretization error.  Each call evaluates the distinct Hessian
+    entries d_a d_b (a <= b) once: the diagonal alone on a flat
+    background, all ten otherwise.
     """
     shape = target_comps.shape
-    hessians = np.empty((4, 4) + shape, dtype=object)
-    for idx in np.ndindex(shape):
-        for a_ in range(4):
-            da = target_comps[idx].diff(a_)
-            for b_ in range(4):
-                hessians[(a_, b_) + idx] = da.diff(b_)
+    pairs = [(a_, b_) for a_ in range(4) for b_ in range(a_, 4)]
+    if background.is_flat():
+        pairs = [(a_, a_) for a_ in range(4)]
+    col = {p: j for j, p in enumerate(pairs)}
+    hessians = {idx: [target_comps[idx].diff(a_).diff(b_) for a_, b_ in pairs]
+                for idx in np.ndindex(shape)}
 
     def source_fn(t):
         pts = geom.points_full(t)
@@ -207,15 +214,20 @@ def manufactured_source(target_comps, background, geom):
         out = np.zeros(shape + (n, n, n))
         Hf = background.H_full(geom, t) if not background.is_flat() else None
         for idx in np.ndindex(shape):
-            acc = np.zeros(pts.shape[0])
+            hs = hessians[idx]
+            if isinstance(hs[0], GaussPoly):  # d_a d_b keeps the envelope
+                env = hs[0].envelope_many(pts)[:, None]
+                hv = _eval_scalars([h.poly for h in hs], pts) * env
+            else:
+                hv = _eval_scalars(hs, pts)
+            hv = hv.T.reshape(len(pairs), n, n, n)
+            acc = np.zeros((n, n, n))
             for a_ in range(4):
-                acc += MINKOWSKI_INV[a_, a_] * hessians[(a_, a_) + idx].eval_many(pts)
-            acc = acc.reshape(n, n, n)
+                acc += MINKOWSKI_INV[a_, a_] * hv[col[a_, a_]]
             if Hf is not None:
                 for a_ in range(4):
                     for b_ in range(4):
-                        hv = hessians[(a_, b_) + idx].eval_many(pts).reshape(n, n, n)
-                        acc = acc + Hf[a_, b_] * hv
+                        acc = acc + Hf[a_, b_] * hv[col[min(a_, b_), max(a_, b_)]]
             out[idx] = acc
         return out
 
@@ -242,49 +254,59 @@ def max_characteristic_speed(geom, bg: Background, t):
     return float(np.max(c))
 
 
-def _boundary_aware_grad(geom, U, boundary):
-    """Spatial gradient with one-sided shell closures for radiation updates."""
-    dx = geom.dx
-    out = np.stack([d1_axis(U, i, dx) for i in (1, 2, 3)])
-    if boundary == "periodic":
-        return out
-    nd = U.ndim
-    for i in (1, 2, 3):
-        ax = nd - 3 + (i - 1)
-        n = U.shape[ax]
+def _shell_d1(U, ax, cut, dx):
+    """First derivative along spatial axis ax (0-2) on the interior cells
+    that ``cut`` (one slice per spatial axis) selects: one-sided second
+    order on the outermost interior layer, centred second order one layer
+    in, the 4th-order stencil of :func:`d1_axis` elsewhere.  Never reads
+    ghosts."""
+    lo, hi = GHOST, U.shape[ax - 3] - GHOST - 1
+    a, b = cut[ax].start, cut[ax].stop
 
-        def sl(idx, ax=ax):
-            t = [slice(None)] * nd
-            t[ax] = idx
-            return tuple(t)
+    def sh(d, k0, k1):
+        s = list(cut)
+        s[ax] = slice(k0 + d, k1 + d)
+        return U[(Ellipsis, *s)]
 
-        lo = GHOST
-        out[i - 1][sl(lo)] = (
-            -3.0 * U[sl(lo)] + 4.0 * U[sl(lo + 1)] - U[sl(lo + 2)]
-        ) / (2 * dx)
-        out[i - 1][sl(lo + 1)] = (U[sl(lo + 2)] - U[sl(lo)]) / (2 * dx)
-        hi = n - GHOST - 1
-        out[i - 1][sl(hi)] = (
-            3.0 * U[sl(hi)] - 4.0 * U[sl(hi - 1)] + U[sl(hi - 2)]
-        ) / (2 * dx)
-        out[i - 1][sl(hi - 1)] = (U[sl(hi)] - U[sl(hi - 2)]) / (2 * dx)
-    return out
+    parts = []
+    if a <= lo < b:
+        parts.append((-3.0 * sh(0, lo, lo + 1) + 4.0 * sh(1, lo, lo + 1)
+                      - sh(2, lo, lo + 1)) / (2 * dx))
+    if a <= lo + 1 < b:
+        parts.append((sh(1, lo + 1, lo + 2) - sh(-1, lo + 1, lo + 2)) / (2 * dx))
+    c0, c1 = max(a, lo + 2), min(b, hi - 1)
+    if c0 < c1:
+        parts.append((sh(-2, c0, c1) - 8.0 * sh(-1, c0, c1) + 8.0 * sh(1, c0, c1)
+                      - sh(2, c0, c1)) / (12.0 * dx))
+    if a <= hi - 1 < b:
+        parts.append((sh(1, hi - 1, hi) - sh(-1, hi - 1, hi)) / (2 * dx))
+    if a <= hi < b:
+        parts.append((3.0 * sh(0, hi, hi + 1) - 4.0 * sh(-1, hi, hi + 1)
+                      + sh(-2, hi, hi + 1)) / (2 * dx))
+    return np.concatenate(parts, axis=ax - 3)
 
 
-def _shell_mask(geom):
-    n = geom.n_full
-    idx = np.arange(n)
-    edge = (idx < GHOST + 2) | (idx >= n - GHOST - 2)
-    inner = (idx >= GHOST) & (idx < n - GHOST)
-    e = edge & inner
-    m = np.zeros((n, n, n), dtype=bool)
-    m |= e[:, None, None]
-    m |= e[None, :, None]
-    m |= e[None, None, :]
-    interior = np.zeros(n, dtype=bool)
-    interior[GHOST:n - GHOST] = True
-    box = interior[:, None, None] & interior[None, :, None] & interior[None, None, :]
-    return m & box
+def _radiation_shell(geom, Phi, Pi, dPhi, dPi):
+    """Overwrite dPhi, dPi on the width-2 interior shell with the outgoing
+    condition d_t U = -x^i/r d_i U - U/r.
+
+    The shell is cut into six disjoint slabs: the two edge pairs of axis
+    0 over the whole interior, those of axis 1 without the cells axis 0
+    already owns, those of axis 2 without the cells of both.
+    """
+    lo, hi = GHOST, geom.n_full - GHOST
+    full, inner = slice(lo, hi), slice(lo + 2, hi - 2)
+    r = geom.r_full()
+    xh = geom.frames()["L"][1:]
+    for ax in range(3):
+        for edge in (slice(lo, lo + 2), slice(hi - 2, hi)):
+            cut = tuple(edge if k == ax else (inner if k < ax else full)
+                        for k in range(3))
+            x0, x1, x2, rc = xh[0][cut], xh[1][cut], xh[2][cut], r[cut]
+            for U, out in ((Pi, dPi), (Phi, dPhi)):
+                g0, g1, g2 = (_shell_d1(U, i, cut, geom.dx) for i in range(3))
+                out[(Ellipsis, *cut)] = (-(x0 * g0 + x1 * g1 + x2 * g2)
+                                         - U[(Ellipsis, *cut)] / rc)
 
 
 class Evolver:
@@ -299,7 +321,6 @@ class Evolver:
         self.source_fn = source_fn
         self.schematic = schematic
         self.boundary = boundary
-        self._shell = None if boundary == "periodic" else _shell_mask(geom)
         self._ghost_mode = "periodic" if boundary == "periodic" else "zero"
         self._static_g = None
         if background.is_flat():
@@ -350,15 +371,8 @@ class Evolver:
             S = build_source(self.schematic, geom, self.bg, t, Phi, Pi)
             dPi = dPi + S / g00
         dPhi = Pi.copy()
-        if self._shell is not None:
-            r = geom.r_full()
-            xh = geom.frames()["L"][1:]
-            gPi = _boundary_aware_grad(geom, Pi, self.boundary)
-            gPhi = _boundary_aware_grad(geom, Phi, self.boundary)
-            advP = -(xh[0] * gPi[0] + xh[1] * gPi[1] + xh[2] * gPi[2]) - Pi / r
-            advF = -(xh[0] * gPhi[0] + xh[1] * gPhi[1] + xh[2] * gPhi[2]) - Phi / r
-            dPi = np.where(self._shell, advP, dPi)
-            dPhi = np.where(self._shell, advF, dPhi)
+        if self.boundary != "periodic":
+            _radiation_shell(geom, Phi, Pi, dPhi, dPi)
         return dPhi, dPi
 
     def step(self, t, Phi, Pi, dt):
@@ -373,7 +387,12 @@ class Evolver:
 
 @dataclass
 class RunHistory:
-    """Stored run snapshots plus the reduction closure for monitors."""
+    """Stored run snapshots plus the reduction closure for monitors.
+
+    fields/dfields hold Phi and Pi at each monitor time exactly as the
+    run left them; monitors never write to them.  component_series
+    computes d_tt of a component on demand from the evolver.
+    """
 
     geom: object
     background: object
@@ -384,6 +403,11 @@ class RunHistory:
     dfields: list
     evolver: Evolver
     boundary: str = "sommerfeld"
+
+    @property
+    def ghost_mode(self):
+        """Ghost fill that gives stencils valid edges on this run's arrays."""
+        return "periodic" if self.boundary == "periodic" else "extrapolate"
 
     def project(self, arr, component):
         """Scalar component of a stored tensor snapshot.
@@ -411,23 +435,45 @@ class RunHistory:
         raise ValueError(f"unknown component {component!r} for rank {self.rank}")
 
     def component_series(self, component):
-        psi, psi_t, psi_tt = [], [], []
-        for k, t in enumerate(self.times):
-            F = self.fields[k]
-            P = self.dfields[k]
-            _, dPi = self.evolver.rhs(t, F, P)
-            for arr in (F, P):
-                fill_ghosts_array(arr, "extrapolate" if self.boundary != "periodic" else "periodic")
-            a = self.project(F, component).copy()
-            b = self.project(P, component).copy()
-            c = self.project(dPi, component).copy()
-            mode = "extrapolate" if self.boundary != "periodic" else "periodic"
-            for arr in (a, b, c):
-                fill_ghosts_array(arr, mode)
-            psi.append(a)
-            psi_t.append(b)
-            psi_tt.append(c)
-        return ComponentSeries(self.geom, self.background, self.times, psi, psi_t, psi_tt)
+        """Series of one projected component.
+
+        psi and d_t psi are projected from the stored snapshots; d_tt psi
+        comes from the evolution equation, evaluated on copies of a
+        snapshot the first time a monitor reads it (:class:`_OnDemand`).
+        """
+        def projected(arr):
+            out = self.project(arr, component).copy()
+            fill_ghosts_array(out, self.ghost_mode)
+            return out
+
+        def psi_tt(k):
+            _, dPi = self.evolver.rhs(self.times[k], self.fields[k].copy(),
+                                      self.dfields[k].copy())
+            return projected(dPi)
+
+        return ComponentSeries(self.geom, self.background, self.times,
+                               [projected(F) for F in self.fields],
+                               [projected(P) for P in self.dfields],
+                               _OnDemand(psi_tt, len(self.times)))
+
+
+class _OnDemand(Sequence):
+    """Read-only list whose item k is fn(k), computed on first access and
+    then kept."""
+
+    def __init__(self, fn, n):
+        self._fn = fn
+        self._n = n
+        self._items = {}
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, k):
+        k = range(self._n)[k]
+        if k not in self._items:
+            self._items[k] = self._fn(k)
+        return self._items[k]
 
 
 def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
@@ -470,13 +516,21 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
         Phi, Pi = ev.step(t, Phi, Pi, dt)
         t = t1 + (k + 1) * dt
         if (k + 1) % stride == 0:
+            max_abs = float(np.max(np.abs(Phi)))
+            if log is not None:
+                log({"event": "monitor", "step": k + 1, "t": t,
+                     "cfl": dt * c / geom.dx, "max_abs": max_abs})
+            max_abs_pi = float(np.max(np.abs(Pi)))
+            if not (math.isfinite(max_abs) and math.isfinite(max_abs_pi)):
+                if log is not None:
+                    log({"event": "non_finite", "step": k + 1, "t": t,
+                         "quantity": "fields", "max_abs": max_abs,
+                         "max_abs_pi": max_abs_pi})
+                raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
+                                      f"{max_abs_pi} at t = {t}")
             times.append(t)
             fields.append(Phi.copy())
             dfields.append(Pi.copy())
-            if log is not None:
-                log({"event": "monitor", "step": k + 1, "t": t,
-                     "cfl": dt * c / geom.dx,
-                     "max_abs": float(np.max(np.abs(Phi)))})
     return RunHistory(geom=geom, background=background, rank=rank,
                       channels=channels, times=times, fields=fields,
                       dfields=dfields, evolver=ev, boundary=boundary)
@@ -594,6 +648,12 @@ def _initial_data(cfg, geom):
     raise ConstraintError(f"unknown data family {d['family']!r}")
 
 
+def _write_events(path, events):
+    with open(path, "w") as fh:
+        for ev in events:
+            fh.write(json.dumps(ev, sort_keys=True) + "\n")
+
+
 def run_experiment(cfg, out_dir):
     """Evolve per the config, write the run log, energy series, and
     optional snapshots; returns (history, summary dict)."""
@@ -606,14 +666,14 @@ def run_experiment(cfg, out_dir):
                           slots=tuple(cfg["source"]["slots"]))
     log_path = os.path.join(out_dir, "run_log.jsonl")
     events = []
-    hist = evolve_run(
-        geom, bg, Phi0, Pi0, cfg["times"]["t1"], cfg["times"]["t2"],
-        schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
-        boundary=cfg["boundary"], n_monitors=cfg["monitors"],
-        log=events.append)
-    with open(log_path, "w") as fh:
-        for ev in events:
-            fh.write(json.dumps(ev, sort_keys=True) + "\n")
+    try:
+        hist = evolve_run(
+            geom, bg, Phi0, Pi0, cfg["times"]["t1"], cfg["times"]["t2"],
+            schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
+            boundary=cfg["boundary"], n_monitors=cfg["monitors"],
+            log=events.append)
+    finally:
+        _write_events(log_path, events)
 
     rows = []
     summary = {"components": {}, "seed": cfg["seed"]}
@@ -623,6 +683,11 @@ def run_experiment(cfg, out_dir):
         for k, t in enumerate(series.times):
             e_w = slice_energy(series.state(k), region, params, "w")
             e_wt = slice_energy(series.state(k), region, params, "wtilde")
+            if not (math.isfinite(e_w) and math.isfinite(e_wt)):
+                events.append({"event": "non_finite", "t": float(t),
+                               "quantity": f"{comp}:slice_energy"})
+                _write_events(log_path, events)
+                raise NonFiniteResult(f"slice energy of {comp} is not finite at t = {t}")
             rows.append((t, f"{comp}:slice_energy_w", e_w))
             rows.append((t, f"{comp}:slice_energy_wtilde", e_wt))
             energies.append(e_w)

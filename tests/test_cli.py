@@ -187,3 +187,33 @@ def test_snapshot_emission(tmp_path):
     assert (out / "final_state.bin").exists()
     assert (out / "final_state.bin.json").exists()
     assert (out / "run_log.jsonl").exists()
+
+
+def test_single_monitor_rejected(tmp_path, capsys):
+    path = _write(tmp_path, {"mode": "evolve", "monitors": 1})
+    rc = cli.main(["evolve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "monitors" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, quantity", [
+    # linear run: the fields stay finite, |d psi|^2 overflows
+    ({}, "scalar:slice_energy"),
+    # quadratic sources: the fields themselves overflow
+    ({"data": {"family": "gaussian", "rank": 1, "amplitude": 1e300},
+      "source": {"terms": ["AL_dA", "Ae_dAe"]}, "components": ["L"]}, "fields"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_run_exits_4(tmp_path, body, quantity):
+    cfg = {"mode": "evolve", "grid": {"N": 12, "X": 4.0},
+           "times": {"t1": 0.0, "t2": 0.3},
+           "data": {"family": "gaussian", "amplitude": 1e300}, "monitors": 3}
+    path = _write(tmp_path, {**cfg, **body})
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 4
+    events = [json.loads(line) for line in
+              (out / "run_log.jsonl").read_text().splitlines()]
+    bad = [ev for ev in events if ev["event"] == "non_finite"]
+    assert len(bad) == 1 and bad[0] is events[-1]
+    assert bad[0]["quantity"] == quantity
+    assert not (out / "energy_series.csv").exists()

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from framewave import evolve
 from framewave.background import BumpBackground, ZeroBackground, make_background
 from framewave.errors import CFLViolation
-from framewave.fields import GridGeometry, d1_axis
+from framewave.fields import GHOST, GridGeometry, d1_axis
 from framewave.poly import GaussPoly, Poly, measure_order
 
 
@@ -249,3 +251,134 @@ def test_sommerfeld_shell_stable_long_run():
     hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 6.0,
                              cfl=0.4, n_monitors=7)
     assert np.max(np.abs(hist.fields[-1])) < 1.0  # decayed, not amplified
+
+
+# --- radiation shell: slab update against the full-cube reference ------------
+
+def _full_cube_shell_grad(geom, U):
+    """Reference: 4th-order gradient over the whole cube, then one-sided
+    (outer layer) and centred second-order (next layer) closures along
+    each axis."""
+    dx = geom.dx
+    out = np.stack([d1_axis(U, i, dx) for i in (1, 2, 3)])
+    nd = U.ndim
+    for i in (1, 2, 3):
+        ax = nd - 3 + (i - 1)
+        n = U.shape[ax]
+
+        def sl(idx, ax=ax):
+            t = [slice(None)] * nd
+            t[ax] = idx
+            return tuple(t)
+
+        lo, hi = GHOST, n - GHOST - 1
+        out[i - 1][sl(lo)] = (-3.0 * U[sl(lo)] + 4.0 * U[sl(lo + 1)] - U[sl(lo + 2)]) / (2 * dx)
+        out[i - 1][sl(lo + 1)] = (U[sl(lo + 2)] - U[sl(lo)]) / (2 * dx)
+        out[i - 1][sl(hi)] = (3.0 * U[sl(hi)] - 4.0 * U[sl(hi - 1)] + U[sl(hi - 2)]) / (2 * dx)
+        out[i - 1][sl(hi - 1)] = (U[sl(hi)] - U[sl(hi - 2)]) / (2 * dx)
+    return out
+
+
+def _full_cube_shell(geom, Phi, Pi, dPhi, dPi):
+    """Reference radiation update: advection over the whole cube, kept on
+    the width-2 interior shell by a mask."""
+    n = geom.n_full
+    idx = np.arange(n)
+    inner = (idx >= GHOST) & (idx < n - GHOST)
+    edge = ((idx < GHOST + 2) | (idx >= n - GHOST - 2)) & inner
+    shell = (edge[:, None, None] | edge[None, :, None] | edge[None, None, :]) \
+        & inner[:, None, None] & inner[None, :, None] & inner[None, None, :]
+    r = geom.r_full()
+    xh = geom.frames()["L"][1:]
+    for U, out in ((Pi, dPi), (Phi, dPhi)):
+        g = _full_cube_shell_grad(geom, U)
+        adv = -(xh[0] * g[0] + xh[1] * g[1] + xh[2] * g[2]) - U / r
+        out[...] = np.where(shell, adv, out)
+
+
+@pytest.mark.parametrize("family", ["zero", "static-bump", "traveling-bump"])
+@pytest.mark.parametrize("rank, channels", [(0, 1), (1, 2)])
+def test_rhs_shell_bit_identical_to_full_cube(monkeypatch, family, rank, channels):
+    geom = GridGeometry(12, 4.0)
+    bg = make_background(family, epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
+    spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")) if rank == 1 else None
+    ev = evolve.Evolver(geom, bg, rank, channels, schematic=spec)
+    rngl = np.random.default_rng(11 + rank)
+    shape = (4,) * rank + (channels,) + (geom.n_full,) * 3
+    Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
+    got = ev.rhs(0.3, Phi.copy(), Pi.copy())
+    monkeypatch.setattr(evolve, "_radiation_shell", _full_cube_shell)
+    want = ev.rhs(0.3, Phi.copy(), Pi.copy())
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    assert not np.array_equal(got[0], Pi)  # the shell was written
+
+
+def test_evolve_run_calls_rhs_only_for_rk_stages(monkeypatch, tmp_path):
+    from framewave import cli
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "evolve", "grid": {"N": 12, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.3},
+        "data": {"family": "gaussian", "rank": 1, "center": [0, 0, 1.5],
+                 "sigma": 0.8},
+        "source": {"terms": ["AL_dA", "Ae_dAe"]},
+        "components": ["L", "e1", "slot0"], "monitors": 3}))
+    cfg = cli.parse_config(str(cfg_path))
+    calls = {"rhs": 0, "step": 0}
+    rhs, step = evolve.Evolver.rhs, evolve.Evolver.step
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(evolve.Evolver, "rhs", counted("rhs", rhs))
+    monkeypatch.setattr(evolve.Evolver, "step", counted("step", step))
+    evolve.run_experiment(cfg, str(tmp_path))
+    assert calls["step"] >= 2
+    assert calls["rhs"] == 4 * calls["step"]
+
+
+def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
+    geom = GridGeometry(12, 4.0)
+    comps = np.empty((4, 2), dtype=object)
+    for idx in np.ndindex(comps.shape):
+        p = Poly.const(1.0 + idx[0]) + Poly.var(idx[0]) * (0.5 - idx[1]) \
+            + Poly.var(0) * Poly.var(1 + idx[1])
+        comps[idx] = GaussPoly(p, center=(0.2, -0.1, 0.3 * idx[1]), sigma=1.1)
+    poly_comps = np.empty((1,), dtype=object)
+    x0, x1, x2, x3 = (Poly.var(a) for a in range(4))
+    poly_comps[0] = x0 * x0 * x1 + x2 * x3 * x3 * x3
+    bump = make_background("traveling-bump", epsilon=0.2, center=(0.0, 0.5, 0.0),
+                           radius=3.0)
+    t = 0.4
+    pts = geom.points_full(t)
+    n = geom.n_full
+    for target in (comps, poly_comps):
+        for bg in (ZeroBackground(), bump):
+            # per-entry reference: every d_a d_b evaluated on its own
+            Hf = None if bg.is_flat() else bg.H_full(geom, t)
+            want = np.zeros(target.shape + (n, n, n))
+            for idx in np.ndindex(target.shape):
+                for a in range(4):
+                    for b in range(4):
+                        coef = (evolve.MINKOWSKI_INV[a, b] if a == b else 0.0) \
+                            + (0.0 if Hf is None else Hf[a, b])
+                        h = target[idx].diff(a).diff(b).eval_many(pts).reshape(n, n, n)
+                        want[idx] += coef * h
+            columns = []
+            kernel = evolve._eval_scalars
+
+            def counted(scalars, p):
+                columns.append(len(scalars))
+                return kernel(scalars, p)
+
+            monkeypatch.setattr(evolve, "_eval_scalars", counted)
+            got = evolve.manufactured_source(target, bg, geom)(t)
+            monkeypatch.undo()
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            assert columns == [4 if bg.is_flat() else 10] * target.size
