@@ -2,9 +2,17 @@
 
 The evolution consumes g^{mu nu} = m^{mu nu} + H^{mu nu} with H supplied
 by an analytic family rather than solved for; families stay below the
-|H| < 1/3 smallness threshold whenever epsilon <= 0.3.  Each family
-provides exact pointwise values and first derivatives, both on point
-batches and on full grid cubes.
+|H| < 1/3 smallness threshold whenever |epsilon| <= 0.3.
+
+Every family is a scalar profile times a constant direction,
+
+    H^{mu nu}(t, x) = chi(t, x) M^{mu nu},
+
+with chi already scaled by epsilon and M a fixed symmetric unit matrix.
+Callers contract M once and multiply by chi or its 4-gradient dchi
+instead of building dense (4, 4, n, n, n) tensors.  A bump profile is
+evaluated only on the index box of its support (clipped to the grid,
+possibly empty); every cell outside that box is exactly 0.
 """
 
 from __future__ import annotations
@@ -27,61 +35,46 @@ _DEFAULT_DIRECTION = _DEFAULT_DIRECTION / np.linalg.norm(_DEFAULT_DIRECTION)
 
 
 class Background:
-    """Interface: H_at/dH_at on (n, 4) points, H_full/dH_full on grids."""
+    """Interface: H = chi * direction with a scalar profile chi on the grid.
+
+    ``profile(geom, t)`` returns chi (n, n, n) and its 4-gradient dchi
+    (4, n, n, n) on the full cube; ``direction`` is the constant M.
+    H_full, dH_full and g_inv_full are dense tensors derived from them,
+    for the few callers that need pointwise 4x4 algebra.
+    """
 
     epsilon = 0.0
+    direction = np.zeros((4, 4))
 
     def is_flat(self):
         return False
 
-    def H_at(self, pts):
-        raise NotImplementedError
-
-    def dH_at(self, pts):
+    def profile(self, geom, t):
         raise NotImplementedError
 
     def H_full(self, geom, t):
-        pts = geom.points_full(t)
-        n = geom.n_full
-        return np.moveaxis(self.H_at(pts), 0, -1).reshape(4, 4, n, n, n)
+        chi, _ = self.profile(geom, t)
+        return chi * self.direction[:, :, None, None, None]
 
     def dH_full(self, geom, t):
-        pts = geom.points_full(t)
-        n = geom.n_full
-        return np.moveaxis(self.dH_at(pts), 0, -1).reshape(4, 4, 4, n, n, n)
+        _, dchi = self.profile(geom, t)
+        return dchi[:, None, None] * self.direction[None, :, :, None, None, None]
 
     def sup_abs(self):
         """Upper bound on the Frobenius norm |H| over spacetime."""
         raise NotImplementedError
 
     def g_inv_full(self, geom, t):
-        n = geom.n_full
-        g = np.zeros((4, 4, n, n, n))
-        g += MINKOWSKI_INV[:, :, None, None, None]
-        if not self.is_flat():
-            g += self.H_full(geom, t)
-        return g
+        return MINKOWSKI_INV[:, :, None, None, None] + self.H_full(geom, t)
 
 
 class ZeroBackground(Background):
     def is_flat(self):
         return True
 
-    def H_at(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.zeros((pts.shape[0], 4, 4))
-
-    def dH_at(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.zeros((pts.shape[0], 4, 4, 4))
-
-    def H_full(self, geom, t):
+    def profile(self, geom, t):
         n = geom.n_full
-        return np.zeros((4, 4, n, n, n))
-
-    def dH_full(self, geom, t):
-        n = geom.n_full
-        return np.zeros((4, 4, 4, n, n, n))
+        return np.zeros((n, n, n)), np.zeros((4, n, n, n))
 
     def sup_abs(self):
         return 0.0
@@ -90,9 +83,10 @@ class ZeroBackground(Background):
 class BumpBackground(Background):
     """H = epsilon * chi(|x - c(t)| / R) * M with chi(s) = (1 - s^2)^3.
 
-    chi is C^2 with compact support; M is symmetric with |M| = 1, so
-    |H| <= epsilon everywhere.  A nonzero velocity makes the bump travel
-    (|v| < 1), giving a time-dependent background with exact dH/dt.
+    chi is C^2 with compact support in the ball |x - c(t)| < R; M is
+    symmetric with |M| = 1, so |H| <= |epsilon| everywhere.  A nonzero
+    velocity makes the bump travel, c(t) = center + t v (|v| < 1), giving
+    a time-dependent background with exact dH/dt.
     """
 
     def __init__(self, epsilon, center=(0.0, 0.0, 0.0), radius=4.0,
@@ -110,53 +104,46 @@ class BumpBackground(Background):
     def is_flat(self):
         return self.epsilon == 0.0
 
-    def _chi_parts(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        c = self.center[None, :] + pts[:, 0:1] * self.velocity[None, :]
-        d = pts[:, 1:4] - c
-        s2 = np.sum(d * d, axis=1) / self.radius ** 2
+    def profile(self, geom, t):
+        """epsilon * chi and its 4-gradient, evaluated on the support box.
+
+        Along each axis the box keeps the nodes with |x_k - c_k(t)| < R;
+        a node outside it has s^2 >= 1 in floating point too, so the box
+        drops no nonzero value.
+        """
+        n = geom.n_full
+        chi = np.zeros((n, n, n))
+        dchi = np.zeros((4, n, n, n))
+        c = self.center + t * self.velocity
+        R2 = self.radius ** 2
+        d, box = [], []
+        for k in range(3):
+            dk = geom.axis - c[k]
+            idx = np.flatnonzero(np.abs(dk) < self.radius)
+            if idx.size == 0:
+                return chi, dchi
+            box.append(slice(idx[0], idx[-1] + 1))
+            d.append(dk[box[-1]])
+        d = [d[0][:, None, None], d[1][None, :, None], d[2][None, None, :]]
+        s2 = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) / R2
         inside = s2 < 1.0
         one = np.where(inside, 1.0 - s2, 0.0)
-        chi = one ** 3
         # d(chi)/d(s2) = -3 (1 - s2)^2;  grad s2 = 2 d_i / R^2, dt s2 = -2 d.v / R^2
         dchi_ds2 = -3.0 * one ** 2
-        grad = np.zeros((pts.shape[0], 4))
-        grad[:, 1:4] = dchi_ds2[:, None] * 2.0 * d / self.radius ** 2
-        grad[:, 0] = dchi_ds2 * (-2.0) * np.sum(d * self.velocity[None, :], axis=1) / self.radius ** 2
-        grad[~inside] = 0.0
-        return chi, grad
-
-    def H_at(self, pts):
-        chi, _ = self._chi_parts(pts)
-        return self.epsilon * chi[:, None, None] * self.direction[None, :, :]
-
-    def dH_at(self, pts):
-        _, grad = self._chi_parts(pts)
-        return self.epsilon * grad[:, :, None, None] * self.direction[None, None, :, :]
+        grad = np.zeros((4,) + s2.shape)
+        for k in range(3):
+            grad[1 + k] = dchi_ds2 * 2.0 * d[k] / R2
+        if np.any(self.velocity):
+            v = self.velocity
+            grad[0] = dchi_ds2 * (-2.0) * (d[0] * v[0] + d[1] * v[1] + d[2] * v[2]) / R2
+        grad[:, ~inside] = 0.0
+        box = tuple(box)
+        chi[box] = self.epsilon * one ** 3
+        dchi[(slice(None),) + box] = self.epsilon * grad
+        return chi, dchi
 
     def sup_abs(self):
         return abs(self.epsilon)
-
-
-class PolyBackground(Background):
-    """Exact polynomial H (rank-2 contravariant symmetric PolyField)."""
-
-    def __init__(self, field, epsilon=None, sup_bound=None):
-        self.field = field
-        self.epsilon = epsilon if epsilon is not None else float("nan")
-        self._sup = sup_bound
-
-    def is_flat(self):
-        return self.field is None or self.field.is_zero()
-
-    def H_at(self, pts):
-        return self.field.eval(pts)[..., 0]
-
-    def dH_at(self, pts):
-        return self.field.gradient().eval(pts)[..., 0]
-
-    def sup_abs(self):
-        return self._sup if self._sup is not None else float("inf")
 
 
 def make_background(family, epsilon=0.0, **kwargs):
@@ -168,7 +155,4 @@ def make_background(family, epsilon=0.0, **kwargs):
     if family == "traveling-bump":
         kwargs.setdefault("velocity", (0.3, 0.0, 0.0))
         return BumpBackground(epsilon, **kwargs)
-    if family == "poly":
-        return PolyBackground(kwargs["field"], epsilon=epsilon,
-                              sup_bound=kwargs.get("sup_bound"))
     raise ValueError(f"unknown background family {family!r}")

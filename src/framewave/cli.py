@@ -84,9 +84,11 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "terms": {"type": "array", "items": {"type": "string"}},
+                "terms": {"type": "array",
+                          "items": {"enum": list(evolve.SCHEMATIC_TERMS)}},
                 "bigO_degree": {"type": "integer"},
-                "slots": {"type": "array", "items": {"type": "integer"}},
+                "slots": {"type": "array",
+                          "items": {"type": "integer", "minimum": 0, "maximum": 3}},
             },
         },
         "data": {
@@ -187,6 +189,8 @@ def parse_config(path):
         raise ConstraintError("grid.N must be even and >= 8")
     if cfg["times"]["t2"] <= cfg["times"]["t1"]:
         raise ConstraintError("times.t2 must exceed times.t1")
+    if cfg["source"]["terms"] and cfg["data"]["rank"] != 1:
+        raise ConstraintError("source.terms need data.rank = 1 (the potential A)")
     for text in cfg["multi_indices"]:
         parse_multi_index(text)
     return cfg
@@ -218,7 +222,7 @@ def mode_conserve(cfg, out_dir, refine=3):
     for N in Ns:
         sub = json.loads(json.dumps(cfg))
         sub["grid"]["N"] = N
-        hist, _ = run_experiment(sub, out_dir)
+        hist, _ = run_experiment(sub, out_dir, tag=f"_N{N}")
         series = hist.component_series(cfg["components"][0])
         rep = energy.conservation_budget(series, region, cfg["times"]["t1"],
                                          cfg["times"]["t2"], params)
@@ -227,8 +231,10 @@ def mode_conserve(cfg, out_dir, refine=3):
             rows.append((N, term, val))
     hs = [2.0 * cfg["grid"]["X"] / N for N in Ns]
     order = measure_order(hs, residuals)
+    sup_H = bg0.sup_abs()
     payload = {"N": Ns, "residuals": residuals,
                "measured_order": order if np.isfinite(order) else None,
+               "sup_H": sup_H, "hypothesis_ok": bool(sup_H < 1.0 / 3.0),
                "seed": cfg["seed"]}
     energy.write_json(os.path.join(out_dir, "conserve.json"), payload)
     energy.write_series_csv(os.path.join(out_dir, "budget_terms.csv"),

@@ -214,11 +214,6 @@ def divergence_direct(H, psi, nu=0):
     return total
 
 
-def divergence_T(H, psi):
-    """The covariant stress divergence as a covector of exact scalars."""
-    return [divergence_formula(H, psi, nu) for nu in range(4)]
-
-
 def eval_point_bundle(H, psi, pts):
     """Pointwise data for the slice-density displays on exact fields."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -391,48 +386,58 @@ class SliceState:
             return out
         return self._get("hess", build)
 
-    def H(self):
+    def profile(self):
+        """(chi, dchi) of the background H = chi M at this slice, or None
+        on a flat background."""
         if self.bg is None or self.bg.is_flat():
             return None
-        return self._get("H", lambda: self.bg.H_full(self.geom, self.t))
-
-    def dH(self):
-        if self.bg is None or self.bg.is_flat():
-            return None
-        return self._get("dH", lambda: self.bg.dH_full(self.geom, self.t))
+        return self._get("profile", lambda: self.bg.profile(self.geom, self.t))
 
     def wave_op(self):
         """g^{ab} d_a d_b psi using the stored second time derivative."""
         def build():
-            H = self.H()
             out = -self.psi_tt.copy()
             hess = self.hess()
             for i in range(3):
                 out += hess[i, i]
-            if H is not None:
-                out += H[0, 0] * self.psi_tt
+            prof = self.profile()
+            if prof is not None:
+                M = self.bg.direction
+                h = M[0, 0] * self.psi_tt
                 gt = self.grad_t()
                 for i in range(3):
-                    out += 2.0 * H[0, 1 + i] * gt[i]
+                    h += 2.0 * M[0, 1 + i] * gt[i]
                 for i in range(3):
                     for j in range(3):
-                        out += H[1 + i, 1 + j] * hess[i, j]
+                        h += M[1 + i, 1 + j] * hess[i, j]
+                out += prof[0] * h
             return out
         return self._get("wave_op", build)
+
+    def _h_energy(self):
+        """(1/2)(-M^tt |dt psi|^2 + M^ij <di psi, dj psi>): the H part of
+        T_tt divided by chi."""
+        def build():
+            M, g = self.bg.direction, self.grad()
+            return 0.5 * (np.einsum("ij,ic...,jc...->...", M[1:, 1:], g, g)
+                          - M[0, 0] * InnerProduct.norm_sq(self.psi_t))
+        return self._get("h_energy", build)
+
+    def _radial_direction(self):
+        """M^{r a} = (x_i / r) M^{i a}, shape (4, n, n, n)."""
+        return self._get("radial_direction", lambda: np.einsum(
+            "i...,ia->a...", self.geom.frames()["L"][1:], self.bg.direction[1:, :]))
 
     def energy_density(self):
         """T_tt = -(1/2) g^tt |dt psi|^2 + (1/2) g^ij <di psi, dj psi>."""
         def build():
-            H = self.H()
             g = self.grad()
             out = 0.5 * InnerProduct.norm_sq(self.psi_t)
             for i in range(3):
                 out += 0.5 * InnerProduct.norm_sq(g[i])
-            if H is not None:
-                out -= 0.5 * H[0, 0] * InnerProduct.norm_sq(self.psi_t)
-                for i in range(3):
-                    for j in range(3):
-                        out += 0.5 * H[1 + i, 1 + j] * InnerProduct.dot(g[i], g[j])
+            prof = self.profile()
+            if prof is not None:
+                out += prof[0] * self._h_energy()
             return out
         return self._get("energy_density", build)
 
@@ -448,49 +453,43 @@ class SliceState:
     def ttr_density(self):
         """T_tt + T_rt in the coordinate display (weight-derivative term)."""
         def build():
-            xh, dr = self._radial()
-            g = self.grad()
-            out = 0.5 * InnerProduct.norm_sq(self.psi_t + dr)
-            for i in range(3):
-                slash = g[i] - xh[i] * dr
-                out += 0.5 * InnerProduct.norm_sq(slash)
-            H = self.H()
-            if H is not None:
-                out -= 0.5 * H[0, 0] * InnerProduct.norm_sq(self.psi_t)
-                for i in range(3):
-                    for j in range(3):
-                        out += 0.5 * H[1 + i, 1 + j] * InnerProduct.dot(g[i], g[j])
-                Hr = np.einsum("i...,ia...->a...", xh, H[1:, :])
-                out += Hr[0] * InnerProduct.norm_sq(self.psi_t)
-                for j in range(3):
-                    out += Hr[1 + j] * InnerProduct.dot(g[j], self.psi_t)
+            out = self.tangential_integrand()
+            prof = self.profile()
+            if prof is not None:
+                Mr = self._radial_direction()
+                h = (self._h_energy() + Mr[0] * InnerProduct.norm_sq(self.psi_t)
+                     + np.einsum("j...,jc...,c...->...", Mr[1:], self.grad(), self.psi_t))
+                out = out + prof[0] * h
             return out
         return self._get("ttr_density", build)
 
     def trt_density(self):
         """T_rt = g^{r a} <d_a psi, d_t psi> (ball-flux integrand)."""
         def build():
-            xh, dr = self._radial()
+            _, dr = self._radial()
             out = InnerProduct.dot(dr, self.psi_t)
-            H = self.H()
-            if H is not None:
-                Hr = np.einsum("i...,ia...->a...", xh, H[1:, :])
-                d4 = self.dpsi4()
-                # g^{r a} = m^{r a} + H^{r a}; the flat part is the radial dr.
-                out += np.einsum("a...,ac...,c...->...", Hr, d4, self.psi_t)
+            prof = self.profile()
+            if prof is not None:
+                # g^{r a} = m^{r a} + chi M^{r a}; the flat part is the radial dr.
+                out += prof[0] * np.einsum("a...,ac...,c...->...", self._radial_direction(),
+                                           self.dpsi4(), self.psi_t)
             return out
         return self._get("trt_density", build)
 
     def div_t_density(self):
-        """(div T)_t display: wave-operator pairing plus dH corrections."""
+        """(div T)_t display: wave-operator pairing plus dH corrections,
+        (d_mu H^{mu a}) <d_a psi, d_t psi> - (1/2) d_t H^{ab} <d_a psi, d_b psi>
+        with d_lam H^{ab} = dchi_lam M^{ab}."""
         def build():
             out = InnerProduct.dot(self.wave_op(), self.psi_t)
-            dH = self.dH()
-            if dH is not None:
+            prof = self.profile()
+            if prof is not None:
+                dchi = prof[1]
+                M = self.bg.direction
                 d4 = self.dpsi4()
-                divH = np.einsum("mma...->a...", dH[:, :, :])  # d_mu H^{mu a}
+                divH = np.einsum("m...,ma->a...", dchi, M)
                 out += np.einsum("a...,ac...,c...->...", divH, d4, self.psi_t)
-                out -= 0.5 * np.einsum("ab...,ac...,bc...->...", dH[0], d4, d4)
+                out -= 0.5 * dchi[0] * np.einsum("ab,ac...,bc...->...", M, d4, d4)
             return out
         return self._get("div_t_density", build)
 

@@ -33,10 +33,6 @@ class TimeZero(FramewaveError):
     """Boost-based representation requested at t = 0."""
 
 
-class DomainMismatch(FramewaveError):
-    """Fields passed to a pointwise operation live on different domains."""
-
-
 class HistoryMissing(FramewaveError):
     """Stored time history does not cover the requested interval or depth."""
 

@@ -721,35 +721,26 @@ class EstimateReport:
 
 
 def _H_frame_arrays(state: SliceState):
-    """(|H_LL|, |H|, |dH_LL|, |tang H|, |dH|) interior arrays, or zeros."""
+    """(|H_LL|, |H|, |dH_LL|, |tang H|, |dH|) interior arrays, or zeros.
+
+    With H = chi M these are |chi| |L.M_low.L|, |chi| |M|, |dchi| |L.M_low.L|,
+    sqrt(sum_U (U.dchi)^2) |M| over U in {L, e1, e2}, and |dchi| |M|.
+    """
     geom = state.geom
-    shape = (geom.N, geom.N, geom.N)
-    H = state.H()
-    if H is None:
-        z = np.zeros(shape)
+    prof = state.profile()
+    if prof is None:
+        z = np.zeros((geom.N, geom.N, geom.N))
         return z, z, z, z, z
-    fr = geom.frames()
+    chi, dchi = geom.interior(prof[0]), geom.interior(prof[1])
+    M = state.bg.direction
+    fr = {name: geom.interior(geom.frames()[name]) for name in ("L", "e1", "e2")}
     L = fr["L"]
-    sgn = _MSIGN
-    H_low = H * sgn[:, None, None, None, None] * sgn[None, :, None, None, None]
-    H_LL = np.abs(np.einsum("m...,k...,mk...->...", L, L, H_low))
-    H_frob = np.sqrt(np.einsum("mk...,mk...->...", H, H))
-    dH = state.dH()
-    dH_low = dH * sgn[None, :, None, None, None, None] * sgn[None, None, :, None, None, None]
-    dH_LL = np.sqrt(np.einsum(
-        "a...,a...->...",
-        np.einsum("m...,k...,amk...->a...", L, L, dH_low),
-        np.einsum("m...,k...,amk...->a...", L, L, dH_low),
-    ))
-    tang_sq = np.zeros(H.shape[2:])
-    for name in ("L", "e1", "e2"):
-        U = fr[name]
-        dU = np.einsum("a...,amk...->mk...", U, dH)
-        tang_sq += np.einsum("mk...,mk...->...", dU, dU)
-    tangH = np.sqrt(tang_sq)
-    dH_frob = np.sqrt(np.einsum("amk...,amk...->...", dH, dH))
-    return (geom.interior(H_LL), geom.interior(H_frob), geom.interior(dH_LL),
-            geom.interior(tangH), geom.interior(dH_frob))
+    M_LL = np.abs(np.einsum("m...,k...,mk->...", L, L, M * np.outer(_MSIGN, _MSIGN)))
+    M_frob = np.sqrt(np.sum(M * M))
+    dchi_norm = np.sqrt(np.einsum("a...,a...->...", dchi, dchi))
+    tang_sq = sum(np.einsum("a...,a...->...", U, dchi) ** 2 for U in fr.values())
+    return (np.abs(chi) * M_LL, np.abs(chi) * M_frob, dchi_norm * M_LL,
+            np.sqrt(tang_sq) * M_frob, dchi_norm * M_frob)
 
 
 def energy_estimate_report(history, I, component, t1, t2, region, params):
@@ -757,12 +748,14 @@ def energy_estimate_report(history, I, component, t1, t2, region, params):
 
     The wave-operator line uses the run's actual g dd Psi residual built
     from the stored reduction, closing the loop with the commutator bound;
-    the undifferentiated |dPhi_V|^2 line reads the base (I = empty) series.
+    the undifferentiated |dPhi_V|^2 line reads the base (I = empty) series,
+    which for an empty I is the report's own series and slice states.
     """
     from .weights import w_tilde, w_tilde_prime
 
+    I = tuple(I)
     series = lie_component_series(history, I, component)
-    base = history.component_series(component)
+    base = history.component_series(component) if I else series
     geom = history.geom
     k1, k2 = series.index_range(t1, t2)
 
@@ -778,7 +771,7 @@ def energy_estimate_report(history, I, component, t1, t2, region, params):
     vals = {n: [] for n in names}
     for k in range(k1, k2 + 1):
         st = series.state(k)
-        stb = base.state(k)
+        stb = base.state(k) if I else st
         mask = geom.region_mask(region, st.t)
         q = geom.interior(geom.q_full(st.t))
         q_safe = np.where(q == 0.0, 1e-30, q)

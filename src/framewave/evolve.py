@@ -46,16 +46,18 @@ CFL_LIMIT = 0.5
 # ---------------------------------------------------------------------------
 # Schematic nonlinear sources
 
+SCHEMATIC_TERMS = ("dh_tangA", "tangh_dA", "A_tangA", "dh_A2", "A3",
+                   "AL_dA", "Ae_dAe", "dh_TU_sq", "dAe_sq", "bigO_h_dA")
+
 
 @dataclass(frozen=True)
 class SourceSpec:
     """Sum of schematic nonlinear terms feeding the Phi equation.
 
-    Term names follow the schematic patterns: dh_tangA, tangh_dA, A_tangA,
-    dh_A2, A3, AL_dA, Ae_dAe, dh_TU_sq, dAe_sq, bigO_h_dA.  The designated
-    scalar part of A is its time slot; h enters through one designated
-    covariant component (h_pick).  Channel wiring is diagonal with unit
-    coefficients unless a mixing matrix is supplied.
+    Term names are the schematic patterns of SCHEMATIC_TERMS.  The
+    designated scalar part of A is its time slot; h enters through one
+    designated covariant component (h_pick).  Channel wiring is diagonal
+    with unit coefficients unless a mixing matrix is supplied.
     """
 
     terms: tuple = ()
@@ -67,9 +69,7 @@ class SourceSpec:
     def __post_init__(self):
         if self.bigO_degree < 1:
             raise ValueError("truncation degree must be >= 1")
-        known = {"dh_tangA", "tangh_dA", "A_tangA", "dh_A2", "A3",
-                 "AL_dA", "Ae_dAe", "dh_TU_sq", "dAe_sq", "bigO_h_dA"}
-        bad = set(self.terms) - known
+        bad = set(self.terms) - set(SCHEMATIC_TERMS)
         if bad:
             raise ValueError(f"unknown schematic terms {sorted(bad)}")
 
@@ -205,6 +205,11 @@ def manufactured_source(target_comps, background, geom):
     if background.is_flat():
         pairs = [(a_, a_) for a_ in range(4)]
     col = {p: j for j, p in enumerate(pairs)}
+    M = background.direction
+    # H^{ab} d_a d_b = chi * sum over a <= b of (2 - delta_ab) M_ab d_a d_b
+    h_terms = [] if background.is_flat() else [
+        (col[a_, b_], (1.0 if a_ == b_ else 2.0) * M[a_, b_])
+        for a_, b_ in pairs if M[a_, b_]]
     hessians = {idx: [target_comps[idx].diff(a_).diff(b_) for a_, b_ in pairs]
                 for idx in np.ndindex(shape)}
 
@@ -212,7 +217,7 @@ def manufactured_source(target_comps, background, geom):
         pts = geom.points_full(t)
         n = geom.n_full
         out = np.zeros(shape + (n, n, n))
-        Hf = background.H_full(geom, t) if not background.is_flat() else None
+        chi = background.profile(geom, t)[0] if h_terms else None
         for idx in np.ndindex(shape):
             hs = hessians[idx]
             if isinstance(hs[0], GaussPoly):  # d_a d_b keeps the envelope
@@ -224,10 +229,8 @@ def manufactured_source(target_comps, background, geom):
             acc = np.zeros((n, n, n))
             for a_ in range(4):
                 acc += MINKOWSKI_INV[a_, a_] * hv[col[a_, a_]]
-            if Hf is not None:
-                for a_ in range(4):
-                    for b_ in range(4):
-                        acc = acc + Hf[a_, b_] * hv[col[min(a_, b_), max(a_, b_)]]
+            if h_terms:
+                acc += chi * sum(m * hv[j] for j, m in h_terms)
             out[idx] = acc
         return out
 
@@ -322,49 +325,39 @@ class Evolver:
         self.schematic = schematic
         self.boundary = boundary
         self._ghost_mode = "periodic" if boundary == "periodic" else "zero"
-        self._static_g = None
-        if background.is_flat():
-            self._static_g = "flat"
-        elif getattr(background, "velocity", None) is not None and \
-                not np.any(np.asarray(getattr(background, "velocity"))):
-            self._static_g = background.g_inv_full(geom, 0.0)
-
-    def _g(self, t):
-        if isinstance(self._static_g, str):  # flat
-            return None
-        if self._static_g is not None:
-            return self._static_g
-        return self.bg.g_inv_full(self.geom, t)
+        # H^{ab} d_a d_b Phi = chi * sum of c_ab D_ab over the nonzero
+        # entries a <= b of the direction M: D_tj = d_j Pi with c = 2 M_tj,
+        # D_ii = d_i^2 Phi and D_ij = d_i d_j Phi + d_j d_i Phi (i < j)
+        # with c = M_ij.  H^{tt} enters through the divisor g^{tt}.
+        M = background.direction
+        self._h_terms = [] if background.is_flat() else [
+            (a, b, (2.0 if a == 0 else 1.0) * M[a, b])
+            for a in range(4) for b in range(a, 4) if (a, b) != (0, 0) and M[a, b]]
 
     def rhs(self, t, Phi, Pi):
         # g^{tt} d_t Pi + 2 g^{tj} d_j Pi + g^{ij} d_i d_j Phi = S
-        geom = self.geom
+        geom, dx = self.geom, self.geom.dx
         fill_ghosts_array(Phi, self._ghost_mode)
         fill_ghosts_array(Pi, self._ghost_mode)
-        g = self._g(t)
-        g00 = -1.0 if g is None else g[0, 0]
-        lap = np.zeros_like(Phi)
-        for i in (1, 2, 3):
-            lap += d2_axis(Phi, i, geom.dx)
-        if g is None:
-            dPi = lap
-        else:
-            spatial = lap.copy()
-            grads = {i: d1_axis(Phi, i, geom.dx) for i in (1, 2, 3)}
+        if self.bg.is_flat():
+            g00 = -1.0
+            dPi = np.zeros_like(Phi)
             for i in (1, 2, 3):
-                Hii = g[i, i] - 1.0
-                if np.any(Hii):
-                    spatial += Hii * d2_axis(Phi, i, geom.dx)
-                for j in range(i + 1, 4):
-                    Hij = g[i, j]
-                    if np.any(Hij):
-                        spatial += Hij * (d1_axis(grads[i], j, geom.dx)
-                                          + d1_axis(grads[j], i, geom.dx))
-            for j in (1, 2, 3):
-                g0j = g[0, j]
-                if np.any(g0j):
-                    spatial += 2.0 * g0j * d1_axis(Pi, j, geom.dx)
-            dPi = spatial / (-g00)
+                dPi += d2_axis(Phi, i, dx)
+        else:
+            chi, _ = self.bg.profile(geom, t)
+            g00 = -1.0 + chi * self.bg.direction[0, 0]
+            d2 = {i: d2_axis(Phi, i, dx) for i in (1, 2, 3)}
+            grads = {i: d1_axis(Phi, i, dx) for i in (1, 2, 3)}
+            acc = np.zeros_like(Phi)
+            for a, b, m in self._h_terms:
+                if a == 0:
+                    acc += m * d1_axis(Pi, b, dx)
+                elif a == b:
+                    acc += m * d2[a]
+                else:
+                    acc += m * (d1_axis(grads[a], b, dx) + d1_axis(grads[b], a, dx))
+            dPi = (d2[1] + d2[2] + d2[3] + chi * acc) / (-g00)
         if self.source_fn is not None:
             dPi = dPi + self.source_fn(t) / g00
         if self.schematic is not None:
@@ -551,9 +544,9 @@ def sample_scalars(geom, comps, t):
 
 
 def gaussian_target(rank=0, channels=1, amplitude=1.0, center=(0, 0, 0),
-                    sigma=1.5, poly=None, freq=0.0):
-    """Object array of GaussPoly scalars; freq > 0 adds cos(freq t) motion
-    through the polynomial factor (1 stays static)."""
+                    sigma=1.5, poly=None):
+    """Object array of GaussPoly scalars amplitude * poly * envelope, one
+    per tensor slot and channel (poly None is the constant 1)."""
     base = Poly.const(amplitude) if poly is None else poly * amplitude
     comps = np.empty((4,) * rank + (channels,), dtype=object)
     for idx in np.ndindex(comps.shape):
@@ -654,9 +647,14 @@ def _write_events(path, events):
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg, out_dir):
+def run_experiment(cfg, out_dir, tag=""):
     """Evolve per the config, write the run log, energy series, and
-    optional snapshots; returns (history, summary dict)."""
+    optional snapshots; returns (history, summary dict).
+
+    tag is inserted before each file extension, so runs that share an
+    output directory (one per resolution in conserve) keep their own
+    files: run_log<tag>.jsonl, energy_series<tag>.csv, final_state<tag>.bin.
+    """
     geom, bg, params, region = setup_experiment(cfg)
     Phi0, Pi0 = _initial_data(cfg, geom)
     spec = None
@@ -664,7 +662,7 @@ def run_experiment(cfg, out_dir):
         spec = SourceSpec(terms=tuple(cfg["source"]["terms"]),
                           bigO_degree=cfg["source"]["bigO_degree"],
                           slots=tuple(cfg["source"]["slots"]))
-    log_path = os.path.join(out_dir, "run_log.jsonl")
+    log_path = os.path.join(out_dir, f"run_log{tag}.jsonl")
     events = []
     try:
         hist = evolve_run(
@@ -696,9 +694,9 @@ def run_experiment(cfg, out_dir):
             "final_energy_w": energies[-1],
             "max_energy_w": max(energies),
         }
-    write_series_csv(os.path.join(out_dir, "energy_series.csv"), rows)
+    write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
     if cfg["snapshots"]:
         final = GridField(geom, hist.rank, hist.channels, hist.fields[-1],
                           hist.times[-1], ghost_valid=False)
-        save_snapshot(final, os.path.join(out_dir, "final_state.bin"))
+        save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
     return hist, summary

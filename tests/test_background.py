@@ -1,0 +1,191 @@
+"""Structured backgrounds H = chi M against dense references.
+
+The references are the dense point-table formulas: the bump profile on
+every node of ``geom.points_full`` and the H/dH contractions written out
+on the (4, 4, n, n, n) and (4, 4, 4, n, n, n) tensors from H_full and
+dH_full.  Each density reference accumulates its terms and the sum of
+their magnitudes, so the comparison is relative to the per-point scale.
+"""
+
+import numpy as np
+import pytest
+
+from framewave import evolve
+from framewave.background import BumpBackground
+from framewave.energy import SliceState
+from framewave.estimates import _MSIGN, _H_frame_arrays
+from framewave.fields import InnerProduct, GridGeometry, d1_axis, d2_axis
+
+REL = 1e-12
+
+
+def _profile_reference(bg, geom, t):
+    """epsilon * chi and its 4-gradient on every node of the point table."""
+    pts = geom.points_full(t)
+    c = bg.center[None, :] + pts[:, 0:1] * bg.velocity[None, :]
+    d = pts[:, 1:4] - c
+    s2 = np.sum(d * d, axis=1) / bg.radius ** 2
+    inside = s2 < 1.0
+    one = np.where(inside, 1.0 - s2, 0.0)
+    chi = one ** 3
+    dchi_ds2 = -3.0 * one ** 2
+    grad = np.zeros((pts.shape[0], 4))
+    grad[:, 1:4] = dchi_ds2[:, None] * 2.0 * d / bg.radius ** 2
+    grad[:, 0] = dchi_ds2 * (-2.0) * np.sum(d * bg.velocity[None, :], axis=1) / bg.radius ** 2
+    grad[~inside] = 0.0
+    n = geom.n_full
+    return ((bg.epsilon * chi).reshape(n, n, n),
+            np.moveaxis(bg.epsilon * grad, 0, -1).reshape(4, n, n, n))
+
+
+def _acc(terms):
+    """(sum, sum of magnitudes) of a list of same-shaped arrays."""
+    return sum(terms), sum(np.abs(t) for t in terms)
+
+
+def _close(got, ref_mag):
+    ref, mag = ref_mag
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= REL * mag)
+
+
+GEOM = GridGeometry(12, 4.0)
+T = 0.4
+BUMPS = {
+    "static": dict(epsilon=0.2, center=(0.5, 0.0, -0.3), radius=3.0),
+    "traveling": dict(epsilon=-0.2, center=(0.5, 0.0, -0.3), radius=3.0,
+                      velocity=(0.3, -0.2, 0.1)),
+}
+
+
+@pytest.mark.parametrize("velocity", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1)])
+@pytest.mark.parametrize("case, center, radius", [
+    ("centred", (0.0, 0.0, 0.0), 3.0),
+    ("clipped", (3.9, -0.2, -3.6), 2.0),
+    ("off_grid", (20.0, 0.0, 0.0), 2.0),
+])
+def test_profile_matches_point_table(case, center, radius, velocity):
+    bg = BumpBackground(-0.25, center=center, radius=radius, velocity=velocity)
+    chi, dchi = bg.profile(GEOM, T)
+    chi_ref, dchi_ref = _profile_reference(bg, GEOM, T)
+    assert np.array_equal(chi, chi_ref)
+    assert np.max(np.abs(dchi - dchi_ref)) <= 1e-15
+    support = np.argwhere(chi_ref != 0.0)
+    if case == "off_grid":
+        assert support.size == 0 and not np.any(dchi)
+    else:
+        assert support.size
+        edge = support.min() == 0 or support.max() == GEOM.n_full - 1
+        assert edge == (case == "clipped")
+    if any(velocity) and case != "off_grid":
+        assert np.any(dchi[0])
+    # the dense builders are the profile times the direction
+    M = bg.direction
+    assert np.array_equal(bg.H_full(GEOM, T), chi * M[:, :, None, None, None])
+    assert np.array_equal(bg.g_inv_full(GEOM, T)[0, 0], -1.0 + chi * M[0, 0])
+
+
+def _random_state(bg, channels, seed):
+    rngl = np.random.default_rng(seed)
+    shape = (channels,) + (GEOM.n_full,) * 3
+    psi, psi_t, psi_tt = (rngl.normal(size=shape) for _ in range(3))
+    return SliceState(GEOM, T, psi, psi_t, psi_tt, bg)
+
+
+def _dense_rhs(ev, Phi, Pi):
+    """Bulk update from dense g = m + H, then the same radiation shell."""
+    geom, dx = ev.geom, ev.geom.dx
+    H = ev.bg.H_full(geom, T)
+    terms = [d2_axis(Phi, i, dx) for i in (1, 2, 3)]
+    for i in (1, 2, 3):
+        terms.append(H[i, i] * d2_axis(Phi, i, dx))
+        for j in range(i + 1, 4):
+            terms.append(H[i, j] * (d1_axis(d1_axis(Phi, i, dx), j, dx)
+                                    + d1_axis(d1_axis(Phi, j, dx), i, dx)))
+        terms.append(2.0 * H[0, i] * d1_axis(Pi, i, dx))
+    num, mag = _acc(terms)
+    g00 = -1.0 + H[0, 0]
+    dPi, mag = num / (-g00), mag / np.abs(g00)
+    dPhi = Pi.copy()
+    evolve._radiation_shell(geom, Phi, Pi, dPhi, dPi)
+    return dPi, mag
+
+
+def _dense_densities(st, H, dH):
+    """Old dense formulas of every SliceState density: (value, magnitude)."""
+    g, gt, hess, d4 = st.grad(), st.grad_t(), st.hess(), st.dpsi4()
+    pt, dot, nsq = st.psi_t, InnerProduct.dot, InnerProduct.norm_sq
+    xh = GEOM.frames()["L"][1:]
+    dr = np.einsum("i...,ic...->c...", xh, g)
+    Hr = np.einsum("i...,ia...->a...", xh, H[1:, :])
+    wave = [-st.psi_tt, H[0, 0] * st.psi_tt]
+    wave += [hess[i, i] for i in range(3)]
+    wave += [2.0 * H[0, 1 + i] * gt[i] for i in range(3)]
+    wave += [H[1 + i, 1 + j] * hess[i, j] for i in range(3) for j in range(3)]
+    h_energy = [-0.5 * H[0, 0] * nsq(pt)]
+    h_energy += [0.5 * H[1 + i, 1 + j] * dot(g[i], g[j]) for i in range(3) for j in range(3)]
+    tangential = [0.5 * nsq(pt + dr)] + [0.5 * nsq(g[i] - xh[i] * dr) for i in range(3)]
+    wave_ref, wave_mag = _acc(wave)
+    divH = np.einsum("mma...->a...", dH)
+    div_t = [dot(wave_ref, pt)]
+    div_t += [divH[a] * dot(d4[a], pt) for a in range(4)]
+    div_t += [-0.5 * dH[0, a, b] * dot(d4[a], d4[b]) for a in range(4) for b in range(4)]
+    div_ref, div_mag = _acc(div_t)
+    return {
+        "wave_op": (wave_ref, wave_mag),
+        "energy_density": _acc([0.5 * nsq(pt)] + [0.5 * nsq(g[i]) for i in range(3)]
+                               + h_energy),
+        "ttr_density": _acc(tangential + h_energy + [Hr[0] * nsq(pt)]
+                            + [Hr[1 + j] * dot(g[j], pt) for j in range(3)]),
+        "trt_density": _acc([dot(dr, pt)] + [Hr[a] * dot(d4[a], pt) for a in range(4)]),
+        "div_t_density": (div_ref, div_mag + dot(wave_mag, np.abs(pt))),
+    }
+
+
+def _dense_frame_arrays(H, dH):
+    """Old dense |H_LL|, |H|, |dH_LL|, |tang H|, |dH|, each with a scale."""
+    fr = GEOM.frames()
+    L = fr["L"]
+    sgn = _MSIGN[:, None] * _MSIGN[None, :]
+    H_low = H * sgn[:, :, None, None, None]
+    dH_low = dH * sgn[None, :, :, None, None, None]
+    H_LL = np.abs(np.einsum("m...,k...,mk...->...", L, L, H_low))
+    H_LL_mag = np.einsum("m...,k...,mk...->...", np.abs(L), np.abs(L), np.abs(H))
+    H_frob = np.sqrt(np.einsum("mk...,mk...->...", H, H))
+    dLL = np.einsum("m...,k...,amk...->a...", L, L, dH_low)
+    dLL_mag = np.einsum("m...,k...,amk...->a...", np.abs(L), np.abs(L), np.abs(dH))
+    tang_sq = tang_mag = 0.0
+    for name in ("L", "e1", "e2"):
+        U = fr[name]
+        tang_sq = tang_sq + np.sum(np.einsum("a...,amk...->mk...", U, dH) ** 2, axis=(0, 1))
+        tang_mag = tang_mag + np.sum(np.einsum("a...,amk...->mk...", np.abs(U),
+                                               np.abs(dH)) ** 2, axis=(0, 1))
+    dH_frob = np.sqrt(np.einsum("amk...,amk...->...", dH, dH))
+    dH_LL = np.sqrt(np.sum(dLL ** 2, axis=0))
+    pairs = [(H_LL, H_LL_mag), (H_frob, H_frob),
+             (dH_LL, np.sqrt(np.sum(dLL_mag ** 2, axis=0))),
+             (np.sqrt(tang_sq), np.sqrt(tang_mag)), (dH_frob, dH_frob)]
+    return [(GEOM.interior(v), GEOM.interior(m)) for v, m in pairs]
+
+
+@pytest.mark.parametrize("kind", sorted(BUMPS))
+@pytest.mark.parametrize("channels", [1, 2])
+def test_structured_consumers_match_dense_tensors(kind, channels):
+    bg = BumpBackground(**BUMPS[kind])
+    H, dH = bg.H_full(GEOM, T), bg.dH_full(GEOM, T)
+    assert np.any(H) and (kind == "static") != np.any(dH[0])
+
+    ev = evolve.Evolver(GEOM, bg, rank=0, channels=channels)
+    rngl = np.random.default_rng(5 + channels)
+    shape = (channels,) + (GEOM.n_full,) * 3
+    Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
+    _, dPi = ev.rhs(T, Phi, Pi)   # fills the ghosts of Phi and Pi in place
+    _close(dPi, _dense_rhs(ev, Phi, Pi))
+
+    st = _random_state(bg, channels, seed=channels)
+    for name, ref in _dense_densities(st, H, dH).items():
+        _close(getattr(st, name)(), ref)
+
+    for got, ref in zip(_H_frame_arrays(st), _dense_frame_arrays(H, dH)):
+        _close(got, ref)
+

@@ -102,17 +102,25 @@ DETERMINISM_CONFIGS = {
         "multi_indices": ["", "S"],
         "monitors": 5,
     },
+    "conserve": {
+        "grid": {"N": 8, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.2},
+        "background": {"family": "static-bump", "epsilon": 0.1, "radius": 2.0},
+        "data": {"family": "gaussian", "center": [0, 0, 1.5], "sigma": 0.8},
+        "monitors": 3,
+    },
 }
 
 
 def test_determinism_bit_identical(tmp_path):
     for mode, body in DETERMINISM_CONFIGS.items():
         path = _write(tmp_path, {"mode": mode, **body}, name=f"{mode}.json")
+        extra = ["--refine", "2"] if mode == "conserve" else []
         outs = []
         for run in ("a", "b"):
             out = tmp_path / mode / run
             assert cli.main([mode, "--config", path, "--out", str(out),
-                             "--seed", "77"]) == 0
+                             "--seed", "77", *extra]) == 0
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outs[0].keys() == outs[1].keys(), mode
         for name in outs[0]:
@@ -134,6 +142,38 @@ def test_conserve_unmeasured_order_is_null(tmp_path):
     payload = json.loads((out / "conserve.json").read_text())
     assert payload["residuals"] == [0.0, 0.0]
     assert payload["measured_order"] is None
+
+
+def test_conserve_keeps_one_log_per_resolution(tmp_path):
+    path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
+    out = tmp_path / "out"
+    assert cli.main(["conserve", "--config", path, "--out", str(out),
+                     "--refine", "2"]) == 0
+    payload = json.loads((out / "conserve.json").read_text())
+    assert payload["N"] == [8, 12]
+    assert payload["sup_H"] == 0.1 and payload["hypothesis_ok"] is True
+    for N in payload["N"]:
+        assert (out / f"energy_series_N{N}.csv").is_file()
+        events = (out / f"run_log_N{N}.jsonl").read_text().splitlines()
+        assert events and all(json.loads(e)["event"] == "monitor" for e in events)
+    assert not (out / "run_log.jsonl").exists()
+    assert not (out / "energy_series.csv").exists()
+    assert all(f.is_file() for f in out.iterdir())
+
+
+@pytest.mark.parametrize("body, field", [
+    ({"data": {"rank": 1}, "source": {"terms": ["AL_dA", "bogus"]}}, "source/terms/1"),
+    ({"data": {"rank": 1}, "source": {"terms": ["dh_TU_sq"], "slots": [0, 9]}},
+     "source/slots/1"),
+    ({"data": {"rank": 0}, "source": {"terms": ["AL_dA"]}}, "source.terms"),
+])
+def test_source_config_errors_exit_2(tmp_path, capsys, body, field):
+    cfg = {"mode": "evolve", "grid": {"N": 8, "X": 4.0},
+           "times": {"t1": 0.0, "t2": 0.1}, "monitors": 2, **body}
+    path = _write(tmp_path, cfg)
+    assert cli.main(["evolve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and field in err
 
 
 def test_negative_epsilon_rejected(tmp_path, capsys):

@@ -256,3 +256,20 @@ def test_lie_series_independent_of_monitor_order():
         for name in ("psi", "psi_t", "psi_tt"):
             assert all(np.array_equal(a, b) for a, b in
                        zip(getattr(s1, name), getattr(s2, name)))
+
+
+def test_estimate_report_builds_one_component_series(small_run, monkeypatch):
+    # an empty multi-index reads its own series as the base series
+    calls = []
+    original = evolve.RunHistory.component_series
+
+    def counted(self, component):
+        calls.append(component)
+        return original(self, component)
+
+    monkeypatch.setattr(evolve.RunHistory, "component_series", counted)
+    for I in ((), (SCALING,)):
+        calls.clear()
+        energy_estimate_report(small_run, I, "L", 0.0, 0.5,
+                               ExteriorRegion(q0=-2.0), WeightParams(0.5, -0.25))
+        assert calls == ["L"]
