@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConstraintError
 from .geometry import MINKOWSKI_INV
 
 # Fixed symmetric direction with unit Frobenius norm; generic enough to
@@ -96,7 +97,7 @@ class BumpBackground(Background):
         self.radius = float(radius)
         self.velocity = np.asarray(velocity, dtype=float)
         if np.linalg.norm(self.velocity) >= 1.0:
-            raise ValueError("bump velocity must stay below lightspeed")
+            raise ConstraintError("bump velocity must stay below lightspeed")
         M = _DEFAULT_DIRECTION if direction is None else np.asarray(direction, float)
         M = 0.5 * (M + M.T)
         self.direction = M / np.linalg.norm(M)

@@ -34,14 +34,17 @@ class CheckResult:
                 "detail": self.detail}
 
 
-def _sample_points(rng, n, tmin=-2.0, tmax=2.0, box=3.0, rmin=0.5):
+def sample_points(rng, n, tmin=-2.0, tmax=2.0, box=3.0, rmin=0.5, chart_z=False):
+    """n random spacetime points with r >= rmin, optionally inside the
+    x3-axis chart region |x3| <= 0.8 r; rejected draws are skipped."""
     pts = np.empty((n, 4))
     k = 0
     while k < n:
         cand = np.empty(4)
         cand[0] = rng.uniform(tmin, tmax)
         cand[1:] = rng.uniform(-box, box, size=3)
-        if np.linalg.norm(cand[1:]) >= rmin:
+        r = np.linalg.norm(cand[1:])
+        if r >= rmin and not (chart_z and abs(cand[3]) > 0.8 * r):
             pts[k] = cand
             k += 1
     return pts
@@ -82,7 +85,7 @@ def check_gradient_decomposition(seed=11, n_fields=20, n_pts=100):
     worst = 0.0
     for _ in range(n_fields):
         psi = PolyField.random(rng, rank=0, channels=2, degree=3, nterms=5)
-        pts = _sample_points(rng, n_pts)
+        pts = sample_points(rng, n_pts)
         r1, r2 = energy.gradient_decomposition_residuals(psi, pts)
         grad = psi.gradient().eval(pts)
         scale = np.maximum(np.sum(grad ** 2, axis=(1, 2)), 1.0)
@@ -98,7 +101,7 @@ def check_nullframe_rewriting(seed=13, n_inputs=100, n_pts=25):
     for _ in range(n_inputs):
         H = _random_H(rng)
         psi = PolyField.random(rng, rank=0, channels=1, degree=2, nterms=4)
-        pts = _sample_points(rng, n_pts)
+        pts = sample_points(rng, n_pts)
         bundle = energy.eval_point_bundle(H, psi, pts)
         a = energy.ttr_coordinate(bundle)
         b = energy.ttr_nullframe(bundle)
@@ -137,7 +140,7 @@ def check_commutator_identity(seed=19, n_pairs=50, max_order=3, n_pts=20):
     for _ in range(n_pairs):
         H = _random_H(rng)
         phi = PolyField.random(rng, rank=0, channels=1, degree=3, nterms=4)
-        pts = _sample_points(rng, n_pts)
+        pts = sample_points(rng, n_pts)
         for order in range(1, max_order + 1):
             gens = tuple(GENERATORS[i] for i in rng.integers(0, 11, size=order))
             if order >= 2 and SCALING not in gens:
@@ -157,7 +160,7 @@ def check_slash_representations(seed=23, n_pts=1000):
     from .vecfields import VectorFieldId, apply_to_scalar
 
     rng = np.random.default_rng(seed)
-    pts = _sample_points(rng, n_pts, rmin=0.4)
+    pts = sample_points(rng, n_pts, rmin=0.4)
     pts[:, 0][np.abs(pts[:, 0]) < 0.2] += 0.5  # keep t away from 0
     worst = float(estimates.lbar_radial_residual(pts))
     F = random_poly(rng, degree=3, nterms=5)
@@ -206,7 +209,7 @@ def check_slash_representations(seed=23, n_pts=1000):
 
 def check_eA_expansions(seed=29, n_pts=200):
     rng = np.random.default_rng(seed)
-    pts = _sample_points(rng, n_pts, rmin=0.4)
+    pts = sample_points(rng, n_pts, rmin=0.4)
     pts[:, 0][np.abs(pts[:, 0]) < 0.2] += 0.5
     F = random_poly(rng, degree=3, nterms=5)
     gradF = [F.diff(mu) for mu in range(4)]
@@ -241,7 +244,7 @@ def check_decay_inequalities(seed=31, n_fields=6, n_pts=400):
     for k in range(n_fields):
         rank = int(rng.integers(0, 2))
         phi = PolyField.random(rng, rank=rank, channels=1, degree=3, nterms=4)
-        pts = _sample_points(rng, n_pts, tmin=1.0, tmax=4.0, box=4.0, rmin=0.3)
+        pts = sample_points(rng, n_pts, tmin=1.0, tmax=4.0, box=4.0, rmin=0.3)
         for I in ((), (GENERATORS[int(rng.integers(0, 11))],)):
             c_full, c_tang = vecfields.measure_decay_constants(phi, I, pts)
             worst = max(worst, c_full, c_tang)

@@ -177,22 +177,32 @@ def parse_config(path):
         if cfg["region"]["q0"] not in ("-inf", "-infinity"):
             raise SchemaError("region.q0 must be a number or \"-inf\"")
         cfg["region"]["q0"] = float("-inf")
-    if not cfg["weights"]["gamma"] > 0:
-        raise ConstraintError("gamma must be > 0")
-    if not cfg["weights"]["mu"] < 0:
-        raise ConstraintError("mu must be < 0")
-    if abs(cfg["background"]["epsilon"]) > 0.3:
-        raise ConstraintError("|epsilon| must be <= 0.3 (|H| < 1/3 hypothesis)")
-    if cfg["times"]["cfl"] > 0.5:
-        raise ConstraintError("cfl must be <= 0.5")
-    if cfg["grid"]["N"] % 2 or cfg["grid"]["N"] < 8:
-        raise ConstraintError("grid.N must be even and >= 8")
-    if cfg["times"]["t2"] <= cfg["times"]["t1"]:
-        raise ConstraintError("times.t2 must exceed times.t1")
-    if cfg["source"]["terms"] and cfg["data"]["rank"] != 1:
-        raise ConstraintError("source.terms need data.rank = 1 (the potential A)")
-    for text in cfg["multi_indices"]:
-        parse_multi_index(text)
+    w, t, d, bg = cfg["weights"], cfg["times"], cfg["data"], cfg["background"]
+    for ok, problem in [
+            (w["gamma"] > 0, "gamma must be > 0"),
+            (w["mu"] < 0, "mu must be < 0"),
+            (abs(bg["epsilon"]) <= 0.3, "|epsilon| must be <= 0.3 (|H| < 1/3 hypothesis)"),
+            (0 < t["cfl"] <= 0.5, "cfl must be in (0, 0.5]"),
+            (cfg["grid"]["N"] % 2 == 0 and cfg["grid"]["N"] >= 8,
+             "grid.N must be even and >= 8"),
+            (t["t2"] > t["t1"], "times.t2 must exceed times.t1"),
+            (not cfg["source"]["terms"] or d["rank"] == 1,
+             "source.terms need data.rank = 1 (the potential A)"),
+            (cfg["grid"]["X"] > 0 and (t["dt"] is None or t["dt"] > 0),
+             "grid.X and times.dt must be > 0"),
+            (cfg["source"]["bigO_degree"] >= 1, "source.bigO_degree must be >= 1"),
+            (d["rank"] in (0, 1, 2) and d["channels"] >= 1 and cfg["seed"] >= 0,
+             "data.rank must be 0, 1 or 2, data.channels >= 1 and seed >= 0"),
+            (all(len(v) == 3
+                 for v in (bg["center"], bg["velocity"], d["center"], d["kvec"])),
+             "background.center/velocity and data.center/kvec need 3 entries")]:
+        if not ok:
+            raise ConstraintError(problem)
+    try:
+        for text in cfg["multi_indices"]:
+            parse_multi_index(text)
+    except ValueError as exc:
+        raise ConstraintError(f"multi_indices: {exc}") from exc
     return cfg
 
 
@@ -217,13 +227,15 @@ def mode_certify(cfg, out_dir):
 
 def mode_conserve(cfg, out_dir, refine=3):
     Ns = _refine_list(cfg["grid"]["N"], refine)
+    if not cfg["components"]:
+        raise ConstraintError("conserve needs one component")
     _, bg0, params, region = evolve.setup_experiment(cfg)
     residuals, rows = [], []
     for N in Ns:
         sub = json.loads(json.dumps(cfg))
         sub["grid"]["N"] = N
-        hist, _ = run_experiment(sub, out_dir, tag=f"_N{N}")
-        series = hist.component_series(cfg["components"][0])
+        series = run_experiment(sub, out_dir, tag=f"_N{N}",
+                                keep=cfg["components"][0])[2]
         rep = energy.conservation_budget(series, region, cfg["times"]["t1"],
                                          cfg["times"]["t2"], params)
         residuals.append(rep.residual)
@@ -244,14 +256,14 @@ def mode_conserve(cfg, out_dir, refine=3):
 
 
 def mode_evolve(cfg, out_dir):
-    _, summary = run_experiment(cfg, out_dir)
+    summary = run_experiment(cfg, out_dir)[1]
     energy.write_json(os.path.join(out_dir, "evolve_summary.json"), summary)
     return 0
 
 
 def mode_estimate(cfg, out_dir):
     _, bg, params, region = evolve.setup_experiment(cfg)
-    hist, _ = run_experiment(cfg, out_dir)
+    hist = run_experiment(cfg, out_dir)[0]
     reports = []
     for text in cfg["multi_indices"]:
         I = parse_multi_index(text)
@@ -275,12 +287,14 @@ def mode_commutator(cfg, out_dir):
         H = PolyField.random(rng, rank=2, channels=1, degree=2, nterms=3,
                              variance=("u", "u"), symmetric=True).scale(0.05)
         phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
-        pts = certify_mod._sample_points(rng, 200, tmin=1.0, tmax=3.0, rmin=0.5)
+        pts = certify_mod.sample_points(rng, 200, tmin=1.0, tmax=3.0, rmin=0.5)
         pts = pts[np.abs(pts[:, 3]) <= 0.85 * np.linalg.norm(pts[:, 1:], axis=1)]
+        study = estimates.CommutatorStudy(H, phi, I)
         for comp in cfg["components"]:
             V = comp if comp in ("L", "e1", "e2", "Lbar") else "L"
             frame_set = "U" if V == "Lbar" else "T"
-            rep = estimates.commutator_report(H, phi, I, V, pts, frame_set=frame_set)
+            rep = estimates.commutator_report(H, phi, I, V, pts, frame_set=frame_set,
+                                              study=study)
             reports.append(rep.to_json())
     energy.write_json(os.path.join(out_dir, "commutator.json"),
                       {"reports": reports, "seed": cfg["seed"]})

@@ -38,8 +38,8 @@ from .errors import FrameMismatch, HistoryMissing, PoleDegenerate
 from .fields import PolyField, d1_axis, fill_ghosts_array
 from .geometry import MINKOWSKI_INV, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
-from .vecfields import (GENERATORS, lie_minkowski_inverse_factor, lie_multi,
-                        splittings, splittings2, subsequences, ksize_plus)
+from .vecfields import (GENERATORS, lie_lattice, lie_minkowski_inverse_factor,
+                        lie_multi, splittings, subsequences, ksize_plus)
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 
@@ -105,9 +105,13 @@ def _hessian(scalar_field: PolyField):
 
 def g_box(H, phi):
     """g^{ab} d_a d_b phi as a scalar field (flat part plus H part)."""
-    hess = _hessian(phi)
-    comps = np.empty((phi.channels,), dtype=object)
-    for c in range(phi.channels):
+    return _box(H, _hessian(phi))
+
+
+def _box(H, hess):
+    """g^{ab} d_a d_b of the scalar field whose Hessian is hess."""
+    comps = np.empty((hess.channels,), dtype=object)
+    for c in range(hess.channels):
         acc = None
         for a in range(4):
             t = hess.comps[a, a, c] * int(MINKOWSKI_INV[a, a])
@@ -120,7 +124,7 @@ def g_box(H, phi):
                         continue
                     acc = acc + Hab * hess.comps[b, a, c]
         comps[c] = acc
-    return PolyField(0, phi.channels, comps)
+    return PolyField(0, hess.channels, comps)
 
 
 def commutator_exact_lhs(H, phi, I):
@@ -131,27 +135,95 @@ def commutator_exact_lhs(H, phi, I):
     return lhs - rhs
 
 
-class CommutatorIdentityRHS:
-    """Evaluator for the exact expansion of the commutator.
+class CommutatorStudy:
+    """Exact factors shared by the frame components of one (H, phi, I).
 
-    Caches the Lie-derived lowered perturbation and the Hessians of the
-    Lie-derived scalar over the subsequence lattice of I; the frame
-    contraction happens per point batch.
+    The gradients of L_{Z^s} phi (key None) and of each projected
+    L_{Z^s} phi_c (key c) grow from one Lie lattice per field, which keeps
+    only the entries a longer sequence can extend; L_{Z^s} H_low, its H_LL
+    scalar and the current component's boxes are built once too.  Factor
+    norms are kept for the last point batch.  The commutator mode keeps
+    one study per multi-index.
     """
 
     def __init__(self, H, phi, I):
-        self.I = tuple(I)
-        self.channels = phi.channels
-        H_low = H.lower_all() if H is not None else None
-        subs = subsequences(self.I)
-        self._hess = {}
-        self._hlow = {}
-        for s in subs:
-            self._hess[s] = _hessian(lie_multi(s, phi))
-            if H_low is not None:
-                self._hlow[s] = lie_multi(s, H_low)
+        self.H, self.phi, self.I = H, phi, tuple(I)
+        self.subs = subsequences(self.I)
+        k_exts = set(self.subs)
+        for s in self.subs:
+            if len(s) < len(self.I):
+                k_exts.update(s + (g,) for g in GENERATORS)
+        self.K_set = sorted(k_exts, key=lambda s: (len(s), tuple(g.name for g in s)))
+        self._lattices = {"H": {(): H.lower_all()}} if H is not None else {}
+        self._built, self._batch = {}, (np.empty((0, 4)), {})
+
+    def _grads(self, key, seqs):
+        """Build d L_{Z^s} phi (key None) or d L_{Z^s} phi_key for s in seqs."""
+        todo = [s for s in seqs if ("grad", key, s) not in self._built]
+        if todo:
+            if key not in self._lattices:
+                f = self.phi if key is None else project_component(self.phi, key)
+                self._lattices[key] = {(): f}
+            lattice = lie_lattice(todo, self._lattices[key])
+            for s in todo:
+                entry = lattice[s] if len(s) < len(self.I) else lattice.pop(s)
+                self._built["grad", key, s] = entry.gradient()
+
+    def _factor(self, what, key, s, hess=None):
+        """L_{Z^s} H_low ("H") or its H_LL scalar ("LL"), or the gradient
+        ("grad") or box ("box", from hess if given) of L_{Z^s} phi_key."""
+        if what == "H":
+            return lie_lattice((s,), self._lattices["H"])[s]
+        if what == "grad":
+            self._grads(key, (s,))
+        if (what, key, s) not in self._built:
+            if what == "LL":
+                HJ, Lsym, acc = self._factor("H", key, s), _FRAME_SYM["L"], RadPoly()
+                for mu in range(4):
+                    for nu in range(4):
+                        acc = acc + Lsym[mu] * Lsym[nu] * HJ.comps[mu, nu, 0]
+                val = PolyField.scalar(acc)
+            else:  # keep one component's boxes
+                self._built = {f: v for f, v in self._built.items()
+                               if f[0] != "box" or f[1] == key}
+                if hess is None:
+                    hess = self._factor("grad", key, s).gradient()
+                val = _box(self.H, hess)
+            self._built[what, key, s] = val
+        return self._built[what, key, s]
+
+    def _norms(self, pts, factors):
+        """{factor: pointwise norm on pts} (|H_LL| for "LL"), each factor
+        evaluated once per point batch."""
+        if not np.array_equal(self._batch[0], pts):
+            self._batch = (pts.copy(), {})
+        norms = self._batch[1]
+        for f in factors:
+            if f not in norms:
+                val = self._factor(*f)
+                norms[f] = (np.abs(val.eval(pts)[:, 0]) if f[0] == "LL"
+                            else _norm_eval(val, pts))
+        return norms
+
+
+class CommutatorIdentityRHS:
+    """Evaluator for the exact expansion of the commutator.
+
+    Takes the gradients of L_{Z^s} phi and L_{Z^s} H_low over the
+    subsequences of I from a CommutatorStudy, its own or a shared one
+    (phi is then the component V, whose boxes the bound also reads);
+    the frame contraction happens per point batch.
+    """
+
+    def __init__(self, H, phi, I, study=None, V=None):
+        st = study if study is not None else CommutatorStudy(H, phi, I)
+        self.I, self.channels = st.I, phi.channels
+        st._grads(V, st.subs)
+        self._hess = {s: st._factor("grad", V, s).gradient() for s in st.subs}
+        self._hlow = {s: st._factor("H", None, s) for s in st.subs} if H is not None else {}
+        self._box = {s: st._factor("box", V, s, h) for s, h in self._hess.items()}
         self._flat = []
-        for I1, I2 in splittings2(self.I):
+        for I1, I2 in splittings(self.I, 2):
             if I2 == self.I:
                 continue
             c = c_hat(I1)
@@ -209,9 +281,9 @@ class CommutatorIdentityRHS:
     def eval(self, pts):
         return self._accumulate(pts)[0]
 
-    def eval_magnitude(self, pts):
-        """Sum of term magnitudes: the roundoff scale for the identity."""
-        return self._accumulate(pts)[1]
+    def _exact_lhs(self):
+        """commutator_exact_lhs, its g dd L_{Z^I} phi from the expansion's box."""
+        return lie_multi(self.I, self._box[()]) - self._box[self.I]
 
 
 def commutator_identity_rhs(H, phi, I):
@@ -226,8 +298,8 @@ def identity_residual(H, phi, I, pts):
     relative to the size of what cancels rather than to zero.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lhs = commutator_exact_lhs(H, phi, I).eval(pts)
-    return _relative_residual(lhs, commutator_identity_rhs(H, phi, I), pts)
+    rhs = CommutatorIdentityRHS(H, phi, I)
+    return _relative_residual(rhs._exact_lhs().eval(pts), rhs, pts)
 
 
 def _relative_residual(lhs, rhs_eval, pts):
@@ -265,58 +337,39 @@ class CommutatorBound:
     |J| + (|K|-1)_+ <= |I| (the "collapsed" convention).  The alternative
     bookkeeping sums |M| <= |K|+1 inside each (J, K) with |J|+|K| <= |I|,
     |K| < |I| ("nested" convention); both are evaluated from the same
-    cached factors.
+    factor norms.
+
+    Factors come from a CommutatorStudy.  Shared by all components: the
+    gradients of L_{Z^K} phi and L_{Z^K} phi_c, L_{Z^J} H_low, H_LL and
+    their norms.  Per component: the flat family's boxes g dd L_{Z^K} phi_V.
 
     The dangerous (1+|q|)^-1 family reads only the LL component of the
     perturbation and tangential components of the field, recorded term by
     term in ``terms`` for structural inspection.
     """
 
-    def __init__(self, H, phi, I, V, frame_set="T"):
+    def __init__(self, H, phi, I, V, frame_set="T", study=None):
         self.I = tuple(I)
         self.V = V
         allowed = TANGENTIAL if frame_set == "T" else FULL_FRAME
         if V not in allowed:
             raise FrameMismatch(f"component {V!r} not in frame set {frame_set!r}")
         self.frame_set = frame_set
-        self.component_set = TANGENTIAL if frame_set == "T" else FULL_FRAME
+        self.component_set = allowed
         self.H = H
-        H_low = H.lower_all() if H is not None else None
-        phi_V = project_component(phi, V)
+        self.study = study if study is not None else CommutatorStudy(H, phi, I)
+        subs, self.K_set = self.study.subs, self.study.K_set
 
-        subs = subsequences(self.I)
-        k_exts = set(subs)
-        for s in subs:
-            if len(s) < len(self.I):
-                for g in GENERATORS:
-                    k_exts.add(s + (g,))
-        self.K_set = sorted(k_exts, key=lambda s: (len(s), tuple(g.name for g in s)))
-
-        # Cached factors ------------------------------------------------
-        self._box_V = {}
-        for K in subs:
-            if len(K) < len(self.I):
-                self._box_V[K] = g_box(H, lie_multi(K, phi_V))
-        self._grad_full = {K: lie_multi(K, phi).gradient() for K in self.K_set}
-        self._grad_comp = {}
-        for name in self.component_set:
-            phi_c = project_component(phi, name)
-            for K in self.K_set:
-                self._grad_comp[(name, K)] = lie_multi(K, phi_c).gradient()
-        self._H_norm = {}
-        self._H_LL = {}
-        if H_low is not None:
-            Lsym = _FRAME_SYM["L"]
-            for J in subs:
-                HJ = lie_multi(J, H_low)
-                self._H_norm[J] = HJ
-                acc = RadPoly()
-                for mu in range(4):
-                    for nu in range(4):
-                        acc = acc + Lsym[mu] * Lsym[nu] * HJ.comps[mu, nu, 0]
-                cll = np.empty((1,), dtype=object)
-                cll[0] = acc
-                self._H_LL[J] = PolyField(0, 1, cll)
+        # Factors, built now -------------------------------------------------
+        self._flat = [("box", V, K) for K in subs if len(K) < len(self.I)]
+        self._factors = list(self._flat)
+        if H is not None:
+            for c in (None,) + self.component_set:
+                self.study._grads(c, self.K_set)
+                self._factors += [("grad", c, K) for K in self.K_set]
+            self._factors += [(w, None, J) for J in subs for w in ("H", "LL")]
+        for f in self._factors:
+            self.study._factor(*f)
 
         # Term table ("collapsed" convention pairs) -------------------------
         self.terms = []
@@ -332,32 +385,11 @@ class CommutatorBound:
                         self.terms.append(BoundTerm("t_weighted", J, K, "full", ("all",)))
                         self.terms.append(
                             BoundTerm("q_weighted", J, K, "LL", tuple(self.component_set)))
-        self._norms = None
 
     def _weights(self, pts):
         r = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
         q = r - pts[:, 0]
         return 1.0 / (1.0 + pts[:, 0] + np.abs(q)), 1.0 / (1.0 + np.abs(q))
-
-    def _factor_norms(self, pts):
-        """Pointwise norms of every cached factor at pts.
-
-        The norms of the last point batch are kept, so evaluating both
-        conventions on one batch evaluates each factor once.
-        """
-        if self._norms is not None and np.array_equal(self._norms[0], pts):
-            return self._norms[1]
-        flat = np.zeros(len(pts))
-        for box in self._box_V.values():
-            flat += _norm_eval(box, pts)
-        norms = {"flat": flat}
-        if self.H is not None:
-            norms["grad_full"] = {K: _norm_eval(g, pts) for K, g in self._grad_full.items()}
-            norms["grad_comp"] = {key: _norm_eval(g, pts) for key, g in self._grad_comp.items()}
-            norms["H"] = {J: _norm_eval(h, pts) for J, h in self._H_norm.items()}
-            norms["H_LL"] = {J: np.abs(h.eval(pts)[:, 0]) for J, h in self._H_LL.items()}
-        self._norms = (pts.copy(), norms)
-        return norms
 
     def family_values(self, pts, convention="collapsed"):
         """Dict of family -> (n,) arrays under the requested convention."""
@@ -365,38 +397,35 @@ class CommutatorBound:
         if convention not in ("collapsed", "nested"):
             raise ValueError(f"unknown convention {convention!r}")
         wt, wq = self._weights(pts)
-        norms = self._factor_norms(pts)
+        norms = self.study._norms(pts, self._factors)
+        flat = np.zeros(len(pts))
+        for f in self._flat:
+            flat += norms[f]
         t_fam = np.zeros(len(pts))
         q_fam = np.zeros(len(pts))
         if self.H is not None:
-            grad_full_n, grad_comp_n = norms["grad_full"], norms["grad_comp"]
-            Hn, HLL = norms["H"], norms["H_LL"]
             if convention == "collapsed":
                 pairs = self.pairs
             else:
-                subs = subsequences(self.I)
+                subs = self.study.subs
                 pairs = [(J, M) for J in subs for K in subs
                          if len(J) + len(K) <= len(self.I) and len(K) < len(self.I)
                          for M in [K] + [K + (g,) for g in GENERATORS]]
             for J, K in pairs:
-                t_fam += Hn[J] * grad_full_n[K]
+                t_fam += norms["H", None, J] * norms["grad", None, K]
                 comp_sum = np.zeros(len(pts))
                 for name in self.component_set:
-                    comp_sum += grad_comp_n[(name, K)]
-                q_fam += HLL[J] * comp_sum
-        return {
-            "flat": norms["flat"].copy(),
-            "t_weighted": wt * t_fam,
-            "q_weighted": wq * q_fam,
-        }
+                    comp_sum += norms["grad", name, K]
+                q_fam += norms["LL", None, J] * comp_sum
+        return {"flat": flat, "t_weighted": wt * t_fam, "q_weighted": wq * q_fam}
 
     def eval(self, pts, convention="collapsed"):
         fams = self.family_values(pts, convention)
         return fams["flat"] + fams["t_weighted"] + fams["q_weighted"]
 
 
-def commutator_bound_rhs(H, phi, I, V, frame_set="T"):
-    return CommutatorBound(H, phi, I, V, frame_set=frame_set)
+def commutator_bound_rhs(H, phi, I, V, frame_set="T", study=None):
+    return CommutatorBound(H, phi, I, V, frame_set=frame_set, study=study)
 
 
 @dataclass
@@ -427,14 +456,17 @@ class CommutatorReport:
         }
 
 
-def commutator_report(H, phi, I, V, pts, frame_set="T"):
-    """Exact lhs, identity residual, and measured bound constants at points."""
+def commutator_report(H, phi, I, V, pts, frame_set="T", study=None):
+    """Exact lhs, identity residual, and measured bound constants at points;
+    pass one CommutatorStudy of (H, phi, I) to share factors across V."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    phi_V = project_component(phi, V)
-    lhs = commutator_exact_lhs(H, phi_V, I).eval(pts)
+    study = study if study is not None else CommutatorStudy(H, phi, I)
+    rhs = CommutatorIdentityRHS(H, phi, I, study=study, V=V)
+    lhs = rhs._exact_lhs().eval(pts)
     lhs_vals = np.sqrt(np.sum(lhs ** 2, axis=1))
-    ident = _relative_residual(lhs, commutator_identity_rhs(H, phi_V, I), pts)
-    bound = commutator_bound_rhs(H, phi, I, V, frame_set=frame_set)
+    ident = _relative_residual(lhs, rhs, pts)
+    del rhs  # the bound needs the boxes, not the Hessians
+    bound = commutator_bound_rhs(H, phi, I, V, frame_set=frame_set, study=study)
     bvals = bound.eval(pts)
     bvals_nested = bound.eval(pts, convention="nested")
 

@@ -407,25 +407,23 @@ class RunHistory:
 
         rank 0: "scalar"; rank 1: "slotK" or a frame name; rank 2:
         "slotAB" (two digits) or a comma-joined frame pair ("Lbar,L").
+        Any other name is a config error (ConstraintError).
         """
-        if self.rank == 0:
-            if component not in (None, "scalar"):
-                raise ValueError("rank-0 runs expose only the 'scalar' component")
-            return arr
-        fr = self.geom.frames()
-        if self.rank == 1:
-            if isinstance(component, str) and component.startswith("slot"):
-                return arr[int(component[4:])]
-            if component in fr:
+        try:
+            if self.rank == 0 and component in (None, "scalar"):
+                return arr
+            slot = str(component)[4:]
+            if str(component).startswith("slot") and len(slot) == self.rank:
+                return arr[tuple(int(i) for i in slot)]
+            fr = self.geom.frames()
+            if self.rank == 1 and component in fr:
                 return np.einsum("m...,mc...->c...", fr[component], arr)
-        if self.rank == 2:
-            if isinstance(component, str) and component.startswith("slot"):
-                a, b = int(component[4]), int(component[5])
-                return arr[a, b]
-            if "," in str(component):
+            if self.rank == 2 and "," in str(component):
                 u, v = component.split(",")
                 return np.einsum("m...,k...,mkc...->c...", fr[u], fr[v], arr)
-        raise ValueError(f"unknown component {component!r} for rank {self.rank}")
+        except (IndexError, KeyError, ValueError):
+            pass
+        raise ConstraintError(f"unknown component {component!r} for rank {self.rank}")
 
     def component_series(self, component):
         """Series of one projected component.
@@ -647,9 +645,10 @@ def _write_events(path, events):
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg, out_dir, tag=""):
+def run_experiment(cfg, out_dir, tag="", keep=None):
     """Evolve per the config, write the run log, energy series, and
-    optional snapshots; returns (history, summary dict).
+    optional snapshots; returns (history, summary dict, series of the
+    component ``keep`` or None).
 
     tag is inserted before each file extension, so runs that share an
     output directory (one per resolution in conserve) keep their own
@@ -673,10 +672,11 @@ def run_experiment(cfg, out_dir, tag=""):
     finally:
         _write_events(log_path, events)
 
-    rows = []
+    rows, kept = [], None
     summary = {"components": {}, "seed": cfg["seed"]}
     for comp in cfg["components"]:
         series = hist.component_series(comp)
+        kept = series if comp == keep and kept is None else kept
         energies = []
         for k, t in enumerate(series.times):
             e_w = slice_energy(series.state(k), region, params, "w")
@@ -699,4 +699,4 @@ def run_experiment(cfg, out_dir, tag=""):
         final = GridField(geom, hist.rank, hist.channels, hist.fields[-1],
                           hist.times[-1], ghost_valid=False)
         save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
-    return hist, summary
+    return hist, summary, kept

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import EmptyRegion, GhostInvalid, PoleDegenerate
 from .geometry import MINKOWSKI_INV, frame_arrays, null_frame_at
-from .poly import Poly, RadPoly, _eval_scalars
+from .poly import Poly, _eval_scalars
 
 GHOST = 2
 
@@ -171,14 +171,8 @@ class PolyField:
         vals = _eval_scalars(self.comps.ravel(), pts)
         return vals.reshape((vals.shape[0],) + self.shape)
 
-    def eval_at(self, pt):
-        return self.eval(np.asarray(pt, dtype=float)[None, :])[0]
-
     def is_zero(self):
         return all(self.comps[idx].is_zero() for idx in np.ndindex(self.shape))
-
-    def to_radpoly(self):
-        return self.map(lambda p: RadPoly.from_poly(p) if isinstance(p, Poly) else p)
 
 
 @dataclass
@@ -348,15 +342,6 @@ class GridField:
             vals = [vals]
         data = np.stack([np.asarray(v, dtype=float) for v in vals])
         return cls(geom, 0, channels, data, t)
-
-    @classmethod
-    def from_polyfield(cls, geom, pf, t=0.0):
-        pts = geom.points_full(t)
-        vals = pf.eval(pts)  # (npts,) + shape
-        n = geom.n_full
-        shape = pf.shape
-        data = np.moveaxis(vals, 0, -1).reshape(shape + (n, n, n))
-        return cls(geom, pf.rank, pf.channels, data, t, pf.variance)
 
     def interior(self):
         return self.geom.interior(self.data)

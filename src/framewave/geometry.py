@@ -91,16 +91,6 @@ class Metric:
     H: object = None  # rank-2 contravariant PolyField, or None for flat
     m: np.ndarray = field(default_factory=lambda: MINKOWSKI.copy())
 
-    def g_inv_at(self, pts):
-        """g^{mu nu} at points (n, 4) -> array (n, 4, 4)."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        out = np.broadcast_to(MINKOWSKI_INV, (pts.shape[0], 4, 4)).copy()
-        if self.H is not None:
-            out = out + self.H.eval(pts)
-        return out
-
 
 def _sphere_pair(xhat, axis):
     n = np.zeros(3)

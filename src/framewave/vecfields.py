@@ -8,9 +8,10 @@ with coordinate Hessians on scalars -- the fact every exact identity in
 :mod:`framewave.estimates` leans on.
 
 Multi-indices are ordered generator sequences; iterated Lie derivatives
-apply the leftmost generator last (outermost).  Ordered splittings
-enumerate all assignments of sequence positions into parts, preserving
-relative order within each part.
+apply the leftmost generator last (outermost).  A Lie lattice builds each
+L_{Z^s} T once, from its suffix entry, and lives as long as its caller.
+Ordered splittings enumerate all assignments of sequence positions into
+parts, preserving relative order within each part.
 
 Stateless tables and pure functions throughout.
 """
@@ -164,14 +165,15 @@ def lie_multi(I, T: PolyField) -> PolyField:
     return out
 
 
-def splittings2(I):
-    """All ordered splittings I = I1 + I2 (2^|I| position assignments)."""
-    out = []
-    for bits in itertools.product((0, 1), repeat=len(I)):
-        I1 = tuple(g for g, s in zip(I, bits) if s == 0)
-        I2 = tuple(g for g, s in zip(I, bits) if s == 1)
-        out.append((I1, I2))
-    return out
+def lie_lattice(seqs, lattice):
+    """Extend a Lie lattice {s: L_{Z^s} T}, holding at least () -> T, to every
+    sequence in seqs and its suffixes, each new entry built as one Lie
+    derivative of its suffix entry, L_{s[0]} L_{Z^{s[1:]}} T; returns it."""
+    for s in map(tuple, seqs):
+        for k in range(len(s) - 1, -1, -1):
+            if s[k:] not in lattice:
+                lattice[s[k:]] = lie_multi(s[k:k + 1], lattice[s[k + 1:]])
+    return lattice
 
 
 def splittings(I, parts):

@@ -1,24 +1,9 @@
 import numpy as np
 import pytest
 
+from framewave.certify import sample_points  # noqa: F401  (shared by the test modules)
+
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
-
-
-def sample_points(rng, n, tmin=-2.0, tmax=2.0, box=3.0, rmin=0.5, chart_z=False):
-    """Random spacetime points with r >= rmin; optionally inside the
-    x3-axis chart region |x3| <= 0.8 r."""
-    pts = []
-    while len(pts) < n:
-        cand = np.empty(4)
-        cand[0] = rng.uniform(tmin, tmax)
-        cand[1:] = rng.uniform(-box, box, size=3)
-        r = np.linalg.norm(cand[1:])
-        if r < rmin:
-            continue
-        if chart_z and abs(cand[3]) > 0.8 * r:
-            continue
-        pts.append(cand)
-    return np.array(pts)

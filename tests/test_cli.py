@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from framewave import cli
+from framewave import cli, evolve
 from framewave.background import make_background
 from framewave.errors import ConstraintError, SchemaError
 
@@ -159,6 +159,17 @@ def test_conserve_keeps_one_log_per_resolution(tmp_path):
     assert not (out / "run_log.jsonl").exists()
     assert not (out / "energy_series.csv").exists()
     assert all(f.is_file() for f in out.iterdir())
+
+
+def test_conserve_builds_each_series_once(tmp_path, monkeypatch):
+    calls = []
+    series = evolve.RunHistory.component_series
+    monkeypatch.setattr(evolve.RunHistory, "component_series",
+                        lambda self, comp: calls.append(comp) or series(self, comp))
+    path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
+    assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
+                     "--refine", "2"]) == 0
+    assert calls == ["scalar", "scalar"]  # one per resolution
 
 
 @pytest.mark.parametrize("body, field", [

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from framewave import estimates, evolve
+from framewave import estimates, evolve, vecfields
 from framewave.background import ZeroBackground
 from framewave.energy import ExteriorRegion
 from framewave.errors import FrameMismatch, HistoryMissing
-from framewave.estimates import (c_hat, commutator_bound_rhs,
+from framewave.estimates import (CommutatorStudy, c_hat, commutator_bound_rhs,
                                  commutator_exact_lhs, commutator_identity_rhs,
                                  commutator_report, energy_estimate_report,
                                  gradient_frame_bound, identity_residual,
@@ -14,7 +14,7 @@ from framewave.estimates import (c_hat, commutator_bound_rhs,
 from framewave.fields import GridGeometry, PolyField
 from framewave.poly import Poly
 from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
-                                 lie_multi)
+                                 lie_multi, subsequences)
 from framewave.weights import WeightParams
 from conftest import sample_points
 
@@ -144,6 +144,55 @@ def test_commutator_report(rng):
     assert np.isfinite(rep.implied_constant_nested)
     js = rep.to_json()
     assert js["component"] == "L" and js["multi_index"] == ["Z01"]
+
+
+COMPONENTS = [("L", "T"), ("e1", "T"), ("e2", "T"), ("Lbar", "U"), ("L", "U")]
+
+
+@pytest.mark.parametrize("scale", [None, 0.05])
+def test_shared_study_matches_fresh_reports(rng, scale):
+    H = _random_H(rng, scale) if scale else None
+    phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
+    I = (Z01, SCALING)
+    pts = sample_points(rng, 40, tmin=1.0, tmax=3.0, chart_z=True)
+    study = CommutatorStudy(H, phi, I)
+    for V, fs in COMPONENTS:
+        shared = commutator_report(H, phi, I, V, pts, frame_set=fs, study=study)
+        fresh = commutator_report(H, phi, I, V, pts, frame_set=fs)
+        assert shared.to_json() == fresh.to_json(), V
+        for conv in ("collapsed", "nested"):
+            a = commutator_bound_rhs(H, phi, I, V, fs, study=study).family_values(pts, conv)
+            b = commutator_bound_rhs(H, phi, I, V, fs).family_values(pts, conv)
+            assert all(np.array_equal(a[f], b[f]) for f in a), (V, conv)
+        # the flat family reads this component's own boxes
+        flat = np.zeros(len(pts))
+        for K in ((), (SCALING,), (Z01,)):
+            box = estimates.g_box(H, lie_multi(K, project_component(phi, V))).eval(pts)
+            flat += np.sqrt(np.sum(box ** 2, axis=1))
+        assert np.array_equal(a["flat"], flat), V
+
+
+def test_study_builds_each_lie_derivative_once(rng, monkeypatch):
+    H = _random_H(rng, 0.05)
+    phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
+    I = (Z01, SCALING)
+    pts = sample_points(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
+    for s in subsequences(I):
+        c_hat(s)  # the chat factors are cached per process; warm them first
+    calls = []
+    lie = vecfields.lie_derivative
+    monkeypatch.setattr(vecfields, "lie_derivative",
+                        lambda g, T: calls.append(g) or lie(g, T))
+    study = CommutatorStudy(H, phi, I)
+    for V, fs in (("L", "T"), ("e1", "T"), ("Lbar", "U")):
+        commutator_report(H, phi, I, V, pts, frame_set=fs, study=study)
+    # one lattice over the K set for phi, L, e1, e2 and Lbar, one over the
+    # subsequences for H_low, and the outer L_{Z^I} of each exact lhs
+    lattice_entries = 5 * (len(study.K_set) - 1) + (len(study.subs) - 1)
+    assert len(calls) == lattice_entries + 3 * len(I)
+    calls.clear()
+    identity_residual(H, project_component(phi, "L"), I, pts)
+    assert len(calls) == 2 * (len(study.subs) - 1) + len(I)
 
 
 def test_gradient_frame_bound_cases(rng):

@@ -8,11 +8,11 @@ from framewave.poly import Poly, RadPoly, random_poly
 from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
                                  apply_representation, apply_to_scalar, as_field,
                                  commutator, jacobi_residual, lie_derivative,
-                                 lie_minkowski_inverse_factor, lie_multi,
+                                 lie_lattice, lie_minkowski_inverse_factor, lie_multi,
                                  measure_decay_constants, parse_generator,
                                  parse_multi_index, restricted_derivative_as_Z,
                                  restricted_derivative_direct, splittings,
-                                 splittings2, subsequences)
+                                 subsequences)
 from conftest import sample_points
 
 
@@ -69,6 +69,36 @@ def test_leibniz_rule_exact(rng):
         lhs = apply_to_scalar(gen, F * G)
         rhs = apply_to_scalar(gen, F) * G + F * apply_to_scalar(gen, G)
         assert (lhs - rhs).is_zero()
+
+
+def _same_scalar(a, b):
+    """Equal exact scalars, monomials in the same order (the order fixes
+    the float arithmetic of every later evaluation)."""
+    if isinstance(a, RadPoly):
+        return (isinstance(b, RadPoly) and list(a.terms) == list(b.terms)
+                and all(_same_scalar(a.terms[k], b.terms[k]) for k in a.terms))
+    return isinstance(b, Poly) and list(a.c.items()) == list(b.c.items())
+
+
+@pytest.mark.parametrize("rank, variance", [(0, ()), (1, ("u",)), (2, ("u", "d")),
+                                            (2, ("d", "u"))])
+def test_lie_lattice_matches_lie_multi(rng, rank, variance):
+    T = PolyField.random(rng, rank=rank, channels=2, degree=2, nterms=3,
+                         variance=variance)
+    if rank == 0:  # a radial scalar, as the projected frame components are
+        T = PolyField.scalar([p * RadPoly({(1, 0, 0): Poly.var(1)}) for p in T.comps])
+    I = (VectorFieldId("Z", 1, 3), SCALING, TRANSLATIONS[2])
+    subs = subsequences(I)
+    seqs = subs + [s + (g,) for s in subs if len(s) < len(I) for g in GENERATORS]
+    lattice = lie_lattice(seqs, {(): T})
+    for s in seqs:
+        want = lie_multi(s, T)
+        assert all(_same_scalar(lattice[s].comps[i], want.comps[i])
+                   for i in np.ndindex(T.shape)), s
+    # extending a lattice keeps its entries and builds only what is missing
+    kept = dict(lattice)
+    assert lie_lattice([I, (SCALING, GENERATORS[0])], lattice) is lattice
+    assert all(lattice[s] is kept[s] for s in kept)
 
 
 def test_lie_multi_examples(rng):
@@ -139,7 +169,7 @@ def test_jacobi_all_triples():
 
 def test_splitting_counts():
     I = (SCALING, TRANSLATIONS[1], GENERATORS[6])
-    assert len(splittings2(I)) == 2 ** 3
+    assert len(splittings(I, 2)) == 2 ** 3
     assert len(splittings(I, 4)) == 4 ** 3
     assert () in subsequences(I) and I in subsequences(I)
     parts = splittings(I, 2)[5]
@@ -156,7 +186,7 @@ def test_ordered_splittings_against_brute_force_leibniz(rng):
         B = random_poly(rng, degree=2, nterms=3)
         lhs = lie_multi(I, PolyField.scalar(A * B)).comps[0]
         rhs = Poly.zero()
-        for I1, I2 in splittings2(I):
+        for I1, I2 in splittings(I, 2):
             rhs = rhs + (lie_multi(I1, PolyField.scalar(A)).comps[0]
                          * lie_multi(I2, PolyField.scalar(B)).comps[0])
         assert (lhs - rhs).is_zero(), I
