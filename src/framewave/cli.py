@@ -263,14 +263,18 @@ def mode_evolve(cfg, out_dir):
 
 def mode_estimate(cfg, out_dir):
     _, bg, params, region = evolve.setup_experiment(cfg)
-    hist = run_experiment(cfg, out_dir)[0]
+    comps = cfg["components"]
+    hist, _, kept = run_experiment(cfg, out_dir, keep=comps[0] if comps else None)
+    bases = {comps[0]: kept} if comps else {}  # each component's I = '' series
     reports = []
     for text in cfg["multi_indices"]:
         I = parse_multi_index(text)
-        for comp in cfg["components"]:
+        for comp in comps:
+            if comp not in bases:
+                bases[comp] = hist.component_series(comp)
             rep = estimates.energy_estimate_report(
                 hist, I, comp, cfg["times"]["t1"], cfg["times"]["t2"],
-                region, params)
+                region, params, base=bases[comp])
             reports.append(rep.to_json())
     energy.write_json(os.path.join(out_dir, "estimate.json"),
                       {"reports": reports, "seed": cfg["seed"]})
@@ -280,6 +284,10 @@ def mode_estimate(cfg, out_dir):
 def mode_commutator(cfg, out_dir):
     from .fields import PolyField
 
+    for comp in cfg["components"]:
+        if comp not in estimates.FULL_FRAME:
+            raise ConstraintError(f"commutator component {comp!r} is not one of "
+                                  f"{', '.join(estimates.FULL_FRAME)}")
     rng = np.random.default_rng(cfg["seed"])
     reports = []
     for text in cfg["multi_indices"]:
@@ -290,8 +298,7 @@ def mode_commutator(cfg, out_dir):
         pts = certify_mod.sample_points(rng, 200, tmin=1.0, tmax=3.0, rmin=0.5)
         pts = pts[np.abs(pts[:, 3]) <= 0.85 * np.linalg.norm(pts[:, 1:], axis=1)]
         study = estimates.CommutatorStudy(H, phi, I)
-        for comp in cfg["components"]:
-            V = comp if comp in ("L", "e1", "e2", "Lbar") else "L"
+        for V in cfg["components"]:
             frame_set = "U" if V == "Lbar" else "T"
             rep = estimates.commutator_report(H, phi, I, V, pts, frame_set=frame_set,
                                               study=study)

@@ -361,28 +361,37 @@ class SliceState:
         return self._cache[key]
 
     def grad(self):
-        return self._get("grad", lambda: np.stack(
-            [d1_axis(self.psi, i, self.geom.dx) for i in (1, 2, 3)]))
+        return self.dpsi4()[1:]
 
     def grad_t(self):
-        return self._get("grad_t", lambda: np.stack(
-            [d1_axis(self.psi_t, i, self.geom.dx) for i in (1, 2, 3)]))
+        def build():
+            out = np.empty((3,) + self.psi_t.shape)
+            for i in (1, 2, 3):
+                d1_axis(self.psi_t, i, self.geom.dx, out=out[i - 1])
+            return out
+        return self._get("grad_t", build)
 
     def dpsi4(self):
-        return self._get("dpsi4", lambda: np.concatenate(
-            [self.psi_t[None], self.grad()]))
+        """(d_t psi, d_1 psi, d_2 psi, d_3 psi) in one array; grad() is
+        its spatial part."""
+        def build():
+            out = np.empty((4,) + self.psi.shape)
+            out[0] = self.psi_t
+            for i in (1, 2, 3):
+                d1_axis(self.psi, i, self.geom.dx, out=out[i])
+            return out
+        return self._get("dpsi4", build)
 
     def hess(self):
         def build():
             g = self.grad()
             out = np.empty((3, 3) + self.psi.shape)
             for i in (1, 2, 3):
-                out[i - 1, i - 1] = d2_axis(self.psi, i, self.geom.dx)
+                d2_axis(self.psi, i, self.geom.dx, out=out[i - 1, i - 1])
             for i in (1, 2, 3):
                 for j in range(i + 1, 4):
-                    mixed = d1_axis(g[i - 1], j, self.geom.dx)
-                    out[i - 1, j - 1] = mixed
-                    out[j - 1, i - 1] = mixed
+                    d1_axis(g[i - 1], j, self.geom.dx, out=out[i - 1, j - 1])
+                    out[j - 1, i - 1] = out[i - 1, j - 1]
             return out
         return self._get("hess", build)
 

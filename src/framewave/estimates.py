@@ -775,19 +775,22 @@ def _H_frame_arrays(state: SliceState):
             np.sqrt(tang_sq) * M_frob, dchi_norm * M_frob)
 
 
-def energy_estimate_report(history, I, component, t1, t2, region, params):
+def energy_estimate_report(history, I, component, t1, t2, region, params,
+                           base=None):
     """Evaluate every line of the weighted estimate for one run.
 
     The wave-operator line uses the run's actual g dd Psi residual built
     from the stored reduction, closing the loop with the commutator bound;
     the undifferentiated |dPhi_V|^2 line reads the base (I = empty) series,
     which for an empty I is the report's own series and slice states.
+    ``base`` is that series if the caller already holds it.
     """
     from .weights import w_tilde, w_tilde_prime
 
     I = tuple(I)
-    series = lie_component_series(history, I, component)
-    base = history.component_series(component) if I else series
+    if base is None:
+        base = history.component_series(component)
+    series = lie_component_series(history, I, component) if I else base
     geom = history.geom
     k1, k2 = series.index_range(t1, t2)
 

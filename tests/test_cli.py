@@ -206,6 +206,46 @@ def test_commutator_mode(tmp_path):
     assert payload["reports"][0]["identity_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("components", [["L", "Lbr"], None])
+def test_commutator_rejects_unknown_components(tmp_path, capsys, components):
+    body = {"mode": "commutator", "multi_indices": ["S"]}
+    if components is not None:
+        body["components"] = components  # None: the shared default ["scalar"]
+    out = tmp_path / "out"
+    assert cli.main(["commutator", "--config", _write(tmp_path, body),
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    bad = "Lbr" if components else "scalar"
+    assert err.startswith("config error") and repr(bad) in err
+    assert all(v in err for v in ("L", "e1", "e2", "Lbar"))
+    assert not (out / "commutator.json").exists()
+
+
+def test_estimate_builds_each_series_once(tmp_path, monkeypatch):
+    from framewave import energy, estimates
+
+    body = {"mode": "estimate", **DETERMINISM_CONFIGS["estimate"]}
+    path = _write(tmp_path, body)
+    calls = []
+    series = evolve.RunHistory.component_series
+    monkeypatch.setattr(evolve.RunHistory, "component_series",
+                        lambda self, comp: calls.append(comp) or series(self, comp))
+    assert cli.main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert calls == ["scalar"]
+    monkeypatch.undo()
+    # each report building its own series writes the same bytes
+    cfg = cli.parse_config(path)
+    _, _, params, region = evolve.setup_experiment(cfg)
+    hist = evolve.run_experiment(cfg, str(tmp_path))[0]
+    reports = [estimates.energy_estimate_report(
+        hist, cli.parse_multi_index(text), "scalar", cfg["times"]["t1"],
+        cfg["times"]["t2"], region, params).to_json() for text in cfg["multi_indices"]]
+    energy.write_json(str(tmp_path / "estimate.json"),
+                      {"reports": reports, "seed": cfg["seed"]})
+    assert (tmp_path / "estimate.json").read_bytes() == \
+        (tmp_path / "o" / "estimate.json").read_bytes()
+
+
 def test_estimate_mode_small(tmp_path):
     path = _write(tmp_path, {
         "mode": "estimate",

@@ -11,7 +11,7 @@ from framewave.energy import (BudgetReport, ExteriorRegion, conservation_budget,
                               tangential_flux_integral, ttr_coordinate,
                               ttr_from_stress, ttr_nullframe)
 from framewave.errors import EmptyCone
-from framewave.fields import GridGeometry, PolyField
+from framewave.fields import GridGeometry, PolyField, d1_axis, d2_axis
 from framewave.poly import Poly, measure_order
 from framewave.weights import WeightParams
 from conftest import sample_points
@@ -157,6 +157,26 @@ def flat_run():
     hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 0.75,
                              cfl=0.45, n_monitors=9)
     return hist, hist.component_series("scalar")
+
+
+@pytest.mark.parametrize("first", ["grad", "dpsi4"])
+def test_slice_state_derivatives_match_stacked_forms(rng, first):
+    geom = GridGeometry(12, 4.0)
+    psi, psi_t = (rng.normal(size=(2,) + (geom.n_full,) * 3) for _ in range(2))
+    st = energy.SliceState(geom, 0.0, psi, psi_t, None, ZeroBackground())
+    getattr(st, first)()  # either may build the shared array
+    dx = geom.dx
+    grad = np.stack([d1_axis(psi, i, dx) for i in (1, 2, 3)])
+    assert np.array_equal(st.grad(), grad)
+    assert np.array_equal(st.dpsi4(), np.concatenate([psi_t[None], grad]))
+    assert np.array_equal(st.grad_t(), np.stack([d1_axis(psi_t, i, dx) for i in (1, 2, 3)]))
+    hess = st.hess()
+    for i in (1, 2, 3):
+        assert np.array_equal(hess[i - 1, i - 1], d2_axis(psi, i, dx))
+        for j in range(i + 1, 4):
+            mixed = d1_axis(grad[i - 1], j, dx)
+            assert np.array_equal(hess[i - 1, j - 1], mixed)
+            assert np.array_equal(hess[j - 1, i - 1], mixed)
 
 
 def test_exterior_energy_zero_and_scaling(flat_run):

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from framewave.energy import ExteriorRegion
 from framewave.errors import EmptyRegion, GhostInvalid
 from framewave.fields import (AnalyticField, GridField, GridGeometry, InnerProduct,
-                              PolyField, load_snapshot, partial_derivative,
-                              quadrature_slice, save_snapshot,
+                              PolyField, d1_axis, d2_axis, load_snapshot,
+                              partial_derivative, quadrature_slice, save_snapshot,
                               tangential_gradient_norm, wave_operator)
 from framewave.geometry import Metric, Point
 from framewave.poly import Poly, measure_order, random_poly
@@ -206,3 +206,60 @@ def test_snapshot_roundtrip(tmp_path, rng):
     import json
     side = json.load(open(path + ".json"))
     assert side["N"] == 12 and side["rank"] == 1
+
+
+# --- stencil kernels against the whole-array expressions ---------------------
+
+def _shifted(arr, spatial_axis):
+    """out = zeros_like(arr), its stencil-centre view, and arr shifted by
+    -2..2 along the axis: the whole-array form of the stencils."""
+    ax = arr.ndim - 3 + (spatial_axis - 1)
+    n = arr.shape[ax]
+
+    def sl(a, b):
+        t = [slice(None)] * arr.ndim
+        t[ax] = slice(a, b)
+        return tuple(t)
+
+    out = np.zeros_like(arr)
+    return out, sl(2, n - 2), [arr[sl(2 + k, n - 2 + k)] for k in (-2, -1, 0, 1, 2)]
+
+
+def _d1_reference(arr, spatial_axis, dx):
+    out, c, (a, b, _, d, e) = _shifted(arr, spatial_axis)
+    out[c] = (a - 8.0 * b + 8.0 * d - e) / (12.0 * dx)
+    return out
+
+
+def _d2_reference(arr, spatial_axis, dx):
+    out, c, (a, b, m, d, e) = _shifted(arr, spatial_axis)
+    out[c] = (-a + 16.0 * b - 30.0 * m + 16.0 * d - e) / (12.0 * dx * dx)
+    return out
+
+
+# N = 8 fits in one kernel block; N = 28 spans several (but for rank 0, channels 1)
+@pytest.mark.parametrize("N", [8, 28])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+@pytest.mark.parametrize("channels", [1, 3])
+def test_stencils_bit_identical_to_whole_array_form(N, rank, channels):
+    n = N + 4
+    arr = np.random.default_rng(N + 10 * rank + channels).normal(
+        size=(4,) * rank + (channels, n, n, n))
+    strided = np.swapaxes(arr, -1, -2)  # same shape, not C-contiguous
+    dx = 0.37
+    for fn, ref in ((d1_axis, _d1_reference), (d2_axis, _d2_reference)):
+        for i in (1, 2, 3):
+            want = ref(arr, i, dx)
+            assert np.array_equal(fn(arr, i, dx), want)
+            out = np.full_like(arr, np.nan)  # the margins must be written too
+            assert fn(arr, i, dx, out=out) is out
+            assert np.array_equal(out, want)
+            assert np.array_equal(fn(strided, i, dx), ref(strided, i, dx))
+
+
+def test_stencil_out_must_be_separate_and_contiguous():
+    arr = np.random.default_rng(1).normal(size=(1, 12, 12, 12))
+    with pytest.raises(ValueError):
+        d1_axis(arr, 1, 0.5, out=arr)
+    with pytest.raises(ValueError):
+        d2_axis(arr, 2, 0.5, out=np.empty((1, 12, 12, 24))[..., ::2])
