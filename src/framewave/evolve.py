@@ -342,8 +342,9 @@ class Evolver:
         self._ghost_mode = "periodic" if boundary == "periodic" else "zero"
         # H^{ab} d_a d_b Phi = chi * sum of c_ab D_ab over the nonzero
         # entries a <= b of the direction M: D_tj = d_j Pi with c = 2 M_tj,
-        # D_ii = d_i^2 Phi and D_ij = d_i d_j Phi + d_j d_i Phi (i < j)
-        # with c = M_ij.  H^{tt} enters through the divisor g^{tt}.
+        # D_ii = d_i^2 Phi and D_ij = 2 d_j d_i Phi (i < j, the one stencil
+        # order SliceState.hess uses) with c = M_ij.  H^{tt} enters through
+        # the divisor g^{tt}.
         M = background.direction
         self._h_terms = [] if background.is_flat() else [
             (a, b, (2.0 if a == 0 else 1.0) * M[a, b])
@@ -392,7 +393,7 @@ class Evolver:
                     term = d2[a]
                 else:
                     term = d1_axis(grad(a), b, dx, out=tmp)
-                    term += d1_axis(grad(b), a, dx)
+                    term *= 2.0
                 acc += np.multiply(term, m, out=tmp)
             np.add(d2[1], d2[2], out=dPi)
             dPi += d2[3]
