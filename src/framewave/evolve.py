@@ -378,13 +378,8 @@ class Evolver:
             chi, _ = self.bg.profile(geom, t)
             g00 = -1.0 + chi * self.bg.direction[0, 0]
             d2 = {i: d2_axis(Phi, i, dx) for i in (1, 2, 3)}
-            grads = {}
-
-            def grad(i):
-                if i not in grads:
-                    grads[i] = d1_axis(Phi, i, dx)
-                return grads[i]
-
+            grads = {a: d1_axis(Phi, a, dx)
+                     for a in {a for a, b, _ in self._h_terms if 0 < a < b}}
             acc = np.zeros(Phi.shape)
             for a, b, m in self._h_terms:
                 if a == 0:
@@ -392,7 +387,7 @@ class Evolver:
                 elif a == b:
                     term = d2[a]
                 else:
-                    term = d1_axis(grad(a), b, dx, out=tmp)
+                    term = d1_axis(grads[a], b, dx, out=tmp)
                     term *= 2.0
                 acc += np.multiply(term, m, out=tmp)
             np.add(d2[1], d2[2], out=dPi)

@@ -21,6 +21,7 @@ if a caller chooses to split the arrays.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -432,7 +433,7 @@ def _stencil_axis(arr, spatial_axis, dx, out, second):
     elif np.may_share_memory(arr, out):
         raise ValueError("out must not overlap arr")
     ax = arr.ndim - 3 + (spatial_axis - 1)
-    s = arr.strides[ax] // arr.itemsize
+    s = math.prod(arr.shape[ax + 1:])  # the axis stride, in elements
     src, dst = arr.reshape(-1), out.reshape(-1)
     scale = 12.0 * dx * dx if second else 12.0 * dx
     lo, hi = 2 * s, src.size - 2 * s
