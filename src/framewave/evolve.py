@@ -110,7 +110,7 @@ def _h_component_and_grad(geom, bg, t, pick):
     return h_pick, grad
 
 
-def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi):
+def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=None):
     """Assemble the requested schematic terms into a source array.
 
     Phi must be rank 1 (the potential A); returns (4, channels, n, n, n).
@@ -118,25 +118,38 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi):
     cell centers; the origin exclusion masks them out of any quadrature.
     Each term is formed in one scratch array and added to the zeroed
     source in the order of spec.terms.
+
+    ``work`` is an optional ``(name, shape) -> array`` callable (the
+    evolver's kept work arrays): the source, the scalar gradient, the
+    scratch, the frame projections and their gradients then come from it
+    instead of fresh allocations, and the returned source is one of them.
     """
     if Phi.ndim != 5:
         raise ValueError("schematic sources need a rank-1 evolved field")
+    if work is None:
+        def work(name, shape):
+            return np.empty(shape)
     ch = Phi.shape[1]
     n = geom.n_full
-    S = np.zeros((4, ch, n, n, n))
+    full, comp = (4, ch, n, n, n), (ch, n, n, n)
+    S = work("source.S", full)
+    S.fill(0.0)                      # +0.0 everywhere, as np.zeros
     if not spec.terms:
         return S
     fr = geom.frames()
     s = Phi[0]                       # designated scalar part of A
-    ds = np.empty((4, ch, n, n, n))
+    ds = work("source.ds", full)
     ds[0] = Pi[0]
     for i in (1, 2, 3):
         d1_axis(s, i, geom.dx, out=ds[i])
     L = fr["L"]
-    tmp = np.empty_like(S)
+    tmp = work("source.tmp", full)
 
     def add(x, y):
         np.add(S, np.multiply(x, y, out=tmp), out=S)
+
+    def project(V, U, out):
+        return np.einsum("m...,mc...->c...", V, U, out=out)
 
     if {"A_tangA", "dh_tangA"} & set(spec.terms):
         Ls = L[0] * ds[0]            # L-derivative of the scalar part
@@ -156,9 +169,9 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi):
     if {"Ae_dAe", "dAe_sq"} & set(spec.terms):
         for name in ("e1", "e2"):
             V = fr[name]
-            pv = np.einsum("m...,mc...->c...", V, Phi)
-            dp = np.empty((4, ch, n, n, n))
-            dp[0] = np.einsum("m...,mc...->c...", V, Pi)
+            pv = project(V, Phi, work(f"source.{name}", comp))
+            dp = work(f"source.d{name}", full)
+            project(V, Pi, dp[0])
             for i in (1, 2, 3):
                 d1_axis(pv, i, geom.dx, out=dp[i])
             proj[name] = pv
@@ -173,8 +186,7 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi):
         if term == "A3":
             add(wire(s * s)[None, :], Phi)
         elif term == "AL_dA":
-            A_L = np.einsum("m...,mc...->c...", L, Phi)
-            add(wire(A_L)[None, :], ds)
+            add(wire(project(L, Phi, work("source.A_L", comp)))[None, :], ds)
         elif term == "Ae_dAe":
             for name in ("e1", "e2"):
                 add(wire(proj[name])[None, :], dproj[name])
@@ -398,7 +410,8 @@ class Evolver:
         if self.source_fn is not None:
             dPi += np.divide(self.source_fn(t), g00, out=tmp)
         if self.schematic is not None:
-            S = build_source(self.schematic, geom, self.bg, t, Phi, Pi)
+            S = build_source(self.schematic, geom, self.bg, t, Phi, Pi,
+                             work=self._buffer)
             S /= g00
             dPi += S
         np.copyto(dPhi, Pi)

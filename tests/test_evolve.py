@@ -6,7 +6,7 @@ import pytest
 from framewave import evolve
 from framewave.background import BumpBackground, ZeroBackground, make_background
 from framewave.errors import CFLViolation
-from framewave.fields import GHOST, GridGeometry, d1_axis
+from framewave.fields import GHOST, GridGeometry, d1_axis, fill_ghosts_array
 from framewave.poly import GaussPoly, Poly, measure_order
 
 
@@ -424,3 +424,124 @@ def test_step_bit_identical_to_expression_rk4(case):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         (Phi, Pi), t = got, t + dt
+
+
+# --- build_source with kept work arrays against the allocating form ----------
+
+def _build_source_reference(spec, geom, bg, t, Phi, Pi):
+    """build_source as it was before it took work arrays: every array
+    freshly allocated, the source from np.zeros."""
+    if Phi.ndim != 5:
+        raise ValueError("schematic sources need a rank-1 evolved field")
+    ch = Phi.shape[1]
+    n = geom.n_full
+    S = np.zeros((4, ch, n, n, n))
+    if not spec.terms:
+        return S
+    fr = geom.frames()
+    s = Phi[0]                       # designated scalar part of A
+    ds = np.empty((4, ch, n, n, n))
+    ds[0] = Pi[0]
+    for i in (1, 2, 3):
+        d1_axis(s, i, geom.dx, out=ds[i])
+    L = fr["L"]
+    tmp = np.empty_like(S)
+
+    def add(x, y):
+        np.add(S, np.multiply(x, y, out=tmp), out=S)
+
+    if {"A_tangA", "dh_tangA"} & set(spec.terms):
+        Ls = L[0] * ds[0]            # L-derivative of the scalar part
+        for i in (1, 2, 3):
+            Ls = Ls + L[i] * ds[i]
+
+    need_h = {"dh_tangA", "tangh_dA", "dh_A2", "dh_TU_sq", "bigO_h_dA"} & set(spec.terms)
+    if need_h:
+        h_pick, dh_pick = evolve._h_component_and_grad(geom, bg, t, spec.h_pick)
+        # Background is time-analytic; the L-transport of h uses dh directly.
+        Lh = L[0] * dh_pick[0]
+        for i in (1, 2, 3):
+            Lh = Lh + L[i] * dh_pick[i]
+
+    proj = {}
+    dproj = {}
+    if {"Ae_dAe", "dAe_sq"} & set(spec.terms):
+        for name in ("e1", "e2"):
+            V = fr[name]
+            pv = np.einsum("m...,mc...->c...", V, Phi)
+            dp = np.empty((4, ch, n, n, n))
+            dp[0] = np.einsum("m...,mc...->c...", V, Pi)
+            for i in (1, 2, 3):
+                d1_axis(pv, i, geom.dx, out=dp[i])
+            proj[name] = pv
+            dproj[name] = dp
+
+    mix = np.asarray(spec.mixing) if spec.mixing is not None else None
+
+    def wire(factor_ch):
+        return np.einsum("dc,c...->d...", mix, factor_ch) if mix is not None else factor_ch
+
+    for term in spec.terms:
+        if term == "A3":
+            add(wire(s * s)[None, :], Phi)
+        elif term == "AL_dA":
+            A_L = np.einsum("m...,mc...->c...", L, Phi)
+            add(wire(A_L)[None, :], ds)
+        elif term == "Ae_dAe":
+            for name in ("e1", "e2"):
+                add(wire(proj[name])[None, :], dproj[name])
+        elif term == "A_tangA":
+            add(Phi, wire(Ls)[None, :])
+        elif term == "dh_tangA":
+            add(dh_pick[:, None], wire(Ls)[None, :])
+        elif term == "tangh_dA":
+            add(Lh[None, None], ds)
+        elif term == "dh_A2":
+            add(dh_pick[:, None], wire(s * s)[None, :])
+        elif term == "dh_TU_sq":
+            for mu in spec.slots:
+                S[mu] += Lh[None] ** 2
+        elif term == "dAe_sq":
+            val = np.zeros((ch, n, n, n))
+            for name in ("e1", "e2"):
+                val += np.einsum("ac...,ac...->c...", dproj[name], dproj[name])
+            for mu in spec.slots:
+                S[mu] += val
+        elif term == "bigO_h_dA":
+            series = np.zeros_like(h_pick)
+            power = np.ones_like(h_pick)
+            for _ in range(spec.bigO_degree):
+                series = series + power
+                power = power * h_pick
+            add((h_pick * series)[None, None], ds)
+    return S
+
+
+def _source_state(geom, rngl):
+    """Random rank-1 state with zero ghosts and blocks of +0.0 and -0.0."""
+    shape = (4, 2) + (geom.n_full,) * 3
+    Phi, Pi = 0.4 * rngl.normal(size=shape), 0.4 * rngl.normal(size=shape)
+    for U in (Phi, Pi):
+        fill_ghosts_array(U, "zero")
+        U[:, :, 3:6, 3:6, :] = 0.0
+        U[:, :, -6:-3, :, 3:6] = -0.0
+    return Phi, Pi
+
+
+@pytest.mark.parametrize("family", ["zero", "traveling-bump"])
+@pytest.mark.parametrize("term", evolve.SCHEMATIC_TERMS + ("all",))
+def test_build_source_work_arrays_bit_identical(family, term):
+    bg = make_background(family, epsilon=0.2, center=(0.5, 0.0, 0.0), radius=2.5)
+    terms, mixing = (term,), None
+    if term == "all":
+        terms, mixing = evolve.SCHEMATIC_TERMS, np.array([[1.0, -0.5], [0.25, 2.0]])
+    spec = evolve.SourceSpec(terms=terms, mixing=mixing)
+    work = evolve.Evolver(GridGeometry(8, 3.0), bg)._buffer
+    rngl = np.random.default_rng(17)
+    for _ in range(2):  # consecutive calls on two interleaved geometries
+        for geom in (GridGeometry(8, 3.0), GridGeometry(12, 4.0)):
+            Phi, Pi = _source_state(geom, rngl)
+            want = _build_source_reference(spec, geom, bg, 0.3, Phi, Pi)
+            got = evolve.build_source(spec, geom, bg, 0.3, Phi, Pi, work=work)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
