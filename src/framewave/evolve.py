@@ -284,59 +284,167 @@ def max_characteristic_speed(geom, bg: Background, t):
     return float(np.max(c))
 
 
-def _shell_d1(U, ax, cut, dx):
-    """First derivative along spatial axis ax (0-2) on the interior cells
-    that ``cut`` (one slice per spatial axis) selects: one-sided second
-    order on the outermost interior layer, centred second order one layer
-    in, the 4th-order stencil of :func:`d1_axis` elsewhere.  Never reads
-    ghosts."""
-    lo, hi = GHOST, U.shape[ax - 3] - GHOST - 1
-    a, b = cut[ax].start, cut[ax].stop
+@dataclass(frozen=True)
+class _Slab:
+    """One slab of the radiation shell (see :func:`_shell_plan`)."""
 
-    def sh(d, k0, k1):
-        s = list(cut)
-        s[ax] = slice(k0 + d, k1 + d)
-        return U[(Ellipsis, *s)]
+    ax: int          # the slab's own axis
+    order: tuple     # spatial axes in layout order: ax, then the others
+    window: tuple    # cells read, slices of the full cube
+    cut: tuple       # cells written, slices of the full cube
+    shape: tuple     # cut extents in layout order
+    wshape: tuple    # window extents in layout order
+    xh: tuple        # x^i / r on the cut, layout (e0, 1, e1, e2), per axis i
+    r: np.ndarray    # r on the cut, same layout
+    u: tuple         # the cut within the window array
+    parts: tuple     # per derivative axis: ((kind, written, reads, extents), ...)
 
+
+def _shell_parts(a, b, lo, hi):
+    """Closures of the cut [a, b) along an axis with interior cells lo..hi:
+    (kind, first, stop, read offsets).  One-sided second order on the
+    outermost interior layer, centred second order one layer in, the
+    4th-order stencil of :func:`d1_axis` elsewhere.  Never reads ghosts."""
     parts = []
     if a <= lo < b:
-        parts.append((-3.0 * sh(0, lo, lo + 1) + 4.0 * sh(1, lo, lo + 1)
-                      - sh(2, lo, lo + 1)) / (2 * dx))
+        parts.append(("lo", lo, lo + 1, (0, 1, 2)))
     if a <= lo + 1 < b:
-        parts.append((sh(1, lo + 1, lo + 2) - sh(-1, lo + 1, lo + 2)) / (2 * dx))
+        parts.append(("c2", lo + 1, lo + 2, (1, -1)))
     c0, c1 = max(a, lo + 2), min(b, hi - 1)
     if c0 < c1:
-        parts.append((sh(-2, c0, c1) - 8.0 * sh(-1, c0, c1) + 8.0 * sh(1, c0, c1)
-                      - sh(2, c0, c1)) / (12.0 * dx))
+        parts.append(("c4", c0, c1, (-2, -1, 1, 2)))
     if a <= hi - 1 < b:
-        parts.append((sh(1, hi - 1, hi) - sh(-1, hi - 1, hi)) / (2 * dx))
+        parts.append(("c2", hi - 1, hi, (1, -1)))
     if a <= hi < b:
-        parts.append((3.0 * sh(0, hi, hi + 1) - 4.0 * sh(-1, hi, hi + 1)
-                      + sh(-2, hi, hi + 1)) / (2 * dx))
-    return np.concatenate(parts, axis=ax - 3)
+        parts.append(("hi", hi, hi + 1, (0, -1, -2)))
+    return parts
 
 
-def _radiation_shell(geom, Phi, Pi, dPhi, dPi):
-    """Overwrite dPhi, dPi on the width-2 interior shell with the outgoing
-    condition d_t U = -x^i/r d_i U - U/r.
+def _shell_plan(geom):
+    """Geometry of the radiation shell's six slabs, built once per grid.
 
     The shell is cut into six disjoint slabs: the two edge pairs of axis
     0 over the whole interior, those of axis 1 without the cells axis 0
-    already owns, those of axis 2 without the cells of both.
+    already owns, those of axis 2 without the cells of both.  A slab
+    reads a window three cells deep along its own axis and the whole
+    interior along the others.  Slab arrays are laid out (own axis,
+    stacked fields, other two axes), so no slab runs on rows of length 2.
     """
     lo, hi = GHOST, geom.n_full - GHOST
     full, inner = slice(lo, hi), slice(lo + 2, hi - 2)
-    r = geom.r_full()
-    xh = geom.frames()["L"][1:]
+    r, xh = geom.r_full(), geom.frames()["L"][1:]
+
+    def index(spatial):             # layout-order slices -> array index
+        return (spatial[0], slice(None), spatial[1], spatial[2])
+
+    plan = []
     for ax in range(3):
-        for edge in (slice(lo, lo + 2), slice(hi - 2, hi)):
+        order = (ax,) + tuple(k for k in range(3) if k != ax)
+        for w0, edge in ((lo, slice(lo, lo + 2)), (hi - 3, slice(hi - 2, hi))):
             cut = tuple(edge if k == ax else (inner if k < ax else full)
                         for k in range(3))
-            x0, x1, x2, rc = xh[0][cut], xh[1][cut], xh[2][cut], r[cut]
-            for U, out in ((Pi, dPi), (Phi, dPhi)):
-                g0, g1, g2 = (_shell_d1(U, i, cut, geom.dx) for i in range(3))
-                out[(Ellipsis, *cut)] = (-(x0 * g0 + x1 * g1 + x2 * g2)
-                                         - U[(Ellipsis, *cut)] / rc)
+            window = tuple(slice(w0, w0 + 3) if k == ax else full for k in range(3))
+            cw = [slice(cut[k].start - window[k].start, cut[k].stop - window[k].start)
+                  for k in order]
+            shape = tuple(cut[k].stop - cut[k].start for k in order)
+            parts = []
+            for i in range(3):
+                p = order.index(i)
+                a, w = cut[i].start, window[i].start
+                axis_parts = []
+                for kind, k0, k1, offsets in _shell_parts(a, cut[i].stop, lo, hi - 1):
+                    dst = [slice(None)] * 3
+                    dst[p] = slice(k0 - a, k1 - a)
+                    reads = []
+                    for d in offsets:
+                        src = list(cw)
+                        src[p] = slice(k0 - w + d, k1 - w + d)
+                        reads.append(index(src))
+                    ext = list(shape)
+                    ext[p] = k1 - k0
+                    axis_parts.append((kind, index(dst), tuple(reads), tuple(ext)))
+                parts.append(tuple(axis_parts))
+
+            def layout(arr, cut=cut, order=order):
+                return np.ascontiguousarray(arr[cut].transpose(order)[:, None])
+
+            plan.append(_Slab(ax, order, window, cut, shape,
+                              tuple(window[k].stop - window[k].start for k in order),
+                              tuple(layout(x) for x in xh), layout(r), index(cw),
+                              tuple(parts)))
+    return tuple(plan)
+
+
+def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=None):
+    """Overwrite dPhi, dPi on the width-2 interior shell with the outgoing
+    condition d_t U = -x^i/r d_i U - U/r.
+
+    Slab by slab (``plan`` from :func:`_shell_plan`, built here if not
+    given): the Pi and Phi windows are copied once into one array, each
+    derivative closure writes its part with ``out=``, and the terms are
+    combined in place in the order of the expression above.  ``work`` is
+    an optional (name, shape) -> array callable; its arrays are sized for
+    the largest slab and shared by all six.
+    """
+    plan = _shell_plan(geom) if plan is None else plan
+    if work is None:
+        def work(name, shape):
+            return np.empty(shape)
+    lead = Phi.shape[:-3]
+    nc = math.prod(lead)
+    nf = 2 * nc                     # Pi components, then Phi components
+    cells = max(math.prod(sl.shape) for sl in plan)
+    wbuf = work("shell.window", (nf * max(math.prod(sl.wshape) for sl in plan),))
+    gbuf = work("shell.grad", (3, nf * cells))
+    tbuf = work("shell.tmp", (nf * cells,))
+    two, twelve = 2 * geom.dx, 12.0 * geom.dx
+    for sl in plan:
+        w0, w1, w2 = sl.wshape
+        W = wbuf[:nf * w0 * w1 * w2].reshape(w0, nf, w1, w2)
+        for f, U in enumerate((Pi, Phi)):
+            src = U[(Ellipsis, *sl.window)]
+            src = src.reshape((nc,) + src.shape[-3:])
+            np.copyto(W[:, f * nc:(f + 1) * nc], src.transpose(
+                1 + sl.order[0], 0, 1 + sl.order[1], 1 + sl.order[2]))
+        e0, e1, e2 = sl.shape
+        size = nf * e0 * e1 * e2
+        g = [gbuf[i, :size].reshape(e0, nf, e1, e2) for i in range(3)]
+        for i in range(3):
+            for kind, dst, reads, ext in sl.parts[i]:
+                o = g[i][dst]
+                t = tbuf[:nf * math.prod(ext)].reshape(ext[0], nf, ext[1], ext[2])
+                if kind == "lo":            # (-3 U0 + 4 U1 - U2) / 2dx
+                    np.multiply(W[reads[0]], -3.0, out=o)
+                    np.multiply(W[reads[1]], 4.0, out=t)
+                    np.add(o, t, out=o)
+                    np.subtract(o, W[reads[2]], out=o)
+                elif kind == "hi":          # (3 U0 - 4 U-1 + U-2) / 2dx
+                    np.multiply(W[reads[0]], 3.0, out=o)
+                    np.multiply(W[reads[1]], 4.0, out=t)
+                    np.subtract(o, t, out=o)
+                    np.add(o, W[reads[2]], out=o)
+                elif kind == "c2":          # (U1 - U-1) / 2dx
+                    np.subtract(W[reads[0]], W[reads[1]], out=o)
+                else:                       # (U-2 - 8 U-1 + 8 U1 - U2) / 12dx
+                    np.multiply(W[reads[1]], 8.0, out=t)
+                    np.subtract(W[reads[0]], t, out=o)
+                    np.multiply(W[reads[2]], 8.0, out=t)
+                    np.add(o, t, out=o)
+                    np.subtract(o, W[reads[3]], out=o)
+                np.divide(o, twelve if kind == "c4" else two, out=o)
+        # -(x0 g0 + x1 g1 + x2 g2) - U / r
+        g0, g1, g2 = g
+        np.multiply(sl.xh[0], g0, out=g0)
+        np.multiply(sl.xh[1], g1, out=g1)
+        np.add(g0, g1, out=g0)
+        np.multiply(sl.xh[2], g2, out=g2)
+        np.add(g0, g2, out=g0)
+        np.negative(g0, out=g0)
+        np.divide(W[sl.u], sl.r, out=g1)
+        np.subtract(g0, g1, out=g0)
+        for f, out in enumerate((dPi, dPhi)):
+            res = g0[:, f * nc:(f + 1) * nc].reshape((e0,) + lead + (e1, e2))
+            np.copyto(out[(Ellipsis, *sl.cut)], np.moveaxis(res, 0, len(lead) + sl.ax))
 
 
 class Evolver:
@@ -362,6 +470,7 @@ class Evolver:
             (a, b, (2.0 if a == 0 else 1.0) * M[a, b])
             for a in range(4) for b in range(a, 4) if (a, b) != (0, 0) and M[a, b]]
         self._work = {}
+        self._shell = None          # radiation-shell plan, built on first use
 
     def _buffer(self, name, shape):
         """Work array kept between calls; its contents are undefined."""
@@ -416,7 +525,9 @@ class Evolver:
             dPi += S
         np.copyto(dPhi, Pi)
         if self.boundary != "periodic":
-            _radiation_shell(geom, Phi, Pi, dPhi, dPi)
+            if self._shell is None:
+                self._shell = _shell_plan(geom)
+            _radiation_shell(geom, Phi, Pi, dPhi, dPi, self._shell, self._buffer)
         return dPhi, dPi
 
     def step(self, t, Phi, Pi, dt):

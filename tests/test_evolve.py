@@ -279,9 +279,10 @@ def _full_cube_shell_grad(geom, U):
     return out
 
 
-def _full_cube_shell(geom, Phi, Pi, dPhi, dPi):
+def _full_cube_shell(geom, Phi, Pi, dPhi, dPi, *plan_and_work):
     """Reference radiation update: advection over the whole cube, kept on
-    the width-2 interior shell by a mask."""
+    the width-2 interior shell by a mask (the slab plan and work arrays
+    the evolver passes are not used)."""
     n = geom.n_full
     idx = np.arange(n)
     inner = (idx >= GHOST) & (idx < n - GHOST)
@@ -297,9 +298,12 @@ def _full_cube_shell(geom, Phi, Pi, dPhi, dPi):
 
 
 @pytest.mark.parametrize("family", ["zero", "static-bump", "traveling-bump"])
-@pytest.mark.parametrize("rank, channels", [(0, 1), (1, 2)])
-def test_rhs_shell_bit_identical_to_full_cube(monkeypatch, family, rank, channels):
-    geom = GridGeometry(12, 4.0)
+@pytest.mark.parametrize("rank, channels, N", [
+    pytest.param(0, 1, 12, id="0-1"), pytest.param(1, 2, 12, id="1-2"),
+    pytest.param(2, 2, 12, id="2-2"), pytest.param(0, 1, 8, id="0-1-N8"),
+    pytest.param(1, 2, 8, id="1-2-N8"), pytest.param(2, 2, 8, id="2-2-N8")])
+def test_rhs_shell_bit_identical_to_full_cube(monkeypatch, family, rank, channels, N):
+    geom = GridGeometry(N, 4.0)  # N = 8 is the smallest legal grid
     bg = make_background(family, epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
     spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")) if rank == 1 else None
     ev = evolve.Evolver(geom, bg, rank, channels, schematic=spec)
