@@ -531,12 +531,13 @@ class Evolver:
         return dPhi, dPi
 
     def step(self, t, Phi, Pi, dt):
-        """One classical RK4 step; returns the new (Phi, Pi).
+        """One classical RK4 step: advances Phi and Pi in place and
+        returns them.
 
         Stages and slopes live in work arrays kept between steps.  k1
         seeds the accumulator and each later slope is weighted in place,
         so the sum keeps the order ((k1 + 2 k2) + 2 k3) + k4 before the
-        dt/6 scaling.
+        dt/6 scaling and the add to the state.
         """
         shape = (2,) + Phi.shape
         acc, k, stage = (self._buffer(name, shape) for name in ("acc", "k", "stage"))
@@ -556,7 +557,9 @@ class Evolver:
             self.rhs(t + h, *stage, out=k)
         acc += k
         acc *= dt / 6.0
-        return Phi + acc[0], Pi + acc[1]
+        Phi += acc[0]
+        Pi += acc[1]
+        return Phi, Pi
 
 
 @dataclass
@@ -688,11 +691,13 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
         Phi, Pi = ev.step(t, Phi, Pi, dt)
         t = t1 + (k + 1) * dt
         if (k + 1) % stride == 0:
-            max_abs = float(np.max(np.abs(Phi)))
+            # solution cells only: the ghost layers are scratch that the
+            # next ghost fill overwrites
+            max_abs = float(np.max(np.abs(geom.interior(Phi))))
             if log is not None:
                 log({"event": "monitor", "step": k + 1, "t": t,
                      "cfl": dt * c / geom.dx, "max_abs": max_abs})
-            max_abs_pi = float(np.max(np.abs(Pi)))
+            max_abs_pi = float(np.max(np.abs(geom.interior(Pi))))
             if not (math.isfinite(max_abs) and math.isfinite(max_abs_pi)):
                 if log is not None:
                     log({"event": "non_finite", "step": k + 1, "t": t,

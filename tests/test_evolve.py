@@ -425,6 +425,7 @@ def test_step_bit_identical_to_expression_rk4(case):
     for _ in range(2):  # the second step reuses the first one's work arrays
         want = _rk4_expression(ev, t, Phi.copy(), Pi.copy(), dt)
         got = ev.step(t, Phi, Pi, dt)
+        assert got[0] is Phi and got[1] is Pi  # advanced in place
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         (Phi, Pi), t = got, t + dt
@@ -549,3 +550,62 @@ def test_build_source_work_arrays_bit_identical(family, term):
             got = evolve.build_source(spec, geom, bg, 0.3, Phi, Pi, work=work)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# --- state update in place, monitors and allocations -------------------------
+
+@pytest.mark.parametrize("boundary", ["sommerfeld", "periodic"])
+def test_monitor_max_abs_reads_solution_cells_only(monkeypatch, boundary):
+    geom = GridGeometry(12, 4.0)
+    if boundary == "periodic":
+        Phi0, Pi0, _ = evolve.plane_wave_data(geom, kvec=(1, 1, 0))
+    else:
+        target = evolve.gaussian_target(amplitude=0.8, center=(0, 0.5, 0), sigma=0.9)
+        Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
+
+    def run():
+        events = []
+        hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 0.4,
+                                 boundary=boundary, n_monitors=3, log=events.append)
+        mons = [e["max_abs"] for e in events if e["event"] == "monitor"]
+        assert len(mons) == 2
+        return zip(mons, hist.fields[1:])
+
+    if boundary == "sommerfeld":
+        for max_abs, F in run():  # zero ghosts: the full-array maximum as before
+            assert max_abs == float(np.max(np.abs(F)))
+    step = evolve.Evolver.step
+
+    def leave_ghost_scratch(self, t, Phi, Pi, dt):
+        out = step(self, t, Phi, Pi, dt)
+        for U in out:  # leftovers larger than any solution value
+            inner = geom.interior(U).copy()
+            U[...] = 7.0
+            geom.interior(U)[...] = inner
+        return out
+
+    monkeypatch.setattr(evolve.Evolver, "step", leave_ghost_scratch)
+    for max_abs, F in run():
+        assert max_abs == float(np.max(np.abs(geom.interior(F)))) < 7.0
+
+
+def test_flat_schematic_step_allocates_no_full_array():
+    import tracemalloc
+
+    geom = GridGeometry(32, 6.0)
+    spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))
+    ev = evolve.Evolver(geom, ZeroBackground(), 1, 1, schematic=spec)
+    rngl = np.random.default_rng(9)
+    shape = (4, 1) + (geom.n_full,) * 3
+    Phi, Pi = 0.3 * rngl.normal(size=shape), 0.3 * rngl.normal(size=shape)
+    dt = 0.4 * geom.dx
+    ev.step(0.0, Phi, Pi, dt)  # warm-up: work arrays and the shell plan
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        got = ev.step(dt, Phi, Pi, dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < Phi.nbytes
+    assert got[0] is Phi and got[1] is Pi
