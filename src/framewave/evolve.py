@@ -45,7 +45,7 @@ import numpy as np
 from .background import Background, make_background
 from .energy import ComponentSeries, ExteriorRegion, slice_energy, write_series_csv
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
-from .fields import (GHOST, GridField, GridGeometry, d1_axis, d2_axis,
+from .fields import (GHOST, GridField, GridGeometry, _laplacian, d1_axis, d2_axis,
                      fill_ghosts_array, save_snapshot)
 from .geometry import MINKOWSKI, MINKOWSKI_INV
 from .poly import GaussPoly, Poly, _eval_scalars
@@ -489,13 +489,11 @@ class Evolver:
         fill_ghosts_array(Phi, self._ghost_mode)
         fill_ghosts_array(Pi, self._ghost_mode)
         dPhi, dPi = out if out is not None else (np.empty(Phi.shape), np.empty(Phi.shape))
-        tmp = self._buffer("tmp", Phi.shape)
         if self.bg.is_flat():
             g00 = -1.0
-            d2_axis(Phi, 1, dx, out=dPi)
-            for i in (2, 3):
-                dPi += d2_axis(Phi, i, dx, out=tmp)
+            _laplacian(Phi, dx, out=dPi)
         else:
+            tmp = self._buffer("tmp", Phi.shape)
             chi, _ = self.bg.profile(geom, t)
             g00 = -1.0 + chi * self.bg.direction[0, 0]
             d2 = {i: d2_axis(Phi, i, dx) for i in (1, 2, 3)}
@@ -517,7 +515,7 @@ class Evolver:
             dPi += acc
             dPi /= -g00
         if self.source_fn is not None:
-            dPi += np.divide(self.source_fn(t), g00, out=tmp)
+            dPi += np.divide(self.source_fn(t), g00, out=self._buffer("tmp", Phi.shape))
         if self.schematic is not None:
             S = build_source(self.schematic, geom, self.bg, t, Phi, Pi,
                              work=self._buffer)

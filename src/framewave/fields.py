@@ -414,6 +414,19 @@ def _axslice(ndim, ax, s):
 _BLOCK = 1 << 16
 
 
+def _contiguous_pair(arr, out):
+    """C-contiguous input and an output of its shape (new if None) that
+    must be C-contiguous and must not overlap the input."""
+    arr = np.ascontiguousarray(arr)
+    if out is None:
+        out = np.empty(arr.shape, dtype=arr.dtype)
+    elif out.shape != arr.shape or not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous with the shape of arr")
+    elif np.may_share_memory(arr, out):
+        raise ValueError("out must not overlap arr")
+    return arr, out
+
+
 def _stencil_axis(arr, spatial_axis, dx, out, second):
     """Shared body of :func:`d1_axis` and :func:`d2_axis`.
 
@@ -425,13 +438,7 @@ def _stencil_axis(arr, spatial_axis, dx, out, second):
     bit-identical to the whole-array expression.  Flat positions within
     two cells of an axis edge read across rows and are zeroed afterwards.
     """
-    arr = np.ascontiguousarray(arr)
-    if out is None:
-        out = np.empty(arr.shape, dtype=arr.dtype)
-    elif out.shape != arr.shape or not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous with the shape of arr")
-    elif np.may_share_memory(arr, out):
-        raise ValueError("out must not overlap arr")
+    arr, out = _contiguous_pair(arr, out)
     ax = arr.ndim - 3 + (spatial_axis - 1)
     s = math.prod(arr.shape[ax + 1:])  # the axis stride, in elements
     src, dst = arr.reshape(-1), out.reshape(-1)
@@ -457,6 +464,44 @@ def _stencil_axis(arr, spatial_axis, dx, out, second):
         np.divide(o, scale, out=o)
     out[_axslice(arr.ndim, ax, slice(None, 2))] = 0.0
     out[_axslice(arr.ndim, ax, slice(-2, None))] = 0.0
+    return out
+
+
+def _laplacian(arr, dx, out=None):
+    """4th-order flat Laplacian d_1^2 + d_2^2 + d_3^2 in one pass.
+
+    Walks the flat view in blocks as :func:`_stencil_axis` does; each
+    block sums the b/d terms (one cell from the centre) and the a/e terms
+    (two cells) over the three axes, then 16 (b + d) - (a + e) - 90c and
+    / 12dx^2.  That order differs from the sum of three :func:`d2_axis`
+    calls by roundoff.  The width-2 margin of every axis is zero.
+    """
+    arr, out = _contiguous_pair(arr, out)
+    n2, n3 = arr.shape[-2:]
+    s1, s2 = n2 * n3, n3                 # axis strides, in elements
+    src, dst = arr.reshape(-1), out.reshape(-1)
+    scale = 12.0 * dx * dx
+    lo, hi = 2 * s1, src.size - 2 * s1
+    tmp = np.empty(min(_BLOCK, max(hi - lo, 0)), dtype=arr.dtype)
+    for j in range(lo, hi, _BLOCK):
+        k = min(j + _BLOCK, hi)
+        o, t = dst[j:k], tmp[:k - j]
+        np.add(src[j - s1:k - s1], src[j + s1:k + s1], out=o)
+        for s in (s2, 1):
+            np.add(o, src[j - s:k - s], out=o)
+            np.add(o, src[j + s:k + s], out=o)
+        np.multiply(o, 16.0, out=o)
+        np.add(src[j - 2 * s1:k - 2 * s1], src[j + 2 * s1:k + 2 * s1], out=t)
+        for s in (s2, 1):
+            np.add(t, src[j - 2 * s:k - 2 * s], out=t)
+            np.add(t, src[j + 2 * s:k + 2 * s], out=t)
+        np.subtract(o, t, out=o)
+        np.multiply(src[j:k], 90.0, out=t)
+        np.subtract(o, t, out=o)
+        np.divide(o, scale, out=o)
+    for ax in range(arr.ndim - 3, arr.ndim):
+        out[_axslice(arr.ndim, ax, slice(None, 2))] = 0.0
+        out[_axslice(arr.ndim, ax, slice(-2, None))] = 0.0
     return out
 
 

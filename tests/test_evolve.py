@@ -609,3 +609,17 @@ def test_flat_schematic_step_allocates_no_full_array():
         tracemalloc.stop()
     assert peak - before < Phi.nbytes
     assert got[0] is Phi and got[1] is Pi
+
+
+@pytest.mark.parametrize("rank, channels", [(0, 1), (1, 2)])
+def test_flat_sommerfeld_rhs_ghosts_are_positive_zero(rank, channels):
+    geom = GridGeometry(12, 4.0)
+    spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")) if rank == 1 else None
+    ev = evolve.Evolver(geom, ZeroBackground(), rank, channels, schematic=spec)
+    shape = (4,) * rank + (channels,) + (geom.n_full,) * 3
+    rngl = np.random.default_rng(3)
+    Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
+    ghosts = np.ones(shape, dtype=bool)
+    geom.interior(ghosts)[...] = False
+    for d in ev.rhs(0.1, Phi, Pi):
+        assert np.all(d[ghosts] == 0.0) and not np.any(np.signbit(d[ghosts]))

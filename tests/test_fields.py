@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from framewave.energy import ExteriorRegion
 from framewave.errors import EmptyRegion, GhostInvalid
 from framewave.fields import (AnalyticField, GridField, GridGeometry, InnerProduct,
-                              PolyField, d1_axis, d2_axis, load_snapshot,
+                              PolyField, _laplacian, d1_axis, d2_axis, load_snapshot,
                               partial_derivative, quadrature_slice, save_snapshot,
                               tangential_gradient_norm, wave_operator)
 from framewave.geometry import Metric, Point
@@ -263,3 +263,47 @@ def test_stencil_out_must_be_separate_and_contiguous():
         d1_axis(arr, 1, 0.5, out=arr)
     with pytest.raises(ValueError):
         d2_axis(arr, 2, 0.5, out=np.empty((1, 12, 12, 24))[..., ::2])
+
+
+# --- one-pass flat Laplacian against three d2_axis calls ----------------------
+
+def _margin_and_box(arr):
+    """Mask of the width-2 margin of every spatial axis, and the box inside."""
+    box = (Ellipsis,) + (slice(2, -2),) * 3
+    margin = np.ones(arr.shape, dtype=bool)
+    margin[box] = False
+    return margin, box
+
+
+@pytest.mark.parametrize("N", [8, 28])
+@pytest.mark.parametrize("shape", [(1,), (4, 2)])
+def test_laplacian_matches_three_d2_axis_calls(N, shape):
+    n = N + 4
+    arr = np.random.default_rng(N + len(shape)).normal(size=shape + (n, n, n))
+    dx = 0.37
+    want = d2_axis(arr, 1, dx) + d2_axis(arr, 2, dx) + d2_axis(arr, 3, dx)
+    out = np.full_like(arr, np.nan)  # the margins must be written too
+    got = _laplacian(arr, dx, out=out)
+    margin, box = _margin_and_box(arr)
+    assert got is out
+    assert np.all(got[margin] == 0.0) and not np.any(np.signbit(got[margin]))
+    scale = np.max(np.abs(want[box]))
+    assert np.max(np.abs(got[box] - want[box])) <= 1e-14 * scale
+    assert np.array_equal(_laplacian(np.swapaxes(arr, -1, -2), dx),
+                          _laplacian(np.swapaxes(arr, -1, -2).copy(), dx))
+
+
+def test_laplacian_exact_on_a_cubic():
+    # dx = 1/2 and small integer coefficients: every sum below is exact
+    geom = GridGeometry(16, 4.0)
+    X1, X2, X3 = geom.mesh()
+    arr = (X1 ** 3 - 2.0 * X1 * X2 ** 2 + 3.0 * X3 ** 3 + X1 * X2 * X3
+           - 5.0 * X2 ** 2 + 7.0)[None]
+    exact = (2.0 * X1 + 18.0 * X3 - 10.0)[None]
+    dx = geom.dx
+    got = _laplacian(arr, dx)
+    margin, box = _margin_and_box(arr)
+    assert np.array_equal(got[box], exact[box])
+    assert np.array_equal(got[box], (d2_axis(arr, 1, dx) + d2_axis(arr, 2, dx)
+                                     + d2_axis(arr, 3, dx))[box])
+    assert np.all(got[margin] == 0.0)
