@@ -9,8 +9,9 @@ isolates verification of the estimates from any constraint solve.
 Boundary handling: ghost layers are zero-filled and the outer width-2
 shell of interior cells is advanced with a second-order outgoing
 (radiation) condition whose differences never read ghosts.  The shell
-update runs on its six edge slabs only; the bulk update covers the whole
-cube and the shell overwrites its part.
+update runs on its six edge slabs only, from a plan each evolver builds
+once (read windows, derivative closures, x^i/r and r per slab); the bulk
+update covers the whole cube and the shell overwrites its part.
 Experiments keep support at least 4 cells from the edge, so the condition
 is inert for acceptance runs.  A periodic mode exists for exact
 plane-wave convergence tests.
@@ -18,13 +19,17 @@ plane-wave convergence tests.
 Stencils and steps: d1_axis and d2_axis share one kernel that shifts
 along the flat view of an array by the axis stride, in cache-sized
 blocks, summing the five terms in the reference order, so results are
-bit-identical to the whole-array expression.  The right-hand side writes
-into caller arrays and one scratch array; the RK4 step keeps its stage,
-slope and accumulator arrays between steps and sums
-((k1 + 2 k2) + 2 k3) + k4 as the expression form does.  Everything is
-single-threaded: two-thread numpy loops have measured anywhere from no
-gain to 1.8x on a 2-core host, so a slab split over threads waits for
-its own paired measurement.
+bit-identical to the whole-array expression.  On a flat background the
+Laplacian is one such pass over all three axes (fields._laplacian); it
+differs from the sum of three d2_axis calls by roundoff.  The right-hand
+side writes into caller arrays and the evolver's kept work arrays, the
+schematic source and the shell slabs included, so a warm flat step
+allocates no full-size array.  The RK4 step keeps its stage, slope and
+accumulator arrays between steps, sums ((k1 + 2 k2) + 2 k3) + k4 as the
+expression form does and adds the increment into the state in place.
+Everything is single-threaded: two-thread numpy loops have measured
+anywhere from no gain to 1.8x on a 2-core host, so a slab split over
+threads waits for its own paired measurement.
 
 Steps are sequential.  Monitors run on immutable stored snapshots: a
 component series projects copies of them, and evaluates d_tt of the
@@ -288,8 +293,7 @@ def max_characteristic_speed(geom, bg: Background, t):
 class _Slab:
     """One slab of the radiation shell (see :func:`_shell_plan`)."""
 
-    ax: int          # the slab's own axis
-    order: tuple     # spatial axes in layout order: ax, then the others
+    order: tuple     # spatial axes in layout order: the slab's own, then the others
     window: tuple    # cells read, slices of the full cube
     cut: tuple       # cells written, slices of the full cube
     shape: tuple     # cut extents in layout order
@@ -297,7 +301,7 @@ class _Slab:
     xh: tuple        # x^i / r on the cut, layout (e0, 1, e1, e2), per axis i
     r: np.ndarray    # r on the cut, same layout
     u: tuple         # the cut within the window array
-    parts: tuple     # per derivative axis: ((kind, written, reads, extents), ...)
+    parts: tuple     # per derivative axis: ((kind, written, reads), ...)
 
 
 def _shell_parts(a, b, lo, hi):
@@ -360,15 +364,13 @@ def _shell_plan(geom):
                         src = list(cw)
                         src[p] = slice(k0 - w + d, k1 - w + d)
                         reads.append(index(src))
-                    ext = list(shape)
-                    ext[p] = k1 - k0
-                    axis_parts.append((kind, index(dst), tuple(reads), tuple(ext)))
+                    axis_parts.append((kind, index(dst), tuple(reads)))
                 parts.append(tuple(axis_parts))
 
             def layout(arr, cut=cut, order=order):
                 return np.ascontiguousarray(arr[cut].transpose(order)[:, None])
 
-            plan.append(_Slab(ax, order, window, cut, shape,
+            plan.append(_Slab(order, window, cut, shape,
                               tuple(window[k].stop - window[k].start for k in order),
                               tuple(layout(x) for x in xh), layout(r), index(cw),
                               tuple(parts)))
@@ -410,9 +412,9 @@ def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=None):
         size = nf * e0 * e1 * e2
         g = [gbuf[i, :size].reshape(e0, nf, e1, e2) for i in range(3)]
         for i in range(3):
-            for kind, dst, reads, ext in sl.parts[i]:
+            for kind, dst, reads in sl.parts[i]:
                 o = g[i][dst]
-                t = tbuf[:nf * math.prod(ext)].reshape(ext[0], nf, ext[1], ext[2])
+                t = tbuf[:o.size].reshape(o.shape)
                 if kind == "lo":            # (-3 U0 + 4 U1 - U2) / 2dx
                     np.multiply(W[reads[0]], -3.0, out=o)
                     np.multiply(W[reads[1]], 4.0, out=t)
@@ -444,7 +446,7 @@ def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=None):
         np.subtract(g0, g1, out=g0)
         for f, out in enumerate((dPi, dPhi)):
             res = g0[:, f * nc:(f + 1) * nc].reshape((e0,) + lead + (e1, e2))
-            np.copyto(out[(Ellipsis, *sl.cut)], np.moveaxis(res, 0, len(lead) + sl.ax))
+            np.copyto(out[(Ellipsis, *sl.cut)], np.moveaxis(res, 0, len(lead) + sl.order[0]))
 
 
 class Evolver:
@@ -478,6 +480,12 @@ class Evolver:
         if buf is None or buf.shape != shape:
             buf = self._work[name] = np.empty(shape)
         return buf
+
+    def _release(self):
+        """Drop the work arrays and the shell plan; the next step or
+        right-hand side builds them again."""
+        self._work.clear()
+        self._shell = None
 
     def rhs(self, t, Phi, Pi, out=None):
         """(d_t Phi, d_t Pi), written into ``out`` = (dPhi, dPi) if given.
@@ -686,8 +694,10 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
     dfields = [Pi.copy()]
     t = t1
     for k in range(nsteps):
-        Phi, Pi = ev.step(t, Phi, Pi, dt)
+        ev.step(t, Phi, Pi, dt)
         t = t1 + (k + 1) * dt
+        if k + 1 == nsteps:  # before the last monitor's temporaries and copies
+            ev._release()
         if (k + 1) % stride == 0:
             # solution cells only: the ghost layers are scratch that the
             # next ghost fill overwrites
@@ -706,7 +716,6 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
             times.append(t)
             fields.append(Phi.copy())
             dfields.append(Pi.copy())
-    ev._work.clear()  # the step's work arrays; monitors need none of them
     return RunHistory(geom=geom, background=background, rank=rank,
                       channels=channels, times=times, fields=fields,
                       dfields=dfields, evolver=ev, boundary=boundary)

@@ -483,19 +483,21 @@ def _laplacian(arr, dx, out=None):
     scale = 12.0 * dx * dx
     lo, hi = 2 * s1, src.size - 2 * s1
     tmp = np.empty(min(_BLOCK, max(hi - lo, 0)), dtype=arr.dtype)
+
+    def ring(m, j, k, acc):
+        """acc = sum of the six cells m steps from each centre in [j, k),
+        axis 1 first."""
+        np.add(src[j - m * s1:k - m * s1], src[j + m * s1:k + m * s1], out=acc)
+        for s in (m * s2, m):
+            np.add(acc, src[j - s:k - s], out=acc)
+            np.add(acc, src[j + s:k + s], out=acc)
+        return acc
+
     for j in range(lo, hi, _BLOCK):
         k = min(j + _BLOCK, hi)
         o, t = dst[j:k], tmp[:k - j]
-        np.add(src[j - s1:k - s1], src[j + s1:k + s1], out=o)
-        for s in (s2, 1):
-            np.add(o, src[j - s:k - s], out=o)
-            np.add(o, src[j + s:k + s], out=o)
-        np.multiply(o, 16.0, out=o)
-        np.add(src[j - 2 * s1:k - 2 * s1], src[j + 2 * s1:k + 2 * s1], out=t)
-        for s in (s2, 1):
-            np.add(t, src[j - 2 * s:k - 2 * s], out=t)
-            np.add(t, src[j + 2 * s:k + 2 * s], out=t)
-        np.subtract(o, t, out=o)
+        np.multiply(ring(1, j, k, o), 16.0, out=o)
+        np.subtract(o, ring(2, j, k, t), out=o)
         np.multiply(src[j:k], 90.0, out=t)
         np.subtract(o, t, out=o)
         np.divide(o, scale, out=o)
