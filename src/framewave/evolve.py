@@ -115,7 +115,12 @@ def _h_component_and_grad(geom, bg, t, pick):
     return h_pick, grad
 
 
-def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=None):
+def _fresh(name, shape):
+    """Work-array callable that allocates a new array on every call."""
+    return np.empty(shape)
+
+
+def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
     """Assemble the requested schematic terms into a source array.
 
     Phi must be rank 1 (the potential A); returns (4, channels, n, n, n).
@@ -124,16 +129,13 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=None):
     Each term is formed in one scratch array and added to the zeroed
     source in the order of spec.terms.
 
-    ``work`` is an optional ``(name, shape) -> array`` callable (the
-    evolver's kept work arrays): the source, the scalar gradient, the
-    scratch, the frame projections and their gradients then come from it
-    instead of fresh allocations, and the returned source is one of them.
+    ``work`` is a ``(name, shape) -> array`` callable; the evolver passes
+    its kept work arrays.  The source, the scalar gradient, the scratch,
+    the frame projections and their gradients come from it, and the
+    returned source is one of them.
     """
     if Phi.ndim != 5:
         raise ValueError("schematic sources need a rank-1 evolved field")
-    if work is None:
-        def work(name, shape):
-            return np.empty(shape)
     ch = Phi.shape[1]
     n = geom.n_full
     full, comp = (4, ch, n, n, n), (ch, n, n, n)
@@ -377,7 +379,7 @@ def _shell_plan(geom):
     return tuple(plan)
 
 
-def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=None):
+def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=_fresh):
     """Overwrite dPhi, dPi on the width-2 interior shell with the outgoing
     condition d_t U = -x^i/r d_i U - U/r.
 
@@ -385,13 +387,10 @@ def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=None):
     given): the Pi and Phi windows are copied once into one array, each
     derivative closure writes its part with ``out=``, and the terms are
     combined in place in the order of the expression above.  ``work`` is
-    an optional (name, shape) -> array callable; its arrays are sized for
-    the largest slab and shared by all six.
+    a (name, shape) -> array callable as for :func:`build_source`; its
+    arrays are sized for the largest slab and shared by all six.
     """
     plan = _shell_plan(geom) if plan is None else plan
-    if work is None:
-        def work(name, shape):
-            return np.empty(shape)
     lead = Phi.shape[:-3]
     nc = math.prod(lead)
     nf = 2 * nc                     # Pi components, then Phi components
