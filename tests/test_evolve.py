@@ -434,8 +434,8 @@ def test_step_bit_identical_to_expression_rk4(case):
 # --- build_source with kept work arrays against the allocating form ----------
 
 def _build_source_reference(spec, geom, bg, t, Phi, Pi):
-    """build_source as it was before it took work arrays: every array
-    freshly allocated, the source from np.zeros."""
+    """The allocating form of build_source, the oracle for its work-array
+    form: every array freshly allocated, the source from np.zeros."""
     if Phi.ndim != 5:
         raise ValueError("schematic sources need a rank-1 evolved field")
     ch = Phi.shape[1]
