@@ -10,9 +10,12 @@ Every family is a scalar profile times a constant direction,
 
 with chi already scaled by epsilon and M a fixed symmetric unit matrix.
 Callers contract M once and multiply by chi or its 4-gradient dchi
-instead of building dense (4, 4, n, n, n) tensors.  A bump profile is
-evaluated only on the index box of its support (clipped to the grid,
-possibly empty); every cell outside that box is exactly 0.
+instead of building dense (4, 4, n, n, n) tensors.  The primitive is the
+support box: ``support(geom, t)`` returns the index box of the support
+(clipped to the grid) with chi and dchi on it, or None where H vanishes
+on the whole cube.  Every cell outside the box is exactly 0, so consumers
+do their H work on the box only; ``profile`` is the zero-filled scatter
+of the same result onto the full cube.
 """
 
 from __future__ import annotations
@@ -38,8 +41,11 @@ _DEFAULT_DIRECTION = _DEFAULT_DIRECTION / np.linalg.norm(_DEFAULT_DIRECTION)
 class Background:
     """Interface: H = chi * direction with a scalar profile chi on the grid.
 
-    ``profile(geom, t)`` returns chi (n, n, n) and its 4-gradient dchi
-    (4, n, n, n) on the full cube; ``direction`` is the constant M.
+    ``support(geom, t)`` returns (box, chi, dchi): a tuple of three slices
+    of the full cube outside which chi is exactly 0, chi on the box and
+    its 4-gradient (4, *box shape), or None when H vanishes on the whole
+    cube.  ``profile(geom, t)`` scatters them onto the full cube, chi
+    (n, n, n) and dchi (4, n, n, n); ``direction`` is the constant M.
     H_full, dH_full and g_inv_full are dense tensors derived from them,
     for the few callers that need pointwise 4x4 algebra.
     """
@@ -50,8 +56,18 @@ class Background:
     def is_flat(self):
         return False
 
-    def profile(self, geom, t):
+    def support(self, geom, t):
         raise NotImplementedError
+
+    def profile(self, geom, t):
+        n = geom.n_full
+        chi, dchi = np.zeros((n, n, n)), np.zeros((4, n, n, n))
+        sup = self.support(geom, t)
+        if sup is not None:
+            box, chi_box, dchi_box = sup
+            chi[box] = chi_box
+            dchi[(slice(None),) + box] = dchi_box
+        return chi, dchi
 
     def H_full(self, geom, t):
         chi, _ = self.profile(geom, t)
@@ -73,9 +89,8 @@ class ZeroBackground(Background):
     def is_flat(self):
         return True
 
-    def profile(self, geom, t):
-        n = geom.n_full
-        return np.zeros((n, n, n)), np.zeros((4, n, n, n))
+    def support(self, geom, t):
+        return None
 
     def sup_abs(self):
         return 0.0
@@ -105,16 +120,16 @@ class BumpBackground(Background):
     def is_flat(self):
         return self.epsilon == 0.0
 
-    def profile(self, geom, t):
-        """epsilon * chi and its 4-gradient, evaluated on the support box.
+    def support(self, geom, t):
+        """The support box at time t with epsilon * chi and its 4-gradient
+        on it, or None when epsilon is 0 or the box is empty.
 
-        Along each axis the box keeps the nodes with |x_k - c_k(t)| < R;
-        a node outside it has s^2 >= 1 in floating point too, so the box
-        drops no nonzero value.
+        Along each axis the box keeps the nodes with |x_k - c_k(t)| < R,
+        clipped to the cube; a node outside it has s^2 >= 1 in floating
+        point too, so the box drops no nonzero value.
         """
-        n = geom.n_full
-        chi = np.zeros((n, n, n))
-        dchi = np.zeros((4, n, n, n))
+        if self.is_flat():
+            return None
         c = self.center + t * self.velocity
         R2 = self.radius ** 2
         d, box = [], []
@@ -122,8 +137,8 @@ class BumpBackground(Background):
             dk = geom.axis - c[k]
             idx = np.flatnonzero(np.abs(dk) < self.radius)
             if idx.size == 0:
-                return chi, dchi
-            box.append(slice(idx[0], idx[-1] + 1))
+                return None
+            box.append(slice(int(idx[0]), int(idx[-1]) + 1))
             d.append(dk[box[-1]])
         d = [d[0][:, None, None], d[1][None, :, None], d[2][None, None, :]]
         s2 = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) / R2
@@ -138,10 +153,7 @@ class BumpBackground(Background):
             v = self.velocity
             grad[0] = dchi_ds2 * (-2.0) * (d[0] * v[0] + d[1] * v[1] + d[2] * v[2]) / R2
         grad[:, ~inside] = 0.0
-        box = tuple(box)
-        chi[box] = self.epsilon * one ** 3
-        dchi[(slice(None),) + box] = self.epsilon * grad
-        return chi, dchi
+        return tuple(box), self.epsilon * one ** 3, self.epsilon * grad
 
     def sup_abs(self):
         return abs(self.epsilon)

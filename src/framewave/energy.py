@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyCone, HistoryMissing, PoleDegenerate
-from .fields import InnerProduct, d1_axis, d2_axis, quadrature_masked
+from .fields import InnerProduct, _stencil_window, d1_axis, d2_axis, quadrature_masked
 from .geometry import MINKOWSKI_INV
 from .weights import w, w_hat_prime, w_tilde, w_tilde_prime
 
@@ -395,47 +395,64 @@ class SliceState:
             return out
         return self._get("hess", build)
 
-    def profile(self):
-        """(chi, dchi) of the background H = chi M at this slice, or None
-        on a flat background."""
-        if self.bg is None or self.bg.is_flat():
+    def support(self):
+        """(box, chi, dchi) of the background H = chi M at this slice (see
+        Background.support), or None where H vanishes on the whole cube."""
+        if self.bg is None:
             return None
-        return self._get("profile", lambda: self.bg.profile(self.geom, self.t))
+        return self._get("support", lambda: self.bg.support(self.geom, self.t))
 
     def wave_op(self):
-        """g^{ab} d_a d_b psi using the stored second time derivative."""
+        """g^{ab} d_a d_b psi using the stored second time derivative.
+
+        The flat part sums three full-cube d2_axis passes; the H part is
+        built on the support box, with the spatial Hessian and d_i d_t psi
+        from stencils on a copy of the box's window."""
         def build():
-            out = -self.psi_tt.copy()
-            hess = self.hess()
-            for i in range(3):
-                out += hess[i, i]
-            prof = self.profile()
-            if prof is not None:
-                M = self.bg.direction
-                h = M[0, 0] * self.psi_tt
-                gt = self.grad_t()
+            dx = self.geom.dx
+            out = -self.psi_tt
+            tmp = np.empty(out.shape)
+            for i in (1, 2, 3):
+                out += d2_axis(self.psi, i, dx, out=tmp)
+            sup = self.support()
+            if sup is not None:
+                box, chi, _ = sup
+                window, inner = _stencil_window(box, self.geom.n_full)
+                win, cut = (Ellipsis,) + window, (Ellipsis,) + inner
+                psi = np.ascontiguousarray(self.psi[win])
+                psi_t = np.ascontiguousarray(self.psi_t[win])
+                g = [d1_axis(psi, i, dx) for i in (1, 2, 3)]
+                hess = [[None] * 3 for _ in range(3)]
                 for i in range(3):
-                    h += 2.0 * M[0, 1 + i] * gt[i]
+                    hess[i][i] = d2_axis(psi, i + 1, dx)[cut]
+                    for j in range(i + 1, 3):
+                        hess[i][j] = hess[j][i] = d1_axis(g[i], j + 1, dx)[cut]
+                M = self.bg.direction
+                h = M[0, 0] * self.psi_tt[(Ellipsis,) + box]
+                for i in range(3):
+                    h += 2.0 * M[0, 1 + i] * d1_axis(psi_t, i + 1, dx)[cut]
                 for i in range(3):
                     for j in range(3):
-                        h += M[1 + i, 1 + j] * hess[i, j]
-                out += prof[0] * h
+                        h += M[1 + i, 1 + j] * hess[i][j]
+                out[(Ellipsis,) + box] += chi * h
             return out
         return self._get("wave_op", build)
 
     def _h_energy(self):
-        """(1/2)(-M^tt |dt psi|^2 + M^ij <di psi, dj psi>): the H part of
-        T_tt divided by chi."""
+        """(1/2)(-M^tt |dt psi|^2 + M^ij <di psi, dj psi>) on the support
+        box: the H part of T_tt divided by chi."""
         def build():
-            M, g = self.bg.direction, self.grad()
+            cut = (Ellipsis,) + self.support()[0]
+            M, g = self.bg.direction, self.grad()[cut]
             return 0.5 * (np.einsum("ij,ic...,jc...->...", M[1:, 1:], g, g)
-                          - M[0, 0] * InnerProduct.norm_sq(self.psi_t))
+                          - M[0, 0] * InnerProduct.norm_sq(self.psi_t[cut]))
         return self._get("h_energy", build)
 
     def _radial_direction(self):
-        """M^{r a} = (x_i / r) M^{i a}, shape (4, n, n, n)."""
+        """M^{r a} = (x_i / r) M^{i a} on the support box, shape (4, *box)."""
         return self._get("radial_direction", lambda: np.einsum(
-            "i...,ia->a...", self.geom.frames()["L"][1:], self.bg.direction[1:, :]))
+            "i...,ia->a...", self.geom.frames()["L"][(slice(1, None),) + self.support()[0]],
+            self.bg.direction[1:, :]))
 
     def energy_density(self):
         """T_tt = -(1/2) g^tt |dt psi|^2 + (1/2) g^ij <di psi, dj psi>."""
@@ -444,9 +461,9 @@ class SliceState:
             out = 0.5 * InnerProduct.norm_sq(self.psi_t)
             for i in range(3):
                 out += 0.5 * InnerProduct.norm_sq(g[i])
-            prof = self.profile()
-            if prof is not None:
-                out += prof[0] * self._h_energy()
+            sup = self.support()
+            if sup is not None:
+                out[sup[0]] += sup[1] * self._h_energy()
             return out
         return self._get("energy_density", build)
 
@@ -463,12 +480,15 @@ class SliceState:
         """T_tt + T_rt in the coordinate display (weight-derivative term)."""
         def build():
             out = self.tangential_integrand()
-            prof = self.profile()
-            if prof is not None:
-                Mr = self._radial_direction()
-                h = (self._h_energy() + Mr[0] * InnerProduct.norm_sq(self.psi_t)
-                     + np.einsum("j...,jc...,c...->...", Mr[1:], self.grad(), self.psi_t))
-                out = out + prof[0] * h
+            sup = self.support()
+            if sup is not None:
+                box, chi, _ = sup
+                cut = (Ellipsis,) + box
+                Mr, psi_t = self._radial_direction(), self.psi_t[cut]
+                h = (self._h_energy() + Mr[0] * InnerProduct.norm_sq(psi_t)
+                     + np.einsum("j...,jc...,c...->...", Mr[1:], self.grad()[cut], psi_t))
+                out = out.copy()            # the cached integrand stays as it is
+                out[box] += chi * h
             return out
         return self._get("ttr_density", build)
 
@@ -477,28 +497,32 @@ class SliceState:
         def build():
             _, dr = self._radial()
             out = InnerProduct.dot(dr, self.psi_t)
-            prof = self.profile()
-            if prof is not None:
+            sup = self.support()
+            if sup is not None:
                 # g^{r a} = m^{r a} + chi M^{r a}; the flat part is the radial dr.
-                out += prof[0] * np.einsum("a...,ac...,c...->...", self._radial_direction(),
-                                           self.dpsi4(), self.psi_t)
+                box, chi, _ = sup
+                cut = (Ellipsis,) + box
+                out[box] += chi * np.einsum("a...,ac...,c...->...", self._radial_direction(),
+                                            self.dpsi4()[cut], self.psi_t[cut])
             return out
         return self._get("trt_density", build)
 
     def div_t_density(self):
         """(div T)_t display: wave-operator pairing plus dH corrections,
         (d_mu H^{mu a}) <d_a psi, d_t psi> - (1/2) d_t H^{ab} <d_a psi, d_b psi>
-        with d_lam H^{ab} = dchi_lam M^{ab}."""
+        with d_lam H^{ab} = dchi_lam M^{ab}, added on the support box."""
         def build():
             out = InnerProduct.dot(self.wave_op(), self.psi_t)
-            prof = self.profile()
-            if prof is not None:
-                dchi = prof[1]
+            sup = self.support()
+            if sup is not None:
+                box, _, dchi = sup
+                cut = (Ellipsis,) + box
                 M = self.bg.direction
-                d4 = self.dpsi4()
+                d4, psi_t = self.dpsi4()[cut], self.psi_t[cut]
                 divH = np.einsum("m...,ma->a...", dchi, M)
-                out += np.einsum("a...,ac...,c...->...", divH, d4, self.psi_t)
-                out -= 0.5 * dchi[0] * np.einsum("ab,ac...,bc...->...", M, d4, d4)
+                on_box = out[box]
+                on_box += np.einsum("a...,ac...,c...->...", divH, d4, psi_t)
+                on_box -= 0.5 * dchi[0] * np.einsum("ab,ac...,bc...->...", M, d4, d4)
             return out
         return self._get("div_t_density", build)
 

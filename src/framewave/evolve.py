@@ -50,8 +50,8 @@ import numpy as np
 from .background import Background, make_background
 from .energy import ComponentSeries, ExteriorRegion, slice_energy, write_series_csv
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
-from .fields import (GHOST, GridField, GridGeometry, _laplacian, d1_axis, d2_axis,
-                     fill_ghosts_array, save_snapshot)
+from .fields import (GHOST, GridField, GridGeometry, _laplacian, _stencil_window, d1_axis,
+                     d2_axis, fill_ghosts_array, save_snapshot)
 from .geometry import MINKOWSKI, MINKOWSKI_INV
 from .poly import GaussPoly, Poly, _eval_scalars
 from .weights import WeightParams
@@ -486,10 +486,44 @@ class Evolver:
         self._work.clear()
         self._shell = None
 
+    def _h_on_box(self, Phi, Pi, box):
+        """The sum of c_ab D_ab (see __init__) on the support box, shape
+        Phi.shape[:-3] + the box's.  Each D_ab comes from the stencils on
+        a copy of the box's window, which give the box the full-cube
+        values (fields._stencil_window); the sum keeps the entry order."""
+        dx, lead = self.geom.dx, Phi.shape[:-3]
+        window, inner = _stencil_window(box, self.geom.n_full)
+        cut = (Ellipsis,) + inner
+
+        def windowed(name, U):
+            W = self._buffer(name, lead + tuple(s.stop - s.start for s in window))
+            np.copyto(W, U[(Ellipsis,) + window])
+            return W
+
+        P, P_t = windowed("h.Phi", Phi), windowed("h.Pi", Pi)
+        grads = {a: d1_axis(P, a, dx, out=self._buffer(f"h.d{a}", P.shape))
+                 for a in {a for a, b, _ in self._h_terms if 0 < a < b}}
+        term_w = self._buffer("h.term", P.shape)
+        acc = self._buffer("h.acc", lead + tuple(s.stop - s.start for s in box))
+        acc.fill(0.0)
+        for a, b, m in self._h_terms:
+            if a == 0:
+                term = d1_axis(P_t, b, dx, out=term_w)[cut]
+            elif a == b:
+                term = d2_axis(P, a, dx, out=term_w)[cut]
+            else:
+                term = d1_axis(grads[a], b, dx, out=term_w)[cut]
+                term *= 2.0
+            acc += np.multiply(term, m, out=term)
+        return acc
+
     def rhs(self, t, Phi, Pi, out=None):
         """(d_t Phi, d_t Pi), written into ``out`` = (dPhi, dPi) if given.
 
-        Fills the ghost layers of Phi and Pi in place.
+        Fills the ghost layers of Phi and Pi in place.  The H terms, their
+        product with chi and the division by -g^{tt} run on the support
+        box of the background only: outside it chi is 0 and g^{tt} is
+        exactly -1, so a source divided by g^{tt} sees -1 there.
         """
         # g^{tt} d_t Pi + 2 g^{tj} d_j Pi + g^{ij} d_i d_j Phi = S
         geom, dx = self.geom, self.geom.dx
@@ -497,30 +531,26 @@ class Evolver:
         fill_ghosts_array(Pi, self._ghost_mode)
         dPhi, dPi = out if out is not None else (np.empty(Phi.shape), np.empty(Phi.shape))
         if self.bg.is_flat():
-            g00 = -1.0
             _laplacian(Phi, dx, out=dPi)
         else:
             tmp = self._buffer("tmp", Phi.shape)
-            chi, _ = self.bg.profile(geom, t)
-            g00 = -1.0 + chi * self.bg.direction[0, 0]
-            d2 = {i: d2_axis(Phi, i, dx) for i in (1, 2, 3)}
-            grads = {a: d1_axis(Phi, a, dx)
-                     for a in {a for a, b, _ in self._h_terms if 0 < a < b}}
-            acc = np.zeros(Phi.shape)
-            for a, b, m in self._h_terms:
-                if a == 0:
-                    term = d1_axis(Pi, b, dx, out=tmp)
-                elif a == b:
-                    term = d2[a]
-                else:
-                    term = d1_axis(grads[a], b, dx, out=tmp)
-                    term *= 2.0
-                acc += np.multiply(term, m, out=tmp)
-            np.add(d2[1], d2[2], out=dPi)
-            dPi += d2[3]
+            d2_axis(Phi, 1, dx, out=dPi)
+            dPi += d2_axis(Phi, 2, dx, out=tmp)
+            dPi += d2_axis(Phi, 3, dx, out=tmp)
+        g00 = -1.0
+        sup = self.bg.support(geom, t)
+        if sup is not None:
+            box, chi, _ = sup
+            gtt = -1.0 + chi * self.bg.direction[0, 0]
+            acc = self._h_on_box(Phi, Pi, box)
             acc *= chi
-            dPi += acc
-            dPi /= -g00
+            on_box = dPi[(Ellipsis,) + box]
+            on_box += acc
+            on_box /= -gtt
+            if self.source_fn is not None or self.schematic is not None:
+                g00 = self._buffer("g00", Phi.shape[-3:])
+                g00.fill(-1.0)
+                g00[box] = gtt
         if self.source_fn is not None:
             dPi += np.divide(self.source_fn(t), g00, out=self._buffer("tmp", Phi.shape))
         if self.schematic is not None:

@@ -507,6 +507,20 @@ def _laplacian(arr, dx, out=None):
     return out
 
 
+def _stencil_window(box, n):
+    """The cells 5-point stencils read for an index box of the full cube.
+
+    Returns the box grown by 2 cells on each side and clipped to
+    [0, n), and the box's slices within that window.  Stencils (composed
+    ones too) evaluated on a copy of the window give every box cell the
+    value the full-cube stencils give it: where the window is clipped,
+    its width-2 margin is the cube's, which is 0 in both.
+    """
+    window = tuple(slice(max(s.start - 2, 0), min(s.stop + 2, n)) for s in box)
+    inner = tuple(slice(s.start - w.start, s.stop - w.start) for s, w in zip(box, window))
+    return window, inner
+
+
 def d1_axis(arr, spatial_axis, dx, out=None):
     """4th-order centered first derivative along spatial_axis in {1,2,3}.
 

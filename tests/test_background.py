@@ -85,11 +85,11 @@ def test_profile_matches_point_table(case, center, radius, velocity):
     assert np.array_equal(bg.g_inv_full(GEOM, T)[0, 0], -1.0 + chi * M[0, 0])
 
 
-def _random_state(bg, channels, seed):
+def _random_state(bg, channels, seed, cls=SliceState):
     rngl = np.random.default_rng(seed)
     shape = (channels,) + (GEOM.n_full,) * 3
     psi, psi_t, psi_tt = (rngl.normal(size=shape) for _ in range(3))
-    return SliceState(GEOM, T, psi, psi_t, psi_tt, bg)
+    return cls(GEOM, T, psi, psi_t, psi_tt, bg)
 
 
 def _dense_rhs(ev, Phi, Pi):
@@ -189,3 +189,134 @@ def test_structured_consumers_match_dense_tensors(kind, channels):
     for got, ref in zip(_H_frame_arrays(st), _dense_frame_arrays(H, dH)):
         _close(got, ref)
 
+
+
+# --- slice densities on the support box against the full-cube forms ---------
+
+class _FullCubeSliceState(SliceState):
+    """The full-cube bodies of the wave operator and the four densities,
+    the oracles of their support-box forms: every H term is built on the
+    whole cube from the zero-filled profile and multiplied by chi there."""
+
+    def _profile(self):
+        if self.bg is None or self.bg.is_flat():
+            return None
+        return self._get("full_profile", lambda: self.bg.profile(self.geom, self.t))
+
+    def wave_op(self):
+        def build():
+            out = -self.psi_tt.copy()
+            hess = self.hess()
+            for i in range(3):
+                out += hess[i, i]
+            prof = self._profile()
+            if prof is not None:
+                M = self.bg.direction
+                h = M[0, 0] * self.psi_tt
+                gt = self.grad_t()
+                for i in range(3):
+                    h += 2.0 * M[0, 1 + i] * gt[i]
+                for i in range(3):
+                    for j in range(3):
+                        h += M[1 + i, 1 + j] * hess[i, j]
+                out += prof[0] * h
+            return out
+        return self._get("full_wave_op", build)
+
+    def _full_h_energy(self):
+        M, g = self.bg.direction, self.grad()
+        return 0.5 * (np.einsum("ij,ic...,jc...->...", M[1:, 1:], g, g)
+                      - M[0, 0] * InnerProduct.norm_sq(self.psi_t))
+
+    def _full_radial_direction(self):
+        return np.einsum("i...,ia->a...", self.geom.frames()["L"][1:],
+                         self.bg.direction[1:, :])
+
+    def energy_density(self):
+        g = self.grad()
+        out = 0.5 * InnerProduct.norm_sq(self.psi_t)
+        for i in range(3):
+            out += 0.5 * InnerProduct.norm_sq(g[i])
+        prof = self._profile()
+        if prof is not None:
+            out += prof[0] * self._full_h_energy()
+        return out
+
+    def ttr_density(self):
+        out = self.tangential_integrand()
+        prof = self._profile()
+        if prof is not None:
+            Mr = self._full_radial_direction()
+            h = (self._full_h_energy() + Mr[0] * InnerProduct.norm_sq(self.psi_t)
+                 + np.einsum("j...,jc...,c...->...", Mr[1:], self.grad(), self.psi_t))
+            out = out + prof[0] * h
+        return out
+
+    def trt_density(self):
+        _, dr = self._radial()
+        out = InnerProduct.dot(dr, self.psi_t)
+        prof = self._profile()
+        if prof is not None:
+            out += prof[0] * np.einsum("a...,ac...,c...->...", self._full_radial_direction(),
+                                       self.dpsi4(), self.psi_t)
+        return out
+
+    def div_t_density(self):
+        out = InnerProduct.dot(self.wave_op(), self.psi_t)
+        prof = self._profile()
+        if prof is not None:
+            dchi = prof[1]
+            M = self.bg.direction
+            d4 = self.dpsi4()
+            divH = np.einsum("m...,ma->a...", dchi, M)
+            out += np.einsum("a...,ac...,c...->...", divH, d4, self.psi_t)
+            out -= 0.5 * dchi[0] * np.einsum("ab,ac...,bc...->...", M, d4, d4)
+        return out
+
+
+def _full_cube_frame_arrays(state):
+    """The full-cube body of _H_frame_arrays (its oracle)."""
+    geom = state.geom
+    prof = state._profile()
+    if prof is None:
+        z = np.zeros((geom.N, geom.N, geom.N))
+        return z, z, z, z, z
+    chi, dchi = geom.interior(prof[0]), geom.interior(prof[1])
+    M = state.bg.direction
+    fr = {name: geom.interior(geom.frames()[name]) for name in ("L", "e1", "e2")}
+    L = fr["L"]
+    M_LL = np.abs(np.einsum("m...,k...,mk->...", L, L, M * np.outer(_MSIGN, _MSIGN)))
+    M_frob = np.sqrt(np.sum(M * M))
+    dchi_norm = np.sqrt(np.einsum("a...,a...->...", dchi, dchi))
+    tang_sq = sum(np.einsum("a...,a...->...", U, dchi) ** 2 for U in fr.values())
+    return (np.abs(chi) * M_LL, np.abs(chi) * M_frob, dchi_norm * M_LL,
+            np.sqrt(tang_sq) * M_frob, dchi_norm * M_frob)
+
+
+BOX_BUMPS = {
+    "static": dict(epsilon=0.2, center=(0.5, 0.0, -0.3), radius=3.0),
+    "static-negative": dict(epsilon=-0.2, center=(0.5, 0.0, -0.3), radius=3.0),
+    "traveling": dict(epsilon=0.2, center=(-0.4, 0.3, 0.2), radius=2.5,
+                      velocity=(0.3, -0.2, 0.1)),
+    "traveling-negative": dict(epsilon=-0.2, center=(-0.4, 0.3, 0.2), radius=2.5,
+                               velocity=(0.3, -0.2, 0.1)),
+    "ghost-layers": dict(epsilon=0.2, center=(3.9, -3.8, 0.0), radius=3.0,
+                         velocity=(0.0, 0.0, 0.3)),
+    "ghost-only": dict(epsilon=0.2, center=(4.4, 0.0, 0.0), radius=0.5),
+    "empty-box": dict(epsilon=0.2, center=(20.0, 0.0, 0.0), radius=3.0),
+}
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("kind", sorted(BOX_BUMPS))
+def test_slice_densities_on_support_box_match_full_cube(kind, channels):
+    bg = BumpBackground(**BOX_BUMPS[kind])
+    new = _random_state(bg, channels, seed=3 + channels)
+    old = _random_state(bg, channels, seed=3 + channels, cls=_FullCubeSliceState)
+    tangential = new.tangential_integrand().copy()
+    for name in ("wave_op", "energy_density", "ttr_density", "trt_density",
+                 "div_t_density"):
+        assert np.array_equal(getattr(new, name)(), getattr(old, name)()), name
+    assert np.array_equal(new.tangential_integrand(), tangential)  # the cache stays
+    for got, want in zip(_H_frame_arrays(new), _full_cube_frame_arrays(old)):
+        assert np.array_equal(got, want)

@@ -6,7 +6,7 @@ import pytest
 from framewave import evolve
 from framewave.background import BumpBackground, ZeroBackground, make_background
 from framewave.errors import CFLViolation
-from framewave.fields import GHOST, GridGeometry, d1_axis, fill_ghosts_array
+from framewave.fields import GHOST, GridGeometry, d1_axis, d2_axis, fill_ghosts_array
 from framewave.poly import GaussPoly, Poly, measure_order
 
 
@@ -623,3 +623,89 @@ def test_flat_sommerfeld_rhs_ghosts_are_positive_zero(rank, channels):
     geom.interior(ghosts)[...] = False
     for d in ev.rhs(0.1, Phi, Pi):
         assert np.all(d[ghosts] == 0.0) and not np.any(np.signbit(d[ghosts]))
+
+
+# --- bump right-hand side on the support box against the full-cube form -----
+
+def _rhs_full_cube(ev, t, Phi, Pi):
+    """The full-cube bump branch of Evolver.rhs, the oracle for its
+    support-box form: every H term, the product with chi and the division
+    by -g^{tt} over the whole cube, the flat part from three d2_axis
+    calls."""
+    geom, dx = ev.geom, ev.geom.dx
+    fill_ghosts_array(Phi, ev._ghost_mode)
+    fill_ghosts_array(Pi, ev._ghost_mode)
+    dPhi, dPi = np.empty(Phi.shape), np.empty(Phi.shape)
+    tmp = np.empty(Phi.shape)
+    chi, _ = ev.bg.profile(geom, t)
+    g00 = -1.0 + chi * ev.bg.direction[0, 0]
+    d2 = {i: d2_axis(Phi, i, dx) for i in (1, 2, 3)}
+    grads = {a: d1_axis(Phi, a, dx) for a in {a for a, b, _ in ev._h_terms if 0 < a < b}}
+    acc = np.zeros(Phi.shape)
+    for a, b, m in ev._h_terms:
+        if a == 0:
+            term = d1_axis(Pi, b, dx, out=tmp)
+        elif a == b:
+            term = d2[a]
+        else:
+            term = d1_axis(grads[a], b, dx, out=tmp)
+            term *= 2.0
+        acc += np.multiply(term, m, out=tmp)
+    np.add(d2[1], d2[2], out=dPi)
+    dPi += d2[3]
+    acc *= chi
+    dPi += acc
+    dPi /= -g00
+    if ev.source_fn is not None:
+        dPi += np.divide(ev.source_fn(t), g00, out=tmp)
+    if ev.schematic is not None:
+        S = evolve.build_source(ev.schematic, geom, ev.bg, t, Phi, Pi)
+        S /= g00
+        dPi += S
+    np.copyto(dPhi, Pi)
+    if ev.boundary != "periodic":
+        evolve._radiation_shell(geom, Phi, Pi, dPhi, dPi)
+    return dPhi, dPi
+
+
+RHS_BUMPS = {
+    "centred": dict(family="static-bump", epsilon=0.2, center=(0.1, -0.2, 0.3)),
+    "centred-negative": dict(family="static-bump", epsilon=-0.2, center=(0.1, -0.2, 0.3)),
+    "ghost-layers": dict(family="static-bump", epsilon=0.2, center=(3.9, -3.8, 0.0)),
+    "off-grid": dict(family="static-bump", epsilon=0.2, center=(20.0, 0.0, 0.0)),
+    "traveling": dict(family="traveling-bump", epsilon=-0.2, center=(-0.5, 0.3, 0.0),
+                      velocity=(0.4, -0.3, 0.2)),
+}
+
+
+def _rhs_case(case, bump):
+    geom = GridGeometry(12, 4.0)
+    bg = make_background(radius=3.0, **RHS_BUMPS[bump])
+    rank, channels, kwargs = 0, 1, {}
+    if case == "schematic":
+        rank, channels = 1, 2
+        kwargs["schematic"] = evolve.SourceSpec(terms=("AL_dA", "dh_tangA", "bigO_h_dA"))
+    elif case == "manufactured":
+        target = evolve.gaussian_target(center=(0.0, 0.5, 1.0), sigma=1.0)
+        kwargs["source_fn"] = evolve.manufactured_source(target, bg, geom)
+    elif case == "periodic":
+        channels, kwargs["boundary"] = 2, "periodic"
+    return evolve.Evolver(geom, bg, rank, channels, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["scalar", "schematic", "manufactured", "periodic"])
+@pytest.mark.parametrize("bump", sorted(RHS_BUMPS))
+def test_rhs_support_box_matches_full_cube(case, bump):
+    ev = _rhs_case(case, bump)
+    geom = ev.geom
+    shape = (4,) * ev.rank + (ev.channels,) + (geom.n_full,) * 3
+    rngl = np.random.default_rng(23)
+    Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
+    dt = 0.4 * geom.dx
+    for t in (0.2, 0.2 + 0.5 * dt, 0.2 + dt):  # the RK stage times of one step
+        want = _rhs_full_cube(ev, t, Phi.copy(), Pi.copy())
+        for _ in range(2):  # the second call reuses the first one's work arrays
+            got = ev.rhs(t, Phi.copy(), Pi.copy())
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
