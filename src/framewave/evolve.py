@@ -530,13 +530,7 @@ class Evolver:
         fill_ghosts_array(Phi, self._ghost_mode)
         fill_ghosts_array(Pi, self._ghost_mode)
         dPhi, dPi = out if out is not None else (np.empty(Phi.shape), np.empty(Phi.shape))
-        if self.bg.is_flat():
-            _laplacian(Phi, dx, out=dPi)
-        else:
-            tmp = self._buffer("tmp", Phi.shape)
-            d2_axis(Phi, 1, dx, out=dPi)
-            dPi += d2_axis(Phi, 2, dx, out=tmp)
-            dPi += d2_axis(Phi, 3, dx, out=tmp)
+        _laplacian(Phi, dx, out=dPi)
         g00 = -1.0
         sup = self.bg.support(geom, t)
         if sup is not None:

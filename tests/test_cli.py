@@ -5,6 +5,7 @@ import pytest
 from framewave import cli, evolve
 from framewave.background import make_background
 from framewave.errors import ConstraintError, SchemaError
+from framewave.fields import GridGeometry
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -308,3 +309,31 @@ def test_non_finite_run_exits_4(tmp_path, body, quantity):
     assert len(bad) == 1 and bad[0] is events[-1]
     assert bad[0]["quantity"] == quantity
     assert not (out / "energy_series.csv").exists()
+
+
+@pytest.mark.parametrize("family", ["static-bump", "traveling-bump"])
+def test_off_grid_bump_evolves_exactly_as_flat(tmp_path, family):
+    # a bump whose support misses the grid is H = 0 on every cell: the run
+    # takes the flat path, from the CFL speed to the last byte
+    cfg = {
+        "mode": "evolve",
+        "grid": {"N": 12, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.3},
+        "data": {"family": "gaussian", "rank": 1, "center": [0, 0, 1.0], "sigma": 0.8},
+        "source": {"terms": ["AL_dA", "Ae_dAe"]},
+        "components": ["L", "slot0"],
+        "monitors": 3,
+    }
+    outs = {}
+    for name, bg in (("zero", {"family": "zero"}),
+                     ("bump", {"family": family, "epsilon": 0.2, "radius": 3.0,
+                               "center": [20.0, 0.0, 0.0], "velocity": [0.3, 0.0, 0.0]})):
+        (tmp_path / name).mkdir()
+        path = _write(tmp_path / name, dict(cfg, background=bg))
+        outs[name] = tmp_path / name / "out"
+        assert cli.main(["evolve", "--config", path, "--out", str(outs[name])]) == 0
+    for artifact in ("energy_series.csv", "run_log.jsonl"):
+        assert (outs["bump"] / artifact).read_bytes() == (outs["zero"] / artifact).read_bytes()
+    bump = make_background(family, epsilon=0.2, center=(20.0, 0.0, 0.0), radius=3.0)
+    assert not bump.is_flat()
+    assert evolve.max_characteristic_speed(GridGeometry(12, 4.0), bump, 0.0) == 1.0
