@@ -338,6 +338,15 @@ class SliceState:
     derives stress densities lazily.  Arrays follow (channels, n, n, n).
     psi_tt may be given as a zero-argument callable; it is called the
     first time d_tt psi is read (only the wave operator reads it).
+
+    Every H term is built on the support box of the background
+    (:meth:`support`) and added into the box of its full-cube flat part;
+    outside the box chi and dchi are exactly 0.  The wave operator takes
+    its flat part from three full-cube d2_axis passes and the Hessian
+    entries its H part reads from stencils on a copy of the box's window
+    (fields._stencil_window), which give the box the full-cube values.
+    ``hess()`` and ``grad_t()`` keep the full-cube derivatives for
+    callers that want them.
     """
 
     def __init__(self, geom, t, psi, psi_t, psi_tt, background):
@@ -421,11 +430,11 @@ class SliceState:
                 win, cut = (Ellipsis,) + window, (Ellipsis,) + inner
                 psi = np.ascontiguousarray(self.psi[win])
                 psi_t = np.ascontiguousarray(self.psi_t[win])
-                g = [d1_axis(psi, i, dx) for i in (1, 2, 3)]
+                g = [d1_axis(psi, i, dx) for i in (1, 2)]
                 hess = [[None] * 3 for _ in range(3)]
                 for i in range(3):
                     hess[i][i] = d2_axis(psi, i + 1, dx)[cut]
-                    for j in range(i + 1, 3):
+                    for j in range(i + 1, 3):   # d_j d_i psi with i < j, as hess()
                         hess[i][j] = hess[j][i] = d1_axis(g[i], j + 1, dx)[cut]
                 M = self.bg.direction
                 h = M[0, 0] * self.psi_tt[(Ellipsis,) + box]

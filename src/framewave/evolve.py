@@ -19,11 +19,16 @@ plane-wave convergence tests.
 Stencils and steps: d1_axis and d2_axis share one kernel that shifts
 along the flat view of an array by the axis stride, in cache-sized
 blocks, summing the five terms in the reference order, so results are
-bit-identical to the whole-array expression.  On a flat background the
-Laplacian is one such pass over all three axes (fields._laplacian); it
-differs from the sum of three d2_axis calls by roundoff.  The right-hand
-side writes into caller arrays and the evolver's kept work arrays, the
-schematic source and the shell slabs included, so a warm flat step
+bit-identical to the whole-array expression.  The Laplacian is one such
+pass over all three axes (fields._laplacian), on every background; it
+differs from the sum of three d2_axis calls by roundoff.  On a bump
+background the H terms (d_j Pi and the mixed and diagonal second
+derivatives of Phi), their product with chi and the division by -g^{tt}
+run on the support box of H only, the derivatives from stencils on a
+copy of the box grown by the stencil width; outside the box chi is 0 and
+g^{tt} is exactly -1.  The right-hand side writes into caller arrays and
+the evolver's kept work arrays, the schematic source, the box windows
+and the shell slabs included, so a warm flat or static-bump step
 allocates no full-size array.  The RK4 step keeps its stage, slope and
 accumulator arrays between steps, sums ((k1 + 2 k2) + 2 k3) + k4 as the
 expression form does and adds the increment into the state in place.
