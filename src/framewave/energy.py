@@ -472,7 +472,8 @@ class SliceState:
                 out += 0.5 * InnerProduct.norm_sq(g[i])
             sup = self.support()
             if sup is not None:
-                out[sup[0]] += sup[1] * self._h_energy()
+                box, chi, _ = sup
+                out[box] += chi * self._h_energy()
             return out
         return self._get("energy_density", build)
 

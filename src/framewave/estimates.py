@@ -35,7 +35,7 @@ import numpy as np
 from .energy import (ComponentSeries, SliceState, slice_energy,
                      tangential_flux_integral, trapz)
 from .errors import FrameMismatch, HistoryMissing, PoleDegenerate
-from .fields import GHOST, PolyField, d1_axis, fill_ghosts_array
+from .fields import PolyField, d1_axis, fill_ghosts_array
 from .geometry import MINKOWSKI_INV, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
 from .vecfields import (GENERATORS, lie_lattice, lie_minkowski_inverse_factor,
@@ -757,23 +757,16 @@ def _H_frame_arrays(state: SliceState):
 
     With H = chi M these are |chi| |L.M_low.L|, |chi| |M|, |dchi| |L.M_low.L|,
     sqrt(sum_U (U.dchi)^2) |M| over U in {L, e1, e2}, and |dchi| |M|,
-    evaluated on the interior part of the support box; every other cell
-    is 0.
+    evaluated on the support box; every other cell is 0.
     """
     geom = state.geom
     sup = state.support()
-    z = np.zeros((geom.N, geom.N, geom.N))
     if sup is None:
+        z = np.zeros((geom.N, geom.N, geom.N))
         return z, z, z, z, z
     box, chi, dchi = sup
-    # the box within the interior: full-cube cells, cells of the box arrays,
-    # interior cells
-    cells = tuple(slice(max(s.start, GHOST), min(s.stop, GHOST + geom.N)) for s in box)
-    on_box = tuple(slice(c.start - s.start, c.stop - s.start) for c, s in zip(cells, box))
-    dst = tuple(slice(c.start - GHOST, c.stop - GHOST) for c in cells)
-    chi, dchi = chi[on_box], dchi[(slice(None),) + on_box]
     M = state.bg.direction
-    fr = {name: geom.frames()[name][(slice(None),) + cells] for name in ("L", "e1", "e2")}
+    fr = {name: geom.frames()[name][(slice(None),) + box] for name in ("L", "e1", "e2")}
     L = fr["L"]
     M_LL = np.abs(np.einsum("m...,k...,mk->...", L, L, M * np.outer(_MSIGN, _MSIGN)))
     M_frob = np.sqrt(np.sum(M * M))
@@ -782,9 +775,9 @@ def _H_frame_arrays(state: SliceState):
     out = []
     for val in (np.abs(chi) * M_LL, np.abs(chi) * M_frob, dchi_norm * M_LL,
                 np.sqrt(tang_sq) * M_frob, dchi_norm * M_frob):
-        arr = z.copy()
-        arr[dst] = val
-        out.append(arr)
+        arr = np.zeros((geom.n_full,) * 3)
+        arr[box] = val
+        out.append(geom.interior(arr))
     return tuple(out)
 
 
