@@ -340,13 +340,9 @@ class SliceState:
     first time d_tt psi is read (only the wave operator reads it).
 
     Every H term is built on the support box of the background
-    (:meth:`support`) and added into the box of its full-cube flat part;
-    outside the box chi and dchi are exactly 0.  The wave operator takes
-    its flat part from three full-cube d2_axis passes and the Hessian
-    entries its H part reads from stencils on a copy of the box's window
-    (fields._stencil_window), which give the box the full-cube values.
-    ``hess()`` and ``grad_t()`` keep the full-cube derivatives for
-    callers that want them.
+    (:meth:`support`), outside which chi and dchi are exactly 0, and added
+    into the box of its full-cube flat part.  ``hess()`` and ``grad_t()``
+    are full-cube derivatives that no density reads.
     """
 
     def __init__(self, geom, t, psi, psi_t, psi_tt, background):

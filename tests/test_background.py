@@ -313,6 +313,7 @@ def test_slice_densities_on_support_box_match_full_cube(kind, channels):
     bg = BumpBackground(**BOX_BUMPS[kind])
     new = _random_state(bg, channels, seed=3 + channels)
     old = _random_state(bg, channels, seed=3 + channels, cls=_FullCubeSliceState)
+    assert (new.support() is None) == (kind == "empty-box")
     tangential = new.tangential_integrand().copy()
     for name in ("wave_op", "energy_density", "ttr_density", "trt_density",
                  "div_t_density"):

@@ -724,6 +724,12 @@ def _rhs_case(case, bump):
 def test_rhs_support_box_matches_full_cube(case, bump):
     ev = _rhs_case(case, bump)
     geom = ev.geom
+    sup = ev.bg.support(geom, 0.2)
+    if bump == "off-grid":
+        assert sup is None
+    else:  # the ghost-layers box reaches past the solution cells
+        reach = any(s.start < GHOST or s.stop > geom.n_full - GHOST for s in sup[0])
+        assert reach == (bump == "ghost-layers")
     shape = (4,) * ev.rank + (ev.channels,) + (geom.n_full,) * 3
     rngl = np.random.default_rng(23)
     Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
