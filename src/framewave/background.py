@@ -9,13 +9,14 @@ Every family is a scalar profile times a constant direction,
     H^{mu nu}(t, x) = chi(t, x) M^{mu nu},
 
 with chi already scaled by epsilon and M a fixed symmetric unit matrix.
-Callers contract M once and multiply by chi or its 4-gradient dchi
-instead of building dense (4, 4, n, n, n) tensors.  The primitive is the
+Callers contract M once and multiply by chi or its 4-gradient dchi;
+no dense (4, 4, n, n, n) tensor of H is ever built.  The primitive is the
 support box: ``support(geom, t)`` returns the index box of the support
 (clipped to the grid) with chi and dchi on it, or None where H vanishes
 on the whole cube.  Every cell outside the box is exactly 0, so consumers
-do their H work on the box only; ``profile`` is the zero-filled scatter
-of the same result onto the full cube.
+do their H work on the box only, pointwise 4x4 algebra on g = m + chi M
+included; ``profile`` is the zero-filled scatter of the same result onto
+the full cube.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstraintError
-from .geometry import MINKOWSKI_INV
 
 # Fixed symmetric direction with unit Frobenius norm; generic enough to
 # populate every frame component of H.
@@ -46,8 +46,9 @@ class Background:
     its 4-gradient (4, *box shape), or None when H vanishes on the whole
     cube.  ``profile(geom, t)`` scatters them onto the full cube, chi
     (n, n, n) and dchi (4, n, n, n); ``direction`` is the constant M.
-    H_full, dH_full and g_inv_full are dense tensors derived from them,
-    for the few callers that need pointwise 4x4 algebra.
+    Callers that need pointwise 4x4 algebra on g = m + chi M (the CFL
+    speed bound, the covariant h of the schematic sources) do it on the
+    box, since g = m exactly outside it.
     """
 
     epsilon = 0.0
@@ -69,20 +70,9 @@ class Background:
             dchi[(slice(None),) + box] = dchi_box
         return chi, dchi
 
-    def H_full(self, geom, t):
-        chi, _ = self.profile(geom, t)
-        return chi * self.direction[:, :, None, None, None]
-
-    def dH_full(self, geom, t):
-        _, dchi = self.profile(geom, t)
-        return dchi[:, None, None] * self.direction[None, :, :, None, None, None]
-
     def sup_abs(self):
         """Upper bound on the Frobenius norm |H| over spacetime."""
         raise NotImplementedError
-
-    def g_inv_full(self, geom, t):
-        return MINKOWSKI_INV[:, :, None, None, None] + self.H_full(geom, t)
 
 
 class ZeroBackground(Background):

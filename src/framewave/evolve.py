@@ -76,15 +76,14 @@ class SourceSpec:
     """Sum of schematic nonlinear terms feeding the Phi equation.
 
     Term names are the schematic patterns of SCHEMATIC_TERMS.  The
-    designated scalar part of A is its time slot; h enters through one
-    designated covariant component (h_pick).  Channel wiring is diagonal
-    with unit coefficients unless a mixing matrix is supplied.
+    designated scalar part of A is its time slot; h enters through its
+    tt covariant component.  Channel wiring is diagonal with unit
+    coefficients unless a mixing matrix is supplied.
     """
 
     terms: tuple = ()
     bigO_degree: int = 2
     slots: tuple = (0, 1, 2, 3)
-    h_pick: tuple = (0, 0)
     mixing: object = None
 
     def __post_init__(self):
@@ -95,29 +94,25 @@ class SourceSpec:
             raise ValueError(f"unknown schematic terms {sorted(bad)}")
 
 
-def _h_component_and_grad(geom, bg, t, pick):
-    """Designated covariant component of h = g - m and its 4-gradient.
+def _h_component_and_grad(geom, bg, t):
+    """The tt covariant component of h = g - m and its 4-gradient.
 
-    g_cov is the pointwise inverse of g^{mu nu} = m + H; its gradient is
-    -g_cov (dH) g_cov, all evaluated from the analytic background.
+    g_cov is the pointwise inverse of g^{mu nu} = m + chi M, taken on the
+    support box only (outside it g_cov = m, so h and its gradient are 0);
+    the gradient is -g_cov (dH) g_cov = -(g_cov M g_cov) dchi.
     """
     n = geom.n_full
-    if bg.is_flat():
-        z = np.zeros((n, n, n))
-        return z, np.zeros((4, n, n, n))
-    Hf = bg.H_full(geom, t)
-    g_up = MINKOWSKI_INV[:, :, None, None, None] + Hf
-    flat = np.moveaxis(g_up, (0, 1), (-2, -1)).reshape(-1, 4, 4)
-    g_cov = np.linalg.inv(flat)
-    dHf = bg.dH_full(geom, t)
-    dflat = np.moveaxis(dHf, (1, 2), (-2, -1)).reshape(4, -1, 4, 4)
-    a, b = pick
-    h_pick = (g_cov[:, a, b] - MINKOWSKI[a, b]).reshape(n, n, n)
-    grad = np.empty((4, n, n, n))
-    for lam in range(4):
-        gdg = -np.einsum("nij,njk,nkl->nil", g_cov, dflat[lam], g_cov)
-        grad[lam] = gdg[:, a, b].reshape(n, n, n)
-    return h_pick, grad
+    h, dh = np.zeros((n, n, n)), np.zeros((4, n, n, n))
+    sup = bg.support(geom, t)
+    if sup is None:
+        return h, dh
+    box, chi, dchi = sup
+    M = bg.direction
+    g_cov = np.linalg.inv(MINKOWSKI_INV + chi[..., None, None] * M)
+    h[box] = g_cov[..., 0, 0] - MINKOWSKI[0, 0]
+    gMg = np.einsum("...j,jk,...k->...", g_cov[..., 0, :], M, g_cov[..., :, 0])
+    dh[(slice(None),) + box] = -gMg * dchi
+    return h, dh
 
 
 def _fresh(name, shape):
@@ -170,11 +165,11 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
 
     need_h = {"dh_tangA", "tangh_dA", "dh_A2", "dh_TU_sq", "bigO_h_dA"} & set(spec.terms)
     if need_h:
-        h_pick, dh_pick = _h_component_and_grad(geom, bg, t, spec.h_pick)
+        h_tt, dh_tt = _h_component_and_grad(geom, bg, t)
         # Background is time-analytic; the L-transport of h uses dh directly.
-        Lh = L[0] * dh_pick[0]
+        Lh = L[0] * dh_tt[0]
         for i in (1, 2, 3):
-            Lh = Lh + L[i] * dh_pick[i]
+            Lh = Lh + L[i] * dh_tt[i]
 
     proj = {}
     dproj = {}
@@ -205,11 +200,11 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
         elif term == "A_tangA":
             add(Phi, wire(Ls)[None, :])
         elif term == "dh_tangA":
-            add(dh_pick[:, None], wire(Ls)[None, :])
+            add(dh_tt[:, None], wire(Ls)[None, :])
         elif term == "tangh_dA":
             add(Lh[None, None], ds)
         elif term == "dh_A2":
-            add(dh_pick[:, None], wire(s * s)[None, :])
+            add(dh_tt[:, None], wire(s * s)[None, :])
         elif term == "dh_TU_sq":
             for mu in spec.slots:
                 S[mu] += Lh[None] ** 2
@@ -220,12 +215,12 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
             for mu in spec.slots:
                 S[mu] += val
         elif term == "bigO_h_dA":
-            series = np.zeros_like(h_pick)
-            power = np.ones_like(h_pick)
+            series = np.zeros_like(h_tt)
+            power = np.ones_like(h_tt)
             for _ in range(spec.bigO_degree):
                 series = series + power
-                power = power * h_pick
-            add((h_pick * series)[None, None], ds)
+                power = power * h_tt
+            add((h_tt * series)[None, None], ds)
     return S
 
 
@@ -284,16 +279,20 @@ def max_characteristic_speed(geom, bg: Background, t):
     """Safe upper bound for the coordinate lightspeed of g.
 
     Characteristics of g^{tt} s^2 + 2 g^{tn} s + g^{nn} = 0 bounded via a
-    Gershgorin estimate of the largest spatial eigenvalue.
+    Gershgorin estimate of the largest spatial eigenvalue.  The estimate
+    runs on the support box of H only: every cell off it has g = m and a
+    bound of exactly 1.
     """
-    if bg.is_flat():
+    sup = bg.support(geom, t)
+    if sup is None:
         return 1.0
-    g = bg.g_inv_full(geom, t)
+    _, chi, _ = sup
+    g = MINKOWSKI_INV[:, :, None, None, None] + chi * bg.direction[:, :, None, None, None]
     gtt = -g[0, 0]
     b = np.sqrt(sum(g[0, j] ** 2 for j in (1, 2, 3)))
     lam = np.max(np.abs(g[1:, 1:]).sum(axis=1), axis=0)
-    c = (b + np.sqrt(b ** 2 + gtt * lam)) / gtt
-    return float(np.max(c))
+    c = float(np.max((b + np.sqrt(b ** 2 + gtt * lam)) / gtt))
+    return c if chi.size == geom.n_full ** 3 else max(c, 1.0)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 The references are the dense point-table formulas: the bump profile on
 every node of ``geom.points_full`` and the H/dH contractions written out
-on the (4, 4, n, n, n) and (4, 4, 4, n, n, n) tensors from H_full and
-dH_full.  Each density reference accumulates its terms and the sum of
-their magnitudes, so the comparison is relative to the per-point scale.
+on dense (4, 4, n, n, n) and (4, 4, 4, n, n, n) tensors, which the
+test-local ``dense_H`` builds from the zero-filled profile (the library
+itself never builds them).  Each density reference accumulates its terms
+and the sum of their magnitudes, so the comparison is relative to the
+per-point scale.
 """
 
 import numpy as np
@@ -15,6 +17,9 @@ from framewave.background import BumpBackground
 from framewave.energy import SliceState
 from framewave.estimates import _MSIGN, _H_frame_arrays
 from framewave.fields import InnerProduct, GridGeometry, d1_axis, d2_axis
+from framewave.geometry import MINKOWSKI_INV
+
+from conftest import dense_H
 
 REL = 1e-12
 
@@ -79,10 +84,12 @@ def test_profile_matches_point_table(case, center, radius, velocity):
         assert edge == (case == "clipped")
     if any(velocity) and case != "off_grid":
         assert np.any(dchi[0])
-    # the dense builders are the profile times the direction
+    # the dense reference tensors are the point-table profile times the direction
     M = bg.direction
-    assert np.array_equal(bg.H_full(GEOM, T), chi * M[:, :, None, None, None])
-    assert np.array_equal(bg.g_inv_full(GEOM, T)[0, 0], -1.0 + chi * M[0, 0])
+    H = dense_H(bg, GEOM, T)[0]
+    assert np.array_equal(H, chi_ref * M[:, :, None, None, None])
+    g_inv = MINKOWSKI_INV[:, :, None, None, None] + H
+    assert np.array_equal(g_inv[0, 0], -1.0 + chi_ref * M[0, 0])
 
 
 def _random_state(bg, channels, seed, cls=SliceState):
@@ -95,7 +102,7 @@ def _random_state(bg, channels, seed, cls=SliceState):
 def _dense_rhs(ev, Phi, Pi):
     """Bulk update from dense g = m + H, then the same radiation shell."""
     geom, dx = ev.geom, ev.geom.dx
-    H = ev.bg.H_full(geom, T)
+    H = dense_H(ev.bg, geom, T)[0]
     terms = [d2_axis(Phi, i, dx) for i in (1, 2, 3)]
     for i in (1, 2, 3):
         terms.append(H[i, i] * d2_axis(Phi, i, dx))
@@ -172,7 +179,7 @@ def _dense_frame_arrays(H, dH):
 @pytest.mark.parametrize("channels", [1, 2])
 def test_structured_consumers_match_dense_tensors(kind, channels):
     bg = BumpBackground(**BUMPS[kind])
-    H, dH = bg.H_full(GEOM, T), bg.dH_full(GEOM, T)
+    H, dH = dense_H(bg, GEOM, T)
     assert np.any(H) and (kind == "static") != np.any(dH[0])
 
     ev = evolve.Evolver(GEOM, bg, rank=0, channels=channels)

@@ -8,7 +8,10 @@ from framewave.background import BumpBackground, ZeroBackground, make_background
 from framewave.errors import CFLViolation
 from framewave.fields import (GHOST, GridGeometry, _laplacian, d1_axis, d2_axis,
                               fill_ghosts_array)
+from framewave.geometry import MINKOWSKI, MINKOWSKI_INV
 from framewave.poly import GaussPoly, Poly, measure_order
+
+from conftest import dense_H
 
 
 def test_zero_data_stays_zero():
@@ -219,10 +222,10 @@ def test_traveling_bump_time_dependent():
     bg = make_background("traveling-bump", epsilon=0.1, center=(0, 0, 0),
                          radius=3.0, velocity=(0.4, 0, 0))
     geom = GridGeometry(12, 4.0)
-    H0 = bg.H_full(geom, 0.0)
-    H1 = bg.H_full(geom, 0.5)
+    H0 = dense_H(bg, geom, 0.0)[0]
+    H1 = dense_H(bg, geom, 0.5)[0]
     assert np.max(np.abs(H0 - H1)) > 1e-4
-    dH = bg.dH_full(geom, 0.25)
+    dH = dense_H(bg, geom, 0.25)[1]
     assert np.max(np.abs(dH[0])) > 1e-5  # nonzero time derivative
 
 
@@ -365,7 +368,7 @@ def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
     for target in (comps, poly_comps):
         for bg in (ZeroBackground(), bump):
             # per-entry reference: every d_a d_b evaluated on its own
-            Hf = None if bg.is_flat() else bg.H_full(geom, t)
+            Hf = None if bg.is_flat() else dense_H(bg, geom, t)[0]
             want = np.zeros(target.shape + (n, n, n))
             for idx in np.ndindex(target.shape):
                 for a in range(4):
@@ -463,11 +466,11 @@ def _build_source_reference(spec, geom, bg, t, Phi, Pi):
 
     need_h = {"dh_tangA", "tangh_dA", "dh_A2", "dh_TU_sq", "bigO_h_dA"} & set(spec.terms)
     if need_h:
-        h_pick, dh_pick = evolve._h_component_and_grad(geom, bg, t, spec.h_pick)
+        h_tt, dh_tt = evolve._h_component_and_grad(geom, bg, t)
         # Background is time-analytic; the L-transport of h uses dh directly.
-        Lh = L[0] * dh_pick[0]
+        Lh = L[0] * dh_tt[0]
         for i in (1, 2, 3):
-            Lh = Lh + L[i] * dh_pick[i]
+            Lh = Lh + L[i] * dh_tt[i]
 
     proj = {}
     dproj = {}
@@ -499,11 +502,11 @@ def _build_source_reference(spec, geom, bg, t, Phi, Pi):
         elif term == "A_tangA":
             add(Phi, wire(Ls)[None, :])
         elif term == "dh_tangA":
-            add(dh_pick[:, None], wire(Ls)[None, :])
+            add(dh_tt[:, None], wire(Ls)[None, :])
         elif term == "tangh_dA":
             add(Lh[None, None], ds)
         elif term == "dh_A2":
-            add(dh_pick[:, None], wire(s * s)[None, :])
+            add(dh_tt[:, None], wire(s * s)[None, :])
         elif term == "dh_TU_sq":
             for mu in spec.slots:
                 S[mu] += Lh[None] ** 2
@@ -514,12 +517,12 @@ def _build_source_reference(spec, geom, bg, t, Phi, Pi):
             for mu in spec.slots:
                 S[mu] += val
         elif term == "bigO_h_dA":
-            series = np.zeros_like(h_pick)
-            power = np.ones_like(h_pick)
+            series = np.zeros_like(h_tt)
+            power = np.ones_like(h_tt)
             for _ in range(spec.bigO_degree):
                 series = series + power
-                power = power * h_pick
-            add((h_pick * series)[None, None], ds)
+                power = power * h_tt
+            add((h_tt * series)[None, None], ds)
     return S
 
 
@@ -551,6 +554,114 @@ def test_build_source_work_arrays_bit_identical(family, term):
             got = evolve.build_source(spec, geom, bg, 0.3, Phi, Pi, work=work)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# --- h and the CFL speed on the support box against the dense tensors --------
+
+def _dense_h_component_and_grad(geom, bg, t):
+    """The dense body of _h_component_and_grad (its oracle): n^3 pointwise
+    inverses of m + H and the gradient -g_cov (dH) g_cov, tt component."""
+    n = geom.n_full
+    if bg.is_flat():
+        return np.zeros((n, n, n)), np.zeros((4, n, n, n))
+    Hf, dHf = dense_H(bg, geom, t)
+    g_up = MINKOWSKI_INV[:, :, None, None, None] + Hf
+    flat = np.moveaxis(g_up, (0, 1), (-2, -1)).reshape(-1, 4, 4)
+    g_cov = np.linalg.inv(flat)
+    dflat = np.moveaxis(dHf, (1, 2), (-2, -1)).reshape(4, -1, 4, 4)
+    h = (g_cov[:, 0, 0] - MINKOWSKI[0, 0]).reshape(n, n, n)
+    grad = np.empty((4, n, n, n))
+    for lam in range(4):
+        gdg = -np.einsum("nij,njk,nkl->nil", g_cov, dflat[lam], g_cov)
+        grad[lam] = gdg[:, 0, 0].reshape(n, n, n)
+    return h, grad
+
+
+def _dense_max_speed(geom, bg, t):
+    """The dense Gershgorin bound of max_characteristic_speed (its oracle)."""
+    if bg.is_flat():
+        return 1.0
+    g = MINKOWSKI_INV[:, :, None, None, None] + dense_H(bg, geom, t)[0]
+    gtt = -g[0, 0]
+    b = np.sqrt(sum(g[0, j] ** 2 for j in (1, 2, 3)))
+    lam = np.max(np.abs(g[1:, 1:]).sum(axis=1), axis=0)
+    c = (b + np.sqrt(b ** 2 + gtt * lam)) / gtt
+    return float(np.max(c))
+
+
+# Bumps on GridGeometry(12, 4.0), whose axis runs over [-5, 5] with ghost
+# nodes beyond |x| = 3.67.  A direction of -I slows light down: with the
+# ball over the whole cube every cell's speed bound is below 1, and with
+# the box on one node the bound of the cube is the 1 of the cells off it.
+H_BOXES = {
+    "centred": dict(center=(0.0, 0.0, 0.0), radius=3.0),
+    "clipped": dict(center=(3.9, -0.2, -3.6), radius=2.0),
+    "ghost-layers": dict(center=(2.5, 0.0, 0.0), radius=2.2),
+    "whole-cube-box": dict(center=(0.0, 0.0, 0.0), radius=6.0),
+    "ball-covers-cube": dict(center=(0.0, 0.0, 0.0), radius=9.0),
+    "slow-ball-covers-cube": dict(center=(0.0, 0.0, 0.0), radius=9.0,
+                                  direction=-np.eye(4)),
+    "slow-single-cell": dict(center=(1 / 3, 1 / 3, 1 / 3), radius=0.3,
+                             direction=-np.eye(4)),
+    "off-grid": dict(center=(20.0, 0.0, 0.0), radius=2.0),
+}
+_CUBE_BOXES = ("whole-cube-box", "ball-covers-cube", "slow-ball-covers-cube")
+
+
+@pytest.mark.parametrize("case", sorted(H_BOXES))
+@pytest.mark.parametrize("epsilon", [0.25, -0.25])
+@pytest.mark.parametrize("velocity", [(0.0, 0.0, 0.0), (0.3, -0.2, 0.1)])
+def test_h_and_speed_on_support_box_match_dense(case, epsilon, velocity):
+    geom, t = GridGeometry(12, 4.0), 0.4
+    bg = BumpBackground(epsilon, velocity=velocity, **H_BOXES[case])
+    sup = bg.support(geom, t)
+    assert (sup is None) == (case == "off-grid")
+    if sup is not None:
+        touches = [(b.start, b.stop) for b in sup[0]]
+        assert (sup[1].size == 1) == (case == "slow-single-cell")
+        assert (sup[1].size == geom.n_full ** 3) == (case in _CUBE_BOXES)
+        assert any(lo < GHOST or hi > geom.n_full - GHOST for lo, hi in touches) \
+            == (case not in ("centred", "slow-single-cell"))
+        assert any(lo == 0 or hi == geom.n_full for lo, hi in touches) \
+            == (case in ("clipped",) + _CUBE_BOXES)
+    h, dh = evolve._h_component_and_grad(geom, bg, t)
+    h_ref, dh_ref = _dense_h_component_and_grad(geom, bg, t)
+    assert np.array_equal(h, h_ref)
+    assert np.max(np.abs(dh - dh_ref)) <= 1e-14 * np.max(np.abs(dh_ref))
+    assert (case == "off-grid") == (not np.any(dh_ref))
+    speed = evolve.max_characteristic_speed(geom, bg, t)
+    assert speed == _dense_max_speed(geom, bg, t)
+    assert (speed < 1.0) == (case == "slow-ball-covers-cube" and epsilon > 0)
+
+
+def test_static_bump_h_sources_evolve_as_with_dense_h(monkeypatch):
+    from framewave import energy
+    from framewave.weights import WeightParams
+
+    geom = GridGeometry(12, 4.0)
+    bg = make_background("static-bump", epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
+    target = evolve.gaussian_target(rank=1, channels=1, amplitude=0.1,
+                                    center=(0, 0, 1.0), sigma=1.0)
+    Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
+    spec = evolve.SourceSpec(terms=("dh_tangA", "tangh_dA", "dh_TU_sq", "bigO_h_dA"))
+    region = energy.ExteriorRegion(q0=float("-inf"))
+    params = WeightParams(0.5, -0.25)
+
+    def run():
+        events = []
+        hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.4, schematic=spec,
+                                 cfl=0.4, n_monitors=3, log=events.append)
+        series = [hist.component_series(c) for c in ("L", "Lbar", "e1")]
+        return events, np.array([[energy.slice_energy(s.state(k), region, params, "w")
+                                  for k in range(len(hist.times))] for s in series])
+
+    events, energies = run()
+    monkeypatch.setattr(evolve, "_h_component_and_grad", _dense_h_component_and_grad)
+    events_ref, energies_ref = run()
+    assert [e["step"] for e in events] == [e["step"] for e in events_ref]
+    assert [e["cfl"] for e in events] == [e["cfl"] for e in events_ref]
+    assert np.all(energies > 0)
+    assert np.max(np.abs(energies - energies_ref)) <= 1e-13 * np.max(np.abs(energies_ref))
 
 
 # --- state update in place, monitors and allocations -------------------------
