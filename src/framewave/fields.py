@@ -142,23 +142,17 @@ class PolyField:
         return PolyField(self.rank + 1, self.channels, comps,
                          ("d",) + self.variance)
 
-    def _move_slot(self, slot, src, dst):
-        """Flip the variance of ``slot`` from src to dst with the Minkowski
-        metric, which only negates the time entries."""
-        assert self.variance[slot] == src
+    def lower_slot(self, slot):
+        """Lower the contravariant ``slot`` with the Minkowski metric, which
+        only negates the time entries."""
+        assert self.variance[slot] == "u"
         comps = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(self.shape):
             sign = -1 if idx[slot] == 0 else 1
             comps[idx] = self.comps[idx] * sign
         var = list(self.variance)
-        var[slot] = dst
+        var[slot] = "d"
         return PolyField(self.rank, self.channels, comps, var)
-
-    def lower_slot(self, slot):
-        return self._move_slot(slot, "u", "d")
-
-    def raise_slot(self, slot):
-        return self._move_slot(slot, "d", "u")
 
     def lower_all(self):
         f = self
