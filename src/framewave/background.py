@@ -106,6 +106,7 @@ class BumpBackground(Background):
         M = _DEFAULT_DIRECTION if direction is None else np.asarray(direction, float)
         M = 0.5 * (M + M.T)
         self.direction = M / np.linalg.norm(M)
+        self._static_support = {}
 
     def is_flat(self):
         return self.epsilon == 0.0
@@ -116,8 +117,22 @@ class BumpBackground(Background):
 
         Along each axis the box keeps the nodes with |x_k - c_k(t)| < R,
         clipped to the cube; a node outside it has s^2 >= 1 in floating
-        point too, so the box drops no nonzero value.
+        point too, so the box drops no nonzero value.  A static bump
+        computes its support once per grid and returns the same read-only
+        arrays at every t.
         """
+        if np.any(self.velocity):
+            return self._support_at(geom, t)
+        key = (geom.N, geom.X)
+        if key not in self._static_support:
+            sup = self._support_at(geom, t)
+            if sup is not None:
+                for arr in sup[1:]:
+                    arr.setflags(write=False)
+            self._static_support[key] = sup
+        return self._static_support[key]
+
+    def _support_at(self, geom, t):
         if self.is_flat():
             return None
         c = self.center + t * self.velocity

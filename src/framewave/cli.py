@@ -21,6 +21,7 @@ is the empty multi-index.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -158,20 +159,30 @@ def _merge_defaults(cfg):
     return out
 
 
+@functools.cache
+def _config_validator():
+    """Draft 2020-12 validator of CONFIG_SCHEMA, built on first use.  The
+    schema is a constant, so it is not re-checked against the metaschema
+    per config (the tests check it once)."""
+    from jsonschema import Draft202012Validator
+
+    return Draft202012Validator(CONFIG_SCHEMA)
+
+
 def parse_config(path):
     """Load, schema-validate, constraint-check, and default-fill a config."""
-    import jsonschema
+    from jsonschema.exceptions import best_match
 
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read config: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path_str = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise SchemaError(f"config field {path_str}: {exc.message}") from exc
+    # the error jsonschema.validate would raise
+    error = best_match(_config_validator().iter_errors(raw))
+    if error is not None:
+        path_str = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise SchemaError(f"config field {path_str}: {error.message}") from error
     cfg = _merge_defaults(raw)
     if isinstance(cfg["region"]["q0"], str):
         if cfg["region"]["q0"] not in ("-inf", "-infinity"):

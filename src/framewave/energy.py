@@ -343,6 +343,10 @@ class SliceState:
     (:meth:`support`), outside which chi and dchi are exactly 0, and added
     into the box of its full-cube flat part.  ``hess()`` and ``grad_t()``
     are full-cube derivatives that no density reads.
+
+    The region mask and the weights of q are cached too, so one state
+    holds everything a monitor reads at its slice; the monitors walk a
+    series once and build each slice's state once.
     """
 
     def __init__(self, geom, t, psi, psi_t, psi_tt, background):
@@ -406,6 +410,16 @@ class SliceState:
         if self.bg is None:
             return None
         return self._get("support", lambda: self.bg.support(self.geom, self.t))
+
+    def region_mask(self, region):
+        """Interior-node mask of the exterior region at this slice."""
+        return self._get(("mask", region), lambda: self.geom.region_mask(region, self.t))
+
+    def weight(self, fn, params):
+        """fn(q) on the interior nodes (see _weight_eval); 1 where fn or
+        params is None."""
+        return self._get(("weight", fn, params), lambda: _weight_eval(
+            fn, self.geom.interior(self.geom.q_full(self.t)), params))
 
     def wave_op(self):
         """g^{ab} d_a d_b psi using the stored second time derivative.
@@ -604,21 +618,23 @@ class ComponentSeries:
 def _weight_eval(fn, q, params):
     """Weight/derivative over arrays, treating exact q = 0 nodes as the
     measure-zero kink set (excluded from quadratures)."""
-    if params is None:
+    if params is None or fn is None:
         return np.ones_like(q)
     qq = np.where(q == 0.0, 1e-30, q)
     return fn(qq, params)
 
 
+def _quad(state, density, region, fn, params):
+    """Quadrature of density * fn(q) over the exterior region of one slice."""
+    geom = state.geom
+    return quadrature_masked(geom, geom.interior(density) * state.weight(fn, params),
+                             state.region_mask(region))
+
+
 def slice_energy(state: SliceState, region: ExteriorRegion, params, weight="w"):
     """Integral of |d psi|^2 * weight(q) over the exterior slice."""
-    geom = state.geom
-    mask = geom.region_mask(region, state.t)
-    vals = geom.interior(state.grad_norm_sq())
-    q = geom.interior(geom.q_full(state.t))
     wfun = {"w": w, "wtilde": w_tilde, "one": None}[weight]
-    wvals = _weight_eval(wfun, q, params) if wfun else np.ones_like(q)
-    return quadrature_masked(geom, vals * wvals, mask)
+    return _quad(state, state.grad_norm_sq(), region, wfun, params)
 
 
 def exterior_energy(series: ComponentSeries, t, region, params, weight="w"):
@@ -631,6 +647,11 @@ def exterior_energy(series: ComponentSeries, t, region, params, weight="w"):
     return slice_energy(series.state_at(t), region, params, weight=weight)
 
 
+def _tangential_slice(state, region, params):
+    """Slice integral of the tangential integrand with the what'(q) weight."""
+    return _quad(state, state.tangential_integrand(), region, w_hat_prime, params)
+
+
 def tangential_flux_integral(series, t1, t2, region, params):
     """Time integral of the weighted tangential-derivative slice integrals.
 
@@ -641,14 +662,7 @@ def tangential_flux_integral(series, t1, t2, region, params):
     k1, k2 = series.index_range(t1, t2)
     if k2 <= k1:
         raise HistoryMissing("t2 must exceed t1 in the stored history")
-    geom = series.geom
-    vals = []
-    for k in range(k1, k2 + 1):
-        st = series.state(k)
-        mask = geom.region_mask(region, st.t)
-        q = geom.interior(geom.q_full(st.t))
-        wp = _weight_eval(w_hat_prime, q, params)
-        vals.append(quadrature_masked(geom, geom.interior(st.tangential_integrand()) * wp, mask))
+    vals = [_tangential_slice(series.state(k), region, params) for k in range(k1, k2 + 1)]
     return trapz(vals, series.times[k1:k2 + 1])
 
 
@@ -690,6 +704,66 @@ def _sphere_integral(geom, interior_values, radius, dirs, wgts):
     return float(np.sum(_trilinear(geom, interior_values, pts) * wgts)) * radius ** 2
 
 
+class _SurfaceFlux:
+    """Time integral of a sphere flux over the slices whose sphere lies in
+    the truncated region: trapezoid over those slices, 0 for fewer than two.
+
+    ``term(state)`` gives the slice's weighted sphere integral, or None
+    when its sphere is absent.
+    """
+
+    def __init__(self, term):
+        self.term = term
+        self.taus, self.vals = [], []
+
+    def add(self, state):
+        val = self.term(state)
+        if val is not None:
+            self.taus.append(state.t)
+            self.vals.append(val)
+
+    def total(self):
+        return trapz(self.vals, self.taus)
+
+
+def _cone_term(q0, ball, params, n_theta, n_phi):
+    """(T_tt + T_rt) wtilde(q0) over the sphere r = t + q0 of a slice, which
+    exists between the origin ball and two cells inside the grid edge."""
+    dirs, wgts = _sphere_nodes(n_theta, n_phi)
+    wq = w_tilde(q0, params) if params is not None else 1.0
+
+    def term(st):
+        geom, rc = st.geom, st.t + q0
+        if rc <= ball or rc >= geom.X - 2 * geom.dx:
+            return None
+        return _sphere_integral(geom, geom.interior(st.ttr_density()), rc, dirs, wgts) * wq
+    return term
+
+
+def _ball_term(region, ball, params, n_theta=8, n_phi=16):
+    """Outflow T_rt wtilde(q) through the origin-ball sphere of a slice
+    (negative orientation), absent where the sphere lies in the excluded
+    cone."""
+    dirs, wgts = _sphere_nodes(n_theta, n_phi)
+
+    def term(st):
+        q = ball - st.t
+        if np.isfinite(region.q0) and q < region.q0:
+            return None
+        wq = _weight_eval(w_tilde, np.array([q]), params)[0] if params is not None else 1.0
+        return -_sphere_integral(st.geom, st.geom.interior(st.trt_density()), ball,
+                                 dirs, wgts) * wq
+    return term
+
+
+def _flux_over(series, t1, t2, term):
+    flux = _SurfaceFlux(term)
+    k1, k2 = series.index_range(t1, t2)
+    for k in range(k1, k2 + 1):
+        flux.add(series.state(k))
+    return flux
+
+
 def cone_flux(series, q0, t1, t2, params, n_theta=16, n_phi=32,
               region=None):
     """Flux of the weighted stress through the cone q = q0 between t1, t2.
@@ -703,46 +777,17 @@ def cone_flux(series, q0, t1, t2, params, n_theta=16, n_phi=32,
     if not np.isfinite(q0):
         raise EmptyCone("cone at q0 = -inf never intersects the slab")
     geom = series.geom
-    k1, k2 = series.index_range(t1, t2)
     ball = region.ball(geom) if region is not None else 2.0 * geom.dx
-    dirs, wgts = _sphere_nodes(n_theta, n_phi)
-    taus, vals = [], []
-    for k in range(k1, k2 + 1):
-        tau = series.times[k]
-        rc = tau + q0
-        if rc <= ball or rc >= geom.X - 2 * geom.dx:
-            continue
-        st = series.state(k)
-        wq = w_tilde(q0, params) if params is not None else 1.0
-        surf = _sphere_integral(geom, geom.interior(st.ttr_density()), rc, dirs, wgts)
-        taus.append(tau)
-        vals.append(surf * wq)
-    if len(taus) < 2:
-        if not taus:
-            raise EmptyCone(f"cone q = {q0} outside the grid for [{t1}, {t2}]")
-        return 0.0
-    return trapz(vals, taus)
+    flux = _flux_over(series, t1, t2, _cone_term(q0, ball, params, n_theta, n_phi))
+    if not flux.taus:
+        raise EmptyCone(f"cone q = {q0} outside the grid for [{t1}, {t2}]")
+    return flux.total()
 
 
 def _ball_flux(series, region, t1, t2, params, n_theta=8, n_phi=16):
     """Outflow through the origin-ball sphere (negative orientation)."""
-    geom = series.geom
-    ball = region.ball(geom)
-    k1, k2 = series.index_range(t1, t2)
-    dirs, wgts = _sphere_nodes(n_theta, n_phi)
-    taus, vals = [], []
-    for k in range(k1, k2 + 1):
-        tau = series.times[k]
-        if np.isfinite(region.q0) and ball - tau < region.q0:
-            continue  # ball sphere lies inside the excluded cone
-        st = series.state(k)
-        wq = _weight_eval(w_tilde, np.array([ball - tau]), params)[0] if params is not None else 1.0
-        surf = _sphere_integral(geom, geom.interior(st.trt_density()), ball, dirs, wgts)
-        taus.append(tau)
-        vals.append(-surf * wq)
-    if len(taus) < 2:
-        return 0.0
-    return trapz(vals, taus)
+    term = _ball_term(region, region.ball(series.geom), params, n_theta, n_phi)
+    return _flux_over(series, t1, t2, term).total()
 
 
 def conservation_budget(series, region, t1, t2, params=None,
@@ -752,48 +797,34 @@ def conservation_budget(series, region, t1, t2, params=None,
     params None runs the unweighted budget (weight identically 1, zero
     weight-derivative term).  The report records the smallness flag
     |H| < 1/3 without aborting on violation.
+
+    One pass over the monitor slices: every term of slice k comes from one
+    slice state, dropped before the next is built.  A cone that meets
+    fewer than two slices (q0 = -inf included) contributes 0.
     """
-    geom = series.geom
     k1, k2 = series.index_range(t1, t2)
-    st1, st2 = series.state(k1), series.state(k2)
-
-    def slice_term(st):
-        mask = geom.region_mask(region, st.t)
-        q = geom.interior(geom.q_full(st.t))
-        wv = _weight_eval(w_tilde, q, params)
-        return quadrature_masked(geom, geom.interior(st.energy_density()) * wv, mask)
-
-    slice_t1 = slice_term(st1)
-    slice_t2 = slice_term(st2)
-
-    wvals, dvals = [], []
+    ball = region.ball(series.geom)
+    cone = _SurfaceFlux(_cone_term(region.q0, ball, params, n_theta, n_phi))
+    ball_flux = _SurfaceFlux(_ball_term(region, ball, params) if ball_quadrature
+                             else lambda st: None)
+    ends, wvals, dvals = {}, [], []
     for k in range(k1, k2 + 1):
         st = series.state(k)
-        mask = geom.region_mask(region, st.t)
-        q = geom.interior(geom.q_full(st.t))
-        if params is not None:
-            wp = _weight_eval(w_tilde_prime, q, params)
-            wvals.append(quadrature_masked(geom, geom.interior(st.ttr_density()) * wp, mask))
-        else:
-            wvals.append(0.0)
-        wt = _weight_eval(w_tilde, q, params)
-        dvals.append(quadrature_masked(geom, geom.interior(st.div_t_density()) * wt, mask))
+        if k in (k1, k2):
+            ends[k] = _quad(st, st.energy_density(), region, w_tilde, params)
+        wvals.append(_quad(st, st.ttr_density(), region, w_tilde_prime, params)
+                     if params is not None else 0.0)
+        dvals.append(_quad(st, st.div_t_density(), region, w_tilde, params))
+        cone.add(st)
+        ball_flux.add(st)
+        del st
     ts = series.times[k1:k2 + 1]
-    weight_volume = trapz(wvals, ts)
-    divergence_volume = trapz(dvals, ts)
-
-    try:
-        cf = cone_flux(series, region.q0, t1, t2, params,
-                       n_theta=n_theta, n_phi=n_phi, region=region)
-    except EmptyCone:
-        cf = 0.0
-    bf = _ball_flux(series, region, t1, t2, params) if ball_quadrature else 0.0
 
     supH = series.background.sup_abs() if series.background is not None else 0.0
     return BudgetReport(
-        t1=t1, t2=t2, slice_t1=slice_t1, slice_t2=slice_t2,
-        cone_flux=cf, ball_flux=bf, weight_volume=weight_volume,
-        divergence_volume=divergence_volume,
+        t1=t1, t2=t2, slice_t1=ends[k1], slice_t2=ends[k2],
+        cone_flux=cone.total(), ball_flux=ball_flux.total(),
+        weight_volume=trapz(wvals, ts), divergence_volume=trapz(dvals, ts),
         hypothesis_ok=bool(supH < 1.0 / 3.0), sup_H=float(supH),
     )
 

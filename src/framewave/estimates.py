@@ -32,8 +32,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .energy import (ComponentSeries, SliceState, slice_energy,
-                     tangential_flux_integral, trapz)
+from .energy import ComponentSeries, SliceState, _tangential_slice, slice_energy, trapz
 from .errors import FrameMismatch, HistoryMissing, PoleDegenerate
 from .fields import PolyField, d1_axis, fill_ghosts_array
 from .geometry import MINKOWSKI_INV, frame_arrays
@@ -789,7 +788,9 @@ def energy_estimate_report(history, I, component, t1, t2, region, params,
     from the stored reduction, closing the loop with the commutator bound;
     the undifferentiated |dPhi_V|^2 line reads the base (I = empty) series,
     which for an empty I is the report's own series and slice states.
-    ``base`` is that series if the caller already holds it.
+    ``base`` is that series if the caller already holds it.  Every line
+    reads slice k from one slice state (and the base state), dropped
+    before the next slice is built.
     """
     from .weights import w_tilde, w_tilde_prime
 
@@ -799,25 +800,24 @@ def energy_estimate_report(history, I, component, t1, t2, region, params,
     series = lie_component_series(history, I, component) if I else base
     geom = history.geom
     k1, k2 = series.index_range(t1, t2)
-
-    terms = {}
-    terms["lhs_slice_t2_w"] = slice_energy(series.state(k2), region, params, "w")
-    terms["lhs_tangential_flux_what_prime"] = tangential_flux_integral(
-        series, t1, t2, region, params)
-    terms["rhs_slice_t1_wtilde"] = slice_energy(series.state(k1), region, params, "wtilde")
-
+    if k2 <= k1:
+        raise HistoryMissing("t2 must exceed t1 in the stored history")
     names = ["rhs_HLL_dPsi_sq_wtilde_prime", "rhs_H_tang_dPsi_wtilde_prime",
              "rhs_dHLL_tangH_dPhi_sq_wtilde", "rhs_dH_tang_dPsi_wtilde",
              "rhs_waveop_dtPsi_wtilde"]
     vals = {n: [] for n in names}
+    flux = []
     for k in range(k1, k2 + 1):
         st = series.state(k)
         stb = base.state(k) if I else st
-        mask = geom.region_mask(region, st.t)
-        q = geom.interior(geom.q_full(st.t))
-        q_safe = np.where(q == 0.0, 1e-30, q)
-        wt = w_tilde(q_safe, params)
-        wtp = w_tilde_prime(q_safe, params)
+        if k == k1:
+            e_t1 = slice_energy(st, region, params, "wtilde")
+        if k == k2:
+            e_t2 = slice_energy(st, region, params, "w")
+        flux.append(_tangential_slice(st, region, params))
+        mask = st.region_mask(region)
+        wt = st.weight(w_tilde, params)
+        wtp = st.weight(w_tilde_prime, params)
         dpsi = np.sqrt(geom.interior(st.grad_norm_sq()))
         tang = np.sqrt(geom.interior(st.tangential_norm_sq()))
         dphi_sq = geom.interior(stb.grad_norm_sq())
@@ -834,7 +834,11 @@ def energy_estimate_report(history, I, component, t1, t2, region, params,
         box = np.sqrt(np.sum(geom.interior(st.wave_op()) ** 2, axis=0))
         dtpsi = np.sqrt(np.sum(geom.interior(st.psi_t) ** 2, axis=0))
         vals["rhs_waveop_dtPsi_wtilde"].append(quad(box * dtpsi * wt))
+        del st, stb
     ts = series.times[k1:k2 + 1]
+    terms = {"lhs_slice_t2_w": e_t2,
+             "lhs_tangential_flux_what_prime": trapz(flux, ts),
+             "rhs_slice_t1_wtilde": e_t1}
     for n in names:
         terms[n] = trapz(vals[n], ts)
 

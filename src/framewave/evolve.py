@@ -900,8 +900,10 @@ def run_experiment(cfg, out_dir, tag="", keep=None):
         kept = series if comp == keep and kept is None else kept
         energies = []
         for k, t in enumerate(series.times):
-            e_w = slice_energy(series.state(k), region, params, "w")
-            e_wt = slice_energy(series.state(k), region, params, "wtilde")
+            st = series.state(k)
+            e_w = slice_energy(st, region, params, "w")
+            e_wt = slice_energy(st, region, params, "wtilde")
+            del st   # before the next slice's state is built
             if not (math.isfinite(e_w) and math.isfinite(e_wt)):
                 events.append({"event": "non_finite", "t": float(t),
                                "quantity": f"{comp}:slice_energy"})

@@ -9,10 +9,12 @@ and the sum of their magnitudes, so the comparison is relative to the
 per-point scale.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from framewave import evolve
+from framewave import cli, evolve
 from framewave.background import BumpBackground
 from framewave.energy import SliceState
 from framewave.estimates import _MSIGN, _H_frame_arrays
@@ -328,3 +330,49 @@ def test_slice_densities_on_support_box_match_full_cube(kind, channels):
     assert np.array_equal(new.tangential_integrand(), tangential)  # the cache stays
     for got, want in zip(_H_frame_arrays(new), _full_cube_frame_arrays(old)):
         assert np.array_equal(got, want)
+
+
+def test_static_bump_support_is_kept_once_per_grid():
+    bg = BumpBackground(0.2, center=(0.5, -1.0, 1.0), radius=3.0)
+    geom, other = GridGeometry(16, 6.0), GridGeometry(20, 6.0)
+    box, chi, dchi = bg.support(geom, 0.0)
+    for t in (0.0, 0.7, -2.0):
+        again = bg.support(geom, t)
+        assert again[0] == box and again[1] is chi and again[2] is dchi
+    want = bg._support_at(geom, 0.7)
+    assert want[0] == box and np.array_equal(want[1], chi) and np.array_equal(want[2], dchi)
+    for arr in (chi, dchi):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1.0
+    assert bg.support(other, 0.0)[1] is not chi
+    assert bg.support(other, 0.0)[1].shape != chi.shape
+
+
+def test_traveling_bump_support_moves_with_t():
+    bg = BumpBackground(0.2, center=(0.5, -1.0, 1.0), radius=3.0, velocity=(0.5, 0, 0))
+    geom = GridGeometry(16, 6.0)
+    box0, chi0, _ = bg.support(geom, 0.0)
+    box1, chi1, dchi1 = bg.support(geom, 2.0)
+    assert box1[0] != box0[0] and box1[1:] == box0[1:]
+    assert chi1.flags.writeable and dchi1.flags.writeable
+    assert np.any(dchi1[0] != 0.0)   # d_t chi of a moving bump
+    again = bg.support(geom, 0.0)
+    assert again[1] is not chi0 and np.array_equal(again[1], chi0)
+
+
+def test_static_bump_evolve_artifacts_match_uncached_support(tmp_path, monkeypatch):
+    cfg = {"mode": "evolve", "grid": {"N": 12, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.3},
+           "background": {"family": "static-bump", "epsilon": 0.2, "radius": 2.5},
+           "data": {"family": "gaussian", "center": [0, 0, 1.0], "sigma": 0.8},
+           "monitors": 4, "snapshots": True}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    outs = []
+    for cached in (True, False):
+        if not cached:
+            monkeypatch.setattr(BumpBackground, "support", BumpBackground._support_at)
+        out = tmp_path / str(cached)
+        assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert "final_state.bin" in outs[0] and "energy_series.csv" in outs[0]
+    assert outs[0] == outs[1]

@@ -1,8 +1,10 @@
+import collections
 import json
 
+import jsonschema
 import pytest
 
-from framewave import cli, evolve
+from framewave import cli, energy, evolve
 from framewave.background import make_background
 from framewave.errors import ConstraintError, SchemaError
 from framewave.fields import GridGeometry
@@ -171,6 +173,46 @@ def test_conserve_builds_each_series_once(tmp_path, monkeypatch):
     assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
                      "--refine", "2"]) == 0
     assert calls == ["scalar", "scalar"]  # one per resolution
+
+
+def test_conserve_builds_each_slice_gradient_at_most_twice(tmp_path, monkeypatch):
+    # one resolution: once in the run's energy pass, once in the budget pass
+    builds = collections.Counter()
+    dpsi4 = energy.SliceState.dpsi4
+
+    def counted(self):
+        if "dpsi4" not in self._cache:
+            builds[self.t] += 1
+        return dpsi4(self)
+
+    monkeypatch.setattr(energy.SliceState, "dpsi4", counted)
+    path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
+    assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
+                     "--refine", "1"]) == 0
+    assert len(builds) == DETERMINISM_CONFIGS["conserve"]["monitors"]
+    assert max(builds.values()) <= 2
+
+
+def test_config_schema_is_valid_draft_2020_12():
+    # parse_config validates against CONFIG_SCHEMA without re-checking it
+    jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("body", [
+    {},
+    {"mode": "evolve", "grid": {"N": "many"}},
+    {"mode": "evolve", "bogus": 1, "grid": {"X": -1, "N": 1.5}},
+    {"mode": "estimate", "times": {"t1": "a", "cfl": []}, "data": {"rank": "x"}},
+    {"mode": "nope", "weights": {"gamma": None}},
+])
+def test_schema_error_is_the_one_jsonschema_validate_raises(tmp_path, body):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(body, cli.CONFIG_SCHEMA)
+    with pytest.raises(SchemaError) as got:
+        cli.parse_config(_write(tmp_path, body))
+    err = want.value
+    path_str = "/".join(str(p) for p in err.absolute_path) or "<root>"
+    assert str(got.value) == f"config field {path_str}: {err.message}"
 
 
 @pytest.mark.parametrize("body, field", [

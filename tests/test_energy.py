@@ -383,6 +383,162 @@ def test_budget_small_H_closes():
     assert rep.relative_residual < 0.2
 
 
+# --- single-pass budget against the per-term loops ---------------------------
+#
+# _per_term_budget keeps the earlier budget: each term walks the series on
+# its own and builds a fresh slice state for every slice it visits.
+
+
+def _per_term_slice(geom, st, region, fn, params, density):
+    mask = geom.region_mask(region, st.t)
+    q = geom.interior(geom.q_full(st.t))
+    wv = energy._weight_eval(fn, q, params)
+    return energy.quadrature_masked(geom, geom.interior(density) * wv, mask)
+
+
+def _per_term_cone(series, q0, t1, t2, params, n_theta, n_phi, region):
+    geom = series.geom
+    k1, k2 = series.index_range(t1, t2)
+    ball = region.ball(geom)
+    dirs, wgts = energy._sphere_nodes(n_theta, n_phi)
+    taus, vals = [], []
+    for k in range(k1, k2 + 1):
+        tau = series.times[k]
+        rc = tau + q0
+        if rc <= ball or rc >= geom.X - 2 * geom.dx:
+            continue
+        st = series.state(k)
+        wq = energy.w_tilde(q0, params) if params is not None else 1.0
+        surf = energy._sphere_integral(geom, geom.interior(st.ttr_density()), rc, dirs, wgts)
+        taus.append(tau)
+        vals.append(surf * wq)
+    if len(taus) < 2:
+        if not taus:
+            raise EmptyCone
+        return 0.0
+    return energy.trapz(vals, taus)
+
+
+def _per_term_ball(series, region, t1, t2, params, n_theta=8, n_phi=16):
+    geom = series.geom
+    ball = region.ball(geom)
+    k1, k2 = series.index_range(t1, t2)
+    dirs, wgts = energy._sphere_nodes(n_theta, n_phi)
+    taus, vals = [], []
+    for k in range(k1, k2 + 1):
+        tau = series.times[k]
+        if np.isfinite(region.q0) and ball - tau < region.q0:
+            continue
+        st = series.state(k)
+        wq = (energy._weight_eval(energy.w_tilde, np.array([ball - tau]), params)[0]
+              if params is not None else 1.0)
+        surf = energy._sphere_integral(geom, geom.interior(st.trt_density()), ball, dirs, wgts)
+        taus.append(tau)
+        vals.append(-surf * wq)
+    if len(taus) < 2:
+        return 0.0
+    return energy.trapz(vals, taus)
+
+
+def _per_term_budget(series, region, t1, t2, params, n_theta=16, n_phi=32,
+                     ball_quadrature=True):
+    geom = series.geom
+    k1, k2 = series.index_range(t1, t2)
+    out = {}
+    for name, k in (("slice_t1", k1), ("slice_t2", k2)):
+        st = series.state(k)
+        out[name] = _per_term_slice(geom, st, region, energy.w_tilde, params,
+                                    st.energy_density())
+    wvals, dvals = [], []
+    for k in range(k1, k2 + 1):
+        st = series.state(k)
+        wvals.append(_per_term_slice(geom, st, region, energy.w_tilde_prime, params,
+                                     st.ttr_density()) if params is not None else 0.0)
+        st = series.state(k)
+        dvals.append(_per_term_slice(geom, st, region, energy.w_tilde, params,
+                                     st.div_t_density()))
+    ts = series.times[k1:k2 + 1]
+    out["weight_volume"] = energy.trapz(wvals, ts)
+    out["divergence_volume"] = energy.trapz(dvals, ts)
+    try:
+        out["cone_flux"] = _per_term_cone(series, region.q0, t1, t2, params,
+                                          n_theta, n_phi, region)
+    except EmptyCone:
+        out["cone_flux"] = 0.0
+    out["ball_flux"] = (_per_term_ball(series, region, t1, t2, params)
+                        if ball_quadrature else 0.0)
+    return out
+
+
+@pytest.fixture(scope="module")
+def bump_series():
+    """Scalar series on static and traveling bumps: N = 16 (dx = 1, origin
+    ball 2), monitors at t = 0, 0.1, ..., 0.4."""
+    geom = GridGeometry(16, 8.0)
+    target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.0), sigma=1.0)
+    Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
+    out = {}
+    for kind, velocity in (("static", (0, 0, 0)), ("traveling", (0.4, 0, 0))):
+        bg = BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0, velocity=velocity)
+        hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.4, cfl=0.45, n_monitors=5)
+        out[kind] = hist.component_series("scalar")
+    return out
+
+
+@pytest.mark.parametrize("kind", ["static", "traveling"])
+@pytest.mark.parametrize("q0, params, ball_quadrature, fluxes", [
+    # the cone r = t + q0 exists for r > 2; the ball sphere where 2 - t >= q0
+    (2.5, PARAMS, True, ("cone_flux",)),          # cone on every slice, no ball
+    (2.5, None, True, ("cone_flux",)),            # unweighted
+    (1.85, PARAMS, True, ("cone_flux", "ball_flux")),  # each on some slices
+    (1.65, PARAMS, True, ("ball_flux",)),         # cone on the last slice only: 0
+    (-2.0, PARAMS, True, ("ball_flux",)),         # no cone (EmptyCone): 0
+    (float("-inf"), PARAMS, True, ("ball_flux",)),
+    (1.85, PARAMS, False, ("cone_flux",)),
+], ids=["cone", "unweighted", "partial", "cone-one-slice", "no-cone", "q0-inf",
+        "no-ball"])
+def test_single_pass_budget_equals_per_term_loops(bump_series, kind, q0, params,
+                                                  ball_quadrature, fluxes):
+    series = bump_series[kind]
+    region = ExteriorRegion(q0=q0)
+    rep = conservation_budget(series, region, 0.0, 0.4, params,
+                              ball_quadrature=ball_quadrature)
+    want = _per_term_budget(series, region, 0.0, 0.4, params,
+                            ball_quadrature=ball_quadrature)
+    got = {name: getattr(rep, name) for name in want}
+    assert got == want
+    for name in ("cone_flux", "ball_flux"):
+        assert (want[name] != 0.0) == (name in fluxes), name
+    assert (want["weight_volume"] != 0.0) == (params is not None)
+    assert want["slice_t1"] != 0.0 and want["divergence_volume"] != 0.0
+    # the public per-term functions give the same numbers
+    if "cone_flux" in fluxes:
+        assert cone_flux(series, q0, 0.0, 0.4, params, region=region) == rep.cone_flux
+    assert energy._ball_flux(series, region, 0.0, 0.4, params) == \
+        _per_term_ball(series, region, 0.0, 0.4, params)
+
+
+def test_cone_flux_one_slice_is_zero_and_absent_cone_raises(bump_series):
+    series = bump_series["static"]
+    assert cone_flux(series, 1.65, 0.0, 0.4, PARAMS, region=ExteriorRegion(q0=1.65)) == 0.0
+    with pytest.raises(EmptyCone):
+        cone_flux(series, 1.0, 0.0, 0.4, PARAMS, region=ExteriorRegion(q0=1.0))
+
+
+def test_slice_state_caches_mask_and_weights(bump_series):
+    st = bump_series["static"].state(2)
+    region = ExteriorRegion(q0=-1.0)
+    geom = st.geom
+    assert st.region_mask(region) is st.region_mask(region)
+    assert np.array_equal(st.region_mask(region), geom.region_mask(region, st.t))
+    wt = st.weight(energy.w_tilde, PARAMS)
+    assert wt is st.weight(energy.w_tilde, PARAMS)
+    q = geom.interior(geom.q_full(st.t))
+    assert np.array_equal(wt, energy._weight_eval(energy.w_tilde, q, PARAMS))
+    assert np.array_equal(st.weight(energy.w_tilde, None), np.ones_like(q))
+    assert np.array_equal(st.weight(None, PARAMS), np.ones_like(q))
+
+
 def test_csv_and_json_writers(tmp_path):
     rows = [(0.0, "a", 1.0), (0.5, "b", -2.0)]
     p = tmp_path / "series.csv"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from framewave import estimates, evolve, vecfields
-from framewave.background import ZeroBackground
-from framewave.energy import ExteriorRegion
+from framewave.background import BumpBackground, ZeroBackground
+from framewave.energy import ExteriorRegion, slice_energy, tangential_flux_integral, trapz
 from framewave.errors import FrameMismatch, HistoryMissing
 from framewave.estimates import (CommutatorStudy, c_hat, commutator_bound_rhs,
                                  commutator_exact_lhs, commutator_identity_rhs,
@@ -322,3 +322,67 @@ def test_estimate_report_builds_one_component_series(small_run, monkeypatch):
         energy_estimate_report(small_run, I, "L", 0.0, 0.5,
                                ExteriorRegion(q0=-2.0), WeightParams(0.5, -0.25))
         assert calls == ["L"]
+
+
+def _per_term_rhs(history, I, series, base, t1, t2, region, params):
+    """The rhs lines of the estimate as the earlier report built them, with
+    fresh slice states and weights of its own."""
+    from framewave.weights import w_tilde, w_tilde_prime
+
+    geom = history.geom
+    k1, k2 = series.index_range(t1, t2)
+    vals = {n: [] for n in list(estimates.ESTIMATE_TERM_LABELS)[3:]}
+    for k in range(k1, k2 + 1):
+        st = series.state(k)
+        stb = base.state(k) if I else st
+        mask = geom.region_mask(region, st.t)
+        q = geom.interior(geom.q_full(st.t))
+        q_safe = np.where(q == 0.0, 1e-30, q)
+        wt = w_tilde(q_safe, params)
+        wtp = w_tilde_prime(q_safe, params)
+        dpsi = np.sqrt(geom.interior(st.grad_norm_sq()))
+        tang = np.sqrt(geom.interior(st.tangential_norm_sq()))
+        dphi_sq = geom.interior(stb.grad_norm_sq())
+        H_LL, H_frob, dH_LL, tangH, dH_frob = estimates._H_frame_arrays(st)
+
+        def quad(arr):
+            return float(np.sum(arr[mask]) * geom.dx ** 3)
+
+        vals["rhs_HLL_dPsi_sq_wtilde_prime"].append(quad(H_LL * dpsi ** 2 * wtp))
+        vals["rhs_H_tang_dPsi_wtilde_prime"].append(quad(H_frob * tang * dpsi * wtp))
+        vals["rhs_dHLL_tangH_dPhi_sq_wtilde"].append(quad((dH_LL + tangH) * dphi_sq * wt))
+        vals["rhs_dH_tang_dPsi_wtilde"].append(quad(dH_frob * tang * dpsi * wt))
+        box = np.sqrt(np.sum(geom.interior(st.wave_op()) ** 2, axis=0))
+        dtpsi = np.sqrt(np.sum(geom.interior(st.psi_t) ** 2, axis=0))
+        vals["rhs_waveop_dtPsi_wtilde"].append(quad(box * dtpsi * wt))
+    ts = series.times[k1:k2 + 1]
+    return {n: trapz(v, ts) for n, v in vals.items()}
+
+
+@pytest.fixture(scope="module")
+def bump_pulse_run():
+    geom = GridGeometry(16, 8.0)
+    bg = BumpBackground(0.1, center=(-0.5, 0.0, 2.0), radius=3.0, velocity=(0.3, 0, 0))
+    Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 0.0, amplitude=1.0, q_center=-2.0,
+                                           sigma=0.5)
+    return evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.5, cfl=0.45, n_monitors=6)
+
+
+@pytest.mark.parametrize("text", ["", "S"])
+def test_single_pass_estimate_equals_per_term_functions(bump_pulse_run, text):
+    hist, params, region = bump_pulse_run, WeightParams(0.5, -0.25), ExteriorRegion(q0=-2.0)
+    I = vecfields.parse_multi_index(text)
+    base = hist.component_series("scalar")
+    series = lie_component_series(hist, I, "scalar") if I else base
+    rep = energy_estimate_report(hist, I, "scalar", 0.1, 0.4, region, params, base=base)
+    want = {
+        "lhs_slice_t2_w": slice_energy(series.state_at(0.4), region, params, "w"),
+        "lhs_tangential_flux_what_prime": tangential_flux_integral(
+            series, 0.1, 0.4, region, params),
+        "rhs_slice_t1_wtilde": slice_energy(series.state_at(0.1), region, params, "wtilde"),
+        **_per_term_rhs(hist, I, series, base, 0.1, 0.4, region, params),
+    }
+    assert list(rep.terms) == list(estimates.ESTIMATE_TERM_LABELS)
+    assert rep.terms == want
+    assert all(v != 0.0 for v in want.values())
+    assert rep.rhs_total == sum(v for k, v in want.items() if k.startswith("rhs_"))
