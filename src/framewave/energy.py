@@ -704,64 +704,33 @@ def _sphere_integral(geom, interior_values, radius, dirs, wgts):
     return float(np.sum(_trilinear(geom, interior_values, pts) * wgts)) * radius ** 2
 
 
-class _SurfaceFlux:
-    """Time integral of a sphere flux over the slices whose sphere lies in
-    the truncated region: trapezoid over those slices, 0 for fewer than two.
-
-    ``term(state)`` gives the slice's weighted sphere integral, or None
-    when its sphere is absent.
-    """
-
-    def __init__(self, term):
-        self.term = term
-        self.taus, self.vals = [], []
-
-    def add(self, state):
-        val = self.term(state)
-        if val is not None:
-            self.taus.append(state.t)
-            self.vals.append(val)
-
-    def total(self):
-        return trapz(self.vals, self.taus)
-
-
-def _cone_term(q0, ball, params, n_theta, n_phi):
-    """(T_tt + T_rt) wtilde(q0) over the sphere r = t + q0 of a slice, which
-    exists between the origin ball and two cells inside the grid edge."""
-    dirs, wgts = _sphere_nodes(n_theta, n_phi)
+def _cone_slice(st, q0, ball, nodes, params):
+    """(T_tt + T_rt) wtilde(q0) over the sphere r = t + q0 of one slice, or
+    None where the cone misses the truncated region (the sphere lies
+    inside the origin ball or within two cells of the grid edge)."""
+    geom, rc = st.geom, st.t + q0
+    if rc <= ball or rc >= geom.X - 2 * geom.dx:
+        return None
     wq = w_tilde(q0, params) if params is not None else 1.0
-
-    def term(st):
-        geom, rc = st.geom, st.t + q0
-        if rc <= ball or rc >= geom.X - 2 * geom.dx:
-            return None
-        return _sphere_integral(geom, geom.interior(st.ttr_density()), rc, dirs, wgts) * wq
-    return term
+    return _sphere_integral(geom, geom.interior(st.ttr_density()), rc, *nodes) * wq
 
 
-def _ball_term(region, ball, params, n_theta=8, n_phi=16):
-    """Outflow T_rt wtilde(q) through the origin-ball sphere of a slice
-    (negative orientation), absent where the sphere lies in the excluded
+def _ball_slice(st, region, ball, nodes, params):
+    """Outflow of T_rt wtilde(q) through the origin-ball sphere of one slice
+    (negative orientation), or None where the sphere lies in the excluded
     cone."""
-    dirs, wgts = _sphere_nodes(n_theta, n_phi)
-
-    def term(st):
-        q = ball - st.t
-        if np.isfinite(region.q0) and q < region.q0:
-            return None
-        wq = _weight_eval(w_tilde, np.array([q]), params)[0] if params is not None else 1.0
-        return -_sphere_integral(st.geom, st.geom.interior(st.trt_density()), ball,
-                                 dirs, wgts) * wq
-    return term
+    q = ball - st.t
+    if np.isfinite(region.q0) and q < region.q0:
+        return None
+    wq = _weight_eval(w_tilde, np.array([q]), params)[0] if params is not None else 1.0
+    return -_sphere_integral(st.geom, st.geom.interior(st.trt_density()), ball, *nodes) * wq
 
 
-def _flux_over(series, t1, t2, term):
-    flux = _SurfaceFlux(term)
-    k1, k2 = series.index_range(t1, t2)
-    for k in range(k1, k2 + 1):
-        flux.add(series.state(k))
-    return flux
+def _surface_integral(samples):
+    """Trapezoid in time over the (t, value) samples whose value is not
+    None; 0 when fewer than two slices meet the surface."""
+    met = [(t, v) for t, v in samples if v is not None]
+    return trapz([v for _, v in met], [t for t, _ in met])
 
 
 def cone_flux(series, q0, t1, t2, params, n_theta=16, n_phi=32,
@@ -777,17 +746,23 @@ def cone_flux(series, q0, t1, t2, params, n_theta=16, n_phi=32,
     if not np.isfinite(q0):
         raise EmptyCone("cone at q0 = -inf never intersects the slab")
     geom = series.geom
+    k1, k2 = series.index_range(t1, t2)
     ball = region.ball(geom) if region is not None else 2.0 * geom.dx
-    flux = _flux_over(series, t1, t2, _cone_term(q0, ball, params, n_theta, n_phi))
-    if not flux.taus:
+    nodes = _sphere_nodes(n_theta, n_phi)
+    samples = [(series.times[k], _cone_slice(series.state(k), q0, ball, nodes, params))
+               for k in range(k1, k2 + 1)]
+    if all(v is None for _, v in samples):
         raise EmptyCone(f"cone q = {q0} outside the grid for [{t1}, {t2}]")
-    return flux.total()
+    return _surface_integral(samples)
 
 
 def _ball_flux(series, region, t1, t2, params, n_theta=8, n_phi=16):
     """Outflow through the origin-ball sphere (negative orientation)."""
-    term = _ball_term(region, region.ball(series.geom), params, n_theta, n_phi)
-    return _flux_over(series, t1, t2, term).total()
+    k1, k2 = series.index_range(t1, t2)
+    ball, nodes = region.ball(series.geom), _sphere_nodes(n_theta, n_phi)
+    return _surface_integral([(series.times[k], _ball_slice(series.state(k), region, ball,
+                                                            nodes, params))
+                              for k in range(k1, k2 + 1)])
 
 
 def conservation_budget(series, region, t1, t2, params=None,
@@ -804,10 +779,8 @@ def conservation_budget(series, region, t1, t2, params=None,
     """
     k1, k2 = series.index_range(t1, t2)
     ball = region.ball(series.geom)
-    cone = _SurfaceFlux(_cone_term(region.q0, ball, params, n_theta, n_phi))
-    ball_flux = _SurfaceFlux(_ball_term(region, ball, params) if ball_quadrature
-                             else lambda st: None)
-    ends, wvals, dvals = {}, [], []
+    cone_nodes, ball_nodes = _sphere_nodes(n_theta, n_phi), _sphere_nodes(8, 16)
+    ends, wvals, dvals, cone, balls = {}, [], [], [], []
     for k in range(k1, k2 + 1):
         st = series.state(k)
         if k in (k1, k2):
@@ -815,15 +788,16 @@ def conservation_budget(series, region, t1, t2, params=None,
         wvals.append(_quad(st, st.ttr_density(), region, w_tilde_prime, params)
                      if params is not None else 0.0)
         dvals.append(_quad(st, st.div_t_density(), region, w_tilde, params))
-        cone.add(st)
-        ball_flux.add(st)
+        cone.append((st.t, _cone_slice(st, region.q0, ball, cone_nodes, params)))
+        if ball_quadrature:
+            balls.append((st.t, _ball_slice(st, region, ball, ball_nodes, params)))
         del st
     ts = series.times[k1:k2 + 1]
 
     supH = series.background.sup_abs() if series.background is not None else 0.0
     return BudgetReport(
         t1=t1, t2=t2, slice_t1=ends[k1], slice_t2=ends[k2],
-        cone_flux=cone.total(), ball_flux=ball_flux.total(),
+        cone_flux=_surface_integral(cone), ball_flux=_surface_integral(balls),
         weight_volume=trapz(wvals, ts), divergence_volume=trapz(dvals, ts),
         hypothesis_ok=bool(supH < 1.0 / 3.0), sup_H=float(supH),
     )

@@ -903,7 +903,7 @@ def run_experiment(cfg, out_dir, tag="", keep=None):
             st = series.state(k)
             e_w = slice_energy(st, region, params, "w")
             e_wt = slice_energy(st, region, params, "wtilde")
-            del st   # before the next slice's state is built
+            del st   # the last slice's state must not outlive the loop
             if not (math.isfinite(e_w) and math.isfinite(e_wt)):
                 events.append({"event": "non_finite", "t": float(t),
                                "quantity": f"{comp}:slice_energy"})
@@ -917,6 +917,7 @@ def run_experiment(cfg, out_dir, tag="", keep=None):
             "final_energy_w": energies[-1],
             "max_energy_w": max(energies),
         }
+        del series   # before the next component is projected (``kept`` holds its own)
     write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
     if cfg["snapshots"]:
         final = GridField(geom, hist.rank, hist.channels, hist.fields[-1],

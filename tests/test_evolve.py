@@ -350,6 +350,45 @@ def test_evolve_run_calls_rhs_only_for_rk_stages(monkeypatch, tmp_path):
     assert calls["rhs"] == 4 * calls["step"]
 
 
+@pytest.mark.parametrize("keep", [None, "e1"])
+def test_run_experiment_drops_each_series_and_state_before_the_next(monkeypatch, tmp_path,
+                                                                   keep):
+    # the energy loop holds one component series and one slice state at a time
+    import weakref
+
+    from framewave import cli, energy
+
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "evolve", "grid": {"N": 8, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.2},
+        "data": {"family": "gaussian", "rank": 1, "center": [0, 0, 1.5], "sigma": 0.8},
+        "components": ["L", "e1", "slot0"], "monitors": 3}))
+    cfg = cli.parse_config(str(cfg_path))
+    series_refs, state_refs = [], []
+    project, state = evolve.RunHistory.component_series, energy.ComponentSeries.state
+
+    def tracked_series(self, comp):
+        assert [r() for r in state_refs] == [None] * len(state_refs)
+        alive = [r() for r in series_refs]
+        assert all(s is None or s.kept for s in alive)
+        out = project(self, comp)
+        out.kept = comp == keep
+        series_refs.append(weakref.ref(out))
+        return out
+
+    def tracked_state(self, k):
+        assert all(r() is None for r in state_refs)
+        out = state(self, k)
+        state_refs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(evolve.RunHistory, "component_series", tracked_series)
+    monkeypatch.setattr(energy.ComponentSeries, "state", tracked_state)
+    kept = evolve.run_experiment(cfg, str(tmp_path), keep=keep)[2]
+    assert len(series_refs) == 3 and len(state_refs) == 9
+    assert (kept is None) == (keep is None) and (kept is None or kept.kept)
+
+
 def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
     geom = GridGeometry(12, 4.0)
     comps = np.empty((4, 2), dtype=object)
