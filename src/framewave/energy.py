@@ -344,7 +344,7 @@ class SliceState:
     into the box of its full-cube flat part.  ``hess()`` and ``grad_t()``
     are full-cube derivatives that no density reads.
 
-    The region mask and the weights of q are cached too, so one state
+    The region mask, q and its weights are cached too, so one state
     holds everything a monitor reads at its slice; the monitors walk a
     series once and build each slice's state once.
     """
@@ -415,11 +415,14 @@ class SliceState:
         """Interior-node mask of the exterior region at this slice."""
         return self._get(("mask", region), lambda: self.geom.region_mask(region, self.t))
 
+    def q(self):
+        """q = r - t on the interior nodes."""
+        return self._get("q", lambda: self.geom.interior(self.geom.q_full(self.t)))
+
     def weight(self, fn, params):
         """fn(q) on the interior nodes (see _weight_eval); 1 where fn or
         params is None."""
-        return self._get(("weight", fn, params), lambda: _weight_eval(
-            fn, self.geom.interior(self.geom.q_full(self.t)), params))
+        return self._get(("weight", fn, params), lambda: _weight_eval(fn, self.q(), params))
 
     def wave_op(self):
         """g^{ab} d_a d_b psi using the stored second time derivative.

@@ -534,6 +534,7 @@ def test_slice_state_caches_mask_and_weights(bump_series):
     wt = st.weight(energy.w_tilde, PARAMS)
     assert wt is st.weight(energy.w_tilde, PARAMS)
     q = geom.interior(geom.q_full(st.t))
+    assert st.q() is st.q() and np.array_equal(st.q(), q)
     assert np.array_equal(wt, energy._weight_eval(energy.w_tilde, q, PARAMS))
     assert np.array_equal(st.weight(energy.w_tilde, None), np.ones_like(q))
     assert np.array_equal(st.weight(None, PARAMS), np.ones_like(q))
