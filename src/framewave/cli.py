@@ -245,10 +245,9 @@ def mode_conserve(cfg, out_dir, refine=3):
     for N in Ns:
         sub = json.loads(json.dumps(cfg))
         sub["grid"]["N"] = N
-        series = run_experiment(sub, out_dir, tag=f"_N{N}",
-                                keep=cfg["components"][0])[2]
-        rep = energy.conservation_budget(series, region, cfg["times"]["t1"],
-                                         cfg["times"]["t2"], params)
+        budget = energy.BudgetPass(region, params)   # fed the first component's slices
+        run_experiment(sub, out_dir, tag=f"_N{N}", budget=budget)
+        rep = budget.report(cfg["times"]["t1"], cfg["times"]["t2"])
         residuals.append(rep.residual)
         for term, val in rep.terms().items():
             rows.append((N, term, val))

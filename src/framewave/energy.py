@@ -346,10 +346,13 @@ class SliceState:
 
     The region mask, q and its weights are cached too, so one state
     holds everything a monitor reads at its slice; the monitors walk a
-    series once and build each slice's state once.
+    series once and build each slice's state once.  Those arrays and the
+    support depend on the slice only, not on psi: they live in the
+    ``shared`` dict, which the states of the components of one slice may
+    share so that each is evaluated once per slice.
     """
 
-    def __init__(self, geom, t, psi, psi_t, psi_tt, background):
+    def __init__(self, geom, t, psi, psi_t, psi_tt, background, shared=None):
         self.geom = geom
         self.t = float(t)
         self.psi = psi
@@ -357,6 +360,7 @@ class SliceState:
         self._psi_tt = psi_tt
         self.bg = background
         self._cache = {}
+        self._slice = {} if shared is None else shared
 
     @property
     def psi_tt(self):
@@ -364,10 +368,11 @@ class SliceState:
             self._psi_tt = self._psi_tt()
         return self._psi_tt
 
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+    def _get(self, key, fn, cache=None):
+        cache = self._cache if cache is None else cache
+        if key not in cache:
+            cache[key] = fn()
+        return cache[key]
 
     def grad(self):
         return self.dpsi4()[1:]
@@ -409,20 +414,22 @@ class SliceState:
         Background.support), or None where H vanishes on the whole cube."""
         if self.bg is None:
             return None
-        return self._get("support", lambda: self.bg.support(self.geom, self.t))
+        return self._get("support", lambda: self.bg.support(self.geom, self.t), self._slice)
 
     def region_mask(self, region):
         """Interior-node mask of the exterior region at this slice."""
-        return self._get(("mask", region), lambda: self.geom.region_mask(region, self.t))
+        return self._get(("mask", region), lambda: self.geom.region_mask(region, self.t),
+                         self._slice)
 
     def q(self):
         """q = r - t on the interior nodes."""
-        return self._get("q", lambda: self.geom.interior(self.geom.q_full(self.t)))
+        return self._get("q", lambda: self.geom.interior(self.geom.q_full(self.t)), self._slice)
 
     def weight(self, fn, params):
         """fn(q) on the interior nodes (see _weight_eval); 1 where fn or
         params is None."""
-        return self._get(("weight", fn, params), lambda: _weight_eval(fn, self.q(), params))
+        return self._get(("weight", fn, params), lambda: _weight_eval(fn, self.q(), params),
+                         self._slice)
 
     def wave_op(self):
         """g^{ab} d_a d_b psi using the stored second time derivative.
@@ -768,42 +775,64 @@ def _ball_flux(series, region, t1, t2, params, n_theta=8, n_phi=16):
                               for k in range(k1, k2 + 1)])
 
 
+class BudgetPass:
+    """The terms of the weighted budget identity, one slice at a time.
+
+    ``add`` takes the slice states from t1 to t2 in time order and reads
+    every term of a slice from its state, keeping nothing of the state;
+    ``end`` marks the slices at t1 and t2, whose slice energies enter the
+    identity.  params None runs the unweighted budget (weight identically
+    1, zero weight-derivative term).  A cone that meets fewer than two
+    slices (q0 = -inf included) contributes 0.
+    """
+
+    def __init__(self, region, params=None, n_theta=16, n_phi=32, ball_quadrature=True):
+        self.region = region
+        self.params = params
+        self.ball_quadrature = ball_quadrature
+        self._nodes = _sphere_nodes(n_theta, n_phi), _sphere_nodes(8, 16)
+        self._bg = None
+        self._ts, self._ends, self._wvals, self._dvals, self._cone, self._balls = (
+            [], [], [], [], [], [])
+
+    def add(self, st, end=False):
+        region, params = self.region, self.params
+        ball = region.ball(st.geom)
+        cone_nodes, ball_nodes = self._nodes
+        if end:
+            self._ends.append(_quad(st, st.energy_density(), region, w_tilde, params))
+        self._wvals.append(_quad(st, st.ttr_density(), region, w_tilde_prime, params)
+                           if params is not None else 0.0)
+        self._dvals.append(_quad(st, st.div_t_density(), region, w_tilde, params))
+        self._cone.append((st.t, _cone_slice(st, region.q0, ball, cone_nodes, params)))
+        if self.ball_quadrature:
+            self._balls.append((st.t, _ball_slice(st, region, ball, ball_nodes, params)))
+        self._ts.append(st.t)
+        self._bg = st.bg
+
+    def report(self, t1, t2):
+        """The BudgetReport of the slices added so far.  It records the
+        smallness flag |H| < 1/3 without aborting on violation."""
+        supH = self._bg.sup_abs() if self._bg is not None else 0.0
+        return BudgetReport(
+            t1=t1, t2=t2, slice_t1=self._ends[0], slice_t2=self._ends[-1],
+            cone_flux=_surface_integral(self._cone), ball_flux=_surface_integral(self._balls),
+            weight_volume=trapz(self._wvals, self._ts),
+            divergence_volume=trapz(self._dvals, self._ts),
+            hypothesis_ok=bool(supH < 1.0 / 3.0), sup_H=float(supH),
+        )
+
+
 def conservation_budget(series, region, t1, t2, params=None,
                         n_theta=16, n_phi=32, ball_quadrature=True):
-    """Assemble every term of the weighted budget identity.
-
-    params None runs the unweighted budget (weight identically 1, zero
-    weight-derivative term).  The report records the smallness flag
-    |H| < 1/3 without aborting on violation.
-
-    One pass over the monitor slices: every term of slice k comes from one
-    slice state, dropped before the next is built.  A cone that meets
-    fewer than two slices (q0 = -inf included) contributes 0.
-    """
+    """Assemble every term of the weighted budget identity over a stored
+    series: one BudgetPass over the monitor slices from t1 to t2, each
+    slice's state dropped before the next is built."""
     k1, k2 = series.index_range(t1, t2)
-    ball = region.ball(series.geom)
-    cone_nodes, ball_nodes = _sphere_nodes(n_theta, n_phi), _sphere_nodes(8, 16)
-    ends, wvals, dvals, cone, balls = {}, [], [], [], []
+    budget = BudgetPass(region, params, n_theta, n_phi, ball_quadrature)
     for k in range(k1, k2 + 1):
-        st = series.state(k)
-        if k in (k1, k2):
-            ends[k] = _quad(st, st.energy_density(), region, w_tilde, params)
-        wvals.append(_quad(st, st.ttr_density(), region, w_tilde_prime, params)
-                     if params is not None else 0.0)
-        dvals.append(_quad(st, st.div_t_density(), region, w_tilde, params))
-        cone.append((st.t, _cone_slice(st, region.q0, ball, cone_nodes, params)))
-        if ball_quadrature:
-            balls.append((st.t, _ball_slice(st, region, ball, ball_nodes, params)))
-        del st
-    ts = series.times[k1:k2 + 1]
-
-    supH = series.background.sup_abs() if series.background is not None else 0.0
-    return BudgetReport(
-        t1=t1, t2=t2, slice_t1=ends[k1], slice_t2=ends[k2],
-        cone_flux=_surface_integral(cone), ball_flux=_surface_integral(balls),
-        weight_volume=trapz(wvals, ts), divergence_volume=trapz(dvals, ts),
-        hypothesis_ok=bool(supH < 1.0 / 3.0), sup_H=float(supH),
-    )
+        budget.add(series.state(k), end=k in (k1, k2))
+    return budget.report(t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,14 @@ Everything is single-threaded: two-thread numpy loops have measured
 anywhere from no gain to 1.8x on a 2-core host, so a slab split over
 threads waits for its own paired measurement.
 
-Steps are sequential.  Monitors run on immutable stored snapshots: a
-component series projects copies of them, and evaluates d_tt of the
-component from the evolution equation on copies only when a monitor
-reads it (the wave operator of the budget and the estimate).
+Steps are sequential.  Monitors are fed each slice while the run
+produces it: at t1 and at every monitor the run hands its live state to
+a consumer, which projects copies of the components it reads and
+evaluates d_tt of a component from the evolution equation on copies of
+the state, only when a monitor reads it (the wave operator of the
+budget and the estimate).  Storing copies of the slice is the default
+consumer; the experiment runner stores them only for the estimate,
+whose Lie series difference stored snapshots in time.
 """
 
 from __future__ import annotations
@@ -53,7 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .background import Background, make_background
-from .energy import ComponentSeries, ExteriorRegion, slice_energy, write_series_csv
+from .energy import (ComponentSeries, ExteriorRegion, SliceState, slice_energy,
+                     write_series_csv)
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
 from .fields import (GHOST, GridField, GridGeometry, _laplacian, _stencil_window, d1_axis,
                      d2_axis, fill_ghosts_array, save_snapshot)
@@ -597,11 +602,14 @@ class Evolver:
 
 @dataclass
 class RunHistory:
-    """Stored run snapshots plus the reduction closure for monitors.
+    """A run's stored snapshots plus the reduction closure for monitors.
 
-    fields/dfields hold Phi and Pi at each monitor time exactly as the
-    run left them; monitors never write to them.  component_series
-    computes d_tt of a component on demand from the evolver.
+    times/fields/dfields hold t, Phi and Pi at each monitor slice that
+    was stored (:meth:`store`, the default consumer of
+    :func:`evolve_run`) exactly as the run left them; monitors never
+    write to them.  A run whose consumer stores nothing leaves the three
+    lists empty.  component_series and state compute d_tt of a component
+    on demand from the evolver.
     """
 
     geom: object
@@ -642,27 +650,48 @@ class RunHistory:
             pass
         raise ConstraintError(f"unknown component {component!r} for rank {self.rank}")
 
-    def component_series(self, component):
-        """Series of one projected component.
+    def store(self, t, Phi, Pi):
+        """Keep copies of the slice (t, Phi, Pi): the default consumer of
+        :func:`evolve_run`."""
+        self.times.append(t)
+        self.fields.append(Phi.copy())
+        self.dfields.append(Pi.copy())
 
-        psi and d_t psi are projected from the stored snapshots; d_tt psi
-        comes from the evolution equation, evaluated on copies of a
-        snapshot the first time a monitor reads it (:class:`_OnDemand`).
+    def _projected(self, arr, component):
+        """A copy of one component of arr, ghosts filled for stencils."""
+        out = self.project(arr, component).copy()
+        fill_ghosts_array(out, self.ghost_mode)
+        return out
+
+    def _psi_tt(self, component, t, Phi, Pi):
+        """d_tt of the component from the evolution equation, evaluated on
+        copies of (Phi, Pi)."""
+        _, dPi = self.evolver.rhs(t, Phi.copy(), Pi.copy())
+        return self._projected(dPi, component)
+
+    def state(self, component, t, Phi, Pi, shared=None):
+        """SliceState of one component of the slice (t, Phi, Pi).
+
+        psi and d_t psi are projected copies; d_tt psi is evaluated from
+        Phi and Pi the first time a monitor reads it, so a state of the
+        run's live arrays is read before the run moves on.  ``shared`` is
+        the slice cache of :class:`SliceState`, one per slice.
         """
-        def projected(arr):
-            out = self.project(arr, component).copy()
-            fill_ghosts_array(out, self.ghost_mode)
-            return out
+        return SliceState(self.geom, t, self._projected(Phi, component),
+                          self._projected(Pi, component),
+                          lambda: self._psi_tt(component, t, Phi, Pi),
+                          self.background, shared)
 
-        def psi_tt(k):
-            _, dPi = self.evolver.rhs(self.times[k], self.fields[k].copy(),
-                                      self.dfields[k].copy())
-            return projected(dPi)
-
-        return ComponentSeries(self.geom, self.background, self.times,
-                               [projected(F) for F in self.fields],
-                               [projected(P) for P in self.dfields],
-                               _OnDemand(psi_tt, len(self.times)))
+    def component_series(self, component):
+        """Series of one projected component of the stored snapshots,
+        built as :meth:`state` builds one slice (:class:`_OnDemand` keeps
+        each d_tt psi once it is read)."""
+        return ComponentSeries(
+            self.geom, self.background, self.times,
+            [self._projected(F, component) for F in self.fields],
+            [self._projected(P, component) for P in self.dfields],
+            _OnDemand(lambda k: self._psi_tt(component, self.times[k], self.fields[k],
+                                             self.dfields[k]), len(self.times)))
 
 
 class _OnDemand(Sequence):
@@ -686,8 +715,16 @@ class _OnDemand(Sequence):
 
 def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
                schematic=None, cfl=0.45, dt=None, boundary="sommerfeld",
-               monitor_stride=None, n_monitors=None, log=None):
-    """Advance the reduction from t1 to t2, storing uniform monitor snapshots.
+               monitor_stride=None, n_monitors=None, log=None, consumer=None):
+    """Advance the reduction from t1 to t2 and hand it uniform monitor slices.
+
+    At t1 and at every monitor the run calls ``consumer(history, t, Phi,
+    Pi)`` with the RunHistory it returns (the evolver included) and its
+    live state.  Without a consumer it stores copies of every slice
+    (:meth:`RunHistory.store`) and advances copies of Phi0 and Pi0.  With
+    one, Phi0 and Pi0 are the live state: the run advances them in place,
+    so during a call they hold the slice at t, and after the run the
+    final state.
 
     dt is derived from the CFL number against the background lightspeed
     unless given explicitly, in which case it is validated (CFLViolation).
@@ -714,12 +751,14 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
         stride = monitor_stride or 1
         nsteps = math.ceil(nsteps / stride) * stride
     dt = T / nsteps
-    Phi = Phi0.copy()
-    Pi = Pi0.copy()
-    times = [t1]
-    fields = [Phi.copy()]
-    dfields = [Pi.copy()]
+    if consumer is None:
+        consumer, Phi, Pi = RunHistory.store, Phi0.copy(), Pi0.copy()
+    else:
+        Phi, Pi = Phi0, Pi0
+    hist = RunHistory(geom=geom, background=background, rank=rank, channels=channels,
+                      times=[], fields=[], dfields=[], evolver=ev, boundary=boundary)
     t = t1
+    consumer(hist, t, Phi, Pi)
     for k in range(nsteps):
         ev.step(t, Phi, Pi, dt)
         t = t1 + (k + 1) * dt
@@ -740,12 +779,9 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
                          "max_abs_pi": max_abs_pi})
                 raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
                                       f"{max_abs_pi} at t = {t}")
-            times.append(t)
-            fields.append(Phi.copy())
-            dfields.append(Pi.copy())
-    return RunHistory(geom=geom, background=background, rank=rank,
-                      channels=channels, times=times, fields=fields,
-                      dfields=dfields, evolver=ev, boundary=boundary)
+            consumer(hist, t, Phi, Pi)
+    ev._release()   # the work arrays of the last monitor's d_tt evaluations
+    return hist
 
 
 # ---------------------------------------------------------------------------
@@ -866,44 +902,64 @@ def _write_events(path, events):
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg, out_dir, tag="", keep=None):
+def run_experiment(cfg, out_dir, tag="", keep=None, budget=None):
     """Evolve per the config, write the run log, energy series, and
     optional snapshots; returns (history, summary dict, series of the
     component ``keep`` or None).
+
+    Every monitor slice is consumed while the run produces it: one slice
+    state per component, built from the live state and dropped before the
+    next, gives the slice energies; the states of one slice share their
+    q-dependent arrays.  ``budget`` (an energy.BudgetPass) is fed the
+    first component's state of every slice.  The history stores snapshots
+    only when ``keep`` asks for a series, which the estimate's base and
+    Lie series read.  The non-finite checks run after the run, in
+    component-then-time order.
 
     tag is inserted before each file extension, so runs that share an
     output directory (one per resolution in conserve) keep their own
     files: run_log<tag>.jsonl, energy_series<tag>.csv, final_state<tag>.bin.
     """
     geom, bg, params, region = setup_experiment(cfg)
-    Phi0, Pi0 = _initial_data(cfg, geom)
     spec = None
     if cfg["source"]["terms"]:
         spec = SourceSpec(terms=tuple(cfg["source"]["terms"]),
                           bigO_degree=cfg["source"]["bigO_degree"],
                           slots=tuple(cfg["source"]["slots"]))
+    comps = cfg["components"]
+    last = cfg["monitors"] - 1
+    times, energies = [], [[] for _ in comps]   # (w, wtilde) per component and slice
+
+    def monitor(hist, t, Phi, Pi):
+        if keep is not None:
+            hist.store(t, Phi, Pi)
+        end = not times or len(times) == last
+        times.append(t)
+        shared = {}
+        for i, comp in enumerate(comps):
+            st = hist.state(comp, t, Phi, Pi, shared)
+            energies[i].append((slice_energy(st, region, params, "w"),
+                                slice_energy(st, region, params, "wtilde")))
+            if budget is not None and i == 0:
+                budget.add(st, end)
+            del st   # the last component's state must not outlive the slice
+
     log_path = os.path.join(out_dir, f"run_log{tag}.jsonl")
     events = []
+    Phi, Pi = _initial_data(cfg, geom)   # the run's live state
     try:
         hist = evolve_run(
-            geom, bg, Phi0, Pi0, cfg["times"]["t1"], cfg["times"]["t2"],
+            geom, bg, Phi, Pi, cfg["times"]["t1"], cfg["times"]["t2"],
             schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
             boundary=cfg["boundary"], n_monitors=cfg["monitors"],
-            log=events.append)
+            log=events.append, consumer=monitor)
     finally:
         _write_events(log_path, events)
 
-    rows, kept = [], None
+    rows = []
     summary = {"components": {}, "seed": cfg["seed"]}
-    for comp in cfg["components"]:
-        series = hist.component_series(comp)
-        kept = series if comp == keep and kept is None else kept
-        energies = []
-        for k, t in enumerate(series.times):
-            st = series.state(k)
-            e_w = slice_energy(st, region, params, "w")
-            e_wt = slice_energy(st, region, params, "wtilde")
-            del st   # the last slice's state must not outlive the loop
+    for comp, values in zip(comps, energies):
+        for t, (e_w, e_wt) in zip(times, values):
             if not (math.isfinite(e_w) and math.isfinite(e_wt)):
                 events.append({"event": "non_finite", "t": float(t),
                                "quantity": f"{comp}:slice_energy"})
@@ -911,16 +967,14 @@ def run_experiment(cfg, out_dir, tag="", keep=None):
                 raise NonFiniteResult(f"slice energy of {comp} is not finite at t = {t}")
             rows.append((t, f"{comp}:slice_energy_w", e_w))
             rows.append((t, f"{comp}:slice_energy_wtilde", e_wt))
-            energies.append(e_w)
+        e_ws = [e_w for e_w, _ in values]
         summary["components"][comp] = {
-            "initial_energy_w": energies[0],
-            "final_energy_w": energies[-1],
-            "max_energy_w": max(energies),
+            "initial_energy_w": e_ws[0],
+            "final_energy_w": e_ws[-1],
+            "max_energy_w": max(e_ws),
         }
-        del series   # before the next component is projected (``kept`` holds its own)
     write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
     if cfg["snapshots"]:
-        final = GridField(geom, hist.rank, hist.channels, hist.fields[-1],
-                          hist.times[-1], ghost_valid=False)
+        final = GridField(geom, hist.rank, hist.channels, Phi, times[-1], ghost_valid=False)
         save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
-    return hist, summary, kept
+    return hist, summary, hist.component_series(keep) if keep is not None else None

@@ -164,19 +164,29 @@ def test_conserve_keeps_one_log_per_resolution(tmp_path):
     assert all(f.is_file() for f in out.iterdir())
 
 
-def test_conserve_builds_each_series_once(tmp_path, monkeypatch):
-    calls = []
-    series = evolve.RunHistory.component_series
+def test_conserve_builds_one_state_per_slice(tmp_path, monkeypatch):
+    # the budget is fed while the run goes: no series, one state per
+    # resolution and slice
+    calls, states = [], collections.Counter()
+    series, init = evolve.RunHistory.component_series, energy.SliceState.__init__
     monkeypatch.setattr(evolve.RunHistory, "component_series",
                         lambda self, comp: calls.append(comp) or series(self, comp))
+
+    def counted(self, geom, t, *args):
+        states[geom.N, float(t)] += 1
+        init(self, geom, t, *args)
+
+    monkeypatch.setattr(energy.SliceState, "__init__", counted)
     path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
     assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
                      "--refine", "2"]) == 0
-    assert calls == ["scalar", "scalar"]  # one per resolution
+    assert calls == []
+    assert len(states) == 2 * DETERMINISM_CONFIGS["conserve"]["monitors"]
+    assert set(states.values()) == {1}
 
 
-def test_conserve_builds_each_slice_gradient_at_most_twice(tmp_path, monkeypatch):
-    # one resolution: once in the run's energy pass, once in the budget pass
+def test_conserve_builds_each_slice_gradient_once(tmp_path, monkeypatch):
+    # one resolution: the run's energy rows and the budget read one state
     builds = collections.Counter()
     dpsi4 = energy.SliceState.dpsi4
 
@@ -190,7 +200,7 @@ def test_conserve_builds_each_slice_gradient_at_most_twice(tmp_path, monkeypatch
     assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
                      "--refine", "1"]) == 0
     assert len(builds) == DETERMINISM_CONFIGS["conserve"]["monitors"]
-    assert max(builds.values()) <= 2
+    assert set(builds.values()) == {1}
 
 
 def test_config_schema_is_valid_draft_2020_12():
@@ -279,7 +289,7 @@ def test_estimate_builds_each_series_once(tmp_path, monkeypatch):
     # each report building its own series writes the same bytes
     cfg = cli.parse_config(path)
     _, _, params, region = evolve.setup_experiment(cfg)
-    hist = evolve.run_experiment(cfg, str(tmp_path))[0]
+    hist = evolve.run_experiment(cfg, str(tmp_path), keep="scalar")[0]
     reports = [estimates.energy_estimate_report(
         hist, cli.parse_multi_index(text), "scalar", cfg["times"]["t1"],
         cfg["times"]["t2"], region, params).to_json() for text in cfg["multi_indices"]]

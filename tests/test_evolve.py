@@ -353,7 +353,10 @@ def test_evolve_run_calls_rhs_only_for_rk_stages(monkeypatch, tmp_path):
 @pytest.mark.parametrize("keep", [None, "e1"])
 def test_run_experiment_drops_each_series_and_state_before_the_next(monkeypatch, tmp_path,
                                                                    keep):
-    # the energy loop holds one component series and one slice state at a time
+    # the run's monitor builds one slice state per component and slice and
+    # drops each before the next is built; only ``keep`` stores snapshots and
+    # builds a series, after the run
+    import collections
     import weakref
 
     from framewave import cli, energy
@@ -364,29 +367,49 @@ def test_run_experiment_drops_each_series_and_state_before_the_next(monkeypatch,
         "data": {"family": "gaussian", "rank": 1, "center": [0, 0, 1.5], "sigma": 0.8},
         "components": ["L", "e1", "slot0"], "monitors": 3}))
     cfg = cli.parse_config(str(cfg_path))
-    series_refs, state_refs = [], []
-    project, state = evolve.RunHistory.component_series, energy.ComponentSeries.state
+    series_calls, state_refs, slices = [], [], collections.Counter()
+    project, init = evolve.RunHistory.component_series, energy.SliceState.__init__
 
     def tracked_series(self, comp):
-        assert [r() for r in state_refs] == [None] * len(state_refs)
-        alive = [r() for r in series_refs]
-        assert all(s is None or s.kept for s in alive)
-        out = project(self, comp)
-        out.kept = comp == keep
-        series_refs.append(weakref.ref(out))
-        return out
-
-    def tracked_state(self, k):
         assert all(r() is None for r in state_refs)
-        out = state(self, k)
-        state_refs.append(weakref.ref(out))
-        return out
+        series_calls.append(comp)
+        return project(self, comp)
+
+    def tracked_init(self, geom, t, *args):
+        assert all(r() is None for r in state_refs)
+        init(self, geom, t, *args)
+        state_refs.append(weakref.ref(self))
+        slices[t] += 1
 
     monkeypatch.setattr(evolve.RunHistory, "component_series", tracked_series)
-    monkeypatch.setattr(energy.ComponentSeries, "state", tracked_state)
-    kept = evolve.run_experiment(cfg, str(tmp_path), keep=keep)[2]
-    assert len(series_refs) == 3 and len(state_refs) == 9
-    assert (kept is None) == (keep is None) and (kept is None or kept.kept)
+    monkeypatch.setattr(energy.SliceState, "__init__", tracked_init)
+    hist, _, kept = evolve.run_experiment(cfg, str(tmp_path), keep=keep)
+    assert len(state_refs) == 9 and all(r() is None for r in state_refs)
+    assert sorted(slices.values()) == [3, 3, 3]
+    assert series_calls == ([] if keep is None else [keep])
+    assert len(hist.fields) == len(hist.dfields) == (0 if keep is None else 3)
+    assert (kept is None) == (keep is None)
+
+
+def test_evolve_run_consumer_sees_the_stored_slices():
+    # the consumer is fed the live state that the default consumer copies
+    geom = GridGeometry(8, 4.0)
+    target = evolve.gaussian_target(rank=1, channels=2, center=(0, 0, 1.5), sigma=0.8)
+    Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
+    stored = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 0.3, n_monitors=4)
+    seen = []
+
+    def consumer(hist, t, Phi, Pi):
+        assert Phi is Phi0 and Pi is Pi0 and hist.evolver.geom is geom
+        seen.append((t, Phi.copy(), Pi.copy()))
+
+    hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 0.3, n_monitors=4,
+                             consumer=consumer)
+    assert hist.times == hist.fields == hist.dfields == [] and not hist.evolver._work
+    assert [t for t, _, _ in seen] == stored.times
+    for (_, F, P), F_ref, P_ref in zip(seen, stored.fields, stored.dfields):
+        assert np.array_equal(F, F_ref) and np.array_equal(P, P_ref)
+    assert np.array_equal(Phi0, stored.fields[-1])   # advanced in place
 
 
 def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
