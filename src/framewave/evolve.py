@@ -716,7 +716,8 @@ class _OnDemand(Sequence):
 def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
                schematic=None, cfl=0.45, dt=None, boundary="sommerfeld",
                monitor_stride=None, n_monitors=None, log=None, consumer=None):
-    """Advance the reduction from t1 to t2 and hand it uniform monitor slices.
+    """Advance the reduction from t1 to t2, handing each of the uniform
+    monitor slices to a consumer.
 
     At t1 and at every monitor the run calls ``consumer(history, t, Phi,
     Pi)`` with the RunHistory it returns (the evolver included) and its

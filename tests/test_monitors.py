@@ -210,7 +210,8 @@ def test_budget_pass_terms_equal_conservation_budget(tmp_path, kind, rank, comp)
     cfg = cli.parse_config(str(cfg_path))
     _, _, params, region = evolve.setup_experiment(cfg)
     budget = energy.BudgetPass(region, params)
-    series = evolve.run_experiment(cfg, str(tmp_path), keep=comp, budget=budget)[2]
+    hist, _, series = evolve.run_experiment(cfg, str(tmp_path), keep=comp, budget=budget)
+    assert not hist.evolver._work   # released after the last slice's d_tt
     got = budget.report(0.0, 0.3)
     want = energy.conservation_budget(series, region, 0.0, 0.3, params)
     assert got.to_json() == want.to_json()
