@@ -28,6 +28,7 @@ immutable snapshots.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass
 
@@ -480,7 +481,7 @@ class SliceState:
     def _radial_direction(self):
         """M^{r a} = (x_i / r) M^{i a} on the support box, shape (4, *box)."""
         return self._get("radial_direction", lambda: np.einsum(
-            "i...,ia->a...", self.geom.frames()["L"][(slice(1, None),) + self.support()[0]],
+            "i...,ia->a...", self.geom.frame("L")[(slice(1, None),) + self.support()[0]],
             self.bg.direction[1:, :]))
 
     def energy_density(self):
@@ -499,8 +500,7 @@ class SliceState:
 
     def _radial(self):
         def build():
-            fr = self.geom.frames()
-            xh = fr["L"][1:]  # (3, n,n,n)
+            xh = self.geom.frame("L")[1:]  # x/r, (3, n,n,n)
             g = self.grad()
             dr = np.einsum("i...,ic...->c...", xh, g)
             return xh, dr
@@ -575,11 +575,10 @@ class SliceState:
     def tangential_norm_sq(self):
         """sum over {L, e1, e2} of |d_U psi|^2 (frame tangential norm)."""
         def build():
-            fr = self.geom.frames()
             d4 = self.dpsi4()
             out = np.zeros(self.psi.shape[1:])
             for name in ("L", "e1", "e2"):
-                dU = np.einsum("m...,mc...->c...", fr[name], d4)
+                dU = np.einsum("m...,mc...->c...", self.geom.frame(name), d4)
                 out += InnerProduct.norm_sq(dU)
             return out
         return self._get("tangential_norm_sq", build)
@@ -694,18 +693,21 @@ def _trilinear(geom, interior_values, pts3):
     return out
 
 
+@functools.cache
 def _sphere_nodes(n_theta=16, n_phi=32):
+    """Unit directions (n_theta * n_phi, 3) and weights of the product
+    rule on the sphere: Gauss-Legendre in cos(theta), uniform in phi,
+    theta-major.  One read-only copy per size."""
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     st = np.sqrt(1.0 - mu ** 2)
-    dirs = np.empty((n_theta * n_phi, 3))
-    wgts = np.empty(n_theta * n_phi)
-    k = 0
-    for i in range(n_theta):
-        for j in range(n_phi):
-            dirs[k] = (st[i] * np.cos(phi[j]), st[i] * np.sin(phi[j]), mu[i])
-            wgts[k] = wmu[i] * (2.0 * np.pi / n_phi)
-            k += 1
+    dirs = np.empty((n_theta, n_phi, 3))
+    np.multiply(st[:, None], np.cos(phi), out=dirs[..., 0])
+    np.multiply(st[:, None], np.sin(phi), out=dirs[..., 1])
+    dirs[..., 2] = mu[:, None]
+    wgts = np.repeat(wmu * (2.0 * np.pi / n_phi), n_phi)
+    dirs = dirs.reshape(n_theta * n_phi, 3)
+    dirs.flags.writeable = wgts.flags.writeable = False
     return dirs, wgts
 
 

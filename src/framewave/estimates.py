@@ -765,7 +765,7 @@ def _H_frame_arrays(state: SliceState):
         return z, z, z, z, z
     box, chi, dchi = sup
     M = state.bg.direction
-    fr = {name: geom.frames()[name][(slice(None),) + box] for name in ("L", "e1", "e2")}
+    fr = {name: geom.frame(name)[(slice(None),) + box] for name in ("L", "e1", "e2")}
     L = fr["L"]
     M_LL = np.abs(np.einsum("m...,k...,mk->...", L, L, M * np.outer(_MSIGN, _MSIGN)))
     M_frob = np.sqrt(np.sum(M * M))

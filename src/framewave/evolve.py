@@ -38,12 +38,15 @@ threads waits for its own paired measurement.
 
 Steps are sequential.  Monitors are fed each slice while the run
 produces it: at t1 and at every monitor the run hands its live state to
-a consumer, which projects copies of the components it reads and
-evaluates d_tt of a component from the evolution equation on copies of
-the state, only when a monitor reads it (the wave operator of the
-budget and the estimate).  Storing copies of the slice is the default
-consumer; the experiment runner stores them only for the estimate,
-whose Lie series difference stored snapshots in time.
+a consumer, which projects copies of the components it reads.  d_tt of
+a component comes from the evolution equation, only when a monitor
+reads it (the wave operator of the budget and the estimate): on the
+live state it is the right-hand side that the next step takes as its
+first slope (Evolver.slope), computed once per slice for every
+component and the step; on stored snapshots it runs on copies.
+Storing copies of the slice is the default consumer; the experiment
+runner stores them only for the estimate, whose Lie series difference
+stored snapshots in time.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .energy import (ComponentSeries, ExteriorRegion, SliceState, slice_energy,
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
 from .fields import (GHOST, GridField, GridGeometry, _laplacian, _stencil_window, d1_axis,
                      d2_axis, fill_ghosts_array, save_snapshot)
-from .geometry import MINKOWSKI, MINKOWSKI_INV
+from .geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV
 from .poly import GaussPoly, Poly, _eval_scalars
 from .weights import WeightParams
 
@@ -148,13 +151,12 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
     S.fill(0.0)                      # +0.0 everywhere, as np.zeros
     if not spec.terms:
         return S
-    fr = geom.frames()
     s = Phi[0]                       # designated scalar part of A
     ds = work("source.ds", full)
     ds[0] = Pi[0]
     for i in (1, 2, 3):
         d1_axis(s, i, geom.dx, out=ds[i])
-    L = fr["L"]
+    L = geom.frame("L")
     tmp = work("source.tmp", full)
 
     def add(x, y):
@@ -180,7 +182,7 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
     dproj = {}
     if {"Ae_dAe", "dAe_sq"} & set(spec.terms):
         for name in ("e1", "e2"):
-            V = fr[name]
+            V = geom.frame(name)
             pv = project(V, Phi, work(f"source.{name}", comp))
             dp = work(f"source.d{name}", full)
             project(V, Pi, dp[0])
@@ -347,7 +349,7 @@ def _shell_plan(geom):
     """
     lo, hi = GHOST, geom.n_full - GHOST
     full, inner = slice(lo, hi), slice(lo + 2, hi - 2)
-    r, xh = geom.r_full(), geom.frames()["L"][1:]
+    r, xh = geom.r_full(), geom.frame("L")[1:]
 
     def index(spatial):             # layout-order slices -> array index
         return (spatial[0], slice(None), spatial[1], spatial[2])
@@ -481,6 +483,7 @@ class Evolver:
             for a in range(4) for b in range(a, 4) if (a, b) != (0, 0) and M[a, b]]
         self._work = {}
         self._shell = None          # radiation-shell plan, built on first use
+        self._held = None           # (t, Phi, Pi) whose slope "acc" holds
 
     def _buffer(self, name, shape):
         """Work array kept between calls; its contents are undefined."""
@@ -490,10 +493,11 @@ class Evolver:
         return buf
 
     def _release(self):
-        """Drop the work arrays and the shell plan; the next step or
-        right-hand side builds them again."""
+        """Drop the work arrays, the held slope and the shell plan; the
+        next step or right-hand side builds them again."""
         self._work.clear()
         self._shell = None
+        self._held = None
 
     def _h_on_box(self, Phi, Pi, box):
         """The sum of c_ab D_ab (see __init__) on the support box, shape
@@ -568,12 +572,33 @@ class Evolver:
             _radiation_shell(geom, Phi, Pi, dPhi, dPi, self._shell, self._buffer)
         return dPhi, dPi
 
+    def _holds(self, t, Phi, Pi):
+        held = self._held
+        return held is not None and held[0] == t and held[1] is Phi and held[2] is Pi
+
+    def slope(self, t, Phi, Pi):
+        """rhs(t, Phi, Pi) as (dPhi, dPi), computed into the step's k1
+        work array on the first call for these arrays and this t, then
+        held: a step from them starts from it instead of computing k1
+        again.  The next step and :meth:`_release` drop the hold.
+
+        Like rhs, the first call fills the ghost layers of Phi and Pi in
+        place.  The returned arrays are the evolver's; read them before
+        the next step and do not write to them.
+        """
+        acc = self._buffer("acc", (2,) + Phi.shape)
+        if not self._holds(t, Phi, Pi):
+            self.rhs(t, Phi, Pi, out=acc)
+            self._held = (t, Phi, Pi)
+        return acc[0], acc[1]
+
     def step(self, t, Phi, Pi, dt):
         """One classical RK4 step: advances Phi and Pi in place and
         returns them.
 
         Stages and slopes live in work arrays kept between steps.  k1
-        seeds the accumulator and each later slope is weighted in place,
+        seeds the accumulator (a slope held for (t, Phi, Pi) already is
+        k1, see :meth:`slope`) and each later slope is weighted in place,
         so the sum keeps the order ((k1 + 2 k2) + 2 k3) + k4 before the
         dt/6 scaling and the add to the state.
         """
@@ -586,7 +611,9 @@ class Evolver:
             stage[1] += Pi
             return stage
 
-        self.rhs(t, Phi, Pi, out=acc)
+        if not self._holds(t, Phi, Pi):
+            self.rhs(t, Phi, Pi, out=acc)
+        self._held = None
         self.rhs(t + 0.5 * dt, *stage_from(acc, 0.5 * dt), out=k)
         for h in (0.5 * dt, dt):
             stage_from(k, h)
@@ -609,7 +636,9 @@ class RunHistory:
     :func:`evolve_run`) exactly as the run left them; monitors never
     write to them.  A run whose consumer stores nothing leaves the three
     lists empty.  component_series and state compute d_tt of a component
-    on demand from the evolver.
+    on demand from the evolver: while the run goes on, ``live`` is the
+    (Phi, Pi) pair it advances, whose d_tt comes from the slope that the
+    next step starts from (see :meth:`_psi_tt`).
     """
 
     geom: object
@@ -621,6 +650,7 @@ class RunHistory:
     dfields: list
     evolver: Evolver
     boundary: str = "sommerfeld"
+    live: tuple = None
 
     @property
     def ghost_mode(self):
@@ -640,12 +670,12 @@ class RunHistory:
             slot = str(component)[4:]
             if str(component).startswith("slot") and len(slot) == self.rank:
                 return arr[tuple(int(i) for i in slot)]
-            fr = self.geom.frames()
-            if self.rank == 1 and component in fr:
-                return np.einsum("m...,mc...->c...", fr[component], arr)
+            if self.rank == 1 and component in FULL_NAMES:
+                return np.einsum("m...,mc...->c...", self.geom.frame(component), arr)
             if self.rank == 2 and "," in str(component):
                 u, v = component.split(",")
-                return np.einsum("m...,k...,mkc...->c...", fr[u], fr[v], arr)
+                return np.einsum("m...,k...,mkc...->c...", self.geom.frame(u),
+                                 self.geom.frame(v), arr)
         except (IndexError, KeyError, ValueError):
             pass
         raise ConstraintError(f"unknown component {component!r} for rank {self.rank}")
@@ -664,18 +694,27 @@ class RunHistory:
         return out
 
     def _psi_tt(self, component, t, Phi, Pi):
-        """d_tt of the component from the evolution equation, evaluated on
-        copies of (Phi, Pi)."""
-        _, dPi = self.evolver.rhs(t, Phi.copy(), Pi.copy())
+        """A projected copy of d_tt of the component, from the evolution
+        equation.  For the run's live arrays it is the evolver's slope
+        (:meth:`Evolver.slope`), which every component of the slice and
+        the next step share; for any other arrays, stored snapshots
+        included, the right-hand side runs on copies, so they are never
+        written to."""
+        live = self.live
+        if live is not None and live[0] is Phi and live[1] is Pi:
+            dPi = self.evolver.slope(t, Phi, Pi)[1]
+        else:
+            dPi = self.evolver.rhs(t, Phi.copy(), Pi.copy())[1]
         return self._projected(dPi, component)
 
     def state(self, component, t, Phi, Pi, shared=None):
         """SliceState of one component of the slice (t, Phi, Pi).
 
         psi and d_t psi are projected copies; d_tt psi is evaluated from
-        Phi and Pi the first time a monitor reads it, so a state of the
-        run's live arrays is read before the run moves on.  ``shared`` is
-        the slice cache of :class:`SliceState`, one per slice.
+        Phi and Pi the first time a monitor reads it (:meth:`_psi_tt`),
+        so a state of the run's live arrays is read before the run moves
+        on.  ``shared`` is the slice cache of :class:`SliceState`, one per
+        slice.
         """
         return SliceState(self.geom, t, self._projected(Phi, component),
                           self._projected(Pi, component),
@@ -721,11 +760,13 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
 
     At t1 and at every monitor the run calls ``consumer(history, t, Phi,
     Pi)`` with the RunHistory it returns (the evolver included) and its
-    live state.  Without a consumer it stores copies of every slice
-    (:meth:`RunHistory.store`) and advances copies of Phi0 and Pi0.  With
-    one, Phi0 and Pi0 are the live state: the run advances them in place,
-    so during a call they hold the slice at t, and after the run the
-    final state.
+    live state, which ``history.live`` names during the run.  Without a
+    consumer it stores copies of every slice (:meth:`RunHistory.store`)
+    and advances copies of Phi0 and Pi0.  With one, Phi0 and Pi0 are the
+    live state: the run advances them in place, so during a call they
+    hold the slice at t, and after the run the final state.  A d_tt
+    that a consumer reads from the live state is the slope the next step
+    starts from; the last slice has no next step and computes its own.
 
     dt is derived from the CFL number against the background lightspeed
     unless given explicitly, in which case it is validated (CFLViolation).
@@ -757,7 +798,8 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
     else:
         Phi, Pi = Phi0, Pi0
     hist = RunHistory(geom=geom, background=background, rank=rank, channels=channels,
-                      times=[], fields=[], dfields=[], evolver=ev, boundary=boundary)
+                      times=[], fields=[], dfields=[], evolver=ev, boundary=boundary,
+                      live=(Phi, Pi))
     t = t1
     consumer(hist, t, Phi, Pi)
     for k in range(nsteps):
@@ -781,7 +823,8 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
                 raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
                                       f"{max_abs_pi} at t = {t}")
             consumer(hist, t, Phi, Pi)
-    ev._release()   # the work arrays of the last monitor's d_tt evaluations
+    ev._release()   # the work arrays of the last monitor's d_tt evaluation
+    hist.live = None
     return hist
 
 

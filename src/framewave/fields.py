@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyRegion, GhostInvalid, PoleDegenerate
-from .geometry import MINKOWSKI_INV, frame_arrays, null_frame_at
+from .geometry import MINKOWSKI_INV, null_frame_at, null_vector, radius, sphere_frame
 from .poly import Poly, _eval_scalars
 
 GHOST = 2
@@ -235,8 +235,9 @@ class GridGeometry:
     """Cell-centered uniform grid over [-X, X]^3 with ghost width 2.
 
     Node i along an axis sits at -X + (i + 1/2) dx for i in [-2, N+2);
-    N must be even so no node ever lands on the origin.  Coordinate
-    meshes and frame arrays are built lazily and cached.
+    N must be even so no node ever lands on the origin.  The coordinate
+    meshes, r and each frame vector field are built on first read and
+    cached (see :meth:`frame`).
     """
 
     def __init__(self, N, X):
@@ -251,7 +252,7 @@ class GridGeometry:
         self.axis = -self.X + (idx + 0.5) * self.dx
         self._mesh = None
         self._r = None
-        self._frames = None
+        self._frames = {}
 
     @property
     def n_full(self):
@@ -276,15 +277,28 @@ class GridGeometry:
 
     def r_full(self):
         if self._r is None:
-            X1, X2, X3 = self.mesh()
-            self._r = np.sqrt(X1 ** 2 + X2 ** 2 + X3 ** 2)
+            self._r = radius(*self.mesh())
         return self._r
 
-    def frames(self):
-        if self._frames is None:
-            X1, X2, X3 = self.mesh()
-            self._frames = frame_arrays(X1, X2, X3)
-        return self._frames
+    def frame(self, name):
+        """Frame vector field ``name`` ("L", "Lbar", "e1" or "e2") on the
+        full cube, shape (4, n, n, n), as :func:`geometry.frame_arrays`
+        gives it over the mesh.
+
+        Each field is built the first time it is read and then kept, with
+        none of its temporaries: L and Lbar on their own (x/r is L[1:]),
+        e1 and e2 together, from L[1:].  Any other name raises KeyError.
+        """
+        if name not in self._frames:
+            if name == "L":
+                self._frames[name] = null_vector(self.r_full(), *self.mesh())
+            elif name == "Lbar":
+                self._frames[name] = null_vector(self.r_full(), *self.mesh(), -1.0)
+            elif name in ("e1", "e2"):
+                self._frames["e1"], self._frames["e2"] = sphere_frame(self.frame("L")[1:])
+            else:
+                raise KeyError(name)
+        return self._frames[name]
 
     def q_full(self, t):
         return self.r_full() - t

@@ -197,24 +197,32 @@ def sphere_projector(p: Point):
     return np.eye(3) - np.outer(xhat, xhat)
 
 
-def frame_arrays(x1, x2, x3, chart: str = "auto"):
-    """Vectorized frame over coordinate arrays (any common shape).
+def radius(x1, x2, x3):
+    """r = |x| over coordinate arrays (any common shape)."""
+    return np.sqrt(x1 ** 2 + x2 ** 2 + x3 ** 2)
 
-    Returns dict of arrays with a leading slot axis of length 4:
-    {"L": (4, ...), "Lbar": ..., "e1": ..., "e2": ..., "r": (...,)}.
-    Entries at r = 0 would be undefined; callers must not index them
-    (cell-centered grids never place a node at the origin).
-    """
-    r = np.sqrt(x1 ** 2 + x2 ** 2 + x3 ** 2)
+
+def null_vector(r, x1, x2, x3, sign=1.0):
+    """The radial half of the frame: L = (1, x/r) for sign +1, Lbar =
+    (1, -x/r) for sign -1, shape (4,) + r.shape.  The spatial part is 0
+    where r = 0."""
     rs = np.where(r == 0.0, 1.0, r)
-    xh = np.stack([x1 / rs, x2 / rs, x3 / rs])
-    shape = r.shape
-    L = np.zeros((4,) + shape)
-    Lb = np.zeros((4,) + shape)
-    L[0] = 1.0
-    Lb[0] = 1.0
-    L[1:] = xh
-    Lb[1:] = -xh
+    out = np.empty((4,) + r.shape)
+    out[0] = 1.0
+    for i, x in enumerate((x1, x2, x3), 1):
+        out[i] = x / rs
+    if sign < 0:
+        np.negative(out[1:], out=out[1:])
+    return out
+
+
+def sphere_frame(xh, chart: str = "auto"):
+    """The sphere half of the frame: (e1, e2), each (4,) + xh.shape[1:],
+    from the unit radial vector xh = x/r (3, ...), e.g. L[1:].
+
+    chart "auto" applies the polar-cap rule; "z" / "x" force one chart.
+    """
+    shape = xh.shape[1:]
 
     def pair(axis):
         n = np.zeros((3,) + (1,) * len(shape))
@@ -231,13 +239,28 @@ def frame_arrays(x1, x2, x3, chart: str = "auto"):
     elif chart == "x":
         et, ep = pair(0)
     else:
-        et_z, ep_z = pair(2)
-        et_x, ep_x = pair(0)
+        et, ep = pair(2)
         cap = np.abs(xh[2]) > POLAR_CAP
-        et = np.where(cap, et_x, et_z)
-        ep = np.where(cap, ep_x, ep_z)
+        for mine, cap_value in zip((et, ep), pair(0)):
+            np.copyto(mine, cap_value, where=cap)
     e1 = np.zeros((4,) + shape)
     e2 = np.zeros((4,) + shape)
     e1[1:] = et
     e2[1:] = ep
-    return {"L": L, "Lbar": Lb, "e1": e1, "e2": e2, "r": r}
+    return e1, e2
+
+
+def frame_arrays(x1, x2, x3, chart: str = "auto"):
+    """Vectorized frame over coordinate arrays (any common shape): the
+    radial half (:func:`null_vector`) and the sphere half
+    (:func:`sphere_frame`) together.
+
+    Returns dict of arrays with a leading slot axis of length 4:
+    {"L": (4, ...), "Lbar": ..., "e1": ..., "e2": ..., "r": (...,)}.
+    Entries at r = 0 would be undefined; callers must not index them
+    (cell-centered grids never place a node at the origin).
+    """
+    r = radius(x1, x2, x3)
+    L = null_vector(r, x1, x2, x3)
+    e1, e2 = sphere_frame(L[1:], chart)
+    return {"L": L, "Lbar": null_vector(r, x1, x2, x3, -1.0), "e1": e1, "e2": e2, "r": r}

@@ -34,9 +34,22 @@ class WeightParams:
             raise ConstraintError("mu must be < 0")
 
 
-def _split(q):
+def _by_side(q, pos, neg):
+    """pos(b) where q > 0 and neg(b) elsewhere, with b = 1 + |q|.
+
+    Each branch is evaluated on its own side of the kink only, so a power
+    is computed once per element.  A scalar q stays a numpy scalar, as in
+    the whole-array form ``np.where(q > 0, pos(b), neg(b))``; the values
+    are that form's, element by element.
+    """
     q = np.asarray(q, dtype=float)
-    return q, q > 0, np.abs(q)
+    if q.ndim == 0:
+        return (pos if q > 0 else neg)(1.0 + np.abs(q))
+    out = np.empty(q.shape)
+    up = q > 0
+    for side, fn in ((up, pos), (~up, neg)):
+        out[side] = fn(1.0 + np.abs(q[side]))
+    return out
 
 
 def _check_kink(q):
@@ -49,46 +62,48 @@ def _ret(val, q):
 
 
 def w(q, params: WeightParams):
-    qa, pos, aq = _split(q)
-    out = np.where(pos, (1.0 + aq) ** (1.0 + 2.0 * params.gamma), 1.0)
-    return _ret(out, q)
+    a = 1.0 + 2.0 * params.gamma
+    return _ret(_by_side(q, lambda b: b ** a, lambda b: 1.0), q)
 
 
 def w_prime(q, params: WeightParams):
     _check_kink(q)
-    qa, pos, aq = _split(q)
-    out = np.where(pos, (1.0 + 2.0 * params.gamma) * (1.0 + aq) ** (2.0 * params.gamma), 0.0)
-    return _ret(out, q)
+    c, a = 1.0 + 2.0 * params.gamma, 2.0 * params.gamma
+    return _ret(_by_side(q, lambda b: c * b ** a, lambda b: 0.0), q)
 
 
 def w_hat(q, params: WeightParams):
-    qa, pos, aq = _split(q)
-    out = np.where(
-        pos,
-        (1.0 + aq) ** (1.0 + 2.0 * params.gamma),
-        (1.0 + aq) ** (2.0 * params.mu),
-    )
-    return _ret(out, q)
+    a, m = 1.0 + 2.0 * params.gamma, 2.0 * params.mu
+    return _ret(_by_side(q, lambda b: b ** a, lambda b: b ** m), q)
 
 
 def w_hat_prime(q, params: WeightParams):
     # For q < 0, d|q|/dq = -1 makes the derivative -2 mu (1+|q|)^(2 mu - 1) > 0.
     _check_kink(q)
-    qa, pos, aq = _split(q)
-    out = np.where(
-        pos,
-        (1.0 + 2.0 * params.gamma) * (1.0 + aq) ** (2.0 * params.gamma),
-        -2.0 * params.mu * (1.0 + aq) ** (2.0 * params.mu - 1.0),
-    )
-    return _ret(out, q)
+    c, a = 1.0 + 2.0 * params.gamma, 2.0 * params.gamma
+    d, m = -2.0 * params.mu, 2.0 * params.mu - 1.0
+    return _ret(_by_side(q, lambda b: c * b ** a, lambda b: d * b ** m), q)
 
 
 def w_tilde(q, params: WeightParams):
-    out = np.asarray(w(q, params)) + np.asarray(w_hat(q, params))
-    return _ret(out, q)
+    # w + what: P + P with P = (1+|q|)^(1+2 gamma) for q > 0, 1 + (1+|q|)^(2 mu) else
+    a, m = 1.0 + 2.0 * params.gamma, 2.0 * params.mu
+
+    def pos(b):
+        P = b ** a
+        return P + P
+
+    return _ret(_by_side(q, pos, lambda b: 1.0 + b ** m), q)
 
 
 def w_tilde_prime(q, params: WeightParams):
+    # w' + what': R + R with R = (1+2 gamma)(1+|q|)^(2 gamma) for q > 0, what' else
     _check_kink(q)
-    out = np.asarray(w_prime(q, params)) + np.asarray(w_hat_prime(q, params))
-    return _ret(out, q)
+    c, a = 1.0 + 2.0 * params.gamma, 2.0 * params.gamma
+    d, m = -2.0 * params.mu, 2.0 * params.mu - 1.0
+
+    def pos(b):
+        R = c * b ** a
+        return R + R
+
+    return _ret(_by_side(q, pos, lambda b: 0.0 + d * b ** m), q)

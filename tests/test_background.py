@@ -124,7 +124,7 @@ def _dense_densities(st, H, dH):
     """Old dense formulas of every SliceState density: (value, magnitude)."""
     g, gt, hess, d4 = st.grad(), st.grad_t(), st.hess(), st.dpsi4()
     pt, dot, nsq = st.psi_t, InnerProduct.dot, InnerProduct.norm_sq
-    xh = GEOM.frames()["L"][1:]
+    xh = GEOM.frame("L")[1:]
     dr = np.einsum("i...,ic...->c...", xh, g)
     Hr = np.einsum("i...,ia...->a...", xh, H[1:, :])
     wave = [-st.psi_tt, H[0, 0] * st.psi_tt]
@@ -153,8 +153,7 @@ def _dense_densities(st, H, dH):
 
 def _dense_frame_arrays(H, dH):
     """Old dense |H_LL|, |H|, |dH_LL|, |tang H|, |dH|, each with a scale."""
-    fr = GEOM.frames()
-    L = fr["L"]
+    L = GEOM.frame("L")
     sgn = _MSIGN[:, None] * _MSIGN[None, :]
     H_low = H * sgn[:, :, None, None, None]
     dH_low = dH * sgn[None, :, :, None, None, None]
@@ -165,7 +164,7 @@ def _dense_frame_arrays(H, dH):
     dLL_mag = np.einsum("m...,k...,amk...->a...", np.abs(L), np.abs(L), np.abs(dH))
     tang_sq = tang_mag = 0.0
     for name in ("L", "e1", "e2"):
-        U = fr[name]
+        U = GEOM.frame(name)
         tang_sq = tang_sq + np.sum(np.einsum("a...,amk...->mk...", U, dH) ** 2, axis=(0, 1))
         tang_mag = tang_mag + np.sum(np.einsum("a...,amk...->mk...", np.abs(U),
                                                np.abs(dH)) ** 2, axis=(0, 1))
@@ -238,7 +237,7 @@ class _FullCubeSliceState(SliceState):
                       - M[0, 0] * InnerProduct.norm_sq(self.psi_t))
 
     def _full_radial_direction(self):
-        return np.einsum("i...,ia->a...", self.geom.frames()["L"][1:],
+        return np.einsum("i...,ia->a...", self.geom.frame("L")[1:],
                          self.bg.direction[1:, :])
 
     def energy_density(self):
@@ -292,7 +291,7 @@ def _full_cube_frame_arrays(state):
         return z, z, z, z, z
     chi, dchi = geom.interior(prof[0]), geom.interior(prof[1])
     M = state.bg.direction
-    fr = {name: geom.interior(geom.frames()[name]) for name in ("L", "e1", "e2")}
+    fr = {name: geom.interior(geom.frame(name)) for name in ("L", "e1", "e2")}
     L = fr["L"]
     M_LL = np.abs(np.einsum("m...,k...,mk->...", L, L, M * np.outer(_MSIGN, _MSIGN)))
     M_frob = np.sqrt(np.sum(M * M))

@@ -91,10 +91,9 @@ def test_build_source_frame_product_oracle(rng):
     Pi[1, 0] = 0.3 * Phi[1, 0]
     S = evolve.build_source(evolve.SourceSpec(terms=("Ae_dAe",)), geom,
                             ZeroBackground(), 0.0, Phi, Pi)
-    fr = geom.frames()
     hand = np.zeros_like(S)
     for name in ("e1", "e2"):
-        V = fr[name]
+        V = geom.frame(name)
         p = np.einsum("m...,mc...->c...", V, Phi)
         pt = np.einsum("m...,mc...->c...", V, Pi)
         dp = np.stack([pt] + [d1_axis(p, i, geom.dx) for i in (1, 2, 3)])
@@ -167,8 +166,7 @@ def test_component_energies_decouple_at_initial_slice():
     rngl = np.random.default_rng(5)
     base = rngl.normal(size=(4, 1, n, n, n)) * np.exp(
         -(geom.mesh()[0] ** 2 + geom.mesh()[1] ** 2 + (geom.mesh()[2] - 2) ** 2))
-    fr = geom.frames()
-    L_low = fr["L"].copy()
+    L_low = geom.frame("L").copy()
     L_low[0] = -L_low[0]
     pert = base.copy()
     pert += 0.5 * L_low[:, None] * np.exp(-(geom.r_full() - 2.0) ** 2)[None, None]
@@ -294,7 +292,7 @@ def _full_cube_shell(geom, Phi, Pi, dPhi, dPi, *plan_and_work):
     shell = (edge[:, None, None] | edge[None, :, None] | edge[None, None, :]) \
         & inner[:, None, None] & inner[None, :, None] & inner[None, None, :]
     r = geom.r_full()
-    xh = geom.frames()["L"][1:]
+    xh = geom.frame("L")[1:]
     for U, out in ((Pi, dPi), (Phi, dPhi)):
         g = _full_cube_shell_grad(geom, U)
         adv = -(xh[0] * g[0] + xh[1] * g[1] + xh[2] * g[2]) - U / r
@@ -509,13 +507,12 @@ def _build_source_reference(spec, geom, bg, t, Phi, Pi):
     S = np.zeros((4, ch, n, n, n))
     if not spec.terms:
         return S
-    fr = geom.frames()
     s = Phi[0]                       # designated scalar part of A
     ds = np.empty((4, ch, n, n, n))
     ds[0] = Pi[0]
     for i in (1, 2, 3):
         d1_axis(s, i, geom.dx, out=ds[i])
-    L = fr["L"]
+    L = geom.frame("L")
     tmp = np.empty_like(S)
 
     def add(x, y):
@@ -538,7 +535,7 @@ def _build_source_reference(spec, geom, bg, t, Phi, Pi):
     dproj = {}
     if {"Ae_dAe", "dAe_sq"} & set(spec.terms):
         for name in ("e1", "e2"):
-            V = fr[name]
+            V = geom.frame(name)
             pv = np.einsum("m...,mc...->c...", V, Phi)
             dp = np.empty((4, ch, n, n, n))
             dp[0] = np.einsum("m...,mc...->c...", V, Pi)
