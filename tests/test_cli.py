@@ -203,6 +203,33 @@ def test_conserve_builds_each_slice_gradient_once(tmp_path, monkeypatch):
     assert set(builds.values()) == {1}
 
 
+def test_conserve_reuses_each_monitor_slope(tmp_path, monkeypatch):
+    # d_tt psi of a slice is the first slope of the step that follows it;
+    # only the last slice, which no step follows, computes its own
+    calls = collections.Counter()
+    rhs, step = evolve.Evolver.rhs, evolve.Evolver.step
+
+    def counted(name, fn):
+        return lambda *args, **kw: calls.update([name]) or fn(*args, **kw)
+
+    monkeypatch.setattr(evolve.Evolver, "rhs", counted("rhs", rhs))
+    monkeypatch.setattr(evolve.Evolver, "step", counted("step", step))
+    path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
+    assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
+                     "--refine", "1"]) == 0
+    assert calls["step"] == DETERMINISM_CONFIGS["conserve"]["monitors"] - 1
+    assert calls["rhs"] == 4 * calls["step"] + 1
+
+
+@pytest.mark.parametrize("rank, component", [(1, "r"), (2, "r,L"), (1, "slot4")])
+def test_unknown_frame_component_exits_2(tmp_path, capsys, rank, component):
+    path = _write(tmp_path, {"mode": "evolve", **DETERMINISM_CONFIGS["evolve"],
+                             "data": {"family": "zero", "rank": rank},
+                             "components": [component]})
+    assert cli.main(["evolve", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert f"unknown component {component!r}" in capsys.readouterr().err
+
+
 def test_config_schema_is_valid_draft_2020_12():
     # parse_config validates against CONFIG_SCHEMA without re-checking it
     jsonschema.Draft202012Validator.check_schema(cli.CONFIG_SCHEMA)

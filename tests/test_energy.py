@@ -550,3 +550,33 @@ def test_csv_and_json_writers(tmp_path):
     energy.write_json(tmp_path / "x.json", {"b": 1, "a": 2})
     assert (tmp_path / "x.json").read_text().index('"a"') < \
            (tmp_path / "x.json").read_text().index('"b"')
+
+
+def _sphere_nodes_loop(n_theta, n_phi):
+    """The per-node loop that built the sphere rule (its oracle)."""
+    mu, wmu = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    st = np.sqrt(1.0 - mu ** 2)
+    dirs = np.empty((n_theta * n_phi, 3))
+    wgts = np.empty(n_theta * n_phi)
+    k = 0
+    for i in range(n_theta):
+        for j in range(n_phi):
+            dirs[k] = (st[i] * np.cos(phi[j]), st[i] * np.sin(phi[j]), mu[i])
+            wgts[k] = wmu[i] * (2.0 * np.pi / n_phi)
+            k += 1
+    return dirs, wgts
+
+
+@pytest.mark.parametrize("n_theta, n_phi", [(16, 32), (8, 16), (5, 3), (1, 1)])
+def test_sphere_nodes_equal_the_loop_and_are_kept_read_only(n_theta, n_phi):
+    dirs, wgts = energy._sphere_nodes(n_theta, n_phi)
+    want_dirs, want_wgts = _sphere_nodes_loop(n_theta, n_phi)
+    assert dirs.shape == want_dirs.shape and np.array_equal(dirs, want_dirs)
+    assert wgts.shape == want_wgts.shape and np.array_equal(wgts, want_wgts)
+    again = energy._sphere_nodes(n_theta, n_phi)
+    assert again[0] is dirs and again[1] is wgts
+    with pytest.raises(ValueError):
+        dirs[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        wgts[0] = 0.0

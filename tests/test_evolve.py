@@ -410,6 +410,71 @@ def test_evolve_run_consumer_sees_the_stored_slices():
     assert np.array_equal(Phi0, stored.fields[-1])   # advanced in place
 
 
+# --- the held first slope -------------------------------------------------
+
+def _slope_case(case):
+    geom = GridGeometry(12, 4.0)
+    rngl = np.random.default_rng(5)
+    if case == "traveling-bump":
+        bg, rank, kw = make_background("traveling-bump", epsilon=0.2, center=(0.5, 0.0, 0.0),
+                                       radius=3.0, velocity=(0.3, 0.0, 0.0)), 0, {}
+    else:
+        bg, rank = ZeroBackground(), 1
+        kw = {"schematic": evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))}
+    shape = (4,) * rank + (2,) + (geom.n_full,) * 3
+    Phi, Pi = 0.3 * rngl.normal(size=shape), 0.3 * rngl.normal(size=shape)
+    return geom, lambda: evolve.Evolver(geom, bg, rank, 2, **kw), Phi, Pi
+
+
+def _count_rhs(monkeypatch):
+    calls, rhs = [], evolve.Evolver.rhs
+    monkeypatch.setattr(evolve.Evolver, "rhs",
+                        lambda self, t, *args, **kw: calls.append(t) or rhs(self, t, *args, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("case", ["traveling-bump", "flat-schematic"])
+def test_step_from_a_held_slope_is_a_plain_step(monkeypatch, case):
+    geom, make, Phi, Pi = _slope_case(case)
+    t, dt = 0.3, 0.4 * geom.dx
+    want = make().step(t, Phi.copy(), Pi.copy(), dt)
+    k1 = make().rhs(t, Phi.copy(), Pi.copy())
+    calls = _count_rhs(monkeypatch)
+    ev, P, Q = make(), Phi.copy(), Pi.copy()
+    slope = ev.slope(t, P, Q)
+    again = ev.slope(t, P, Q)                     # held: no second right-hand side
+    assert calls == [t]
+    for a, b, c in zip(slope, again, k1):
+        assert np.shares_memory(a, b) and np.array_equal(a, c)
+    got = ev.step(t, P, Q, dt)
+    assert calls == [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+    assert got[0] is P and got[1] is Q
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    assert ev._held is None
+
+
+@pytest.mark.parametrize("other", ["arrays", "time", "release"])
+def test_slope_held_for_other_arrays_or_time_is_not_reused(monkeypatch, other):
+    geom, make, Phi, Pi = _slope_case("traveling-bump")
+    t, dt = 0.3, 0.4 * geom.dx
+    want = make().step(t, Phi.copy(), Pi.copy(), dt)
+    calls = _count_rhs(monkeypatch)
+    ev, P, Q = make(), Phi.copy(), Pi.copy()
+    if other == "arrays":
+        ev.slope(t, 2.0 * P, Q.copy())
+    elif other == "time":
+        ev.slope(t + dt, P, Q)
+    else:
+        ev.slope(t, P, Q)
+        ev._release()
+        assert ev._held is None
+    got = ev.step(t, P, Q, dt)
+    assert len(calls) == 5
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
     geom = GridGeometry(12, 4.0)
     comps = np.empty((4, 2), dtype=object)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from framewave.fields import (AnalyticField, GridField, GridGeometry, InnerProdu
                               PolyField, _laplacian, d1_axis, d2_axis, load_snapshot,
                               partial_derivative, quadrature_slice, save_snapshot,
                               tangential_gradient_norm, wave_operator)
-from framewave.geometry import Metric, Point
+from framewave.geometry import FULL_NAMES, Metric, Point, frame_arrays
 from framewave.poly import Poly, measure_order, random_poly
 
 
@@ -307,3 +308,43 @@ def test_laplacian_exact_on_a_cubic():
     assert np.array_equal(got[box], (d2_axis(arr, 1, dx) + d2_axis(arr, 2, dx)
                                      + d2_axis(arr, 3, dx))[box])
     assert np.all(got[margin] == 0.0)
+
+
+@pytest.mark.parametrize("N", [12, 24])
+def test_grid_frame_equals_frame_arrays_over_the_mesh(N):
+    geom = GridGeometry(N, 4.0)
+    want = frame_arrays(*geom.mesh())
+    for name in FULL_NAMES:
+        got = geom.frame(name)
+        assert got.shape == want[name].shape and np.array_equal(got, want[name]), name
+        assert np.array_equal(np.signbit(got), np.signbit(want[name])), name
+        assert geom.frame(name) is got            # built once, then kept
+    assert np.array_equal(geom.r_full(), want["r"])
+    for name in ("r", "xh", "L,Lbar"):
+        with pytest.raises(KeyError):
+            geom.frame(name)
+
+
+def test_grid_frame_builds_what_is_read():
+    geom = GridGeometry(12, 4.0)
+    geom.frame("L")
+    assert set(geom._frames) == {"L"}
+    geom.frame("e2")                              # e1 and e2 come together
+    assert set(geom._frames) == {"L", "e1", "e2"}
+    geom.frame("Lbar")
+    assert set(geom._frames) == set(FULL_NAMES)
+
+
+def test_grid_frame_L_peak_memory():
+    # L needs the mesh, r and x/r: the whole frame took about 37 full-cube
+    # scalars of temporaries when the first read built all four fields
+    geom = GridGeometry(32, 8.0)
+    scalar = geom.n_full ** 3 * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        geom.frame("L")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * scalar, peak / scalar

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framewave.errors import PoleDegenerate, RankMismatch
-from framewave.geometry import (MINKOWSKI, Point, frame_arrays, frame_component,
+from framewave.geometry import (MINKOWSKI, POLAR_CAP, Point, frame_arrays, frame_component,
                                 frame_coefficients, frobenius_norm, lower_index,
                                 null_frame_at, raise_index, sphere_projector)
 from conftest import sample_points
@@ -142,3 +142,66 @@ def test_frame_arrays_match_pointwise(rng):
         single = null_frame_at(Point(pt[0], tuple(pt[1:])))
         for name in ("L", "Lbar", "e1", "e2"):
             assert np.allclose(fr[name][:, k], single.by_name(name), atol=1e-13)
+
+
+def _one_piece_frame_arrays(x1, x2, x3, chart="auto"):
+    """The single-function frame_arrays that the radial and sphere halves
+    replaced (its oracle)."""
+    r = np.sqrt(x1 ** 2 + x2 ** 2 + x3 ** 2)
+    rs = np.where(r == 0.0, 1.0, r)
+    xh = np.stack([x1 / rs, x2 / rs, x3 / rs])
+    shape = r.shape
+    L = np.zeros((4,) + shape)
+    Lb = np.zeros((4,) + shape)
+    L[0] = 1.0
+    Lb[0] = 1.0
+    L[1:] = xh
+    Lb[1:] = -xh
+
+    def pair(axis):
+        n = np.zeros((3,) + (1,) * len(shape))
+        n[axis] = 1.0
+        u = np.cross(np.broadcast_to(n, (3,) + shape), xh, axis=0)
+        nu = np.sqrt(np.sum(u ** 2, axis=0))
+        nu = np.where(nu == 0.0, 1.0, nu)
+        ephi = u / nu
+        etheta = np.cross(ephi, xh, axis=0)
+        return etheta, ephi
+
+    if chart == "z":
+        et, ep = pair(2)
+    elif chart == "x":
+        et, ep = pair(0)
+    else:
+        et_z, ep_z = pair(2)
+        et_x, ep_x = pair(0)
+        cap = np.abs(xh[2]) > POLAR_CAP
+        et = np.where(cap, et_x, et_z)
+        ep = np.where(cap, ep_x, ep_z)
+    e1 = np.zeros((4,) + shape)
+    e2 = np.zeros((4,) + shape)
+    e1[1:] = et
+    e2[1:] = ep
+    return {"L": L, "Lbar": Lb, "e1": e1, "e2": e2, "r": r}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and \
+        np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("N", [12, 24, 33])
+@pytest.mark.parametrize("chart", ["auto", "z", "x"])
+def test_frame_halves_bit_identical_to_one_piece_frame_arrays(N, chart):
+    # cell centres of an N-cell cube; odd N puts a node at the origin (r = 0)
+    axis = -4.0 + (np.arange(N) + 0.5) * (8.0 / N)
+    mesh = np.meshgrid(axis, axis, axis, indexing="ij")
+    got, want = frame_arrays(*mesh, chart=chart), _one_piece_frame_arrays(*mesh, chart=chart)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert _same_bits(got[name], want[name]), name
+    if chart == "auto":
+        xh = want["L"][1:]
+        assert np.any(np.abs(xh[2]) > POLAR_CAP)      # both charts in use
+    if N % 2:
+        assert np.count_nonzero(want["r"] == 0.0) == 1

@@ -151,6 +151,17 @@ CASES = {
         "background": {"family": "traveling-bump", **BUMP, "velocity": [0.0, 0.3, 0.0]},
         "data": {**GAUSS, "rank": 1}, "components": ["e1", "L"],
         "region": {"q0": 0.5}, "monitors": 5}, ("--refine", "2")),
+    # 4 steps, monitors at every second one: the steps that follow no
+    # monitor compute their own first slope
+    "conserve-static-rank0-stride2": ("conserve", {
+        "grid": {"N": 8, "X": 4.0}, "times": {"t1": 0.0, "t2": 1.0},
+        "background": {"family": "static-bump", **BUMP},
+        "data": GAUSS, "monitors": 3}, ("--refine", "2")),
+    "conserve-static-rank1-e1": ("conserve", {
+        "grid": {"N": 8, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.3},
+        "background": {"family": "static-bump", **BUMP},
+        "data": {**GAUSS, "rank": 1, "channels": 2}, "components": ["e1"],
+        "monitors": 4}, ("--refine", "2")),
     "estimate-traveling": ("estimate", {
         "grid": {"N": 12, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.3},
         "background": {"family": "traveling-bump", **BUMP},
@@ -260,3 +271,46 @@ def test_weights_evaluated_once_per_slice(tmp_path, monkeypatch):
     evolve.run_experiment(_evolve_cfg(tmp_path, 5), str(tmp_path))
     assert sorted(calls, key=lambda fn: fn.__name__) == \
         [energy.w] * 5 + [energy.w_tilde] * 5
+
+
+def test_scalar_budget_run_builds_only_L(tmp_path, monkeypatch):
+    # a scalar component reads x/r = L[1:] only: no Lbar, no sphere charts
+    from framewave import fields
+
+    read, sphere = [], []
+    frame, sphere_frame = fields.GridGeometry.frame, fields.sphere_frame
+    monkeypatch.setattr(fields.GridGeometry, "frame",
+                        lambda self, name: read.append(name) or frame(self, name))
+    monkeypatch.setattr(fields, "sphere_frame",
+                        lambda *args: sphere.append(args) or sphere_frame(*args))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "conserve", **CASES["conserve-static-rank0"][1]}))
+    cfg = cli.parse_config(str(path))
+    _, _, params, region = evolve.setup_experiment(cfg)
+    budget = energy.BudgetPass(region, params)
+    hist = evolve.run_experiment(cfg, str(tmp_path), budget=budget)[0]
+    assert budget.report(0.0, 0.2).ball_flux != 0.0
+    assert read and set(read) == {"L"} and sphere == []
+    assert set(hist.geom._frames) == {"L"}
+
+
+@pytest.mark.parametrize("boundary", ["sommerfeld", "periodic"])
+def test_estimate_report_leaves_stored_snapshots_unchanged(tmp_path, boundary):
+    # the periodic ghosts a step leaves are not the ones a right-hand side
+    # fills in, so a d_tt evaluated on a stored snapshot in place shows
+    from framewave import estimates
+    from framewave.vecfields import parse_multi_index
+
+    mode, body, _ = CASES["estimate-traveling"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": mode, **body, "boundary": boundary}))
+    cfg = cli.parse_config(str(path))
+    _, _, params, region = evolve.setup_experiment(cfg)
+    hist, _, base = evolve.run_experiment(cfg, str(tmp_path), keep="scalar")
+    stored = [a.tobytes() for a in hist.fields + hist.dfields]
+    assert hist.live is None and len(stored) == 2 * body["monitors"]
+    for text in body["multi_indices"]:
+        rep = estimates.energy_estimate_report(hist, parse_multi_index(text), "scalar",
+                                               0.0, 0.3, region, params, base=base)
+        assert all(math.isfinite(v) for v in rep.terms.values())
+    assert [a.tobytes() for a in hist.fields + hist.dfields] == stored

@@ -78,3 +78,60 @@ def test_vectorized_matches_scalar():
         vec = f(qs, P)
         for k, q in enumerate(qs):
             assert vec[k] == pytest.approx(f(float(q), P), rel=1e-14)
+
+
+def _where_forms(params):
+    """The whole-array np.where forms that evaluated both branches
+    everywhere (the oracle of the one-sided evaluation)."""
+    g, m = params.gamma, params.mu
+
+    def split(q):
+        q = np.asarray(q, dtype=float)
+        return q > 0, np.abs(q)
+
+    def w_(q):
+        pos, aq = split(q)
+        return np.where(pos, (1.0 + aq) ** (1.0 + 2.0 * g), 1.0)
+
+    def w_prime_(q):
+        pos, aq = split(q)
+        return np.where(pos, (1.0 + 2.0 * g) * (1.0 + aq) ** (2.0 * g), 0.0)
+
+    def w_hat_(q):
+        pos, aq = split(q)
+        return np.where(pos, (1.0 + aq) ** (1.0 + 2.0 * g), (1.0 + aq) ** (2.0 * m))
+
+    def w_hat_prime_(q):
+        pos, aq = split(q)
+        return np.where(pos, (1.0 + 2.0 * g) * (1.0 + aq) ** (2.0 * g),
+                        -2.0 * m * (1.0 + aq) ** (2.0 * m - 1.0))
+
+    return {w: w_, w_prime: w_prime_, w_hat: w_hat_, w_hat_prime: w_hat_prime_,
+            w_tilde: lambda q: w_(q) + w_hat_(q),
+            w_tilde_prime: lambda q: w_prime_(q) + w_hat_prime_(q)}
+
+
+@pytest.mark.parametrize("N", [24, 36, 48])
+@pytest.mark.parametrize("gamma, mu", [(0.5, -0.25), (0.3, -0.7), (1.25, -0.05)])
+def test_one_sided_weights_equal_where_forms_on_grid_interiors(N, gamma, mu):
+    from framewave.fields import GridGeometry
+
+    params, geom = WeightParams(gamma, mu), GridGeometry(N, 8.0)
+    for t in (0.0, 0.37, 3.0):
+        q = geom.interior(geom.q_full(t))
+        q = np.where(q == 0.0, 1e-30, q)          # as energy._weight_eval
+        for fn, ref in _where_forms(params).items():
+            got, want = fn(q, params), ref(q)
+            assert got.shape == want.shape and np.array_equal(got, want), fn.__name__
+    assert (q < 0).any() and (q > 0).any()        # both sides of the kink at t = 3
+
+
+def test_one_sided_weights_keep_scalar_inputs():
+    forms = _where_forms(P)
+    for q in (-5.0, -0.3, -1e-30, 1e-30, 0.7, 3.0, np.float64(2.5), 4):
+        for fn, ref in forms.items():
+            got = fn(q, P)
+            assert type(got) is float and got == float(ref(q)), (fn.__name__, q)
+    for fn in (w, w_hat, w_tilde):
+        assert fn(0.0, P) == float(forms[fn](0.0))
+    assert w_tilde(np.array([]), P).shape == (0,)
