@@ -650,7 +650,7 @@ class RunHistory:
     dfields: list
     evolver: Evolver
     boundary: str = "sommerfeld"
-    live: tuple = None
+    live: tuple | None = None
 
     @property
     def ghost_mode(self):
