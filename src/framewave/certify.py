@@ -15,7 +15,7 @@ import numpy as np
 
 from . import energy, estimates, vecfields, weights
 from .fields import PolyField
-from .geometry import Point, null_frame_at
+from .geometry import Point, point_frames
 from .poly import random_poly
 from .vecfields import GENERATORS, SCALING
 
@@ -214,9 +214,8 @@ def check_eA_expansions(seed=29, n_pts=200):
     F = random_poly(rng, degree=3, nterms=5)
     gradF = [F.diff(mu) for mu in range(4)]
     worst = 0.0
-    for k in range(n_pts):
+    for k, fr in enumerate(point_frames(pts[:, 1:])):
         p = Point(pts[k, 0], tuple(pts[k, 1:]))
-        fr = null_frame_at(p)
         rot = estimates.eA_rotation_representation(p, fr)
         boost = estimates.eA_boost_representation(p, fr)
         pt = p.coords()[None, :]

@@ -32,6 +32,7 @@ from . import certify as certify_mod
 from . import energy, estimates, evolve
 from .evolve import run_experiment
 from .errors import ConstraintError, FramewaveError, SchemaError
+from .geometry import FULL_NAMES
 from .poly import measure_order
 from .vecfields import parse_multi_index
 
@@ -237,6 +238,8 @@ def mode_certify(cfg, out_dir):
 
 
 def mode_conserve(cfg, out_dir, refine=3):
+    if refine < 1:
+        raise ConstraintError(f"--refine must be at least 1, got {refine}")
     Ns = _refine_list(cfg["grid"]["N"], refine)
     if not cfg["components"]:
         raise ConstraintError("conserve needs one component")
@@ -295,9 +298,9 @@ def mode_commutator(cfg, out_dir):
     from .fields import PolyField
 
     for comp in cfg["components"]:
-        if comp not in estimates.FULL_FRAME:
+        if comp not in FULL_NAMES:
             raise ConstraintError(f"commutator component {comp!r} is not one of "
-                                  f"{', '.join(estimates.FULL_FRAME)}")
+                                  f"{', '.join(FULL_NAMES)}")
     rng = np.random.default_rng(cfg["seed"])
     reports = []
     for text in cfg["multi_indices"]:

@@ -19,10 +19,14 @@ d(omega); this normalization is validated by the budget-closure tests
 rather than assumed.  Volume integrals truncate at the grid edge, which is
 inert for compactly supported data.
 
-Grid evaluations are vectorized; slice and sphere quadratures are
-embarrassingly parallel over nodes, and budget assembly is a sequential
-reduction over monitor times.  All functions treat their inputs as
-immutable snapshots.
+Each density of T_tt + T_rt is written once, as an array kernel
+(null_flat, h_energy, h_radial, h_ttr) that both lanes run: the grid's
+SliceState on support-box arrays, and the exact lane's point displays,
+which certify the kernels against the null-frame rewriting and the
+assembled stress.  Grid evaluations are vectorized; slice and sphere
+quadratures are embarrassingly parallel over nodes, and the budget
+(BudgetPass) is a sequential reduction over monitor slices.  All
+functions treat their inputs as immutable snapshots.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCone, HistoryMissing, PoleDegenerate
-from .fields import InnerProduct, _stencil_window, d1_axis, d2_axis, quadrature_masked
-from .geometry import MINKOWSKI_INV
+from .errors import HistoryMissing, PoleDegenerate
+from .fields import (InnerProduct, _stencil_window, d1_axis, d2_axis, quadrature_masked,
+                     tangential_norm_sq, wave_operator)
+from .geometry import MINKOWSKI_INV, TANGENTIAL_NAMES
 from .weights import w, w_hat_prime, w_tilde, w_tilde_prime
 
 
@@ -110,7 +115,46 @@ class BudgetReport:
 
 
 # ---------------------------------------------------------------------------
-# Exact-lane stress algebra (PolyField scalars; channel axis explicit)
+# Density kernels, shared by both lanes
+#
+# Arrays are in grid layout: d = (d_t psi, d_1 psi, d_2 psi, d_3 psi) is
+# (4, ch, ...) and xh = x/r is (3, ...).  H is either (4, 4, ...), one
+# value per point (the exact lane), or the constant direction M (4, 4) of
+# H = chi M (the grid lane, which multiplies the result by chi on the
+# support box: every H term is linear in H).
+
+
+def null_flat(d, xh):
+    """The flat part of T_tt + T_rt in the null frame,
+    (1/2)(|(d_t + d_r) psi|^2 + sum_i |slash-d_i psi|^2), and d_r psi."""
+    dr = np.einsum("i...,ic...->c...", xh, d[1:])
+    out = 0.5 * InnerProduct.norm_sq(d[0] + dr)
+    for i in range(3):
+        out += 0.5 * InnerProduct.norm_sq(d[1 + i] - xh[i] * dr)
+    return out, dr
+
+
+def h_energy(H, d):
+    """The H part of T_tt: (1/2)(-H^tt |d_t psi|^2 + H^ij <d_i psi, d_j psi>)."""
+    return 0.5 * (np.einsum("ij...,ic...,jc...->...", H[1:, 1:], d[1:], d[1:])
+                  - H[0, 0] * InnerProduct.norm_sq(d[0]))
+
+
+def h_radial(H, xh):
+    """H^{r a} = (x_i / r) H^{i a}, shape (4, ...)."""
+    return np.einsum("i...,ia...->a...", xh, H[1:])
+
+
+def h_ttr(hE, Hr, d):
+    """The H part of T_tt + T_rt from hE = h_energy(H, d) and Hr =
+    h_radial(H, xh): hE + H^{rt} |d_t psi|^2 + H^{rj} <d_j psi, d_t psi>."""
+    return (hE + Hr[0] * InnerProduct.norm_sq(d[0])
+            + np.einsum("j...,jc...,c...->...", Hr[1:], d[1:], d[0]))
+
+
+# ---------------------------------------------------------------------------
+# Exact lane: stress algebra on PolyField scalars and the point displays
+# that certify the density kernels above
 
 
 def _g_inv_poly(H):
@@ -155,12 +199,6 @@ def stress_mixed(H, psi, mu, nu):
     return T
 
 
-def stress_lowered(H, psi, mu, nu):
-    """T_{mu nu} = m_{mu lam} T^lam_nu (sign flip on a time first slot)."""
-    sign = -1 if mu == 0 else 1
-    return stress_mixed(H, psi, mu, nu) * sign
-
-
 def divergence_formula(H, psi, nu=0):
     """The evaluated covariant divergence d^mu T_{mu nu}, term by term:
 
@@ -169,8 +207,7 @@ def divergence_formula(H, psi, nu=0):
         - (1/2) (d_nu H^{ab}) <d_a psi, d_b psi>.
     """
     grad = psi.gradient()
-    hess = psi.gradient().gradient()
-    g = _g_inv_poly(H)
+    box = wave_operator(H, grad.gradient())
 
     def ip_grad(a, b):
         out = None
@@ -181,14 +218,7 @@ def divergence_formula(H, psi, nu=0):
 
     total = None
     for c in range(psi.channels):
-        box = None
-        for a in range(4):
-            for b in range(4):
-                if g[a, b].is_zero():
-                    continue
-                t = g[a, b] * hess.comps[a, b, c]
-                box = t if box is None else box + t
-        t = box * grad.comps[nu, c]
+        t = box.comps[c] * grad.comps[nu, c]
         total = t if total is None else total + t
     if H is not None:
         for a in range(4):
@@ -228,24 +258,10 @@ def eval_point_bundle(H, psi, pts):
 
 
 def ttr_coordinate(bundle):
-    """(T_tt + T_rt) via the coordinate display: flat square terms plus the
-    five H-correction terms with H^{r a} = (x_i / r) H^{i a}."""
-    d = bundle["dpsi"]
-    Hv = bundle["H"]
-    xh = bundle["xhat"]
-    dt = d[:, 0, :]
-    dr = np.einsum("ni,nic->nc", xh, d[:, 1:, :])
-    flat = 0.5 * np.sum((dt + dr) ** 2, axis=1)
-    for i in range(3):
-        slash = d[:, 1 + i, :] - xh[:, i][:, None] * dr
-        flat += 0.5 * np.sum(slash ** 2, axis=1)
-    Htt = Hv[:, 0, 0]
-    corr = -0.5 * Htt * np.sum(dt * dt, axis=1)
-    corr += 0.5 * np.einsum("nij,nic,njc->n", Hv[:, 1:, 1:], d[:, 1:, :], d[:, 1:, :])
-    Hr = np.einsum("ni,nia->na", xh, Hv[:, 1:, :])  # H^{r a}
-    corr += Hr[:, 0] * np.sum(dt * dt, axis=1)
-    corr += np.einsum("nj,njc,nc->n", Hr[:, 1:], d[:, 1:, :], dt)
-    return flat + corr
+    """(T_tt + T_rt) via the coordinate display: the kernels the grid's
+    ttr_density runs, null_flat + h_ttr, on the bundle in grid layout."""
+    d, xh, H = (np.moveaxis(bundle[k], 0, -1) for k in ("dpsi", "xhat", "H"))
+    return null_flat(d, xh)[0] + h_ttr(h_energy(H, d), h_radial(H, xh), d)
 
 
 def ttr_nullframe(bundle):
@@ -259,15 +275,10 @@ def ttr_nullframe(bundle):
     d = bundle["dpsi"]
     Hv = bundle["H"]
     xh = bundle["xhat"]
-    dt = d[:, 0, :]
-    dr = np.einsum("ni,nic->nc", xh, d[:, 1:, :])
-    flat = 0.5 * np.sum((dt + dr) ** 2, axis=1)
-    for i in range(3):
-        slash = d[:, 1 + i, :] - xh[:, i][:, None] * dr
-        flat += 0.5 * np.sum(slash ** 2, axis=1)
+    flat, _ = null_flat(np.moveaxis(d, 0, -1), xh.T)
     L_low = np.concatenate([-np.ones((len(xh), 1)), xh], axis=1)  # (n, 4)
     HLbar = -0.5 * np.einsum("nm,nma->na", L_low, Hv)
-    corr = -2.0 * np.einsum("na,nac,nc->n", HLbar, d, dt)
+    corr = -2.0 * np.einsum("na,nac,nc->n", HLbar, d, d[:, 0, :])
     corr += 0.5 * np.einsum("nab,nac,nbc->n", Hv, d, d)
     return flat + corr
 
@@ -295,37 +306,14 @@ def gradient_decomposition_residuals(psi, pts):
     r = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
     if np.any(r == 0.0):
         raise PoleDegenerate
-    xh = pts[:, 1:] / r[:, None]
-    d = psi.gradient().eval(pts)
-    dt = d[:, 0, :]
-    dr = np.einsum("ni,nic->nc", xh, d[:, 1:, :])
-    slash_sq = np.zeros(len(pts))
-    for i in range(3):
-        slash = d[:, 1 + i, :] - xh[:, i][:, None] * dr
-        slash_sq += np.sum(slash ** 2, axis=1)
-    spatial = np.einsum("nic,nic->n", d[:, 1:, :], d[:, 1:, :])
-    res1 = spatial - (slash_sq + np.sum(dr * dr, axis=1))
-    lhs2 = np.sum((dt + dr) ** 2, axis=1) + slash_sq
-    rhs2 = np.einsum("nac,nac->n", d, d) + 2.0 * np.sum(dt * dr, axis=1)
-    return np.abs(res1), np.abs(lhs2 - rhs2)
-
-
-def norm_equivalence_bounds(H_samples):
-    """Eigenvalue range of the slice quadratic form against |d psi|^2.
-
-    For each sampled H (4x4 symmetric contravariant values), the form
-    -(m^tt + H^tt)|dt psi|^2 + (m^ij + H^ij) <di psi, dj psi> is
-    block-diagonal; returns (min, max) eigenvalue over the samples.
-    """
-    lo, hi = np.inf, -np.inf
-    for Hv in H_samples:
-        A = np.zeros((4, 4))
-        A[0, 0] = 1.0 - Hv[0, 0]
-        A[1:, 1:] = np.eye(3) + Hv[1:, 1:]
-        ev = np.linalg.eigvalsh(0.5 * (A + A.T))
-        lo = min(lo, ev.min())
-        hi = max(hi, ev.max())
-    return float(lo), float(hi)
+    xh = (pts[:, 1:] / r[:, None]).T
+    d = np.moveaxis(psi.gradient().eval(pts), 0, -1)  # (4, ch, n)
+    flat, dr = null_flat(d, xh)
+    spatial = np.einsum("ic...,ic...->...", d[1:], d[1:])
+    # with d_t psi = 0, twice null_flat is |d_r psi|^2 + sum_i |slash-d_i psi|^2
+    res1 = spatial - 2.0 * null_flat(np.concatenate([np.zeros_like(d[:1]), d[1:]]), xh)[0]
+    rhs2 = np.einsum("ac...,ac...->...", d, d) + 2.0 * InnerProduct.dot(d[0], dr)
+    return np.abs(res1), np.abs(2.0 * flat - rhs2)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +330,9 @@ class SliceState:
 
     Every H term is built on the support box of the background
     (:meth:`support`), outside which chi and dchi are exactly 0, and added
-    into the box of its full-cube flat part.  ``hess()`` and ``grad_t()``
-    are full-cube derivatives that no density reads.
+    into the box of its full-cube flat part.  The densities of T_tt +
+    T_rt are the kernels null_flat, h_energy, h_radial and h_ttr that the
+    exact lane certifies.
 
     The region mask, q and its weights are cached too, so one state
     holds everything a monitor reads at its slice; the monitors walk a
@@ -378,14 +367,6 @@ class SliceState:
     def grad(self):
         return self.dpsi4()[1:]
 
-    def grad_t(self):
-        def build():
-            out = np.empty((3,) + self.psi_t.shape)
-            for i in (1, 2, 3):
-                d1_axis(self.psi_t, i, self.geom.dx, out=out[i - 1])
-            return out
-        return self._get("grad_t", build)
-
     def dpsi4(self):
         """(d_t psi, d_1 psi, d_2 psi, d_3 psi) in one array; grad() is
         its spatial part."""
@@ -396,19 +377,6 @@ class SliceState:
                 d1_axis(self.psi, i, self.geom.dx, out=out[i])
             return out
         return self._get("dpsi4", build)
-
-    def hess(self):
-        def build():
-            g = self.grad()
-            out = np.empty((3, 3) + self.psi.shape)
-            for i in (1, 2, 3):
-                d2_axis(self.psi, i, self.geom.dx, out=out[i - 1, i - 1])
-            for i in (1, 2, 3):
-                for j in range(i + 1, 4):
-                    d1_axis(g[i - 1], j, self.geom.dx, out=out[i - 1, j - 1])
-                    out[j - 1, i - 1] = out[i - 1, j - 1]
-            return out
-        return self._get("hess", build)
 
     def support(self):
         """(box, chi, dchi) of the background H = chi M at this slice (see
@@ -455,7 +423,7 @@ class SliceState:
                 hess = [[None] * 3 for _ in range(3)]
                 for i in range(3):
                     hess[i][i] = d2_axis(psi, i + 1, dx)[cut]
-                    for j in range(i + 1, 3):   # d_j d_i psi with i < j, as hess()
+                    for j in range(i + 1, 3):   # d_j d_i psi with i < j
                         hess[i][j] = hess[j][i] = d1_axis(g[i], j + 1, dx)[cut]
                 M = self.bg.direction
                 h = M[0, 0] * self.psi_tt[(Ellipsis,) + box]
@@ -468,21 +436,18 @@ class SliceState:
             return out
         return self._get("wave_op", build)
 
+    def _box_dpsi4(self):
+        return self.dpsi4()[(Ellipsis,) + self.support()[0]]
+
     def _h_energy(self):
-        """(1/2)(-M^tt |dt psi|^2 + M^ij <di psi, dj psi>) on the support
-        box: the H part of T_tt divided by chi."""
-        def build():
-            cut = (Ellipsis,) + self.support()[0]
-            M, g = self.bg.direction, self.grad()[cut]
-            return 0.5 * (np.einsum("ij,ic...,jc...->...", M[1:, 1:], g, g)
-                          - M[0, 0] * InnerProduct.norm_sq(self.psi_t[cut]))
-        return self._get("h_energy", build)
+        """h_energy(M, d psi) on the support box: the H part of T_tt
+        divided by chi."""
+        return self._get("h_energy", lambda: h_energy(self.bg.direction, self._box_dpsi4()))
 
     def _radial_direction(self):
         """M^{r a} = (x_i / r) M^{i a} on the support box, shape (4, *box)."""
-        return self._get("radial_direction", lambda: np.einsum(
-            "i...,ia->a...", self.geom.frame("L")[(slice(1, None),) + self.support()[0]],
-            self.bg.direction[1:, :]))
+        return self._get("radial_direction", lambda: h_radial(
+            self.bg.direction, self.geom.frame("L")[(slice(1, None),) + self.support()[0]]))
 
     def energy_density(self):
         """T_tt = -(1/2) g^tt |dt psi|^2 + (1/2) g^ij <di psi, dj psi>."""
@@ -498,25 +463,19 @@ class SliceState:
             return out
         return self._get("energy_density", build)
 
-    def _radial(self):
-        def build():
-            xh = self.geom.frame("L")[1:]  # x/r, (3, n,n,n)
-            g = self.grad()
-            dr = np.einsum("i...,ic...->c...", xh, g)
-            return xh, dr
-        return self._get("radial", build)
+    def _null_flat(self):
+        """null_flat on the full cube: (tangential integrand, d_r psi)."""
+        return self._get("null_flat", lambda: null_flat(self.dpsi4(), self.geom.frame("L")[1:]))
 
     def ttr_density(self):
-        """T_tt + T_rt in the coordinate display (weight-derivative term)."""
+        """T_tt + T_rt in the coordinate display (weight-derivative term):
+        null_flat plus chi h_ttr on the support box."""
         def build():
             out = self.tangential_integrand()
             sup = self.support()
             if sup is not None:
                 box, chi, _ = sup
-                cut = (Ellipsis,) + box
-                Mr, psi_t = self._radial_direction(), self.psi_t[cut]
-                h = (self._h_energy() + Mr[0] * InnerProduct.norm_sq(psi_t)
-                     + np.einsum("j...,jc...,c...->...", Mr[1:], self.grad()[cut], psi_t))
+                h = h_ttr(self._h_energy(), self._radial_direction(), self._box_dpsi4())
                 out = out.copy()            # the cached integrand stays as it is
                 out[box] += chi * h
             return out
@@ -525,15 +484,15 @@ class SliceState:
     def trt_density(self):
         """T_rt = g^{r a} <d_a psi, d_t psi> (ball-flux integrand)."""
         def build():
-            _, dr = self._radial()
+            _, dr = self._null_flat()
             out = InnerProduct.dot(dr, self.psi_t)
             sup = self.support()
             if sup is not None:
                 # g^{r a} = m^{r a} + chi M^{r a}; the flat part is the radial dr.
                 box, chi, _ = sup
-                cut = (Ellipsis,) + box
+                d4 = self._box_dpsi4()
                 out[box] += chi * np.einsum("a...,ac...,c...->...", self._radial_direction(),
-                                            self.dpsi4()[cut], self.psi_t[cut])
+                                            d4, d4[0])
             return out
         return self._get("trt_density", build)
 
@@ -546,27 +505,17 @@ class SliceState:
             sup = self.support()
             if sup is not None:
                 box, _, dchi = sup
-                cut = (Ellipsis,) + box
-                M = self.bg.direction
-                d4, psi_t = self.dpsi4()[cut], self.psi_t[cut]
+                M, d4 = self.bg.direction, self._box_dpsi4()
                 divH = np.einsum("m...,ma->a...", dchi, M)
                 on_box = out[box]
-                on_box += np.einsum("a...,ac...,c...->...", divH, d4, psi_t)
+                on_box += np.einsum("a...,ac...,c...->...", divH, d4, d4[0])
                 on_box -= 0.5 * dchi[0] * np.einsum("ab,ac...,bc...->...", M, d4, d4)
             return out
         return self._get("div_t_density", build)
 
     def tangential_integrand(self):
         """(1/2)(|(d_t + d_r) psi|^2 + sum_i |slash-d_i psi|^2)."""
-        def build():
-            xh, dr = self._radial()
-            g = self.grad()
-            out = 0.5 * InnerProduct.norm_sq(self.psi_t + dr)
-            for i in range(3):
-                slash = g[i] - xh[i] * dr
-                out += 0.5 * InnerProduct.norm_sq(slash)
-            return out
-        return self._get("tangential_integrand", build)
+        return self._null_flat()[0]
 
     def grad_norm_sq(self):
         return self._get("grad_norm_sq",
@@ -574,14 +523,8 @@ class SliceState:
 
     def tangential_norm_sq(self):
         """sum over {L, e1, e2} of |d_U psi|^2 (frame tangential norm)."""
-        def build():
-            d4 = self.dpsi4()
-            out = np.zeros(self.psi.shape[1:])
-            for name in ("L", "e1", "e2"):
-                dU = np.einsum("m...,mc...->c...", self.geom.frame(name), d4)
-                out += InnerProduct.norm_sq(dU)
-            return out
-        return self._get("tangential_norm_sq", build)
+        return self._get("tangential_norm_sq", lambda: tangential_norm_sq(
+            self.dpsi4(), (self.geom.frame(name) for name in TANGENTIAL_NAMES)))
 
 
 class ComponentSeries:
@@ -646,33 +589,9 @@ def slice_energy(state: SliceState, region: ExteriorRegion, params, weight="w"):
     return _quad(state, state.grad_norm_sq(), region, wfun, params)
 
 
-def exterior_energy(series: ComponentSeries, t, region, params, weight="w"):
-    """Estimate-side slice energy at a stored monitor time.
-
-    The series passed in is already the Lie-applied, frame-projected
-    component; zero fields integrate to zero and the functional is
-    quadratic under data scaling.
-    """
-    return slice_energy(series.state_at(t), region, params, weight=weight)
-
-
 def _tangential_slice(state, region, params):
     """Slice integral of the tangential integrand with the what'(q) weight."""
     return _quad(state, state.tangential_integrand(), region, w_hat_prime, params)
-
-
-def tangential_flux_integral(series, t1, t2, region, params):
-    """Time integral of the weighted tangential-derivative slice integrals.
-
-    Integrand (1/2)(|(d_t + d_r) psi|^2 + sum_i |slash-d_i psi|^2) with the
-    what'(q) weight; trapezoid in time over stored monitor slices.
-    Nonnegative by construction.
-    """
-    k1, k2 = series.index_range(t1, t2)
-    if k2 <= k1:
-        raise HistoryMissing("t2 must exceed t1 in the stored history")
-    vals = [_tangential_slice(series.state(k), region, params) for k in range(k1, k2 + 1)]
-    return trapz(vals, series.times[k1:k2 + 1])
 
 
 def _trilinear(geom, interior_values, pts3):
@@ -745,38 +664,6 @@ def _surface_integral(samples):
     return trapz([v for _, v in met], [t for t, _ in met])
 
 
-def cone_flux(series, q0, t1, t2, params, n_theta=16, n_phi=32,
-              region=None):
-    """Flux of the weighted stress through the cone q = q0 between t1, t2.
-
-    The cone is parametrized as (tau, (tau + q0) omega); the integrand is
-    (T_tt + T_rt) * wtilde(q0) with measure r^2 dtau d(omega).  Portions of
-    the cone below the origin ball or outside the grid do not exist for
-    the truncated region and are skipped; an entirely absent cone raises
-    EmptyCone.
-    """
-    if not np.isfinite(q0):
-        raise EmptyCone("cone at q0 = -inf never intersects the slab")
-    geom = series.geom
-    k1, k2 = series.index_range(t1, t2)
-    ball = region.ball(geom) if region is not None else 2.0 * geom.dx
-    nodes = _sphere_nodes(n_theta, n_phi)
-    samples = [(series.times[k], _cone_slice(series.state(k), q0, ball, nodes, params))
-               for k in range(k1, k2 + 1)]
-    if all(v is None for _, v in samples):
-        raise EmptyCone(f"cone q = {q0} outside the grid for [{t1}, {t2}]")
-    return _surface_integral(samples)
-
-
-def _ball_flux(series, region, t1, t2, params, n_theta=8, n_phi=16):
-    """Outflow through the origin-ball sphere (negative orientation)."""
-    k1, k2 = series.index_range(t1, t2)
-    ball, nodes = region.ball(series.geom), _sphere_nodes(n_theta, n_phi)
-    return _surface_integral([(series.times[k], _ball_slice(series.state(k), region, ball,
-                                                            nodes, params))
-                              for k in range(k1, k2 + 1)])
-
-
 class BudgetPass:
     """The terms of the weighted budget identity, one slice at a time.
 
@@ -823,18 +710,6 @@ class BudgetPass:
             divergence_volume=trapz(self._dvals, self._ts),
             hypothesis_ok=bool(supH < 1.0 / 3.0), sup_H=float(supH),
         )
-
-
-def conservation_budget(series, region, t1, t2, params=None,
-                        n_theta=16, n_phi=32, ball_quadrature=True):
-    """Assemble every term of the weighted budget identity over a stored
-    series: one BudgetPass over the monitor slices from t1 to t2, each
-    slice's state dropped before the next is built."""
-    k1, k2 = series.index_range(t1, t2)
-    budget = BudgetPass(region, params, n_theta, n_phi, ball_quadrature)
-    for k in range(k1, k2 + 1):
-        budget.add(series.state(k), end=k in (k1, k2))
-    return budget.report(t1, t2)
 
 
 # ---------------------------------------------------------------------------

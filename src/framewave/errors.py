@@ -9,22 +9,6 @@ class PoleDegenerate(FramewaveError):
     """Frame-dependent operation requested at the spatial origin (r = 0)."""
 
 
-class RankMismatch(FramewaveError):
-    """Tensor rank does not match the number of contraction vectors."""
-
-
-class GhostInvalid(FramewaveError):
-    """Grid derivative requested while ghost layers are stale."""
-
-
-class EmptyRegion(FramewaveError):
-    """Integration region contains no grid nodes."""
-
-
-class EmptyCone(FramewaveError):
-    """Cone does not intersect the grid for the requested time range."""
-
-
 class KinkPoint(FramewaveError):
     """Weight derivative requested exactly at the q = 0 kink."""
 

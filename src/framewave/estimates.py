@@ -34,10 +34,10 @@ import numpy as np
 
 from .energy import ComponentSeries, SliceState, _tangential_slice, slice_energy, trapz
 from .errors import FrameMismatch, HistoryMissing, PoleDegenerate
-from .fields import PolyField, d1_axis, fill_ghosts_array
-from .geometry import MINKOWSKI_INV, frame_arrays
+from .fields import PolyField, d1_axis, fill_ghosts_array, tangential_norm_sq, wave_operator
+from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
-from .vecfields import (GENERATORS, lie_lattice, lie_minkowski_inverse_factor,
+from .vecfields import (GENERATORS, _norm_at, lie_lattice, lie_minkowski_inverse_factor,
                         lie_multi, splittings, subsequences, ksize_plus)
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -70,9 +70,6 @@ def frame_symbolic(name):
 
 _FRAME_SYM = {n: frame_symbolic(n) for n in ("L", "Lbar", "e1", "e2")}
 
-TANGENTIAL = ("L", "e1", "e2")
-FULL_FRAME = ("Lbar", "L", "e1", "e2")
-
 
 def project_component(phi: PolyField, name):
     """phi_V = V^mu phi_mu as a RadPoly scalar field (rank-1 input)."""
@@ -104,26 +101,7 @@ def _hessian(scalar_field: PolyField):
 
 def g_box(H, phi):
     """g^{ab} d_a d_b phi as a scalar field (flat part plus H part)."""
-    return _box(H, _hessian(phi))
-
-
-def _box(H, hess):
-    """g^{ab} d_a d_b of the scalar field whose Hessian is hess."""
-    comps = np.empty((hess.channels,), dtype=object)
-    for c in range(hess.channels):
-        acc = None
-        for a in range(4):
-            t = hess.comps[a, a, c] * int(MINKOWSKI_INV[a, a])
-            acc = t if acc is None else acc + t
-        if H is not None:
-            for a in range(4):
-                for b in range(4):
-                    Hab = H.comps[a, b, 0]
-                    if Hab.is_zero():
-                        continue
-                    acc = acc + Hab * hess.comps[b, a, c]
-        comps[c] = acc
-    return PolyField(0, hess.channels, comps)
+    return wave_operator(H, _hessian(phi))
 
 
 def commutator_exact_lhs(H, phi, I):
@@ -187,7 +165,7 @@ class CommutatorStudy:
                                if f[0] != "box" or f[1] == key}
                 if hess is None:
                     hess = self._factor("grad", key, s).gradient()
-                val = _box(self.H, hess)
+                val = wave_operator(self.H, hess)
             self._built[what, key, s] = val
         return self._built[what, key, s]
 
@@ -200,8 +178,8 @@ class CommutatorStudy:
         for f in factors:
             if f not in norms:
                 val = self._factor(*f)
-                norms[f] = (np.abs(val.eval(pts)[:, 0]) if f[0] == "LL"
-                            else _norm_eval(val, pts))
+                vals = val.eval(pts)
+                norms[f] = np.abs(vals[:, 0]) if f[0] == "LL" else _norm_at(vals)
         return norms
 
 
@@ -285,10 +263,6 @@ class CommutatorIdentityRHS:
         return lie_multi(self.I, self._box[()]) - self._box[self.I]
 
 
-def commutator_identity_rhs(H, phi, I):
-    return CommutatorIdentityRHS(H, phi, I)
-
-
 def identity_residual(H, phi, I, pts):
     """Relative residual |LHS - RHS| over a point batch.
 
@@ -322,11 +296,6 @@ class BoundTerm:
     phi_components: tuple   # component names read by the field factor
 
 
-def _norm_eval(field: PolyField, pts):
-    vals = field.eval(pts)
-    return np.sqrt(np.sum(vals ** 2, axis=tuple(range(1, vals.ndim))))
-
-
 class CommutatorBound:
     """Pointwise evaluator of the decoupled commutator bound.
 
@@ -350,7 +319,7 @@ class CommutatorBound:
     def __init__(self, H, phi, I, V, frame_set="T", study=None):
         self.I = tuple(I)
         self.V = V
-        allowed = TANGENTIAL if frame_set == "T" else FULL_FRAME
+        allowed = TANGENTIAL_NAMES if frame_set == "T" else FULL_NAMES
         if V not in allowed:
             raise FrameMismatch(f"component {V!r} not in frame set {frame_set!r}")
         self.frame_set = frame_set
@@ -487,50 +456,7 @@ def commutator_report(H, phi, I, V, pts, frame_set="T", study=None):
 
 
 # ---------------------------------------------------------------------------
-# Frame-gradient bound and the e_A expansion identities
-
-
-def gradient_frame_bound(Psi, U, V, pts):
-    """Measured constant in the frame-gradient inequality
-
-        |d Psi_{UV}| <= C [ sum_{|I|<=1} (1+t+|q|)^-1 |L_{Z^I} Psi|
-                          + sum_{U' in full, V' in tang} sum_{|I|<=1}
-                            (1+|q|)^-1 |(L_{Z^I} Psi)_{U'V'}| ].
-
-    The left side differentiates the projected scalar exactly (radial
-    calculus); right-side frame components are taken of the Lie-derived
-    tensor at each point.  Returns the sup of lhs/rhs over the samples.
-    """
-    assert Psi.rank == 2
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    Us, Vs = _FRAME_SYM[U], _FRAME_SYM[V]
-    comps = np.empty((Psi.channels,), dtype=object)
-    for c in range(Psi.channels):
-        acc = RadPoly()
-        for mu in range(4):
-            for nu in range(4):
-                acc = acc + Us[mu] * Vs[nu] * Psi.comps[mu, nu, c]
-        comps[c] = acc
-    proj = PolyField(0, Psi.channels, comps)
-    lhs = _norm_eval(proj.gradient(), pts)
-
-    fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3], chart="z")
-    vecs = {n: fr[n].T for n in FULL_FRAME}
-    r = fr["r"]
-    q = r - pts[:, 0]
-    wt = 1.0 / (1.0 + pts[:, 0] + np.abs(q))
-    wq = 1.0 / (1.0 + np.abs(q))
-    rhs = np.zeros(len(pts))
-    for I in [()] + [(g,) for g in GENERATORS]:
-        LPsi = lie_multi(I, Psi)
-        vals = LPsi.eval(pts)  # (n,4,4,ch)
-        rhs += wt * np.sqrt(np.sum(vals ** 2, axis=(1, 2, 3)))
-        for Un in FULL_FRAME:
-            for Vn in TANGENTIAL:
-                cvals = np.einsum("nm,nk,nmkc->nc", vecs[Un], vecs[Vn], vals)
-                rhs += wq * np.sqrt(np.sum(cvals ** 2, axis=1))
-    ok = rhs > 1e-14
-    return float(np.max(lhs[ok] / rhs[ok])) if ok.any() else 0.0
+# The e_A expansion identities
 
 
 def lbar_radial_residual(pts):
@@ -765,12 +691,12 @@ def _H_frame_arrays(state: SliceState):
         return z, z, z, z, z
     box, chi, dchi = sup
     M = state.bg.direction
-    fr = {name: geom.frame(name)[(slice(None),) + box] for name in ("L", "e1", "e2")}
-    L = fr["L"]
+    fr = [geom.frame(name)[(slice(None),) + box] for name in TANGENTIAL_NAMES]
+    L = fr[0]
     M_LL = np.abs(np.einsum("m...,k...,mk->...", L, L, M * np.outer(_MSIGN, _MSIGN)))
     M_frob = np.sqrt(np.sum(M * M))
     dchi_norm = np.sqrt(np.einsum("a...,a...->...", dchi, dchi))
-    tang_sq = sum(np.einsum("a...,a...->...", U, dchi) ** 2 for U in fr.values())
+    tang_sq = tangential_norm_sq(dchi[:, None], fr)
     out = []
     for val in (np.abs(chi) * M_LL, np.abs(chi) * M_frob, dchi_norm * M_LL,
                 np.sqrt(tang_sq) * M_frob, dchi_norm * M_frob):

@@ -1,6 +1,6 @@
 """Tensor field representations: exact polynomial fields and uniform grids.
 
-Two interchangeable lanes share the derivative and norm operators:
+Two lanes:
 
 * ``PolyField`` wraps exact scalars from :mod:`framewave.poly` in a tensor
   of rank <= 2 with a channel axis; differentiation is exact, so these
@@ -9,6 +9,10 @@ Two interchangeable lanes share the derivative and norm operators:
   [-X, X]^3 with a ghost layer of width 2.  Cell centering keeps every
   node away from r = 0, so frame projections are defined everywhere and
   the origin exclusion is purely a quadrature mask.
+
+The operators both lanes need are written here once: the frame tangential
+norm (on grid fields and point batches alike) and the exact wave
+operator (for the commutator machinery and the divergence display).
 
 Spatial derivatives on grids are 4th-order centered stencils; the
 "extrapolate" ghost fill reproduces one-sided 4th-order closures at the
@@ -23,12 +27,10 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion, GhostInvalid, PoleDegenerate
-from .geometry import MINKOWSKI_INV, null_frame_at, null_vector, radius, sphere_frame
+from .geometry import MINKOWSKI_INV, null_vector, radius, sphere_frame
 from .poly import Poly, _eval_scalars
 
 GHOST = 2
@@ -170,61 +172,32 @@ class PolyField:
         return all(self.comps[idx].is_zero() for idx in np.ndindex(self.shape))
 
 
-@dataclass
-class AnalyticField:
-    """Scalar field given by closed-form value/gradient callables.
-
-    value(pts) -> (n,), grad(pts) -> (n, 4).  Used for non-polynomial
-    reference profiles (outgoing pulses, radial profiles of q = r - t).
-    """
-
-    value: object
-    grad: object
-    channels: int = 1
-    rank: int = 0
-
-
-def gradient_at(field, pts):
-    """(d_mu F)(pts) for PolyField / AnalyticField -> (n, 4) + shape."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if isinstance(field, AnalyticField):
-        g = np.asarray(field.grad(pts))
-        return g.reshape(pts.shape[0], 4, 1)
-    return field.gradient().eval(pts)
-
-
-def tangential_gradient_norm(field, p):
-    """sqrt( sum_{U in {L, e1, e2}} sum_slots |d_U F|^2 ) at a point."""
-    frame = null_frame_at(p)  # raises PoleDegenerate at r = 0
-    pt = p.coords()[None, :]
-    grad = gradient_at(field, pt)[0]  # (4,) + shape
-    total = 0.0
-    for U in (frame.L, frame.e1, frame.e2):
-        dU = np.tensordot(U, grad, axes=(0, 0))
-        total += float(np.sum(dU * dU))
-    return float(np.sqrt(total))
-
-
-def wave_operator(metric, field):
-    """g^{ab} d_a d_b F for exact fields: flat part plus H contraction."""
-    hess = field.gradient().gradient()  # slots (b, a, ...orig)
-    out = PolyField.zero(field.rank, field.channels, field.variance)
-    for a in range(4):
-        sgn = MINKOWSKI_INV[a, a]
-        for idx in np.ndindex(field.shape):
-            out.comps[idx] = out.comps[idx] + hess.comps[(a, a) + idx] * sgn
-    H = getattr(metric, "H", metric)
-    if H is not None:
+def wave_operator(H, hess):
+    """g^{ab} d_a d_b psi = m^{ab} d_a d_b psi + H^{ab} d_a d_b psi of the
+    exact scalar field whose Hessian is hess (slots (b, a, ch)); H is a
+    rank-2 contravariant PolyField or None for flat."""
+    comps = np.empty((hess.channels,), dtype=object)
+    for c in range(hess.channels):
+        acc = None
         for a in range(4):
-            for b in range(4):
-                Hab = H.comps[a, b, 0]
-                if Hab.is_zero():
-                    continue
-                for idx in np.ndindex(field.shape):
-                    out.comps[idx] = out.comps[idx] + Hab * hess.comps[(b, a) + idx]
-    return out
+            t = hess.comps[a, a, c] * int(MINKOWSKI_INV[a, a])
+            acc = t if acc is None else acc + t
+        if H is not None:
+            for a in range(4):
+                for b in range(4):
+                    Hab = H.comps[a, b, 0]
+                    if Hab.is_zero():
+                        continue
+                    acc = acc + Hab * hess.comps[b, a, c]
+        comps[c] = acc
+    return PolyField(0, hess.channels, comps)
+
+
+def tangential_norm_sq(d, vectors):
+    """sum over the frame vectors U of |d_U psi|^2, |U^m d_m psi|^2 summed
+    over channels: d is the 4-gradient (4, ch, ...) and each U is
+    (4, ...), a grid field or a point batch (both lanes)."""
+    return sum(InnerProduct.norm_sq(np.einsum("m...,mc...->c...", U, d)) for U in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -340,17 +313,6 @@ class GridField:
         n = geom.n_full
         data = np.zeros((4,) * rank + (channels, n, n, n))
         return cls(geom, rank, channels, data, t, variance)
-
-    @classmethod
-    def sample_scalar(cls, geom, fn, t=0.0, channels=1):
-        """Sample fn(T, X1, X2, X3) -> (n,n,n) (or per-channel list) on the full cube."""
-        X1, X2, X3 = geom.mesh()
-        T = np.full_like(X1, t)
-        vals = fn(T, X1, X2, X3)
-        if channels == 1 and not isinstance(vals, (list, tuple)):
-            vals = [vals]
-        data = np.stack([np.asarray(v, dtype=float) for v in vals])
-        return cls(geom, 0, channels, data, t)
 
     def interior(self):
         return self.geom.interior(self.data)
@@ -544,43 +506,6 @@ def d2_axis(arr, spatial_axis, dx, out=None):
     """4th-order centered pure second derivative along spatial_axis; the
     margin and ``out`` as for :func:`d1_axis`."""
     return _stencil_axis(arr, spatial_axis, dx, out, second=True)
-
-
-def partial_derivative(field, mu):
-    """Coordinate derivative d_mu: exact for PolyField, stencil for GridField."""
-    if isinstance(field, PolyField):
-        return field.partial(mu)
-    if isinstance(field, GridField):
-        if mu == 0:
-            raise ValueError("time derivatives of grid snapshots come from the "
-                             "evolution state, not from a single slice")
-        if not field.ghost_valid:
-            raise GhostInvalid("fill_ghosts before taking grid derivatives")
-        data = d1_axis(field.data, mu, field.geom.dx)
-        return GridField(field.geom, field.rank, field.channels, data, field.t,
-                         field.variance, ghost_valid=False)
-    raise TypeError(f"unsupported field type {type(field)!r}")
-
-
-def quadrature_slice(field, region, t=None):
-    """Midpoint-rule integral of a scalar field over the exterior slice.
-
-    Sums F * dx^3 over interior nodes with q >= q0, excluding the origin
-    ball.  Accepts a scalar GridField or a raw interior array plus an
-    explicit geometry via region duck typing.
-    """
-    if isinstance(field, GridField):
-        assert field.rank == 0
-        geom = field.geom
-        vals = field.interior()
-        t = field.t if t is None else t
-        vals = vals.sum(axis=0) if field.channels > 1 else vals[0]
-    else:
-        raise TypeError("quadrature_slice expects a scalar GridField")
-    mask = geom.region_mask(region, t)
-    if not mask.any():
-        raise EmptyRegion(f"no nodes with q >= {region.q0} at t = {t}")
-    return float(np.sum(vals[mask]) * geom.dx ** 3)
 
 
 def quadrature_masked(geom, values_interior, mask):

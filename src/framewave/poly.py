@@ -207,13 +207,6 @@ class RadPoly:
             p = Poly.const(p)
         return cls({(0, 0, 0): p})
 
-    @classmethod
-    def radical(cls, which, power=1):
-        """Return r^-power (which=0), rho12^-power (1) or rho23^-power (2)."""
-        key = [0, 0, 0]
-        key[which] = power
-        return cls({tuple(key): P_ONE})
-
     def is_zero(self):
         return not self.terms
 

@@ -25,8 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PoleDegenerate, TimeZero
-from .fields import PolyField
-from .geometry import MINKOWSKI
+from .fields import PolyField, tangential_norm_sq
+from .geometry import MINKOWSKI, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, Poly
 
 
@@ -392,17 +392,11 @@ def measure_decay_constants(phi: PolyField, I, pts):
     pts = np.asarray(pts, dtype=float)
     lie_phi = lie_multi(tuple(I), phi)
     grad = lie_phi.gradient().eval(pts)  # (n, 4) + shape
-    full = np.sqrt(np.sum(grad ** 2, axis=tuple(range(1, grad.ndim))))
-
-    from .geometry import frame_arrays
-
+    full = _norm_at(grad)
     fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])
-    tang_sq = np.zeros(len(pts))
-    for name in ("L", "e1", "e2"):
-        U = fr[name]  # (4, n)
-        dU = np.einsum("mn,nm...->n...", U, grad)
-        tang_sq += np.sum(dU ** 2, axis=tuple(range(1, dU.ndim)))
-    tang = np.sqrt(tang_sq)
+    # slots and channels fold into one channel axis of the grid layout
+    d = np.moveaxis(grad, 0, -1).reshape(4, -1, len(pts))
+    tang = np.sqrt(tangential_norm_sq(d, (fr[name] for name in TANGENTIAL_NAMES)))
 
     r = fr["r"]
     q = r - pts[:, 0]

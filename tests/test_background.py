@@ -21,6 +21,7 @@ from framewave.estimates import _MSIGN, _H_frame_arrays
 from framewave.fields import InnerProduct, GridGeometry, d1_axis, d2_axis
 from framewave.geometry import MINKOWSKI_INV
 
+import oracles
 from conftest import dense_H
 
 REL = 1e-12
@@ -122,7 +123,7 @@ def _dense_rhs(ev, Phi, Pi):
 
 def _dense_densities(st, H, dH):
     """Old dense formulas of every SliceState density: (value, magnitude)."""
-    g, gt, hess, d4 = st.grad(), st.grad_t(), st.hess(), st.dpsi4()
+    g, gt, hess, d4 = st.grad(), oracles.grad_t(st), oracles.hess(st), st.dpsi4()
     pt, dot, nsq = st.psi_t, InnerProduct.dot, InnerProduct.norm_sq
     xh = GEOM.frame("L")[1:]
     dr = np.einsum("i...,ic...->c...", xh, g)
@@ -214,14 +215,14 @@ class _FullCubeSliceState(SliceState):
     def wave_op(self):
         def build():
             out = -self.psi_tt.copy()
-            hess = self.hess()
+            hess = oracles.hess(self)
             for i in range(3):
                 out += hess[i, i]
             prof = self._profile()
             if prof is not None:
                 M = self.bg.direction
                 h = M[0, 0] * self.psi_tt
-                gt = self.grad_t()
+                gt = oracles.grad_t(self)
                 for i in range(3):
                     h += 2.0 * M[0, 1 + i] * gt[i]
                 for i in range(3):
@@ -260,8 +261,23 @@ class _FullCubeSliceState(SliceState):
             out = out + prof[0] * h
         return out
 
+    def _full_radial(self):
+        """x/r and d_r psi on the full cube, without the state's null_flat."""
+        xh = self.geom.frame("L")[1:]
+        return xh, np.einsum("i...,ic...->c...", xh, self.grad())
+
+    def tangential_integrand(self):
+        def build():
+            xh, dr = self._full_radial()
+            g = self.grad()
+            out = 0.5 * InnerProduct.norm_sq(self.psi_t + dr)
+            for i in range(3):
+                out += 0.5 * InnerProduct.norm_sq(g[i] - xh[i] * dr)
+            return out
+        return self._get("full_tangential", build)
+
     def trt_density(self):
-        _, dr = self._radial()
+        _, dr = self._full_radial()
         out = InnerProduct.dot(dr, self.psi_t)
         prof = self._profile()
         if prof is not None:

@@ -221,6 +221,18 @@ def test_conserve_reuses_each_monitor_slope(tmp_path, monkeypatch):
     assert calls["rhs"] == 4 * calls["step"] + 1
 
 
+@pytest.mark.parametrize("refine", [0, -1])
+def test_conserve_refine_below_one_exits_2(tmp_path, capsys, monkeypatch, refine):
+    # no resolution to run: a config error, not an empty conserve.json
+    monkeypatch.setattr(evolve.Evolver, "step", lambda *a, **k: pytest.fail("ran a step"))
+    path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
+    out = tmp_path / "o"
+    assert cli.main(["conserve", "--config", path, "--out", str(out),
+                     "--refine", str(refine)]) == 2
+    assert f"--refine must be at least 1, got {refine}" in capsys.readouterr().err
+    assert not (out / "conserve.json").exists()
+
+
 @pytest.mark.parametrize("rank, component", [(1, "r"), (2, "r,L"), (1, "slot4")])
 def test_unknown_frame_component_exits_2(tmp_path, capsys, rank, component):
     path = _write(tmp_path, {"mode": "evolve", **DETERMINISM_CONFIGS["evolve"],

@@ -3,12 +3,11 @@ import pytest
 
 from framewave import estimates, evolve, vecfields
 from framewave.background import BumpBackground, ZeroBackground
-from framewave.energy import ExteriorRegion, slice_energy, tangential_flux_integral, trapz
+from framewave.energy import ExteriorRegion, slice_energy, trapz
 from framewave.errors import FrameMismatch, HistoryMissing
-from framewave.estimates import (CommutatorStudy, c_hat, commutator_bound_rhs,
-                                 commutator_exact_lhs, commutator_identity_rhs,
-                                 commutator_report, energy_estimate_report,
-                                 gradient_frame_bound, identity_residual,
+from framewave.estimates import (CommutatorIdentityRHS, CommutatorStudy, c_hat,
+                                 commutator_bound_rhs, commutator_exact_lhs,
+                                 commutator_report, energy_estimate_report, identity_residual,
                                  lbar_radial_residual, lie_component_series,
                                  project_component, series_time_derivative)
 from framewave.fields import GridGeometry, PolyField
@@ -17,6 +16,7 @@ from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldI
                                  lie_multi, subsequences)
 from framewave.weights import WeightParams
 from conftest import sample_points
+from oracles import gradient_frame_bound, tangential_flux_integral
 
 Z12 = VectorFieldId("Z", 1, 2)
 Z01 = VectorFieldId("Z", 0, 1)
@@ -56,7 +56,7 @@ def test_exact_lhs_scaling_double_evaluation(rng):
         None, lie_multi((SCALING,), phi))
     assert (lhs.comps[0] - manual.comps[0]).is_zero()
     # and equals the chat-weighted flat term: -2 * box(phi)
-    rhs = commutator_identity_rhs(None, phi, (SCALING,))
+    rhs = CommutatorIdentityRHS(None, phi, (SCALING,))
     pts = sample_points(np.random.default_rng(0), 10)
     assert np.allclose(lhs.eval(pts), rhs.eval(pts), rtol=1e-12, atol=1e-12)
     assert np.allclose(lhs.eval(pts)[:, 0], -2 * box.eval(pts)[:, 0],
@@ -76,7 +76,7 @@ def test_identity_random(order, rng):
 def test_identity_scaling_squared_flat_coefficient(rng):
     # I = (S, S): the flat-term coefficients come from chat = 4 at I2 = ()
     phi = PolyField.random(rng, rank=0, channels=1, degree=2, nterms=3)
-    rhs = commutator_identity_rhs(None, phi, (SCALING, SCALING))
+    rhs = CommutatorIdentityRHS(None, phi, (SCALING, SCALING))
     flat_cs = sorted(float(c) for c, _ in rhs._flat)
     assert flat_cs == [-2.0, -2.0, 4.0]  # two single-S splits and one double
 

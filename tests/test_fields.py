@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framewave.energy import ExteriorRegion
-from framewave.errors import EmptyRegion, GhostInvalid
-from framewave.fields import (AnalyticField, GridField, GridGeometry, InnerProduct,
-                              PolyField, _laplacian, d1_axis, d2_axis, load_snapshot,
-                              partial_derivative, quadrature_slice, save_snapshot,
-                              tangential_gradient_norm, wave_operator)
-from framewave.geometry import FULL_NAMES, Metric, Point, frame_arrays
+from framewave.fields import (GridField, GridGeometry, InnerProduct, PolyField, _laplacian,
+                              d1_axis, d2_axis, load_snapshot, save_snapshot,
+                              tangential_norm_sq, wave_operator)
+from framewave.geometry import FULL_NAMES, Point, frame_arrays, null_frame_at
 from framewave.poly import Poly, measure_order, random_poly
+from oracles import (EmptyRegion, GhostInvalid, partial_derivative, quadrature_slice,
+                     sample_scalar)
 
 
 def test_poly_partial_examples():
@@ -27,7 +27,7 @@ def test_grid_derivative_refinement():
     errs, hs = [], []
     for N in (16, 32, 64):
         geom = GridGeometry(N, np.pi)
-        f = GridField.sample_scalar(geom, lambda T, X, Y, Z: np.sin(X))
+        f = sample_scalar(geom, lambda T, X, Y, Z: np.sin(X))
         df = partial_derivative(f, 1)
         ref = np.cos(geom.interior(geom.mesh()[0]))
         err = np.max(np.abs(geom.interior(df.data)[0] - ref))
@@ -40,7 +40,7 @@ def test_grid_derivative_refinement():
 def test_grid_derivative_exact_on_cubics(rng):
     geom = GridGeometry(16, 2.0)
     p = random_poly(rng, degree=3, nterms=5, time_dependent=False)
-    f = GridField.sample_scalar(
+    f = sample_scalar(
         geom, lambda T, X, Y, Z: p.eval_many(
             np.stack([T.ravel(), X.ravel(), Y.ravel(), Z.ravel()], axis=1)
         ).reshape(T.shape))
@@ -92,7 +92,7 @@ def test_mixed_partials_commute_polyfield(rng):
 
 def test_quadrature_volume():
     geom = GridGeometry(48, 2.0)
-    f = GridField.sample_scalar(geom, lambda T, X, Y, Z: np.ones_like(X))
+    f = sample_scalar(geom, lambda T, X, Y, Z: np.ones_like(X))
     region = ExteriorRegion(q0=float("-inf"))
     vol = quadrature_slice(f, region, t=0.0)
     ball = 4.0 / 3.0 * np.pi * (2 * geom.dx) ** 3
@@ -110,7 +110,7 @@ def test_quadrature_zero_and_empty():
 def test_quadrature_gaussian_outside_cone():
     geom = GridGeometry(48, 6.0)
     sigma = 0.4
-    f = GridField.sample_scalar(
+    f = sample_scalar(
         geom, lambda T, X, Y, Z: np.exp(-((X - 1) ** 2 + Y ** 2 + Z ** 2) / sigma ** 2))
     full = np.pi ** 1.5 * sigma ** 3
     # center at r = 1, t = 0 has q = 1; region q >= 4 keeps only the far tail
@@ -123,7 +123,7 @@ def test_quadrature_convergence_box():
     errs, hs = [], []
     for N in (16, 32, 64):
         geom = GridGeometry(N, 2.0)
-        f = GridField.sample_scalar(geom, lambda T, X, Y, Z: np.exp(-(X ** 2 + Y ** 2 + Z ** 2) / 2.0) + 1.0)
+        f = sample_scalar(geom, lambda T, X, Y, Z: np.exp(-(X ** 2 + Y ** 2 + Z ** 2) / 2.0) + 1.0)
         got = quadrature_slice(f, region, 0.0)
         # reference: analytic box integral of the Gaussian part + volume
         ref = 64.0 + (np.pi * 2.0) ** 1.5 * (0.9973790839 ** 3)  # erf-corrected
@@ -150,39 +150,49 @@ def test_tangential_gradient_norm_radial_profile():
         g[:, 1:] = fp[:, None] * pts[:, 1:] / r[:, None]
         return g
 
-    f = AnalyticField(value=value, grad=grad)
-    assert tangential_gradient_norm(f, Point(0.5, (1.0, 2.0, -0.5))) <= 1e-12
+    p = Point(0.5, (1.0, 2.0, -0.5))
+    assert _tangential_norm_at(grad(p.coords()[None, :])[0], p) <= 1e-12
+
+
+def _tangential_norm_at(grad, p):
+    """sqrt of the tangential_norm_sq kernel at one point p, from the
+    gradient (4,) + shape there (slots and channels fold into channels)."""
+    fr = null_frame_at(p)
+    vectors = [U[:, None] for U in fr.tangential()]
+    return float(np.sqrt(tangential_norm_sq(grad.reshape(4, -1, 1), vectors)[0]))
+
+
+def _poly_gradient_at(f, p):
+    return f.gradient().eval(p.coords()[None, :])[0]
 
 
 def test_tangential_gradient_norm_t():
     f = PolyField.scalar(Poly.var(0))
-    assert tangential_gradient_norm(f, Point(0.0, (1.0, 1.0, 0.0))) == pytest.approx(1.0)
+    p = Point(0.0, (1.0, 1.0, 0.0))
+    assert _tangential_norm_at(_poly_gradient_at(f, p), p) == pytest.approx(1.0)
 
 
 def test_tangential_gradient_norm_oracle(rng):
-    from framewave.geometry import null_frame_at
-
     f = PolyField.random(rng, rank=0, channels=2, degree=3)
     p = Point(2.0, (1.0, 1.0, 0.0))
     fr = null_frame_at(p)
-    grad = f.gradient().eval(p.coords()[None, :])[0]
+    grad = _poly_gradient_at(f, p)
     want = 0.0
     for U in (fr.L, fr.e1, fr.e2):
         dU = np.tensordot(U, grad, axes=(0, 0))
         want += float(np.sum(dU ** 2))
-    assert tangential_gradient_norm(f, p) == pytest.approx(np.sqrt(want), rel=1e-12)
+    assert _tangential_norm_at(grad, p) == pytest.approx(np.sqrt(want), rel=1e-12)
 
 
 def test_wave_operator_examples():
-    flat = Metric(H=None)
     f = PolyField.scalar(Poly.var(0) * Poly.var(0))
-    out = wave_operator(flat, f)
+    out = wave_operator(None, f.gradient().gradient())
     assert out.comps[0] == Poly.const(-2)
     g = PolyField.scalar(Poly.var(1) * Poly.var(1))
-    assert wave_operator(flat, g).comps[0] == Poly.const(2)
+    assert wave_operator(None, g.gradient().gradient()).comps[0] == Poly.const(2)
     H = PolyField.zero(rank=2, variance=("u", "u"))
     H.comps[0, 0, 0] = Poly.const(0.25)
-    out = wave_operator(Metric(H=H), f)
+    out = wave_operator(H, f.gradient().gradient())
     assert out.comps[0] == Poly.const(-2 + 2 * 0.25)
 
 

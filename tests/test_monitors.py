@@ -19,6 +19,7 @@ from framewave import cli, energy, evolve
 from framewave.errors import ConstraintError, NonFiniteResult
 from framewave.fields import GridField, save_snapshot
 from framewave.poly import measure_order
+from oracles import conservation_budget
 
 
 def _history_run_experiment(cfg, out_dir, tag="", keep=None):
@@ -82,7 +83,7 @@ def _history_conserve(cfg, out_dir, refine=3):
         sub["grid"]["N"] = N
         series = _history_run_experiment(sub, out_dir, tag=f"_N{N}",
                                          keep=cfg["components"][0])[2]
-        rep = energy.conservation_budget(series, region, cfg["times"]["t1"],
+        rep = conservation_budget(series, region, cfg["times"]["t1"],
                                          cfg["times"]["t2"], params)
         residuals.append(rep.residual)
         for term, val in rep.terms().items():
@@ -224,7 +225,7 @@ def test_budget_pass_terms_equal_conservation_budget(tmp_path, kind, rank, comp)
     hist, _, series = evolve.run_experiment(cfg, str(tmp_path), keep=comp, budget=budget)
     assert not hist.evolver._work   # released after the last slice's d_tt
     got = budget.report(0.0, 0.3)
-    want = energy.conservation_budget(series, region, 0.0, 0.3, params)
+    want = conservation_budget(series, region, 0.0, 0.3, params)
     assert got.to_json() == want.to_json()
     # dx = 0.8: the cone r = t + 1.5 clears the origin ball on the last two
     # slices, and the ball sphere lies outside the excluded cone on the first two
