@@ -15,7 +15,7 @@ import numpy as np
 
 from . import energy, estimates, vecfields, weights
 from .fields import PolyField
-from .geometry import Point, point_frames
+from .geometry import frame_arrays
 from .poly import random_poly
 from .vecfields import GENERATORS, SCALING
 
@@ -152,80 +152,47 @@ def check_commutator_identity(seed=19, n_pairs=50, max_order=3, n_pts=20):
 
 
 def check_slash_representations(seed=23, n_pts=1000):
-    """Both generator representations of the restricted derivatives, the
-    direct formula cross-check, and the vanishing outgoing derivative of
-    x^j / r.  Vectorized over the sample batch; a small per-point loop
-    exercises the representation API itself.
-    """
-    from .vecfields import VectorFieldId, apply_to_scalar
-
+    """Both generator representations of the restricted derivatives
+    against the direct formula, on every sample point through the
+    vecfields API, and the vanishing outgoing derivative of x^j / r."""
     rng = np.random.default_rng(seed)
     pts = sample_points(rng, n_pts, rmin=0.4)
     pts[:, 0][np.abs(pts[:, 0]) < 0.2] += 0.5  # keep t away from 0
     worst = float(estimates.lbar_radial_residual(pts))
     F = random_poly(rng, degree=3, nterms=5)
-    gradF = np.stack([F.diff(mu).eval_many(pts) for mu in range(4)])
-    ZF = {}
-    for a in range(4):
-        for b in range(a + 1, 4):
-            g = VectorFieldId("Z", a, b)
-            ZF[g] = apply_to_scalar(g, F).eval_many(pts)
-    x = pts[:, 1:]
-    r = np.linalg.norm(x, axis=1)
-    t = pts[:, 0]
-    dr = np.einsum("ni,in->n", x, gradF[1:]) / r
     for i in (1, 2, 3):
-        direct = gradF[i] - (x[:, i - 1] / r) * dr
-        v1 = np.zeros(n_pts)
-        for j in (1, 2, 3):
-            if j == i:
-                continue
-            coeff = x[:, j - 1] / r ** 2
-            key = VectorFieldId("Z", min(i, j), max(i, j))
-            v1 += coeff * ZF[key] * (1 if i < j else -1)
-        v2 = np.zeros(n_pts)
-        for j in (1, 2, 3):
-            coeff = -(x[:, i - 1] / r) * (x[:, j - 1] / r) / t
-            if j == i:
-                coeff = coeff + 1.0 / t
-            v2 += coeff * ZF[VectorFieldId("Z", 0, j)]
+        rot, boost = vecfields.restricted_derivative_as_Z(i, pts)
+        direct = vecfields.restricted_derivative_direct(i, F, pts)
+        v1 = vecfields.apply_representation(rot, F, pts)
+        v2 = vecfields.apply_representation(boost, F, pts)
         scale = np.maximum(1.0, np.abs(direct))
         worst = max(worst,
                     float(np.max(np.abs(v1 - direct) / scale)),
                     float(np.max(np.abs(v2 - direct) / scale)),
                     float(np.max(np.abs(v1 - v2) / scale)))
-    for k in range(min(n_pts, 40)):
-        p = Point(pts[k, 0], tuple(pts[k, 1:]))
-        for i in (1, 2, 3):
-            rot, boost = vecfields.restricted_derivative_as_Z(i, p)
-            direct = vecfields.restricted_derivative_direct(i, F, p)
-            v1 = vecfields.apply_representation(rot, F, p)
-            v2 = vecfields.apply_representation(boost, F, p)
-            scale = max(1.0, abs(direct))
-            worst = max(worst, abs(v1 - direct) / scale, abs(v2 - direct) / scale)
     return CheckResult("slash_as_generators", worst, 1e-10, worst <= 1e-10,
                        detail=f"{n_pts} sample points")
 
 
 def check_eA_expansions(seed=29, n_pts=200):
+    """Both generator representations of e1, e2 against d_{e_A} f, on one
+    frame_arrays batch of every sample point."""
     rng = np.random.default_rng(seed)
     pts = sample_points(rng, n_pts, rmin=0.4)
     pts[:, 0][np.abs(pts[:, 0]) < 0.2] += 0.5
     F = random_poly(rng, degree=3, nterms=5)
-    gradF = [F.diff(mu) for mu in range(4)]
+    gradF = [F.diff(mu).eval_many(pts) for mu in range(4)]
+    fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])
+    rot = estimates.eA_rotation_representation(pts, fr)
+    boost = estimates.eA_boost_representation(pts, fr)
     worst = 0.0
-    for k, fr in enumerate(point_frames(pts[:, 1:])):
-        p = Point(pts[k, 0], tuple(pts[k, 1:]))
-        rot = estimates.eA_rotation_representation(p, fr)
-        boost = estimates.eA_boost_representation(p, fr)
-        pt = p.coords()[None, :]
-        for a, name in enumerate(("e1", "e2")):
-            vec = fr.by_name(name)
-            direct = sum(vec[mu] * float(gradF[mu].eval_many(pt)[0]) for mu in range(4))
-            v1 = vecfields.apply_representation(rot[a], F, p)
-            v2 = vecfields.apply_representation(boost[a], F, p)
-            scale = max(1.0, abs(direct))
-            worst = max(worst, abs(v1 - direct) / scale, abs(v2 - direct) / scale)
+    for a, name in enumerate(("e1", "e2")):
+        direct = sum(fr[name][mu] * gradF[mu] for mu in range(4))
+        v1 = vecfields.apply_representation(rot[a], F, pts)
+        v2 = vecfields.apply_representation(boost[a], F, pts)
+        scale = np.maximum(1.0, np.abs(direct))
+        worst = max(worst, float(np.max(np.abs(v1 - direct) / scale)),
+                    float(np.max(np.abs(v2 - direct) / scale)))
     return CheckResult("eA_as_generators", worst, 1e-10, worst <= 1e-10)
 
 

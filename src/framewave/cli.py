@@ -116,7 +116,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "pairs": {"type": "integer"},
                 "fast": {"type": "boolean"},
             },
         },
@@ -141,7 +140,7 @@ DEFAULTS = {
     "boundary": "sommerfeld",
     "monitors": 9,
     "snapshots": False,
-    "certify": {"pairs": 50, "fast": False},
+    "certify": {"fast": False},
     "out_dir": "out",
     "seed": 12345,
 }

@@ -563,9 +563,6 @@ class ComponentSeries:
         return SliceState(self.geom, self.times[k], self.psi[k],
                           self.psi_t[k], lambda: self.psi_tt[k], self.background)
 
-    def state_at(self, t):
-        return self.state(self.index_of(t))
-
 
 def _weight_eval(fn, q, params):
     """Weight/derivative over arrays, treating exact q = 0 nodes as the

@@ -33,12 +33,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import ComponentSeries, SliceState, _tangential_slice, slice_energy, trapz
-from .errors import FrameMismatch, HistoryMissing, PoleDegenerate
+from .errors import FrameMismatch, HistoryMissing, PoleDegenerate, TimeZero
 from .fields import PolyField, d1_axis, fill_ghosts_array, tangential_norm_sq, wave_operator
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
-from .vecfields import (GENERATORS, _norm_at, lie_lattice, lie_minkowski_inverse_factor,
-                        lie_multi, splittings, subsequences, ksize_plus)
+from .vecfields import (GENERATORS, VectorFieldId, _norm_at, lie_lattice,
+                        lie_minkowski_inverse_factor, lie_multi, splittings, subsequences,
+                        ksize_plus)
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 
@@ -473,39 +474,36 @@ def lbar_radial_residual(pts):
     return worst
 
 
-def eA_rotation_representation(p, frame):
-    """e_A as (1/r) C^{ij}_A Z_{ij}: returns [(coeff, generator)] at p."""
-    from .vecfields import VectorFieldId
-
-    r = p.r
-    if r == 0.0:
-        raise PoleDegenerate
-    out = []
-    for which in ("e1", "e2"):
-        a = frame.by_name(which)[1:]
-        rep = []
-        for i in (1, 2, 3):
-            for j in range(i + 1, 4):
-                coeff = (a[i - 1] * p.x[j - 1] - a[j - 1] * p.x[i - 1]) / r ** 2
-                if coeff:
-                    rep.append((coeff, VectorFieldId("Z", i, j)))
-        out.append(rep)
-    return out
+def _sphere_vectors(fr):
+    """The spatial parts of e1, e2 from a frame_arrays batch; raises
+    PoleDegenerate if any point has r = 0, where the frame is undefined."""
+    if np.any(fr["r"] == 0.0):
+        raise PoleDegenerate("e_A undefined at r = 0")
+    return [fr[name][1:] for name in ("e1", "e2")]
 
 
-def eA_boost_representation(p, frame):
-    """e_A as (1/t) C^j_A Z_{0j}: returns [(coeff, generator)] at p."""
-    from .errors import TimeZero
-    from .vecfields import VectorFieldId
+def eA_rotation_representation(pts, fr):
+    """e_A as (1/r) C^{ij}_A Z_{ij} on a point batch pts (n, 4) with its
+    frame_arrays dict fr: for e1 and e2 a list of (coefficient (n,),
+    generator) pairs, every coefficient kept; raises PoleDegenerate if any
+    point has r = 0."""
+    x = pts[:, 1:]
+    r = fr["r"]
+    return [[((a[i - 1] * x[:, j - 1] - a[j - 1] * x[:, i - 1]) / r ** 2,
+              VectorFieldId("Z", i, j)) for i in (1, 2, 3) for j in range(i + 1, 4)]
+            for a in _sphere_vectors(fr)]
 
-    if p.t == 0.0:
-        raise TimeZero
-    out = []
-    for which in ("e1", "e2"):
-        a = frame.by_name(which)[1:]
-        rep = [(a[j - 1] / p.t, VectorFieldId("Z", 0, j)) for j in (1, 2, 3) if a[j - 1]]
-        out.append(rep)
-    return out
+
+def eA_boost_representation(pts, fr):
+    """e_A as (1/t) C^j_A Z_{0j} on a point batch pts (n, 4) with its
+    frame_arrays dict fr: for e1 and e2 a list of (coefficient (n,),
+    generator) pairs; raises PoleDegenerate if any point has r = 0 and
+    TimeZero if any has t = 0."""
+    a_pair = _sphere_vectors(fr)
+    t = pts[:, 0]
+    if np.any(t == 0.0):
+        raise TimeZero("boost representation undefined at t = 0")
+    return [[(a[j - 1] / t, VectorFieldId("Z", 0, j)) for j in (1, 2, 3)] for a in a_pair]
 
 
 # ---------------------------------------------------------------------------

@@ -86,13 +86,12 @@ class SourceSpec:
     Term names are the schematic patterns of SCHEMATIC_TERMS.  The
     designated scalar part of A is its time slot; h enters through its
     tt covariant component.  Channel wiring is diagonal with unit
-    coefficients unless a mixing matrix is supplied.
+    coefficients.
     """
 
     terms: tuple = ()
     bigO_degree: int = 2
     slots: tuple = (0, 1, 2, 3)
-    mixing: object = None
 
     def __post_init__(self):
         if self.bigO_degree < 1:
@@ -191,27 +190,22 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
             proj[name] = pv
             dproj[name] = dp
 
-    mix = np.asarray(spec.mixing) if spec.mixing is not None else None
-
-    def wire(factor_ch):
-        return np.einsum("dc,c...->d...", mix, factor_ch) if mix is not None else factor_ch
-
     for term in spec.terms:
         if term == "A3":
-            add(wire(s * s)[None, :], Phi)
+            add((s * s)[None, :], Phi)
         elif term == "AL_dA":
-            add(wire(project(L, Phi, work("source.A_L", comp)))[None, :], ds)
+            add(project(L, Phi, work("source.A_L", comp))[None, :], ds)
         elif term == "Ae_dAe":
             for name in ("e1", "e2"):
-                add(wire(proj[name])[None, :], dproj[name])
+                add(proj[name][None, :], dproj[name])
         elif term == "A_tangA":
-            add(Phi, wire(Ls)[None, :])
+            add(Phi, Ls[None, :])
         elif term == "dh_tangA":
-            add(dh_tt[:, None], wire(Ls)[None, :])
+            add(dh_tt[:, None], Ls[None, :])
         elif term == "tangh_dA":
             add(Lh[None, None], ds)
         elif term == "dh_A2":
-            add(dh_tt[:, None], wire(s * s)[None, :])
+            add(dh_tt[:, None], (s * s)[None, :])
         elif term == "dh_TU_sq":
             for mu in spec.slots:
                 S[mu] += Lh[None] ** 2
@@ -754,7 +748,7 @@ class _OnDemand(Sequence):
 
 def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
                schematic=None, cfl=0.45, dt=None, boundary="sommerfeld",
-               monitor_stride=None, n_monitors=None, log=None, consumer=None):
+               n_monitors=None, log=None, consumer=None):
     """Advance the reduction from t1 to t2, handing each of the uniform
     monitor slices to a consumer.
 
@@ -784,14 +778,11 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
         nsteps = max(1, math.ceil(T / dt - 1e-12))
     else:
         nsteps = max(1, math.ceil(T / (cfl * geom.dx / c) - 1e-12))
+    stride = 1
     if n_monitors is not None:
-        stride = 1
         nsteps = max(nsteps, n_monitors - 1)
         nsteps = math.ceil(nsteps / (n_monitors - 1)) * (n_monitors - 1)
         stride = nsteps // (n_monitors - 1)
-    else:
-        stride = monitor_stride or 1
-        nsteps = math.ceil(nsteps / stride) * stride
     dt = T / nsteps
     if consumer is None:
         consumer, Phi, Pi = RunHistory.store, Phi0.copy(), Pi0.copy()

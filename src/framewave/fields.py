@@ -281,10 +281,7 @@ class GridGeometry:
         r = self.interior(self.r_full())
         q = r - t
         q0 = region.q0
-        ball = region.origin_ball_radius
-        if ball is None:
-            ball = 2.0 * self.dx
-        mask = r > ball
+        mask = r > region.ball(self)
         if np.isfinite(q0):
             mask &= q >= q0
         return mask
@@ -320,11 +317,6 @@ class GridField:
     def copy(self):
         return GridField(self.geom, self.rank, self.channels, self.data.copy(),
                          self.t, self.variance, self.ghost_valid)
-
-    def fill_ghosts(self, mode="extrapolate"):
-        fill_ghosts_array(self.data, mode)
-        self.ghost_valid = True
-        return self
 
 
 def fill_ghosts_array(data, mode="extrapolate"):

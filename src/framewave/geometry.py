@@ -15,8 +15,8 @@ and the pair adapted to the x1 axis inside the polar caps |x3|/r > 0.9.
 Both spans agree where the charts overlap (the projector onto the tangent
 plane is chart independent).  The frame is written once, as
 :func:`frame_arrays` over coordinate arrays; the grid's frame fields
-(``fields.GridGeometry.frame``), point batches and the one-point
-:func:`null_frame_at` all evaluate it.
+(``fields.GridGeometry.frame``) and the exact lane's point batches
+(n, 4) both evaluate it.  A single point is a one-row batch.
 
 Everything here is pure value semantics; nothing is mutated after
 construction, so all operations are safe under unrestricted concurrency.
@@ -24,55 +24,12 @@ construction, so all operations are safe under unrestricted concurrency.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .errors import PoleDegenerate
 
 MINKOWSKI = np.diag([-1.0, 1.0, 1.0, 1.0])
 MINKOWSKI_INV = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 POLAR_CAP = 0.9  # |x3|/r threshold switching the sphere chart
-
-
-@dataclass(frozen=True)
-class Point:
-    """Spacetime event with derived radius and retarded parameter q = r - t."""
-
-    t: float
-    x: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def r(self):
-        return float(np.sqrt(sum(v * v for v in self.x)))
-
-    @property
-    def q(self):
-        return self.r - self.t
-
-    def coords(self):
-        return np.array((self.t,) + self.x)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Null frame {Lbar, L, e1, e2} at a point, as contravariant 4-vectors."""
-
-    L: np.ndarray
-    Lbar: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-
-    def tangential(self):
-        return (self.L, self.e1, self.e2)
-
-    def by_name(self, name):
-        return {"L": self.L, "Lbar": self.Lbar, "e1": self.e1, "e2": self.e2}[name]
 
 
 TANGENTIAL_NAMES = ("L", "e1", "e2")
@@ -143,28 +100,10 @@ def frame_arrays(x1, x2, x3, chart: str = "auto"):
     Returns dict of arrays with a leading slot axis of length 4:
     {"L": (4, ...), "Lbar": ..., "e1": ..., "e2": ..., "r": (...,)}.
     Entries at r = 0 would be undefined; callers must not index them
-    (cell-centered grids never place a node at the origin).
+    (cell-centered grids never place a node at the origin, and the
+    exact lane's consumers raise PoleDegenerate there).
     """
     r = radius(x1, x2, x3)
     L = null_vector(r, x1, x2, x3)
     e1, e2 = sphere_frame(L[1:], chart)
     return {"L": L, "Lbar": null_vector(r, x1, x2, x3, -1.0), "e1": e1, "e2": e2, "r": r}
-
-
-def point_frames(x, chart: str = "auto"):
-    """One Frame per row of the spatial points x (n, 3), all from one
-    :func:`frame_arrays` batch; every row must have r > 0."""
-    fr = frame_arrays(*np.asarray(x, dtype=float).T, chart)
-    return [Frame(**{name: fr[name][:, k] for name in FULL_NAMES}) for k in range(len(fr["r"]))]
-
-
-def null_frame_at(p: Point, chart: str = "auto") -> Frame:
-    """Null frame at p, the one-point form of :func:`frame_arrays`; raises
-    PoleDegenerate at the spatial origin.
-
-    chart: "auto" applies the polar-cap rule; "z" / "x" force one chart
-    (useful when matching a fixed symbolic chart at sampled points).
-    """
-    if p.r == 0.0:
-        raise PoleDegenerate("null frame undefined at r = 0")
-    return point_frames([p.x], chart)[0]

@@ -398,15 +398,15 @@ def _eval_scalars(scalars, pts):
     return out
 
 
-def random_poly(rng, degree=2, nterms=4, coeff_range=3, time_dependent=True):
-    """Sparse random polynomial with small integer coefficients."""
+def random_poly(rng, degree=2, nterms=4, time_dependent=True):
+    """Sparse random polynomial with integer coefficients in [-3, 3]."""
     c = {}
     for _ in range(nterms):
         while True:
             k = tuple(int(e) for e in rng.integers(0, degree + 1, size=4))
             if sum(k) <= degree and (time_dependent or k[0] == 0):
                 break
-        v = int(rng.integers(-coeff_range, coeff_range + 1))
+        v = int(rng.integers(-3, 4))
         if v:
             c[k] = c.get(k, 0) + v
     return Poly({k: v for k, v in c.items() if v})

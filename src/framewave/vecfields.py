@@ -13,6 +13,11 @@ L_{Z^s} T once, from its suffix entry, and lives as long as its caller.
 Ordered splittings enumerate all assignments of sequence positions into
 parts, preserving relative order within each part.
 
+The restricted derivatives slash-d_i are written as generator
+combinations on point batches (n, 4): a representation is a list of
+(coefficient array (n,), generator) pairs, evaluated on a scalar by
+:func:`apply_representation`; a single point is a one-row batch.
+
 Stateless tables and pure functions throughout.
 """
 
@@ -26,7 +31,7 @@ import numpy as np
 
 from .errors import PoleDegenerate, TimeZero
 from .fields import PolyField, tangential_norm_sq
-from .geometry import MINKOWSKI, TANGENTIAL_NAMES, frame_arrays
+from .geometry import MINKOWSKI, TANGENTIAL_NAMES, frame_arrays, radius
 from .poly import P_ONE, Poly
 
 
@@ -295,65 +300,70 @@ def jacobi_residual():
 # Restricted (sphere-tangent) derivatives as generator combinations
 
 
-def restricted_derivative_as_Z(i, p):
-    """Two expansions of the restricted derivative slash-d_i at a point.
+def _radius(pts):
+    """The radii of a point batch (n, 4); raises PoleDegenerate if any
+    point sits at r = 0."""
+    r = radius(pts[:, 1], pts[:, 2], pts[:, 3])
+    if np.any(r == 0.0):
+        raise PoleDegenerate("restricted derivative undefined at r = 0")
+    return r
 
-    Returns (rep_rotation, rep_boost), each a list of (coefficient,
+
+def restricted_derivative_as_Z(i, pts):
+    """Two expansions of the restricted derivative slash-d_i on a point
+    batch pts (n, 4).
+
+    Returns (rep_rotation, rep_boost), each a list of (coefficient (n,),
     generator) pairs:
 
         slash-d_i = (x^j / r^2) Z_{ij}
         slash-d_i = ( -(x_i/r)(x^j/r) Z_{0j} + Z_{0i} ) / t
 
-    using Z_{ij} = -Z_{ji} for the canonical a < b ordering.
+    using Z_{ij} = -Z_{ji} for the canonical a < b ordering.  Every
+    coefficient is kept, also where it is 0.  Raises PoleDegenerate if any
+    point has r = 0 and TimeZero if any has t = 0.
     """
     if i not in (1, 2, 3):
         raise ValueError("spatial index expected")
-    r = p.r
-    if r == 0.0:
-        raise PoleDegenerate("restricted derivative undefined at r = 0")
-    x = p.x
+    r = _radius(pts)
+    x, t = pts[:, 1:], pts[:, 0]
+    if np.any(t == 0.0):
+        raise TimeZero("boost representation undefined at t = 0")
     rep_rot = []
     for j in (1, 2, 3):
         if j == i:
             continue
-        coeff = x[j - 1] / r ** 2
+        coeff = x[:, j - 1] / r ** 2
         if i < j:
             rep_rot.append((coeff, VectorFieldId("Z", i, j)))
         else:
             rep_rot.append((-coeff, VectorFieldId("Z", j, i)))
-    if p.t == 0.0:
-        raise TimeZero("boost representation undefined at t = 0")
     rep_boost = []
     for j in (1, 2, 3):
-        coeff = -(x[i - 1] / r) * (x[j - 1] / r) / p.t
+        coeff = -(x[:, i - 1] / r) * (x[:, j - 1] / r) / t
         if j == i:
-            coeff += 1.0 / p.t
-        if coeff:
-            rep_boost.append((coeff, VectorFieldId("Z", 0, j)))
+            coeff = coeff + 1.0 / t
+        rep_boost.append((coeff, VectorFieldId("Z", 0, j)))
     return rep_rot, rep_boost
 
 
-def apply_representation(rep, scalar, p):
-    """Sum coeff * (Z f)(p) for a representation over a scalar field."""
-    pt = p.coords()[None, :]
-    total = 0.0
+def apply_representation(rep, scalar, pts):
+    """sum coeff * (Z f) over a representation, on a point batch (n, 4)."""
+    total = np.zeros(len(pts))
     for coeff, gen in rep:
-        zf = apply_to_scalar(gen, scalar)
-        total += coeff * float(zf.eval_many(pt)[0])
+        total += coeff * apply_to_scalar(gen, scalar).eval_many(pts)
     return total
 
 
-def restricted_derivative_direct(i, scalar, p):
-    """slash-d_i f = (d_i - (x_i/r) d_r) f evaluated exactly at a point."""
-    r = p.r
-    if r == 0.0:
-        raise PoleDegenerate
-    pt = p.coords()[None, :]
-    di = float(scalar.diff(i).eval_many(pt)[0])
-    dr = sum(
-        (p.x[j - 1] / r) * float(scalar.diff(j).eval_many(pt)[0]) for j in (1, 2, 3)
-    )
-    return di - (p.x[i - 1] / r) * dr
+def restricted_derivative_direct(i, scalar, pts):
+    """slash-d_i f = d_i f - (x_i/r) d_r f with d_r f = (x . grad f) / r,
+    evaluated exactly on a point batch (n, 4); raises PoleDegenerate if any
+    point has r = 0."""
+    r = _radius(pts)
+    x = pts[:, 1:]
+    grad = np.stack([scalar.diff(j).eval_many(pts) for j in (1, 2, 3)])
+    dr = np.einsum("ni,in->n", x, grad) / r
+    return grad[i - 1] - (x[:, i - 1] / r) * dr
 
 
 # ---------------------------------------------------------------------------

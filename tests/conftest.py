@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from framewave.certify import sample_points  # noqa: F401  (shared by the test modules)
+from framewave.geometry import frame_arrays
+
+
+def frame_at(x, chart="auto"):
+    """The null frame at one spatial point x (3,): frame_arrays on a
+    one-row batch, as {"L", "Lbar", "e1", "e2": (4,) vectors, "r": r}."""
+    fr = frame_arrays(*np.asarray(x, dtype=float).reshape(3, 1), chart)
+    return {name: v[..., 0] for name, v in fr.items()}
 
 
 def dense_H(bg, geom, t):

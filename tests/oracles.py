@@ -6,21 +6,28 @@ run: the stored-series budget and flux loops (the monitors feed
 slice state, point-frame contractions, grid quadrature of a GridField and
 the frame-gradient bound.  And the earlier bodies of code that framewave
 now computes through one shared kernel (the coordinate display of
-T_tt + T_rt, the pointwise null frame, the exact wave operator and the
-decay check's tangential loop), kept as they were so that tests can
-require the kernels to agree with them bit for bit.
+T_tt + T_rt, the pointwise null frame, the exact wave operator, the
+decay check's tangential loop, and the per-point ``Point``/``Frame``
+generator representations of slash-d_i and e_A with the two certify
+checks that ran them), kept as they were so that tests can require the
+kernels to agree with them bit for bit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
+from framewave.certify import sample_points
 from framewave.energy import (BudgetPass, _ball_slice, _cone_slice, _sphere_nodes,
                               _surface_integral, _tangential_slice, slice_energy, trapz)
-from framewave.errors import FramewaveError, HistoryMissing, PoleDegenerate
+from framewave.errors import FramewaveError, HistoryMissing, PoleDegenerate, TimeZero
 from framewave.fields import GridField, PolyField, d1_axis, d2_axis
-from framewave.geometry import MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, Frame, frame_arrays
-from framewave.vecfields import GENERATORS, lie_multi
+from framewave.estimates import lbar_radial_residual
+from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
+from framewave.poly import random_poly
+from framewave.vecfields import GENERATORS, VectorFieldId, apply_to_scalar, lie_multi
 
 
 class RankMismatch(FramewaveError):
@@ -44,7 +51,7 @@ class EmptyCone(FramewaveError):
 
 def exterior_energy(series, t, region, params, weight="w"):
     """Slice energy of a stored series at a monitor time."""
-    return slice_energy(series.state_at(t), region, params, weight=weight)
+    return slice_energy(series.state(series.index_of(t)), region, params, weight=weight)
 
 
 def tangential_flux_integral(series, t1, t2, region, params):
@@ -152,6 +159,52 @@ def ttr_coordinate(bundle):
 # --- geometry: point frames and contractions ----------------------------------
 
 
+@dataclass(frozen=True)
+class Point:
+    """Spacetime event with derived radius and retarded parameter q = r - t."""
+
+    t: float
+    x: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        object.__setattr__(self, "t", float(self.t))
+
+    @property
+    def r(self):
+        return float(np.sqrt(sum(v * v for v in self.x)))
+
+    @property
+    def q(self):
+        return self.r - self.t
+
+    def coords(self):
+        return np.array((self.t,) + self.x)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """Null frame {Lbar, L, e1, e2} at a point, as contravariant 4-vectors."""
+
+    L: np.ndarray
+    Lbar: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+
+    def tangential(self):
+        return (self.L, self.e1, self.e2)
+
+    def by_name(self, name):
+        return {"L": self.L, "Lbar": self.Lbar, "e1": self.e1, "e2": self.e2}[name]
+
+
+def point_frames(x, chart="auto"):
+    """One Frame per row of the spatial points x (n, 3), all from one
+    frame_arrays batch; every row must have r > 0."""
+    fr = frame_arrays(*np.asarray(x, dtype=float).T, chart)
+    return [Frame(**{name: fr[name][:, k] for name in FULL_NAMES}) for k in range(len(fr["r"]))]
+
+
 def _sphere_pair(xhat, axis):
     n = np.zeros(3)
     n[axis] = 1.0
@@ -218,19 +271,21 @@ def frobenius_norm(T):
 
 
 def frame_coefficients(v, frame):
-    """Coefficients of v in {Lbar, L, e1, e2}: c_Lbar = -m(L, v)/2,
-    c_L = -m(Lbar, v)/2, c_eA = m(eA, v)."""
+    """Coefficients of v in {Lbar, L, e1, e2} of a one-point frame dict:
+    c_Lbar = -m(L, v)/2, c_L = -m(Lbar, v)/2, c_eA = m(eA, v)."""
     mv = MINKOWSKI @ np.asarray(v, dtype=float)
-    return {"Lbar": -0.5 * float(frame.L @ mv), "L": -0.5 * float(frame.Lbar @ mv),
-            "e1": float(frame.e1 @ mv), "e2": float(frame.e2 @ mv)}
+    return {"Lbar": -0.5 * float(frame["L"] @ mv), "L": -0.5 * float(frame["Lbar"] @ mv),
+            "e1": float(frame["e1"] @ mv), "e2": float(frame["e2"] @ mv)}
 
 
-def sphere_projector(p):
-    """Projector onto the sphere-tangent plane at p (spatial 3x3 block)."""
-    r = p.r
+def sphere_projector(x):
+    """Projector onto the sphere-tangent plane at the spatial point x
+    (spatial 3x3 block)."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.sqrt(np.sum(x * x)))
     if r == 0.0:
         raise PoleDegenerate("projector undefined at r = 0")
-    xhat = np.asarray(p.x) / r
+    xhat = x / r
     return np.eye(3) - np.outer(xhat, xhat)
 
 
@@ -301,6 +356,174 @@ def box(H, hess):
 # --- vecfields and estimates ---------------------------------------------------
 
 
+def restricted_derivative_as_Z(i, p):
+    """The pointwise rotation and boost representations of slash-d_i at p,
+    zero boost coefficients dropped."""
+    if i not in (1, 2, 3):
+        raise ValueError("spatial index expected")
+    r = p.r
+    if r == 0.0:
+        raise PoleDegenerate("restricted derivative undefined at r = 0")
+    x = p.x
+    rep_rot = []
+    for j in (1, 2, 3):
+        if j == i:
+            continue
+        coeff = x[j - 1] / r ** 2
+        if i < j:
+            rep_rot.append((coeff, VectorFieldId("Z", i, j)))
+        else:
+            rep_rot.append((-coeff, VectorFieldId("Z", j, i)))
+    if p.t == 0.0:
+        raise TimeZero("boost representation undefined at t = 0")
+    rep_boost = []
+    for j in (1, 2, 3):
+        coeff = -(x[i - 1] / r) * (x[j - 1] / r) / p.t
+        if j == i:
+            coeff += 1.0 / p.t
+        if coeff:
+            rep_boost.append((coeff, VectorFieldId("Z", 0, j)))
+    return rep_rot, rep_boost
+
+
+def apply_representation(rep, scalar, p):
+    """Sum coeff * (Z f)(p) for a pointwise representation."""
+    pt = p.coords()[None, :]
+    total = 0.0
+    for coeff, gen in rep:
+        zf = apply_to_scalar(gen, scalar)
+        total += coeff * float(zf.eval_many(pt)[0])
+    return total
+
+
+def restricted_derivative_direct(i, scalar, p):
+    """slash-d_i f = (d_i - (x_i/r) d_r) f at p, d_r f summed term by term."""
+    r = p.r
+    if r == 0.0:
+        raise PoleDegenerate
+    pt = p.coords()[None, :]
+    di = float(scalar.diff(i).eval_many(pt)[0])
+    dr = sum(
+        (p.x[j - 1] / r) * float(scalar.diff(j).eval_many(pt)[0]) for j in (1, 2, 3)
+    )
+    return di - (p.x[i - 1] / r) * dr
+
+
+def eA_rotation_representation(p, frame):
+    """e_A as (1/r) C^{ij}_A Z_{ij} at p, zero coefficients dropped."""
+    r = p.r
+    if r == 0.0:
+        raise PoleDegenerate
+    out = []
+    for which in ("e1", "e2"):
+        a = frame.by_name(which)[1:]
+        rep = []
+        for i in (1, 2, 3):
+            for j in range(i + 1, 4):
+                coeff = (a[i - 1] * p.x[j - 1] - a[j - 1] * p.x[i - 1]) / r ** 2
+                if coeff:
+                    rep.append((coeff, VectorFieldId("Z", i, j)))
+        out.append(rep)
+    return out
+
+
+def eA_boost_representation(p, frame):
+    """e_A as (1/t) C^j_A Z_{0j} at p, zero coefficients dropped."""
+    if p.t == 0.0:
+        raise TimeZero
+    out = []
+    for which in ("e1", "e2"):
+        a = frame.by_name(which)[1:]
+        rep = [(a[j - 1] / p.t, VectorFieldId("Z", 0, j)) for j in (1, 2, 3) if a[j - 1]]
+        out.append(rep)
+    return out
+
+
+def slash_block(F, pts):
+    """The slash check's inline vectorised copy of the direct formula and
+    of both representations: {i: (direct, v1 rotation, v2 boost)}."""
+    n_pts = len(pts)
+    gradF = np.stack([F.diff(mu).eval_many(pts) for mu in range(4)])
+    ZF = {}
+    for a in range(4):
+        for b in range(a + 1, 4):
+            g = VectorFieldId("Z", a, b)
+            ZF[g] = apply_to_scalar(g, F).eval_many(pts)
+    x = pts[:, 1:]
+    r = np.linalg.norm(x, axis=1)
+    t = pts[:, 0]
+    dr = np.einsum("ni,in->n", x, gradF[1:]) / r
+    out = {}
+    for i in (1, 2, 3):
+        direct = gradF[i] - (x[:, i - 1] / r) * dr
+        v1 = np.zeros(n_pts)
+        for j in (1, 2, 3):
+            if j == i:
+                continue
+            coeff = x[:, j - 1] / r ** 2
+            key = VectorFieldId("Z", min(i, j), max(i, j))
+            v1 += coeff * ZF[key] * (1 if i < j else -1)
+        v2 = np.zeros(n_pts)
+        for j in (1, 2, 3):
+            coeff = -(x[:, i - 1] / r) * (x[:, j - 1] / r) / t
+            if j == i:
+                coeff = coeff + 1.0 / t
+            v2 += coeff * ZF[VectorFieldId("Z", 0, j)]
+        out[i] = direct, v1, v2
+    return out
+
+
+def check_slash_representations(seed=23, n_pts=1000):
+    """The slash_as_generators value as the check first computed it: an
+    inline vectorised copy of both representations and of the direct
+    formula on every point, and the pointwise API on the first 40."""
+    rng = np.random.default_rng(seed)
+    pts = sample_points(rng, n_pts, rmin=0.4)
+    pts[:, 0][np.abs(pts[:, 0]) < 0.2] += 0.5  # keep t away from 0
+    worst = float(lbar_radial_residual(pts))
+    F = random_poly(rng, degree=3, nterms=5)
+    for direct, v1, v2 in slash_block(F, pts).values():
+        scale = np.maximum(1.0, np.abs(direct))
+        worst = max(worst,
+                    float(np.max(np.abs(v1 - direct) / scale)),
+                    float(np.max(np.abs(v2 - direct) / scale)),
+                    float(np.max(np.abs(v1 - v2) / scale)))
+    for k in range(min(n_pts, 40)):
+        p = Point(pts[k, 0], tuple(pts[k, 1:]))
+        for i in (1, 2, 3):
+            rot, boost = restricted_derivative_as_Z(i, p)
+            direct = restricted_derivative_direct(i, F, p)
+            v1 = apply_representation(rot, F, p)
+            v2 = apply_representation(boost, F, p)
+            scale = max(1.0, abs(direct))
+            worst = max(worst, abs(v1 - direct) / scale, abs(v2 - direct) / scale)
+    return worst
+
+
+def check_eA_expansions(seed=29, n_pts=200):
+    """The eA_as_generators value as the check first computed it, one
+    Point and Frame per sample point."""
+    rng = np.random.default_rng(seed)
+    pts = sample_points(rng, n_pts, rmin=0.4)
+    pts[:, 0][np.abs(pts[:, 0]) < 0.2] += 0.5
+    F = random_poly(rng, degree=3, nterms=5)
+    gradF = [F.diff(mu) for mu in range(4)]
+    worst = 0.0
+    for k, fr in enumerate(point_frames(pts[:, 1:])):
+        p = Point(pts[k, 0], tuple(pts[k, 1:]))
+        rot = eA_rotation_representation(p, fr)
+        boost = eA_boost_representation(p, fr)
+        pt = p.coords()[None, :]
+        for a, name in enumerate(("e1", "e2")):
+            vec = fr.by_name(name)
+            direct = sum(vec[mu] * float(gradF[mu].eval_many(pt)[0]) for mu in range(4))
+            v1 = apply_representation(rot[a], F, p)
+            v2 = apply_representation(boost[a], F, p)
+            scale = max(1.0, abs(direct))
+            worst = max(worst, abs(v1 - direct) / scale, abs(v2 - direct) / scale)
+    return worst
+
+
 def decay_tangential(grad, pts):
     """The decay check's tangential norm: sum over {L, e1, e2} of |d_U F|^2
     at each point, from the gradient values (n, 4) + shape."""
@@ -324,7 +547,7 @@ def gradient_frame_bound(Psi, U, V, pts):
     lhs/rhs over the samples.
     """
     from framewave.estimates import _FRAME_SYM
-    from framewave.geometry import FULL_NAMES, TANGENTIAL_NAMES
+    from framewave.geometry import TANGENTIAL_NAMES
     from framewave.poly import RadPoly
     from framewave.vecfields import _norm_at
 

@@ -72,6 +72,14 @@ def test_certify_fast_exit_zero(tmp_path):
     assert (out / "config_schema.json").exists()
 
 
+def test_certify_pairs_is_not_a_config_field(tmp_path, capsys):
+    # run_suite takes its pair count from "fast"; a "pairs" field is rejected
+    path = _write(tmp_path, {"mode": "certify", "certify": {"fast": True, "pairs": 10}})
+    assert cli.main(["certify", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "pairs" in capsys.readouterr().err
+    assert cli.DEFAULTS["certify"] == {"fast": False}
+
+
 def test_evolve_zero_data_zero_series(tmp_path):
     path = _write(tmp_path, {
         "mode": "evolve",

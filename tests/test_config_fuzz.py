@@ -44,8 +44,7 @@ VEC = st.one_of(_THREE, _THREE, _THREE, st.lists(_ENTRY, max_size=4))
 
 CONFIGS = st.fixed_dictionaries(
     {"mode": enum("mode"),
-     "certify": st.fixed_dictionaries({"fast": st.just(True)},
-                                      optional={"pairs": pick(1, 0)})},
+     "certify": st.fixed_dictionaries({"fast": st.just(True)})},
     optional={
         "grid": obj(N=pick(8, 10, 12, 9, 6, 0), X=pick(4.0, 8.0, 0.5, 0.0, -4.0)),
         "times": obj(t1=pick(0.0, 0.5, -0.5), t2=pick(0.2, 0.4, 0.0),

@@ -376,10 +376,11 @@ def test_single_pass_estimate_equals_per_term_functions(bump_pulse_run, text):
     series = lie_component_series(hist, I, "scalar") if I else base
     rep = energy_estimate_report(hist, I, "scalar", 0.1, 0.4, region, params, base=base)
     want = {
-        "lhs_slice_t2_w": slice_energy(series.state_at(0.4), region, params, "w"),
+        "lhs_slice_t2_w": slice_energy(series.state(series.index_of(0.4)), region, params, "w"),
         "lhs_tangential_flux_what_prime": tangential_flux_integral(
             series, 0.1, 0.4, region, params),
-        "rhs_slice_t1_wtilde": slice_energy(series.state_at(0.1), region, params, "wtilde"),
+        "rhs_slice_t1_wtilde": slice_energy(series.state(series.index_of(0.1)), region, params,
+                                            "wtilde"),
         **_per_term_rhs(hist, I, series, base, 0.1, 0.4, region, params),
     }
     assert list(rep.terms) == list(estimates.ESTIMATE_TERM_LABELS)

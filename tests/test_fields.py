@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from framewave.energy import ExteriorRegion
 from framewave.fields import (GridField, GridGeometry, InnerProduct, PolyField, _laplacian,
-                              d1_axis, d2_axis, load_snapshot, save_snapshot,
-                              tangential_norm_sq, wave_operator)
-from framewave.geometry import FULL_NAMES, Point, frame_arrays, null_frame_at
+                              d1_axis, d2_axis, fill_ghosts_array, load_snapshot,
+                              save_snapshot, tangential_norm_sq, wave_operator)
+from framewave.geometry import FULL_NAMES, frame_arrays
 from framewave.poly import Poly, measure_order, random_poly
+from conftest import frame_at
 from oracles import (EmptyRegion, GhostInvalid, partial_derivative, quadrature_slice,
                      sample_scalar)
 
@@ -59,8 +60,8 @@ def test_grid_derivative_one_sided_closure(rng):
     p = random_poly(rng, degree=3, nterms=4, time_dependent=False)
     pts = geom.points_full(0.0)
     vals = p.eval_many(pts).reshape((geom.n_full,) * 3)
-    f = GridField(geom, 0, 1, vals[None], 0.0, ghost_valid=False)
-    f.fill_ghosts("extrapolate")
+    fill_ghosts_array(vals[None], "extrapolate")
+    f = GridField(geom, 0, 1, vals[None], 0.0)
     df = partial_derivative(f, 2)
     ref = p.diff(2).eval_many(pts).reshape((geom.n_full,) * 3)
     assert np.max(np.abs(geom.interior(df.data[0]) - geom.interior(ref))) <= 1e-9
@@ -150,35 +151,35 @@ def test_tangential_gradient_norm_radial_profile():
         g[:, 1:] = fp[:, None] * pts[:, 1:] / r[:, None]
         return g
 
-    p = Point(0.5, (1.0, 2.0, -0.5))
-    assert _tangential_norm_at(grad(p.coords()[None, :])[0], p) <= 1e-12
+    p = np.array([0.5, 1.0, 2.0, -0.5])
+    assert _tangential_norm_at(grad(p[None, :])[0], p) <= 1e-12
 
 
 def _tangential_norm_at(grad, p):
-    """sqrt of the tangential_norm_sq kernel at one point p, from the
+    """sqrt of the tangential_norm_sq kernel at one point p (4,), from the
     gradient (4,) + shape there (slots and channels fold into channels)."""
-    fr = null_frame_at(p)
-    vectors = [U[:, None] for U in fr.tangential()]
+    fr = frame_at(p[1:])
+    vectors = [fr[name][:, None] for name in ("L", "e1", "e2")]
     return float(np.sqrt(tangential_norm_sq(grad.reshape(4, -1, 1), vectors)[0]))
 
 
 def _poly_gradient_at(f, p):
-    return f.gradient().eval(p.coords()[None, :])[0]
+    return f.gradient().eval(p[None, :])[0]
 
 
 def test_tangential_gradient_norm_t():
     f = PolyField.scalar(Poly.var(0))
-    p = Point(0.0, (1.0, 1.0, 0.0))
+    p = np.array([0.0, 1.0, 1.0, 0.0])
     assert _tangential_norm_at(_poly_gradient_at(f, p), p) == pytest.approx(1.0)
 
 
 def test_tangential_gradient_norm_oracle(rng):
     f = PolyField.random(rng, rank=0, channels=2, degree=3)
-    p = Point(2.0, (1.0, 1.0, 0.0))
-    fr = null_frame_at(p)
+    p = np.array([2.0, 1.0, 1.0, 0.0])
+    fr = frame_at(p[1:])
     grad = _poly_gradient_at(f, p)
     want = 0.0
-    for U in (fr.L, fr.e1, fr.e2):
+    for U in (fr["L"], fr["e1"], fr["e2"]):
         dU = np.tensordot(U, grad, axes=(0, 0))
         want += float(np.sum(dU ** 2))
     assert _tangential_norm_at(grad, p) == pytest.approx(np.sqrt(want), rel=1e-12)

@@ -13,7 +13,9 @@ from framewave import certify, energy, estimates, geometry, vecfields
 from framewave.background import BumpBackground
 from framewave.energy import SliceState, h_energy, h_radial, h_ttr, null_flat
 from framewave.fields import GridGeometry, PolyField, wave_operator
-from framewave.geometry import FULL_NAMES, POLAR_CAP, Point, null_frame_at, point_frames
+from framewave.errors import PoleDegenerate, TimeZero
+from framewave.geometry import FULL_NAMES, POLAR_CAP
+from framewave.poly import random_poly
 from framewave.vecfields import GENERATORS, lie_multi, measure_decay_constants
 from conftest import sample_points
 
@@ -193,49 +195,50 @@ def _cap_points(rng, n):
     return x
 
 
-@pytest.mark.parametrize("chart", ["auto", "z", "x"])
-def test_batch_frames_equal_null_frame_at_at_every_point(rng, chart):
-    x = np.concatenate([sample_points(rng, 300, rmin=0.05)[:, 1:], _cap_points(rng, 100)])
-    for k, fr in enumerate(point_frames(x, chart)):
-        one = null_frame_at(Point(0.0, tuple(x[k])), chart)
-        for name in FULL_NAMES:
-            assert np.array_equal(fr.by_name(name), one.by_name(name))
-
-
 def test_unknown_chart_raises_for_points_and_batches():
     with pytest.raises(KeyError):
-        null_frame_at(Point(0.0, (1.0, 2.0, 0.5)), "y")
+        geometry.frame_arrays(*np.array([[1.0], [2.0], [0.5]]), "y")
     with pytest.raises(KeyError):
-        point_frames(np.ones((3, 3)), "auto ")
+        geometry.frame_arrays(*np.ones((3, 3)), "auto ")
 
 
 def test_eA_check_builds_its_frames_in_one_batch(monkeypatch):
     calls, seen = [], []
-    _record(monkeypatch, geometry, ("frame_arrays",), calls)
-    batch = certify.point_frames
+    batch = certify.frame_arrays
 
-    def keep(x, chart="auto"):
-        seen.append(x.copy())
-        return batch(x, chart)
-    monkeypatch.setattr(certify, "point_frames", keep)
+    def keep(x1, x2, x3, chart="auto"):
+        calls.append(chart)
+        seen.append(np.stack([x1, x2, x3], axis=1))
+        return batch(x1, x2, x3, chart)
+    monkeypatch.setattr(certify, "frame_arrays", keep)
     assert certify.check_eA_expansions(n_pts=60).passed
-    assert calls == ["frame_arrays"] and len(seen) == 1 and len(seen[0]) == 60
+    assert calls == ["auto"] and len(seen) == 1 and len(seen[0]) == 60
 
 
 @pytest.mark.parametrize("chart", ["auto", "z", "x"])
 def test_null_frame_at_against_the_pointwise_sphere_pair(rng, chart):
-    """The radial half is bit-identical to the pointwise frame; the sphere
-    half normalises with sqrt(sum u^2) where the pointwise frame used
-    np.linalg.norm, which moves some components by at most one unit in
-    the last place of a unit vector."""
+    """frame_arrays against the pointwise null frame of the oracles: the
+    radial half is bit-identical; the sphere half normalises with
+    sqrt(sum u^2) where the pointwise frame used np.linalg.norm, which
+    moves some components by at most one unit in the last place of a
+    unit vector."""
     x = np.concatenate([sample_points(rng, 400, rmin=0.05)[:, 1:], _cap_points(rng, 100)])
     eps = np.finfo(float).eps
-    for xk in x:
-        p = Point(0.5, tuple(xk))
-        got, want = null_frame_at(p, chart), oracles.null_frame_at(p, chart)
-        assert np.array_equal(got.L, want.L) and np.array_equal(got.Lbar, want.Lbar)
+    fr = geometry.frame_arrays(*x.T, chart)
+    for k, xk in enumerate(x):
+        want = oracles.null_frame_at(oracles.Point(0.5, tuple(xk)), chart)
+        assert np.array_equal(fr["L"][:, k], want.L)
+        assert np.array_equal(fr["Lbar"][:, k], want.Lbar)
         for name in ("e1", "e2"):
-            assert np.max(np.abs(got.by_name(name) - want.by_name(name))) <= eps
+            assert np.max(np.abs(fr[name][:, k] - want.by_name(name))) <= eps
+
+
+def _pointwise_frame_arrays(x1, x2, x3, chart="auto"):
+    """frame_arrays built from the oracles' pointwise null frame."""
+    frames = [oracles.null_frame_at(oracles.Point(0.0, xk), chart) for xk in zip(x1, x2, x3)]
+    fr = {name: np.stack([f.by_name(name) for f in frames], axis=1) for name in FULL_NAMES}
+    fr["r"] = geometry.radius(x1, x2, x3)
+    return fr
 
 
 @pytest.mark.parametrize("seed, n_pts", [(29, 200), (12351, 200), (12351, 50)])
@@ -243,9 +246,104 @@ def test_eA_check_value_unchanged_by_the_batch_frames(monkeypatch, seed, n_pts):
     """certify's eA_as_generators value is the same with the pointwise
     frames (seed 12351 is the suite's draw at the CLI's default seed)."""
     new = certify.check_eA_expansions(seed=seed, n_pts=n_pts)
-
-    def pointwise(x, chart="auto"):
-        return [oracles.null_frame_at(Point(0.0, tuple(xk)), chart) for xk in x]
-    monkeypatch.setattr(certify, "point_frames", pointwise)
+    monkeypatch.setattr(certify, "frame_arrays", _pointwise_frame_arrays)
     old = certify.check_eA_expansions(seed=seed, n_pts=n_pts)
     assert new.value == old.value and new.passed
+
+
+# --- generator representations on point batches -------------------------------
+
+def _rep_points(rng):
+    """Spacetime points over the whole sphere, both polar caps included,
+    with r >= 0.05 and t away from 0."""
+    pts = np.concatenate([sample_points(rng, 300, rmin=0.05),
+                          np.column_stack([rng.uniform(-2.0, 2.0, 100), _cap_points(rng, 100)])])
+    pts[:, 0][np.abs(pts[:, 0]) < 0.2] += 0.5
+    return pts
+
+
+def _at(rep, k):
+    """The representation at point k as {generator: coefficient}, zero
+    coefficients dropped (as the pointwise oracles return it)."""
+    return {gen: coeff[k] for coeff, gen in rep if coeff[k]}
+
+
+def _as_dict(rep):
+    return {gen: coeff for coeff, gen in rep}
+
+
+def test_slash_representations_equal_the_pointwise_oracles(rng):
+    pts = _rep_points(rng)
+    F = random_poly(rng, degree=3, nterms=5)
+    block = oracles.slash_block(F, pts)
+    eps = np.finfo(float).eps
+    grad_size = np.maximum(1.0, np.sqrt(sum(F.diff(j).eval_many(pts) ** 2 for j in (1, 2, 3))))
+    for i in (1, 2, 3):
+        rot, boost = vecfields.restricted_derivative_as_Z(i, pts)
+        direct = vecfields.restricted_derivative_direct(i, F, pts)
+        v1 = vecfields.apply_representation(rot, F, pts)
+        v2 = vecfields.apply_representation(boost, F, pts)
+        # the check's vectorised copy, on every point at once
+        assert [np.array_equal(a, b) for a, b in zip((direct, v1, v2), block[i])] == [True] * 3
+        for k, pt in enumerate(pts):
+            p = oracles.Point(pt[0], tuple(pt[1:]))
+            want_rot, want_boost = oracles.restricted_derivative_as_Z(i, p)
+            assert _at(rot, k) == _as_dict(want_rot) and _at(boost, k) == _as_dict(want_boost)
+            assert v1[k] == oracles.apply_representation(want_rot, F, p)
+            assert v2[k] == oracles.apply_representation(want_boost, F, p)
+            # the pointwise body sums d_r f term by term, (x_j/r) d_j f: a
+            # few roundings of terms no larger than |grad f| apart
+            want = oracles.restricted_derivative_direct(i, F, p)
+            assert abs(direct[k] - want) <= 8 * eps * grad_size[k]
+
+
+@pytest.mark.parametrize("chart", ["auto", "z", "x"])
+def test_eA_representations_equal_the_pointwise_oracles(rng, chart):
+    pts = _rep_points(rng)
+    F = random_poly(rng, degree=3, nterms=5)
+    fr = geometry.frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3], chart)
+    rot = estimates.eA_rotation_representation(pts, fr)
+    boost = estimates.eA_boost_representation(pts, fr)
+    values = [[vecfields.apply_representation(rep[a], F, pts) for a in (0, 1)]
+              for rep in (rot, boost)]
+    for k, frame in enumerate(oracles.point_frames(pts[:, 1:], chart)):
+        p = oracles.Point(pts[k, 0], tuple(pts[k, 1:]))
+        wants = (oracles.eA_rotation_representation(p, frame),
+                 oracles.eA_boost_representation(p, frame))
+        for rep, got, want in zip((rot, boost), values, wants):
+            for a in (0, 1):
+                assert _at(rep[a], k) == _as_dict(want[a])
+                assert got[a][k] == oracles.apply_representation(want[a], F, p)
+
+
+@pytest.mark.parametrize("suite_seed", [12345, 29])
+@pytest.mark.parametrize("fast", [False, True])
+def test_representation_checks_equal_their_parent_bodies(suite_seed, fast):
+    """run_suite's draws: seed + 5 and seed + 6, with its point counts."""
+    n_slash, n_eA = (200, 50) if fast else (1000, 200)
+    slash = certify.check_slash_representations(seed=suite_seed + 5, n_pts=n_slash)
+    eA = certify.check_eA_expansions(seed=suite_seed + 6, n_pts=n_eA)
+    assert slash.value == oracles.check_slash_representations(suite_seed + 5, n_slash)
+    assert eA.value == oracles.check_eA_expansions(suite_seed + 6, n_eA)
+    assert slash.passed and eA.passed
+
+
+def test_representations_raise_on_any_degenerate_point(rng):
+    pts = _rep_points(rng)[:20]
+    F = random_poly(rng, degree=3, nterms=5)
+    at_origin, at_t0 = pts.copy(), pts.copy()
+    at_origin[7, 1:] = 0.0
+    at_t0[7, 0] = 0.0
+    fr = geometry.frame_arrays(at_origin[:, 1], at_origin[:, 2], at_origin[:, 3])
+    for call in (lambda: vecfields.restricted_derivative_as_Z(1, at_origin),
+                 lambda: vecfields.restricted_derivative_direct(2, F, at_origin),
+                 lambda: estimates.eA_rotation_representation(at_origin, fr),
+                 lambda: estimates.eA_boost_representation(at_origin, fr)):
+        with pytest.raises(PoleDegenerate):
+            call()
+    fr = geometry.frame_arrays(at_t0[:, 1], at_t0[:, 2], at_t0[:, 3])
+    for call in (lambda: vecfields.restricted_derivative_as_Z(1, at_t0),
+                 lambda: estimates.eA_boost_representation(at_t0, fr)):
+        with pytest.raises(TimeZero):
+            call()
+    estimates.eA_rotation_representation(at_t0, fr)  # divides by r only

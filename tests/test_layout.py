@@ -1,5 +1,6 @@
-"""Layout check: every public module-level function and class of framewave
-is named by some line of the package outside its own definition.
+"""Layout check: every public module-level function and class of framewave,
+and every public method of its classes, is named by some line of the
+package outside its own definition.
 
 A name that only tests reach is test code living in the package; it
 belongs in ``tests/`` (see ``oracles``).  The allow-list holds the API
@@ -16,13 +17,21 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "framewave"
 ALLOWED = {"manufactured_source", "data_from_target", "load_snapshot", "w_prime"}
 
 
+def _public(nodes):
+    return [node for node in nodes
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
+
+
 def _public_definitions():
+    """Public module-level functions and classes, then the public methods
+    of every module-level class."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                yield path, node
+        yield from ((path, node) for node in _public(tree.body))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                yield from ((path, node) for node in _public(cls.body)
+                            if isinstance(node, ast.FunctionDef))
 
 
 def unreferenced_names():
