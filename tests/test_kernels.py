@@ -1,4 +1,5 @@
-"""One implementation per density, frame and wave operator, run by both lanes.
+"""One implementation per density, frame and wave operator, run by both lanes,
+and one per generator representation, run on point batches.
 
 The exact lane (certify) and the grid lane (SliceState, budget, estimate)
 call the same kernels; the earlier bodies they replaced are kept in
