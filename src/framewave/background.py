@@ -4,19 +4,24 @@ The evolution consumes g^{mu nu} = m^{mu nu} + H^{mu nu} with H supplied
 by an analytic family rather than solved for; families stay below the
 |H| < 1/3 smallness threshold whenever |epsilon| <= 0.3.
 
-Every family is a scalar profile times a constant direction,
+Every family is one class, ``BumpBackground``: a scalar profile times a
+constant direction,
 
     H^{mu nu}(t, x) = chi(t, x) M^{mu nu},
 
-with chi already scaled by epsilon and M a fixed symmetric unit matrix.
-Callers contract M once and multiply by chi or its 4-gradient dchi;
-no dense (4, 4, n, n, n) tensor of H is ever built.  The primitive is the
-support box: ``support(geom, t)`` returns the index box of the support
-(clipped to the grid) with chi and dchi on it, or None where H vanishes
-on the whole cube.  Every cell outside the box is exactly 0, so consumers
-do their H work on the box only, pointwise 4x4 algebra on g = m + chi M
-included; ``profile`` is the zero-filled scatter of the same result onto
-the full cube.
+with chi already scaled by epsilon and M a fixed symmetric unit matrix;
+the zero family is the bump with epsilon 0.  Callers contract M once and
+multiply by chi or its 4-gradient dchi; no dense (4, 4, n, n, n) tensor
+of H is ever built.  The background states that structure once: its
+``hessian_terms`` list the nonzero entries of M with the weights of
+H^{ab} d_a d_b, which the grid lane's wave-operator kernel
+(``fields.h_on_box``) and the manufactured sources read.  The primitive
+is the support box: ``support(geom, t)`` returns the index box of the
+support (clipped to the grid) with chi and dchi on it, or None where H
+vanishes on the whole cube.  Every cell outside the box is exactly 0, so
+consumers do their H work on the box only, pointwise 4x4 algebra on
+g = m + chi M included; ``profile`` is the zero-filled scatter of the
+same result onto the full cube.
 """
 
 from __future__ import annotations
@@ -38,61 +43,25 @@ _DEFAULT_DIRECTION = np.array(
 _DEFAULT_DIRECTION = _DEFAULT_DIRECTION / np.linalg.norm(_DEFAULT_DIRECTION)
 
 
-class Background:
-    """Interface: H = chi * direction with a scalar profile chi on the grid.
+class BumpBackground:
+    """H = epsilon * chi(|x - c(t)| / R) * M with chi(s) = (1 - s^2)^3.
+
+    chi is C^2 with compact support in the ball |x - c(t)| < R; M is
+    symmetric with |M| = 1, so |H| <= |epsilon| everywhere.  A nonzero
+    velocity makes the bump travel, c(t) = center + t v (|v| < 1), giving
+    a time-dependent background with exact dH/dt.  epsilon = 0 is the flat
+    background.
 
     ``support(geom, t)`` returns (box, chi, dchi): a tuple of three slices
     of the full cube outside which chi is exactly 0, chi on the box and
     its 4-gradient (4, *box shape), or None when H vanishes on the whole
     cube.  ``profile(geom, t)`` scatters them onto the full cube, chi
     (n, n, n) and dchi (4, n, n, n); ``direction`` is the constant M.
-    Callers that need pointwise 4x4 algebra on g = m + chi M (the CFL
-    speed bound, the covariant h of the schematic sources) do it on the
-    box, since g = m exactly outside it.
-    """
-
-    epsilon = 0.0
-    direction = np.zeros((4, 4))
-
-    def is_flat(self):
-        return False
-
-    def support(self, geom, t):
-        raise NotImplementedError
-
-    def profile(self, geom, t):
-        n = geom.n_full
-        chi, dchi = np.zeros((n, n, n)), np.zeros((4, n, n, n))
-        sup = self.support(geom, t)
-        if sup is not None:
-            box, chi_box, dchi_box = sup
-            chi[box] = chi_box
-            dchi[(slice(None),) + box] = dchi_box
-        return chi, dchi
-
-    def sup_abs(self):
-        """Upper bound on the Frobenius norm |H| over spacetime."""
-        raise NotImplementedError
-
-
-class ZeroBackground(Background):
-    def is_flat(self):
-        return True
-
-    def support(self, geom, t):
-        return None
-
-    def sup_abs(self):
-        return 0.0
-
-
-class BumpBackground(Background):
-    """H = epsilon * chi(|x - c(t)| / R) * M with chi(s) = (1 - s^2)^3.
-
-    chi is C^2 with compact support in the ball |x - c(t)| < R; M is
-    symmetric with |M| = 1, so |H| <= |epsilon| everywhere.  A nonzero
-    velocity makes the bump travel, c(t) = center + t v (|v| < 1), giving
-    a time-dependent background with exact dH/dt.
+    ``hessian_terms`` lists (a, b, c) for a <= b and M_ab != 0 with
+    c = (2 - delta_ab) M_ab, so that H^{ab} d_a d_b = chi * sum c d_a d_b;
+    it is empty when epsilon is 0.  Callers that need pointwise 4x4
+    algebra on g = m + chi M (the CFL speed bound, the covariant h of the
+    schematic sources) do it on the box, since g = m exactly outside it.
     """
 
     def __init__(self, epsilon, center=(0.0, 0.0, 0.0), radius=4.0,
@@ -106,6 +75,9 @@ class BumpBackground(Background):
         M = _DEFAULT_DIRECTION if direction is None else np.asarray(direction, float)
         M = 0.5 * (M + M.T)
         self.direction = M / np.linalg.norm(M)
+        self.hessian_terms = () if self.is_flat() else tuple(
+            (a, b, float((1.0 if a == b else 2.0) * self.direction[a, b]))
+            for a in range(4) for b in range(a, 4) if self.direction[a, b])
         self._static_support = {}
 
     def is_flat(self):
@@ -160,13 +132,24 @@ class BumpBackground(Background):
         grad[:, ~inside] = 0.0
         return tuple(box), self.epsilon * one ** 3, self.epsilon * grad
 
+    def profile(self, geom, t):
+        n = geom.n_full
+        chi, dchi = np.zeros((n, n, n)), np.zeros((4, n, n, n))
+        sup = self.support(geom, t)
+        if sup is not None:
+            box, chi_box, dchi_box = sup
+            chi[box] = chi_box
+            dchi[(slice(None),) + box] = dchi_box
+        return chi, dchi
+
     def sup_abs(self):
+        """Upper bound on the Frobenius norm |H| over spacetime."""
         return abs(self.epsilon)
 
 
 def make_background(family, epsilon=0.0, **kwargs):
     if family == "zero" or epsilon == 0.0:
-        return ZeroBackground()
+        return BumpBackground(0.0)
     if family == "static-bump":
         kwargs.pop("velocity", None)
         return BumpBackground(epsilon, **kwargs)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HistoryMissing, PoleDegenerate
-from .fields import (InnerProduct, _stencil_window, d1_axis, d2_axis, quadrature_masked,
+from .fields import (InnerProduct, d1_axis, d2_axis, h_on_box, quadrature_masked,
                      tangential_norm_sq, wave_operator)
 from .geometry import MINKOWSKI_INV, TANGENTIAL_NAMES
 from .weights import w, w_hat_prime, w_tilde, w_tilde_prime
@@ -380,7 +380,7 @@ class SliceState:
 
     def support(self):
         """(box, chi, dchi) of the background H = chi M at this slice (see
-        Background.support), or None where H vanishes on the whole cube."""
+        BumpBackground.support), or None where H vanishes on the whole cube."""
         if self.bg is None:
             return None
         return self._get("support", lambda: self.bg.support(self.geom, self.t), self._slice)
@@ -404,8 +404,8 @@ class SliceState:
         """g^{ab} d_a d_b psi using the stored second time derivative.
 
         The flat part sums three full-cube d2_axis passes; the H part is
-        built on the support box, with the spatial Hessian and d_i d_t psi
-        from stencils on a copy of the box's window."""
+        fields.h_on_box on the support box, the kernel the evolution's
+        right-hand side runs, plus M^{tt} d_tt psi there."""
         def build():
             dx = self.geom.dx
             out = -self.psi_tt
@@ -415,24 +415,10 @@ class SliceState:
             sup = self.support()
             if sup is not None:
                 box, chi, _ = sup
-                window, inner = _stencil_window(box, self.geom.n_full)
-                win, cut = (Ellipsis,) + window, (Ellipsis,) + inner
-                psi = np.ascontiguousarray(self.psi[win])
-                psi_t = np.ascontiguousarray(self.psi_t[win])
-                g = [d1_axis(psi, i, dx) for i in (1, 2)]
-                hess = [[None] * 3 for _ in range(3)]
-                for i in range(3):
-                    hess[i][i] = d2_axis(psi, i + 1, dx)[cut]
-                    for j in range(i + 1, 3):   # d_j d_i psi with i < j
-                        hess[i][j] = hess[j][i] = d1_axis(g[i], j + 1, dx)[cut]
-                M = self.bg.direction
-                h = M[0, 0] * self.psi_tt[(Ellipsis,) + box]
-                for i in range(3):
-                    h += 2.0 * M[0, 1 + i] * d1_axis(psi_t, i + 1, dx)[cut]
-                for i in range(3):
-                    for j in range(3):
-                        h += M[1 + i, 1 + j] * hess[i][j]
-                out[(Ellipsis,) + box] += chi * h
+                on_box = (Ellipsis,) + box
+                h = h_on_box(self.bg.hessian_terms, self.psi, self.psi_t, box, dx)
+                h += self.bg.direction[0, 0] * self.psi_tt[on_box]
+                out[on_box] += chi * h
             return out
         return self._get("wave_op", build)
 
@@ -672,11 +658,10 @@ class BudgetPass:
     slices (q0 = -inf included) contributes 0.
     """
 
-    def __init__(self, region, params=None, n_theta=16, n_phi=32, ball_quadrature=True):
+    def __init__(self, region, params=None):
         self.region = region
         self.params = params
-        self.ball_quadrature = ball_quadrature
-        self._nodes = _sphere_nodes(n_theta, n_phi), _sphere_nodes(8, 16)
+        self._nodes = _sphere_nodes(16, 32), _sphere_nodes(8, 16)
         self._bg = None
         self._ts, self._ends, self._wvals, self._dvals, self._cone, self._balls = (
             [], [], [], [], [], [])
@@ -691,8 +676,7 @@ class BudgetPass:
                            if params is not None else 0.0)
         self._dvals.append(_quad(st, st.div_t_density(), region, w_tilde, params))
         self._cone.append((st.t, _cone_slice(st, region.q0, ball, cone_nodes, params)))
-        if self.ball_quadrature:
-            self._balls.append((st.t, _ball_slice(st, region, ball, ball_nodes, params)))
+        self._balls.append((st.t, _ball_slice(st, region, ball, ball_nodes, params)))
         self._ts.append(st.t)
         self._bg = st.bg
 

@@ -37,7 +37,7 @@ from .errors import FrameMismatch, HistoryMissing, PoleDegenerate, TimeZero
 from .fields import PolyField, d1_axis, fill_ghosts_array, tangential_norm_sq, wave_operator
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
-from .vecfields import (GENERATORS, VectorFieldId, _norm_at, lie_lattice,
+from .vecfields import (_FIELD_CACHE, GENERATORS, VectorFieldId, _norm_at, lie_lattice,
                         lie_minkowski_inverse_factor, lie_multi, splittings, subsequences,
                         ksize_plus)
 
@@ -94,23 +94,6 @@ def c_hat(I):
     if key not in _CHAT_CACHE:
         _CHAT_CACHE[key] = lie_minkowski_inverse_factor(key)
     return _CHAT_CACHE[key]
-
-
-def _hessian(scalar_field: PolyField):
-    return scalar_field.gradient().gradient()  # slots (b, a, ch); symmetric
-
-
-def g_box(H, phi):
-    """g^{ab} d_a d_b phi as a scalar field (flat part plus H part)."""
-    return wave_operator(H, _hessian(phi))
-
-
-def commutator_exact_lhs(H, phi, I):
-    """L_{Z^I}(g dd phi) - g dd (L_{Z^I} phi), exact on polynomial scalars."""
-    I = tuple(I)
-    lhs = lie_multi(I, g_box(H, phi))
-    rhs = g_box(H, lie_multi(I, phi))
-    return lhs - rhs
 
 
 class CommutatorStudy:
@@ -260,7 +243,8 @@ class CommutatorIdentityRHS:
         return self._accumulate(pts)[0]
 
     def _exact_lhs(self):
-        """commutator_exact_lhs, its g dd L_{Z^I} phi from the expansion's box."""
+        """L_{Z^I}(g dd phi) - g dd (L_{Z^I} phi), exact on polynomial
+        scalars, with g dd phi and g dd L_{Z^I} phi the expansion's boxes."""
         return lie_multi(self.I, self._box[()]) - self._box[self.I]
 
 
@@ -393,10 +377,6 @@ class CommutatorBound:
         return fams["flat"] + fams["t_weighted"] + fams["q_weighted"]
 
 
-def commutator_bound_rhs(H, phi, I, V, frame_set="T", study=None):
-    return CommutatorBound(H, phi, I, V, frame_set=frame_set, study=study)
-
-
 @dataclass
 class CommutatorReport:
     """Measured data for one (H, phi, I, V) commutator study."""
@@ -435,7 +415,7 @@ def commutator_report(H, phi, I, V, pts, frame_set="T", study=None):
     lhs_vals = np.sqrt(np.sum(lhs ** 2, axis=1))
     ident = _relative_residual(lhs, rhs, pts)
     del rhs  # the bound needs the boxes, not the Hessians
-    bound = commutator_bound_rhs(H, phi, I, V, frame_set=frame_set, study=study)
+    bound = CommutatorBound(H, phi, I, V, frame_set=frame_set, study=study)
     bvals = bound.eval(pts)
     bvals_nested = bound.eval(pts, convention="nested")
 
@@ -537,24 +517,10 @@ def series_time_derivative(arrays, dt):
 
 
 def _gen_coeff_arrays(gen, geom, t):
-    """Affine generator coefficients Z^mu on the full cube at time t."""
-    from .vecfields import as_field
-
-    zf = as_field(gen)
-    X1, X2, X3 = geom.mesh()
-    coords = (np.full_like(X1, t), X1, X2, X3)
-    out = []
-    for mu in range(4):
-        p = zf.comps[mu, 0]
-        arr = np.zeros_like(X1)
-        for k, v in p.c.items():
-            term = float(v) * np.ones_like(X1)
-            for ax in range(4):
-                if k[ax]:
-                    term = term * coords[ax] ** k[ax]
-            arr += term
-        out.append(arr)
-    return out
+    """Affine generator coefficients Z^mu on the full cube at time t,
+    shape (4, n, n, n)."""
+    vals = _FIELD_CACHE[gen].eval(geom.points_full(t))
+    return vals[..., 0].T.reshape((4,) + (geom.n_full,) * 3)
 
 
 def _apply_lie_grid(gen, data, data_t, geom, t, rank):

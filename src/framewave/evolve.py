@@ -23,18 +23,20 @@ bit-identical to the whole-array expression.  The Laplacian is one such
 pass over all three axes (fields._laplacian), on every background; it
 differs from the sum of three d2_axis calls by roundoff.  On a bump
 background the H terms (d_j Pi and the mixed and diagonal second
-derivatives of Phi), their product with chi and the division by -g^{tt}
-run on the support box of H only, the derivatives from stencils on a
-copy of the box grown by the stencil width; outside the box chi is 0 and
-g^{tt} is exactly -1.  The right-hand side writes into caller arrays and
-the evolver's kept work arrays, the schematic source, the box windows
-and the shell slabs included, so a warm flat or static-bump step
-allocates no full-size array.  The RK4 step keeps its stage, slope and
-accumulator arrays between steps, sums ((k1 + 2 k2) + 2 k3) + k4 as the
-expression form does and adds the increment into the state in place.
-Everything is single-threaded: two-thread numpy loops have measured
-anywhere from no gain to 1.8x on a 2-core host, so a slab split over
-threads waits for its own paired measurement.
+derivatives of Phi, listed by the background's hessian_terms) come from
+fields.h_on_box, the kernel the monitors' wave operator runs too; they,
+their product with chi and the division by -g^{tt} run on the support
+box of H only, the derivatives from stencils on a copy of the box grown
+by the stencil width; outside the box chi is 0 and g^{tt} is exactly -1.
+The right-hand side writes into caller arrays and the evolver's kept
+work arrays, the schematic source, the box windows and the shell slabs
+included, so a warm flat or static-bump step allocates no full-size
+array.  The RK4 step keeps its stage, slope and accumulator arrays
+between steps, sums ((k1 + 2 k2) + 2 k3) + k4 as the expression form
+does and adds the increment into the state in place.  Everything is
+single-threaded: two-thread numpy loops have measured anywhere from no
+gain to 1.8x on a 2-core host, so a slab split over threads waits for
+its own paired measurement.
 
 Steps are sequential.  Monitors are fed each slice while the run
 produces it: at t1 and at every monitor the run hands its live state to
@@ -59,12 +61,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .background import Background, make_background
+from .background import make_background
 from .energy import (ComponentSeries, ExteriorRegion, SliceState, slice_energy,
                      write_series_csv)
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
-from .fields import (GHOST, GridField, GridGeometry, _laplacian, _stencil_window, d1_axis,
-                     d2_axis, fill_ghosts_array, save_snapshot)
+from .fields import (GHOST, GridField, GridGeometry, _fresh, _laplacian, d1_axis, d2_axis,
+                     fill_ghosts_array, h_on_box, save_snapshot)
 from .geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV
 from .poly import GaussPoly, Poly, _eval_scalars
 from .weights import WeightParams
@@ -120,11 +122,6 @@ def _h_component_and_grad(geom, bg, t):
     gMg = np.einsum("...j,jk,...k->...", g_cov[..., 0, :], M, g_cov[..., :, 0])
     dh[(slice(None),) + box] = -gMg * dchi
     return h, dh
-
-
-def _fresh(name, shape):
-    """Work-array callable that allocates a new array on every call."""
-    return np.empty(shape)
 
 
 def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
@@ -233,18 +230,15 @@ def manufactured_source(target_comps, background, geom):
     on the full cube; evolving with it reproduces the target up to
     discretization error.  Each call evaluates the distinct Hessian
     entries d_a d_b (a <= b) once: the diagonal alone on a flat
-    background, all ten otherwise.
+    background, all ten otherwise.  The H part is chi times the sum over
+    the background's hessian_terms.
     """
     shape = target_comps.shape
     pairs = [(a_, b_) for a_ in range(4) for b_ in range(a_, 4)]
-    if background.is_flat():
+    if not background.hessian_terms:
         pairs = [(a_, a_) for a_ in range(4)]
     col = {p: j for j, p in enumerate(pairs)}
-    M = background.direction
-    # H^{ab} d_a d_b = chi * sum over a <= b of (2 - delta_ab) M_ab d_a d_b
-    h_terms = [] if background.is_flat() else [
-        (col[a_, b_], (1.0 if a_ == b_ else 2.0) * M[a_, b_])
-        for a_, b_ in pairs if M[a_, b_]]
+    h_terms = [(col[a_, b_], c) for a_, b_, c in background.hessian_terms]
     hessians = {idx: [target_comps[idx].diff(a_).diff(b_) for a_, b_ in pairs]
                 for idx in np.ndindex(shape)}
 
@@ -276,7 +270,7 @@ def manufactured_source(target_comps, background, geom):
 # Time stepping
 
 
-def max_characteristic_speed(geom, bg: Background, t):
+def max_characteristic_speed(geom, bg, t):
     """Safe upper bound for the coordinate lightspeed of g.
 
     Characteristics of g^{tt} s^2 + 2 g^{tn} s + g^{nn} = 0 bounded via a
@@ -456,25 +450,14 @@ def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=_fresh):
 class Evolver:
     """RK4 driver for the first-order reduction on one background."""
 
-    def __init__(self, geom, background, rank=1, channels=1, source_fn=None,
-                 schematic=None, boundary="sommerfeld"):
+    def __init__(self, geom, background, source_fn=None, schematic=None,
+                 boundary="sommerfeld"):
         self.geom = geom
         self.bg = background
-        self.rank = rank
-        self.channels = channels
         self.source_fn = source_fn
         self.schematic = schematic
         self.boundary = boundary
         self._ghost_mode = "periodic" if boundary == "periodic" else "zero"
-        # H^{ab} d_a d_b Phi = chi * sum of c_ab D_ab over the nonzero
-        # entries a <= b of the direction M: D_tj = d_j Pi with c = 2 M_tj,
-        # D_ii = d_i^2 Phi and D_ij = 2 d_j d_i Phi (i < j, the one stencil
-        # order SliceState.hess uses) with c = M_ij.  H^{tt} enters through
-        # the divisor g^{tt}.
-        M = background.direction
-        self._h_terms = [] if background.is_flat() else [
-            (a, b, (2.0 if a == 0 else 1.0) * M[a, b])
-            for a in range(4) for b in range(a, 4) if (a, b) != (0, 0) and M[a, b]]
         self._work = {}
         self._shell = None          # radiation-shell plan, built on first use
         self._held = None           # (t, Phi, Pi) whose slope "acc" holds
@@ -493,44 +476,15 @@ class Evolver:
         self._shell = None
         self._held = None
 
-    def _h_on_box(self, Phi, Pi, box):
-        """The sum of c_ab D_ab (see __init__) on the support box, shape
-        Phi.shape[:-3] + the box's.  Each D_ab comes from the stencils on
-        a copy of the box's window, which give the box the full-cube
-        values (fields._stencil_window); the sum keeps the entry order."""
-        dx, lead = self.geom.dx, Phi.shape[:-3]
-        window, inner = _stencil_window(box, self.geom.n_full)
-        cut = (Ellipsis,) + inner
-
-        def windowed(name, U):
-            W = self._buffer(name, lead + tuple(s.stop - s.start for s in window))
-            np.copyto(W, U[(Ellipsis,) + window])
-            return W
-
-        P, P_t = windowed("h.Phi", Phi), windowed("h.Pi", Pi)
-        grads = {a: d1_axis(P, a, dx, out=self._buffer(f"h.d{a}", P.shape))
-                 for a in {a for a, b, _ in self._h_terms if 0 < a < b}}
-        term_w = self._buffer("h.term", P.shape)
-        acc = self._buffer("h.acc", lead + tuple(s.stop - s.start for s in box))
-        acc.fill(0.0)
-        for a, b, m in self._h_terms:
-            if a == 0:
-                term = d1_axis(P_t, b, dx, out=term_w)[cut]
-            elif a == b:
-                term = d2_axis(P, a, dx, out=term_w)[cut]
-            else:
-                term = d1_axis(grads[a], b, dx, out=term_w)[cut]
-                term *= 2.0
-            acc += np.multiply(term, m, out=term)
-        return acc
-
     def rhs(self, t, Phi, Pi, out=None):
         """(d_t Phi, d_t Pi), written into ``out`` = (dPhi, dPi) if given.
 
-        Fills the ghost layers of Phi and Pi in place.  The H terms, their
-        product with chi and the division by -g^{tt} run on the support
-        box of the background only: outside it chi is 0 and g^{tt} is
-        exactly -1, so a source divided by g^{tt} sees -1 there.
+        Fills the ghost layers of Phi and Pi in place.  The H terms
+        (fields.h_on_box, with Pi for d_t Phi and the evolver's work
+        arrays), their product with chi and the division by -g^{tt} run
+        on the support box of the background only: outside it chi is 0
+        and g^{tt} is exactly -1, so a source divided by g^{tt} sees -1
+        there.  H^{tt} enters through that divisor.
         """
         # g^{tt} d_t Pi + 2 g^{tj} d_j Pi + g^{ij} d_i d_j Phi = S
         geom, dx = self.geom, self.geom.dx
@@ -543,7 +497,7 @@ class Evolver:
         if sup is not None:
             box, chi, _ = sup
             gtt = -1.0 + chi * self.bg.direction[0, 0]
-            acc = self._h_on_box(Phi, Pi, box)
+            acc = h_on_box(self.bg.hessian_terms, Phi, Pi, box, dx, self._buffer)
             acc *= chi
             on_box = dPi[(Ellipsis,) + box]
             on_box += acc
@@ -767,8 +721,8 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
     """
     rank = Phi0.ndim - 4
     channels = Phi0.shape[-4]
-    ev = Evolver(geom, background, rank, channels, source_fn=source_fn,
-                 schematic=schematic, boundary=boundary)
+    ev = Evolver(geom, background, source_fn=source_fn, schematic=schematic,
+                 boundary=boundary)
     c = max_characteristic_speed(geom, background, t1)
     dt_max = CFL_LIMIT * geom.dx / c
     T = t2 - t1

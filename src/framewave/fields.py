@@ -13,6 +13,9 @@ Two lanes:
 The operators both lanes need are written here once: the frame tangential
 norm (on grid fields and point batches alike) and the exact wave
 operator (for the commutator machinery and the divergence display).
+The grid lane's H part of the wave operator is one support-box kernel,
+``h_on_box``, that the evolution's right-hand side and the monitors'
+``SliceState.wave_op`` both run.
 
 Spatial derivatives on grids are 4th-order centered stencils; the
 "extrapolate" ghost fill reproduces one-sided 4th-order closures at the
@@ -130,10 +133,6 @@ class PolyField:
 
     def scale(self, a):
         return self.map(lambda p: p * a)
-
-    def partial(self, mu):
-        """Componentwise coordinate derivative (same rank)."""
-        return self.map(lambda p: p.diff(mu))
 
     def gradient(self):
         """Covariant gradient: new leading covariant slot for d_mu."""
@@ -498,6 +497,51 @@ def d2_axis(arr, spatial_axis, dx, out=None):
     """4th-order centered pure second derivative along spatial_axis; the
     margin and ``out`` as for :func:`d1_axis`."""
     return _stencil_axis(arr, spatial_axis, dx, out, second=True)
+
+
+def _fresh(name, shape):
+    """Work-array callable that allocates a new array on every call."""
+    return np.empty(shape)
+
+
+def h_on_box(terms, U, U_t, box, dx, work=_fresh):
+    """The H part of g^{ab} d_a d_b U over chi, less H^{tt} d_tt U, on an
+    index box of the full cube: sum c D_ab over the Hessian terms
+    (a, b, c) of a background (``BumpBackground.hessian_terms``) but
+    (0, 0), shape U.shape[:-3] + the box's.
+
+    D_tj = d_j U_t, D_ii = d_i^2 U and D_ij = d_j d_i U for i < j (the
+    one stencil order every consumer uses).  Each D_ab comes from the
+    stencils on a copy of the box's window, which give the box the
+    full-cube values (:func:`_stencil_window`); the sum keeps the order
+    of ``terms``.  ``work(name, shape)`` supplies the window copies, the
+    stencil scratch and the returned array.
+    """
+    window, inner = _stencil_window(box, U.shape[-1])
+    lead, cut = U.shape[:-3], (Ellipsis,) + inner
+
+    def windowed(name, V):
+        W = work(name, lead + tuple(s.stop - s.start for s in window))
+        np.copyto(W, V[(Ellipsis,) + window])
+        return W
+
+    P, P_t = windowed("h.U", U), windowed("h.U_t", U_t)
+    grads = {a: d1_axis(P, a, dx, out=work(f"h.d{a}", P.shape))
+             for a in {a for a, b, _ in terms if 0 < a < b}}
+    term_w = work("h.term", P.shape)
+    acc = work("h.acc", lead + tuple(s.stop - s.start for s in box))
+    acc.fill(0.0)
+    for a, b, c in terms:
+        if b == 0:
+            continue
+        if a == 0:
+            term = d1_axis(P_t, b, dx, out=term_w)[cut]
+        elif a == b:
+            term = d2_axis(P, a, dx, out=term_w)[cut]
+        else:
+            term = d1_axis(grads[a], b, dx, out=term_w)[cut]
+        acc += np.multiply(term, c, out=term)
+    return acc
 
 
 def quadrature_masked(geom, values_interior, mask):

@@ -3,14 +3,16 @@
 Two kinds live here.  Loops and helpers that framewave itself does not
 run: the stored-series budget and flux loops (the monitors feed
 ``energy.BudgetPass`` slice by slice instead), full-cube derivatives of a
-slice state, point-frame contractions, grid quadrature of a GridField and
-the frame-gradient bound.  And the earlier bodies of code that framewave
-now computes through one shared kernel (the coordinate display of
-T_tt + T_rt, the pointwise null frame, the exact wave operator, the
-decay check's tangential loop, and the per-point ``Point``/``Frame``
-generator representations of slash-d_i and e_A with the two certify
-checks that ran them), kept as they were so that tests can require the
-kernels to agree with them bit for bit.
+slice state, point-frame contractions, grid quadrature of a GridField,
+the direct form of the commutator's left side, coordinate derivatives of
+a PolyField and the frame-gradient bound.  And the earlier bodies of
+code that framewave now computes through one shared kernel (the
+coordinate display of T_tt + T_rt, the pointwise null frame, the exact
+wave operator, the decay check's tangential loop, the per-point
+``Point``/``Frame`` generator representations of slash-d_i and e_A with
+the two certify checks that ran them, and the manufactured source that
+read its H terms off the direction matrix), kept as they were so that
+tests can require the kernels to agree with them bit for bit.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from framewave.certify import sample_points
 from framewave.energy import (BudgetPass, _ball_slice, _cone_slice, _sphere_nodes,
                               _surface_integral, _tangential_slice, slice_energy, trapz)
 from framewave.errors import FramewaveError, HistoryMissing, PoleDegenerate, TimeZero
-from framewave.fields import GridField, PolyField, d1_axis, d2_axis
+from framewave.fields import GridField, PolyField, d1_axis, d2_axis, wave_operator
 from framewave.estimates import lbar_radial_residual
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
-from framewave.poly import random_poly
+from framewave.poly import GaussPoly, _eval_scalars, random_poly
 from framewave.vecfields import GENERATORS, VectorFieldId, apply_to_scalar, lie_multi
 
 
@@ -88,12 +90,11 @@ def ball_flux(series, region, t1, t2, params, n_theta=8, n_phi=16):
                               for k in range(k1, k2 + 1)])
 
 
-def conservation_budget(series, region, t1, t2, params=None,
-                        n_theta=16, n_phi=32, ball_quadrature=True):
+def conservation_budget(series, region, t1, t2, params=None):
     """Every term of the weighted budget identity over a stored series: one
     BudgetPass over the monitor slices from t1 to t2."""
     k1, k2 = series.index_range(t1, t2)
-    budget = BudgetPass(region, params, n_theta, n_phi, ball_quadrature)
+    budget = BudgetPass(region, params)
     for k in range(k1, k2 + 1):
         budget.add(series.state(k), end=k in (k1, k2))
     return budget.report(t1, t2)
@@ -305,7 +306,7 @@ def sample_scalar(geom, fn, t=0.0, channels=1):
 def partial_derivative(field, mu):
     """d_mu: exact for PolyField, stencil for GridField (spatial only)."""
     if isinstance(field, PolyField):
-        return field.partial(mu)
+        return field.map(lambda p: p.diff(mu))
     if isinstance(field, GridField):
         if mu == 0:
             raise ValueError("time derivatives of grid snapshots come from the "
@@ -353,7 +354,21 @@ def box(H, hess):
     return PolyField(0, hess.channels, comps)
 
 
+def g_box(H, phi):
+    """g^{ab} d_a d_b phi as a scalar field (flat part plus H part)."""
+    return wave_operator(H, phi.gradient().gradient())
+
+
 # --- vecfields and estimates ---------------------------------------------------
+
+
+def commutator_exact_lhs(H, phi, I):
+    """L_{Z^I}(g dd phi) - g dd (L_{Z^I} phi), exact on polynomial scalars,
+    with both wave operators taken directly from phi: the reference for
+    ``CommutatorIdentityRHS._exact_lhs``, which reads them from the
+    expansion's boxes."""
+    I = tuple(I)
+    return lie_multi(I, g_box(H, phi)) - g_box(H, lie_multi(I, phi))
 
 
 def restricted_derivative_as_Z(i, p):
@@ -578,3 +593,46 @@ def gradient_frame_bound(Psi, U, V, pts):
                 rhs += wq * np.sqrt(np.sum(cvals ** 2, axis=1))
     ok = rhs > 1e-14
     return float(np.max(lhs[ok] / rhs[ok])) if ok.any() else 0.0
+
+
+# --- evolve: the manufactured source from the direction -------------------------
+
+
+def manufactured_source_from_direction(target_comps, background, geom):
+    """evolve.manufactured_source as it read the H terms off the direction
+    matrix M before the background listed them (``hessian_terms``)."""
+    shape = target_comps.shape
+    pairs = [(a_, b_) for a_ in range(4) for b_ in range(a_, 4)]
+    if background.is_flat():
+        pairs = [(a_, a_) for a_ in range(4)]
+    col = {p: j for j, p in enumerate(pairs)}
+    M = background.direction
+    # H^{ab} d_a d_b = chi * sum over a <= b of (2 - delta_ab) M_ab d_a d_b
+    h_terms = [] if background.is_flat() else [
+        (col[a_, b_], (1.0 if a_ == b_ else 2.0) * M[a_, b_])
+        for a_, b_ in pairs if M[a_, b_]]
+    hessians = {idx: [target_comps[idx].diff(a_).diff(b_) for a_, b_ in pairs]
+                for idx in np.ndindex(shape)}
+
+    def source_fn(t):
+        pts = geom.points_full(t)
+        n = geom.n_full
+        out = np.zeros(shape + (n, n, n))
+        chi = background.profile(geom, t)[0] if h_terms else None
+        for idx in np.ndindex(shape):
+            hs = hessians[idx]
+            if isinstance(hs[0], GaussPoly):  # d_a d_b keeps the envelope
+                env = hs[0].envelope_many(pts)[:, None]
+                hv = _eval_scalars([h.poly for h in hs], pts) * env
+            else:
+                hv = _eval_scalars(hs, pts)
+            hv = hv.T.reshape(len(pairs), n, n, n)
+            acc = np.zeros((n, n, n))
+            for a_ in range(4):
+                acc += MINKOWSKI_INV[a_, a_] * hv[col[a_, a_]]
+            if h_terms:
+                acc += chi * sum(m * hv[j] for j, m in h_terms)
+            out[idx] = acc
+        return out
+
+    return source_fn

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from framewave import certify, energy, estimates, evolve
-from framewave.background import BumpBackground, ZeroBackground
+from framewave.background import BumpBackground
 from framewave.energy import ExteriorRegion, slice_energy
 from framewave.fields import GridGeometry, PolyField
 from framewave.poly import measure_order
 from framewave.vecfields import SCALING, VectorFieldId
 from framewave.weights import WeightParams
-from oracles import conservation_budget
+from oracles import commutator_exact_lhs, conservation_budget
 
 
 def _report(name, passed, detail):
@@ -92,7 +92,7 @@ def test_criterion_6_budget_convergence():
     region = ExteriorRegion(q0=-2.0)
     orders = {}
     flat_series_64 = None
-    for eps, bg in ((0.0, ZeroBackground()),
+    for eps, bg in ((0.0, BumpBackground(0.0)),
                     (0.1, BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0))):
         residuals = []
         for N in BUDGET_NS:
@@ -133,7 +133,7 @@ def test_criterion_7_estimate_instances():
     params = WeightParams(0.5, -1.0)
     region = ExteriorRegion(q0=-6.0)
     implied = {}
-    for eps, bg in ((0.0, ZeroBackground()),
+    for eps, bg in ((0.0, BumpBackground(0.0)),
                     (0.1, BumpBackground(0.1, center=(0, 0, 3.0), radius=3.0))):
         implied[eps] = {}
         for N in ESTIMATE_NS:
@@ -190,9 +190,9 @@ def test_criterion_8_decoupled_bound():
             consts.append(rep.implied_constant)
         else:
             phi_L = estimates.project_component(phi, "L")
-            lhs = estimates.commutator_exact_lhs(H, phi_L, I).eval(pts)
+            lhs = commutator_exact_lhs(H, phi_L, I).eval(pts)
             lv = np.sqrt(np.sum(lhs ** 2, axis=1))
-            bv = estimates.commutator_bound_rhs(H, phi, I, "L").eval(pts)
+            bv = estimates.CommutatorBound(H, phi, I, "L").eval(pts)
             ok = bv > 1e-12 * np.max(bv)
             consts.append(float(np.max(lv[ok] / bv[ok])))
     stable = abs(consts[1] - consts[0]) / consts[0] <= 0.20
@@ -209,8 +209,8 @@ def test_criterion_8_decoupled_bound():
         comps[mu, 0] = phi.comps[mu, 0] + Lflat[mu] * (Poly.var(2) + 1) * 0.6
     phi2 = PolyField(1, 1, comps)
     pts = _lattice_points(0.7)
-    f1 = estimates.commutator_bound_rhs(H, phi, I, "L").family_values(pts)
-    f2 = estimates.commutator_bound_rhs(H, phi2, I, "L").family_values(pts)
+    f1 = estimates.CommutatorBound(H, phi, I, "L").family_values(pts)
+    f2 = estimates.CommutatorBound(H, phi2, I, "L").family_values(pts)
     scale = max(1.0, float(np.max(f1["q_weighted"])))
     decoupled = np.max(np.abs(f1["q_weighted"] - f2["q_weighted"])) / scale <= 1e-12
     changed = np.max(np.abs(
@@ -239,7 +239,7 @@ def test_criterion_10_solver_verification():
     for N in (32, 64):
         geom = GridGeometry(N, np.pi)
         Phi0, Pi0, exact = evolve.plane_wave_data(geom, kvec=(1, 0, 0))
-        hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 1.0,
+        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 1.0,
                                  boundary="periodic", cfl=0.4, n_monitors=3)
         num = geom.interior(hist.fields[-1])
         ref = geom.interior(exact(hist.times[-1]))
@@ -253,7 +253,7 @@ def test_criterion_10_solver_verification():
     from framewave.poly import GaussPoly, Poly
 
     mms_orders = {}
-    for eps, bg in ((0.0, ZeroBackground()),
+    for eps, bg in ((0.0, BumpBackground(0.0)),
                     (0.1, BumpBackground(0.1, center=(0, 0, 1.0), radius=4.0)),
                     (0.3, BumpBackground(0.3, center=(0, 0, 1.0), radius=4.0))):
         errs2, hs2 = [], []

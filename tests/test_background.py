@@ -14,8 +14,8 @@ import json
 import numpy as np
 import pytest
 
-from framewave import cli, evolve
-from framewave.background import BumpBackground
+from framewave import cli, energy, evolve, fields
+from framewave.background import BumpBackground, make_background
 from framewave.energy import SliceState
 from framewave.estimates import _MSIGN, _H_frame_arrays
 from framewave.fields import InnerProduct, GridGeometry, d1_axis, d2_axis
@@ -184,7 +184,7 @@ def test_structured_consumers_match_dense_tensors(kind, channels):
     H, dH = dense_H(bg, GEOM, T)
     assert np.any(H) and (kind == "static") != np.any(dH[0])
 
-    ev = evolve.Evolver(GEOM, bg, rank=0, channels=channels)
+    ev = evolve.Evolver(GEOM, bg)
     rngl = np.random.default_rng(5 + channels)
     shape = (channels,) + (GEOM.n_full,) * 3
     Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
@@ -198,6 +198,69 @@ def test_structured_consumers_match_dense_tensors(kind, channels):
     for got, ref in zip(_H_frame_arrays(st), _dense_frame_arrays(H, dH)):
         _close(got, ref)
 
+
+
+# --- the background's Hessian terms and the one kernel that reads them --------
+
+@pytest.mark.parametrize("direction", [None, np.diag([0.0, 1.0, -2.0, 0.5])
+                                       + np.eye(4, k=1) + np.eye(4, k=-1)])
+def test_hessian_terms_rebuild_the_direction(direction):
+    bg = BumpBackground(0.2, direction=direction)
+    M = bg.direction
+    assert [(a, b) for a, b, _ in bg.hessian_terms] == \
+        [(a, b) for a in range(4) for b in range(a, 4) if M[a, b]]
+    rebuilt = np.zeros((4, 4))
+    for a, b, c in bg.hessian_terms:
+        rebuilt[a, b] = rebuilt[b, a] = c if a == b else 0.5 * c
+    assert np.array_equal(rebuilt, M)
+    # H^{ab} k_a k_b = chi * sum c k_a k_b for any covector k
+    k = np.array([0.3, -1.1, 0.7, 2.0])
+    assert sum(c * k[a] * k[b] for a, b, c in bg.hessian_terms) == pytest.approx(k @ M @ k)
+    for flat in (BumpBackground(0.0, direction=direction), make_background("zero"),
+                 make_background("zero", epsilon=0.2), make_background("static-bump")):
+        assert flat.hessian_terms == () and flat.is_flat()
+        assert flat.support(GEOM, T) is None and flat.sup_abs() == 0.0
+
+
+@pytest.mark.parametrize("kind", sorted(BUMPS))
+def test_rhs_and_wave_op_run_the_one_h_kernel(monkeypatch, kind):
+    """Evolver.rhs and SliceState.wave_op take their H terms from
+    fields.h_on_box, and wave_op takes no stencil of its own past the
+    three d2_axis passes of its flat part."""
+    assert evolve.h_on_box is fields.h_on_box and energy.h_on_box is fields.h_on_box
+    bg = BumpBackground(**BUMPS[kind])
+    ev = evolve.Evolver(GEOM, bg)
+    st = _random_state(bg, 2, seed=17)
+    Phi, Pi = st.psi.copy(), st.psi_t.copy()
+    want_rhs = ev.rhs(T, Phi.copy(), Pi.copy())
+    want_op = _random_state(bg, 2, seed=17).wave_op()
+
+    calls, stencils = [], []
+
+    def spy(terms, U, U_t, box, dx, work=fields._fresh):
+        calls.append((terms, U.shape, box, work))
+        return fields.h_on_box(terms, U, U_t, box, dx, work)
+
+    def counted(name):
+        stencil = getattr(energy, name)
+
+        def wrapper(*args, **kwargs):
+            stencils.append(name)
+            return stencil(*args, **kwargs)
+        return wrapper
+
+    for module in (evolve, energy):
+        monkeypatch.setattr(module, "h_on_box", spy)
+    for name in ("d1_axis", "d2_axis"):
+        monkeypatch.setattr(energy, name, counted(name))
+    got_rhs = ev.rhs(T, Phi, Pi)
+    assert np.array_equal(st.wave_op(), want_op)
+    for g, w in zip(got_rhs, want_rhs):
+        assert np.array_equal(g, w)
+    box = bg.support(GEOM, T)[0]
+    assert [c[:3] for c in calls] == [(bg.hessian_terms, Phi.shape, box)] * 2
+    assert calls[0][3] == ev._buffer and calls[1][3] is fields._fresh
+    assert stencils == ["d2_axis"] * 3
 
 
 # --- slice densities on the support box against the full-cube forms ---------
@@ -220,14 +283,14 @@ class _FullCubeSliceState(SliceState):
                 out += hess[i, i]
             prof = self._profile()
             if prof is not None:
-                M = self.bg.direction
-                h = M[0, 0] * self.psi_tt
+                # the Hessian terms in the order of the background's list,
+                # then M^{tt} d_tt psi
                 gt = oracles.grad_t(self)
-                for i in range(3):
-                    h += 2.0 * M[0, 1 + i] * gt[i]
-                for i in range(3):
-                    for j in range(3):
-                        h += M[1 + i, 1 + j] * hess[i, j]
+                h = np.zeros(out.shape)
+                for a, b, c in self.bg.hessian_terms:
+                    if b:
+                        h += (gt[b - 1] if a == 0 else hess[a - 1, b - 1]) * c
+                h += self.bg.direction[0, 0] * self.psi_tt
                 out += prof[0] * h
             return out
         return self._get("full_wave_op", build)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from framewave import energy, evolve
-from framewave.background import BumpBackground, ZeroBackground
+from framewave.background import BumpBackground
 from framewave.energy import (BudgetReport, ExteriorRegion, divergence_direct,
                               divergence_formula, eval_point_bundle,
                               gradient_decomposition_residuals, slice_energy, stress_mixed,
@@ -152,7 +152,7 @@ def flat_run():
     geom = GridGeometry(32, 8.0)
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 0.75,
+    hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.75,
                              cfl=0.45, n_monitors=9)
     return hist, hist.component_series("scalar")
 
@@ -161,7 +161,7 @@ def flat_run():
 def test_slice_state_derivatives_match_stacked_forms(rng, first):
     geom = GridGeometry(12, 4.0)
     psi, psi_t = (rng.normal(size=(2,) + (geom.n_full,) * 3) for _ in range(2))
-    st = energy.SliceState(geom, 0.0, psi, psi_t, None, ZeroBackground())
+    st = energy.SliceState(geom, 0.0, psi, psi_t, None, BumpBackground(0.0))
     getattr(st, first)()  # either may build the shared array
     dx = geom.dx
     grad = np.stack([d1_axis(psi, i, dx) for i in (1, 2, 3)])
@@ -181,12 +181,12 @@ def test_exterior_energy_zero_and_scaling(flat_run):
     hist, series = flat_run
     region = ExteriorRegion(q0=-2.0)
     geom = hist.geom
-    zero = energy.ComponentSeries(geom, ZeroBackground(), series.times,
+    zero = energy.ComponentSeries(geom, BumpBackground(0.0), series.times,
                                   [0 * a for a in series.psi],
                                   [0 * a for a in series.psi_t],
                                   [0 * a for a in series.psi_tt])
     assert exterior_energy(zero, 0.0, region, PARAMS) == 0.0
-    doubled = energy.ComponentSeries(geom, ZeroBackground(), series.times,
+    doubled = energy.ComponentSeries(geom, BumpBackground(0.0), series.times,
                                      [2 * a for a in series.psi],
                                      [2 * a for a in series.psi_t],
                                      [2 * a for a in series.psi_tt])
@@ -203,8 +203,8 @@ def test_exterior_energy_refinement_reference():
         geom = GridGeometry(N, 8.0)
         target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.5)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-        ev = evolve.Evolver(geom, ZeroBackground())
-        series = evolve.RunHistory(geom, ZeroBackground(), 0, 1, [0.0], [Phi0],
+        ev = evolve.Evolver(geom, BumpBackground(0.0))
+        series = evolve.RunHistory(geom, BumpBackground(0.0), 0, 1, [0.0], [Phi0],
                                    [Pi0], ev).component_series("scalar")
         vals[N] = slice_energy(series.state(0), region, PARAMS, "w")
     assert abs(vals[48] - vals[96]) <= 0.01 * vals[96]
@@ -215,7 +215,7 @@ def test_tangential_flux_zero_and_nonneg(flat_run):
     region = ExteriorRegion(q0=-2.0)
     val = tangential_flux_integral(series, 0.0, 0.75, region, PARAMS)
     assert val >= 0.0
-    zero = energy.ComponentSeries(hist.geom, ZeroBackground(), series.times,
+    zero = energy.ComponentSeries(hist.geom, BumpBackground(0.0), series.times,
                                   [0 * a for a in series.psi],
                                   [0 * a for a in series.psi_t],
                                   [0 * a for a in series.psi_tt])
@@ -236,7 +236,7 @@ def _monopole_series(geom, t1, t2, n_mon, q_center, sigma):
         psi.append((f / r)[None])
         psi_t.append((-fp / r)[None])
         psi_tt.append((fpp / r)[None])
-    return energy.ComponentSeries(geom, ZeroBackground(), times, psi, psi_t, psi_tt)
+    return energy.ComponentSeries(geom, BumpBackground(0.0), times, psi, psi_t, psi_tt)
 
 
 def test_tangential_flux_outgoing_reference():
@@ -267,7 +267,7 @@ def test_tangential_flux_outgoing_reference():
 
 def test_cone_flux_zero_and_empty(flat_run):
     hist, series = flat_run
-    zero = energy.ComponentSeries(hist.geom, ZeroBackground(), series.times,
+    zero = energy.ComponentSeries(hist.geom, BumpBackground(0.0), series.times,
                                   [0 * a for a in series.psi],
                                   [0 * a for a in series.psi_t],
                                   [0 * a for a in series.psi_tt])
@@ -290,7 +290,7 @@ def test_budget_closure_with_active_cone():
         geom = GridGeometry(N, 8.0)
         Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 6.0, amplitude=1.0,
                                                q_center=-2.5, sigma=0.5)
-        hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 6.0, 6.75,
+        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
                                  cfl=0.45, n_monitors=N // 4 + 1)
         series = hist.component_series("scalar")
         rep = conservation_budget(series, region, 6.0, 6.75, params)
@@ -310,7 +310,7 @@ def test_cone_cut_surface_error_measured():
         geom = GridGeometry(N, 8.0)
         Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 6.0, amplitude=1.0,
                                                q_center=-2.5, sigma=0.5)
-        hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 6.0, 6.75,
+        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
                                  cfl=0.45, n_monitors=N // 4 + 1)
         series = hist.component_series("scalar")
         res.append(conservation_budget(series, region, 6.0, 6.75, params).residual)
@@ -327,7 +327,7 @@ def test_cone_flux_outgoing_nonnegative():
         geom = GridGeometry(N, 8.0)
         Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 6.0, amplitude=1.0,
                                                q_center=-2.0, sigma=0.5)
-        hist = evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 6.0, 6.5,
+        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.5,
                                  cfl=0.45, n_monitors=N // 8 + 1)
         series = hist.component_series("scalar")
         region = ExteriorRegion(q0=-4.0)
@@ -438,8 +438,7 @@ def _per_term_ball(series, region, t1, t2, params, n_theta=8, n_phi=16):
     return energy.trapz(vals, taus)
 
 
-def _per_term_budget(series, region, t1, t2, params, n_theta=16, n_phi=32,
-                     ball_quadrature=True):
+def _per_term_budget(series, region, t1, t2, params, n_theta=16, n_phi=32):
     geom = series.geom
     k1, k2 = series.index_range(t1, t2)
     out = {}
@@ -463,8 +462,7 @@ def _per_term_budget(series, region, t1, t2, params, n_theta=16, n_phi=32,
                                           n_theta, n_phi, region)
     except EmptyCone:
         out["cone_flux"] = 0.0
-    out["ball_flux"] = (_per_term_ball(series, region, t1, t2, params)
-                        if ball_quadrature else 0.0)
+    out["ball_flux"] = _per_term_ball(series, region, t1, t2, params)
     return out
 
 
@@ -484,25 +482,20 @@ def bump_series():
 
 
 @pytest.mark.parametrize("kind", ["static", "traveling"])
-@pytest.mark.parametrize("q0, params, ball_quadrature, fluxes", [
+@pytest.mark.parametrize("q0, params, fluxes", [
     # the cone r = t + q0 exists for r > 2; the ball sphere where 2 - t >= q0
-    (2.5, PARAMS, True, ("cone_flux",)),          # cone on every slice, no ball
-    (2.5, None, True, ("cone_flux",)),            # unweighted
-    (1.85, PARAMS, True, ("cone_flux", "ball_flux")),  # each on some slices
-    (1.65, PARAMS, True, ("ball_flux",)),         # cone on the last slice only: 0
-    (-2.0, PARAMS, True, ("ball_flux",)),         # no cone (EmptyCone): 0
-    (float("-inf"), PARAMS, True, ("ball_flux",)),
-    (1.85, PARAMS, False, ("cone_flux",)),
-], ids=["cone", "unweighted", "partial", "cone-one-slice", "no-cone", "q0-inf",
-        "no-ball"])
-def test_single_pass_budget_equals_per_term_loops(bump_series, kind, q0, params,
-                                                  ball_quadrature, fluxes):
+    (2.5, PARAMS, ("cone_flux",)),          # cone on every slice, no ball
+    (2.5, None, ("cone_flux",)),            # unweighted
+    (1.85, PARAMS, ("cone_flux", "ball_flux")),  # each on some slices
+    (1.65, PARAMS, ("ball_flux",)),         # cone on the last slice only: 0
+    (-2.0, PARAMS, ("ball_flux",)),         # no cone (EmptyCone): 0
+    (float("-inf"), PARAMS, ("ball_flux",)),
+], ids=["cone", "unweighted", "partial", "cone-one-slice", "no-cone", "q0-inf"])
+def test_single_pass_budget_equals_per_term_loops(bump_series, kind, q0, params, fluxes):
     series = bump_series[kind]
     region = ExteriorRegion(q0=q0)
-    rep = conservation_budget(series, region, 0.0, 0.4, params,
-                              ball_quadrature=ball_quadrature)
-    want = _per_term_budget(series, region, 0.0, 0.4, params,
-                            ball_quadrature=ball_quadrature)
+    rep = conservation_budget(series, region, 0.0, 0.4, params)
+    want = _per_term_budget(series, region, 0.0, 0.4, params)
     got = {name: getattr(rep, name) for name in want}
     assert got == want
     for name in ("cone_flux", "ball_flux"):

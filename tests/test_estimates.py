@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from framewave import estimates, evolve, vecfields
-from framewave.background import BumpBackground, ZeroBackground
+from framewave.background import BumpBackground
 from framewave.energy import ExteriorRegion, slice_energy, trapz
 from framewave.errors import FrameMismatch, HistoryMissing
-from framewave.estimates import (CommutatorIdentityRHS, CommutatorStudy, c_hat,
-                                 commutator_bound_rhs, commutator_exact_lhs,
-                                 commutator_report, energy_estimate_report, identity_residual,
-                                 lbar_radial_residual, lie_component_series,
+from framewave.estimates import (CommutatorBound, CommutatorIdentityRHS, CommutatorStudy,
+                                 c_hat, commutator_report, energy_estimate_report,
+                                 identity_residual, lbar_radial_residual, lie_component_series,
                                  project_component, series_time_derivative)
 from framewave.fields import GridGeometry, PolyField
 from framewave.poly import Poly
@@ -16,7 +15,7 @@ from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldI
                                  lie_multi, subsequences)
 from framewave.weights import WeightParams
 from conftest import sample_points
-from oracles import gradient_frame_bound, tangential_flux_integral
+from oracles import commutator_exact_lhs, g_box, gradient_frame_bound, tangential_flux_integral
 
 Z12 = VectorFieldId("Z", 1, 2)
 Z01 = VectorFieldId("Z", 0, 1)
@@ -51,8 +50,8 @@ def test_exact_lhs_scaling_double_evaluation(rng):
     # I = (S), H = 0: both evaluation orders computed independently agree
     phi = PolyField.scalar(Poly.var(0) * Poly.var(0) * Poly.var(1))  # t^2 x1
     lhs = commutator_exact_lhs(None, phi, (SCALING,))
-    box = estimates.g_box(None, phi)
-    manual = lie_multi((SCALING,), box) - estimates.g_box(
+    box = g_box(None, phi)
+    manual = lie_multi((SCALING,), box) - g_box(
         None, lie_multi((SCALING,), phi))
     assert (lhs.comps[0] - manual.comps[0]).is_zero()
     # and equals the chat-weighted flat term: -2 * box(phi)
@@ -83,7 +82,7 @@ def test_identity_scaling_squared_flat_coefficient(rng):
 
 def test_bound_flat_only_flat_family(rng):
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
-    b = commutator_bound_rhs(None, phi, (Z12, SCALING), "L")
+    b = CommutatorBound(None, phi, (Z12, SCALING), "L")
     pts = sample_points(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
     fams = b.family_values(pts)
     assert np.all(fams["t_weighted"] == 0.0)
@@ -94,7 +93,7 @@ def test_bound_flat_only_flat_family(rng):
 def test_bound_zero_field(rng):
     H = _random_H(rng, 0.1)
     phi = PolyField.zero(rank=1, channels=1)
-    b = commutator_bound_rhs(H, phi, (SCALING,), "L")
+    b = CommutatorBound(H, phi, (SCALING,), "L")
     pts = sample_points(rng, 10, chart_z=True)
     assert np.max(b.eval(pts)) == 0.0
 
@@ -102,8 +101,8 @@ def test_bound_zero_field(rng):
 def test_bound_frame_mismatch(rng):
     phi = PolyField.random(rng, rank=1, channels=1, degree=1, nterms=2)
     with pytest.raises(FrameMismatch):
-        commutator_bound_rhs(None, phi, (SCALING,), "Lbar", frame_set="T")
-    commutator_bound_rhs(None, phi, (SCALING,), "Lbar", frame_set="U")
+        CommutatorBound(None, phi, (SCALING,), "Lbar", frame_set="T")
+    CommutatorBound(None, phi, (SCALING,), "Lbar", frame_set="U")
 
 
 def test_bound_structural_decoupling(rng):
@@ -112,7 +111,7 @@ def test_bound_structural_decoupling(rng):
     H = _random_H(rng, 0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     # term table: the q-weighted family reads only H_LL and tangential parts
-    b = commutator_bound_rhs(H, phi, (Z12, SCALING), "L")
+    b = CommutatorBound(H, phi, (Z12, SCALING), "L")
     for t in b.terms:
         if t.family == "q_weighted":
             assert t.h_component == "LL"
@@ -127,7 +126,7 @@ def test_bound_structural_decoupling(rng):
     phi2 = PolyField(1, 1, comps)
     pts = sample_points(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
     f1 = b.family_values(pts)
-    f2 = commutator_bound_rhs(H, phi2, (Z12, SCALING), "L").family_values(pts)
+    f2 = CommutatorBound(H, phi2, (Z12, SCALING), "L").family_values(pts)
     scale = max(1.0, float(np.max(f1["q_weighted"])))
     assert np.max(np.abs(f1["q_weighted"] - f2["q_weighted"])) / scale <= 1e-12
     dl = project_component(phi, "Lbar").eval(pts) - project_component(phi2, "Lbar").eval(pts)
@@ -161,13 +160,13 @@ def test_shared_study_matches_fresh_reports(rng, scale):
         fresh = commutator_report(H, phi, I, V, pts, frame_set=fs)
         assert shared.to_json() == fresh.to_json(), V
         for conv in ("collapsed", "nested"):
-            a = commutator_bound_rhs(H, phi, I, V, fs, study=study).family_values(pts, conv)
-            b = commutator_bound_rhs(H, phi, I, V, fs).family_values(pts, conv)
+            a = CommutatorBound(H, phi, I, V, fs, study=study).family_values(pts, conv)
+            b = CommutatorBound(H, phi, I, V, fs).family_values(pts, conv)
             assert all(np.array_equal(a[f], b[f]) for f in a), (V, conv)
         # the flat family reads this component's own boxes
         flat = np.zeros(len(pts))
         for K in ((), (SCALING,), (Z01,)):
-            box = estimates.g_box(H, lie_multi(K, project_component(phi, V))).eval(pts)
+            box = g_box(H, lie_multi(K, project_component(phi, V))).eval(pts)
             flat += np.sqrt(np.sum(box ** 2, axis=1))
         assert np.array_equal(a["flat"], flat), V
 
@@ -235,7 +234,7 @@ def small_run():
     target = evolve.gaussian_target(rank=1, channels=1, amplitude=1.0,
                                     center=(0, 0, 2.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    return evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 0.5,
+    return evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
                              cfl=0.4, n_monitors=9)
 
 
@@ -265,7 +264,7 @@ def test_lie_series_spatial_translation(small_run):
 def test_estimate_report_zero_data():
     geom = GridGeometry(12, 4.0)
     shape = (1, geom.n_full, geom.n_full, geom.n_full)
-    hist = evolve.evolve_run(geom, ZeroBackground(), np.zeros(shape),
+    hist = evolve.evolve_run(geom, BumpBackground(0.0), np.zeros(shape),
                              np.zeros(shape), 0.0, 0.4, cfl=0.4, n_monitors=5)
     rep = energy_estimate_report(hist, (), "scalar", 0.0, 0.4,
                                  ExteriorRegion(q0=float("-inf")),
@@ -290,7 +289,7 @@ def test_lie_series_independent_of_monitor_order():
         target = evolve.gaussian_target(rank=1, channels=1, amplitude=1.0,
                                         center=(0, 0, 2.0), sigma=1.0)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-        return evolve.evolve_run(geom, ZeroBackground(), Phi0, Pi0, 0.0, 0.5,
+        return evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
                                  cfl=0.4, n_monitors=9)
 
     fresh, used = run(), run()

@@ -1,6 +1,7 @@
 """Layout check: every public module-level function and class of framewave,
-and every public method of its classes, is named by some line of the
-package outside its own definition.
+and every public method of its classes, is named by the code of the
+package outside its own definition.  Only identifier tokens count: a name
+that appears in a docstring, a comment or a string literal is not a use.
 
 A name that only tests reach is test code living in the package; it
 belongs in ``tests/`` (see ``oracles``).  The allow-list holds the API
@@ -10,8 +11,9 @@ the reader of the ``final_state.bin`` snapshots (``load_snapshot``) and
 """
 
 import ast
+import io
 import pathlib
-import re
+import tokenize
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "framewave"
 ALLOWED = {"manufactured_source", "data_from_target", "load_snapshot", "w_prime"}
@@ -34,14 +36,23 @@ def _public_definitions():
                             if isinstance(node, ast.FunctionDef))
 
 
+def _identifier_lines(text):
+    """{line number: identifier tokens on it}; strings and comments are
+    other token types, so they name nothing here."""
+    out = {}
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.NAME:
+            out.setdefault(tok.start[0], set()).add(tok.string)
+    return out
+
+
 def unreferenced_names():
-    lines = {path: path.read_text().splitlines() for path in sorted(SRC.glob("*.py"))}
+    names = {path: _identifier_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     found = []
     for path, node in _public_definitions():
-        word = re.compile(rf"\b{re.escape(node.name)}\b")
-        own = range(node.lineno - 1, node.end_lineno)   # its own definition
-        if not any(word.search(text) for p, texts in lines.items()
-                   for k, text in enumerate(texts) if p != path or k not in own):
+        own = range(node.lineno, node.end_lineno + 1)   # its own definition
+        if not any(node.name in ids for p, lines in names.items()
+                   for line, ids in lines.items() if p != path or line not in own):
             found.append(f"{path.name}:{node.lineno} {node.name}")
     return found
 
