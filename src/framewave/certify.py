@@ -112,19 +112,23 @@ def check_nullframe_rewriting(seed=13, n_inputs=100, n_pts=25):
     return CheckResult("nullframe_rewriting", worst, 1e-12, worst <= 1e-12)
 
 
-def check_divergence_identity(seed=17, n_fields=10):
-    """Exact equality of the direct stress divergence and its three-term
-    evaluation, as polynomials (coefficient-level zero residual)."""
+def check_divergence_identity(seed=17, n_fields=10, n_pts=25):
+    """The (div T)_nu display, the exact wave-operator pairing plus the
+    h_div kernel the budget integrates, against the direct divergence
+    sum_mu d_mu T^mu_nu at sample points, for all four nu, relative to
+    max(1, max |direct|) of each field."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_fields):
         H = _random_H(rng, degree=1)
         psi = PolyField.random(rng, rank=0, channels=1, degree=2, nterms=4)
-        for nu in range(4):
-            diff = energy.divergence_direct(H, psi, nu) - energy.divergence_formula(H, psi, nu)
-            coeffs = [abs(float(v)) for v in diff.c.values()]
-            worst = max(worst, max(coeffs, default=0.0))
-    return CheckResult("divergence_identity", worst, 1e-12, worst <= 1e-12)
+        pts = sample_points(rng, n_pts)
+        got = energy.divergence_display(H, psi, pts)
+        want = np.stack([energy.divergence_direct(H, psi, nu).eval_many(pts) for nu in range(4)])
+        scale = max(1.0, float(np.max(np.abs(want))))
+        worst = max(worst, float(np.max(np.abs(got - want))) / scale)
+    return CheckResult("divergence_identity", worst, 1e-12, worst <= 1e-12,
+                       detail=f"{n_fields * n_pts} sample points x 4 nu")
 
 
 def check_commutator_identity(seed=19, n_pairs=50, max_order=3, n_pts=20):

@@ -19,14 +19,15 @@ d(omega); this normalization is validated by the budget-closure tests
 rather than assumed.  Volume integrals truncate at the grid edge, which is
 inert for compactly supported data.
 
-Each density of T_tt + T_rt is written once, as an array kernel
-(null_flat, h_energy, h_radial, h_ttr) that both lanes run: the grid's
-SliceState on support-box arrays, and the exact lane's point displays,
-which certify the kernels against the null-frame rewriting and the
-assembled stress.  Grid evaluations are vectorized; slice and sphere
-quadratures are embarrassingly parallel over nodes, and the budget
-(BudgetPass) is a sequential reduction over monitor slices.  All
-functions treat their inputs as immutable snapshots.
+Each density of T_tt + T_rt, and the H part of (div T)_nu, is written
+once, as an array kernel (null_flat, h_energy, h_radial, h_ttr, h_div)
+that both lanes run: the grid's SliceState on support-box arrays, and
+the exact lane's point displays, which certify the kernels against the
+null-frame rewriting, the assembled stress and its direct divergence.
+Grid evaluations are vectorized; slice and sphere quadratures are
+embarrassingly parallel over nodes, and the budget (BudgetPass) is a
+sequential reduction over monitor slices.  All functions treat their
+inputs as immutable snapshots.
 """
 
 from __future__ import annotations
@@ -152,6 +153,15 @@ def h_ttr(hE, Hr, d):
             + np.einsum("j...,jc...,c...->...", Hr[1:], d[1:], d[0]))
 
 
+def h_div(out, divH, H, s, d, nu):
+    """Add the H part of (div T)_nu to out in place: out += (d_m H^{ma})
+    <d_a psi, d_nu psi>, then out -= (1/2) s (d_nu H^{ab}) <d_a psi, d_b psi>
+    with divH = d_m H^{ma} (4, ...) and d_nu H = s H: s = 1 with H per point
+    (exact lane), or s = dchi_nu with the constant M (grid)."""
+    out += np.einsum("a...,ac...,c...->...", divH, d, d[nu])
+    out -= 0.5 * s * np.einsum("ab...,ac...,bc...->...", H, d, d)
+
+
 # ---------------------------------------------------------------------------
 # Exact lane: stress algebra on PolyField scalars and the point displays
 # that certify the density kernels above
@@ -199,43 +209,6 @@ def stress_mixed(H, psi, mu, nu):
     return T
 
 
-def divergence_formula(H, psi, nu=0):
-    """The evaluated covariant divergence d^mu T_{mu nu}, term by term:
-
-        <g^{ab} d_a d_b psi, d_nu psi>
-        + (d_mu H^{mu a}) <d_a psi, d_nu psi>
-        - (1/2) (d_nu H^{ab}) <d_a psi, d_b psi>.
-    """
-    grad = psi.gradient()
-    box = wave_operator(H, grad.gradient())
-
-    def ip_grad(a, b):
-        out = None
-        for c in range(psi.channels):
-            t = grad.comps[a, c] * grad.comps[b, c]
-            out = t if out is None else out + t
-        return out
-
-    total = None
-    for c in range(psi.channels):
-        t = box.comps[c] * grad.comps[nu, c]
-        total = t if total is None else total + t
-    if H is not None:
-        for a in range(4):
-            divH = None
-            for m_ in range(4):
-                t = H.comps[m_, a, 0].diff(m_)
-                divH = t if divH is None else divH + t
-            if not divH.is_zero():
-                total = total + divH * ip_grad(a, nu)
-        for a in range(4):
-            for b in range(4):
-                dH = H.comps[a, b, 0].diff(nu)
-                if not dH.is_zero():
-                    total = total + dH * ip_grad(a, b) * (-0.5)
-    return total
-
-
 def divergence_direct(H, psi, nu=0):
     """d^mu T_{mu nu} computed directly as sum_mu d_mu T^mu_nu (oracle)."""
     total = None
@@ -243,6 +216,24 @@ def divergence_direct(H, psi, nu=0):
         t = stress_mixed(H, psi, mu, nu).diff(mu)
         total = t if total is None else total + t
     return total
+
+
+def divergence_display(H, psi, pts):
+    """(div T)_nu = d^mu T_{mu nu} at points (n, 4) for nu = 0..3, shape
+    (4, n): the pairing <g^{ab} d_a d_b psi, d_nu psi> of the exact wave
+    operator plus h_div, the kernel the grid's div_t_density runs, with
+    d_mu H^{ab} from H.gradient() at the same points."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    grad = psi.gradient()
+    d = np.moveaxis(grad.eval(pts), 0, -1)                   # (4, ch, n)
+    box = wave_operator(H, grad.gradient()).eval(pts).T      # (ch, n)
+    out = InnerProduct.dot(box, d, channel_axis=1)          # (4, n)
+    if H is not None:
+        dH = np.moveaxis(H.gradient().eval(pts)[..., 0], 0, -1)  # (4, 4, 4, n): mu, a, b
+        divH = np.einsum("mma...->a...", dH)
+        for nu in range(4):
+            h_div(out[nu], divH, dH[nu], 1.0, d, nu)
+    return out
 
 
 def eval_point_bundle(H, psi, pts):
@@ -483,19 +474,17 @@ class SliceState:
         return self._get("trt_density", build)
 
     def div_t_density(self):
-        """(div T)_t display: wave-operator pairing plus dH corrections,
-        (d_mu H^{mu a}) <d_a psi, d_t psi> - (1/2) d_t H^{ab} <d_a psi, d_b psi>
-        with d_lam H^{ab} = dchi_lam M^{ab}, added on the support box."""
+        """(div T)_t display: the wave-operator pairing <g dd psi, d_t psi>
+        plus h_div, the kernel the exact lane's divergence_display runs,
+        added on the support box with d_lam H^{ab} = dchi_lam M^{ab}."""
         def build():
             out = InnerProduct.dot(self.wave_op(), self.psi_t)
             sup = self.support()
             if sup is not None:
                 box, _, dchi = sup
-                M, d4 = self.bg.direction, self._box_dpsi4()
-                divH = np.einsum("m...,ma->a...", dchi, M)
-                on_box = out[box]
-                on_box += np.einsum("a...,ac...,c...->...", divH, d4, d4[0])
-                on_box -= 0.5 * dchi[0] * np.einsum("ab,ac...,bc...->...", M, d4, d4)
+                M = self.bg.direction
+                h_div(out[box], np.einsum("m...,ma->a...", dchi, M), M, dchi[0],
+                      self._box_dpsi4(), 0)
             return out
         return self._get("div_t_density", build)
 

@@ -12,7 +12,7 @@ Two lanes:
 
 The operators both lanes need are written here once: the frame tangential
 norm (on grid fields and point batches alike) and the exact wave
-operator (for the commutator machinery and the divergence display).
+operator (for the commutator machinery and the (div T)_nu display).
 The grid lane's H part of the wave operator is one support-box kernel,
 ``h_on_box``, that the evolution's right-hand side and the monitors'
 ``SliceState.wave_op`` both run.
@@ -399,6 +399,8 @@ def _stencil_axis(arr, spatial_axis, dx, out, second):
     bit-identical to the whole-array expression.  Flat positions within
     two cells of an axis edge read across rows and are zeroed afterwards.
     """
+    if spatial_axis not in (1, 2, 3):
+        raise ValueError(f"spatial_axis must be 1, 2 or 3, not {spatial_axis!r}")
     arr, out = _contiguous_pair(arr, out)
     ax = arr.ndim - 3 + (spatial_axis - 1)
     s = math.prod(arr.shape[ax + 1:])  # the axis stride, in elements

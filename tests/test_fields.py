@@ -67,6 +67,15 @@ def test_grid_derivative_one_sided_closure(rng):
     assert np.max(np.abs(geom.interior(df.data[0]) - geom.interior(ref))) <= 1e-9
 
 
+@pytest.mark.parametrize("stencil", [d1_axis, d2_axis])
+@pytest.mark.parametrize("shape", [(8, 8, 8), (2, 8, 8, 8)])
+@pytest.mark.parametrize("axis", [0, 4])
+def test_grid_derivative_rejects_a_non_spatial_axis(stencil, shape, axis):
+    # axis 0 would read the channel axis of a 4-d array, and all zeros of a 3-d one
+    with pytest.raises(ValueError, match="spatial_axis"):
+        stencil(np.arange(np.prod(shape), dtype=float).reshape(shape), axis, 1.0)
+
+
 def test_ghost_invalid():
     geom = GridGeometry(8, 1.0)
     f = GridField.zeros(geom)

@@ -3,7 +3,8 @@ and one per generator representation, run on point batches.
 
 The exact lane (certify) and the grid lane (SliceState, budget, estimate)
 call the same kernels; the earlier bodies they replaced are kept in
-``oracles`` and the kernels must reproduce them.
+``oracles`` and the kernels must reproduce them.  The (div T)_nu kernel's
+oracle is ``energy.divergence_direct``, which ``certify`` compares it with.
 """
 
 import numpy as np
@@ -101,6 +102,18 @@ def test_grid_and_certify_run_the_same_density_kernels(monkeypatch):
     assert sorted(set(calls)) == ["h_energy", "h_radial", "h_ttr", "null_flat"]
 
 
+def test_grid_and_certify_run_the_same_divergence_kernel(monkeypatch):
+    calls = []
+    _record(monkeypatch, energy, ("h_div",), calls)
+    st = _bump_state(channels=2)
+    assert st.support() is not None
+    st.div_t_density()
+    assert calls == ["h_div"]
+    calls.clear()
+    assert certify.check_divergence_identity(n_fields=2, n_pts=3).passed
+    assert calls == ["h_div"] * 8              # 2 fields x 4 nu
+
+
 def test_slice_state_flat_parts_are_one_null_flat(monkeypatch):
     calls = []
     _record(monkeypatch, energy, ("null_flat",), calls)
@@ -176,7 +189,7 @@ def test_divergence_and_commutator_use_the_one_wave_operator(monkeypatch, rng):
         _record(monkeypatch, module, ("wave_operator",), calls)
     H = certify._random_H(rng, degree=1)
     psi = PolyField.random(rng, rank=0, channels=1, degree=2, nterms=4)
-    energy.divergence_formula(H, psi)
+    energy.divergence_display(H, psi, sample_points(rng, 5))
     assert calls == ["wave_operator"]
     estimates.CommutatorIdentityRHS(H, psi, (GENERATORS[0],))._exact_lhs()
     estimates.CommutatorStudy(H, psi, (GENERATORS[0],))._factor("box", None, ())
