@@ -248,7 +248,7 @@ def mode_conserve(cfg, out_dir, refine=3):
         sub = json.loads(json.dumps(cfg))
         sub["grid"]["N"] = N
         budget = energy.BudgetPass(region, params)   # fed the first component's slices
-        run_experiment(sub, out_dir, tag=f"_N{N}", budget=budget)
+        run_experiment(sub, out_dir, tag=f"_N{N}", passes=[budget])
         rep = budget.report(cfg["times"]["t1"], cfg["times"]["t2"])
         residuals.append(rep.residual)
         for term, val in rep.terms().items():
@@ -274,20 +274,16 @@ def mode_evolve(cfg, out_dir):
 
 
 def mode_estimate(cfg, out_dir):
-    _, bg, params, region = evolve.setup_experiment(cfg)
-    comps = cfg["components"]
-    hist, _, kept = run_experiment(cfg, out_dir, keep=comps[0] if comps else None)
-    bases = {comps[0]: kept} if comps else {}  # each component's I = '' series
-    reports = []
-    for text in cfg["multi_indices"]:
-        I = parse_multi_index(text)
-        for comp in comps:
-            if comp not in bases:
-                bases[comp] = hist.component_series(comp)
-            rep = estimates.energy_estimate_report(
-                hist, I, comp, cfg["times"]["t1"], cfg["times"]["t2"],
-                region, params, base=bases[comp])
-            reports.append(rep.to_json())
+    indices = [parse_multi_index(text) for text in cfg["multi_indices"]]
+    if any(indices) and cfg["monitors"] < 5:
+        raise ConstraintError("a non-empty multi-index needs monitors >= 5: its Lie series "
+                              "is differenced in time over 5 snapshots")
+    _, _, params, region = evolve.setup_experiment(cfg)
+    passes = [estimates.EstimatePass(region, params) for _ in cfg["components"]]
+    hist = run_experiment(cfg, out_dir, passes=passes)[0]   # feeds the I = '' lines
+    t1, t2 = cfg["times"]["t1"], cfg["times"]["t2"]
+    reports = [estimates.energy_estimate_report(hist, I, comp, t1, t2, base).to_json()
+               for I in indices for comp, base in zip(cfg["components"], passes)]
     energy.write_json(os.path.join(out_dir, "estimate.json"),
                       {"reports": reports, "seed": cfg["seed"]})
     return 0

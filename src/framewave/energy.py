@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HistoryMissing, PoleDegenerate
+from .errors import PoleDegenerate
 from .fields import (InnerProduct, d1_axis, d2_axis, h_on_box, quadrature_masked,
                      tangential_norm_sq, wave_operator)
 from .geometry import MINKOWSKI_INV, TANGENTIAL_NAMES
@@ -308,7 +308,7 @@ def gradient_decomposition_residuals(psi, pts):
 
 
 # ---------------------------------------------------------------------------
-# Grid-lane slice states and series
+# Grid-lane slice states and the budget pass
 
 
 class SliceState:
@@ -326,8 +326,8 @@ class SliceState:
     exact lane certifies.
 
     The region mask, q and its weights are cached too, so one state
-    holds everything a monitor reads at its slice; the monitors walk a
-    series once and build each slice's state once.  Those arrays and the
+    holds everything a monitor reads at its slice; the monitors build
+    each slice's state once.  Those arrays and the
     support depend on the slice only, not on psi: they live in the
     ``shared`` dict, which the states of the components of one slice may
     share so that each is evaluated once per slice.
@@ -500,43 +500,6 @@ class SliceState:
         """sum over {L, e1, e2} of |d_U psi|^2 (frame tangential norm)."""
         return self._get("tangential_norm_sq", lambda: tangential_norm_sq(
             self.dpsi4(), (self.geom.frame(name) for name in TANGENTIAL_NAMES)))
-
-
-class ComponentSeries:
-    """Uniformly spaced monitored snapshots of one scalar component.
-
-    psi, psi_t and psi_tt are sequences of (channels, n, n, n) arrays;
-    a slice state reads psi_tt[k] only when its wave operator is needed,
-    so psi_tt may compute its items on first access.
-    """
-
-    def __init__(self, geom, background, times, psi, psi_t, psi_tt):
-        self.geom = geom
-        self.background = background
-        self.times = np.asarray(times, dtype=float)
-        if len(self.times) >= 2:
-            dts = np.diff(self.times)
-            if not np.allclose(dts, dts[0], rtol=1e-8, atol=1e-12):
-                raise HistoryMissing("monitor times must be uniformly spaced")
-        self.psi = psi
-        self.psi_t = psi_t
-        self.psi_tt = psi_tt
-
-    def __len__(self):
-        return len(self.times)
-
-    def index_of(self, t):
-        k = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
-            raise HistoryMissing(f"time {t} not in stored history")
-        return k
-
-    def index_range(self, t1, t2):
-        return self.index_of(t1), self.index_of(t2)
-
-    def state(self, k):
-        return SliceState(self.geom, self.times[k], self.psi[k],
-                          self.psi_t[k], lambda: self.psi_tt[k], self.background)
 
 
 def _weight_eval(fn, q, params):

@@ -32,14 +32,15 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .energy import ComponentSeries, SliceState, _tangential_slice, slice_energy, trapz
+from .energy import SliceState, _tangential_slice, slice_energy, trapz
 from .errors import FrameMismatch, HistoryMissing, PoleDegenerate, TimeZero
 from .fields import PolyField, d1_axis, fill_ghosts_array, tangential_norm_sq, wave_operator
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
-from .vecfields import (_FIELD_CACHE, GENERATORS, VectorFieldId, _norm_at, lie_lattice,
+from .vecfields import (_JAC_CACHE, GENERATORS, VectorFieldId, _norm_at, lie_lattice,
                         lie_minkowski_inverse_factor, lie_multi, splittings, subsequences,
                         ksize_plus)
+from .weights import w_tilde, w_tilde_prime
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 
@@ -517,10 +518,19 @@ def series_time_derivative(arrays, dt):
 
 
 def _gen_coeff_arrays(gen, geom, t):
-    """Affine generator coefficients Z^mu on the full cube at time t,
-    shape (4, n, n, n)."""
-    vals = _FIELD_CACHE[gen].eval(geom.points_full(t))
-    return vals[..., 0].T.reshape((4,) + (geom.n_full,) * 3)
+    """Affine generator coefficients Z^lam = J^lam_mu x^mu, plus 1 in slot
+    a for P_a, on the full cube at time t, shape (4, n, n, n).  Every row
+    of J has at most one nonzero entry; only those are multiplied and no
+    zero product is added, so each value, signed zeros included, is the
+    one the exact coefficient field gives."""
+    x = (t,) + tuple(geom.mesh())
+    J = _JAC_CACHE[gen]
+    Z = np.zeros((4,) + (geom.n_full,) * 3)
+    if gen.kind == "P":
+        Z[gen.a] = 1.0
+    for lam, mu in np.argwhere(J):
+        Z[lam] = J[lam, mu] * x[mu]
+    return Z
 
 
 def _apply_lie_grid(gen, data, data_t, geom, t, rank):
@@ -530,10 +540,8 @@ def _apply_lie_grid(gen, data, data_t, geom, t, rank):
     derivative.  Uses stencils for spatial transport and the constant
     generator Jacobian for the slot corrections; refills ghosts.
     """
-    from .vecfields import jacobian
-
+    J = _JAC_CACHE[gen]
     Z = _gen_coeff_arrays(gen, geom, t)
-    J = jacobian(gen)
     out = Z[0] * data_t
     for i in (1, 2, 3):
         out = out + Z[i] * d1_axis(data, i, geom.dx)
@@ -552,16 +560,16 @@ def _apply_lie_grid(gen, data, data_t, geom, t, rank):
 
 
 def lie_component_series(history, I, component):
-    """ComponentSeries of the projected L_{Z^I}-applied field on a run.
+    """Slice states of the projected L_{Z^I}-applied field for a non-empty
+    I, one per stored snapshot of a run, all built before it returns.
 
-    Empty I takes the run's exact first-order-reduction path (d_t from the
-    stored momentum, d_tt from the evolution equation); otherwise each Lie
-    level transports with exact affine coefficients, using the exact time
-    derivative at the first level and 4th-order series differencing below.
+    Each Lie level transports with exact affine coefficients, using the
+    exact time derivative at the first level and 4th-order series
+    differencing below; d_t and d_tt of the projection are differenced
+    in time too.  (The I = '' lines read the run's live slices instead,
+    see EstimatePass.)
     """
     I = tuple(I)
-    if not I:
-        return history.component_series(component)
     geom = history.geom
     times = list(history.times)
     if len(times) < 5:
@@ -588,7 +596,8 @@ def lie_component_series(history, I, component):
         fill_ghosts_array(arr, "extrapolate")
     for arr in psi_tt:
         fill_ghosts_array(arr, "extrapolate")
-    return ComponentSeries(geom, history.background, times, psi, psi_t, psi_tt)
+    return [SliceState(geom, t, p, p_t, p_tt, history.background)
+            for t, p, p_t, p_tt in zip(times, psi, psi_t, psi_tt)]
 
 
 ESTIMATE_TERM_LABELS = {
@@ -601,6 +610,8 @@ ESTIMATE_TERM_LABELS = {
     "rhs_dH_tang_dPsi_wtilde": "|dH| |tang Psi| |dPsi| wtilde(q)",
     "rhs_waveop_dtPsi_wtilde": "|g dd Psi| |d_t Psi| wtilde(q)",
 }
+_RHS_LINES = tuple(ESTIMATE_TERM_LABELS)[3:]    # the time-integrated right-side lines
+_BASE_LINE = "rhs_dHLL_tangH_dPhi_sq_wtilde"    # reads the I = '' field
 
 
 @dataclass
@@ -670,68 +681,86 @@ def _H_frame_arrays(state: SliceState):
     return tuple(out)
 
 
-def energy_estimate_report(history, I, component, t1, t2, region, params,
-                           base=None):
-    """Evaluate every line of the weighted estimate for one run.
+class EstimatePass:
+    """The lines of the weighted estimate for one field, one slice at a time.
 
-    The wave-operator line uses the run's actual g dd Psi residual built
-    from the stored reduction, closing the loop with the commutator bound;
-    the undifferentiated |dPhi_V|^2 line reads the base (I = empty) series,
-    which for an empty I is the report's own series and slice states.
-    ``base`` is that series if the caller already holds it.  Every line
-    reads slice k from one slice state (and the base state), dropped
-    before the next slice is built.
+    ``add`` takes the slice states from t1 to t2 in time order and reads
+    every line of a slice from its state, keeping only the numbers;
+    ``end`` marks the slices at t1 and t2, whose slice energies enter the
+    left and right sides.  The undifferentiated |dPhi_V|^2 line reads
+    the I = '' field of the component and the slice only, so a pass of a
+    Lie-applied field takes it from ``base``, the component's I = '' pass
+    over the same slices.
     """
-    from .weights import w_tilde, w_tilde_prime
 
-    I = tuple(I)
-    if base is None:
-        base = history.component_series(component)
-    series = lie_component_series(history, I, component) if I else base
-    geom = history.geom
-    k1, k2 = series.index_range(t1, t2)
-    if k2 <= k1:
-        raise HistoryMissing("t2 must exceed t1 in the stored history")
-    names = ["rhs_HLL_dPsi_sq_wtilde_prime", "rhs_H_tang_dPsi_wtilde_prime",
-             "rhs_dHLL_tangH_dPhi_sq_wtilde", "rhs_dH_tang_dPsi_wtilde",
-             "rhs_waveop_dtPsi_wtilde"]
-    vals = {n: [] for n in names}
-    flux = []
-    for k in range(k1, k2 + 1):
-        st = series.state(k)
-        stb = base.state(k) if I else st
-        if k == k1:
-            e_t1 = slice_energy(st, region, params, "wtilde")
-        if k == k2:
-            e_t2 = slice_energy(st, region, params, "w")
-        flux.append(_tangential_slice(st, region, params))
+    def __init__(self, region, params, base=None):
+        self.region = region
+        self.params = params
+        self._ts, self._ends, self._flux = [], [], []
+        self._vals = {n: [] for n in _RHS_LINES}
+        self._reads_base = base is None
+        if base is not None:
+            self._vals[_BASE_LINE] = base._vals[_BASE_LINE]
+
+    def add(self, st, end=False):
+        region, params, geom = self.region, self.params, st.geom
+        if end:   # wtilde at t1, w at t2
+            self._ends.append(slice_energy(st, region, params, "w" if self._ts else "wtilde"))
+        self._ts.append(st.t)
+        self._flux.append(_tangential_slice(st, region, params))
         mask = st.region_mask(region)
         wt = st.weight(w_tilde, params)
         wtp = st.weight(w_tilde_prime, params)
-        dpsi = np.sqrt(geom.interior(st.grad_norm_sq()))
+        dpsi_sq = geom.interior(st.grad_norm_sq())
+        dpsi = np.sqrt(dpsi_sq)
         tang = np.sqrt(geom.interior(st.tangential_norm_sq()))
-        dphi_sq = geom.interior(stb.grad_norm_sq())
         H_LL, H_frob, dH_LL, tangH, dH_frob = _H_frame_arrays(st)
         dx3 = geom.dx ** 3
 
         def quad(arr):
             return float(np.sum(arr[mask]) * dx3)
 
+        vals = self._vals
         vals["rhs_HLL_dPsi_sq_wtilde_prime"].append(quad(H_LL * dpsi ** 2 * wtp))
         vals["rhs_H_tang_dPsi_wtilde_prime"].append(quad(H_frob * tang * dpsi * wtp))
-        vals["rhs_dHLL_tangH_dPhi_sq_wtilde"].append(quad((dH_LL + tangH) * dphi_sq * wt))
+        if self._reads_base:
+            vals[_BASE_LINE].append(quad((dH_LL + tangH) * dpsi_sq * wt))
         vals["rhs_dH_tang_dPsi_wtilde"].append(quad(dH_frob * tang * dpsi * wt))
         box = np.sqrt(np.sum(geom.interior(st.wave_op()) ** 2, axis=0))
         dtpsi = np.sqrt(np.sum(geom.interior(st.psi_t) ** 2, axis=0))
         vals["rhs_waveop_dtPsi_wtilde"].append(quad(box * dtpsi * wt))
-        del st, stb
-    ts = series.times[k1:k2 + 1]
-    terms = {"lhs_slice_t2_w": e_t2,
-             "lhs_tangential_flux_what_prime": trapz(flux, ts),
-             "rhs_slice_t1_wtilde": e_t1}
-    for n in names:
-        terms[n] = trapz(vals[n], ts)
 
-    return EstimateReport(
-        I_names=tuple(g.name for g in I),
-        component=str(component), t1=t1, t2=t2, terms=terms)
+    def report(self, I, component, t1, t2):
+        """The EstimateReport of L_{Z^I} applied to ``component`` over the
+        slices added so far."""
+        ts = self._ts
+        terms = {"lhs_slice_t2_w": self._ends[-1],
+                 "lhs_tangential_flux_what_prime": trapz(self._flux, ts),
+                 "rhs_slice_t1_wtilde": self._ends[0]}
+        for n in _RHS_LINES:
+            terms[n] = trapz(self._vals[n], ts)
+        return EstimateReport(I_names=tuple(g.name for g in I),
+                              component=str(component), t1=t1, t2=t2, terms=terms)
+
+
+def energy_estimate_report(history, I, component, t1, t2, base):
+    """Every line of the weighted estimate of L_{Z^I} applied to one
+    component of a run, which ``base``, the component's I = '' pass, read
+    slice by slice while the run went on.
+
+    For an empty I that pass is the report.  Otherwise a second pass
+    walks the Lie series of the stored snapshots
+    (:func:`lie_component_series`) and drops each slice state once it is
+    read; the |dPhi_V|^2 line comes from ``base``.  The wave-operator
+    line is the run's actual g dd Psi residual, closing the loop with
+    the commutator bound.
+    """
+    I = tuple(I)
+    if I:
+        states = lie_component_series(history, I, component)
+        lie, last = EstimatePass(base.region, base.params, base), len(states) - 1
+        for k in range(len(states)):
+            st, states[k] = states[k], None     # the list keeps no read state
+            lie.add(st, k in (0, last))
+        base = lie
+    return base.report(I, component, t1, t2)

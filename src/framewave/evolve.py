@@ -47,8 +47,8 @@ live state it is the right-hand side that the next step takes as its
 first slope (Evolver.slope), computed once per slice for every
 component and the step; on stored snapshots it runs on copies.
 Storing copies of the slice is the default consumer; the experiment
-runner stores them only for the estimate, whose Lie series difference
-stored snapshots in time.
+runner stores them only for an estimate with a non-empty multi-index,
+whose Lie series difference stored snapshots in time.
 """
 
 from __future__ import annotations
@@ -56,14 +56,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .background import make_background
-from .energy import (ComponentSeries, ExteriorRegion, SliceState, slice_energy,
-                     write_series_csv)
+from .energy import ExteriorRegion, SliceState, slice_energy, write_series_csv
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
 from .fields import (GHOST, GridField, GridGeometry, _fresh, _laplacian, d1_axis, d2_axis,
                      fill_ghosts_array, h_on_box, save_snapshot)
@@ -583,10 +581,11 @@ class RunHistory:
     was stored (:meth:`store`, the default consumer of
     :func:`evolve_run`) exactly as the run left them; monitors never
     write to them.  A run whose consumer stores nothing leaves the three
-    lists empty.  component_series and state compute d_tt of a component
-    on demand from the evolver: while the run goes on, ``live`` is the
-    (Phi, Pi) pair it advances, whose d_tt comes from the slope that the
-    next step starts from (see :meth:`_psi_tt`).
+    lists empty; the estimate's Lie series are their only reader in the
+    package.  :meth:`state` computes d_tt of a component on demand from
+    the evolver: while the run goes on, ``live`` is the (Phi, Pi) pair it
+    advances, whose d_tt comes from the slope that the next step starts
+    from (see :meth:`_psi_tt`).
     """
 
     geom: object
@@ -668,36 +667,6 @@ class RunHistory:
                           self._projected(Pi, component),
                           lambda: self._psi_tt(component, t, Phi, Pi),
                           self.background, shared)
-
-    def component_series(self, component):
-        """Series of one projected component of the stored snapshots,
-        built as :meth:`state` builds one slice (:class:`_OnDemand` keeps
-        each d_tt psi once it is read)."""
-        return ComponentSeries(
-            self.geom, self.background, self.times,
-            [self._projected(F, component) for F in self.fields],
-            [self._projected(P, component) for P in self.dfields],
-            _OnDemand(lambda k: self._psi_tt(component, self.times[k], self.fields[k],
-                                             self.dfields[k]), len(self.times)))
-
-
-class _OnDemand(Sequence):
-    """Read-only list whose item k is fn(k), computed on first access and
-    then kept."""
-
-    def __init__(self, fn, n):
-        self._fn = fn
-        self._n = n
-        self._items = {}
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, k):
-        k = range(self._n)[k]
-        if k not in self._items:
-            self._items[k] = self._fn(k)
-        return self._items[k]
 
 
 def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
@@ -891,18 +860,18 @@ def _write_events(path, events):
             fh.write(json.dumps(ev, sort_keys=True) + "\n")
 
 
-def run_experiment(cfg, out_dir, tag="", keep=None, budget=None):
+def run_experiment(cfg, out_dir, tag="", passes=()):
     """Evolve per the config, write the run log, energy series, and
-    optional snapshots; returns (history, summary dict, series of the
-    component ``keep`` or None).
+    optional snapshots; returns (history, summary dict).
 
     Every monitor slice is consumed while the run produces it: one slice
     state per component, built from the live state and dropped before the
     next, gives the slice energies; the states of one slice share their
-    q-dependent arrays.  ``budget`` (an energy.BudgetPass) is fed the
-    first component's state of every slice.  The history stores snapshots
-    only when ``keep`` asks for a series, which the estimate's base and
-    Lie series read.  The non-finite checks run after the run, in
+    q-dependent arrays.  ``passes[i]`` (an energy.BudgetPass or an
+    estimates.EstimatePass, one per leading component) is fed component
+    i's state of every slice.  The history stores snapshots only for an
+    estimate with a non-empty multi-index, whose Lie series difference
+    them in time.  The non-finite checks run after the run, in
     component-then-time order.
 
     tag is inserted before each file extension, so runs that share an
@@ -916,11 +885,12 @@ def run_experiment(cfg, out_dir, tag="", keep=None, budget=None):
                           bigO_degree=cfg["source"]["bigO_degree"],
                           slots=tuple(cfg["source"]["slots"]))
     comps = cfg["components"]
+    store = cfg["mode"] == "estimate" and any(text.strip() for text in cfg["multi_indices"])
     last = cfg["monitors"] - 1
     times, energies = [], [[] for _ in comps]   # (w, wtilde) per component and slice
 
     def monitor(hist, t, Phi, Pi):
-        if keep is not None:
+        if store:
             hist.store(t, Phi, Pi)
         end = not times or len(times) == last
         times.append(t)
@@ -929,8 +899,8 @@ def run_experiment(cfg, out_dir, tag="", keep=None, budget=None):
             st = hist.state(comp, t, Phi, Pi, shared)
             energies[i].append((slice_energy(st, region, params, "w"),
                                 slice_energy(st, region, params, "wtilde")))
-            if budget is not None and i == 0:
-                budget.add(st, end)
+            if i < len(passes):
+                passes[i].add(st, end)
             del st   # the last component's state must not outlive the slice
 
     log_path = os.path.join(out_dir, f"run_log{tag}.jsonl")
@@ -966,4 +936,4 @@ def run_experiment(cfg, out_dir, tag="", keep=None, budget=None):
     if cfg["snapshots"]:
         final = GridField(geom, hist.rank, hist.channels, Phi, times[-1], ghost_valid=False)
         save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
-    return hist, summary, hist.component_series(keep) if keep is not None else None
+    return hist, summary

@@ -1,36 +1,48 @@
 """Reference implementations that the tests compare framewave against.
 
 Two kinds live here.  Loops and helpers that framewave itself does not
-run: the stored-series budget and flux loops (the monitors feed
-``energy.BudgetPass`` slice by slice instead), full-cube derivatives of a
-slice state, point-frame contractions, grid quadrature of a GridField,
-the direct form of the commutator's left side, coordinate derivatives of
-a PolyField and the frame-gradient bound.  And the earlier bodies of
-code that framewave now computes through one shared kernel (the
-coordinate display of T_tt + T_rt, the pointwise null frame, the exact
-wave operator, the decay check's tangential loop, the per-point
-``Point``/``Frame`` generator representations of slash-d_i and e_A with
-the two certify checks that ran them, and the manufactured source that
-read its H terms off the direction matrix), kept as they were so that
-tests can require the kernels to agree with them bit for bit.
+run: stored component series with the budget, flux and estimate loops
+over them and the experiment run and ``estimate`` mode that store every
+snapshot (the monitors feed ``energy.BudgetPass`` and
+``estimates.EstimatePass`` slice by slice instead), full-cube
+derivatives of a slice state, point-frame contractions, grid quadrature
+of a GridField, the direct form of the commutator's left side,
+coordinate derivatives of a PolyField and the frame-gradient bound.  And
+the earlier bodies of code that framewave now computes through one
+shared kernel (the coordinate display of T_tt + T_rt, the pointwise
+null frame, the exact wave operator, the decay check's tangential loop,
+the per-point ``Point``/``Frame`` generator representations of slash-d_i
+and e_A with the two certify checks that ran them, the manufactured
+source that read its H terms off the direction matrix, and the Lie
+step's generator coefficients evaluated from the exact field), kept as
+they were so that tests can require the kernels to agree with them bit
+for bit.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from framewave import evolve
 from framewave.certify import sample_points
-from framewave.energy import (BudgetPass, _ball_slice, _cone_slice, _sphere_nodes,
-                              _surface_integral, _tangential_slice, slice_energy, trapz)
-from framewave.errors import FramewaveError, HistoryMissing, PoleDegenerate, TimeZero
-from framewave.fields import GridField, PolyField, d1_axis, d2_axis, wave_operator
-from framewave.estimates import lbar_radial_residual
+from framewave.energy import (BudgetPass, SliceState, _ball_slice, _cone_slice, _sphere_nodes,
+                              _surface_integral, _tangential_slice, slice_energy, trapz,
+                              write_json, write_series_csv)
+from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, PoleDegenerate,
+                              TimeZero)
+from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
+                                 lbar_radial_residual, lie_component_series)
+from framewave.fields import (GridField, PolyField, d1_axis, d2_axis, save_snapshot,
+                              wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
 from framewave.poly import GaussPoly, _eval_scalars, random_poly
-from framewave.vecfields import GENERATORS, VectorFieldId, apply_to_scalar, lie_multi
-
+from framewave.vecfields import (_FIELD_CACHE, GENERATORS, VectorFieldId, apply_to_scalar,
+                                 lie_multi, parse_multi_index)
+from framewave.weights import w_tilde, w_tilde_prime
 
 class RankMismatch(FramewaveError):
     """Tensor rank does not match the number of contraction vectors."""
@@ -48,7 +60,57 @@ class EmptyCone(FramewaveError):
     """Cone does not intersect the grid for the requested time range."""
 
 
-# --- energy: the stored-series loops ------------------------------------------
+# --- energy: stored series and the loops over them ------------------------------
+
+
+class ComponentSeries:
+    """Uniformly spaced monitored snapshots of one scalar component.
+
+    psi, psi_t and psi_tt are sequences of (channels, n, n, n) arrays;
+    a slice state reads psi_tt[k] only when its wave operator is needed.
+    """
+
+    def __init__(self, geom, background, times, psi, psi_t, psi_tt):
+        self.geom = geom
+        self.background = background
+        self.times = np.asarray(times, dtype=float)
+        if len(self.times) >= 2:
+            dts = np.diff(self.times)
+            if not np.allclose(dts, dts[0], rtol=1e-8, atol=1e-12):
+                raise HistoryMissing("monitor times must be uniformly spaced")
+        self.psi = psi
+        self.psi_t = psi_t
+        self.psi_tt = psi_tt
+
+    def __len__(self):
+        return len(self.times)
+
+    def index_of(self, t):
+        k = int(np.argmin(np.abs(self.times - t)))
+        if abs(self.times[k] - t) > 1e-9 * max(1.0, abs(t)):
+            raise HistoryMissing(f"time {t} not in stored history")
+        return k
+
+    def index_range(self, t1, t2):
+        return self.index_of(t1), self.index_of(t2)
+
+    def state(self, k):
+        return SliceState(self.geom, self.times[k], self.psi[k],
+                          self.psi_t[k], lambda: self.psi_tt[k], self.background)
+
+
+def component_series(history, component):
+    """Series of one projected component of a run's stored snapshots, built
+    as ``RunHistory.state`` builds one slice: d_tt psi from the right-hand
+    side on copies of each snapshot."""
+    slices = list(zip(history.times, history.fields, history.dfields))
+    return ComponentSeries(
+        history.geom, history.background, history.times,
+        [history._projected(F, component) for _, F, _ in slices],
+        [history._projected(P, component) for _, _, P in slices],
+        [history._psi_tt(component, t, F, P) for t, F, P in slices])
+
+
 
 
 def exterior_energy(series, t, region, params, weight="w"):
@@ -155,6 +217,86 @@ def ttr_coordinate(bundle):
     corr += Hr[:, 0] * np.sum(dt * dt, axis=1)
     corr += np.einsum("nj,njc,nc->n", Hr[:, 1:], d[:, 1:, :], dt)
     return flat + corr
+
+
+# --- estimates: the series-based report ----------------------------------------
+
+
+def lie_series(history, I, component):
+    """The Lie-applied slices of ``estimates.lie_component_series`` as a series."""
+    states = lie_component_series(history, I, component)
+    return ComponentSeries(history.geom, history.background, history.times,
+                           *([getattr(st, a) for st in states] for a in ("psi", "psi_t", "psi_tt")))
+
+
+def estimate_pass(series, region, params, base=None):
+    """An ``estimates.EstimatePass`` fed every slice of a stored series."""
+    est, last = EstimatePass(region, params, base), len(series) - 1
+    for k in range(len(series)):
+        est.add(series.state(k), k in (0, last))
+    return est
+
+
+def estimate_report(history, I, component, t1, t2, region, params, base=None):
+    """Every line of the weighted estimate from stored series: the report
+    walks the Lie series (or, for an empty I, the base series) from t1 to
+    t2, and reads the |dPhi_V|^2 line from the base series ``base``,
+    built here if not given."""
+    I = tuple(I)
+    if base is None:
+        base = component_series(history, component)
+    series = lie_series(history, I, component) if I else base
+    geom = history.geom
+    k1, k2 = series.index_range(t1, t2)
+    if k2 <= k1:
+        raise HistoryMissing("t2 must exceed t1 in the stored history")
+    names = ["rhs_HLL_dPsi_sq_wtilde_prime", "rhs_H_tang_dPsi_wtilde_prime",
+             "rhs_dHLL_tangH_dPhi_sq_wtilde", "rhs_dH_tang_dPsi_wtilde",
+             "rhs_waveop_dtPsi_wtilde"]
+    vals = {n: [] for n in names}
+    flux = []
+    for k in range(k1, k2 + 1):
+        st = series.state(k)
+        stb = base.state(k) if I else st
+        if k == k1:
+            e_t1 = slice_energy(st, region, params, "wtilde")
+        if k == k2:
+            e_t2 = slice_energy(st, region, params, "w")
+        flux.append(_tangential_slice(st, region, params))
+        mask = st.region_mask(region)
+        wt = st.weight(w_tilde, params)
+        wtp = st.weight(w_tilde_prime, params)
+        dpsi = np.sqrt(geom.interior(st.grad_norm_sq()))
+        tang = np.sqrt(geom.interior(st.tangential_norm_sq()))
+        dphi_sq = geom.interior(stb.grad_norm_sq())
+        H_LL, H_frob, dH_LL, tangH, dH_frob = _H_frame_arrays(st)
+        dx3 = geom.dx ** 3
+
+        def quad(arr):
+            return float(np.sum(arr[mask]) * dx3)
+
+        vals["rhs_HLL_dPsi_sq_wtilde_prime"].append(quad(H_LL * dpsi ** 2 * wtp))
+        vals["rhs_H_tang_dPsi_wtilde_prime"].append(quad(H_frob * tang * dpsi * wtp))
+        vals["rhs_dHLL_tangH_dPhi_sq_wtilde"].append(quad((dH_LL + tangH) * dphi_sq * wt))
+        vals["rhs_dH_tang_dPsi_wtilde"].append(quad(dH_frob * tang * dpsi * wt))
+        box = np.sqrt(np.sum(geom.interior(st.wave_op()) ** 2, axis=0))
+        dtpsi = np.sqrt(np.sum(geom.interior(st.psi_t) ** 2, axis=0))
+        vals["rhs_waveop_dtPsi_wtilde"].append(quad(box * dtpsi * wt))
+        del st, stb
+    ts = series.times[k1:k2 + 1]
+    terms = {"lhs_slice_t2_w": e_t2,
+             "lhs_tangential_flux_what_prime": trapz(flux, ts),
+             "rhs_slice_t1_wtilde": e_t1}
+    for n in names:
+        terms[n] = trapz(vals[n], ts)
+    return EstimateReport(I_names=tuple(g.name for g in I), component=str(component),
+                          t1=t1, t2=t2, terms=terms)
+
+def gen_coeff_arrays(gen, geom, t):
+    """Generator coefficients Z^mu on the full cube at time t, (4, n, n, n),
+    from the exact coefficient field evaluated at every point."""
+    vals = _FIELD_CACHE[gen].eval(geom.points_full(t))
+    return vals[..., 0].T.reshape((4,) + (geom.n_full,) * 3)
 
 
 # --- geometry: point frames and contractions ----------------------------------
@@ -636,3 +778,81 @@ def manufactured_source_from_direction(target_comps, background, geom):
         return out
 
     return source_fn
+
+
+# --- evolve and cli: the stored-history run and estimate ----------------------
+
+
+def history_run_experiment(cfg, out_dir, tag="", keep=None):
+    """The experiment run that stores every snapshot and then walks each
+    component series slice by slice; returns (history, summary, the
+    series of the component ``keep`` or None)."""
+    geom, bg, params, region = evolve.setup_experiment(cfg)
+    Phi0, Pi0 = evolve._initial_data(cfg, geom)
+    spec = None
+    if cfg["source"]["terms"]:
+        spec = evolve.SourceSpec(terms=tuple(cfg["source"]["terms"]),
+                                 bigO_degree=cfg["source"]["bigO_degree"],
+                                 slots=tuple(cfg["source"]["slots"]))
+    log_path = os.path.join(out_dir, f"run_log{tag}.jsonl")
+    events = []
+    try:
+        hist = evolve.evolve_run(
+            geom, bg, Phi0, Pi0, cfg["times"]["t1"], cfg["times"]["t2"],
+            schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
+            boundary=cfg["boundary"], n_monitors=cfg["monitors"],
+            log=events.append)
+    finally:
+        evolve._write_events(log_path, events)
+
+    rows, kept = [], None
+    summary = {"components": {}, "seed": cfg["seed"]}
+    for comp in cfg["components"]:
+        series = component_series(hist, comp)
+        kept = series if comp == keep and kept is None else kept
+        energies = []
+        for k, t in enumerate(series.times):
+            st = series.state(k)
+            e_w = evolve.slice_energy(st, region, params, "w")
+            e_wt = evolve.slice_energy(st, region, params, "wtilde")
+            if not (math.isfinite(e_w) and math.isfinite(e_wt)):
+                events.append({"event": "non_finite", "t": float(t),
+                               "quantity": f"{comp}:slice_energy"})
+                evolve._write_events(log_path, events)
+                raise NonFiniteResult(f"slice energy of {comp} is not finite at t = {t}")
+            rows.append((t, f"{comp}:slice_energy_w", e_w))
+            rows.append((t, f"{comp}:slice_energy_wtilde", e_wt))
+            energies.append(e_w)
+        summary["components"][comp] = {
+            "initial_energy_w": energies[0],
+            "final_energy_w": energies[-1],
+            "max_energy_w": max(energies),
+        }
+    write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
+    if cfg["snapshots"]:
+        final = GridField(geom, hist.rank, hist.channels, hist.fields[-1],
+                          hist.times[-1], ghost_valid=False)
+        save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
+    return hist, summary, kept
+
+
+def mode_estimate(cfg, out_dir):
+    """``cli.mode_estimate`` over a stored history: one base series per
+    component, the first kept by the run, and one report per multi-index
+    and component."""
+    _, _, params, region = evolve.setup_experiment(cfg)
+    comps = cfg["components"]
+    hist, _, kept = history_run_experiment(cfg, out_dir, keep=comps[0] if comps else None)
+    bases = {comps[0]: kept} if comps else {}
+    reports = []
+    for text in cfg["multi_indices"]:
+        I = parse_multi_index(text)
+        for comp in comps:
+            if comp not in bases:
+                bases[comp] = component_series(hist, comp)
+            rep = estimate_report(hist, I, comp, cfg["times"]["t1"], cfg["times"]["t2"],
+                                  region, params, base=bases[comp])
+            reports.append(rep.to_json())
+    write_json(os.path.join(out_dir, "estimate.json"), {"reports": reports, "seed": cfg["seed"]})
+    return 0
+

@@ -18,7 +18,7 @@ from framewave.fields import GridGeometry, PolyField
 from framewave.poly import measure_order
 from framewave.vecfields import SCALING, VectorFieldId
 from framewave.weights import WeightParams
-from oracles import commutator_exact_lhs, conservation_budget
+from oracles import commutator_exact_lhs, component_series, conservation_budget
 
 
 def _report(name, passed, detail):
@@ -83,7 +83,7 @@ def _budget_run(N, bg):
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.75, cfl=0.45,
                              n_monitors=N // 4 + 1)
-    return hist.component_series("scalar")
+    return component_series(hist, "scalar")
 
 
 def test_criterion_6_budget_convergence():
@@ -120,13 +120,19 @@ def test_criterion_6_budget_convergence():
 ESTIMATE_NS = (48, 64)
 
 
-def _estimate_run(N, bg):
+def _estimate_run(N, bg, region, params):
+    """The I = '' estimate pass, fed each monitor slice while the run goes."""
     geom = GridGeometry(N, 8.0)
     Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 6.0, amplitude=1.0,
                                            q_center=-2.5, sigma=0.5)
-    hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 6.0, 7.0, cfl=0.45,
-                             n_monitors=N // 4 + 1)
-    return hist
+    n_monitors, est = N // 4 + 1, estimates.EstimatePass(region, params)
+
+    def feed(hist, t, Phi, Pi):
+        est.add(hist.state("scalar", t, Phi, Pi), len(est._ts) in (0, n_monitors - 1))
+
+    evolve.evolve_run(geom, bg, Phi0, Pi0, 6.0, 7.0, cfl=0.45, n_monitors=n_monitors,
+                      consumer=feed)
+    return est
 
 
 def test_criterion_7_estimate_instances():
@@ -137,9 +143,7 @@ def test_criterion_7_estimate_instances():
                     (0.1, BumpBackground(0.1, center=(0, 0, 3.0), radius=3.0))):
         implied[eps] = {}
         for N in ESTIMATE_NS:
-            hist = _estimate_run(N, bg)
-            rep = estimates.energy_estimate_report(hist, (), "scalar", 6.0, 7.0,
-                                                   region, params)
+            rep = _estimate_run(N, bg, region, params).report((), "scalar", 6.0, 7.0)
             implied[eps][N] = rep.implied_constant
     ok = True
     details = []

@@ -113,6 +113,19 @@ DETERMINISM_CONFIGS = {
         "multi_indices": ["", "S"],
         "monitors": 5,
     },
+    "estimate-rank1": {
+        "mode": "estimate",
+        "grid": {"N": 12, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.3},
+        "background": {"family": "static-bump", "epsilon": 0.1, "radius": 2.5,
+                       "center": [0.0, 0.0, 1.0]},
+        "data": {"family": "gaussian", "rank": 1, "channels": 2, "center": [0, 0, 1.5],
+                 "sigma": 0.8},
+        "source": {"terms": ["AL_dA", "Ae_dAe"]},
+        "components": ["L", "e1", "Lbar", "slot2"],
+        "multi_indices": ["", "S", "P x3", "Z12,S"],
+        "monitors": 5,
+    },
     "conserve": {
         "grid": {"N": 8, "X": 4.0},
         "times": {"t1": 0.0, "t2": 0.2},
@@ -124,18 +137,19 @@ DETERMINISM_CONFIGS = {
 
 
 def test_determinism_bit_identical(tmp_path):
-    for mode, body in DETERMINISM_CONFIGS.items():
-        path = _write(tmp_path, {"mode": mode, **body}, name=f"{mode}.json")
+    for name, body in DETERMINISM_CONFIGS.items():
+        mode = body.get("mode", name)
+        path = _write(tmp_path, {"mode": mode, **body}, name=f"{name}.json")
         extra = ["--refine", "2"] if mode == "conserve" else []
         outs = []
         for run in ("a", "b"):
-            out = tmp_path / mode / run
+            out = tmp_path / name / run
             assert cli.main([mode, "--config", path, "--out", str(out),
                              "--seed", "77", *extra]) == 0
             outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-        assert outs[0].keys() == outs[1].keys(), mode
-        for name in outs[0]:
-            assert outs[0][name] == outs[1][name], f"{mode}: {name} differs"
+        assert outs[0].keys() == outs[1].keys(), name
+        for artifact in outs[0]:
+            assert outs[0][artifact] == outs[1][artifact], f"{name}: {artifact} differs"
 
 
 def test_conserve_unmeasured_order_is_null(tmp_path):
@@ -175,10 +189,8 @@ def test_conserve_keeps_one_log_per_resolution(tmp_path):
 def test_conserve_builds_one_state_per_slice(tmp_path, monkeypatch):
     # the budget is fed while the run goes: no series, one state per
     # resolution and slice
-    calls, states = [], collections.Counter()
-    series, init = evolve.RunHistory.component_series, energy.SliceState.__init__
-    monkeypatch.setattr(evolve.RunHistory, "component_series",
-                        lambda self, comp: calls.append(comp) or series(self, comp))
+    states = collections.Counter()
+    init = energy.SliceState.__init__
 
     def counted(self, geom, t, *args):
         states[geom.N, float(t)] += 1
@@ -188,7 +200,6 @@ def test_conserve_builds_one_state_per_slice(tmp_path, monkeypatch):
     path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
     assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
                      "--refine", "2"]) == 0
-    assert calls == []
     assert len(states) == 2 * DETERMINISM_CONFIGS["conserve"]["monitors"]
     assert set(states.values()) == {1}
 
@@ -322,28 +333,58 @@ def test_commutator_rejects_unknown_components(tmp_path, capsys, components):
 
 
 def test_estimate_builds_each_series_once(tmp_path, monkeypatch):
-    from framewave import energy, estimates
+    # the run feeds every component's I = '' lines from its live slices;
+    # each non-empty multi-index builds one Lie series per component after
+    # the run and no base series: one state and one gradient per series
+    # and slice, and no right-hand side beyond the run's 4 per step and
+    # the last slice's d_tt
+    from framewave import estimates
 
-    body = {"mode": "estimate", **DETERMINISM_CONFIGS["estimate"]}
+    body = DETERMINISM_CONFIGS["estimate-rank1"]
     path = _write(tmp_path, body)
-    calls = []
-    series = evolve.RunHistory.component_series
-    monkeypatch.setattr(evolve.RunHistory, "component_series",
-                        lambda self, comp: calls.append(comp) or series(self, comp))
+    lie, states, grads, calls = [], collections.Counter(), collections.Counter(), []
+    series, init, dpsi4 = (estimates.lie_component_series, energy.SliceState.__init__,
+                           energy.SliceState.dpsi4)
+
+    def counted_init(self, geom, t, *args):
+        states[float(t)] += 1
+        init(self, geom, t, *args)
+
+    def counted_dpsi4(self):
+        grads[self.t] += "dpsi4" not in self._cache
+        return dpsi4(self)
+
+    def counted(name, fn):
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(estimates, "lie_component_series",
+                        lambda hist, I, comp: lie.append((I, comp)) or series(hist, I, comp))
+    monkeypatch.setattr(energy.SliceState, "__init__", counted_init)
+    monkeypatch.setattr(energy.SliceState, "dpsi4", counted_dpsi4)
+    monkeypatch.setattr(evolve.Evolver, "rhs", counted("rhs", evolve.Evolver.rhs))
+    monkeypatch.setattr(evolve.Evolver, "step", counted("step", evolve.Evolver.step))
     assert cli.main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 0
-    assert calls == ["scalar"]
-    monkeypatch.undo()
-    # each report building its own series writes the same bytes
-    cfg = cli.parse_config(path)
-    _, _, params, region = evolve.setup_experiment(cfg)
-    hist = evolve.run_experiment(cfg, str(tmp_path), keep="scalar")[0]
-    reports = [estimates.energy_estimate_report(
-        hist, cli.parse_multi_index(text), "scalar", cfg["times"]["t1"],
-        cfg["times"]["t2"], region, params).to_json() for text in cfg["multi_indices"]]
-    energy.write_json(str(tmp_path / "estimate.json"),
-                      {"reports": reports, "seed": cfg["seed"]})
-    assert (tmp_path / "estimate.json").read_bytes() == \
-        (tmp_path / "o" / "estimate.json").read_bytes()
+    comps = body["components"]
+    indices = [cli.parse_multi_index(text) for text in body["multi_indices"] if text]
+    assert lie == [(I, comp) for I in indices for comp in comps]
+    assert len(states) == body["monitors"]
+    assert set(states.values()) == {len(comps) * (1 + len(indices))}
+    assert grads == states
+    steps = calls.count("step")
+    assert steps >= body["monitors"] - 1 and calls.count("rhs") == 4 * steps + 1
+
+
+def test_estimate_rejects_short_history_before_the_run(tmp_path, capsys):
+    # a Lie series is differenced over 5 snapshots: fewer monitors are a
+    # config error, reported before anything is evolved
+    body = {"mode": "estimate", **DETERMINISM_CONFIGS["estimate"], "monitors": 4}
+    out = tmp_path / "out"
+    assert cli.main(["estimate", "--config", _write(tmp_path, body), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert sorted(f.name for f in out.iterdir()) == ["config_resolved.json",
+                                                     "config_schema.json"]
+    body["multi_indices"] = [""]
+    assert cli.main(["estimate", "--config", _write(tmp_path, body), "--out", str(out)]) == 0
 
 
 def test_estimate_mode_small(tmp_path):

@@ -11,8 +11,9 @@ from framewave.fields import GridGeometry, PolyField, d1_axis, d2_axis
 from framewave.poly import Poly, measure_order
 from framewave.weights import WeightParams
 from conftest import sample_points
-from oracles import (EmptyCone, ball_flux, cone_flux, conservation_budget, exterior_energy,
-                     grad_t, hess, norm_equivalence_bounds, tangential_flux_integral)
+from oracles import (ComponentSeries, EmptyCone, ball_flux, component_series, cone_flux,
+                     conservation_budget, exterior_energy, grad_t, hess,
+                     norm_equivalence_bounds, tangential_flux_integral)
 
 PARAMS = WeightParams(0.5, -0.25)
 
@@ -156,7 +157,7 @@ def flat_run():
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.75,
                              cfl=0.45, n_monitors=9)
-    return hist, hist.component_series("scalar")
+    return hist, component_series(hist, "scalar")
 
 
 @pytest.mark.parametrize("first", ["grad", "dpsi4"])
@@ -183,12 +184,12 @@ def test_exterior_energy_zero_and_scaling(flat_run):
     hist, series = flat_run
     region = ExteriorRegion(q0=-2.0)
     geom = hist.geom
-    zero = energy.ComponentSeries(geom, BumpBackground(0.0), series.times,
+    zero = ComponentSeries(geom, BumpBackground(0.0), series.times,
                                   [0 * a for a in series.psi],
                                   [0 * a for a in series.psi_t],
                                   [0 * a for a in series.psi_tt])
     assert exterior_energy(zero, 0.0, region, PARAMS) == 0.0
-    doubled = energy.ComponentSeries(geom, BumpBackground(0.0), series.times,
+    doubled = ComponentSeries(geom, BumpBackground(0.0), series.times,
                                      [2 * a for a in series.psi],
                                      [2 * a for a in series.psi_t],
                                      [2 * a for a in series.psi_tt])
@@ -206,8 +207,8 @@ def test_exterior_energy_refinement_reference():
         target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.5)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
         ev = evolve.Evolver(geom, BumpBackground(0.0))
-        series = evolve.RunHistory(geom, BumpBackground(0.0), 0, 1, [0.0], [Phi0],
-                                   [Pi0], ev).component_series("scalar")
+        series = component_series(evolve.RunHistory(geom, BumpBackground(0.0), 0, 1, [0.0],
+                                                    [Phi0], [Pi0], ev), "scalar")
         vals[N] = slice_energy(series.state(0), region, PARAMS, "w")
     assert abs(vals[48] - vals[96]) <= 0.01 * vals[96]
 
@@ -217,7 +218,7 @@ def test_tangential_flux_zero_and_nonneg(flat_run):
     region = ExteriorRegion(q0=-2.0)
     val = tangential_flux_integral(series, 0.0, 0.75, region, PARAMS)
     assert val >= 0.0
-    zero = energy.ComponentSeries(hist.geom, BumpBackground(0.0), series.times,
+    zero = ComponentSeries(hist.geom, BumpBackground(0.0), series.times,
                                   [0 * a for a in series.psi],
                                   [0 * a for a in series.psi_t],
                                   [0 * a for a in series.psi_tt])
@@ -238,7 +239,7 @@ def _monopole_series(geom, t1, t2, n_mon, q_center, sigma):
         psi.append((f / r)[None])
         psi_t.append((-fp / r)[None])
         psi_tt.append((fpp / r)[None])
-    return energy.ComponentSeries(geom, BumpBackground(0.0), times, psi, psi_t, psi_tt)
+    return ComponentSeries(geom, BumpBackground(0.0), times, psi, psi_t, psi_tt)
 
 
 def test_tangential_flux_outgoing_reference():
@@ -269,7 +270,7 @@ def test_tangential_flux_outgoing_reference():
 
 def test_cone_flux_zero_and_empty(flat_run):
     hist, series = flat_run
-    zero = energy.ComponentSeries(hist.geom, BumpBackground(0.0), series.times,
+    zero = ComponentSeries(hist.geom, BumpBackground(0.0), series.times,
                                   [0 * a for a in series.psi],
                                   [0 * a for a in series.psi_t],
                                   [0 * a for a in series.psi_tt])
@@ -294,7 +295,7 @@ def test_budget_closure_with_active_cone():
                                                q_center=-2.5, sigma=0.5)
         hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
                                  cfl=0.45, n_monitors=N // 4 + 1)
-        series = hist.component_series("scalar")
+        series = component_series(hist, "scalar")
         rep = conservation_budget(series, region, 6.0, 6.75, params)
         res.append(rep.residual)
         flux.append(rep.cone_flux)
@@ -314,7 +315,7 @@ def test_cone_cut_surface_error_measured():
                                                q_center=-2.5, sigma=0.5)
         hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
                                  cfl=0.45, n_monitors=N // 4 + 1)
-        series = hist.component_series("scalar")
+        series = component_series(hist, "scalar")
         res.append(conservation_budget(series, region, 6.0, 6.75, params).residual)
     order = measure_order([16.0 / N for N in (24, 48)], res)
     print(f"\nsupport-crossing cutoff: measured surface-error order {order:.2f}")
@@ -331,7 +332,7 @@ def test_cone_flux_outgoing_nonnegative():
                                                q_center=-2.0, sigma=0.5)
         hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.5,
                                  cfl=0.45, n_monitors=N // 8 + 1)
-        series = hist.component_series("scalar")
+        series = component_series(hist, "scalar")
         region = ExteriorRegion(q0=-4.0)
         vals.append(cone_flux(series, -4.0, 6.0, 6.5, PARAMS, region=region))
     floors = [max(0.0, -v) for v in vals]
@@ -366,7 +367,7 @@ def test_budget_traveling_background_closes():
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
-    series = hist.component_series("scalar")
+    series = component_series(hist, "scalar")
     rep = conservation_budget(series, ExteriorRegion(q0=-2.0), 0.0, 0.6, PARAMS)
     assert rep.relative_residual < 0.15
 
@@ -377,7 +378,7 @@ def test_budget_small_H_closes():
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
-    series = hist.component_series("scalar")
+    series = component_series(hist, "scalar")
     rep = conservation_budget(series, ExteriorRegion(q0=-2.0), 0.0, 0.6, PARAMS)
     assert rep.hypothesis_ok
     assert rep.relative_residual < 0.2
@@ -479,7 +480,7 @@ def bump_series():
     for kind, velocity in (("static", (0, 0, 0)), ("traveling", (0.4, 0, 0))):
         bg = BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0, velocity=velocity)
         hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.4, cfl=0.45, n_monitors=5)
-        out[kind] = hist.component_series("scalar")
+        out[kind] = component_series(hist, "scalar")
     return out
 
 

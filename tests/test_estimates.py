@@ -15,7 +15,9 @@ from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldI
                                  lie_multi, subsequences)
 from framewave.weights import WeightParams
 from conftest import sample_points
-from oracles import commutator_exact_lhs, g_box, gradient_frame_bound, tangential_flux_integral
+from oracles import (commutator_exact_lhs, component_series, estimate_pass, g_box,
+                     gen_coeff_arrays, gradient_frame_bound, lie_series,
+                     tangential_flux_integral)
 
 Z12 = VectorFieldId("Z", 1, 2)
 Z01 = VectorFieldId("Z", 0, 1)
@@ -241,10 +243,10 @@ def small_run():
 def test_lie_series_translation_exact(small_run):
     hist = small_run
     ser = lie_component_series(hist, (TRANSLATIONS[0],), "L")
-    base = hist.component_series("L")
+    base = component_series(hist, "L")
     k = 4
     geom = hist.geom
-    d = np.max(np.abs(geom.interior(ser.psi[k]) - geom.interior(base.psi_t[k])))
+    d = np.max(np.abs(geom.interior(ser[k].psi) - geom.interior(base.psi_t[k])))
     assert d == 0.0
 
 
@@ -253,12 +255,32 @@ def test_lie_series_spatial_translation(small_run):
     hist = small_run
     geom = hist.geom
     ser = lie_component_series(hist, (TRANSLATIONS[3],), "slot1")
-    base = hist.component_series("slot1")
+    base = component_series(hist, "slot1")
     from framewave.fields import d1_axis
     k = 4
     want = d1_axis(base.psi[k], 3, geom.dx)
-    got = ser.psi[k]
+    got = ser[k].psi
     assert np.max(np.abs(geom.interior(got) - geom.interior(want))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 12, 32])
+def test_generator_coefficients_from_jacobian_equal_field_values(N):
+    # Z = J x (+ 1 in slot a for P_a) gives the exact field's values and
+    # signs of zero: S at t = -0.0 has Z^t = -0.0
+    geom = GridGeometry(N, 4.0)
+    for t in (0.0, -0.0, 0.7, -2.3):
+        for gen in GENERATORS:
+            got, want = estimates._gen_coeff_arrays(gen, geom, t), gen_coeff_arrays(gen, geom, t)
+            assert np.array_equal(got, want), (gen, t)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (gen, t)
+    assert np.all(np.signbit(estimates._gen_coeff_arrays(SCALING, geom, -0.0)[0]))
+
+
+def _report(hist, I, comp, t1, t2, region, params):
+    """The package report of a stored run, its I = '' pass fed the stored
+    series of the component."""
+    base = estimate_pass(component_series(hist, comp), region, params)
+    return energy_estimate_report(hist, I, comp, t1, t2, base)
 
 
 def test_estimate_report_zero_data():
@@ -266,16 +288,15 @@ def test_estimate_report_zero_data():
     shape = (1, geom.n_full, geom.n_full, geom.n_full)
     hist = evolve.evolve_run(geom, BumpBackground(0.0), np.zeros(shape),
                              np.zeros(shape), 0.0, 0.4, cfl=0.4, n_monitors=5)
-    rep = energy_estimate_report(hist, (), "scalar", 0.0, 0.4,
-                                 ExteriorRegion(q0=float("-inf")),
-                                 WeightParams(0.5, -0.25))
+    rep = _report(hist, (), "scalar", 0.0, 0.4, ExteriorRegion(q0=float("-inf")),
+                  WeightParams(0.5, -0.25))
     assert all(v == 0.0 for v in rep.terms.values())
     assert rep.to_json()["terms"]["rhs_slice_t1_wtilde"]["value"] == 0.0
 
 
 def test_estimate_report_labels_cover_terms(small_run):
-    rep = energy_estimate_report(small_run, (), "L", 0.0, 0.5,
-                                 ExteriorRegion(q0=-2.0), WeightParams(0.5, -0.25))
+    rep = _report(small_run, (), "L", 0.0, 0.5, ExteriorRegion(q0=-2.0),
+                  WeightParams(0.5, -0.25))
     js = rep.to_json()
     assert set(js["terms"]) == set(estimates.ESTIMATE_TERM_LABELS)
     assert js["implied_constant"] == pytest.approx(rep.implied_constant)
@@ -294,7 +315,7 @@ def test_lie_series_independent_of_monitor_order():
 
     fresh, used = run(), run()
     stored = [a.copy() for a in used.fields + used.dfields]
-    base = used.component_series("slot1")
+    base = component_series(used, "slot1")
     for k in range(len(base)):
         base.state(k).wave_op()
     assert all(np.array_equal(a, b) for a, b in zip(stored, used.fields + used.dfields))
@@ -302,25 +323,33 @@ def test_lie_series_independent_of_monitor_order():
         s1 = lie_component_series(fresh, (gen,), "slot1")
         s2 = lie_component_series(used, (gen,), "slot1")
         for name in ("psi", "psi_t", "psi_tt"):
-            assert all(np.array_equal(a, b) for a, b in
-                       zip(getattr(s1, name), getattr(s2, name)))
+            assert all(np.array_equal(getattr(a, name), getattr(b, name))
+                       for a, b in zip(s1, s2))
 
 
 def test_estimate_report_builds_one_component_series(small_run, monkeypatch):
-    # an empty multi-index reads its own series as the base series
-    calls = []
-    original = evolve.RunHistory.component_series
+    # an empty multi-index is its base pass; a non-empty one builds its Lie
+    # series, one state per slice, and no base series
+    region, params = ExteriorRegion(q0=-2.0), WeightParams(0.5, -0.25)
+    base = estimate_pass(component_series(small_run, "L"), region, params)
+    calls, states = [], []
+    series, init = estimates.lie_component_series, estimates.SliceState.__init__
 
-    def counted(self, component):
-        calls.append(component)
-        return original(self, component)
+    def counted_init(self, geom, t, *args):
+        states.append(t)
+        init(self, geom, t, *args)
 
-    monkeypatch.setattr(evolve.RunHistory, "component_series", counted)
-    for I in ((), (SCALING,)):
+    monkeypatch.setattr(estimates, "lie_component_series",
+                        lambda hist, I, comp: calls.append((I, comp)) or series(hist, I, comp))
+    monkeypatch.setattr(estimates.SliceState, "__init__", counted_init)
+    for I, want in (((), []), ((SCALING,), [((SCALING,), "L")])):
         calls.clear()
-        energy_estimate_report(small_run, I, "L", 0.0, 0.5,
-                               ExteriorRegion(q0=-2.0), WeightParams(0.5, -0.25))
-        assert calls == ["L"]
+        states.clear()
+        rep = energy_estimate_report(small_run, I, "L", 0.0, 0.5, base)
+        assert calls == want
+        assert states == (list(small_run.times) if I else [])
+        assert rep.terms["rhs_dHLL_tangH_dPhi_sq_wtilde"] == \
+            base.report((), "L", 0.0, 0.5).terms["rhs_dHLL_tangH_dPhi_sq_wtilde"]
 
 
 def _per_term_rhs(history, I, series, base, t1, t2, region, params):
@@ -371,16 +400,17 @@ def bump_pulse_run():
 def test_single_pass_estimate_equals_per_term_functions(bump_pulse_run, text):
     hist, params, region = bump_pulse_run, WeightParams(0.5, -0.25), ExteriorRegion(q0=-2.0)
     I = vecfields.parse_multi_index(text)
-    base = hist.component_series("scalar")
-    series = lie_component_series(hist, I, "scalar") if I else base
-    rep = energy_estimate_report(hist, I, "scalar", 0.1, 0.4, region, params, base=base)
+    base = component_series(hist, "scalar")
+    series = lie_series(hist, I, "scalar") if I else base
+    rep = energy_estimate_report(hist, I, "scalar", 0.0, 0.5,
+                                 estimate_pass(base, region, params))
     want = {
-        "lhs_slice_t2_w": slice_energy(series.state(series.index_of(0.4)), region, params, "w"),
+        "lhs_slice_t2_w": slice_energy(series.state(series.index_of(0.5)), region, params, "w"),
         "lhs_tangential_flux_what_prime": tangential_flux_integral(
-            series, 0.1, 0.4, region, params),
-        "rhs_slice_t1_wtilde": slice_energy(series.state(series.index_of(0.1)), region, params,
+            series, 0.0, 0.5, region, params),
+        "rhs_slice_t1_wtilde": slice_energy(series.state(series.index_of(0.0)), region, params,
                                             "wtilde"),
-        **_per_term_rhs(hist, I, series, base, 0.1, 0.4, region, params),
+        **_per_term_rhs(hist, I, series, base, 0.0, 0.5, region, params),
     }
     assert list(rep.terms) == list(estimates.ESTIMATE_TERM_LABELS)
     assert rep.terms == want

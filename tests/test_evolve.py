@@ -13,6 +13,7 @@ from framewave.poly import GaussPoly, Poly, measure_order
 
 import oracles
 from conftest import dense_H
+from oracles import component_series
 
 
 def test_zero_data_stays_zero():
@@ -150,7 +151,7 @@ def test_bad_term_run_emits_component_energies():
     params = WeightParams(0.5, -0.25)
     vals = {}
     for comp in ("Lbar", "L", "e1", "e2"):
-        series = hist.component_series(comp)
+        series = component_series(hist, comp)
         vals[comp] = energy.slice_energy(series.state(4), region, params, "w")
     assert all(np.isfinite(v) and v >= 0 for v in vals.values())
     assert len({round(v, 12) for v in vals.values()}) > 1  # no aliasing
@@ -179,11 +180,11 @@ def test_component_energies_decouple_at_initial_slice():
     region = energy.ExteriorRegion(q0=float("-inf"))
     params = WeightParams(0.5, -0.25)
     for comp in ("L", "e1", "e2"):
-        s1 = energy.slice_energy(h1.component_series(comp).state(0), region, params, "w")
-        s2 = energy.slice_energy(h2.component_series(comp).state(0), region, params, "w")
+        s1 = energy.slice_energy(component_series(h1, comp).state(0), region, params, "w")
+        s2 = energy.slice_energy(component_series(h2, comp).state(0), region, params, "w")
         assert s2 == pytest.approx(s1, rel=1e-10)
-    b1 = energy.slice_energy(h1.component_series("Lbar").state(0), region, params, "w")
-    b2 = energy.slice_energy(h2.component_series("Lbar").state(0), region, params, "w")
+    b1 = energy.slice_energy(component_series(h1, "Lbar").state(0), region, params, "w")
+    b2 = energy.slice_energy(component_series(h2, "Lbar").state(0), region, params, "w")
     assert abs(b2 - b1) > 1e-6 * max(1.0, b1)
 
 
@@ -241,7 +242,7 @@ def test_rank2_toy_equation_same_scheme():
     assert hist.rank == 2
     assert np.all(np.isfinite(hist.fields[-1]))
     for comp in ("slot01", "Lbar,Lbar", "L,e1"):
-        series = hist.component_series(comp)
+        series = component_series(hist, comp)
         assert series.psi[0].shape == (1,) + (geom.n_full,) * 3
         assert np.all(np.isfinite(series.psi[-1]))
 
@@ -349,30 +350,29 @@ def test_evolve_run_calls_rhs_only_for_rk_stages(monkeypatch, tmp_path):
     assert calls["rhs"] == 4 * calls["step"]
 
 
-@pytest.mark.parametrize("keep", [None, "e1"])
-def test_run_experiment_drops_each_series_and_state_before_the_next(monkeypatch, tmp_path,
-                                                                   keep):
+@pytest.mark.parametrize("mode, indices", [("evolve", [""]), ("estimate", [""]),
+                                           ("estimate", ["", "S"])],
+                         ids=["evolve", "estimate", "estimate-lie"])
+def test_run_experiment_drops_each_state_before_the_next(monkeypatch, tmp_path, mode,
+                                                         indices):
     # the run's monitor builds one slice state per component and slice and
-    # drops each before the next is built; only ``keep`` stores snapshots and
-    # builds a series, after the run
+    # drops each before the next is built, also when it feeds an estimate
+    # pass; only an estimate with a non-empty multi-index stores snapshots
     import collections
     import weakref
 
-    from framewave import cli, energy
+    from framewave import cli, energy, estimates
 
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        "mode": "evolve", "grid": {"N": 8, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.2},
+        "mode": mode, "grid": {"N": 8, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.2},
         "data": {"family": "gaussian", "rank": 1, "center": [0, 0, 1.5], "sigma": 0.8},
-        "components": ["L", "e1", "slot0"], "monitors": 3}))
+        "components": ["L", "e1", "slot0"], "multi_indices": indices, "monitors": 3}))
     cfg = cli.parse_config(str(cfg_path))
-    series_calls, state_refs, slices = [], [], collections.Counter()
-    project, init = evolve.RunHistory.component_series, energy.SliceState.__init__
-
-    def tracked_series(self, comp):
-        assert all(r() is None for r in state_refs)
-        series_calls.append(comp)
-        return project(self, comp)
+    _, _, params, region = evolve.setup_experiment(cfg)
+    passes = [estimates.EstimatePass(region, params) for _ in range(3 * (mode == "estimate"))]
+    state_refs, slices = [], collections.Counter()
+    init = energy.SliceState.__init__
 
     def tracked_init(self, geom, t, *args):
         assert all(r() is None for r in state_refs)
@@ -380,14 +380,12 @@ def test_run_experiment_drops_each_series_and_state_before_the_next(monkeypatch,
         state_refs.append(weakref.ref(self))
         slices[t] += 1
 
-    monkeypatch.setattr(evolve.RunHistory, "component_series", tracked_series)
     monkeypatch.setattr(energy.SliceState, "__init__", tracked_init)
-    hist, _, kept = evolve.run_experiment(cfg, str(tmp_path), keep=keep)
+    hist = evolve.run_experiment(cfg, str(tmp_path), passes=passes)[0]
     assert len(state_refs) == 9 and all(r() is None for r in state_refs)
     assert sorted(slices.values()) == [3, 3, 3]
-    assert series_calls == ([] if keep is None else [keep])
-    assert len(hist.fields) == len(hist.dfields) == (0 if keep is None else 3)
-    assert (kept is None) == (keep is None)
+    assert len(hist.fields) == len(hist.dfields) == (3 if "S" in indices else 0)
+    assert all(len(p._ts) == 3 for p in passes)
 
 
 def test_evolve_run_consumer_sees_the_stored_slices():
@@ -784,7 +782,7 @@ def test_static_bump_h_sources_evolve_as_with_dense_h(monkeypatch):
         events = []
         hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.4, schematic=spec,
                                  cfl=0.4, n_monitors=3, log=events.append)
-        series = [hist.component_series(c) for c in ("L", "Lbar", "e1")]
+        series = [component_series(hist, c) for c in ("L", "Lbar", "e1")]
         return events, np.array([[energy.slice_energy(s.state(k), region, params, "w")
                                   for k in range(len(hist.times))] for s in series])
 

@@ -1,10 +1,12 @@
 """Streamed monitors against the stored-history loops they replace.
 
-``_history_run_experiment`` and ``_history_conserve`` are the earlier
-``evolve.run_experiment`` and ``cli.mode_conserve``: the run stores every
+``oracles.history_run_experiment``, ``_history_conserve`` and
+``oracles.mode_estimate`` are the earlier ``evolve.run_experiment``,
+``cli.mode_conserve`` and ``cli.mode_estimate``: the run stores every
 snapshot, then each component series is projected from the history and
-walked slice by slice, and the budget walks the kept series.  They stay
-here as oracles; the streamed runs must write the same bytes.
+walked slice by slice, the budget walks the kept series and every
+estimate report walks a series.  The streamed runs must write the same
+bytes.
 """
 
 import json
@@ -15,61 +17,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framewave import cli, energy, evolve
-from framewave.errors import ConstraintError, NonFiniteResult
-from framewave.fields import GridField, save_snapshot
+import oracles
+from framewave import cli, energy, estimates, evolve
+from framewave.errors import ConstraintError
 from framewave.poly import measure_order
-from oracles import conservation_budget
-
-
-def _history_run_experiment(cfg, out_dir, tag="", keep=None):
-    geom, bg, params, region = evolve.setup_experiment(cfg)
-    Phi0, Pi0 = evolve._initial_data(cfg, geom)
-    spec = None
-    if cfg["source"]["terms"]:
-        spec = evolve.SourceSpec(terms=tuple(cfg["source"]["terms"]),
-                                 bigO_degree=cfg["source"]["bigO_degree"],
-                                 slots=tuple(cfg["source"]["slots"]))
-    log_path = os.path.join(out_dir, f"run_log{tag}.jsonl")
-    events = []
-    try:
-        hist = evolve.evolve_run(
-            geom, bg, Phi0, Pi0, cfg["times"]["t1"], cfg["times"]["t2"],
-            schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
-            boundary=cfg["boundary"], n_monitors=cfg["monitors"],
-            log=events.append)
-    finally:
-        evolve._write_events(log_path, events)
-
-    rows, kept = [], None
-    summary = {"components": {}, "seed": cfg["seed"]}
-    for comp in cfg["components"]:
-        series = hist.component_series(comp)
-        kept = series if comp == keep and kept is None else kept
-        energies = []
-        for k, t in enumerate(series.times):
-            st = series.state(k)
-            e_w = evolve.slice_energy(st, region, params, "w")
-            e_wt = evolve.slice_energy(st, region, params, "wtilde")
-            if not (math.isfinite(e_w) and math.isfinite(e_wt)):
-                events.append({"event": "non_finite", "t": float(t),
-                               "quantity": f"{comp}:slice_energy"})
-                evolve._write_events(log_path, events)
-                raise NonFiniteResult(f"slice energy of {comp} is not finite at t = {t}")
-            rows.append((t, f"{comp}:slice_energy_w", e_w))
-            rows.append((t, f"{comp}:slice_energy_wtilde", e_wt))
-            energies.append(e_w)
-        summary["components"][comp] = {
-            "initial_energy_w": energies[0],
-            "final_energy_w": energies[-1],
-            "max_energy_w": max(energies),
-        }
-    energy.write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
-    if cfg["snapshots"]:
-        final = GridField(geom, hist.rank, hist.channels, hist.fields[-1],
-                          hist.times[-1], ghost_valid=False)
-        save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
-    return hist, summary, kept
+from oracles import component_series, conservation_budget, history_run_experiment
 
 
 def _history_conserve(cfg, out_dir, refine=3):
@@ -81,8 +33,8 @@ def _history_conserve(cfg, out_dir, refine=3):
     for N in Ns:
         sub = json.loads(json.dumps(cfg))
         sub["grid"]["N"] = N
-        series = _history_run_experiment(sub, out_dir, tag=f"_N{N}",
-                                         keep=cfg["components"][0])[2]
+        series = history_run_experiment(sub, out_dir, tag=f"_N{N}",
+                                        keep=cfg["components"][0])[2]
         rep = conservation_budget(series, region, cfg["times"]["t1"],
                                          cfg["times"]["t2"], params)
         residuals.append(rep.residual)
@@ -103,8 +55,9 @@ def _history_conserve(cfg, out_dir, refine=3):
 
 def _history_cli(monkeypatch):
     """Point the CLI at the stored-history oracles."""
-    monkeypatch.setattr(cli, "run_experiment", _history_run_experiment)
+    monkeypatch.setattr(cli, "run_experiment", history_run_experiment)
     monkeypatch.setattr(cli, "mode_conserve", _history_conserve)
+    monkeypatch.setattr(cli, "mode_estimate", oracles.mode_estimate)
 
 
 def _run_both(tmp_path, monkeypatch, mode, body, extra=()):
@@ -167,6 +120,24 @@ CASES = {
         "grid": {"N": 12, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.3},
         "background": {"family": "traveling-bump", **BUMP},
         "data": GAUSS, "multi_indices": ["", "S"], "monitors": 5}, ()),
+    "estimate-static-rank1-sources": ("estimate", {
+        "grid": {"N": 12, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.3},
+        "background": {"family": "static-bump", **BUMP},
+        "data": {**GAUSS, "rank": 1, "channels": 2},
+        "source": {"terms": ["AL_dA", "Ae_dAe"]},
+        "components": ["L", "e1", "Lbar", "slot2"],
+        "multi_indices": ["", "S", "P x3", "Z12,S"], "monitors": 5}, ()),
+    "estimate-periodic-plane-wave": ("estimate", {
+        "grid": {"N": 12, "X": math.pi}, "times": {"t1": 0.0, "t2": 0.5},
+        "data": {"family": "plane_wave", "kvec": [1.0, 0.0, 0.0], "channels": 2},
+        "boundary": "periodic", "multi_indices": ["", "S", "P x1"], "monitors": 5}, ()),
+    # the empty multi-index only: the streamed run stores no snapshot, and
+    # 4 monitors are enough without a Lie series
+    "estimate-empty-index-repeated-component": ("estimate", {
+        "grid": {"N": 12, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.3},
+        "background": {"family": "traveling-bump", **BUMP},
+        "data": {**GAUSS, "rank": 1}, "components": ["L", "e1", "L"],
+        "multi_indices": [""], "monitors": 4}, ()),
 }
 
 
@@ -191,10 +162,10 @@ def test_non_finite_slice_energy_matches_history_loops(tmp_path, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"mode": "evolve", **body}))
     cfg = cli.parse_config(str(cfg_path))
-    history = _history_run_experiment(cfg, str(tmp_path), keep="L")[0]
+    history = history_run_experiment(cfg, str(tmp_path))[0]
     _, _, params, region = evolve.setup_experiment(cfg)
-    bad = {evolve.slice_energy(history.component_series("e1").state(0), region, params, "w"),
-           evolve.slice_energy(history.component_series("L").state(2), region, params, "w")}
+    bad = {evolve.slice_energy(component_series(history, "e1").state(0), region, params, "w"),
+           evolve.slice_energy(component_series(history, "L").state(2), region, params, "w")}
     assert len(bad) == 2 and 0.0 not in bad
     slice_energy = evolve.slice_energy
 
@@ -222,10 +193,11 @@ def test_budget_pass_terms_equal_conservation_budget(tmp_path, kind, rank, comp)
     cfg = cli.parse_config(str(cfg_path))
     _, _, params, region = evolve.setup_experiment(cfg)
     budget = energy.BudgetPass(region, params)
-    hist, _, series = evolve.run_experiment(cfg, str(tmp_path), keep=comp, budget=budget)
+    hist = evolve.run_experiment(cfg, str(tmp_path), passes=[budget])[0]
     assert not hist.evolver._work   # released after the last slice's d_tt
     got = budget.report(0.0, 0.3)
-    want = conservation_budget(series, region, 0.0, 0.3, params)
+    want = conservation_budget(component_series(history_run_experiment(cfg, str(tmp_path))[0],
+                                                comp), region, 0.0, 0.3, params)
     assert got.to_json() == want.to_json()
     # dx = 0.8: the cone r = t + 1.5 clears the origin ball on the last two
     # slices, and the ball sphere lies outside the excluded cone on the first two
@@ -233,33 +205,53 @@ def test_budget_pass_terms_equal_conservation_budget(tmp_path, kind, rank, comp)
         "slice_t1", "divergence_volume", "cone_flux", "ball_flux", "weight_volume"))
 
 
-def _evolve_cfg(tmp_path, monitors):
+def _evolve_cfg(tmp_path, monitors, mode="evolve"):
     path = tmp_path / f"cfg{monitors}.json"
     path.write_text(json.dumps({
-        "mode": "evolve", "grid": {"N": 16, "X": 4.0}, "times": {"t1": 0.0, "t2": 4.0},
+        "mode": mode, "grid": {"N": 16, "X": 4.0}, "times": {"t1": 0.0, "t2": 4.0},
         "data": {**GAUSS, "rank": 1}, "components": ["L", "e1", "slot0"],
         "monitors": monitors, "snapshots": True}))
     return cli.parse_config(str(path))
 
 
-def test_run_experiment_peak_memory_does_not_grow_with_monitors(tmp_path):
-    # no snapshot is stored, so 17 monitors peak within one snapshot of 3
-    n = evolve.GridGeometry(16, 4.0).n_full
-    snapshot = 2 * 4 * n ** 3 * 8     # (Phi, Pi), rank 1, one channel
+def _peaks_and_stored(tmp_path, mode):
+    """Traced peak memory of run_experiment and the number of stored
+    snapshot arrays, for 3 and 17 monitors; an estimate runs with its
+    passes."""
     peaks, stored = {}, {}
     tracemalloc.start()
     try:
         for monitors in (3, 17):
-            cfg = _evolve_cfg(tmp_path, monitors)
+            cfg = _evolve_cfg(tmp_path, monitors, mode)
+            _, _, params, region = evolve.setup_experiment(cfg)
+            passes = ([estimates.EstimatePass(region, params) for _ in cfg["components"]]
+                      if mode == "estimate" else ())
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
-            hist = evolve.run_experiment(cfg, str(tmp_path))[0]
+            hist = evolve.run_experiment(cfg, str(tmp_path), passes=passes)[0]
             peaks[monitors] = tracemalloc.get_traced_memory()[1] - base
             stored[monitors] = len(hist.fields) + len(hist.dfields) + len(hist.times)
             del hist
     finally:
         tracemalloc.stop()
-    assert peaks[17] - peaks[3] <= snapshot, (peaks, snapshot)
+    return peaks, stored
+
+
+SNAPSHOT = 2 * 4 * evolve.GridGeometry(16, 4.0).n_full ** 3 * 8  # (Phi, Pi), rank 1, 1 channel
+
+
+def test_run_experiment_peak_memory_does_not_grow_with_monitors(tmp_path):
+    # no snapshot is stored, so 17 monitors peak within one snapshot of 3
+    peaks, stored = _peaks_and_stored(tmp_path, "evolve")
+    assert peaks[17] - peaks[3] <= SNAPSHOT, (peaks, SNAPSHOT)
+    assert stored == {3: 0, 17: 0}
+
+
+def test_empty_index_estimate_peak_memory_does_not_grow_with_monitors(tmp_path):
+    # the I = '' lines are read from the run's live slices: no snapshot is
+    # stored, and 17 monitors peak within one snapshot of 3
+    peaks, stored = _peaks_and_stored(tmp_path, "estimate")
+    assert peaks[17] - peaks[3] <= SNAPSHOT, (peaks, SNAPSHOT)
     assert stored == {3: 0, 17: 0}
 
 
@@ -289,7 +281,7 @@ def test_scalar_budget_run_builds_only_L(tmp_path, monkeypatch):
     cfg = cli.parse_config(str(path))
     _, _, params, region = evolve.setup_experiment(cfg)
     budget = energy.BudgetPass(region, params)
-    hist = evolve.run_experiment(cfg, str(tmp_path), budget=budget)[0]
+    hist = evolve.run_experiment(cfg, str(tmp_path), passes=[budget])[0]
     assert budget.report(0.0, 0.2).ball_flux != 0.0
     assert read and set(read) == {"L"} and sphere == []
     assert set(hist.geom._frames) == {"L"}
@@ -298,8 +290,8 @@ def test_scalar_budget_run_builds_only_L(tmp_path, monkeypatch):
 @pytest.mark.parametrize("boundary", ["sommerfeld", "periodic"])
 def test_estimate_report_leaves_stored_snapshots_unchanged(tmp_path, boundary):
     # the periodic ghosts a step leaves are not the ones a right-hand side
-    # fills in, so a d_tt evaluated on a stored snapshot in place shows
-    from framewave import estimates
+    # fills in, so a d_tt or a Lie step evaluated on a stored snapshot in
+    # place shows
     from framewave.vecfields import parse_multi_index
 
     mode, body, _ = CASES["estimate-traveling"]
@@ -307,11 +299,13 @@ def test_estimate_report_leaves_stored_snapshots_unchanged(tmp_path, boundary):
     path.write_text(json.dumps({"mode": mode, **body, "boundary": boundary}))
     cfg = cli.parse_config(str(path))
     _, _, params, region = evolve.setup_experiment(cfg)
-    hist, _, base = evolve.run_experiment(cfg, str(tmp_path), keep="scalar")
+    base = estimates.EstimatePass(region, params)
+    hist = evolve.run_experiment(cfg, str(tmp_path), passes=[base])[0]
     stored = [a.tobytes() for a in hist.fields + hist.dfields]
     assert hist.live is None and len(stored) == 2 * body["monitors"]
     for text in body["multi_indices"]:
         rep = estimates.energy_estimate_report(hist, parse_multi_index(text), "scalar",
-                                               0.0, 0.3, region, params, base=base)
+                                               0.0, 0.3, base)
         assert all(math.isfinite(v) for v in rep.terms.values())
     assert [a.tobytes() for a in hist.fields + hist.dfields] == stored
+
