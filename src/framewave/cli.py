@@ -282,8 +282,12 @@ def mode_estimate(cfg, out_dir):
     passes = [estimates.EstimatePass(region, params) for _ in cfg["components"]]
     hist = run_experiment(cfg, out_dir, passes=passes)[0]   # feeds the I = '' lines
     t1, t2 = cfg["times"]["t1"], cfg["times"]["t2"]
-    reports = [estimates.energy_estimate_report(hist, I, comp, t1, t2, base).to_json()
-               for I in indices for comp, base in zip(cfg["components"], passes)]
+    reports = []
+    for I in indices:   # the Lie levels of I are built once, for every component
+        lie = estimates.lie_field_series(hist, I) if I else None
+        reports += [estimates.energy_estimate_report(hist, I, lie, comp, t1, t2, base).to_json()
+                    for comp, base in zip(cfg["components"], passes)]
+        del lie   # before the next multi-index builds its levels
     energy.write_json(os.path.join(out_dir, "estimate.json"),
                       {"reports": reports, "seed": cfg["seed"]})
     return 0

@@ -34,6 +34,7 @@ import numpy as np
 
 from .energy import SliceState, _tangential_slice, slice_energy, trapz
 from .errors import FrameMismatch, HistoryMissing, PoleDegenerate, TimeZero
+from .evolve import project
 from .fields import PolyField, d1_axis, fill_ghosts_array, tangential_norm_sq, wave_operator
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
@@ -533,7 +534,7 @@ def _gen_coeff_arrays(gen, geom, t):
     return Z
 
 
-def _apply_lie_grid(gen, data, data_t, geom, t, rank):
+def _apply_lie_grid(gen, data, data_t, geom, t):
     """One Lie step on a grid tensor snapshot (covariant slots).
 
     data: (4,)*rank + (ch, n, n, n); data_t its exact-or-differenced time
@@ -545,7 +546,7 @@ def _apply_lie_grid(gen, data, data_t, geom, t, rank):
     out = Z[0] * data_t
     for i in (1, 2, 3):
         out = out + Z[i] * d1_axis(data, i, geom.dx)
-    for slot in range(rank):
+    for slot in range(data.ndim - 4):
         for lam in range(4):
             for idx_slot in range(4):
                 if J[lam, idx_slot] == 0:
@@ -559,17 +560,17 @@ def _apply_lie_grid(gen, data, data_t, geom, t, rank):
     return out
 
 
-def lie_component_series(history, I, component):
-    """Slice states of the projected L_{Z^I}-applied field for a non-empty
-    I, one per stored snapshot of a run, all built before it returns.
+def lie_field_series(history, I):
+    """L_{Z^I} Phi, the full tensor, at every stored snapshot of a run, for
+    a non-empty I.
 
     Each Lie level transports with exact affine coefficients, using the
     exact time derivative at the first level and 4th-order series
-    differencing below; d_t and d_tt of the projection are differenced
-    in time too.  (The I = '' lines read the run's live slices instead,
-    see EstimatePass.)
+    differencing below; the last level's time derivative is never read,
+    so it is not formed.  Nothing here depends on a component: the
+    components of one multi-index share the series
+    (:func:`lie_component_series`).
     """
-    I = tuple(I)
     geom = history.geom
     times = list(history.times)
     if len(times) < 5:
@@ -578,18 +579,28 @@ def lie_component_series(history, I, component):
     level = [F.copy() for F in history.fields]
     for F in level:
         fill_ghosts_array(F, history.ghost_mode)
-    level_t = [history.dfields[k] for k in range(len(times))]
-    rank = history.rank
-    for gen in reversed(I):
-        new = [
-            _apply_lie_grid(gen, level[k], level_t[k], geom, times[k], rank)
-            for k in range(len(times))
-        ]
-        new_t = series_time_derivative(new, dt)
-        for arr in new_t:
-            fill_ghosts_array(arr, "extrapolate")
-        level, level_t = new, new_t
-    psi = [history.project(arr, component) for arr in level]
+    level_t = history.dfields
+    for n, gen in enumerate(reversed(tuple(I))):
+        if n:
+            level_t = series_time_derivative(level, dt)
+            for arr in level_t:
+                fill_ghosts_array(arr, "extrapolate")
+        level = [_apply_lie_grid(gen, level[k], level_t[k], geom, times[k])
+                 for k in range(len(times))]
+    return level
+
+
+def lie_component_series(history, lie, component):
+    """Slice states of one component of ``lie``, a Lie-applied series of
+    the run's stored snapshots (:func:`lie_field_series`), one per
+    snapshot, all built before it returns.
+
+    d_t and d_tt of the projection are differenced in time.  (The
+    I = '' lines read the run's live slices instead, see EstimatePass.)
+    """
+    geom, times = history.geom, list(history.times)
+    dt = times[1] - times[0]
+    psi = [project(geom, arr, component) for arr in lie]
     psi_t = series_time_derivative(psi, dt)
     psi_tt = series_time_derivative(psi_t, dt)
     for arr in psi_t:
@@ -743,24 +754,25 @@ class EstimatePass:
                               component=str(component), t1=t1, t2=t2, terms=terms)
 
 
-def energy_estimate_report(history, I, component, t1, t2, base):
+def energy_estimate_report(history, I, lie, component, t1, t2, base):
     """Every line of the weighted estimate of L_{Z^I} applied to one
     component of a run, which ``base``, the component's I = '' pass, read
     slice by slice while the run went on.
 
-    For an empty I that pass is the report.  Otherwise a second pass
-    walks the Lie series of the stored snapshots
-    (:func:`lie_component_series`) and drops each slice state once it is
+    For an empty I that pass is the report, and ``lie`` is None.
+    Otherwise ``lie`` is :func:`lie_field_series` of I, built once for
+    all components, and a second pass walks this component's series
+    (:func:`lie_component_series`), dropping each slice state once it is
     read; the |dPhi_V|^2 line comes from ``base``.  The wave-operator
     line is the run's actual g dd Psi residual, closing the loop with
     the commutator bound.
     """
     I = tuple(I)
     if I:
-        states = lie_component_series(history, I, component)
-        lie, last = EstimatePass(base.region, base.params, base), len(states) - 1
+        states = lie_component_series(history, lie, component)
+        est, last = EstimatePass(base.region, base.params, base), len(states) - 1
         for k in range(len(states)):
             st, states[k] = states[k], None     # the list keeps no read state
-            lie.add(st, k in (0, last))
-        base = lie
+            est.add(st, k in (0, last))
+        base = est
     return base.report(I, component, t1, t2)

@@ -38,25 +38,25 @@ single-threaded: two-thread numpy loops have measured anywhere from no
 gain to 1.8x on a 2-core host, so a slab split over threads waits for
 its own paired measurement.
 
-Steps are sequential.  Monitors are fed each slice while the run
-produces it: at t1 and at every monitor the run hands its live state to
-a consumer, which projects copies of the components it reads.  d_tt of
-a component comes from the evolution equation, only when a monitor
-reads it (the wave operator of the budget and the estimate): on the
-live state it is the right-hand side that the next step takes as its
-first slope (Evolver.slope), computed once per slice for every
-component and the step; on stored snapshots it runs on copies.
-Storing copies of the slice is the default consumer; the experiment
-runner stores them only for an estimate with a non-empty multi-index,
-whose Lie series difference stored snapshots in time.
+Steps are sequential and advance the caller's arrays in place.
+Monitors are fed each slice while the run produces it: at t1 and at
+every monitor the run hands its state and the slice's slope to a
+consumer, which projects copies of the components it reads.  d_tt of a
+component has one source, read only when a monitor needs it (the wave
+operator of the budget and the estimate): the right-hand side that the
+next step takes as its first slope (Evolver.slope), computed once per
+slice for every component and the step.  The experiment runner stores
+copies of the slices only for an estimate with a non-empty multi-index,
+whose Lie series difference them in time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -573,123 +573,76 @@ class Evolver:
         return Phi, Pi
 
 
+def project(geom, arr, component):
+    """Scalar component of a grid tensor arr, of rank arr.ndim - 4.
+
+    rank 0: "scalar"; rank 1: "slotK" or a frame name; rank 2: "slotAB"
+    (two digits) or a comma-joined frame pair ("Lbar,L").  Any other name
+    is a config error (ConstraintError).
+    """
+    rank = arr.ndim - 4
+    try:
+        if rank == 0 and component in (None, "scalar"):
+            return arr
+        slot = str(component)[4:]
+        if str(component).startswith("slot") and len(slot) == rank:
+            return arr[tuple(int(i) for i in slot)]
+        if rank == 1 and component in FULL_NAMES:
+            return np.einsum("m...,mc...->c...", geom.frame(component), arr)
+        if rank == 2 and "," in str(component):
+            u, v = component.split(",")
+            return np.einsum("m...,k...,mkc...->c...", geom.frame(u), geom.frame(v), arr)
+    except (IndexError, KeyError, ValueError):
+        pass
+    raise ConstraintError(f"unknown component {component!r} for rank {rank}")
+
+
 @dataclass
 class RunHistory:
-    """A run's stored snapshots plus the reduction closure for monitors.
+    """The monitor slices of a run that its consumer stored.
 
-    times/fields/dfields hold t, Phi and Pi at each monitor slice that
-    was stored (:meth:`store`, the default consumer of
-    :func:`evolve_run`) exactly as the run left them; monitors never
-    write to them.  A run whose consumer stores nothing leaves the three
-    lists empty; the estimate's Lie series are their only reader in the
-    package.  :meth:`state` computes d_tt of a component on demand from
-    the evolver: while the run goes on, ``live`` is the (Phi, Pi) pair it
-    advances, whose d_tt comes from the slope that the next step starts
-    from (see :meth:`_psi_tt`).
+    times/fields/dfields hold t, Phi and Pi at each slice that was stored
+    (:meth:`store`) exactly as the run left them; nothing writes to them.
+    A run whose consumer stores nothing leaves the three lists empty; the
+    estimate's Lie series are their only reader in the package.
     """
 
     geom: object
     background: object
-    rank: int
-    channels: int
-    times: list
-    fields: list
-    dfields: list
-    evolver: Evolver
     boundary: str = "sommerfeld"
-    live: tuple | None = None
+    times: list = dc_field(default_factory=list)
+    fields: list = dc_field(default_factory=list)
+    dfields: list = dc_field(default_factory=list)
 
     @property
     def ghost_mode(self):
         """Ghost fill that gives stencils valid edges on this run's arrays."""
         return "periodic" if self.boundary == "periodic" else "extrapolate"
 
-    def project(self, arr, component):
-        """Scalar component of a stored tensor snapshot.
-
-        rank 0: "scalar"; rank 1: "slotK" or a frame name; rank 2:
-        "slotAB" (two digits) or a comma-joined frame pair ("Lbar,L").
-        Any other name is a config error (ConstraintError).
-        """
-        try:
-            if self.rank == 0 and component in (None, "scalar"):
-                return arr
-            slot = str(component)[4:]
-            if str(component).startswith("slot") and len(slot) == self.rank:
-                return arr[tuple(int(i) for i in slot)]
-            if self.rank == 1 and component in FULL_NAMES:
-                return np.einsum("m...,mc...->c...", self.geom.frame(component), arr)
-            if self.rank == 2 and "," in str(component):
-                u, v = component.split(",")
-                return np.einsum("m...,k...,mkc...->c...", self.geom.frame(u),
-                                 self.geom.frame(v), arr)
-        except (IndexError, KeyError, ValueError):
-            pass
-        raise ConstraintError(f"unknown component {component!r} for rank {self.rank}")
-
     def store(self, t, Phi, Pi):
-        """Keep copies of the slice (t, Phi, Pi): the default consumer of
-        :func:`evolve_run`."""
+        """Keep copies of the slice (t, Phi, Pi)."""
         self.times.append(t)
         self.fields.append(Phi.copy())
         self.dfields.append(Pi.copy())
 
-    def _projected(self, arr, component):
-        """A copy of one component of arr, ghosts filled for stencils."""
-        out = self.project(arr, component).copy()
-        fill_ghosts_array(out, self.ghost_mode)
-        return out
 
-    def _psi_tt(self, component, t, Phi, Pi):
-        """A projected copy of d_tt of the component, from the evolution
-        equation.  For the run's live arrays it is the evolver's slope
-        (:meth:`Evolver.slope`), which every component of the slice and
-        the next step share; for any other arrays, stored snapshots
-        included, the right-hand side runs on copies, so they are never
-        written to."""
-        live = self.live
-        if live is not None and live[0] is Phi and live[1] is Pi:
-            dPi = self.evolver.slope(t, Phi, Pi)[1]
-        else:
-            dPi = self.evolver.rhs(t, Phi.copy(), Pi.copy())[1]
-        return self._projected(dPi, component)
-
-    def state(self, component, t, Phi, Pi, shared=None):
-        """SliceState of one component of the slice (t, Phi, Pi).
-
-        psi and d_t psi are projected copies; d_tt psi is evaluated from
-        Phi and Pi the first time a monitor reads it (:meth:`_psi_tt`),
-        so a state of the run's live arrays is read before the run moves
-        on.  ``shared`` is the slice cache of :class:`SliceState`, one per
-        slice.
-        """
-        return SliceState(self.geom, t, self._projected(Phi, component),
-                          self._projected(Pi, component),
-                          lambda: self._psi_tt(component, t, Phi, Pi),
-                          self.background, shared)
-
-
-def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
+def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, source_fn=None,
                schematic=None, cfl=0.45, dt=None, boundary="sommerfeld",
-               n_monitors=None, log=None, consumer=None):
-    """Advance the reduction from t1 to t2, handing each of the uniform
-    monitor slices to a consumer.
+               n_monitors=None, log=None):
+    """Advance the reduction from t1 to t2 in place in Phi and Pi, handing
+    each of the uniform monitor slices to a consumer.
 
     At t1 and at every monitor the run calls ``consumer(history, t, Phi,
-    Pi)`` with the RunHistory it returns (the evolver included) and its
-    live state, which ``history.live`` names during the run.  Without a
-    consumer it stores copies of every slice (:meth:`RunHistory.store`)
-    and advances copies of Phi0 and Pi0.  With one, Phi0 and Pi0 are the
-    live state: the run advances them in place, so during a call they
-    hold the slice at t, and after the run the final state.  A d_tt
-    that a consumer reads from the live state is the slope the next step
-    starts from; the last slice has no next step and computes its own.
+    Pi, slope)`` with the RunHistory it returns and its state: during a
+    call Phi and Pi hold the slice at t, after the run the final state.
+    ``slope()`` returns :meth:`Evolver.slope` of the slice, (d_t Phi,
+    d_t Pi) from the evolution equation; it is the first slope of the
+    next step, so a consumer reads it before it returns.  The last slice
+    has no next step and computes its own.
 
     dt is derived from the CFL number against the background lightspeed
     unless given explicitly, in which case it is validated (CFLViolation).
     """
-    rank = Phi0.ndim - 4
-    channels = Phi0.shape[-4]
     ev = Evolver(geom, background, source_fn=source_fn, schematic=schematic,
                  boundary=boundary)
     c = max_characteristic_speed(geom, background, t1)
@@ -707,15 +660,9 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
         nsteps = math.ceil(nsteps / (n_monitors - 1)) * (n_monitors - 1)
         stride = nsteps // (n_monitors - 1)
     dt = T / nsteps
-    if consumer is None:
-        consumer, Phi, Pi = RunHistory.store, Phi0.copy(), Pi0.copy()
-    else:
-        Phi, Pi = Phi0, Pi0
-    hist = RunHistory(geom=geom, background=background, rank=rank, channels=channels,
-                      times=[], fields=[], dfields=[], evolver=ev, boundary=boundary,
-                      live=(Phi, Pi))
+    hist = RunHistory(geom, background, boundary)
     t = t1
-    consumer(hist, t, Phi, Pi)
+    consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
     for k in range(nsteps):
         ev.step(t, Phi, Pi, dt)
         t = t1 + (k + 1) * dt
@@ -736,9 +683,8 @@ def evolve_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None,
                          "max_abs_pi": max_abs_pi})
                 raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
                                       f"{max_abs_pi} at t = {t}")
-            consumer(hist, t, Phi, Pi)
+            consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
     ev._release()   # the work arrays of the last monitor's d_tt evaluation
-    hist.live = None
     return hist
 
 
@@ -865,9 +811,11 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
     optional snapshots; returns (history, summary dict).
 
     Every monitor slice is consumed while the run produces it: one slice
-    state per component, built from the live state and dropped before the
-    next, gives the slice energies; the states of one slice share their
-    q-dependent arrays.  ``passes[i]`` (an energy.BudgetPass or an
+    state per component, built from projected copies of the run's state
+    and dropped before the next, gives the slice energies; d_tt of a
+    component is the projection of the run's slope, read only by a wave
+    operator, and the states of one slice share their q-dependent
+    arrays.  ``passes[i]`` (an energy.BudgetPass or an
     estimates.EstimatePass, one per leading component) is fed component
     i's state of every slice.  The history stores snapshots only for an
     estimate with a non-empty multi-index, whose Lie series difference
@@ -889,14 +837,21 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
     last = cfg["monitors"] - 1
     times, energies = [], [[] for _ in comps]   # (w, wtilde) per component and slice
 
-    def monitor(hist, t, Phi, Pi):
+    def monitor(hist, t, Phi, Pi, slope):
         if store:
             hist.store(t, Phi, Pi)
         end = not times or len(times) == last
         times.append(t)
         shared = {}
+
+        def projected(arr, comp):    # a copy, ghosts filled for stencils
+            out = project(geom, arr, comp).copy()
+            fill_ghosts_array(out, hist.ghost_mode)
+            return out
+
         for i, comp in enumerate(comps):
-            st = hist.state(comp, t, Phi, Pi, shared)
+            st = SliceState(geom, t, projected(Phi, comp), projected(Pi, comp),
+                            lambda comp=comp: projected(slope()[1], comp), bg, shared)
             energies[i].append((slice_energy(st, region, params, "w"),
                                 slice_energy(st, region, params, "wtilde")))
             if i < len(passes):
@@ -908,10 +863,10 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
     Phi, Pi = _initial_data(cfg, geom)   # the run's live state
     try:
         hist = evolve_run(
-            geom, bg, Phi, Pi, cfg["times"]["t1"], cfg["times"]["t2"],
+            geom, bg, Phi, Pi, cfg["times"]["t1"], cfg["times"]["t2"], monitor,
             schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
             boundary=cfg["boundary"], n_monitors=cfg["monitors"],
-            log=events.append, consumer=monitor)
+            log=events.append)
     finally:
         _write_events(log_path, events)
 
@@ -934,6 +889,6 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
         }
     write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
     if cfg["snapshots"]:
-        final = GridField(geom, hist.rank, hist.channels, Phi, times[-1], ghost_valid=False)
+        final = GridField(geom, Phi.ndim - 4, Phi.shape[-4], Phi, times[-1], ghost_valid=False)
         save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
     return hist, summary

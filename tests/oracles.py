@@ -1,10 +1,12 @@
 """Reference implementations that the tests compare framewave against.
 
 Two kinds live here.  Loops and helpers that framewave itself does not
-run: stored component series with the budget, flux and estimate loops
-over them and the experiment run and ``estimate`` mode that store every
-snapshot (the monitors feed ``energy.BudgetPass`` and
-``estimates.EstimatePass`` slice by slice instead), full-cube
+run: the stored run (every slice copied, d_tt of a slice from the
+right-hand side on copies), stored component series with the budget,
+flux and estimate loops over them and the experiment run and
+``estimate`` mode that store every snapshot (the monitors feed
+``energy.BudgetPass`` and ``estimates.EstimatePass`` slice by slice
+instead, with d_tt from the run's slope), full-cube
 derivatives of a slice state, point-frame contractions, grid quadrature
 of a GridField, the direct form of the commutator's left side,
 coordinate derivatives of a PolyField and the frame-gradient bound.  And
@@ -35,9 +37,10 @@ from framewave.energy import (BudgetPass, SliceState, _ball_slice, _cone_slice, 
 from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, PoleDegenerate,
                               TimeZero)
 from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
-                                 lbar_radial_residual, lie_component_series)
-from framewave.fields import (GridField, PolyField, d1_axis, d2_axis, save_snapshot,
-                              wave_operator)
+                                 lbar_radial_residual, lie_component_series,
+                                 lie_field_series)
+from framewave.fields import (GridField, PolyField, d1_axis, d2_axis, fill_ghosts_array,
+                              save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
 from framewave.poly import GaussPoly, _eval_scalars, random_poly
 from framewave.vecfields import (_FIELD_CACHE, GENERATORS, VectorFieldId, apply_to_scalar,
@@ -99,18 +102,54 @@ class ComponentSeries:
                           self.psi_t[k], lambda: self.psi_tt[k], self.background)
 
 
+@dataclass
+class StoredRun(evolve.RunHistory):
+    """A run that stored every slice, with an evolver of its equation."""
+
+    evolver: evolve.Evolver = None
+
+
+def stored_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None, schematic=None,
+               boundary="sommerfeld", **kwargs):
+    """``evolve.evolve_run`` on copies of Phi0 and Pi0 that stores every
+    slice, as the run did before it took one consumer path: the
+    reference for the streamed monitors."""
+    run = evolve.evolve_run(geom, background, Phi0.copy(), Pi0.copy(), t1, t2,
+                            lambda run, t, Phi, Pi, slope: run.store(t, Phi, Pi),
+                            source_fn=source_fn, schematic=schematic, boundary=boundary,
+                            **kwargs)
+    return StoredRun(geom, background, boundary, run.times, run.fields, run.dfields,
+                     evolve.Evolver(geom, background, source_fn=source_fn,
+                                    schematic=schematic, boundary=boundary))
+
+
+def _projected(history, arr, component):
+    """A copy of one component of arr, ghosts filled for stencils."""
+    out = evolve.project(history.geom, arr, component).copy()
+    fill_ghosts_array(out, history.ghost_mode)
+    return out
+
+
+def live_state(history, component, t, Phi, Pi, slope):
+    """The SliceState of one component of a slice that a consumer of
+    ``evolve.evolve_run`` is handed, as the run's monitor builds it."""
+    return SliceState(history.geom, t, _projected(history, Phi, component),
+                      _projected(history, Pi, component),
+                      lambda: _projected(history, slope()[1], component), history.background)
+
+
 def component_series(history, component):
     """Series of one projected component of a run's stored snapshots, built
-    as ``RunHistory.state`` builds one slice: d_tt psi from the right-hand
-    side on copies of each snapshot."""
+    as the run's monitor builds one slice, except that d_tt psi comes from
+    the right-hand side on copies of each snapshot (``Evolver.rhs``)
+    rather than from the run's slope."""
     slices = list(zip(history.times, history.fields, history.dfields))
     return ComponentSeries(
         history.geom, history.background, history.times,
-        [history._projected(F, component) for _, F, _ in slices],
-        [history._projected(P, component) for _, _, P in slices],
-        [history._psi_tt(component, t, F, P) for t, F, P in slices])
-
-
+        [_projected(history, F, component) for _, F, _ in slices],
+        [_projected(history, P, component) for _, _, P in slices],
+        [_projected(history, history.evolver.rhs(t, F.copy(), P.copy())[1], component)
+         for t, F, P in slices])
 
 
 def exterior_energy(series, t, region, params, weight="w"):
@@ -224,7 +263,7 @@ def ttr_coordinate(bundle):
 
 def lie_series(history, I, component):
     """The Lie-applied slices of ``estimates.lie_component_series`` as a series."""
-    states = lie_component_series(history, I, component)
+    states = lie_component_series(history, lie_field_series(history, I), component)
     return ComponentSeries(history.geom, history.background, history.times,
                            *([getattr(st, a) for st in states] for a in ("psi", "psi_t", "psi_tt")))
 
@@ -797,7 +836,7 @@ def history_run_experiment(cfg, out_dir, tag="", keep=None):
     log_path = os.path.join(out_dir, f"run_log{tag}.jsonl")
     events = []
     try:
-        hist = evolve.evolve_run(
+        hist = stored_run(
             geom, bg, Phi0, Pi0, cfg["times"]["t1"], cfg["times"]["t2"],
             schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
             boundary=cfg["boundary"], n_monitors=cfg["monitors"],
@@ -830,7 +869,7 @@ def history_run_experiment(cfg, out_dir, tag="", keep=None):
         }
     write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
     if cfg["snapshots"]:
-        final = GridField(geom, hist.rank, hist.channels, hist.fields[-1],
+        final = GridField(geom, Phi0.ndim - 4, Phi0.shape[-4], hist.fields[-1],
                           hist.times[-1], ghost_valid=False)
         save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
     return hist, summary, kept

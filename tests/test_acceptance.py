@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from framewave import certify, energy, estimates, evolve
 from framewave.background import BumpBackground
 from framewave.energy import ExteriorRegion, slice_energy
@@ -81,7 +82,7 @@ def _budget_run(N, bg):
     geom = GridGeometry(N, 8.0)
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.75, cfl=0.45,
+    hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.75, cfl=0.45,
                              n_monitors=N // 4 + 1)
     return component_series(hist, "scalar")
 
@@ -127,11 +128,11 @@ def _estimate_run(N, bg, region, params):
                                            q_center=-2.5, sigma=0.5)
     n_monitors, est = N // 4 + 1, estimates.EstimatePass(region, params)
 
-    def feed(hist, t, Phi, Pi):
-        est.add(hist.state("scalar", t, Phi, Pi), len(est._ts) in (0, n_monitors - 1))
+    def feed(hist, t, Phi, Pi, slope):
+        est.add(oracles.live_state(hist, "scalar", t, Phi, Pi, slope),
+                len(est._ts) in (0, n_monitors - 1))
 
-    evolve.evolve_run(geom, bg, Phi0, Pi0, 6.0, 7.0, cfl=0.45, n_monitors=n_monitors,
-                      consumer=feed)
+    evolve.evolve_run(geom, bg, Phi0, Pi0, 6.0, 7.0, feed, cfl=0.45, n_monitors=n_monitors)
     return est
 
 
@@ -243,7 +244,7 @@ def test_criterion_10_solver_verification():
     for N in (32, 64):
         geom = GridGeometry(N, np.pi)
         Phi0, Pi0, exact = evolve.plane_wave_data(geom, kvec=(1, 0, 0))
-        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 1.0,
+        hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 1.0,
                                  boundary="periodic", cfl=0.4, n_monitors=3)
         num = geom.interior(hist.fields[-1])
         ref = geom.interior(exact(hist.times[-1]))
@@ -268,7 +269,7 @@ def test_criterion_10_solver_verification():
                                  + Poly.var(1) * 0.3, center=(0, 0.5, 0), sigma=1.2)
             src = evolve.manufactured_source(comps, bg, geom)
             Phi0, Pi0 = evolve.data_from_target(geom, comps, 0.0)
-            hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.8,
+            hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.8,
                                      source_fn=src, cfl=0.4, n_monitors=3)
             ref = evolve.sample_scalars(geom, comps, hist.times[-1])
             errs2.append(float(np.sqrt(np.mean(

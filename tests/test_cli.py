@@ -334,17 +334,17 @@ def test_commutator_rejects_unknown_components(tmp_path, capsys, components):
 
 def test_estimate_builds_each_series_once(tmp_path, monkeypatch):
     # the run feeds every component's I = '' lines from its live slices;
-    # each non-empty multi-index builds one Lie series per component after
-    # the run and no base series: one state and one gradient per series
-    # and slice, and no right-hand side beyond the run's 4 per step and
-    # the last slice's d_tt
+    # each non-empty multi-index builds its Lie levels once after the run
+    # and then one Lie series per component, and no base series: one state
+    # and one gradient per series and slice, and no right-hand side beyond
+    # the run's 4 per step and the last slice's d_tt
     from framewave import estimates
 
     body = DETERMINISM_CONFIGS["estimate-rank1"]
     path = _write(tmp_path, body)
-    lie, states, grads, calls = [], collections.Counter(), collections.Counter(), []
-    series, init, dpsi4 = (estimates.lie_component_series, energy.SliceState.__init__,
-                           energy.SliceState.dpsi4)
+    levels, lie, states, grads, calls = [], [], collections.Counter(), collections.Counter(), []
+    fields, series, init, dpsi4 = (estimates.lie_field_series, estimates.lie_component_series,
+                                   energy.SliceState.__init__, energy.SliceState.dpsi4)
 
     def counted_init(self, geom, t, *args):
         states[float(t)] += 1
@@ -357,8 +357,14 @@ def test_estimate_builds_each_series_once(tmp_path, monkeypatch):
     def counted(name, fn):
         return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
+    monkeypatch.setattr(estimates, "lie_field_series",
+                        lambda hist, I: levels.append(I) or fields(hist, I))
     monkeypatch.setattr(estimates, "lie_component_series",
-                        lambda hist, I, comp: lie.append((I, comp)) or series(hist, I, comp))
+                        lambda hist, field, comp: lie.append(comp) or series(hist, field, comp))
+    monkeypatch.setattr(estimates, "_apply_lie_grid",
+                        counted("lie step", estimates._apply_lie_grid))
+    monkeypatch.setattr(estimates, "series_time_derivative",
+                        counted("d_t", estimates.series_time_derivative))
     monkeypatch.setattr(energy.SliceState, "__init__", counted_init)
     monkeypatch.setattr(energy.SliceState, "dpsi4", counted_dpsi4)
     monkeypatch.setattr(evolve.Evolver, "rhs", counted("rhs", evolve.Evolver.rhs))
@@ -366,7 +372,11 @@ def test_estimate_builds_each_series_once(tmp_path, monkeypatch):
     assert cli.main(["estimate", "--config", path, "--out", str(tmp_path / "o")]) == 0
     comps = body["components"]
     indices = [cli.parse_multi_index(text) for text in body["multi_indices"] if text]
-    assert lie == [(I, comp) for I in indices for comp in comps]
+    assert levels == indices
+    assert lie == [comp for I in indices for comp in comps]
+    # 5 slices x 4 generators; per multi-index |I| - 1 level derivatives
+    # and 2 per component (d_t psi, d_tt psi): 1 + 3 x 4 x 2
+    assert calls.count("lie step") == 20 and calls.count("d_t") == 25
     assert len(states) == body["monitors"]
     assert set(states.values()) == {len(comps) * (1 + len(indices))}
     assert grads == states

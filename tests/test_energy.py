@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from framewave import energy, evolve
 from framewave.background import BumpBackground
 from framewave.energy import (BudgetReport, ExteriorRegion, divergence_direct,
@@ -155,7 +156,7 @@ def flat_run():
     geom = GridGeometry(32, 8.0)
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.75,
+    hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.75,
                              cfl=0.45, n_monitors=9)
     return hist, component_series(hist, "scalar")
 
@@ -207,8 +208,8 @@ def test_exterior_energy_refinement_reference():
         target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.5)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
         ev = evolve.Evolver(geom, BumpBackground(0.0))
-        series = component_series(evolve.RunHistory(geom, BumpBackground(0.0), 0, 1, [0.0],
-                                                    [Phi0], [Pi0], ev), "scalar")
+        series = component_series(oracles.StoredRun(geom, BumpBackground(0.0), "sommerfeld",
+                                                    [0.0], [Phi0], [Pi0], ev), "scalar")
         vals[N] = slice_energy(series.state(0), region, PARAMS, "w")
     assert abs(vals[48] - vals[96]) <= 0.01 * vals[96]
 
@@ -293,7 +294,7 @@ def test_budget_closure_with_active_cone():
         geom = GridGeometry(N, 8.0)
         Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 6.0, amplitude=1.0,
                                                q_center=-2.5, sigma=0.5)
-        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
+        hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
                                  cfl=0.45, n_monitors=N // 4 + 1)
         series = component_series(hist, "scalar")
         rep = conservation_budget(series, region, 6.0, 6.75, params)
@@ -313,7 +314,7 @@ def test_cone_cut_surface_error_measured():
         geom = GridGeometry(N, 8.0)
         Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 6.0, amplitude=1.0,
                                                q_center=-2.5, sigma=0.5)
-        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
+        hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.75,
                                  cfl=0.45, n_monitors=N // 4 + 1)
         series = component_series(hist, "scalar")
         res.append(conservation_budget(series, region, 6.0, 6.75, params).residual)
@@ -330,7 +331,7 @@ def test_cone_flux_outgoing_nonnegative():
         geom = GridGeometry(N, 8.0)
         Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 6.0, amplitude=1.0,
                                                q_center=-2.0, sigma=0.5)
-        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.5,
+        hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 6.0, 6.5,
                                  cfl=0.45, n_monitors=N // 8 + 1)
         series = component_series(hist, "scalar")
         region = ExteriorRegion(q0=-4.0)
@@ -366,7 +367,7 @@ def test_budget_traveling_background_closes():
     bg = BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0, velocity=(0.4, 0, 0))
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
+    hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
     series = component_series(hist, "scalar")
     rep = conservation_budget(series, ExteriorRegion(q0=-2.0), 0.0, 0.6, PARAMS)
     assert rep.relative_residual < 0.15
@@ -377,7 +378,7 @@ def test_budget_small_H_closes():
     bg = BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0)
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
+    hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
     series = component_series(hist, "scalar")
     rep = conservation_budget(series, ExteriorRegion(q0=-2.0), 0.0, 0.6, PARAMS)
     assert rep.hypothesis_ok
@@ -479,7 +480,7 @@ def bump_series():
     out = {}
     for kind, velocity in (("static", (0, 0, 0)), ("traveling", (0.4, 0, 0))):
         bg = BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0, velocity=velocity)
-        hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.4, cfl=0.45, n_monitors=5)
+        hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.4, cfl=0.45, n_monitors=5)
         out[kind] = component_series(hist, "scalar")
     return out
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from framewave import estimates, evolve, vecfields
 from framewave.background import BumpBackground
 from framewave.energy import ExteriorRegion, slice_energy, trapz
@@ -8,6 +9,7 @@ from framewave.errors import FrameMismatch, HistoryMissing
 from framewave.estimates import (CommutatorBound, CommutatorIdentityRHS, CommutatorStudy,
                                  c_hat, commutator_report, energy_estimate_report,
                                  identity_residual, lbar_radial_residual, lie_component_series,
+                                 lie_field_series,
                                  project_component, series_time_derivative)
 from framewave.fields import GridGeometry, PolyField
 from framewave.poly import Poly
@@ -236,13 +238,13 @@ def small_run():
     target = evolve.gaussian_target(rank=1, channels=1, amplitude=1.0,
                                     center=(0, 0, 2.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    return evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
+    return oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
                              cfl=0.4, n_monitors=9)
 
 
 def test_lie_series_translation_exact(small_run):
     hist = small_run
-    ser = lie_component_series(hist, (TRANSLATIONS[0],), "L")
+    ser = lie_component_series(hist, lie_field_series(hist, (TRANSLATIONS[0],)), "L")
     base = component_series(hist, "L")
     k = 4
     geom = hist.geom
@@ -254,7 +256,7 @@ def test_lie_series_spatial_translation(small_run):
     # L_{Px3} series equals the stencil x3-derivative of the projection
     hist = small_run
     geom = hist.geom
-    ser = lie_component_series(hist, (TRANSLATIONS[3],), "slot1")
+    ser = lie_component_series(hist, lie_field_series(hist, (TRANSLATIONS[3],)), "slot1")
     base = component_series(hist, "slot1")
     from framewave.fields import d1_axis
     k = 4
@@ -280,13 +282,14 @@ def _report(hist, I, comp, t1, t2, region, params):
     """The package report of a stored run, its I = '' pass fed the stored
     series of the component."""
     base = estimate_pass(component_series(hist, comp), region, params)
-    return energy_estimate_report(hist, I, comp, t1, t2, base)
+    lie = lie_field_series(hist, I) if I else None
+    return energy_estimate_report(hist, I, lie, comp, t1, t2, base)
 
 
 def test_estimate_report_zero_data():
     geom = GridGeometry(12, 4.0)
     shape = (1, geom.n_full, geom.n_full, geom.n_full)
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), np.zeros(shape),
+    hist = oracles.stored_run(geom, BumpBackground(0.0), np.zeros(shape),
                              np.zeros(shape), 0.0, 0.4, cfl=0.4, n_monitors=5)
     rep = _report(hist, (), "scalar", 0.0, 0.4, ExteriorRegion(q0=float("-inf")),
                   WeightParams(0.5, -0.25))
@@ -310,7 +313,7 @@ def test_lie_series_independent_of_monitor_order():
         target = evolve.gaussian_target(rank=1, channels=1, amplitude=1.0,
                                         center=(0, 0, 2.0), sigma=1.0)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-        return evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
+        return oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
                                  cfl=0.4, n_monitors=9)
 
     fresh, used = run(), run()
@@ -320,8 +323,8 @@ def test_lie_series_independent_of_monitor_order():
         base.state(k).wave_op()
     assert all(np.array_equal(a, b) for a, b in zip(stored, used.fields + used.dfields))
     for gen in (TRANSLATIONS[3], TRANSLATIONS[0]):
-        s1 = lie_component_series(fresh, (gen,), "slot1")
-        s2 = lie_component_series(used, (gen,), "slot1")
+        s1 = lie_component_series(fresh, lie_field_series(fresh, (gen,)), "slot1")
+        s2 = lie_component_series(used, lie_field_series(used, (gen,)), "slot1")
         for name in ("psi", "psi_t", "psi_tt"):
             assert all(np.array_equal(getattr(a, name), getattr(b, name))
                        for a, b in zip(s1, s2))
@@ -340,12 +343,13 @@ def test_estimate_report_builds_one_component_series(small_run, monkeypatch):
         init(self, geom, t, *args)
 
     monkeypatch.setattr(estimates, "lie_component_series",
-                        lambda hist, I, comp: calls.append((I, comp)) or series(hist, I, comp))
+                        lambda hist, lie, comp: calls.append(comp) or series(hist, lie, comp))
     monkeypatch.setattr(estimates.SliceState, "__init__", counted_init)
-    for I, want in (((), []), ((SCALING,), [((SCALING,), "L")])):
+    for I, want in (((), []), ((SCALING,), ["L"])):
         calls.clear()
         states.clear()
-        rep = energy_estimate_report(small_run, I, "L", 0.0, 0.5, base)
+        lie = lie_field_series(small_run, I) if I else None
+        rep = energy_estimate_report(small_run, I, lie, "L", 0.0, 0.5, base)
         assert calls == want
         assert states == (list(small_run.times) if I else [])
         assert rep.terms["rhs_dHLL_tangH_dPhi_sq_wtilde"] == \
@@ -393,7 +397,7 @@ def bump_pulse_run():
     bg = BumpBackground(0.1, center=(-0.5, 0.0, 2.0), radius=3.0, velocity=(0.3, 0, 0))
     Phi0, Pi0 = evolve.outgoing_pulse_data(geom, 0.0, amplitude=1.0, q_center=-2.0,
                                            sigma=0.5)
-    return evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.5, cfl=0.45, n_monitors=6)
+    return oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.5, cfl=0.45, n_monitors=6)
 
 
 @pytest.mark.parametrize("text", ["", "S"])
@@ -402,8 +406,8 @@ def test_single_pass_estimate_equals_per_term_functions(bump_pulse_run, text):
     I = vecfields.parse_multi_index(text)
     base = component_series(hist, "scalar")
     series = lie_series(hist, I, "scalar") if I else base
-    rep = energy_estimate_report(hist, I, "scalar", 0.0, 0.5,
-                                 estimate_pass(base, region, params))
+    rep = energy_estimate_report(hist, I, lie_field_series(hist, I) if I else None, "scalar",
+                                 0.0, 0.5, estimate_pass(base, region, params))
     want = {
         "lhs_slice_t2_w": slice_energy(series.state(series.index_of(0.5)), region, params, "w"),
         "lhs_tangential_flux_what_prime": tangential_flux_integral(

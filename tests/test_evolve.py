@@ -19,7 +19,7 @@ from oracles import component_series
 def test_zero_data_stays_zero():
     geom = GridGeometry(12, 4.0)
     shape = (1, geom.n_full, geom.n_full, geom.n_full)
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), np.zeros(shape),
+    hist = oracles.stored_run(geom, BumpBackground(0.0), np.zeros(shape),
                              np.zeros(shape), 0.0, 0.5, n_monitors=5)
     for f in hist.fields:
         assert np.all(f == 0.0)
@@ -30,7 +30,7 @@ def test_plane_wave_small_grid_order():
     for N in (16, 32):
         geom = GridGeometry(N, np.pi)
         Phi0, Pi0, exact = evolve.plane_wave_data(geom, kvec=(1, 0, 0))
-        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
+        hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
                                  boundary="periodic", cfl=0.4, n_monitors=3)
         num = geom.interior(hist.fields[-1])
         ref = geom.interior(exact(hist.times[-1]))
@@ -43,7 +43,7 @@ def test_cfl_violation():
     geom = GridGeometry(12, 4.0)
     shape = (1, geom.n_full, geom.n_full, geom.n_full)
     with pytest.raises(CFLViolation):
-        evolve.evolve_run(geom, BumpBackground(0.0), np.zeros(shape),
+        oracles.stored_run(geom, BumpBackground(0.0), np.zeros(shape),
                           np.zeros(shape), 0.0, 0.5, dt=geom.dx)
 
 
@@ -58,7 +58,7 @@ def test_max_speed_flat_and_bump():
 def test_monitor_count_honored():
     geom = GridGeometry(12, 4.0)
     shape = (1, geom.n_full, geom.n_full, geom.n_full)
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), np.zeros(shape),
+    hist = oracles.stored_run(geom, BumpBackground(0.0), np.zeros(shape),
                              np.zeros(shape), 0.0, 0.5, n_monitors=6)
     assert len(hist.times) == 6
     assert np.allclose(np.diff(hist.times), hist.times[1] - hist.times[0])
@@ -145,7 +145,7 @@ def test_bad_term_run_emits_component_energies():
                                     center=(0, 0, 2.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     spec = evolve.SourceSpec(terms=("Ae_dAe", "AL_dA"))
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.4,
+    hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.4,
                              schematic=spec, cfl=0.4, n_monitors=5)
     region = energy.ExteriorRegion(q0=float("-inf"))
     params = WeightParams(0.5, -0.25)
@@ -173,9 +173,9 @@ def test_component_energies_decouple_at_initial_slice():
     pert = base.copy()
     pert += 0.5 * L_low[:, None] * np.exp(-(geom.r_full() - 2.0) ** 2)[None, None]
     ev = evolve.Evolver(geom, BumpBackground(0.0))
-    h1 = evolve.RunHistory(geom, BumpBackground(0.0), 1, 1, [0.0], [base],
+    h1 = oracles.StoredRun(geom, BumpBackground(0.0), "sommerfeld", [0.0], [base],
                            [np.zeros_like(base)], ev)
-    h2 = evolve.RunHistory(geom, BumpBackground(0.0), 1, 1, [0.0], [pert],
+    h2 = oracles.StoredRun(geom, BumpBackground(0.0), "sommerfeld", [0.0], [pert],
                            [np.zeros_like(base)], ev)
     region = energy.ExteriorRegion(q0=float("-inf"))
     params = WeightParams(0.5, -0.25)
@@ -209,7 +209,7 @@ def test_mms_convergence_single_background():
                              sigma=1.2)
         src = evolve.manufactured_source(comps, bg, geom)
         Phi0, Pi0 = evolve.data_from_target(geom, comps, 0.0)
-        hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.6, source_fn=src,
+        hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.6, source_fn=src,
                                  cfl=0.4, n_monitors=3)
         ref = evolve.sample_scalars(geom, comps, hist.times[-1])
         errs.append(float(np.sqrt(np.mean(
@@ -237,9 +237,9 @@ def test_rank2_toy_equation_same_scheme():
                                     center=(0, 0, 1.0), sigma=0.9)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     assert Phi0.shape[:2] == (4, 4)
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.4,
+    hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.4,
                              cfl=0.4, n_monitors=3)
-    assert hist.rank == 2
+    assert hist.fields[-1].shape[:2] == (4, 4)
     assert np.all(np.isfinite(hist.fields[-1]))
     for comp in ("slot01", "Lbar,Lbar", "L,e1"):
         series = component_series(hist, comp)
@@ -252,7 +252,7 @@ def test_sommerfeld_shell_stable_long_run():
     geom = GridGeometry(16, 3.0)
     target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 0), sigma=0.7)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 6.0,
+    hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 6.0,
                              cfl=0.4, n_monitors=7)
     assert np.max(np.abs(hist.fields[-1])) < 1.0  # decayed, not amplified
 
@@ -388,25 +388,41 @@ def test_run_experiment_drops_each_state_before_the_next(monkeypatch, tmp_path, 
     assert all(len(p._ts) == 3 for p in passes)
 
 
-def test_evolve_run_consumer_sees_the_stored_slices():
-    # the consumer is fed the live state that the default consumer copies
+def test_evolve_run_consumer_sees_the_stored_slices(monkeypatch):
+    # the consumer is fed the arrays the run advances in place, holding the
+    # slices that the stored run copies, and a slope equal to the
+    # right-hand side on copies of the slice, the d_tt a stored slice gets
     geom = GridGeometry(8, 4.0)
+    bg = make_background("traveling-bump", epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0,
+                         velocity=(0.3, 0.0, 0.0))
+    spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))
     target = evolve.gaussian_target(rank=1, channels=2, center=(0, 0, 1.5), sigma=0.8)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    stored = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.3, n_monitors=4)
+    stored = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.3, schematic=spec, n_monitors=4)
+    made, init = [], evolve.Evolver.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolve.Evolver, "__init__", tracked_init)
     seen = []
 
-    def consumer(hist, t, Phi, Pi):
-        assert Phi is Phi0 and Pi is Pi0 and hist.evolver.geom is geom
-        seen.append((t, Phi.copy(), Pi.copy()))
+    def consumer(hist, t, Phi, Pi, slope):
+        assert Phi is Phi0 and Pi is Pi0 and hist.geom is geom
+        F, P = Phi.copy(), Pi.copy()
+        want = stored.evolver.rhs(t, F.copy(), P.copy())
+        assert all(np.array_equal(g, w) for g, w in zip(slope(), want))
+        seen.append((t, F, P))
 
-    hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.3, n_monitors=4,
-                             consumer=consumer)
-    assert hist.times == hist.fields == hist.dfields == [] and not hist.evolver._work
+    hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.3, consumer, schematic=spec,
+                             n_monitors=4)
+    assert hist.times == hist.fields == hist.dfields == []
+    assert len(made) == 1 and not made[0]._work   # released after the last slope
     assert [t for t, _, _ in seen] == stored.times
     for (_, F, P), F_ref, P_ref in zip(seen, stored.fields, stored.dfields):
         assert np.array_equal(F, F_ref) and np.array_equal(P, P_ref)
-    assert np.array_equal(Phi0, stored.fields[-1])   # advanced in place
+    assert np.array_equal(geom.interior(Phi0), geom.interior(stored.fields[-1]))
 
 
 # --- the held first slope -------------------------------------------------
@@ -780,7 +796,7 @@ def test_static_bump_h_sources_evolve_as_with_dense_h(monkeypatch):
 
     def run():
         events = []
-        hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.4, schematic=spec,
+        hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.4, schematic=spec,
                                  cfl=0.4, n_monitors=3, log=events.append)
         series = [component_series(hist, c) for c in ("L", "Lbar", "e1")]
         return events, np.array([[energy.slice_energy(s.state(k), region, params, "w")
@@ -808,7 +824,7 @@ def test_monitor_max_abs_reads_solution_cells_only(monkeypatch, boundary):
 
     def run():
         events = []
-        hist = evolve.evolve_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.4,
+        hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.4,
                                  boundary=boundary, n_monitors=3, log=events.append)
         mons = [e["max_abs"] for e in events if e["event"] == "monitor"]
         assert len(mons) == 2

@@ -184,7 +184,7 @@ def test_non_finite_slice_energy_matches_history_loops(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind, rank, comp", [
     ("static-bump", 0, "scalar"), ("traveling-bump", 1, "e1"), ("zero", 1, "slot0")])
-def test_budget_pass_terms_equal_conservation_budget(tmp_path, kind, rank, comp):
+def test_budget_pass_terms_equal_conservation_budget(tmp_path, monkeypatch, kind, rank, comp):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
         "mode": "conserve", "grid": {"N": 10, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.3},
@@ -193,8 +193,15 @@ def test_budget_pass_terms_equal_conservation_budget(tmp_path, kind, rank, comp)
     cfg = cli.parse_config(str(cfg_path))
     _, _, params, region = evolve.setup_experiment(cfg)
     budget = energy.BudgetPass(region, params)
-    hist = evolve.run_experiment(cfg, str(tmp_path), passes=[budget])[0]
-    assert not hist.evolver._work   # released after the last slice's d_tt
+    made, init = [], evolve.Evolver.__init__
+
+    def tracked_init(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(evolve.Evolver, "__init__", tracked_init)
+    evolve.run_experiment(cfg, str(tmp_path), passes=[budget])
+    assert len(made) == 1 and not made[0]._work   # released after the last slice's d_tt
     got = budget.report(0.0, 0.3)
     want = conservation_budget(component_series(history_run_experiment(cfg, str(tmp_path))[0],
                                                 comp), region, 0.0, 0.3, params)
@@ -302,10 +309,11 @@ def test_estimate_report_leaves_stored_snapshots_unchanged(tmp_path, boundary):
     base = estimates.EstimatePass(region, params)
     hist = evolve.run_experiment(cfg, str(tmp_path), passes=[base])[0]
     stored = [a.tobytes() for a in hist.fields + hist.dfields]
-    assert hist.live is None and len(stored) == 2 * body["monitors"]
+    assert len(stored) == 2 * body["monitors"]
     for text in body["multi_indices"]:
-        rep = estimates.energy_estimate_report(hist, parse_multi_index(text), "scalar",
-                                               0.0, 0.3, base)
+        I = parse_multi_index(text)
+        lie = estimates.lie_field_series(hist, I) if I else None
+        rep = estimates.energy_estimate_report(hist, I, lie, "scalar", 0.0, 0.3, base)
         assert all(math.isfinite(v) for v in rep.terms.values())
     assert [a.tobytes() for a in hist.fields + hist.dfields] == stored
 
