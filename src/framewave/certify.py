@@ -4,16 +4,22 @@ Each check measures a residual (or a best constant) on a seeded family of
 exact fields and sample points and compares against a fixed tolerance.
 The suite is the machine-precision backbone behind the grid experiments:
 if these pass, the algebra wired into the energy and commutator
-evaluators is the algebra the estimates are about.
+evaluators is the algebra the estimates are about.  The checks are
+independent, so the suite spreads them over every usable core
+(``_fork_map``); each check draws from its own seed, so the results do
+not depend on which process ran it.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import energy, estimates, vecfields, weights
+from .errors import FramewaveError, WorkerLost
 from .fields import PolyField
 from .geometry import frame_arrays
 from .poly import random_poly
@@ -48,6 +54,80 @@ def sample_points(rng, n, tmin=-2.0, tmax=2.0, box=3.0, rmin=0.5, chart_z=False)
             pts[k] = cand
             k += 1
     return pts
+
+
+def _fork_map(fn, items):
+    """``[fn(item) for item in items]``, spread over every usable core.
+
+    This process and ``min(len(items), cores) - 1`` workers started with
+    fork each claim the next unclaimed item until none is left; the
+    results come back in item order.  An exception raised in a worker is
+    raised here with its own type and message, and a worker that ends
+    without sending its results raises ``WorkerLost``.  Every worker is
+    joined before this returns, and terminated first on error.  With
+    fewer than two items or one usable core it is a plain loop here.
+    Workers are forked so that they start with this process's imports,
+    caches and inputs: only the results and errors are pickled.
+    """
+    n_workers = min(len(items), len(os.sched_getaffinity(0))) - 1
+    if n_workers < 1:
+        return [fn(item) for item in items]
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    claimed = ctx.Value("q", 0)
+
+    def claim():
+        with claimed.get_lock():
+            k = claimed.value
+            claimed.value = k + 1
+        return k
+
+    def work(conn):
+        done = {}
+        try:
+            while (k := claim()) < len(items):
+                done[k] = fn(items[k])
+        except Exception as exc:
+            try:
+                conn.send(("error", exc))
+            except Exception:   # pickling failed, so nothing was written
+                conn.send(("error", FramewaveError(f"{type(exc).__name__}: {exc}")))
+        else:
+            conn.send(("done", done))
+
+    results, procs, readers = {}, [], []
+    try:
+        for _ in range(n_workers):
+            # each pipe is made just before its worker, and this process
+            # closes the sending end at once, so a worker that dies is
+            # the only holder and its end reads as EOF
+            reader, writer = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            procs.append(ctx.Process(target=work, args=(writer,), daemon=True))
+            procs[-1].start()
+            writer.close()
+        while (k := claim()) < len(items):
+            results[k] = fn(items[k])
+        for conn in readers:
+            try:
+                status, payload = conn.recv()
+            except EOFError:
+                raise WorkerLost("a worker process ended without sending "
+                                 "its results") from None
+            if status == "error":
+                raise payload
+            results.update(payload)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in readers:
+            conn.close()
+    return [results[k] for k in range(len(items))]
 
 
 def _random_H(rng, degree=2, scale=1):
@@ -222,18 +302,23 @@ def check_decay_inequalities(seed=31, n_fields=6, n_pts=400):
 
 
 def run_suite(seed=1234, fast=False):
-    """Run every certification check; returns a list of CheckResult."""
+    """Run every certification check; returns a list of CheckResult in
+    the order below.  The checks run on every usable core, heaviest
+    first, so this process starts on the commutator identity while a
+    worker takes the null-frame rewriting, then the rest."""
     pairs = 10 if fast else 50
-    results = [
-        check_weight_lemmas(seed=seed),
-        check_gradient_decomposition(seed=seed + 1),
-        check_nullframe_rewriting(seed=seed + 2, n_inputs=20 if fast else 100),
-        check_divergence_identity(seed=seed + 3, n_fields=4 if fast else 10),
-        check_commutator_identity(seed=seed + 4, n_pairs=pairs,
-                                  max_order=2 if fast else 3),
-        check_slash_representations(seed=seed + 5, n_pts=200 if fast else 1000),
-        check_eA_expansions(seed=seed + 6, n_pts=50 if fast else 200),
-        check_jacobi(),
-        check_decay_inequalities(seed=seed + 7, n_fields=3 if fast else 6),
+    checks = [
+        partial(check_weight_lemmas, seed=seed),
+        partial(check_gradient_decomposition, seed=seed + 1),
+        partial(check_nullframe_rewriting, seed=seed + 2, n_inputs=20 if fast else 100),
+        partial(check_divergence_identity, seed=seed + 3, n_fields=4 if fast else 10),
+        partial(check_commutator_identity, seed=seed + 4, n_pairs=pairs,
+                max_order=2 if fast else 3),
+        partial(check_slash_representations, seed=seed + 5, n_pts=200 if fast else 1000),
+        partial(check_eA_expansions, seed=seed + 6, n_pts=50 if fast else 200),
+        check_jacobi,
+        partial(check_decay_inequalities, seed=seed + 7, n_fields=3 if fast else 6),
     ]
-    return results
+    heaviest_first = (4, 2, 8, 7, 3, 1, 0, 5, 6)
+    done = dict(zip(heaviest_first, _fork_map(lambda k: checks[k](), heaviest_first)))
+    return [done[k] for k in range(len(checks))]

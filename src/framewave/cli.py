@@ -11,6 +11,11 @@ config and seed give bit-identical CSV/JSON outputs on one platform: all
 randomness flows through one recorded 64-bit seed and no wall-clock data
 enters any artifact.
 
+``certify`` and ``commutator`` spread their independent items (the nine
+checks; the multi-indices, with every input drawn here first) over every
+usable core with ``certify._fork_map``, and their reports are the same
+bytes as a one-core run.  The grid modes run in one thread.
+
 Multi-index grammar (the "multi_indices" entries): a comma-separated list
 of generator tokens applied left-to-right as written, leftmost outermost.
 Tokens:  S  |  Zab with 0 <= a < b <= 3 (e.g. Z01, Z12)  |  P <axis> with
@@ -209,12 +214,17 @@ def parse_config(path):
              "background.center/velocity and data.center/kvec need 3 entries")]:
         if not ok:
             raise ConstraintError(problem)
+    _multi_indices(cfg)
+    return cfg
+
+
+def _multi_indices(cfg):
+    """Every multi-index of the config, parsed; a bad one raises
+    ConstraintError before any of them is used."""
     try:
-        for text in cfg["multi_indices"]:
-            parse_multi_index(text)
+        return [parse_multi_index(text) for text in cfg["multi_indices"]]
     except ValueError as exc:
         raise ConstraintError(f"multi_indices: {exc}") from exc
-    return cfg
 
 
 def _refine_list(N, k):
@@ -274,7 +284,7 @@ def mode_evolve(cfg, out_dir):
 
 
 def mode_estimate(cfg, out_dir):
-    indices = [parse_multi_index(text) for text in cfg["multi_indices"]]
+    indices = _multi_indices(cfg)
     if any(indices) and cfg["monitors"] < 5:
         raise ConstraintError("a non-empty multi-index needs monitors >= 5: its Lie series "
                               "is differenced in time over 5 snapshots")
@@ -301,20 +311,24 @@ def mode_commutator(cfg, out_dir):
             raise ConstraintError(f"commutator component {comp!r} is not one of "
                                   f"{', '.join(FULL_NAMES)}")
     rng = np.random.default_rng(cfg["seed"])
-    reports = []
-    for text in cfg["multi_indices"]:
-        I = parse_multi_index(text)
+    inputs = []   # every draw here, in multi-index order, before any study
+    for I in _multi_indices(cfg):
         H = PolyField.random(rng, rank=2, channels=1, degree=2, nterms=3,
                              variance=("u", "u"), symmetric=True).scale(0.05)
         phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
         pts = certify_mod.sample_points(rng, 200, tmin=1.0, tmax=3.0, rmin=0.5)
         pts = pts[np.abs(pts[:, 3]) <= 0.85 * np.linalg.norm(pts[:, 1:], axis=1)]
+        inputs.append((I, H, phi, pts))
+
+    def study_reports(item):   # every component's report of one multi-index
+        I, H, phi, pts = item
         study = estimates.CommutatorStudy(H, phi, I)
-        for V in cfg["components"]:
-            frame_set = "U" if V == "Lbar" else "T"
-            rep = estimates.commutator_report(H, phi, I, V, pts, frame_set=frame_set,
-                                              study=study)
-            reports.append(rep.to_json())
+        return [estimates.commutator_report(H, phi, I, V, pts,
+                                            frame_set="U" if V == "Lbar" else "T",
+                                            study=study).to_json()
+                for V in cfg["components"]]
+
+    reports = [rep for reps in certify_mod._fork_map(study_reports, inputs) for rep in reps]
     energy.write_json(os.path.join(out_dir, "commutator.json"),
                       {"reports": reports, "seed": cfg["seed"]})
     return 0

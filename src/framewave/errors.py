@@ -37,6 +37,10 @@ class NotProportional(FramewaveError):
     """A Lie derivative of the inverse flat metric failed the proportionality check."""
 
 
+class WorkerLost(FramewaveError):
+    """A worker process ended without sending its results."""
+
+
 class SchemaError(FramewaveError):
     """Configuration file violates the published schema."""
 

@@ -403,7 +403,7 @@ def random_poly(rng, degree=2, nterms=4, time_dependent=True):
     c = {}
     for _ in range(nterms):
         while True:
-            k = tuple(int(e) for e in rng.integers(0, degree + 1, size=4))
+            k = tuple(rng.integers(0, degree + 1, size=4).tolist())
             if sum(k) <= degree and (time_dependent or k[0] == 0):
                 break
         v = int(rng.integers(-3, 4))

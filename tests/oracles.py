@@ -16,7 +16,8 @@ null frame, the exact wave operator, the decay check's tangential loop,
 the per-point ``Point``/``Frame`` generator representations of slash-d_i
 and e_A with the two certify checks that ran them, the manufactured
 source that read its H terms off the direction matrix, and the Lie
-step's generator coefficients evaluated from the exact field), kept as
+step's generator coefficients evaluated from the exact field, and the
+exponent draw of ``random_poly`` one ``int`` at a time), kept as
 they were so that tests can require the kernels to agree with them bit
 for bit.
 """
@@ -42,7 +43,7 @@ from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
 from framewave.fields import (GridField, PolyField, d1_axis, d2_axis, fill_ghosts_array,
                               save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
-from framewave.poly import GaussPoly, _eval_scalars, random_poly
+from framewave.poly import GaussPoly, Poly, _eval_scalars, random_poly
 from framewave.vecfields import (_FIELD_CACHE, GENERATORS, VectorFieldId, apply_to_scalar,
                                  lie_multi, parse_multi_index)
 from framewave.weights import w_tilde, w_tilde_prime
@@ -895,3 +896,17 @@ def mode_estimate(cfg, out_dir):
     write_json(os.path.join(out_dir, "estimate.json"), {"reports": reports, "seed": cfg["seed"]})
     return 0
 
+
+def random_poly_int_keys(rng, degree=2, nterms=4, time_dependent=True):
+    """``poly.random_poly`` as it was, building each exponent key with one
+    ``int()`` per drawn element."""
+    c = {}
+    for _ in range(nterms):
+        while True:
+            k = tuple(int(e) for e in rng.integers(0, degree + 1, size=4))
+            if sum(k) <= degree and (time_dependent or k[0] == 0):
+                break
+        v = int(rng.integers(-3, 4))
+        if v:
+            c[k] = c.get(k, 0) + v
+    return Poly({k: v for k, v in c.items() if v})

@@ -1,12 +1,15 @@
 import collections
 import json
+import multiprocessing
+import os
+import time
 
 import jsonschema
 import pytest
 
-from framewave import cli, energy, evolve
+from framewave import certify, cli, energy, estimates, evolve
 from framewave.background import make_background
-from framewave.errors import ConstraintError, SchemaError
+from framewave.errors import ConstraintError, KinkPoint, SchemaError
 from framewave.fields import GridGeometry
 
 
@@ -487,3 +490,101 @@ def test_off_grid_bump_evolves_exactly_as_flat(tmp_path, family):
     bump = make_background(family, epsilon=0.2, center=(20.0, 0.0, 0.0), radius=3.0)
     assert not bump.is_flat()
     assert evolve.max_characteristic_speed(GridGeometry(12, 4.0), bump, 0.0) == 1.0
+
+
+CHECKS = ("check_weight_lemmas", "check_gradient_decomposition", "check_nullframe_rewriting",
+          "check_divergence_identity", "check_commutator_identity",
+          "check_slash_representations", "check_eA_expansions", "check_jacobi",
+          "check_decay_inequalities")
+
+
+def _raise(exc):
+    def failure():
+        raise exc
+    return failure
+
+
+@pytest.mark.parametrize("failure, rc, message", [
+    (_raise(ConstraintError("bad check input")), 2, "config error: bad check input"),
+    (_raise(KinkPoint("at the kink")), 4, "runtime failure: KinkPoint: at the kink"),
+    (lambda: os._exit(9), 4, "runtime failure: WorkerLost"),
+])
+def test_certify_worker_failure_exit_codes(tmp_path, capsys, monkeypatch, failure, rc,
+                                           message):
+    """A check that fails in a forked worker ends certify with the exit code
+    the same failure gives in one process, and leaves no process behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, claimed = os.getpid(), tmp_path / "claimed"
+
+    def check(**kwargs):   # in this process: wait until a worker has claimed a check
+        if os.getpid() != parent:
+            claimed.touch()
+            failure()
+        deadline = time.monotonic() + 30
+        while not claimed.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return certify.CheckResult("stub", 0.0, 0.0, True)
+
+    for name in CHECKS:
+        monkeypatch.setattr(certify, name, check)
+    out = tmp_path / "out"
+    path = _write(tmp_path, {"mode": "certify", "certify": {"fast": True}})
+    assert cli.main(["certify", "--config", path, "--out", str(out)]) == rc
+    assert message in capsys.readouterr().err
+    assert not (out / "certify.json").exists()
+    assert multiprocessing.active_children() == []
+
+
+SERIAL_FORKED_CONFIGS = {
+    "certify-fast": {"mode": "certify", "certify": {"fast": True}},
+    "certify-full": {"mode": "certify"},
+    "commutator-0": {"mode": "commutator", "multi_indices": [], "components": ["L"]},
+    "commutator-1": {"mode": "commutator", "multi_indices": ["Z12,S"],
+                     "components": ["L", "Lbar"]},
+    "commutator-3": {"mode": "commutator", "multi_indices": ["Z01,S", "P x2,Z03", "Z12,Z02"],
+                     "components": ["L", "e1", "Lbar"]},
+}
+
+
+@pytest.mark.parametrize("name", SERIAL_FORKED_CONFIGS)
+def test_serial_and_forked_runs_are_byte_identical(tmp_path, capsys, monkeypatch, name):
+    body = SERIAL_FORKED_CONFIGS[name]
+    path = _write(tmp_path, body)
+    runs = {}
+    for cores in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
+        out = tmp_path / str(len(cores))
+        assert cli.main([body["mode"], "--config", path, "--out", str(out),
+                         "--seed", "77"]) == 0
+        runs[len(cores)] = ((out / f"{body['mode']}.json").read_bytes(),
+                            capsys.readouterr().out)
+    assert runs[1] == runs[2]
+    if body["mode"] == "certify":
+        lines = runs[2][1].splitlines()
+        assert len(lines) == len(CHECKS) and len(set(lines)) == len(lines)
+        assert all(line.startswith("[PASS] ") for line in lines)
+    else:
+        assert len(json.loads(runs[2][0])["reports"]) == \
+            len(body["multi_indices"]) * len(body["components"])
+
+
+def test_bad_multi_index_exits_2_before_any_study(tmp_path, capsys, monkeypatch):
+    """The generator token Q does not exist: the run stops before S is
+    studied and before any worker starts, from the config and from the
+    mode alike."""
+    def never(*args, **kwargs):
+        raise AssertionError("reached past the multi-index check")
+
+    monkeypatch.setattr(estimates, "CommutatorStudy", never)
+    monkeypatch.setattr(certify, "_fork_map", never)
+    body = {"mode": "commutator", "multi_indices": ["S", "Q"], "components": ["L"]}
+    out = tmp_path / "out"
+    assert cli.main(["commutator", "--config", _write(tmp_path, body), "--out", str(out)]) == 2
+    assert "'Q'" in capsys.readouterr().err
+    assert not (out / "commutator.json").exists()
+
+    cfg = cli.parse_config(_write(tmp_path, {**body, "multi_indices": ["S"]}, name="ok.json"))
+    cfg["multi_indices"] = ["S", "Q"]
+    with pytest.raises(ConstraintError, match="'Q'"):
+        cli.mode_commutator(cfg, str(out))
+    assert not (out / "commutator.json").exists()

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from framewave import poly as poly_mod
 from framewave.fields import PolyField
 from framewave.poly import GaussPoly, Poly, RadPoly, measure_order, random_poly
+from oracles import random_poly_int_keys
 
 
 def test_basic_arithmetic_and_diff():
@@ -90,6 +91,20 @@ def test_gausspoly_envelope_mismatch_rejected():
     b = GaussPoly(Poly.var(1), sigma=2.0)
     with pytest.raises(ValueError):
         a + b
+
+
+@pytest.mark.parametrize("opts", [{}, {"degree": 3, "nterms": 5}, {"degree": 1, "nterms": 2},
+                                  {"degree": 3, "nterms": 4, "time_dependent": False}])
+def test_random_poly_keeps_the_int_key_draws(opts):
+    """Same draws, same Python-int keys in the same dict order, and the
+    generator left in the same state after every draw."""
+    for seed in range(50):
+        new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got, want = random_poly(new_rng, **opts), random_poly_int_keys(old_rng, **opts)
+            assert list(got.c.items()) == list(want.c.items())
+            assert all(type(e) is int for k in got.c for e in k)
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
 def test_measure_order():
