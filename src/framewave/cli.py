@@ -323,10 +323,7 @@ def mode_commutator(cfg, out_dir):
     def study_reports(item):   # every component's report of one multi-index
         I, H, phi, pts = item
         study = estimates.CommutatorStudy(H, phi, I)
-        return [estimates.commutator_report(H, phi, I, V, pts,
-                                            frame_set="U" if V == "Lbar" else "T",
-                                            study=study).to_json()
-                for V in cfg["components"]]
+        return [estimates.commutator_report(study, V, pts) for V in cfg["components"]]
 
     reports = [rep for reps in certify_mod._fork_map(study_reports, inputs) for rep in reps]
     energy.write_json(os.path.join(out_dir, "commutator.json"),

@@ -29,10 +29,6 @@ class NonFiniteResult(FramewaveError):
     """A monitored field or slice energy is inf or NaN."""
 
 
-class FrameMismatch(FramewaveError):
-    """Frame component incompatible with the requested frame set."""
-
-
 class NotProportional(FramewaveError):
     """A Lie derivative of the inverse flat metric failed the proportionality check."""
 

@@ -16,26 +16,27 @@ floating point at the sample points, so the residual sits at roundoff.
 
 The decoupled bound regroups the same data into three term families:
 lower-order wave terms, (1+t+|q|)^-1-weighted full components, and
-(1+|q|)^-1-weighted terms that reference only H_LL and the tangential
-components of phi.  Sums over abstract index sizes are realized over the
-subsequence lattice of I (single-generator extensions included, which is
-what the (|K|-1)_+ bookkeeping absorbs); both that convention and the
-inner |M| <= |K|+1 convention are evaluated and reported.
-
-Term evaluations are independent per sample point and per splitting;
-reports are immutable once assembled.
+(1+|q|)^-1-weighted terms that reference only H_LL and the components of
+one frame set of phi (the tangential L, e1, e2, or all four for Lbar).
+Sums over abstract index sizes are realized over the subsequence lattice
+of I (single-generator extensions included, which is what the (|K|-1)_+
+bookkeeping absorbs); both that convention and the inner |M| <= |K|+1
+convention are evaluated and reported.  One CommutatorStudy computes both
+the expansion and the bound.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .energy import SliceState, _tangential_slice, slice_energy, trapz
-from .errors import FrameMismatch, HistoryMissing, PoleDegenerate, TimeZero
+from .errors import HistoryMissing, PoleDegenerate, TimeZero
 from .evolve import project
-from .fields import PolyField, d1_axis, fill_ghosts_array, tangential_norm_sq, wave_operator
+from .fields import (PolyField, d1_axis, fill_ghosts_array, quadrature_masked,
+                     tangential_norm_sq, wave_operator)
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, Poly, RadPoly
 from .vecfields import (_JAC_CACHE, GENERATORS, VectorFieldId, _norm_at, lie_lattice,
@@ -87,26 +88,22 @@ def project_component(phi: PolyField, name):
     return PolyField(0, phi.channels, comps)
 
 
-_CHAT_CACHE = {}
-
-
+@functools.cache
 def c_hat(I):
     """Runtime-extracted factor with L_{Z^I} m^{-1} = c_hat(I) m^{-1}."""
-    key = tuple(I)
-    if key not in _CHAT_CACHE:
-        _CHAT_CACHE[key] = lie_minkowski_inverse_factor(key)
-    return _CHAT_CACHE[key]
+    return lie_minkowski_inverse_factor(I)
 
 
 class CommutatorStudy:
-    """Exact factors shared by the frame components of one (H, phi, I).
+    """The commutator expansion and the decoupled bound of one (H, phi, I).
 
     The gradients of L_{Z^s} phi (key None) and of each projected
     L_{Z^s} phi_c (key c) grow from one Lie lattice per field, which keeps
-    only the entries a longer sequence can extend; L_{Z^s} H_low, its H_LL
-    scalar and the current component's boxes are built once too.  Factor
-    norms are kept for the last point batch.  The commutator mode keeps
-    one study per multi-index.
+    only the entries a longer sequence can extend; L_{Z^s} H_low and its
+    H_LL scalar are built once too, and every frame component of the
+    study shares them, while the boxes are kept for one component at a
+    time.  Factor norms are kept for the last point batch.  The
+    commutator mode keeps one study per multi-index.
     """
 
     def __init__(self, H, phi, I):
@@ -119,6 +116,13 @@ class CommutatorStudy:
         self.K_set = sorted(k_exts, key=lambda s: (len(s), tuple(g.name for g in s)))
         self._lattices = {"H": {(): H.lower_all()}} if H is not None else {}
         self._built, self._batch = {}, (np.empty((0, 4)), {})
+        # the expansion's terms chat(I1) m dd L_{Z^I2} phi and
+        # chat(I5) chat(I6) (L_{Z^I4} H_low) . dd L_{Z^I2} phi
+        self._flat_terms = [(c_hat(I1), I2) for I1, I2 in splittings(self.I, 2)
+                            if I2 != self.I and c_hat(I1)]
+        self._h_terms = [] if H is None else [
+            (c_hat(I5) * c_hat(I6), I2, I4) for I2, I4, I5, I6 in splittings(self.I, 4)
+            if I2 != self.I and c_hat(I5) * c_hat(I6)]
 
     def _grads(self, key, seqs):
         """Build d L_{Z^s} phi (key None) or d L_{Z^s} phi_key for s in seqs."""
@@ -168,57 +172,37 @@ class CommutatorStudy:
                 norms[f] = np.abs(vals[:, 0]) if f[0] == "LL" else _norm_at(vals)
         return norms
 
+    def expansion(self, pts, V=None):
+        """(lhs, signed sum, summed term magnitudes) of the commutator at
+        pts, each (n, channels), for phi_V, the component V of phi, or phi
+        itself for V None.
 
-class CommutatorIdentityRHS:
-    """Evaluator for the exact expansion of the commutator.
-
-    Takes the gradients of L_{Z^s} phi and L_{Z^s} H_low over the
-    subsequences of I from a CommutatorStudy, its own or a shared one
-    (phi is then the component V, whose boxes the bound also reads);
-    the frame contraction happens per point batch.
-    """
-
-    def __init__(self, H, phi, I, study=None, V=None):
-        st = study if study is not None else CommutatorStudy(H, phi, I)
-        self.I, self.channels = st.I, phi.channels
-        st._grads(V, st.subs)
-        self._hess = {s: st._factor("grad", V, s).gradient() for s in st.subs}
-        self._hlow = {s: st._factor("H", None, s) for s in st.subs} if H is not None else {}
-        self._box = {s: st._factor("box", V, s, h) for s, h in self._hess.items()}
-        self._flat = []
-        for I1, I2 in splittings(self.I, 2):
-            if I2 == self.I:
-                continue
-            c = c_hat(I1)
-            if c:
-                self._flat.append((c, I2))
-        self._hterms = []
-        if H is not None:
-            for I2, I4, I5, I6 in splittings(self.I, 4):
-                if I2 == self.I:
-                    continue
-                c56 = c_hat(I5) * c_hat(I6)
-                if c56:
-                    self._hterms.append((c56, I2, I4))
-
-    def _accumulate(self, pts):
-        """Signed sum and summed term magnitudes of the expansion at pts,
-        from one evaluation of every Hessian and H factor."""
+        The lhs L_{Z^I}(g dd phi_V) - g dd (L_{Z^I} phi_V) is exact on
+        polynomial scalars, from the boxes of the expansion; the frame
+        contraction of its terms happens on the batch, from one evaluation
+        of every Hessian and H factor.  The Hessians are dropped on return;
+        the boxes stay for the bound of V.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        self._grads(V, self.subs)
+        hess = {s: self._factor("grad", V, s).gradient() for s in self.subs}
+        hlow = {s: self._factor("H", None, s) for s in self.subs} if self.H is not None else {}
+        box = {s: self._factor("box", V, s, h) for s, h in hess.items()}
+        lhs = (lie_multi(self.I, box[()]) - box[self.I]).eval(pts)
         n = pts.shape[0]
         fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])
         L = fr["L"].T
         Lb = fr["Lbar"].T
         eA = [fr["e1"].T, fr["e2"].T]
-        hess_ev = {s: h.eval(pts) for s, h in self._hess.items()}  # (n,4,4,ch)
-        hlow_ev = {s: h.eval(pts)[..., 0] for s, h in self._hlow.items()}  # (n,4,4)
-        signed = np.zeros((n, self.channels))
-        magnitude = np.zeros((n, self.channels))
-        for c, I2 in self._flat:
+        hess_ev = {s: h.eval(pts) for s, h in hess.items()}  # (n,4,4,ch)
+        hlow_ev = {s: h.eval(pts)[..., 0] for s, h in hlow.items()}  # (n,4,4)
+        signed = np.zeros((n, self.phi.channels))
+        magnitude = np.zeros((n, self.phi.channels))
+        for c, I2 in self._flat_terms:
             term = float(c) * np.einsum("ab,nabc->nc", MINKOWSKI_INV, hess_ev[I2])
             signed += term
             magnitude += np.abs(term)
-        for c56, I2, I4 in self._hterms:
+        for c56, I2, I4 in self._h_terms:
             Hl = hlow_ev[I4]
             Hs = hess_ev[I2]
             H_LL = np.einsum("nm,nk,nmk->n", L, L, Hl)
@@ -239,203 +223,103 @@ class CommutatorIdentityRHS:
                 parts.append(np.einsum("nb,nbc->nc", H_e_up, he))
             signed += float(c56) * sum(parts)
             magnitude += abs(float(c56)) * sum(np.abs(p) for p in parts)
-        return signed, magnitude
+        return lhs, signed, magnitude
 
-    def eval(self, pts):
-        return self._accumulate(pts)[0]
+    def bound(self, pts, V):
+        """{convention: {family: (n,) values}} of the decoupled bound of
+        component V at pts, for the "collapsed" and "nested" conventions.
 
-    def _exact_lhs(self):
-        """L_{Z^I}(g dd phi) - g dd (L_{Z^I} phi), exact on polynomial
-        scalars, with g dd phi and g dd L_{Z^I} phi the expansion's boxes."""
-        return lie_multi(self.I, self._box[()]) - self._box[self.I]
+        K ranges over the subsequences of I and their single-generator
+        extensions, J over the subsequences.  "collapsed" pairs (J, K)
+        with |J| + (|K|-1)_+ <= |I|; "nested" sums |M| <= |K|+1 inside
+        each (J, K) with |J|+|K| <= |I|, |K| < |I|.  Both read one set of
+        factor norms.  The flat family reads V's own boxes
+        g dd L_{Z^K} phi_V.  The dangerous (1+|q|)^-1 family reads only
+        H_LL and the gradients of the components of V's frame set: all
+        four for Lbar, the tangential L, e1, e2 otherwise.
+        """
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        names = FULL_NAMES if V == "Lbar" else TANGENTIAL_NAMES
+        top = len(self.I)
+        flat = [("box", V, K) for K in self.subs if len(K) < top]
+        factors = list(flat)
+        pairs = {"collapsed": [], "nested": []}
+        if self.H is not None:
+            for c in (None,) + names:
+                self._grads(c, self.K_set)
+                factors += [("grad", c, K) for K in self.K_set]
+            factors += [(w, None, J) for J in self.subs for w in ("H", "LL")]
+            pairs["collapsed"] = [(J, K) for J in self.subs for K in self.K_set
+                                  if len(J) + ksize_plus(len(K)) <= top]
+            pairs["nested"] = [(J, M) for J in self.subs for K in self.subs
+                               if len(J) + len(K) <= top and len(K) < top
+                               for M in [K] + [K + (g,) for g in GENERATORS]]
+        for f in factors:
+            self._factor(*f)
+        q = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1)) - pts[:, 0]
+        wt, wq = 1.0 / (1.0 + pts[:, 0] + np.abs(q)), 1.0 / (1.0 + np.abs(q))
+        norms = self._norms(pts, factors)
+        flat_fam = np.zeros(len(pts))
+        for f in flat:
+            flat_fam += norms[f]
+        out = {}
+        for convention, conv_pairs in pairs.items():
+            t_fam = np.zeros(len(pts))
+            q_fam = np.zeros(len(pts))
+            for J, K in conv_pairs:
+                t_fam += norms["H", None, J] * norms["grad", None, K]
+                comp_sum = np.zeros(len(pts))
+                for name in names:
+                    comp_sum += norms["grad", name, K]
+                q_fam += norms["LL", None, J] * comp_sum
+            out[convention] = {"flat": flat_fam, "t_weighted": wt * t_fam,
+                               "q_weighted": wq * q_fam}
+        return out
 
 
-def identity_residual(H, phi, I, pts):
-    """Relative residual |LHS - RHS| over a point batch.
-
-    The scale is the larger of the two sides and the summed magnitude of
-    the expansion's individual terms, so exact cancellations are certified
-    relative to the size of what cancels rather than to zero.
-    """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    rhs = CommutatorIdentityRHS(H, phi, I)
-    return _relative_residual(rhs._exact_lhs().eval(pts), rhs, pts)
-
-
-def _relative_residual(lhs, rhs_eval, pts):
-    """identity_residual from the evaluated lhs and the expansion."""
-    rhs, magnitude = rhs_eval._accumulate(pts)
+def _relative_residual(lhs, rhs, magnitude):
+    """max |lhs - rhs| over the larger of the two sides and the summed
+    magnitude of the expansion's terms."""
     scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)),
                 np.max(magnitude, initial=0.0), 1e-30)
     return float(np.max(np.abs(lhs - rhs)) / scale)
 
 
-# ---------------------------------------------------------------------------
-# Decoupled bound evaluator
+def identity_residual(H, phi, I, pts):
+    """Relative residual |LHS - RHS| of the commutator expansion of phi
+    over a point batch.
 
-
-@dataclass(frozen=True)
-class BoundTerm:
-    family: str            # "flat" | "t_weighted" | "q_weighted"
-    J: tuple                # applied to the perturbation factor
-    K: tuple                # applied to the field factor
-    h_component: str        # "none" | "full" | "LL"
-    phi_components: tuple   # component names read by the field factor
-
-
-class CommutatorBound:
-    """Pointwise evaluator of the decoupled commutator bound.
-
-    Families are enumerated over the subsequence lattice of I: K ranges
-    over subsequences and their single-generator extensions (capped at
-    |K| <= |I|), J over subsequences, constrained by
-    |J| + (|K|-1)_+ <= |I| (the "collapsed" convention).  The alternative
-    bookkeeping sums |M| <= |K|+1 inside each (J, K) with |J|+|K| <= |I|,
-    |K| < |I| ("nested" convention); both are evaluated from the same
-    factor norms.
-
-    Factors come from a CommutatorStudy.  Shared by all components: the
-    gradients of L_{Z^K} phi and L_{Z^K} phi_c, L_{Z^J} H_low, H_LL and
-    their norms.  Per component: the flat family's boxes g dd L_{Z^K} phi_V.
-
-    The dangerous (1+|q|)^-1 family reads only the LL component of the
-    perturbation and tangential components of the field, recorded term by
-    term in ``terms`` for structural inspection.
+    The scale is the larger of the two sides and the summed magnitude of
+    the expansion's individual terms, so exact cancellations are certified
+    relative to the size of what cancels rather than to zero.
     """
-
-    def __init__(self, H, phi, I, V, frame_set="T", study=None):
-        self.I = tuple(I)
-        self.V = V
-        allowed = TANGENTIAL_NAMES if frame_set == "T" else FULL_NAMES
-        if V not in allowed:
-            raise FrameMismatch(f"component {V!r} not in frame set {frame_set!r}")
-        self.frame_set = frame_set
-        self.component_set = allowed
-        self.H = H
-        self.study = study if study is not None else CommutatorStudy(H, phi, I)
-        subs, self.K_set = self.study.subs, self.study.K_set
-
-        # Factors, built now -------------------------------------------------
-        self._flat = [("box", V, K) for K in subs if len(K) < len(self.I)]
-        self._factors = list(self._flat)
-        if H is not None:
-            for c in (None,) + self.component_set:
-                self.study._grads(c, self.K_set)
-                self._factors += [("grad", c, K) for K in self.K_set]
-            self._factors += [(w, None, J) for J in subs for w in ("H", "LL")]
-        for f in self._factors:
-            self.study._factor(*f)
-
-        # Term table ("collapsed" convention pairs) -------------------------
-        self.terms = []
-        for K in subs:
-            if len(K) < len(self.I):
-                self.terms.append(BoundTerm("flat", (), K, "none", (V,)))
-        self.pairs = []
-        if H is not None:
-            for J in subs:
-                for K in self.K_set:
-                    if len(J) + ksize_plus(len(K)) <= len(self.I) and len(K) <= len(self.I):
-                        self.pairs.append((J, K))
-                        self.terms.append(BoundTerm("t_weighted", J, K, "full", ("all",)))
-                        self.terms.append(
-                            BoundTerm("q_weighted", J, K, "LL", tuple(self.component_set)))
-
-    def _weights(self, pts):
-        r = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1))
-        q = r - pts[:, 0]
-        return 1.0 / (1.0 + pts[:, 0] + np.abs(q)), 1.0 / (1.0 + np.abs(q))
-
-    def family_values(self, pts, convention="collapsed"):
-        """Dict of family -> (n,) arrays under the requested convention."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if convention not in ("collapsed", "nested"):
-            raise ValueError(f"unknown convention {convention!r}")
-        wt, wq = self._weights(pts)
-        norms = self.study._norms(pts, self._factors)
-        flat = np.zeros(len(pts))
-        for f in self._flat:
-            flat += norms[f]
-        t_fam = np.zeros(len(pts))
-        q_fam = np.zeros(len(pts))
-        if self.H is not None:
-            if convention == "collapsed":
-                pairs = self.pairs
-            else:
-                subs = self.study.subs
-                pairs = [(J, M) for J in subs for K in subs
-                         if len(J) + len(K) <= len(self.I) and len(K) < len(self.I)
-                         for M in [K] + [K + (g,) for g in GENERATORS]]
-            for J, K in pairs:
-                t_fam += norms["H", None, J] * norms["grad", None, K]
-                comp_sum = np.zeros(len(pts))
-                for name in self.component_set:
-                    comp_sum += norms["grad", name, K]
-                q_fam += norms["LL", None, J] * comp_sum
-        return {"flat": flat, "t_weighted": wt * t_fam, "q_weighted": wq * q_fam}
-
-    def eval(self, pts, convention="collapsed"):
-        fams = self.family_values(pts, convention)
-        return fams["flat"] + fams["t_weighted"] + fams["q_weighted"]
+    return _relative_residual(*CommutatorStudy(H, phi, I).expansion(pts))
 
 
-@dataclass
-class CommutatorReport:
-    """Measured data for one (H, phi, I, V) commutator study."""
-
-    I_names: tuple
-    V: str
-    lhs_sup: float
-    lhs_l2: float
-    identity_residual: float
-    bound_value_sup: float
-    implied_constant: float
-    implied_constant_nested: float
-    n_points: int
-
-    def to_json(self):
-        return {
-            "multi_index": list(self.I_names),
-            "component": self.V,
-            "lhs_sup": self.lhs_sup,
-            "lhs_l2": self.lhs_l2,
-            "identity_residual": self.identity_residual,
-            "bound_value_sup": self.bound_value_sup,
-            "implied_constant": self.implied_constant,
-            "implied_constant_nested": self.implied_constant_nested,
-            "n_points": self.n_points,
-        }
-
-
-def commutator_report(H, phi, I, V, pts, frame_set="T", study=None):
-    """Exact lhs, identity residual, and measured bound constants at points;
-    pass one CommutatorStudy of (H, phi, I) to share factors across V."""
+def commutator_report(study, V, pts):
+    """The commutator.json report of component V of a study: the exact
+    lhs, its identity residual and the measured bound constants at pts."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    study = study if study is not None else CommutatorStudy(H, phi, I)
-    rhs = CommutatorIdentityRHS(H, phi, I, study=study, V=V)
-    lhs = rhs._exact_lhs().eval(pts)
+    lhs, rhs, magnitude = study.expansion(pts, V)
     lhs_vals = np.sqrt(np.sum(lhs ** 2, axis=1))
-    ident = _relative_residual(lhs, rhs, pts)
-    del rhs  # the bound needs the boxes, not the Hessians
-    bound = CommutatorBound(H, phi, I, V, frame_set=frame_set, study=study)
-    bvals = bound.eval(pts)
-    bvals_nested = bound.eval(pts, convention="nested")
+    bounds = {convention: fams["flat"] + fams["t_weighted"] + fams["q_weighted"]
+              for convention, fams in study.bound(pts, V).items()}
 
     def implied(bv):
         ok = bv > 1e-12 * max(1.0, float(np.max(bv, initial=0.0)))
         return float(np.max(lhs_vals[ok] / bv[ok])) if ok.any() else 0.0
 
-    return CommutatorReport(
-        I_names=tuple(g.name for g in I),
-        V=V,
-        lhs_sup=float(np.max(lhs_vals)),
-        lhs_l2=float(np.sqrt(np.mean(lhs_vals ** 2))),
-        identity_residual=ident,
-        bound_value_sup=float(np.max(bvals)),
-        implied_constant=implied(bvals),
-        implied_constant_nested=implied(bvals_nested),
-        n_points=len(pts),
-    )
+    return {
+        "multi_index": [g.name for g in study.I],
+        "component": V,
+        "lhs_sup": float(np.max(lhs_vals)),
+        "lhs_l2": float(np.sqrt(np.mean(lhs_vals ** 2))),
+        "identity_residual": _relative_residual(lhs, rhs, magnitude),
+        "bound_value_sup": float(np.max(bounds["collapsed"])),
+        "implied_constant": implied(bounds["collapsed"]),
+        "implied_constant_nested": implied(bounds["nested"]),
+        "n_points": len(pts),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -649,18 +533,20 @@ class EstimateReport:
         return self.lhs_total / rhs if rhs > 0 else float("inf")
 
     def to_json(self):
-        out = {
+        """The estimate.json entry; an implied constant with a zero right
+        side is written as null, which strict JSON can hold and inf not."""
+        constant = self.implied_constant
+        return {
             "multi_index": list(self.I_names),
             "component": self.component,
             "t1": self.t1,
             "t2": self.t2,
-            "implied_constant": self.implied_constant,
+            "implied_constant": constant if np.isfinite(constant) else None,
             "lhs_total": self.lhs_total,
             "rhs_total": self.rhs_total,
             "terms": {k: {"value": v, "label": ESTIMATE_TERM_LABELS[k]}
                       for k, v in self.terms.items()},
         }
-        return out
 
 
 def _H_frame_arrays(state: SliceState):
@@ -726,11 +612,7 @@ class EstimatePass:
         dpsi = np.sqrt(dpsi_sq)
         tang = np.sqrt(geom.interior(st.tangential_norm_sq()))
         H_LL, H_frob, dH_LL, tangH, dH_frob = _H_frame_arrays(st)
-        dx3 = geom.dx ** 3
-
-        def quad(arr):
-            return float(np.sum(arr[mask]) * dx3)
-
+        quad = functools.partial(quadrature_masked, geom, mask=mask)
         vals = self._vals
         vals["rhs_HLL_dPsi_sq_wtilde_prime"].append(quad(H_LL * dpsi ** 2 * wtp))
         vals["rhs_H_tang_dPsi_wtilde_prime"].append(quad(H_frob * tang * dpsi * wtp))

@@ -38,9 +38,6 @@ from .poly import Poly, _eval_scalars
 
 GHOST = 2
 
-VARIANCE_DOWN = "d"
-VARIANCE_UP = "u"
-
 
 class InnerProduct:
     """Channel-wise Euclidean pairing; positive definite and symmetric."""

@@ -547,7 +547,7 @@ def g_box(H, phi):
 def commutator_exact_lhs(H, phi, I):
     """L_{Z^I}(g dd phi) - g dd (L_{Z^I} phi), exact on polynomial scalars,
     with both wave operators taken directly from phi: the reference for
-    ``CommutatorIdentityRHS._exact_lhs``, which reads them from the
+    the lhs of ``CommutatorStudy.expansion``, which reads them from the
     expansion's boxes."""
     I = tuple(I)
     return lie_multi(I, g_box(H, phi)) - g_box(H, lie_multi(I, phi))

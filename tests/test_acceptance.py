@@ -190,14 +190,15 @@ def test_criterion_8_decoupled_bound():
     for k, spacing in enumerate((0.35, 0.25)):
         pts = _lattice_points(spacing)
         if k == 0:
-            rep = estimates.commutator_report(H, phi, I, "L", pts)
-            assert rep.identity_residual <= 1e-10
-            consts.append(rep.implied_constant)
+            rep = estimates.commutator_report(estimates.CommutatorStudy(H, phi, I), "L", pts)
+            assert rep["identity_residual"] <= 1e-10
+            consts.append(rep["implied_constant"])
         else:
             phi_L = estimates.project_component(phi, "L")
             lhs = commutator_exact_lhs(H, phi_L, I).eval(pts)
             lv = np.sqrt(np.sum(lhs ** 2, axis=1))
-            bv = estimates.CommutatorBound(H, phi, I, "L").eval(pts)
+            fams = estimates.CommutatorStudy(H, phi, I).bound(pts, "L")["collapsed"]
+            bv = fams["flat"] + fams["t_weighted"] + fams["q_weighted"]
             ok = bv > 1e-12 * np.max(bv)
             consts.append(float(np.max(lv[ok] / bv[ok])))
     stable = abs(consts[1] - consts[0]) / consts[0] <= 0.20
@@ -214,8 +215,8 @@ def test_criterion_8_decoupled_bound():
         comps[mu, 0] = phi.comps[mu, 0] + Lflat[mu] * (Poly.var(2) + 1) * 0.6
     phi2 = PolyField(1, 1, comps)
     pts = _lattice_points(0.7)
-    f1 = estimates.CommutatorBound(H, phi, I, "L").family_values(pts)
-    f2 = estimates.CommutatorBound(H, phi2, I, "L").family_values(pts)
+    f1 = estimates.CommutatorStudy(H, phi, I).bound(pts, "L")["collapsed"]
+    f2 = estimates.CommutatorStudy(H, phi2, I).bound(pts, "L")["collapsed"]
     scale = max(1.0, float(np.max(f1["q_weighted"])))
     decoupled = np.max(np.abs(f1["q_weighted"] - f2["q_weighted"])) / scale <= 1e-12
     changed = np.max(np.abs(

@@ -418,6 +418,28 @@ def test_estimate_mode_small(tmp_path):
     assert "implied_constant" in rep and rep["terms"]
 
 
+def test_estimate_zero_right_side_writes_strict_json(tmp_path):
+    """Zero data: every right-side line is 0, so no implied constant
+    exists.  The file holds null there, which a strict parser reads."""
+    path = _write(tmp_path, {
+        "mode": "estimate",
+        "grid": {"N": 12, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.3},
+        "data": {"family": "zero"},
+        "monitors": 5,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["estimate", "--config", path, "--out", str(out)]) == 0
+
+    def reject(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    payload = json.loads((out / "estimate.json").read_text(), parse_constant=reject)
+    rep = payload["reports"][0]
+    assert rep["rhs_total"] == 0.0
+    assert rep["implied_constant"] is None
+
+
 def test_snapshot_emission(tmp_path):
     path = _write(tmp_path, {
         "mode": "evolve",

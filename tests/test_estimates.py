@@ -5,9 +5,9 @@ import oracles
 from framewave import estimates, evolve, vecfields
 from framewave.background import BumpBackground
 from framewave.energy import ExteriorRegion, slice_energy, trapz
-from framewave.errors import FrameMismatch, HistoryMissing
-from framewave.estimates import (CommutatorBound, CommutatorIdentityRHS, CommutatorStudy,
-                                 c_hat, commutator_report, energy_estimate_report,
+from framewave.errors import HistoryMissing
+from framewave.estimates import (CommutatorStudy, c_hat, commutator_report,
+                                 energy_estimate_report,
                                  identity_residual, lbar_radial_residual, lie_component_series,
                                  lie_field_series,
                                  project_component, series_time_derivative)
@@ -59,9 +59,10 @@ def test_exact_lhs_scaling_double_evaluation(rng):
         None, lie_multi((SCALING,), phi))
     assert (lhs.comps[0] - manual.comps[0]).is_zero()
     # and equals the chat-weighted flat term: -2 * box(phi)
-    rhs = CommutatorIdentityRHS(None, phi, (SCALING,))
     pts = sample_points(np.random.default_rng(0), 10)
-    assert np.allclose(lhs.eval(pts), rhs.eval(pts), rtol=1e-12, atol=1e-12)
+    study_lhs, rhs, _ = CommutatorStudy(None, phi, (SCALING,)).expansion(pts)
+    assert np.allclose(lhs.eval(pts), study_lhs, rtol=1e-12, atol=1e-12)
+    assert np.allclose(lhs.eval(pts), rhs, rtol=1e-12, atol=1e-12)
     assert np.allclose(lhs.eval(pts)[:, 0], -2 * box.eval(pts)[:, 0],
                        rtol=1e-12, atol=1e-12)
 
@@ -79,48 +80,72 @@ def test_identity_random(order, rng):
 def test_identity_scaling_squared_flat_coefficient(rng):
     # I = (S, S): the flat-term coefficients come from chat = 4 at I2 = ()
     phi = PolyField.random(rng, rank=0, channels=1, degree=2, nterms=3)
-    rhs = CommutatorIdentityRHS(None, phi, (SCALING, SCALING))
-    flat_cs = sorted(float(c) for c, _ in rhs._flat)
+    study = CommutatorStudy(None, phi, (SCALING, SCALING))
+    flat_cs = sorted(float(c) for c, _ in study._flat_terms)
     assert flat_cs == [-2.0, -2.0, 4.0]  # two single-S splits and one double
 
 
 def test_bound_flat_only_flat_family(rng):
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
-    b = CommutatorBound(None, phi, (Z12, SCALING), "L")
     pts = sample_points(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
-    fams = b.family_values(pts)
-    assert np.all(fams["t_weighted"] == 0.0)
-    assert np.all(fams["q_weighted"] == 0.0)
-    assert np.any(fams["flat"] != 0.0)
+    for fams in CommutatorStudy(None, phi, (Z12, SCALING)).bound(pts, "L").values():
+        assert np.all(fams["t_weighted"] == 0.0)
+        assert np.all(fams["q_weighted"] == 0.0)
+        assert np.any(fams["flat"] != 0.0)
 
 
 def test_bound_zero_field(rng):
     H = _random_H(rng, 0.1)
     phi = PolyField.zero(rank=1, channels=1)
-    b = CommutatorBound(H, phi, (SCALING,), "L")
     pts = sample_points(rng, 10, chart_z=True)
-    assert np.max(b.eval(pts)) == 0.0
+    for fams in CommutatorStudy(H, phi, (SCALING,)).bound(pts, "L").values():
+        assert all(np.max(v) == 0.0 for v in fams.values())
 
 
-def test_bound_frame_mismatch(rng):
-    phi = PolyField.random(rng, rank=1, channels=1, degree=1, nterms=2)
-    with pytest.raises(FrameMismatch):
-        CommutatorBound(None, phi, (SCALING,), "Lbar", frame_set="T")
-    CommutatorBound(None, phi, (SCALING,), "Lbar", frame_set="U")
+def _plus_XX(H, f, X):
+    """H^{ab} + f X^a X^b for a vector field X given by 4 Polys."""
+    comps = np.empty(H.shape, dtype=object)
+    for mu, nu in np.ndindex(4, 4):
+        comps[mu, nu, 0] = H.comps[mu, nu, 0] + f * X[mu] * X[nu]
+    return PolyField(2, 1, comps, H.variance)
+
+
+@pytest.mark.parametrize("V", ["L", "e1", "Lbar"])
+def test_bound_h_side_decoupling(rng, V):
+    """The (1+|q|)^-1 family reads H only through H_LL.  X = Z12's field
+    (0, x2, -x1, 0) has L_mu X^mu = 0 and commutes with Z12 and S, so
+    adding f X X to H leaves H_LL of every L_{Z^J} H_low for J in the
+    subsequences of (Z12, S) unchanged, and the family with it, while the
+    (1+t+|q|)^-1 family, which reads all of H, moves.  The radial field
+    (0, x1, x2, x3) has L_mu X^mu = r, and there the family moves too."""
+    H = _random_H(rng, 0.05)
+    phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
+    I = (Z12, SCALING)
+    pts = sample_points(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
+    x1, x2, x3 = Poly.var(1), Poly.var(2), Poly.var(3)
+    f = (Poly.const(1.0) + x3 * 0.5) * 0.05
+    rotation = [Poly.zero(), x2, -x1, Poly.zero()]
+    radial = [Poly.zero(), x1, x2, x3]
+    base = CommutatorStudy(H, phi, I).bound(pts, V)
+
+    def change(X, family):
+        """Relative change of ``family`` under each convention."""
+        fams = CommutatorStudy(_plus_XX(H, f, X), phi, I).bound(pts, V)
+        return [np.max(np.abs(fams[c][family] - base[c][family]))
+                / np.max(np.abs(base[c][family])) for c in base]
+
+    assert max(change(rotation, "q_weighted")) <= 1e-12
+    assert min(change(rotation, "t_weighted")) > 1e-2
+    assert min(change(radial, "q_weighted")) > 1e-2
 
 
 def test_bound_structural_decoupling(rng):
+    """An Lbar-only data perturbation leaves the (1+|q|)^-1 family of L
+    unchanged: it reads the tangential components only."""
     from framewave.poly import RadPoly
 
     H = _random_H(rng, 0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
-    # term table: the q-weighted family reads only H_LL and tangential parts
-    b = CommutatorBound(H, phi, (Z12, SCALING), "L")
-    for t in b.terms:
-        if t.family == "q_weighted":
-            assert t.h_component == "LL"
-            assert set(t.phi_components) <= {"L", "e1", "e2"}
-    # numeric: an Lbar-only data perturbation leaves the family unchanged
     w = Poly.var(1) + 2
     Lflat = [RadPoly.from_poly(Poly.const(-1))] + [
         RadPoly({(1, 0, 0): Poly.var(i)}) for i in (1, 2, 3)]
@@ -129,8 +154,8 @@ def test_bound_structural_decoupling(rng):
         comps[mu, 0] = phi.comps[mu, 0] + Lflat[mu] * w * 0.7
     phi2 = PolyField(1, 1, comps)
     pts = sample_points(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
-    f1 = b.family_values(pts)
-    f2 = CommutatorBound(H, phi2, (Z12, SCALING), "L").family_values(pts)
+    f1 = CommutatorStudy(H, phi, (Z12, SCALING)).bound(pts, "L")["collapsed"]
+    f2 = CommutatorStudy(H, phi2, (Z12, SCALING)).bound(pts, "L")["collapsed"]
     scale = max(1.0, float(np.max(f1["q_weighted"])))
     assert np.max(np.abs(f1["q_weighted"] - f2["q_weighted"])) / scale <= 1e-12
     dl = project_component(phi, "Lbar").eval(pts) - project_component(phi2, "Lbar").eval(pts)
@@ -141,15 +166,12 @@ def test_commutator_report(rng):
     H = _random_H(rng, 0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     pts = sample_points(rng, 80, tmin=1.0, tmax=3.0, chart_z=True)
-    rep = commutator_report(H, phi, (Z01,), "L", pts)
-    assert rep.identity_residual <= 1e-10
-    assert np.isfinite(rep.implied_constant)
-    assert np.isfinite(rep.implied_constant_nested)
-    js = rep.to_json()
-    assert js["component"] == "L" and js["multi_index"] == ["Z01"]
-
-
-COMPONENTS = [("L", "T"), ("e1", "T"), ("e2", "T"), ("Lbar", "U"), ("L", "U")]
+    rep = commutator_report(CommutatorStudy(H, phi, (Z01,)), "L", pts)
+    assert rep["identity_residual"] <= 1e-10
+    assert np.isfinite(rep["implied_constant"])
+    assert np.isfinite(rep["implied_constant_nested"])
+    assert rep["component"] == "L" and rep["multi_index"] == ["Z01"]
+    assert rep["n_points"] == len(pts)
 
 
 @pytest.mark.parametrize("scale", [None, 0.05])
@@ -159,20 +181,19 @@ def test_shared_study_matches_fresh_reports(rng, scale):
     I = (Z01, SCALING)
     pts = sample_points(rng, 40, tmin=1.0, tmax=3.0, chart_z=True)
     study = CommutatorStudy(H, phi, I)
-    for V, fs in COMPONENTS:
-        shared = commutator_report(H, phi, I, V, pts, frame_set=fs, study=study)
-        fresh = commutator_report(H, phi, I, V, pts, frame_set=fs)
-        assert shared.to_json() == fresh.to_json(), V
-        for conv in ("collapsed", "nested"):
-            a = CommutatorBound(H, phi, I, V, fs, study=study).family_values(pts, conv)
-            b = CommutatorBound(H, phi, I, V, fs).family_values(pts, conv)
-            assert all(np.array_equal(a[f], b[f]) for f in a), (V, conv)
+    for V in ("L", "e1", "e2", "Lbar"):
+        fresh = CommutatorStudy(H, phi, I)
+        assert commutator_report(study, V, pts) == commutator_report(fresh, V, pts), V
+        shared, own = study.bound(pts, V), fresh.bound(pts, V)
+        assert list(shared) == ["collapsed", "nested"]
+        for conv, a in shared.items():
+            assert all(np.array_equal(a[f], own[conv][f]) for f in a), (V, conv)
         # the flat family reads this component's own boxes
         flat = np.zeros(len(pts))
         for K in ((), (SCALING,), (Z01,)):
             box = g_box(H, lie_multi(K, project_component(phi, V))).eval(pts)
             flat += np.sqrt(np.sum(box ** 2, axis=1))
-        assert np.array_equal(a["flat"], flat), V
+        assert np.array_equal(shared["collapsed"]["flat"], flat), V
 
 
 def test_study_builds_each_lie_derivative_once(rng, monkeypatch):
@@ -187,8 +208,8 @@ def test_study_builds_each_lie_derivative_once(rng, monkeypatch):
     monkeypatch.setattr(vecfields, "lie_derivative",
                         lambda g, T: calls.append(g) or lie(g, T))
     study = CommutatorStudy(H, phi, I)
-    for V, fs in (("L", "T"), ("e1", "T"), ("Lbar", "U")):
-        commutator_report(H, phi, I, V, pts, frame_set=fs, study=study)
+    for V in ("L", "e1", "Lbar"):
+        commutator_report(study, V, pts)
     # one lattice over the K set for phi, L, e1, e2 and Lbar, one over the
     # subsequences for H_low, and the outer L_{Z^I} of each exact lhs
     lattice_entries = 5 * (len(study.K_set) - 1) + (len(study.subs) - 1)
@@ -295,6 +316,9 @@ def test_estimate_report_zero_data():
                   WeightParams(0.5, -0.25))
     assert all(v == 0.0 for v in rep.terms.values())
     assert rep.to_json()["terms"]["rhs_slice_t1_wtilde"]["value"] == 0.0
+    # no right side: the property stays inf, the JSON entry is null
+    assert rep.implied_constant == float("inf")
+    assert rep.to_json()["implied_constant"] is None
 
 
 def test_estimate_report_labels_cover_terms(small_run):

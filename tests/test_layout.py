@@ -8,6 +8,10 @@ belongs in ``tests/`` (see ``oracles``).  The allow-list holds the API
 that the ROADMAP names (``manufactured_source``, ``data_from_target``),
 the reader of the ``final_state.bin`` snapshots (``load_snapshot``) and
 ``w_prime``, a member of the weight family.
+
+A second check asks that every error class of ``errors.py`` is raised by
+some ``raise`` in the package; an import or an ``except`` clause alone
+does not keep a class that nothing can raise any more.
 """
 
 import ast
@@ -64,3 +68,32 @@ def test_every_public_name_is_used_in_the_package():
 def test_allowed_names_are_still_defined():
     names = {node.name for _, node in _public_definitions()}
     assert ALLOWED <= names
+
+
+def _raised_names(tree):
+    """Names of what the ``raise`` statements of a module raise: the class
+    called or named, bare or as a module attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+            elif isinstance(exc, ast.Attribute):
+                yield exc.attr
+
+
+def unraised_errors():
+    """Subclasses of FramewaveError in errors.py that no ``raise`` in the
+    package raises: an error class whose last raiser is gone."""
+    subclasses = {"FramewaveError"}
+    for cls in ast.parse((SRC / "errors.py").read_text()).body:
+        if isinstance(cls, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in subclasses for b in cls.bases):
+            subclasses.add(cls.name)
+    raised = {name for path in SRC.glob("*.py")
+              for name in _raised_names(ast.parse(path.read_text()))}
+    return sorted(subclasses - {"FramewaveError"} - raised)
+
+
+def test_every_error_class_is_raised_in_the_package():
+    assert unraised_errors() == []
