@@ -67,7 +67,9 @@ def _fork_map(fn, items):
     joined before this returns, and terminated first on error.  With
     fewer than two items or one usable core it is a plain loop here.
     Workers are forked so that they start with this process's imports,
-    caches and inputs: only the results and errors are pickled.
+    caches and inputs: only the results and errors are pickled.  Its
+    callers are ``run_suite`` (the checks), ``cli.mode_commutator`` (the
+    multi-indices) and ``cli.mode_conserve`` (the resolutions).
     """
     n_workers = min(len(items), len(os.sched_getaffinity(0))) - 1
     if n_workers < 1:

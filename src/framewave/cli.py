@@ -14,7 +14,10 @@ enters any artifact.
 ``certify`` and ``commutator`` spread their independent items (the nine
 checks; the multi-indices, with every input drawn here first) over every
 usable core with ``certify._fork_map``, and their reports are the same
-bytes as a one-core run.  The grid modes run in one thread.
+bytes as a one-core run.  ``conserve`` spreads its resolutions the same
+way, each run writing its own tagged files, and assembles its report in
+N order.  A single grid run (``evolve``, ``estimate``, one resolution of
+``conserve``) runs in one thread.
 
 Multi-index grammar (the "multi_indices" entries): a comma-separated list
 of generator tokens applied left-to-right as written, leftmost outermost.
@@ -253,16 +256,18 @@ def mode_conserve(cfg, out_dir, refine=3):
     if not cfg["components"]:
         raise ConstraintError("conserve needs one component")
     _, bg0, params, region = evolve.setup_experiment(cfg)
-    residuals, rows = [], []
-    for N in Ns:
+
+    def budget_at(N):   # one resolution: its run's files, its residual and terms
         sub = json.loads(json.dumps(cfg))
         sub["grid"]["N"] = N
         budget = energy.BudgetPass(region, params)   # fed the first component's slices
         run_experiment(sub, out_dir, tag=f"_N{N}", passes=[budget])
         rep = budget.report(cfg["times"]["t1"], cfg["times"]["t2"])
-        residuals.append(rep.residual)
-        for term, val in rep.terms().items():
-            rows.append((N, term, val))
+        return rep.residual, rep.terms()
+
+    # largest N first: the finest run takes longest and bounds the wall
+    budgets = certify_mod._fork_map(budget_at, Ns[::-1])[::-1]
+    residuals = [residual for residual, _ in budgets]
     hs = [2.0 * cfg["grid"]["X"] / N for N in Ns]
     order = measure_order(hs, residuals)
     sup_H = bg0.sup_abs()
@@ -272,7 +277,8 @@ def mode_conserve(cfg, out_dir, refine=3):
                "seed": cfg["seed"]}
     energy.write_json(os.path.join(out_dir, "conserve.json"), payload)
     energy.write_series_csv(os.path.join(out_dir, "budget_terms.csv"),
-                            [(float(n), term, val) for n, term, val in rows])
+                            [(float(N), term, val) for N, (_, terms) in zip(Ns, budgets)
+                             for term, val in terms.items()])
     print(f"budget residual order: {order:.3f} over N = {Ns}")
     return 0
 

@@ -682,7 +682,7 @@ def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, source_fn=None,
                          "quantity": "fields", "max_abs": max_abs,
                          "max_abs_pi": max_abs_pi})
                 raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
-                                      f"{max_abs_pi} at t = {t}")
+                                      f"{max_abs_pi} at t = {t} on the N = {geom.N} grid")
             consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
     ev._release()   # the work arrays of the last monitor's d_tt evaluation
     return hist
@@ -878,7 +878,8 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
                 events.append({"event": "non_finite", "t": float(t),
                                "quantity": f"{comp}:slice_energy"})
                 _write_events(log_path, events)
-                raise NonFiniteResult(f"slice energy of {comp} is not finite at t = {t}")
+                raise NonFiniteResult(f"slice energy of {comp} is not finite at t = {t} "
+                                      f"on the N = {geom.N} grid")
             rows.append((t, f"{comp}:slice_energy_w", e_w))
             rows.append((t, f"{comp}:slice_energy_wtilde", e_wt))
         e_ws = [e_w for e_w, _ in values]

@@ -9,7 +9,7 @@ import pytest
 
 from framewave import certify, cli, energy, estimates, evolve
 from framewave.background import make_background
-from framewave.errors import ConstraintError, KinkPoint, SchemaError
+from framewave.errors import ConstraintError, KinkPoint, NonFiniteResult, SchemaError
 from framewave.fields import GridGeometry
 
 
@@ -191,18 +191,22 @@ def test_conserve_keeps_one_log_per_resolution(tmp_path):
 
 def test_conserve_builds_one_state_per_slice(tmp_path, monkeypatch):
     # the budget is fed while the run goes: no series, one state per
-    # resolution and slice
-    states = collections.Counter()
+    # resolution and slice.  The resolutions run in forked workers, which
+    # inherit the wrapper; each state is logged to a file they share.
+    log = tmp_path / "states"
     init = energy.SliceState.__init__
 
     def counted(self, geom, t, *args):
-        states[geom.N, float(t)] += 1
+        with open(log, "a") as fh:
+            fh.write(f"{geom.N} {float(t)!r}\n")
         init(self, geom, t, *args)
 
     monkeypatch.setattr(energy.SliceState, "__init__", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
     assert cli.main(["conserve", "--config", path, "--out", str(tmp_path / "o"),
                      "--refine", "2"]) == 0
+    states = collections.Counter(log.read_text().splitlines())
     assert len(states) == 2 * DETERMINISM_CONFIGS["conserve"]["monitors"]
     assert set(states.values()) == {1}
 
@@ -557,37 +561,102 @@ def test_certify_worker_failure_exit_codes(tmp_path, capsys, monkeypatch, failur
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("bad", ["smallest", "largest"])
+def test_conserve_failing_resolution_exits_4(tmp_path, capfd, monkeypatch, bad):
+    """A resolution whose slice energy is not finite ends conserve with
+    exit 4, no traceback from any process and the grid N in the message,
+    whether a worker ran it (the smallest N: the largest is claimed first,
+    as a rule by this process) or this process did (the largest N).  The
+    other resolution starts only once the failing one has."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    Ns = cli._refine_list(DETERMINISM_CONFIGS["conserve"]["grid"]["N"], 2)
+    N_bad = Ns[0] if bad == "smallest" else Ns[-1]
+    started, run, slice_energy = tmp_path / "started", cli.run_experiment, evolve.slice_energy
+
+    def gated(cfg, out_dir, tag="", passes=()):
+        if cfg["grid"]["N"] == N_bad:
+            started.touch()
+        deadline = time.monotonic() + 30
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        return run(cfg, out_dir, tag=tag, passes=passes)
+
+    def marked(st, region, params, weight="w"):
+        return float("nan") if st.geom.N == N_bad else slice_energy(st, region, params, weight)
+
+    monkeypatch.setattr(cli, "run_experiment", gated)
+    monkeypatch.setattr(evolve, "slice_energy", marked)
+    out = tmp_path / "out"
+    path = _write(tmp_path, {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]})
+    assert cli.main(["conserve", "--config", path, "--out", str(out),
+                     "--refine", "2"]) == 4
+    assert capfd.readouterr().err == (
+        f"runtime failure: NonFiniteResult: slice energy of scalar is not finite at "
+        f"t = 0.0 on the N = {N_bad} grid\n")
+    assert not (out / "conserve.json").exists()
+    assert not (out / "budget_terms.csv").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("mode", ["evolve", "estimate"])
+def test_single_run_modes_never_fork(tmp_path, monkeypatch, mode):
+    # one grid run is one item: it runs here, never through the fork map
+    def never(*args, **kwargs):
+        raise AssertionError(f"{mode} reached the fork map")
+
+    monkeypatch.setattr(certify, "_fork_map", never)
+    path = _write(tmp_path, {"mode": mode, **DETERMINISM_CONFIGS[mode]})
+    assert cli.main([mode, "--config", path, "--out", str(tmp_path / "o")]) == 0
+
+
 SERIAL_FORKED_CONFIGS = {
-    "certify-fast": {"mode": "certify", "certify": {"fast": True}},
-    "certify-full": {"mode": "certify"},
-    "commutator-0": {"mode": "commutator", "multi_indices": [], "components": ["L"]},
-    "commutator-1": {"mode": "commutator", "multi_indices": ["Z12,S"],
-                     "components": ["L", "Lbar"]},
-    "commutator-3": {"mode": "commutator", "multi_indices": ["Z01,S", "P x2,Z03", "Z12,Z02"],
-                     "components": ["L", "e1", "Lbar"]},
+    "certify-fast": ({"mode": "certify", "certify": {"fast": True}}, ()),
+    "certify-full": ({"mode": "certify"}, ()),
+    "commutator-0": ({"mode": "commutator", "multi_indices": [], "components": ["L"]}, ()),
+    "commutator-1": ({"mode": "commutator", "multi_indices": ["Z12,S"],
+                      "components": ["L", "Lbar"]}, ()),
+    "commutator-3": ({"mode": "commutator", "multi_indices": ["Z01,S", "P x2,Z03", "Z12,Z02"],
+                      "components": ["L", "e1", "Lbar"]}, ()),
+    # three resolutions on two cores: the process that finishes first claims the third
+    "conserve-2": ({"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]},
+                   ("--refine", "2")),
+    "conserve-3": ({"mode": "conserve", **DETERMINISM_CONFIGS["conserve"]},
+                   ("--refine", "3")),
 }
 
 
 @pytest.mark.parametrize("name", SERIAL_FORKED_CONFIGS)
 def test_serial_and_forked_runs_are_byte_identical(tmp_path, capsys, monkeypatch, name):
-    body = SERIAL_FORKED_CONFIGS[name]
+    """Every file of the output directory, and stdout, are the same bytes
+    on one core and on two."""
+    body, extra = SERIAL_FORKED_CONFIGS[name]
     path = _write(tmp_path, body)
     runs = {}
     for cores in ({0}, {0, 1}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cores=cores: cores)
         out = tmp_path / str(len(cores))
         assert cli.main([body["mode"], "--config", path, "--out", str(out),
-                         "--seed", "77"]) == 0
-        runs[len(cores)] = ((out / f"{body['mode']}.json").read_bytes(),
+                         "--seed", "77", *extra]) == 0
+        runs[len(cores)] = ({f.name: f.read_bytes() for f in sorted(out.iterdir())},
                             capsys.readouterr().out)
-    assert runs[1] == runs[2]
+    assert runs[1][0].keys() == runs[2][0].keys()
+    for artifact in runs[1][0]:
+        assert runs[1][0][artifact] == runs[2][0][artifact], artifact
+    assert runs[1][1] == runs[2][1]
+    files, stdout = runs[2]
+    report = json.loads(files[f"{body['mode']}.json"])
     if body["mode"] == "certify":
-        lines = runs[2][1].splitlines()
+        lines = stdout.splitlines()
         assert len(lines) == len(CHECKS) and len(set(lines)) == len(lines)
         assert all(line.startswith("[PASS] ") for line in lines)
-    else:
-        assert len(json.loads(runs[2][0])["reports"]) == \
+    elif body["mode"] == "commutator":
+        assert len(report["reports"]) == \
             len(body["multi_indices"]) * len(body["components"])
+    else:
+        assert len(report["N"]) == int(extra[1])
+        assert "budget_terms.csv" in files
+        for N in report["N"]:
+            assert f"run_log_N{N}.jsonl" in files and f"energy_series_N{N}.csv" in files
 
 
 def test_bad_multi_index_exits_2_before_any_study(tmp_path, capsys, monkeypatch):
