@@ -132,10 +132,9 @@ def _fork_map(fn, items):
     return [results[k] for k in range(len(items))]
 
 
-def _random_H(rng, degree=2, scale=1):
-    H = PolyField.random(rng, rank=2, channels=1, degree=degree, nterms=3,
-                         variance=("u", "u"), symmetric=True)
-    return H if scale == 1 else H.scale(scale)
+def _random_H(rng, degree=2):
+    return PolyField.random(rng, rank=2, channels=1, degree=degree, nterms=3,
+                            variance=("u", "u"), symmetric=True)
 
 
 def check_weight_lemmas(n_q=10_000, seed=7):

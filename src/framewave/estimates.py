@@ -38,7 +38,7 @@ from .evolve import project
 from .fields import (PolyField, d1_axis, fill_ghosts_array, quadrature_masked,
                      tangential_norm_sq, wave_operator)
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
-from .poly import P_ONE, Poly, RadPoly
+from .poly import P_ONE, P_ZERO, R_INV, RHO12_INV, Poly
 from .vecfields import (_JAC_CACHE, GENERATORS, VectorFieldId, _norm_at, lie_lattice,
                         lie_minkowski_inverse_factor, lie_multi, splittings, subsequences,
                         ksize_plus)
@@ -53,22 +53,19 @@ _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
 #   e2   = (0, -x2/rho,      x1/rho,      0)          rho = sqrt(x1^2+x2^2)
 
 
-def _rp(poly, key=(0, 0, 0)):
-    return RadPoly({key: poly})
-
-
 def frame_symbolic(name):
-    """Frame vector as 4 RadPoly components (x3-axis chart)."""
+    """Frame vector as 4 exact components (x3-axis chart), the radii entering
+    through R_INV and RHO12_INV."""
     x1, x2, x3 = Poly.var(1), Poly.var(2), Poly.var(3)
     if name == "L":
-        return [_rp(P_ONE), _rp(x1, (1, 0, 0)), _rp(x2, (1, 0, 0)), _rp(x3, (1, 0, 0))]
+        return [P_ONE, x1 * R_INV, x2 * R_INV, x3 * R_INV]
     if name == "Lbar":
-        return [_rp(P_ONE), _rp(-x1, (1, 0, 0)), _rp(-x2, (1, 0, 0)), _rp(-x3, (1, 0, 0))]
+        return [P_ONE, -x1 * R_INV, -x2 * R_INV, -x3 * R_INV]
     if name == "e1":
-        return [RadPoly(), _rp(x1 * x3, (1, 1, 0)), _rp(x2 * x3, (1, 1, 0)),
-                _rp(-(x1 * x1 + x2 * x2), (1, 1, 0))]
+        rr = R_INV * RHO12_INV
+        return [P_ZERO, x1 * x3 * rr, x2 * x3 * rr, -(x1 * x1 + x2 * x2) * rr]
     if name == "e2":
-        return [RadPoly(), _rp(-x2, (0, 1, 0)), _rp(x1, (0, 1, 0)), RadPoly()]
+        return [P_ZERO, -x2 * RHO12_INV, x1 * RHO12_INV, P_ZERO]
     raise KeyError(name)
 
 
@@ -76,12 +73,13 @@ _FRAME_SYM = {n: frame_symbolic(n) for n in ("L", "Lbar", "e1", "e2")}
 
 
 def project_component(phi: PolyField, name):
-    """phi_V = V^mu phi_mu as a RadPoly scalar field (rank-1 input)."""
+    """phi_V = V^mu phi_mu as an exact scalar field (rank-1 input); its
+    components carry the frame's inverse radii."""
     assert phi.rank == 1
     V = _FRAME_SYM[name]
     comps = np.empty((phi.channels,), dtype=object)
     for c in range(phi.channels):
-        acc = RadPoly()
+        acc = P_ZERO
         for mu in range(4):
             acc = acc + V[mu] * phi.comps[mu, c]
         comps[c] = acc
@@ -145,7 +143,7 @@ class CommutatorStudy:
             self._grads(key, (s,))
         if (what, key, s) not in self._built:
             if what == "LL":
-                HJ, Lsym, acc = self._factor("H", key, s), _FRAME_SYM["L"], RadPoly()
+                HJ, Lsym, acc = self._factor("H", key, s), _FRAME_SYM["L"], P_ZERO
                 for mu in range(4):
                     for nu in range(4):
                         acc = acc + Lsym[mu] * Lsym[nu] * HJ.comps[mu, nu, 0]
@@ -332,8 +330,8 @@ def lbar_radial_residual(pts):
     worst = 0.0
     Lb = _FRAME_SYM["Lbar"]
     for j in (1, 2, 3):
-        f = _rp(Poly.var(j), (1, 0, 0))  # x^j / r
-        acc = RadPoly()
+        f = Poly.var(j) * R_INV
+        acc = P_ZERO
         for mu in range(4):
             acc = acc + Lb[mu] * f.diff(mu)
         worst = max(worst, float(np.max(np.abs(acc.eval_many(pts)))))

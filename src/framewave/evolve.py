@@ -63,7 +63,7 @@ import numpy as np
 from .background import make_background
 from .energy import ExteriorRegion, SliceState, slice_energy, write_series_csv
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
-from .fields import (GHOST, GridField, GridGeometry, _fresh, _laplacian, d1_axis, d2_axis,
+from .fields import (GHOST, GridGeometry, _fresh, _laplacian, d1_axis, d2_axis,
                      fill_ghosts_array, h_on_box, save_snapshot)
 from .geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV
 from .poly import GaussPoly, Poly, _eval_scalars
@@ -890,6 +890,5 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
         }
     write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
     if cfg["snapshots"]:
-        final = GridField(geom, Phi.ndim - 4, Phi.shape[-4], Phi, times[-1], ghost_valid=False)
-        save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
+        save_snapshot(geom, Phi, times[-1], os.path.join(out_dir, f"final_state{tag}.bin"))
     return hist, summary

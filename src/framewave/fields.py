@@ -5,10 +5,11 @@ Two lanes:
 * ``PolyField`` wraps exact scalars from :mod:`framewave.poly` in a tensor
   of rank <= 2 with a channel axis; differentiation is exact, so these
   fields back every identity certification.
-* ``GridField`` samples a field on a uniform cell-centered grid over
-  [-X, X]^3 with a ghost layer of width 2.  Cell centering keeps every
-  node away from r = 0, so frame projections are defined everywhere and
-  the origin exclusion is purely a quadrature mask.
+* ``GridGeometry`` is a uniform cell-centered grid over [-X, X]^3 with a
+  ghost layer of width 2; a grid field is a plain array of shape
+  (4,)*rank + (channels, n, n, n) over its full cube.  Cell centering
+  keeps every node away from r = 0, so frame projections are defined
+  everywhere and the origin exclusion is purely a quadrature mask.
 
 The operators both lanes need are written here once: the frame tangential
 norm (on grid fields and point batches alike) and the exact wave
@@ -47,16 +48,17 @@ class InnerProduct:
         return np.sum(np.asarray(a) * np.asarray(b), axis=channel_axis)
 
     @staticmethod
-    def norm_sq(a, channel_axis=0):
-        return InnerProduct.dot(a, a, channel_axis=channel_axis)
+    def norm_sq(a):
+        return InnerProduct.dot(a, a)
 
 
 class PolyField:
-    """Tensor field with exact polynomial (or radial-polynomial) components.
+    """Tensor field with exact scalar components.
 
     comps is an object array of shape (4,)*rank + (channels,), entries are
-    Poly or RadPoly scalars.  variance is a tuple of "d"/"u" per slot
-    (covariant by default).
+    Poly scalars (inverse radii included, as a frame projection makes
+    them) or, for smooth localized data, GaussPoly scalars.  variance is
+    a tuple of "d"/"u" per slot (covariant by default).
     """
 
     def __init__(self, rank, channels, comps, variance=None):
@@ -88,9 +90,9 @@ class PolyField:
         return cls(0, len(polys), comps)
 
     @classmethod
-    def from_components(cls, comp_dict, rank, channels=1, variance=None):
+    def from_components(cls, comp_dict, rank, variance=None):
         """Build from {slot tuple: poly} (single channel) entries."""
-        f = cls.zero(rank, channels, variance)
+        f = cls.zero(rank, 1, variance)
         for idx, p in comp_dict.items():
             key = tuple(idx) if isinstance(idx, tuple) else (idx,)
             f.comps[key + (0,)] = p
@@ -281,38 +283,6 @@ class GridGeometry:
         if np.isfinite(q0):
             mask &= q >= q0
         return mask
-
-
-class GridField:
-    """Field sampled on a GridGeometry at one time.
-
-    data has shape (4,)*rank + (channels, n, n, n) over the full cube
-    including ghosts.  Ghost layers must be valid before derivatives.
-    """
-
-    def __init__(self, geom, rank, channels, data, t, variance=None, ghost_valid=True):
-        self.geom = geom
-        self.rank = int(rank)
-        self.channels = int(channels)
-        self.data = data
-        self.t = float(t)
-        self.variance = tuple(variance) if variance is not None else ("d",) * rank
-        self.ghost_valid = bool(ghost_valid)
-        n = geom.n_full
-        assert data.shape == (4,) * self.rank + (self.channels, n, n, n)
-
-    @classmethod
-    def zeros(cls, geom, rank=0, channels=1, t=0.0, variance=None):
-        n = geom.n_full
-        data = np.zeros((4,) * rank + (channels, n, n, n))
-        return cls(geom, rank, channels, data, t, variance)
-
-    def interior(self):
-        return self.geom.interior(self.data)
-
-    def copy(self):
-        return GridField(self.geom, self.rank, self.channels, self.data.copy(),
-                         self.t, self.variance, self.ghost_valid)
 
 
 def fill_ghosts_array(data, mode="extrapolate"):
@@ -554,18 +524,20 @@ def quadrature_masked(geom, values_interior, mask):
 _HEADER = struct.Struct("<qqqdd")  # rank, channels, N (int64); X, t (float64)
 
 
-def save_snapshot(field: GridField, path):
-    payload = np.ascontiguousarray(field.interior(), dtype="<f8")
+def save_snapshot(geom, Phi, t, path):
+    """Write the interior of Phi, shape (4,)*rank + (channels, n, n, n) over
+    geom's full cube, at time t to path, with a JSON sidecar."""
+    rank, channels, t = Phi.ndim - 4, Phi.shape[-4], float(t)
+    payload = np.ascontiguousarray(geom.interior(Phi), dtype="<f8")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(field.rank, field.channels, field.geom.N,
-                              field.geom.X, field.t))
+        fh.write(_HEADER.pack(rank, channels, geom.N, geom.X, t))
         fh.write(payload.tobytes())
     sidecar = {
-        "rank": field.rank,
-        "channels": field.channels,
-        "N": field.geom.N,
-        "X": field.geom.X,
-        "t": field.t,
+        "rank": rank,
+        "channels": channels,
+        "N": geom.N,
+        "X": geom.X,
+        "t": t,
         "layout": "row-major over (4,)*rank + (channels, N, N, N), float64 LE",
     }
     with open(str(path) + ".json", "w") as fh:
@@ -573,16 +545,11 @@ def save_snapshot(field: GridField, path):
     return path
 
 
-def load_snapshot(path, geom=None):
+def load_snapshot(path):
+    """(interior array, header dict with rank, channels, N, X and t) of a
+    snapshot that save_snapshot wrote."""
     with open(path, "rb") as fh:
         rank, channels, N, X, t = _HEADER.unpack(fh.read(_HEADER.size))
         raw = np.frombuffer(fh.read(), dtype="<f8")
-    if geom is None:
-        geom = GridGeometry(N, X)
-    assert geom.N == N and geom.X == X
-    shape = (4,) * rank + (channels, N, N, N)
-    interior = raw.reshape(shape)
-    out = GridField.zeros(geom, rank, channels, t)
-    out.geom.interior(out.data)[...] = interior
-    out.ghost_valid = False
-    return out
+    header = {"rank": rank, "channels": channels, "N": N, "X": X, "t": t}
+    return raw.reshape((4,) * rank + (channels, N, N, N)), header

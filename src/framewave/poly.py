@@ -1,22 +1,27 @@
-"""Exact polynomial calculus in the coordinates (t, x1, x2, x3).
+"""Exact calculus in the coordinates (t, x1, x2, x3) and two inverse radii.
 
-Three scalar families share one small interface (add/mul/diff/eval_many):
+Two scalar classes share one small interface (add/mul/diff/eval_many):
 
-* ``Poly`` -- plain multivariate polynomials with exact (int/Fraction)
-  coefficients.  All identity certification runs on these.
-* ``RadPoly`` -- polynomials extended by negative powers of the radii
-  r = |x|, rho12 = sqrt(x1^2+x2^2), rho23 = sqrt(x2^2+x3^2).  The ring is
-  closed under differentiation, which makes frame-projected scalars
+* ``Poly`` -- the exact scalar: a polynomial with exact (int/Fraction)
+  coefficients in t, x1, x2, x3 and the inverse radii 1/r and 1/rho12
+  (r = |x|, rho12 = sqrt(x1^2 + x2^2)), stored as {exponent key:
+  coefficient}.  The key is (t, x1, x2, x3, r^-1, rho12^-1): six
+  non-negative exponents, the last two counting inverse powers.  The
+  ring is closed under differentiation, d_i r^-a = -a x_i r^-(a+2) and
+  likewise rho12 on x1 and x2, which makes frame-projected scalars
   (x^i/r coefficients and the sphere frame away from the poles) exactly
-  differentiable.
-* ``GaussPoly`` -- polynomial times a spatial Gaussian envelope; closed
+  differentiable.  The radii are free variables: no canonicalization is
+  attempted (r^2 = x.x is never applied), so a scalar with radii can have
+  several representations, and every check built on such scalars
+  compares evaluations, never raw coefficients.  Identity certification
+  runs on scalars without radii, where equal dicts are equal functions.
+* ``GaussPoly`` -- a polynomial times a spatial Gaussian envelope; closed
   under differentiation and used for localized smooth test data and
   manufactured solutions.
 
 Evaluation goes through one kernel for point batches of shape (n, 4).
-It takes a list of Poly/RadPoly scalars, collects the union of their
-monomials (powers of t, x1, x2, x3 and inverse powers of r, rho12,
-rho23), builds one power table per axis in use, forms each monomial
+It takes a list of Poly scalars, collects the union of their monomial
+keys, builds one power table per key axis in use, forms each monomial
 column once by gathering from those tables and contracts the columns
 with every scalar's float coefficients.  Points go through in blocks
 sized so that each (monomials x points) temporary holds at most
@@ -26,24 +31,21 @@ sized so that each (monomials x points) temporary holds at most
 from __future__ import annotations
 
 import numbers
-from fractions import Fraction
 
 import numpy as np
 
-AXES = ("t", "x1", "x2", "x3")
+AXES = ("t", "x1", "x2", "x3", "1/r", "1/rho12")
+ZERO_KEY = (0,) * len(AXES)
 
-
-def _key_diff(key, axis):
-    e = key[axis]
-    if e == 0:
-        return None, 0
-    k = list(key)
-    k[axis] = e - 1
-    return tuple(k), e
+# The inverse-radius key slots and the coordinate axes of each radius, and
+# for each coordinate axis the slots whose radius depends on it.
+_RADIUS_AXES = {4: (1, 2, 3), 5: (1, 2)}
+_CHAIN = tuple(tuple(s for s, axes in _RADIUS_AXES.items() if a in axes) for a in range(4))
 
 
 class Poly:
-    """Exact polynomial, stored as {exponent 4-tuple: coefficient}."""
+    """Exact polynomial in t, x1, x2, x3, 1/r and 1/rho12, stored as
+    {exponent 6-tuple: coefficient}."""
 
     __slots__ = ("c",)
 
@@ -60,24 +62,16 @@ class Poly:
 
     @classmethod
     def const(cls, v):
-        return cls({(0, 0, 0, 0): v}) if v != 0 else cls()
+        return cls({ZERO_KEY: v}) if v != 0 else cls()
 
     @classmethod
     def var(cls, axis):
-        k = [0, 0, 0, 0]
+        k = list(ZERO_KEY)
         k[axis] = 1
         return cls({tuple(k): 1})
 
-    def copy(self):
-        p = Poly()
-        p.c = dict(self.c)
-        return p
-
     def is_zero(self):
         return not self.c
-
-    def degree(self):
-        return max((sum(k) for k in self.c), default=0)
 
     def __add__(self, other):
         if isinstance(other, numbers.Number):
@@ -124,7 +118,8 @@ class Poly:
         out = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3])
+                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3],
+                     k1[4] + k2[4], k1[5] + k2[5])
                 w = out.get(k, 0) + v1 * v2
                 if w == 0:
                     out.pop(k, None)
@@ -137,11 +132,22 @@ class Poly:
     __rmul__ = __mul__
 
     def diff(self, axis):
+        """d/dx^axis (axis 0..3); a radius power differentiates by the
+        chain rule, d_i r^-a = -a x_i r^-(a+2)."""
         out = {}
         for k, v in self.c.items():
-            dk, e = _key_diff(k, axis)
-            if dk is not None:
+            e = k[axis]
+            if e:
+                dk = k[:axis] + (e - 1,) + k[axis + 1:]
                 out[dk] = out.get(dk, 0) + e * v
+            for slot in _CHAIN[axis]:
+                a = k[slot]
+                if a:
+                    dk = list(k)
+                    dk[axis] += 1
+                    dk[slot] = a + 2
+                    dk = tuple(dk)
+                    out[dk] = out.get(dk, 0) - a * v
         p = Poly()
         p.c = {k: v for k, v in out.items() if v != 0}
         return p
@@ -176,115 +182,8 @@ class Poly:
 
 P_ZERO = Poly.zero()
 P_ONE = Poly.const(1)
-P_T, P_X1, P_X2, P_X3 = (Poly.var(a) for a in range(4))
-
-# Radical index sets: r over all spatial axes, rho12 over (x1,x2), rho23 over (x2,x3).
-_RADICAL_AXES = ((1, 2, 3), (1, 2), (2, 3))
-
-
-class RadPoly:
-    """Sum of Poly terms times r^-a * rho12^-b * rho23^-c, keyed by (a, b, c).
-
-    Closed under +, *, and partial differentiation; radii appear only with
-    nonnegative inverse powers, so every element is smooth wherever the
-    radii involved are positive.  No canonicalization is attempted (the same
-    function can have several representations); all checks built on this
-    class compare evaluations, never raw coefficients.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for k, p in terms.items():
-                if not p.is_zero():
-                    self.terms[k] = p
-
-    @classmethod
-    def from_poly(cls, p):
-        if isinstance(p, numbers.Number):
-            p = Poly.const(p)
-        return cls({(0, 0, 0): p})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        if isinstance(other, (numbers.Number, Poly)):
-            other = RadPoly.from_poly(other)
-        out = dict(self.terms)
-        for k, p in other.terms.items():
-            s = out.get(k, P_ZERO) + p
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return RadPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RadPoly({k: -p for k, p in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (numbers.Number, Poly)):
-            other = RadPoly.from_poly(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (numbers.Number, Poly)):
-            if isinstance(other, numbers.Number) and other == 0:
-                return RadPoly()
-            other = RadPoly.from_poly(other)
-        out = {}
-        for k1, p1 in self.terms.items():
-            for k2, p2 in other.terms.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2])
-                prod = p1 * p2
-                s = out.get(k, P_ZERO) + prod
-                if s.is_zero():
-                    out.pop(k, None)
-                else:
-                    out[k] = s
-        return RadPoly(out)
-
-    __rmul__ = __mul__
-
-    def diff(self, axis):
-        out = {}
-
-        def _acc(key, poly):
-            if poly.is_zero():
-                return
-            s = out.get(key, P_ZERO) + poly
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-
-        for k, p in self.terms.items():
-            _acc(k, p.diff(axis))
-            if axis == 0:
-                continue
-            for which, exps in enumerate(k):
-                if exps and axis in _RADICAL_AXES[which]:
-                    nk = list(k)
-                    nk[which] = exps + 2
-                    _acc(tuple(nk), p * Poly.var(axis) * (-exps))
-        return RadPoly(out)
-
-    def eval_many(self, pts):
-        return _eval_scalars((self,), pts)[:, 0]
-
-    def __call__(self, pt):
-        return float(self.eval_many(np.asarray(pt, dtype=float)[None, :])[0])
-
-    def __repr__(self):
-        return f"RadPoly({len(self.terms)} radial terms)"
+R_INV = Poly.var(4)
+RHO12_INV = Poly.var(5)
 
 
 class GaussPoly:
@@ -343,15 +242,12 @@ _BLOCK_ENTRIES = 1 << 15
 
 
 def _power_table(pts, axis, top):
-    """Rows k = 0..top: the k-th power of exponent axis ``axis`` at pts.
-
-    Axes 0-3 are t, x1, x2, x3; axes 4-6 count inverse powers of r, rho12
-    and rho23.
-    """
+    """Rows k = 0..top: the k-th power of key axis ``axis`` at pts (an
+    inverse radius for the slots 4 and 5)."""
     if axis < 4:
         base = pts[:, axis]
     else:
-        base = 1.0 / np.sqrt(sum(pts[:, a] ** 2 for a in _RADICAL_AXES[axis - 4]))
+        base = 1.0 / np.sqrt(sum(pts[:, a] ** 2 for a in _RADIUS_AXES[axis]))
     table = np.empty((top + 1, len(pts)))
     table[0] = 1.0
     table[1] = base
@@ -361,18 +257,16 @@ def _power_table(pts, axis, top):
 
 
 def _eval_scalars(scalars, pts):
-    """Values of Poly/RadPoly scalars at points (n, 4) as an (n, k) array."""
+    """Values of Poly scalars at points (n, 4) as an (n, k) array."""
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
     index, rows, coefs, starts, filled = {}, [], [], [], []
     for j, s in enumerate(scalars):
-        terms = s.terms.items() if isinstance(s, RadPoly) else (((0, 0, 0), s),)
         start = len(rows)
-        for rad, p in terms:
-            for k, v in p.c.items():
-                rows.append(index.setdefault(k + rad, len(index)))
-                coefs.append(float(v))
+        for k, v in s.c.items():
+            rows.append(index.setdefault(k, len(index)))
+            coefs.append(float(v))
         if len(rows) > start:  # reduceat needs strictly increasing starts
             starts.append(start)
             filled.append(j)
@@ -381,8 +275,7 @@ def _eval_scalars(scalars, pts):
     if not rows:
         return out
     keys = np.array(list(index), dtype=np.intp)
-    tops = keys.max(axis=0)
-    axes = [(ax, int(tops[ax])) for ax in range(7) if tops[ax]]
+    axes = [(ax, int(top)) for ax, top in enumerate(keys.max(axis=0)) if top]
     rows = np.array(rows, dtype=np.intp)
     coefs = np.array(coefs)[:, None]
     # Every monomial is used at least once, so len(rows) bounds each temporary.
@@ -399,7 +292,8 @@ def _eval_scalars(scalars, pts):
 
 
 def random_poly(rng, degree=2, nterms=4, time_dependent=True):
-    """Sparse random polynomial with integer coefficients in [-3, 3]."""
+    """Sparse random polynomial in t, x1, x2, x3 (no radii) with integer
+    coefficients in [-3, 3]."""
     c = {}
     for _ in range(nterms):
         while True:
@@ -408,6 +302,7 @@ def random_poly(rng, degree=2, nterms=4, time_dependent=True):
                 break
         v = int(rng.integers(-3, 4))
         if v:
+            k += (0, 0)
             c[k] = c.get(k, 0) + v
     return Poly({k: v for k, v in c.items() if v})
 

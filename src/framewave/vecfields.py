@@ -32,7 +32,7 @@ import numpy as np
 from .errors import PoleDegenerate, TimeZero
 from .fields import PolyField, tangential_norm_sq
 from .geometry import MINKOWSKI, TANGENTIAL_NAMES, frame_arrays, radius
-from .poly import P_ONE, Poly
+from .poly import P_ONE, ZERO_KEY, Poly
 
 
 @dataclass(frozen=True)
@@ -443,7 +443,7 @@ def lie_minkowski_inverse_factor(I):
                 if not p.is_zero():
                     raise NotProportional(f"off-diagonal slot ({mu},{nu}) nonzero")
                 continue
-            val = p.c.get((0, 0, 0, 0), 0)
+            val = p.c.get(ZERO_KEY, 0)
             if len(p.c) > (1 if val else 0):
                 raise NotProportional("non-constant Lie derivative of m^-1")
             ratio = val * base  # base is +-1

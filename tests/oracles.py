@@ -8,7 +8,7 @@ flux and estimate loops over them and the experiment run and
 ``energy.BudgetPass`` and ``estimates.EstimatePass`` slice by slice
 instead, with d_tt from the run's slope), full-cube
 derivatives of a slice state, point-frame contractions, grid quadrature
-of a GridField, the direct form of the commutator's left side,
+of a grid field, the direct form of the commutator's left side,
 coordinate derivatives of a PolyField and the frame-gradient bound.  And
 the earlier bodies of code that framewave now computes through one
 shared kernel (the coordinate display of T_tt + T_rt, the pointwise
@@ -40,8 +40,8 @@ from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, P
 from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
                                  lbar_radial_residual, lie_component_series,
                                  lie_field_series)
-from framewave.fields import (GridField, PolyField, d1_axis, d2_axis, fill_ghosts_array,
-                              save_snapshot, wave_operator)
+from framewave.fields import (PolyField, d1_axis, d2_axis, fill_ghosts_array, save_snapshot,
+                              wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
 from framewave.poly import GaussPoly, Poly, _eval_scalars, random_poly
 from framewave.vecfields import (_FIELD_CACHE, GENERATORS, VectorFieldId, apply_to_scalar,
@@ -475,6 +475,28 @@ def sphere_projector(x):
 # --- fields: derivatives, quadrature, the exact wave operator -----------------
 
 
+@dataclass
+class GridField:
+    """A grid array with its geometry and time: data has shape
+    (4,)*rank + (channels, n, n, n) over the full cube including ghosts,
+    which must be valid before derivatives."""
+
+    geom: object
+    rank: int
+    channels: int
+    data: np.ndarray
+    t: float
+    ghost_valid: bool = True
+
+    @classmethod
+    def zeros(cls, geom):
+        n = geom.n_full
+        return cls(geom, 0, 1, np.zeros((1, n, n, n)), 0.0)
+
+    def interior(self):
+        return self.geom.interior(self.data)
+
+
 def sample_scalar(geom, fn, t=0.0, channels=1):
     """GridField of fn(T, X1, X2, X3) (or a per-channel list) on the full cube."""
     X1, X2, X3 = geom.mesh()
@@ -497,7 +519,7 @@ def partial_derivative(field, mu):
             raise GhostInvalid("fill_ghosts before taking grid derivatives")
         data = d1_axis(field.data, mu, field.geom.dx)
         return GridField(field.geom, field.rank, field.channels, data, field.t,
-                         field.variance, ghost_valid=False)
+                         ghost_valid=False)
     raise TypeError(f"unsupported field type {type(field)!r}")
 
 
@@ -745,7 +767,6 @@ def gradient_frame_bound(Psi, U, V, pts):
     """
     from framewave.estimates import _FRAME_SYM
     from framewave.geometry import TANGENTIAL_NAMES
-    from framewave.poly import RadPoly
     from framewave.vecfields import _norm_at
 
     assert Psi.rank == 2
@@ -753,7 +774,7 @@ def gradient_frame_bound(Psi, U, V, pts):
     Us, Vs = _FRAME_SYM[U], _FRAME_SYM[V]
     comps = np.empty((Psi.channels,), dtype=object)
     for c in range(Psi.channels):
-        acc = RadPoly()
+        acc = Poly()
         for mu in range(4):
             for nu in range(4):
                 acc = acc + Us[mu] * Vs[nu] * Psi.comps[mu, nu, c]
@@ -870,9 +891,8 @@ def history_run_experiment(cfg, out_dir, tag="", keep=None):
         }
     write_series_csv(os.path.join(out_dir, f"energy_series{tag}.csv"), rows)
     if cfg["snapshots"]:
-        final = GridField(geom, Phi0.ndim - 4, Phi0.shape[-4], hist.fields[-1],
-                          hist.times[-1], ghost_valid=False)
-        save_snapshot(final, os.path.join(out_dir, f"final_state{tag}.bin"))
+        save_snapshot(geom, hist.fields[-1], hist.times[-1],
+                      os.path.join(out_dir, f"final_state{tag}.bin"))
     return hist, summary, kept
 
 
@@ -899,7 +919,7 @@ def mode_estimate(cfg, out_dir):
 
 def random_poly_int_keys(rng, degree=2, nterms=4, time_dependent=True):
     """``poly.random_poly`` as it was, building each exponent key with one
-    ``int()`` per drawn element."""
+    ``int()`` per drawn element (and no inverse radii)."""
     c = {}
     for _ in range(nterms):
         while True:
@@ -908,5 +928,6 @@ def random_poly_int_keys(rng, degree=2, nterms=4, time_dependent=True):
                 break
         v = int(rng.integers(-3, 4))
         if v:
+            k += (0, 0)
             c[k] = c.get(k, 0) + v
     return Poly({k: v for k, v in c.items() if v})

@@ -206,10 +206,9 @@ def test_criterion_8_decoupled_bound():
 
     # structural decoupling: a pure Lbar-data perturbation leaves the
     # (1+|q|)^-1 family value unchanged
-    from framewave.poly import Poly, RadPoly
+    from framewave.poly import R_INV, Poly
 
-    Lflat = [RadPoly.from_poly(Poly.const(-1))] + [
-        RadPoly({(1, 0, 0): Poly.var(i)}) for i in (1, 2, 3)]
+    Lflat = [Poly.const(-1)] + [Poly.var(i) * R_INV for i in (1, 2, 3)]
     comps = np.empty((4, 1), dtype=object)
     for mu in range(4):
         comps[mu, 0] = phi.comps[mu, 0] + Lflat[mu] * (Poly.var(2) + 1) * 0.6

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framewave.energy import ExteriorRegion
-from framewave.fields import (GridField, GridGeometry, InnerProduct, PolyField, _laplacian,
-                              d1_axis, d2_axis, fill_ghosts_array, load_snapshot,
-                              save_snapshot, tangential_norm_sq, wave_operator)
+from framewave.fields import (GridGeometry, InnerProduct, PolyField, _laplacian, d1_axis,
+                              d2_axis, fill_ghosts_array, load_snapshot, save_snapshot,
+                              tangential_norm_sq, wave_operator)
 from framewave.geometry import FULL_NAMES, frame_arrays
 from framewave.poly import Poly, measure_order, random_poly
 from conftest import frame_at
-from oracles import (EmptyRegion, GhostInvalid, partial_derivative, quadrature_slice,
-                     sample_scalar)
+from oracles import (EmptyRegion, GhostInvalid, GridField, partial_derivative,
+                     quadrature_slice, sample_scalar)
 
 
 def test_poly_partial_examples():
@@ -217,12 +217,11 @@ def test_inner_product_cauchy_schwarz(seed, n):
 def test_snapshot_roundtrip(tmp_path, rng):
     geom = GridGeometry(12, 3.0)
     data = rng.normal(size=(4, 2, geom.n_full, geom.n_full, geom.n_full))
-    f = GridField(geom, 1, 2, data, t=1.25)
     path = os.path.join(tmp_path, "snap.bin")
-    save_snapshot(f, path)
-    g = load_snapshot(path)
-    assert g.rank == 1 and g.channels == 2 and g.t == 1.25
-    assert np.array_equal(g.interior(), f.interior())
+    save_snapshot(geom, data, 1.25, path)
+    interior, header = load_snapshot(path)
+    assert header == {"rank": 1, "channels": 2, "N": 12, "X": 3.0, "t": 1.25}
+    assert np.array_equal(interior, geom.interior(data))
     assert os.path.exists(path + ".json")
     import json
     side = json.load(open(path + ".json"))

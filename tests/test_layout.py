@@ -1,7 +1,8 @@
-"""Layout check: every public module-level function and class of framewave,
-and every public method of its classes, is named by the code of the
-package outside its own definition.  Only identifier tokens count: a name
-that appears in a docstring, a comment or a string literal is not a use.
+"""Layout check: every public module-level function, class and assigned
+name of framewave, and every public method of its classes, is named by
+the code of the package outside its own definition (for an assignment,
+outside its own statement).  Only identifier tokens count: a name that
+appears in a docstring, a comment or a string literal is not a use.
 
 A name that only tests reach is test code living in the package; it
 belongs in ``tests/`` (see ``oracles``).  The allow-list holds the API
@@ -28,15 +29,28 @@ def _public(nodes):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")]
 
 
+def _public_assignments(nodes):
+    """(name, statement) for each public name a module-level assignment binds."""
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("_"):
+                        yield name.id, node
+
+
 def _public_definitions():
-    """Public module-level functions and classes, then the public methods
-    of every module-level class."""
+    """(path, name, defining node): public module-level functions, classes
+    and assigned names, then the public methods of every module-level
+    class."""
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        yield from ((path, node) for node in _public(tree.body))
+        yield from ((path, node.name, node) for node in _public(tree.body))
+        yield from ((path, name, node) for name, node in _public_assignments(tree.body))
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
-                yield from ((path, node) for node in _public(cls.body)
+                yield from ((path, node.name, node) for node in _public(cls.body)
                             if isinstance(node, ast.FunctionDef))
 
 
@@ -53,11 +67,11 @@ def _identifier_lines(text):
 def unreferenced_names():
     names = {path: _identifier_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     found = []
-    for path, node in _public_definitions():
+    for path, name, node in _public_definitions():
         own = range(node.lineno, node.end_lineno + 1)   # its own definition
-        if not any(node.name in ids for p, lines in names.items()
+        if not any(name in ids for p, lines in names.items()
                    for line, ids in lines.items() if p != path or line not in own):
-            found.append(f"{path.name}:{node.lineno} {node.name}")
+            found.append(f"{path.name}:{node.lineno} {name}")
     return found
 
 
@@ -66,7 +80,7 @@ def test_every_public_name_is_used_in_the_package():
 
 
 def test_allowed_names_are_still_defined():
-    names = {node.name for _, node in _public_definitions()}
+    names = {name for _, name, _ in _public_definitions()}
     assert ALLOWED <= names
 
 

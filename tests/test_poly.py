@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from framewave import poly as poly_mod
 from framewave.fields import PolyField
-from framewave.poly import GaussPoly, Poly, RadPoly, measure_order, random_poly
+from framewave.poly import R_INV, RHO12_INV, GaussPoly, Poly, measure_order, random_poly
 from oracles import random_poly_int_keys
 
 
@@ -17,7 +17,7 @@ def test_basic_arithmetic_and_diff():
     assert p.diff(1) == t
     assert (p - p).is_zero()
     assert (p * 0).is_zero()
-    assert p.degree() == 2
+    assert list(p.c) == [(1, 1, 0, 0, 0, 0)]
     q = (t + 1) * (t - 1)
     assert q == t * t - 1
 
@@ -28,24 +28,36 @@ def test_eval_matches_horner(rng):
     vals = p.eval_many(pts)
     for k in range(50):
         expected = sum(
-            float(c) * np.prod([pts[k, a] ** e for a, e in enumerate(key)])
+            float(c) * np.prod([pts[k, a] ** e for a, e in enumerate(key[:4])])
             for key, c in p.c.items()
         )
         assert vals[k] == pytest.approx(expected, rel=1e-13, abs=1e-13)
 
 
+def _radii(a, b):
+    """r^-a rho12^-b as an exact scalar."""
+    return Poly({(0, 0, 0, 0, a, b): 1})
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), mu=st.integers(0, 3), nu=st.integers(0, 3))
-def test_mixed_partials_commute_exactly(seed, mu, nu):
-    p = random_poly(np.random.default_rng(seed), degree=4, nterms=6)
+@given(seed=st.integers(0, 10_000), mu=st.integers(0, 3), nu=st.integers(0, 3),
+       radii=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1,
+                      max_size=3))
+def test_mixed_partials_commute_exactly(seed, mu, nu, radii):
+    # polynomials times powers of 1/r and 1/rho12: the chain rule is a
+    # derivation of the free ring, so the mixed partials agree as dicts
+    rng = np.random.default_rng(seed)
+    p = Poly()
+    for a, b in radii:
+        p = p + random_poly(rng, degree=4, nterms=6) * _radii(a, b)
     assert (p.diff(mu).diff(nu) - p.diff(nu).diff(mu)).is_zero()
 
 
-def test_radpoly_radial_derivatives(rng):
-    # d_i (x_j / r) against high-accuracy finite differences
+def test_radical_derivatives(rng):
+    # d_i (x_j / r) and d_i (x_j / rho12) against high-accuracy finite differences
     pts = rng.uniform(0.5, 2.0, size=(20, 4))
-    for j in (1, 2, 3):
-        f = RadPoly({(1, 0, 0): Poly.var(j)})
+    for j, radius in [(j, R_INV) for j in (1, 2, 3)] + [(j, RHO12_INV) for j in (1, 2)]:
+        f = Poly.var(j) * radius
         for i in (1, 2, 3):
             df = f.diff(i)
             h = 1e-5
@@ -57,11 +69,11 @@ def test_radpoly_radial_derivatives(rng):
                 assert df(pt) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
-def test_radpoly_ring_closure(rng):
-    a = RadPoly({(1, 1, 0): random_poly(rng, degree=2, nterms=3)})
-    b = RadPoly({(0, 1, 1): random_poly(rng, degree=1, nterms=2)})
+def test_radical_ring_closure(rng):
+    a = random_poly(rng, degree=2, nterms=3) * _radii(1, 1)
+    b = random_poly(rng, degree=1, nterms=2) * _radii(0, 2)
     prod = a * b
-    assert set(prod.terms) <= {(1, 2, 1)}
+    assert {k[4:] for k in prod.c} <= {(1, 3)}
     s = a + b
     pts = rng.uniform(0.6, 2.0, size=(10, 4))
     assert np.allclose(s.eval_many(pts), a.eval_many(pts) + b.eval_many(pts))
@@ -125,19 +137,16 @@ def _reference_eval(s, pts):
         val, mag = _reference_eval(s.poly, pts)
         env = s.envelope_many(pts)
         return val * env, mag * env
-    terms = s.terms.items() if isinstance(s, RadPoly) else [((0, 0, 0), s)]
-    radii = [np.sqrt(sum(pts[:, a] ** 2 for a in axes))
-             for axes in ((1, 2, 3), (1, 2), (2, 3))]
+    radii = [np.sqrt(sum(pts[:, a] ** 2 for a in axes)) for axes in ((1, 2, 3), (1, 2))]
     val, mag = np.zeros(len(pts)), np.zeros(len(pts))
-    for rad, p in terms:
-        for key, c in p.c.items():
-            term = np.full(len(pts), float(c))
-            for ax, e in enumerate(key):
-                term = term * pts[:, ax] ** e
-            for radius, e in zip(radii, rad):
-                term = term / radius ** e
-            val += term
-            mag += np.abs(term)
+    for key, c in s.c.items():
+        term = np.full(len(pts), float(c))
+        for ax, e in enumerate(key[:4]):
+            term = term * pts[:, ax] ** e
+        for radius, e in zip(radii, key[4:]):
+            term = term / radius ** e
+        val += term
+        mag += np.abs(term)
     return val, mag
 
 
@@ -156,10 +165,10 @@ def test_batched_eval_matches_per_monomial_reference(n, block, monkeypatch):
     rng = np.random.default_rng(2024)
     pts = rng.uniform(0.5, 2.0, size=(n, 4)) * rng.choice([-1.0, 1.0], size=(n, 4))
     polys = [random_poly(rng, degree=4, nterms=8) for _ in range(4)]
-    rad = RadPoly({(0, 0, 0): polys[0], (1, 0, 0): polys[1],
-                   (2, 1, 0): polys[2], (3, 2, 1): polys[3] * Fraction(1, 3)})
-    scalars = polys + [rad, Poly(), RadPoly(), Poly.const(2.5),
-                       Poly.const(Fraction(1, 3)), RadPoly({(0, 0, 3): Poly.const(1)})]
+    rad = (polys[0] + polys[1] * _radii(1, 0) + polys[2] * _radii(2, 1)
+           + polys[3] * Fraction(1, 3) * _radii(3, 2))
+    scalars = polys + [rad, Poly(), Poly.const(2.5), Poly.const(Fraction(1, 3)),
+                       _radii(0, 3)]
     for s in scalars:
         _assert_matches_reference(s.eval_many(pts), s, pts)
     g = GaussPoly(polys[0], center=(0.2, -0.1, 0.3), sigma=1.4)

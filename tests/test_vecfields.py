@@ -4,7 +4,7 @@ import pytest
 from framewave.errors import PoleDegenerate, TimeZero
 from framewave.fields import PolyField
 from framewave.geometry import MINKOWSKI
-from framewave.poly import Poly, RadPoly, random_poly
+from framewave.poly import R_INV, Poly, random_poly
 from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
                                  apply_representation, apply_to_scalar, as_field,
                                  commutator, jacobi_residual, lie_derivative,
@@ -74,9 +74,6 @@ def test_leibniz_rule_exact(rng):
 def _same_scalar(a, b):
     """Equal exact scalars, monomials in the same order (the order fixes
     the float arithmetic of every later evaluation)."""
-    if isinstance(a, RadPoly):
-        return (isinstance(b, RadPoly) and list(a.terms) == list(b.terms)
-                and all(_same_scalar(a.terms[k], b.terms[k]) for k in a.terms))
     return isinstance(b, Poly) and list(a.c.items()) == list(b.c.items())
 
 
@@ -86,7 +83,7 @@ def test_lie_lattice_matches_lie_multi(rng, rank, variance):
     T = PolyField.random(rng, rank=rank, channels=2, degree=2, nterms=3,
                          variance=variance)
     if rank == 0:  # a radial scalar, as the projected frame components are
-        T = PolyField.scalar([p * RadPoly({(1, 0, 0): Poly.var(1)}) for p in T.comps])
+        T = PolyField.scalar([p * Poly.var(1) * R_INV for p in T.comps])
     I = (VectorFieldId("Z", 1, 3), SCALING, TRANSLATIONS[2])
     subs = subsequences(I)
     seqs = subs + [s + (g,) for s in subs if len(s) < len(I) for g in GENERATORS]
@@ -205,8 +202,8 @@ def test_ordered_splittings_against_brute_force_leibniz(rng):
 
 def test_restricted_derivative_radial_annihilation():
     # r = (x.x) / r as an exact radial scalar; slash-d_i r = 0
-    rr = RadPoly({(1, 0, 0): Poly.var(1) * Poly.var(1)
-                  + Poly.var(2) * Poly.var(2) + Poly.var(3) * Poly.var(3)})
+    rr = (Poly.var(1) * Poly.var(1) + Poly.var(2) * Poly.var(2)
+          + Poly.var(3) * Poly.var(3)) * R_INV
     p = np.array([[1.0, 0.7, -0.4, 1.1]])
     for i in (1, 2, 3):
         rot, boost = restricted_derivative_as_Z(i, p)
