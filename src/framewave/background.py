@@ -29,6 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstraintError
+from .geometry import MINKOWSKI, MINKOWSKI_INV
 
 # Fixed symmetric direction with unit Frobenius norm; generic enough to
 # populate every frame component of H.
@@ -61,7 +62,8 @@ class BumpBackground:
     c = (2 - delta_ab) M_ab, so that H^{ab} d_a d_b = chi * sum c d_a d_b;
     it is empty when epsilon is 0.  Callers that need pointwise 4x4
     algebra on g = m + chi M (the CFL speed bound, the covariant h of the
-    schematic sources) do it on the box, since g = m exactly outside it.
+    schematic sources) do it on the box, since g = m exactly outside it;
+    ``covariant_tt`` is the covariant h.
     """
 
     def __init__(self, epsilon, center=(0.0, 0.0, 0.0), radius=4.0,
@@ -78,7 +80,7 @@ class BumpBackground:
         self.hessian_terms = () if self.is_flat() else tuple(
             (a, b, float((1.0 if a == b else 2.0) * self.direction[a, b]))
             for a in range(4) for b in range(a, 4) if self.direction[a, b])
-        self._static_support = {}
+        self._static = {}
 
     def is_flat(self):
         return self.epsilon == 0.0
@@ -93,16 +95,42 @@ class BumpBackground:
         computes its support once per grid and returns the same read-only
         arrays at every t.
         """
+        return self._per_grid(self._support_at, geom, t)
+
+    def covariant_tt(self, geom, t):
+        """The tt component of the covariant perturbation h = g - m on the
+        support box and its 4-gradient: (box, h_tt, dh_tt) with dh_tt of
+        shape (4, *box shape), or None where ``support`` is None.
+
+        g_cov is the pointwise inverse of g^{mu nu} = m + chi M; the
+        gradient is -g_cov (dH) g_cov = -(g_cov M g_cov) dchi.  Like the
+        support, a static bump computes them once per grid.
+        """
+        return self._per_grid(self._covariant_tt_at, geom, t)
+
+    def _per_grid(self, compute, geom, t):
+        """compute(geom, t); for a static bump computed once per grid and
+        kept, its arrays read-only."""
         if np.any(self.velocity):
-            return self._support_at(geom, t)
-        key = (geom.N, geom.X)
-        if key not in self._static_support:
-            sup = self._support_at(geom, t)
-            if sup is not None:
-                for arr in sup[1:]:
+            return compute(geom, t)
+        key = (compute.__name__, geom.N, geom.X)
+        if key not in self._static:
+            val = compute(geom, t)
+            if val is not None:
+                for arr in val[1:]:
                     arr.setflags(write=False)
-            self._static_support[key] = sup
-        return self._static_support[key]
+            self._static[key] = val
+        return self._static[key]
+
+    def _covariant_tt_at(self, geom, t):
+        sup = self.support(geom, t)
+        if sup is None:
+            return None
+        box, chi, dchi = sup
+        M = self.direction
+        g_cov = np.linalg.inv(MINKOWSKI_INV + chi[..., None, None] * M)
+        gMg = np.einsum("...j,jk,...k->...", g_cov[..., 0, :], M, g_cov[..., :, 0])
+        return box, g_cov[..., 0, 0] - MINKOWSKI[0, 0], -gMg * dchi
 
     def _support_at(self, geom, t):
         if self.is_flat():

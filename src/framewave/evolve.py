@@ -29,14 +29,26 @@ their product with chi and the division by -g^{tt} run on the support
 box of H only, the derivatives from stencils on a copy of the box grown
 by the stencil width; outside the box chi is 0 and g^{tt} is exactly -1.
 The right-hand side writes into caller arrays and the evolver's kept
-work arrays, the schematic source, the box windows and the shell slabs
-included, so a warm flat or static-bump step allocates no full-size
-array.  The RK4 step keeps its stage, slope and accumulator arrays
+work arrays, the schematic source and its every term, the box windows
+and the shell slabs included, so a warm flat or static-bump step
+allocates no full-size array (a manufactured ``source_fn`` returns its
+own).  The RK4 step keeps its stage, slope and accumulator arrays
 between steps, sums ((k1 + 2 k2) + 2 k3) + k4 as the expression form
-does and adds the increment into the state in place.  Everything is
-single-threaded: two-thread numpy loops have measured anywhere from no
-gain to 1.8x on a 2-core host, so a slab split over threads waits for
-its own paired measurement.
+does and adds the increment into the state in place.
+
+One grid run uses two cores.  Each evolver keeps one worker thread
+(:class:`_Pair`) that shares four phases with the calling thread, each
+ending in one join: the ghost fills and the Laplacian over halves of the
+leading components; the schematic source's prologue, one item per field
+(the scalar gradient, each frame projection with its gradient); the
+source terms, the division by g^{tt}, the add into d_t Pi and the d_t Phi
+copy over halves of the leading components, with the radiation shell as
+one more item that computes into slab-sized kept arrays, written after
+the join; and the RK4 stage and accumulator arithmetic over halves of
+the components.  Every element sees the same operations in the same
+order, so results are bit-identical to a one-core run, which calls the
+same items in a loop.  A field with one component has one item per
+phase and runs in the calling thread, its shell after the rows.
 
 Steps are sequential and advance the caller's arrays in place.
 Monitors are fed each slice while the run produces it: at t1 and at
@@ -53,9 +65,12 @@ whose Lie series difference them in time.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
+import threading
+import weakref
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -96,127 +111,175 @@ class SourceSpec:
     def __post_init__(self):
         if self.bigO_degree < 1:
             raise ValueError("truncation degree must be >= 1")
+        if any(mu not in range(4) for mu in self.slots):
+            raise ValueError(f"slots must lie in 0..3, not {self.slots}")
         bad = set(self.terms) - set(SCHEMATIC_TERMS)
         if bad:
             raise ValueError(f"unknown schematic terms {sorted(bad)}")
 
 
-def _h_component_and_grad(geom, bg, t):
-    """The tt covariant component of h = g - m and its 4-gradient.
+def _h_component_and_grad(geom, bg, t, work=_fresh):
+    """The tt covariant component of h = g - m and its 4-gradient on the
+    full cube, in the ``work`` arrays "source.h" and "source.dh".
 
-    g_cov is the pointwise inverse of g^{mu nu} = m + chi M, taken on the
-    support box only (outside it g_cov = m, so h and its gradient are 0);
-    the gradient is -g_cov (dH) g_cov = -(g_cov M g_cov) dchi.
+    Both are 0 outside the support box; on it they are the background's
+    ``covariant_tt``, which a static bump computes once per grid.
     """
     n = geom.n_full
-    h, dh = np.zeros((n, n, n)), np.zeros((4, n, n, n))
-    sup = bg.support(geom, t)
-    if sup is None:
-        return h, dh
-    box, chi, dchi = sup
-    M = bg.direction
-    g_cov = np.linalg.inv(MINKOWSKI_INV + chi[..., None, None] * M)
-    h[box] = g_cov[..., 0, 0] - MINKOWSKI[0, 0]
-    gMg = np.einsum("...j,jk,...k->...", g_cov[..., 0, :], M, g_cov[..., :, 0])
-    dh[(slice(None),) + box] = -gMg * dchi
+    h, dh = work("source.h", (n, n, n)), work("source.dh", (4, n, n, n))
+    h.fill(0.0)
+    dh.fill(0.0)
+    cov = bg.covariant_tt(geom, t)
+    if cov is not None:
+        box, h_box, dh_box = cov
+        h[box] = h_box
+        dh[(slice(None),) + box] = dh_box
     return h, dh
 
 
-def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh):
+def _halves(n):
+    """range(n) as slices: two halves, or one slice when n is 1."""
+    h = (n + 1) // 2
+    return [slice(0, h), slice(h, n)] if n > 1 else [slice(0, n)]
+
+
+def _in_order(fn, items):
+    return [fn(item) for item in items]
+
+
+def _call(task):
+    return task()
+
+
+def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh, fan=_in_order,
+                 finish=None, alongside=()):
     """Assemble the requested schematic terms into a source array.
 
     Phi must be rank 1 (the potential A); returns (4, channels, n, n, n).
     Frame projections use the grid frame arrays, which are defined at all
     cell centers; the origin exclusion masks them out of any quadrature.
-    Each term is formed in one scratch array and added to the zeroed
-    source in the order of spec.terms.
+    Each term is formed in a scratch array and added to the zeroed source
+    in the order of spec.terms, row mu by row mu.
 
     ``work`` is a ``(name, shape) -> array`` callable; the evolver passes
     its kept work arrays.  The source, the scalar gradient, the scratch,
-    the frame projections and their gradients come from it, and the
-    returned source is one of them.
+    the frame projections and their gradients and every product the rows
+    share come from it, and the returned source is one of them.
+
+    ``fan(fn, items)`` maps the two phases (the evolver passes its
+    thread pair): first the fields the terms read, one item per field
+    (the scalar gradient; each frame projection, with its gradient where
+    a term reads it), then, after the products every row reads, the two
+    halves of the mu rows, each with its own scratch.  ``finish(r, S_r)``,
+    if given, receives each half of the rows once summed, in the same
+    item, and the zero-argument ``alongside`` tasks are the first items
+    of the same map.
     """
     if Phi.ndim != 5:
         raise ValueError("schematic sources need a rank-1 evolved field")
     ch = Phi.shape[1]
-    n = geom.n_full
+    n, dx = geom.n_full, geom.dx
     full, comp = (4, ch, n, n, n), (ch, n, n, n)
     S = work("source.S", full)
-    S.fill(0.0)                      # +0.0 everywhere, as np.zeros
-    if not spec.terms:
-        return S
+    terms = set(spec.terms)
+    tmp = work("source.tmp", (2,) + comp)      # one scratch per half of the rows
     s = Phi[0]                       # designated scalar part of A
-    ds = work("source.ds", full)
-    ds[0] = Pi[0]
-    for i in (1, 2, 3):
-        d1_axis(s, i, geom.dx, out=ds[i])
     L = geom.frame("L")
-    tmp = work("source.tmp", full)
-
-    def add(x, y):
-        np.add(S, np.multiply(x, y, out=tmp), out=S)
+    ds = work("source.ds", full) if terms else None
 
     def project(V, U, out):
         return np.einsum("m...,mc...->c...", V, U, out=out)
 
-    if {"A_tangA", "dh_tangA"} & set(spec.terms):
-        Ls = L[0] * ds[0]            # L-derivative of the scalar part
+    def scalar_gradient():
+        ds[0] = Pi[0]
         for i in (1, 2, 3):
-            Ls = Ls + L[i] * ds[i]
+            d1_axis(s, i, dx, out=ds[i])
 
-    need_h = {"dh_tangA", "tangh_dA", "dh_A2", "dh_TU_sq", "bigO_h_dA"} & set(spec.terms)
-    if need_h:
-        h_tt, dh_tt = _h_component_and_grad(geom, bg, t)
+    def frame_gradient(name, V):
+        pv = project(V, Phi, work(f"source.{name}", comp))
+        dp = work(f"source.d{name}", full)
+        project(V, Pi, dp[0])
+        for i in (1, 2, 3):
+            d1_axis(pv, i, dx, out=dp[i])
+        return pv, dp
+
+    frames = ("e1", "e2") if {"Ae_dAe", "dAe_sq"} & terms else ()
+    tasks = [functools.partial(frame_gradient, name, geom.frame(name)) for name in frames]
+    tasks += [scalar_gradient] if terms else []
+    if "AL_dA" in terms:
+        tasks.append(lambda: project(L, Phi, work("source.A_L", comp)))
+    done = fan(_call, tasks)     # the longest items first
+    proj = {name: pv for name, (pv, _) in zip(frames, done)}
+    dproj = {name: dp for name, (_, dp) in zip(frames, done)}
+    A_L = done[-1] if "AL_dA" in terms else None
+
+    # Products every row reads, made once; tmp[0] is their scratch.
+    if {"A3", "dh_A2"} & terms:
+        ss = np.multiply(s, s, out=work("source.ss", comp))
+
+    def transport(D, out, scratch):  # L^mu D_mu, summed in axis order
+        np.multiply(L[0], D[0], out=out)
+        for i in (1, 2, 3):
+            np.add(out, np.multiply(L[i], D[i], out=scratch), out=out)
+        return out
+
+    if {"A_tangA", "dh_tangA"} & terms:
+        Ls = transport(ds, work("source.Ls", comp), tmp[0])   # L-derivative of s
+    if {"dh_tangA", "tangh_dA", "dh_A2", "dh_TU_sq", "bigO_h_dA"} & terms:
+        h_tt, dh_tt = _h_component_and_grad(geom, bg, t, work)
         # Background is time-analytic; the L-transport of h uses dh directly.
-        Lh = L[0] * dh_tt[0]
-        for i in (1, 2, 3):
-            Lh = Lh + L[i] * dh_tt[i]
+        Lh = transport(dh_tt, work("source.Lh", (n, n, n)), tmp[0, 0])
+    if "dh_TU_sq" in terms:
+        Lh_sq = np.square(Lh, out=work("source.Lh_sq", (n, n, n)))
+    if "dAe_sq" in terms:
+        val = work("source.dAe_sq", comp)
+        val.fill(0.0)
+        for name in frames:
+            val += np.einsum("ac...,ac...->c...", dproj[name], dproj[name], out=tmp[0])
+    if "bigO_h_dA" in terms:
+        series, power = work("source.series", (n, n, n)), work("source.power", (n, n, n))
+        series.fill(0.0)
+        power.fill(1.0)
+        for _ in range(spec.bigO_degree):
+            np.add(series, power, out=series)
+            np.multiply(power, h_tt, out=power)
+        h_series = np.multiply(h_tt, series, out=series)
 
-    proj = {}
-    dproj = {}
-    if {"Ae_dAe", "dAe_sq"} & set(spec.terms):
-        for name in ("e1", "e2"):
-            V = geom.frame(name)
-            pv = project(V, Phi, work(f"source.{name}", comp))
-            dp = work(f"source.d{name}", full)
-            project(V, Pi, dp[0])
-            for i in (1, 2, 3):
-                d1_axis(pv, i, geom.dx, out=dp[i])
-            proj[name] = pv
-            dproj[name] = dp
+    def rows(r, scratch):
+        for mu in range(4)[r]:
+            S_mu = S[mu]
+            S_mu.fill(0.0)           # +0.0 everywhere, as np.zeros
 
-    for term in spec.terms:
-        if term == "A3":
-            add((s * s)[None, :], Phi)
-        elif term == "AL_dA":
-            add(project(L, Phi, work("source.A_L", comp))[None, :], ds)
-        elif term == "Ae_dAe":
-            for name in ("e1", "e2"):
-                add(proj[name][None, :], dproj[name])
-        elif term == "A_tangA":
-            add(Phi, Ls[None, :])
-        elif term == "dh_tangA":
-            add(dh_tt[:, None], Ls[None, :])
-        elif term == "tangh_dA":
-            add(Lh[None, None], ds)
-        elif term == "dh_A2":
-            add(dh_tt[:, None], (s * s)[None, :])
-        elif term == "dh_TU_sq":
-            for mu in spec.slots:
-                S[mu] += Lh[None] ** 2
-        elif term == "dAe_sq":
-            val = np.zeros((ch, n, n, n))
-            for name in ("e1", "e2"):
-                val += np.einsum("ac...,ac...->c...", dproj[name], dproj[name])
-            for mu in spec.slots:
-                S[mu] += val
-        elif term == "bigO_h_dA":
-            series = np.zeros_like(h_tt)
-            power = np.ones_like(h_tt)
-            for _ in range(spec.bigO_degree):
-                series = series + power
-                power = power * h_tt
-            add((h_tt * series)[None, None], ds)
+            def add(x, y):
+                np.add(S_mu, np.multiply(x, y, out=scratch), out=S_mu)
+
+            for term in spec.terms:
+                if term == "A3":
+                    add(ss, Phi[mu])
+                elif term == "AL_dA":
+                    add(A_L, ds[mu])
+                elif term == "Ae_dAe":
+                    for name in frames:
+                        add(proj[name], dproj[name][mu])
+                elif term == "A_tangA":
+                    add(Phi[mu], Ls)
+                elif term == "dh_tangA":
+                    add(dh_tt[mu], Ls)
+                elif term == "tangh_dA":
+                    add(Lh, ds[mu])
+                elif term == "dh_A2":
+                    add(dh_tt[mu], ss)
+                elif term in ("dh_TU_sq", "dAe_sq"):
+                    x = Lh_sq if term == "dh_TU_sq" else val
+                    for _ in range(spec.slots.count(mu)):
+                        S_mu += x
+                elif term == "bigO_h_dA":
+                    add(h_series, ds[mu])
+        if finish is not None:
+            finish(r, S[r])
+
+    fan(_call, list(alongside)
+        + [functools.partial(rows, r, tmp[i]) for i, r in enumerate(_halves(4))])
     return S
 
 
@@ -381,22 +444,32 @@ def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=_fresh):
     condition d_t U = -x^i/r d_i U - U/r.
 
     Slab by slab (``plan`` from :func:`_shell_plan`, built here if not
-    given): the Pi and Phi windows are copied once into one array, each
-    derivative closure writes its part with ``out=``, and the terms are
-    combined in place in the order of the expression above.  ``work`` is
-    a (name, shape) -> array callable as for :func:`build_source`; its
-    arrays are sized for the largest slab and shared by all six.
+    given), see :func:`_shell_slabs`.  ``work`` is a (name, shape) ->
+    array callable as for :func:`build_source`; its arrays are sized for
+    the largest slab and shared by all six.
     """
     plan = _shell_plan(geom) if plan is None else plan
-    lead = Phi.shape[:-3]
-    nc = math.prod(lead)
+    for sl, res in _shell_slabs(geom, Phi, Pi, plan, work):
+        _write_slab(sl, res, Phi.shape[:-3], dPhi, dPi)
+
+
+def _shell_slabs(geom, Phi, Pi, plan, work, keep=False):
+    """Yield (slab, d_t of Pi and Phi on its cut) for each slab of the
+    plan: the Pi and Phi windows are copied once into one array, each
+    derivative closure writes its part with ``out=``, and the terms are
+    combined in place in the order of the outgoing condition.  Reads Phi
+    and Pi only.  Each result is one array in the slab layout; with
+    ``keep`` it is the slab's own kept work array, so all six may be
+    written after the last is made, otherwise one array serves all six.
+    """
+    nc = math.prod(Phi.shape[:-3])
     nf = 2 * nc                     # Pi components, then Phi components
-    cells = max(math.prod(sl.shape) for sl in plan)
+    largest = nf * max(math.prod(sl.shape) for sl in plan)   # floats of a slab result
     wbuf = work("shell.window", (nf * max(math.prod(sl.wshape) for sl in plan),))
-    gbuf = work("shell.grad", (3, nf * cells))
-    tbuf = work("shell.tmp", (nf * cells,))
+    gbuf = work("shell.grad", (largest,))
+    tbuf = work("shell.tmp", (largest,))
     two, twelve = 2 * geom.dx, 12.0 * geom.dx
-    for sl in plan:
+    for j, sl in enumerate(plan):
         w0, w1, w2 = sl.wshape
         W = wbuf[:nf * w0 * w1 * w2].reshape(w0, nf, w1, w2)
         for f, U in enumerate((Pi, Phi)):
@@ -406,10 +479,13 @@ def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=_fresh):
                 1 + sl.order[0], 0, 1 + sl.order[1], 1 + sl.order[2]))
         e0, e1, e2 = sl.shape
         size = nf * e0 * e1 * e2
-        g = [gbuf[i, :size].reshape(e0, nf, e1, e2) for i in range(3)]
-        for i in range(3):
+        out = work(f"shell.out{j}", (size,)) if keep else work("shell.out", (largest,))
+        res = out[:size].reshape(e0, nf, e1, e2)
+        g = gbuf[:size].reshape(e0, nf, e1, e2)
+        # -(x0 g0 + x1 g1 + x2 g2) - U / r, each g_i scaled as it is made
+        for i, o_i in enumerate((res, g, g)):
             for kind, dst, reads in sl.parts[i]:
-                o = g[i][dst]
+                o = o_i[dst]
                 t = tbuf[:o.size].reshape(o.shape)
                 if kind == "lo":            # (-3 U0 + 4 U1 - U2) / 2dx
                     np.multiply(W[reads[0]], -3.0, out=o)
@@ -430,19 +506,96 @@ def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=_fresh):
                     np.add(o, t, out=o)
                     np.subtract(o, W[reads[3]], out=o)
                 np.divide(o, twelve if kind == "c4" else two, out=o)
-        # -(x0 g0 + x1 g1 + x2 g2) - U / r
-        g0, g1, g2 = g
-        np.multiply(sl.xh[0], g0, out=g0)
-        np.multiply(sl.xh[1], g1, out=g1)
-        np.add(g0, g1, out=g0)
-        np.multiply(sl.xh[2], g2, out=g2)
-        np.add(g0, g2, out=g0)
-        np.negative(g0, out=g0)
-        np.divide(W[sl.u], sl.r, out=g1)
-        np.subtract(g0, g1, out=g0)
-        for f, out in enumerate((dPi, dPhi)):
-            res = g0[:, f * nc:(f + 1) * nc].reshape((e0,) + lead + (e1, e2))
-            np.copyto(out[(Ellipsis, *sl.cut)], np.moveaxis(res, 0, len(lead) + sl.order[0]))
+            np.multiply(sl.xh[i], o_i, out=o_i)
+            if i:
+                np.add(res, g, out=res)
+        np.negative(res, out=res)
+        np.divide(W[sl.u], sl.r, out=g)
+        np.subtract(res, g, out=res)
+        yield sl, res
+
+
+def _write_slab(sl, res, lead, dPhi, dPi):
+    """Copy a result of :func:`_shell_slabs` onto the slab's cut of dPi
+    and dPhi, fields of leading shape ``lead``."""
+    nc, (e0, e1, e2) = math.prod(lead), sl.shape
+    for f, out in enumerate((dPi, dPhi)):
+        res_f = res[:, f * nc:(f + 1) * nc].reshape((e0,) + lead + (e1, e2))
+        np.copyto(out[(Ellipsis, *sl.cut)], np.moveaxis(res_f, 0, len(lead) + sl.order[0]))
+
+
+# True in every process of a certify._fork_map that forked workers: the
+# map fills the cores already, so a grid run there keeps to one thread.
+_in_fork_map = False
+
+
+class _Pair:
+    """The calling thread and one kept worker thread, mapping a function
+    over independent items.
+
+    ``map(fn, items)`` has the contract of ``certify._fork_map``: both
+    threads claim the next unclaimed item until none is left and the
+    results come back in item order.  An exception raised on either
+    thread stops the claiming and is raised here, with its own type,
+    once both threads are done (the one of the lowest item if both
+    raised).  With fewer than two items, one usable core or inside a fork
+    map it is a plain loop in the calling thread.  The worker starts on
+    the first map that needs it and runs until :meth:`stop`; it holds no
+    reference to the evolver that owns it.
+    """
+
+    def __init__(self):
+        self._thread = None
+        self._task = None
+
+    def map(self, fn, items):
+        if len(items) < 2 or _in_fork_map or len(os.sched_getaffinity(0)) < 2:
+            return [fn(item) for item in items]
+        results, failed = [None] * len(items), []
+        claim = itertools.count().__next__    # one call at a time, under the GIL
+
+        def run():
+            k = -1
+            try:
+                while not failed and (k := claim()) < len(items):
+                    results[k] = fn(items[k])
+            except BaseException as exc:
+                failed.append((k, exc))
+
+        if self._thread is None:
+            self._go, self._done = threading.Lock(), threading.Lock()
+            self._go.acquire()
+            self._done.acquire()
+            self._thread = threading.Thread(target=self._serve, name="framewave-grid",
+                                            daemon=True)
+            self._thread.start()
+        self._task = run
+        self._go.release()
+        run()
+        self._done.acquire()
+        self._task = None           # holds fn and the items, hence arrays
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        return results
+
+    def _serve(self):
+        go, done = self._go, self._done
+        while True:
+            go.acquire()
+            task = self._task
+            if task is None:
+                return
+            task()
+            done.release()
+
+    def stop(self, join=True):
+        """End the worker thread, if any; the next map starts a new one."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._task = None
+            self._go.release()
+            if join:
+                thread.join()
 
 
 class Evolver:
@@ -459,6 +612,8 @@ class Evolver:
         self._work = {}
         self._shell = None          # radiation-shell plan, built on first use
         self._held = None           # (t, Phi, Pi) whose slope "acc" holds
+        self._pair = _Pair()        # its thread ends by _release, or with the evolver
+        weakref.finalize(self, self._pair.stop, False)
 
     def _buffer(self, name, shape):
         """Work array kept between calls; its contents are undefined."""
@@ -468,8 +623,10 @@ class Evolver:
         return buf
 
     def _release(self):
-        """Drop the work arrays, the held slope and the shell plan; the
-        next step or right-hand side builds them again."""
+        """Stop the worker thread and drop the work arrays, the held slope
+        and the shell plan; the next step or right-hand side builds them
+        again."""
+        self._pair.stop()
         self._work.clear()
         self._shell = None
         self._held = None
@@ -482,14 +639,21 @@ class Evolver:
         arrays), their product with chi and the division by -g^{tt} run
         on the support box of the background only: outside it chi is 0
         and g^{tt} is exactly -1, so a source divided by g^{tt} sees -1
-        there.  H^{tt} enters through that divisor.
+        there.  H^{tt} enters through that divisor.  The phases over
+        halves of the leading components run on both threads of the
+        evolver's pair (see the module docstring).
         """
         # g^{tt} d_t Pi + 2 g^{tj} d_j Pi + g^{ij} d_i d_j Phi = S
-        geom, dx = self.geom, self.geom.dx
-        fill_ghosts_array(Phi, self._ghost_mode)
-        fill_ghosts_array(Pi, self._ghost_mode)
+        geom, dx, fan = self.geom, self.geom.dx, self._pair.map
         dPhi, dPi = out if out is not None else (np.empty(Phi.shape), np.empty(Phi.shape))
-        _laplacian(Phi, dx, out=dPi)
+        halves = _halves(Phi.shape[0])
+
+        def laplacian(r):
+            fill_ghosts_array(Phi[r], self._ghost_mode)
+            fill_ghosts_array(Pi[r], self._ghost_mode)
+            _laplacian(Phi[r], dx, out=dPi[r])
+
+        fan(laplacian, halves)
         g00 = -1.0
         sup = self.bg.support(geom, t)
         if sup is not None:
@@ -504,17 +668,35 @@ class Evolver:
                 g00 = self._buffer("g00", Phi.shape[-3:])
                 g00.fill(-1.0)
                 g00[box] = gtt
-        if self.source_fn is not None:
-            dPi += np.divide(self.source_fn(t), g00, out=self._buffer("tmp", Phi.shape))
+        src = None if self.source_fn is None else self.source_fn(t)
+        tmp = None if src is None else self._buffer("tmp", Phi.shape)
+
+        def finish(r, S_r=None):
+            if src is not None:
+                dPi[r] += np.divide(src[r], g00, out=tmp[r])
+            if S_r is not None:
+                S_r /= g00
+                dPi[r] += S_r
+            np.copyto(dPhi[r], Pi[r])
+
+        shell = self.boundary != "periodic"
+        if shell and self._shell is None:
+            self._shell = _shell_plan(geom)
+        # With two halves the shell is one more item, the first claimed (the
+        # longest), its slabs kept and written once the rows are done.
+        slabs, alongside = [], []
+        if shell and len(halves) > 1:
+            alongside.append(lambda: slabs.extend(_shell_slabs(
+                geom, Phi, Pi, self._shell, self._buffer, keep=True)))
         if self.schematic is not None:
-            S = build_source(self.schematic, geom, self.bg, t, Phi, Pi,
-                             work=self._buffer)
-            S /= g00
-            dPi += S
-        np.copyto(dPhi, Pi)
-        if self.boundary != "periodic":
-            if self._shell is None:
-                self._shell = _shell_plan(geom)
+            build_source(self.schematic, geom, self.bg, t, Phi, Pi, self._buffer, fan,
+                         finish, alongside)
+        else:
+            fan(_call, alongside + [functools.partial(finish, r) for r in halves])
+        if alongside:
+            for sl, res in slabs:
+                _write_slab(sl, res, Phi.shape[:-3], dPhi, dPi)
+        elif shell:     # a field of one component: the shell after the rows
             _radiation_shell(geom, Phi, Pi, dPhi, dPi, self._shell, self._buffer)
         return dPhi, dPi
 
@@ -546,30 +728,39 @@ class Evolver:
         seeds the accumulator (a slope held for (t, Phi, Pi) already is
         k1, see :meth:`slope`) and each later slope is weighted in place,
         so the sum keeps the order ((k1 + 2 k2) + 2 k3) + k4 before the
-        dt/6 scaling and the add to the state.
+        dt/6 scaling and the add to the state.  The arithmetic between
+        slopes runs over halves of the leading components on both threads.
         """
         shape = (2,) + Phi.shape
         acc, k, stage = (self._buffer(name, shape) for name in ("acc", "k", "stage"))
+        halves = _halves(Phi.shape[0])
 
-        def stage_from(slope, h):
-            np.multiply(slope, h, out=stage)
-            stage[0] += Phi
-            stage[1] += Pi
-            return stage
+        def stage_from(slope, h, weigh, r):
+            s = stage[:, r]
+            np.multiply(slope[:, r], h, out=s)
+            s[0] += Phi[r]
+            s[1] += Pi[r]
+            if weigh:                   # the slope enters the sum twice
+                k_r = k[:, r]
+                k_r *= 2.0
+                acc[:, r] += k_r
+
+        def advance(r):
+            a = acc[:, r]
+            a += k[:, r]
+            a *= dt / 6.0
+            Phi[r] += a[0]
+            Pi[r] += a[1]
 
         if not self._holds(t, Phi, Pi):
             self.rhs(t, Phi, Pi, out=acc)
         self._held = None
-        self.rhs(t + 0.5 * dt, *stage_from(acc, 0.5 * dt), out=k)
+        self._pair.map(functools.partial(stage_from, acc, 0.5 * dt, False), halves)
+        self.rhs(t + 0.5 * dt, *stage, out=k)
         for h in (0.5 * dt, dt):
-            stage_from(k, h)
-            k *= 2.0
-            acc += k
+            self._pair.map(functools.partial(stage_from, k, h, True), halves)
             self.rhs(t + h, *stage, out=k)
-        acc += k
-        acc *= dt / 6.0
-        Phi += acc[0]
-        Pi += acc[1]
+        self._pair.map(advance, halves)
         return Phi, Pi
 
 
@@ -662,29 +853,31 @@ def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, source_fn=None,
     dt = T / nsteps
     hist = RunHistory(geom, background, boundary)
     t = t1
-    consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
-    for k in range(nsteps):
-        ev.step(t, Phi, Pi, dt)
-        t = t1 + (k + 1) * dt
-        if k + 1 == nsteps:  # before the last monitor's temporaries and copies
-            ev._release()
-        if (k + 1) % stride == 0:
-            # solution cells only: the ghost layers are scratch that the
-            # next ghost fill overwrites
-            max_abs = float(np.max(np.abs(geom.interior(Phi))))
-            if log is not None:
-                log({"event": "monitor", "step": k + 1, "t": t,
-                     "cfl": dt * c / geom.dx, "max_abs": max_abs})
-            max_abs_pi = float(np.max(np.abs(geom.interior(Pi))))
-            if not (math.isfinite(max_abs) and math.isfinite(max_abs_pi)):
+    try:
+        consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
+        for k in range(nsteps):
+            ev.step(t, Phi, Pi, dt)
+            t = t1 + (k + 1) * dt
+            if k + 1 == nsteps:  # before the last monitor's temporaries and copies
+                ev._release()
+            if (k + 1) % stride == 0:
+                # solution cells only: the ghost layers are scratch that the
+                # next ghost fill overwrites
+                max_abs = float(np.max(np.abs(geom.interior(Phi))))
                 if log is not None:
-                    log({"event": "non_finite", "step": k + 1, "t": t,
-                         "quantity": "fields", "max_abs": max_abs,
-                         "max_abs_pi": max_abs_pi})
-                raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
-                                      f"{max_abs_pi} at t = {t} on the N = {geom.N} grid")
-            consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
-    ev._release()   # the work arrays of the last monitor's d_tt evaluation
+                    log({"event": "monitor", "step": k + 1, "t": t,
+                         "cfl": dt * c / geom.dx, "max_abs": max_abs})
+                max_abs_pi = float(np.max(np.abs(geom.interior(Pi))))
+                if not (math.isfinite(max_abs) and math.isfinite(max_abs_pi)):
+                    if log is not None:
+                        log({"event": "non_finite", "step": k + 1, "t": t,
+                             "quantity": "fields", "max_abs": max_abs,
+                             "max_abs_pi": max_abs_pi})
+                    raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
+                                          f"{max_abs_pi} at t = {t} on the N = {geom.N} grid")
+                consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
+    finally:
+        ev._release()   # the worker thread and the last monitor's work arrays
     return hist
 
 

@@ -69,6 +69,9 @@ def test_source_spec_validation():
         evolve.SourceSpec(terms=("nope",))
     with pytest.raises(ValueError):
         evolve.SourceSpec(terms=("A3",), bigO_degree=0)
+    for slots in ((4,), (0, -1)):   # the rows of S are mu = 0..3
+        with pytest.raises(ValueError, match="slots"):
+            evolve.SourceSpec(terms=("dh_TU_sq",), slots=slots)
 
 
 def test_build_source_constant_cubed():
@@ -705,9 +708,10 @@ def test_build_source_work_arrays_bit_identical(family, term):
 
 # --- h and the CFL speed on the support box against the dense tensors --------
 
-def _dense_h_component_and_grad(geom, bg, t):
+def _dense_h_component_and_grad(geom, bg, t, work=None):
     """The dense body of _h_component_and_grad (its oracle): n^3 pointwise
-    inverses of m + H and the gradient -g_cov (dH) g_cov, tt component."""
+    inverses of m + H and the gradient -g_cov (dH) g_cov, tt component.
+    Fresh arrays: ``work`` is ignored."""
     n = geom.n_full
     if bg.is_flat():
         return np.zeros((n, n, n)), np.zeros((4, n, n, n))
