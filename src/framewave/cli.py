@@ -16,11 +16,11 @@ checks; the multi-indices, with every input drawn here first) over every
 usable core with ``certify._fork_map``, and their reports are the same
 bytes as a one-core run.  ``conserve`` spreads its resolutions the same
 way, each run writing its own tagged files, and assembles its report in
-N order.  A single grid run (``evolve``, ``estimate``) splits its
-right-hand side and steps over two threads of its evolver (see
-:mod:`framewave.evolve`) when its field has more than one component;
-each resolution of ``conserve`` runs in one thread, since the fork map
-fills the cores already.
+N order.  A single grid run (``evolve``, ``estimate``, ``conserve
+--refine 1``) splits its right-hand side and steps over two threads of
+its evolver (see :mod:`framewave.evolve`) when its field has more than
+one component; the resolutions that the fork map spreads run in one
+thread each, since its processes fill the cores already.
 
 Multi-index grammar (the "multi_indices" entries): a comma-separated list
 of generator tokens applied left-to-right as written, leftmost outermost.
