@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from . import energy, estimates, evolve, vecfields, weights
+from . import energy, estimates, vecfields, weights
 from .errors import FramewaveError, WorkerLost
 from .fields import PolyField
 from .geometry import frame_arrays
@@ -67,12 +67,8 @@ def _fork_map(fn, items):
     joined before this returns, and terminated first on error.  With
     fewer than two items or one usable core it is a plain loop here.
     Workers are forked so that they start with this process's imports,
-    caches and inputs: only the results and errors are pickled.  While
-    workers run, this process and each worker already fill a core, so a
-    grid run in any of them keeps to one thread (``evolve._in_fork_map``);
-    a grid run ends its thread before it returns or raises
-    (``evolve.evolve_run``), so none is alive when a worker is forked.
-    Its callers are ``run_suite`` (the checks), ``cli.mode_commutator`` (the
+    caches and inputs: only the results and errors are pickled.  Its
+    callers are ``run_suite`` (the checks), ``cli.mode_commutator`` (the
     multi-indices) and ``cli.mode_conserve`` (the resolutions).
     """
     n_workers = min(len(items), len(os.sched_getaffinity(0))) - 1
@@ -103,7 +99,6 @@ def _fork_map(fn, items):
             conn.send(("done", done))
 
     results, procs, readers = {}, [], []
-    in_map, evolve._in_fork_map = evolve._in_fork_map, True
     try:
         for _ in range(n_workers):
             # each pipe is made just before its worker, and this process
@@ -130,7 +125,6 @@ def _fork_map(fn, items):
             proc.terminate()
         raise
     finally:
-        evolve._in_fork_map = in_map
         for proc in procs:
             proc.join()
         for conn in readers:

@@ -17,10 +17,9 @@ usable core with ``certify._fork_map``, and their reports are the same
 bytes as a one-core run.  ``conserve`` spreads its resolutions the same
 way, each run writing its own tagged files, and assembles its report in
 N order.  A single grid run (``evolve``, ``estimate``, ``conserve
---refine 1``) splits its right-hand side and steps over two threads of
-its evolver (see :mod:`framewave.evolve`) when its field has more than
-one component; the resolutions that the fork map spreads run in one
-thread each, since its processes fill the cores already.
+--refine 1``) splits its right-hand side and steps over two threads (see
+:mod:`framewave.evolve`) when its field has more than one component, and
+so does each resolution that the fork map spreads.
 
 Multi-index grammar (the "multi_indices" entries): a comma-separated list
 of generator tokens applied left-to-right as written, leftmost outermost.

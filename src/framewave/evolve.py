@@ -37,18 +37,20 @@ between steps, sums ((k1 + 2 k2) + 2 k3) + k4 as the expression form
 does and adds the increment into the state in place.
 
 One grid run uses two cores.  Each evolver keeps one worker thread
-(:class:`_Pair`) that shares four phases with the calling thread, each
-ending in one join: the ghost fills and the Laplacian over halves of the
-leading components; the schematic source's prologue, one item per field
-(the scalar gradient, each frame projection with its gradient); the
-source terms, the division by g^{tt}, the add into d_t Pi and the d_t Phi
-copy over halves of the leading components, with the radiation shell as
-one more item that computes into slab-sized kept arrays, written after
-the join; and the RK4 stage and accumulator arithmetic over halves of
+(:class:`_Pair`, ended by ``evolve_run`` or with the evolver) that
+shares the items of each phase with the calling thread, and each phase
+ends in one join.  The phases: the ghost fills and the Laplacian over
+halves of the leading components, with the radiation shell as one more
+item that computes into slab-sized kept arrays, written once d_t Phi
+and d_t Pi are finished; the schematic source's prologue, one item per
+field (the scalar gradient, each frame projection with its gradient);
+the source terms over halves of the mu rows; the division by g^{tt},
+the add into d_t Pi and the d_t Phi copy over halves of the leading
+components; and the RK4 stage and accumulator arithmetic over halves of
 the components.  Every element sees the same operations in the same
 order, so results are bit-identical to a one-core run, which calls the
 same items in a loop.  A field with one component has one item per
-phase and runs in the calling thread, its shell after the rows.
+phase and runs in the calling thread, its shell last.
 
 Steps are sequential and advance the caller's arrays in place.
 Monitors are fed each slice while the run produces it: at t1 and at
@@ -151,8 +153,7 @@ def _call(task):
     return task()
 
 
-def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh, fan=_in_order,
-                 finish=None, alongside=()):
+def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh, fan=_in_order):
     """Assemble the requested schematic terms into a source array.
 
     Phi must be rank 1 (the potential A); returns (4, channels, n, n, n).
@@ -167,13 +168,10 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh, fan=_in_or
     share come from it, and the returned source is one of them.
 
     ``fan(fn, items)`` maps the two phases (the evolver passes its
-    thread pair): first the fields the terms read, one item per field
-    (the scalar gradient; each frame projection, with its gradient where
-    a term reads it), then, after the products every row reads, the two
-    halves of the mu rows, each with its own scratch.  ``finish(r, S_r)``,
-    if given, receives each half of the rows once summed, in the same
-    item, and the zero-argument ``alongside`` tasks are the first items
-    of the same map.
+    thread pair, :class:`_Pair`): first the fields the terms read, one item per
+    field (the scalar gradient; each frame projection, with its gradient
+    where a term reads it), then, after the products every row reads,
+    the two halves of the mu rows, each with its own scratch.
     """
     if Phi.ndim != 5:
         raise ValueError("schematic sources need a rank-1 evolved field")
@@ -275,11 +273,8 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh, fan=_in_or
                         S_mu += x
                 elif term == "bigO_h_dA":
                     add(h_series, ds[mu])
-        if finish is not None:
-            finish(r, S[r])
 
-    fan(_call, list(alongside)
-        + [functools.partial(rows, r, tmp[i]) for i, r in enumerate(_halves(4))])
+    fan(_call, [functools.partial(rows, r, tmp[i]) for i, r in enumerate(_halves(4))])
     return S
 
 
@@ -524,11 +519,6 @@ def _write_slab(sl, res, lead, dPhi, dPi):
         np.copyto(out[(Ellipsis, *sl.cut)], np.moveaxis(res_f, 0, len(lead) + sl.order[0]))
 
 
-# True in every process of a certify._fork_map that forked workers: the
-# map fills the cores already, so a grid run there keeps to one thread.
-_in_fork_map = False
-
-
 class _Pair:
     """The calling thread and one kept worker thread, mapping a function
     over independent items.
@@ -538,10 +528,11 @@ class _Pair:
     results come back in item order.  An exception raised on either
     thread stops the claiming and is raised here, with its own type,
     once both threads are done (the one of the lowest item if both
-    raised).  With fewer than two items, one usable core or inside a fork
-    map it is a plain loop in the calling thread.  The worker starts on
-    the first map that needs it and runs until :meth:`stop`; it holds no
-    reference to the evolver that owns it.
+    raised).  With fewer than two items or one usable core it is a plain
+    loop in the calling thread.  The worker starts on the first map that
+    needs it and runs until :meth:`stop`; it holds no reference to the
+    evolver that owns it.  A step makes 20 maps, and handing a map to a
+    kept thread costs less than starting a thread for it.
     """
 
     def __init__(self):
@@ -549,7 +540,7 @@ class _Pair:
         self._task = None
 
     def map(self, fn, items):
-        if len(items) < 2 or _in_fork_map or len(os.sched_getaffinity(0)) < 2:
+        if len(items) < 2 or len(os.sched_getaffinity(0)) < 2:
             return [fn(item) for item in items]
         results, failed = [None] * len(items), []
         claim = itertools.count().__next__    # one call at a time, under the GIL
@@ -612,7 +603,7 @@ class Evolver:
         self._work = {}
         self._shell = None          # radiation-shell plan, built on first use
         self._held = None           # (t, Phi, Pi) whose slope "acc" holds
-        self._pair = _Pair()        # its thread ends by _release, or with the evolver
+        self._pair = _Pair()        # its thread ends with evolve_run, or with the evolver
         weakref.finalize(self, self._pair.stop, False)
 
     def _buffer(self, name, shape):
@@ -623,10 +614,8 @@ class Evolver:
         return buf
 
     def _release(self):
-        """Stop the worker thread and drop the work arrays, the held slope
-        and the shell plan; the next step or right-hand side builds them
-        again."""
-        self._pair.stop()
+        """Drop the work arrays, the held slope and the shell plan; the
+        next step or right-hand side builds them again."""
         self._work.clear()
         self._shell = None
         self._held = None
@@ -653,7 +642,17 @@ class Evolver:
             fill_ghosts_array(Pi[r], self._ghost_mode)
             _laplacian(Phi[r], dx, out=dPi[r])
 
-        fan(laplacian, halves)
+        shell = self.boundary != "periodic"
+        if shell and self._shell is None:
+            self._shell = _shell_plan(geom)
+        # With two halves the shell is one more item, the first claimed (the
+        # longest): it reads no ghost cell, and its slabs are kept and
+        # written once the halves are finished.
+        slabs, alongside = [], []
+        if shell and len(halves) > 1:
+            alongside.append(lambda: slabs.extend(_shell_slabs(
+                geom, Phi, Pi, self._shell, self._buffer, keep=True)))
+        fan(_call, alongside + [functools.partial(laplacian, r) for r in halves])
         g00 = -1.0
         sup = self.bg.support(geom, t)
         if sup is not None:
@@ -670,33 +669,23 @@ class Evolver:
                 g00[box] = gtt
         src = None if self.source_fn is None else self.source_fn(t)
         tmp = None if src is None else self._buffer("tmp", Phi.shape)
+        S = None if self.schematic is None else build_source(
+            self.schematic, geom, self.bg, t, Phi, Pi, self._buffer, fan)
 
-        def finish(r, S_r=None):
+        def finish(r):
             if src is not None:
                 dPi[r] += np.divide(src[r], g00, out=tmp[r])
-            if S_r is not None:
+            if S is not None:
+                S_r = S[r]
                 S_r /= g00
                 dPi[r] += S_r
             np.copyto(dPhi[r], Pi[r])
 
-        shell = self.boundary != "periodic"
-        if shell and self._shell is None:
-            self._shell = _shell_plan(geom)
-        # With two halves the shell is one more item, the first claimed (the
-        # longest), its slabs kept and written once the rows are done.
-        slabs, alongside = [], []
-        if shell and len(halves) > 1:
-            alongside.append(lambda: slabs.extend(_shell_slabs(
-                geom, Phi, Pi, self._shell, self._buffer, keep=True)))
-        if self.schematic is not None:
-            build_source(self.schematic, geom, self.bg, t, Phi, Pi, self._buffer, fan,
-                         finish, alongside)
-        else:
-            fan(_call, alongside + [functools.partial(finish, r) for r in halves])
+        fan(finish, halves)
         if alongside:
             for sl, res in slabs:
                 _write_slab(sl, res, Phi.shape[:-3], dPhi, dPi)
-        elif shell:     # a field of one component: the shell after the rows
+        elif shell:     # a field of one component: the shell after the halves
             _radiation_shell(geom, Phi, Pi, dPhi, dPi, self._shell, self._buffer)
         return dPhi, dPi
 
@@ -729,7 +718,7 @@ class Evolver:
         k1, see :meth:`slope`) and each later slope is weighted in place,
         so the sum keeps the order ((k1 + 2 k2) + 2 k3) + k4 before the
         dt/6 scaling and the add to the state.  The arithmetic between
-        slopes runs over halves of the leading components on both threads.
+        slopes runs over halves of the leading components on two threads.
         """
         shape = (2,) + Phi.shape
         acc, k, stage = (self._buffer(name, shape) for name in ("acc", "k", "stage"))
@@ -877,7 +866,8 @@ def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, source_fn=None,
                                           f"{max_abs_pi} at t = {t} on the N = {geom.N} grid")
                 consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
     finally:
-        ev._release()   # the worker thread and the last monitor's work arrays
+        ev._release()   # the work arrays of the last monitor's d_tt evaluation
+        ev._pair.stop()
     return hist
 
 

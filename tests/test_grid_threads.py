@@ -2,8 +2,8 @@
 
 A right-hand side and RK4 steps computed with two usable cores must be the
 same bits as with one (signed zeros included), the map keeps the contract
-of ``certify._fork_map``, no thread outlives ``evolve_run``, and inside a
-fork map a grid run keeps to one thread.
+of ``certify._fork_map``, no thread outlives ``evolve_run``, and a conserve
+run through the fork map writes the same bytes on one core and two.
 """
 
 import json
@@ -83,7 +83,7 @@ def test_one_core_and_two_give_the_same_bits(monkeypatch, case):
         for k in range(2):   # the second step reuses the first one's work arrays
             ev.step(t + k * dt, Phi, Pi, dt)
             out += [_bits(Phi).copy(), _bits(Pi).copy()]
-        ev._release()
+        ev._pair.stop()
         runs[len(cores)] = out, threaded
     (one, one_threaded), (two, two_threaded) = runs[1], runs[2]
     assert not one_threaded
@@ -106,7 +106,7 @@ def test_split_rhs_matches_one_component_at_a_time(monkeypatch, boundary, family
     Phi, Pi = _state(geom, lead)
     got = [_bits(d).copy() for d in ev.rhs(t, Phi.copy(), Pi.copy())]
     assert ev._pair._thread is not None
-    ev._release()
+    ev._pair.stop()
     for idx in np.ndindex(lead):
         one = idx[:-1] + (slice(idx[-1], idx[-1] + 1),)
         want = ev.rhs(t, Phi[one].copy(), Pi[one].copy())
@@ -206,8 +206,12 @@ def test_no_thread_outlives_a_failing_run(monkeypatch, failure):
 
 
 def test_no_thread_outlives_a_run(monkeypatch):
+    """A run starts one worker thread, which serves every step and the
+    last monitor's slope and ends with the run."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    before, seen = threading.active_count(), []
+    before, seen, starts = threading.active_count(), [], []
+    serve = evolve._Pair._serve
+    monkeypatch.setattr(evolve._Pair, "_serve", lambda pair: (starts.append(1), serve(pair)))
 
     def consumer(hist, t, Phi, Pi, slope):
         slope()
@@ -215,22 +219,14 @@ def test_no_thread_outlives_a_run(monkeypatch):
 
     _rank1_run(consumer)
     assert max(seen) == before + 1        # the run's worker thread, while it ran
+    assert len(starts) == 1
     assert threading.active_count() == before
 
 
-def test_conserve_in_a_fork_map_starts_no_grid_thread(tmp_path, capsys, monkeypatch):
+def test_conserve_on_two_cores_matches_one_core(tmp_path, capsys, monkeypatch):
     """A rank-1 conserve on two cores runs its resolutions through the
-    fork map, so each grid run, in the worker and here, keeps to one
-    thread; the files are the same bytes as a one-core run."""
-    start = evolve._Pair.map
-
-    def no_thread(self, fn, items):
-        results = start(self, fn, items)
-        if self._thread is not None:
-            raise AssertionError("a grid thread started inside the fork map")
-        return results
-
-    monkeypatch.setattr(evolve._Pair, "map", no_thread)
+    fork map, each grid run on two threads; the files are the same bytes
+    as a one-core run."""
     body = {"mode": "conserve", **DETERMINISM_CONFIGS["conserve"],
             "data": {"family": "gaussian", "rank": 1, "channels": 1,
                      "center": [0, 0, 1.5], "sigma": 0.8},
@@ -249,7 +245,6 @@ def test_conserve_in_a_fork_map_starts_no_grid_thread(tmp_path, capsys, monkeypa
     for name in runs[1]:
         assert runs[1][name] == runs[2][name], name
     assert json.loads(runs[2]["conserve.json"])["N"] == [8, 12]
-    assert evolve._in_fork_map is False
 
 
 @pytest.mark.parametrize("family", ["zero", "static-bump"])
@@ -278,6 +273,6 @@ def test_warm_step_allocates_no_full_array(monkeypatch, family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        ev._release()
+        ev._pair.stop()
     assert peak - before < geom.n_full ** 3 * 8
     assert got[0] is Phi and got[1] is Pi
