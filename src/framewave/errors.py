@@ -43,3 +43,7 @@ class SchemaError(FramewaveError):
 
 class ConstraintError(FramewaveError):
     """Configuration value violates a numeric constraint."""
+
+
+class ExponentOverflow(FramewaveError):
+    """An exact scalar's monomial exponent left the range its key can hold."""

@@ -5,8 +5,8 @@ Two scalar classes share one small interface (add/mul/diff/eval_many):
 * ``Poly`` -- the exact scalar: a polynomial with exact (int/Fraction)
   coefficients in t, x1, x2, x3 and the inverse radii 1/r and 1/rho12
   (r = |x|, rho12 = sqrt(x1^2 + x2^2)), stored as {exponent key:
-  coefficient}.  The key is (t, x1, x2, x3, r^-1, rho12^-1): six
-  non-negative exponents, the last two counting inverse powers.  The
+  coefficient}.  The exponents are (t, x1, x2, x3, r^-1, rho12^-1): six
+  non-negative integers, the last two counting inverse powers.  The
   ring is closed under differentiation, d_i r^-a = -a x_i r^-(a+2) and
   likewise rho12 on x1 and x2, which makes frame-projected scalars
   (x^i/r coefficients and the sphere frame away from the poles) exactly
@@ -19,6 +19,19 @@ Two scalar classes share one small interface (add/mul/diff/eval_many):
   under differentiation and used for localized smooth test data and
   manufactured solutions.
 
+Keys.  A monomial key is one Python int holding the six exponents in
+8-bit fields, t in the most significant field and rho12^-1 in the least,
+so keys sort like exponent tuples.  ``pack`` builds a key and ``unpack``
+reads one back.  An exponent may be 0..127: the top bit of each field is
+a guard bit.  The key of a product is the sum of the factors' keys, and
+a derivative adds or subtracts a fixed key per term (the chain rule
+included); a field stays below 256 in both, so no carry reaches the next
+field, and a result key with a guard bit set raises ``ExponentOverflow``
+instead of wrapping.  Every operation inserts its result's keys in the
+order the exponent-tuple arithmetic did, term by term, and that order is
+part of the interface: it fixes the summation order of ``_eval_scalars``
+and so the last bits of every evaluation.
+
 Evaluation goes through one kernel for point batches of shape (n, 4).
 It takes a list of Poly scalars, collects the union of their monomial
 keys, builds one power table per key axis in use, forms each monomial
@@ -30,54 +43,134 @@ sized so that each (monomials x points) temporary holds at most
 
 from __future__ import annotations
 
+import itertools
 import numbers
+import operator
+from functools import reduce
 
 import numpy as np
 
-AXES = ("t", "x1", "x2", "x3", "1/r", "1/rho12")
-ZERO_KEY = (0,) * len(AXES)
+from .errors import ExponentOverflow
 
-# The inverse-radius key slots and the coordinate axes of each radius, and
-# for each coordinate axis the slots whose radius depends on it.
+AXES = ("t", "x1", "x2", "x3", "1/r", "1/rho12")
+ZERO_KEY = 0
+
+_BITS = 8
+_FIELD = (1 << _BITS) - 1
+MAX_EXPONENT = (1 << (_BITS - 1)) - 1
+# Bit offset of each axis in a key, the key of each single variable and
+# the guard bits of all fields.
+_SHIFTS = tuple(_BITS * (len(AXES) - 1 - a) for a in range(len(AXES)))
+_UNIT = tuple(1 << s for s in _SHIFTS)
+_SHIFT_ROW = np.array(_SHIFTS, dtype=np.int64)
+_GUARD = sum(u << (_BITS - 1) for u in _UNIT)
+_KEY_END = 1 << (_BITS * len(AXES))
+
+# The inverse-radius slots and the coordinate axes of each radius.  For
+# each coordinate axis: the bit offset of every radius that depends on it
+# with the key its chain-rule term adds (x_axis r^-(a+2) for r^-a), and
+# the mask of those radii's fields.
 _RADIUS_AXES = {4: (1, 2, 3), 5: (1, 2)}
-_CHAIN = tuple(tuple(s for s, axes in _RADIUS_AXES.items() if a in axes) for a in range(4))
+_CHAIN = tuple(tuple((_SHIFTS[s], _UNIT[a] + 2 * _UNIT[s])
+                     for s, axes in _RADIUS_AXES.items() if a in axes) for a in range(4))
+_CHAIN_MASK = tuple(sum(_FIELD << rs for rs, _ in chain) for chain in _CHAIN)
+
+
+def pack(exponents):
+    """The key of six exponents (t, x1, x2, x3, r^-1, rho12^-1); raises
+    ExponentOverflow for an exponent outside 0..MAX_EXPONENT."""
+    if len(exponents) != len(AXES):
+        raise ValueError(f"a key has {len(AXES)} exponents, got {len(exponents)}")
+    key = 0
+    for e in exponents:
+        e = operator.index(e)
+        if not 0 <= e <= MAX_EXPONENT:
+            raise ExponentOverflow(f"exponent {e} outside 0..{MAX_EXPONENT} in "
+                                   f"{tuple(exponents)}")
+        key = key << _BITS | e
+    return key
+
+
+def unpack(key):
+    """The six exponents of a key, as a tuple of ints."""
+    return tuple(key >> s & _FIELD for s in _SHIFTS)
+
+
+def _checked(c):
+    """c, a {key: coefficient} dict, unless one of its keys has an
+    exponent above MAX_EXPONENT."""
+    if reduce(operator.or_, c, 0) & _GUARD:
+        bad = next(unpack(k) for k in c if k & _GUARD)
+        raise ExponentOverflow(f"exponent above {MAX_EXPONENT} in {bad}")
+    return c
+
+
+def _poly(c):
+    """A Poly holding the dict c, which has no zero coefficient."""
+    p = object.__new__(Poly)
+    p.c = c
+    return p
+
+
+def _diff_terms(c, axis, shift):
+    """The terms of d/dx^axis of {key: coefficient} c, each key moved by
+    ``shift`` (the key of a monomial factor): {key: coefficient} in the
+    order of first appearance, zero sums kept."""
+    s, field, chain, radii = _SHIFTS[axis], _FIELD, _CHAIN[axis], _CHAIN_MASK[axis]
+    down = shift - _UNIT[axis]
+    out = {}
+    get = out.get
+    for k, v in c.items():
+        e = k >> s & field
+        if e:
+            dk = k + down
+            out[dk] = get(dk, 0) + e * v
+        if k & radii:
+            for rs, step in chain:
+                a = k >> rs & field
+                if a:
+                    dk = k + step + shift
+                    out[dk] = get(dk, 0) - a * v
+    return out
 
 
 class Poly:
     """Exact polynomial in t, x1, x2, x3, 1/r and 1/rho12, stored as
-    {exponent 6-tuple: coefficient}."""
+    {packed exponent key: coefficient}."""
 
     __slots__ = ("c",)
 
     def __init__(self, coeffs=None):
-        self.c = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if v != 0:
-                    self.c[k] = v
+        coeffs = coeffs or {}
+        for k in coeffs:
+            if type(k) is not int:
+                raise TypeError(f"Poly keys are ints built by pack(), got {k!r}")
+            if not 0 <= k < _KEY_END or k & _GUARD:
+                raise ExponentOverflow(f"key {k:#x} is not six exponents in "
+                                       f"0..{MAX_EXPONENT}")
+        self.c = {k: v for k, v in coeffs.items() if v != 0}
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _poly({})
 
     @classmethod
     def const(cls, v):
-        return cls({ZERO_KEY: v}) if v != 0 else cls()
+        return _poly({ZERO_KEY: v} if v != 0 else {})
 
     @classmethod
     def var(cls, axis):
-        k = list(ZERO_KEY)
-        k[axis] = 1
-        return cls({tuple(k): 1})
+        return _poly({_UNIT[axis]: 1})
 
     def is_zero(self):
         return not self.c
 
     def __add__(self, other):
-        if isinstance(other, numbers.Number):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, numbers.Number):
+                other = Poly.const(other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         out = dict(self.c)
         for k, v in other.c.items():
             w = out.get(k, 0) + v
@@ -85,72 +178,76 @@ class Poly:
                 out.pop(k, None)
             else:
                 out[k] = w
-        p = Poly()
-        p.c = out
-        return p
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly()
-        p.c = {k: -v for k, v in self.c.items()}
-        return p
+        return _poly({k: -v for k, v in self.c.items()})
 
     def __sub__(self, other):
-        if isinstance(other, numbers.Number):
-            other = Poly.const(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, numbers.Number):
+                other = Poly.const(other)
+            elif not isinstance(other, Poly):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, numbers.Number):
-            if other == 0:
-                return Poly()
-            p = Poly()
-            p.c = {k: v * other for k, v in self.c.items()}
-            return p
-        if not isinstance(other, Poly):
-            return NotImplemented
+        if type(other) is not Poly:
+            if isinstance(other, numbers.Number):
+                if other == 0:
+                    return _poly({})
+                return _poly({k: v * other for k, v in self.c.items()})
+            if not isinstance(other, Poly):
+                return NotImplemented
         out = {}
         for k1, v1 in self.c.items():
             for k2, v2 in other.c.items():
-                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3],
-                     k1[4] + k2[4], k1[5] + k2[5])
+                k = k1 + k2
                 w = out.get(k, 0) + v1 * v2
                 if w == 0:
                     out.pop(k, None)
                 else:
                     out[k] = w
-        p = Poly()
-        p.c = out
-        return p
+        return _poly(_checked(out))
 
     __rmul__ = __mul__
 
     def diff(self, axis):
         """d/dx^axis (axis 0..3); a radius power differentiates by the
         chain rule, d_i r^-a = -a x_i r^-(a+2)."""
-        out = {}
-        for k, v in self.c.items():
-            e = k[axis]
-            if e:
-                dk = k[:axis] + (e - 1,) + k[axis + 1:]
-                out[dk] = out.get(dk, 0) + e * v
-            for slot in _CHAIN[axis]:
-                a = k[slot]
-                if a:
-                    dk = list(k)
-                    dk[axis] += 1
-                    dk[slot] = a + 2
-                    dk = tuple(dk)
-                    out[dk] = out.get(dk, 0) - a * v
-        p = Poly()
-        p.c = {k: v for k, v in out.items() if v != 0}
-        return p
+        terms = _diff_terms(self.c, axis, 0)
+        if 0 in terms.values():   # only where terms cancelled
+            terms = {k: v for k, v in terms.items() if v != 0}
+        return _poly(_checked(terms))
+
+    def monomial_action(self, components):
+        """sum_mu c_mu x^{k_mu} d_mu self for a vector field whose
+        components are the monomials c_mu x^{k_mu}, given as (mu, k_mu,
+        c_mu) triples with nonzero c_mu.
+
+        One pass over the keys per component, no intermediate Poly: the
+        result is the dict, in the same order, that summing the products
+        ``Poly({k_mu: c_mu}) * self.diff(mu)`` left to right builds.
+        """
+        out = None
+        for axis, shift, cv in components:
+            terms = _diff_terms(self.c, axis, shift)
+            if out is None:
+                out = {k: (v if cv == 1 else cv * v) for k, v in terms.items() if v != 0}
+                continue
+            for k, v in terms.items():
+                if v != 0:
+                    w = out.get(k, 0) + (v if cv == 1 else cv * v)
+                    if w == 0:
+                        out.pop(k, None)
+                    else:
+                        out[k] = w
+        return _poly(_checked(out or {}))
 
     def eval_many(self, pts):
         """Evaluate at points of shape (n, 4); returns an (n,) float array."""
@@ -174,7 +271,7 @@ class Poly:
         for k in sorted(self.c):
             mono = "*".join(
                 f"{AXES[a]}^{e}" if e > 1 else AXES[a]
-                for a, e in enumerate(k) if e
+                for a, e in enumerate(unpack(k)) if e
             )
             parts.append(f"{self.c[k]}{'*' + mono if mono else ''}")
         return "Poly(" + " + ".join(parts) + ")"
@@ -261,23 +358,28 @@ def _eval_scalars(scalars, pts):
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    index, rows, coefs, starts, filled = {}, [], [], [], []
-    for j, s in enumerate(scalars):
-        start = len(rows)
-        for k, v in s.c.items():
-            rows.append(index.setdefault(k, len(index)))
-            coefs.append(float(v))
-        if len(rows) > start:  # reduceat needs strictly increasing starts
-            starts.append(start)
+    dicts = [s.c for s in scalars]
+    starts, filled, nrows = [], [], 0
+    for j, c in enumerate(dicts):
+        if c:  # reduceat needs strictly increasing starts
+            starts.append(nrows)
             filled.append(j)
+            nrows += len(c)
     n = pts.shape[0]
     out = np.zeros((n, len(scalars)))
-    if not rows:
+    if not nrows:
         return out
-    keys = np.array(list(index), dtype=np.intp)
+    # The union of the keys in order of first appearance, and the union
+    # position of every term.
+    index = dict.fromkeys(itertools.chain.from_iterable(dicts))
+    index = dict(zip(index, range(len(index))))
+    rows = np.fromiter(map(index.__getitem__, itertools.chain.from_iterable(dicts)),
+                       dtype=np.intp, count=nrows)
+    coefs = np.fromiter(itertools.chain.from_iterable(c.values() for c in dicts),
+                        dtype=float, count=nrows)[:, None]
+    # unpack on every key at once: one column of exponents per key axis
+    keys = np.fromiter(index, dtype=np.int64, count=len(index))[:, None] >> _SHIFT_ROW & _FIELD
     axes = [(ax, int(top)) for ax, top in enumerate(keys.max(axis=0)) if top]
-    rows = np.array(rows, dtype=np.intp)
-    coefs = np.array(coefs)[:, None]
     # Every monomial is used at least once, so len(rows) bounds each temporary.
     width = max(1, _BLOCK_ENTRIES // len(rows))
     for lo in range(0, n, width):
@@ -297,12 +399,12 @@ def random_poly(rng, degree=2, nterms=4, time_dependent=True):
     c = {}
     for _ in range(nterms):
         while True:
-            k = tuple(rng.integers(0, degree + 1, size=4).tolist())
+            k = rng.integers(0, degree + 1, size=4).tolist()
             if sum(k) <= degree and (time_dependent or k[0] == 0):
                 break
         v = int(rng.integers(-3, 4))
         if v:
-            k += (0, 0)
+            k = pack(k + [0, 0])
             c[k] = c.get(k, 0) + v
     return Poly({k: v for k, v in c.items() if v})
 

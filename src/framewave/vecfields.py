@@ -32,7 +32,7 @@ import numpy as np
 from .errors import PoleDegenerate, TimeZero
 from .fields import PolyField, tangential_norm_sq
 from .geometry import MINKOWSKI, TANGENTIAL_NAMES, frame_arrays, radius
-from .poly import P_ONE, ZERO_KEY, Poly
+from .poly import P_ONE, ZERO_KEY, Poly, unpack
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,43 @@ _FIELD_CACHE = {g: as_field(g) for g in GENERATORS}
 _JAC_CACHE = {g: jacobian(g) for g in GENERATORS}
 
 
+def _monomial_components(f: PolyField):
+    """(mu, key, coefficient) of each nonzero component of a generator
+    field, every one of which is a single monomial."""
+    out = []
+    for mu in range(4):
+        terms = list(f.comps[mu, 0].c.items())
+        if terms:
+            ((key, coeff),) = terms
+            out.append((mu, key, coeff))
+    return tuple(out)
+
+
+_ACTION_CACHE = {g: _monomial_components(f) for g, f in _FIELD_CACHE.items()}
+
+
+def _slot_terms(J):
+    """For a covariant ("d") and a contravariant ("u") slot holding index
+    mu: the (lam, coefficient) pairs of the slot's Lie term with a nonzero
+    coefficient, J[lam, mu] and -J[mu, lam] respectively, kept as the
+    numpy ints the Lie terms have always been scaled by."""
+    return {"d": tuple(tuple((lam, J[lam, mu]) for lam in range(4) if J[lam, mu])
+                       for mu in range(4)),
+            "u": tuple(tuple((lam, -J[mu, lam]) for lam in range(4) if J[mu, lam])
+                       for mu in range(4))}
+
+
+_SLOT_TERMS = {g: _slot_terms(J) for g, J in _JAC_CACHE.items()}
+
+
 def apply_to_scalar(gen, p):
-    """Z(f) = Z^mu d_mu f for an exact scalar."""
+    """Z(f) = Z^mu d_mu f for an exact scalar.
+
+    A Poly takes one pass over its keys per nonzero component of Z; a
+    GaussPoly sums the products of each component with its derivative.
+    """
+    if type(p) is Poly:
+        return p.monomial_action(_ACTION_CACHE[gen])
     zf = _FIELD_CACHE[gen]
     out = None
     for mu in range(4):
@@ -143,21 +178,14 @@ def lie_derivative(gen: VectorFieldId, T: PolyField) -> PolyField:
     Covariant slots gain + (d_slot Z^lam) T_{..lam..}; contravariant slots
     gain - (d_lam Z^slot) T^{..lam..}.  Exact on polynomial components.
     """
-    J = _JAC_CACHE[gen]
+    slot_terms = _SLOT_TERMS[gen]
     out = T.map(lambda p: apply_to_scalar(gen, p))
     for slot, var in enumerate(T.variance):
+        terms = slot_terms[var]
         for idx in np.ndindex(T.shape):
             acc = out.comps[idx]
-            for lam in range(4):
-                src = list(idx)
-                src[slot] = lam
-                src = tuple(src)
-                if var == "d":
-                    coeff = J[lam, idx[slot]]
-                else:
-                    coeff = -J[idx[slot], lam]
-                if coeff:
-                    acc = acc + T.comps[src] * coeff
+            for lam, coeff in terms[idx[slot]]:
+                acc = acc + T.comps[idx[:slot] + (lam,) + idx[slot + 1:]] * coeff
             out.comps[idx] = acc
     return out
 
@@ -218,11 +246,12 @@ def _affine_parts(f: PolyField):
     for mu in range(4):
         p = f.comps[mu, 0]
         for k, v in p.c.items():
-            s = sum(k)
+            e = unpack(k)
+            s = sum(e)
             if s == 0:
                 c[mu] = c[mu] + v
             elif s == 1:
-                nu = k.index(1)
+                nu = e.index(1)
                 A[mu, nu] = A[mu, nu] + v
             else:
                 raise ValueError("commutator table expects affine fields")

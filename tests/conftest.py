@@ -1,8 +1,20 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from framewave.certify import sample_points  # noqa: F401  (shared by the test modules)
 from framewave.geometry import frame_arrays
+from framewave.poly import Poly, pack
+
+# Exact scalars on few, low exponents (coordinates 0..2, r^-1 0..3,
+# rho12^-1 0..2), so that terms collide and cancel in sums, products,
+# derivatives and generator actions; coefficients of every kind in use.
+exact_scalars = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 4, st.integers(0, 3), st.integers(0, 2)),
+    st.sampled_from([-3, -1, 1, 2, Fraction(1, 3), -0.05]), min_size=1, max_size=16,
+).map(lambda terms: Poly({pack(k): v for k, v in terms.items()}))
 
 
 def frame_at(x, chart="auto"):

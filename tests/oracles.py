@@ -16,15 +16,17 @@ null frame, the exact wave operator, the decay check's tangential loop,
 the per-point ``Point``/``Frame`` generator representations of slash-d_i
 and e_A with the two certify checks that ran them, the manufactured
 source that read its H terms off the direction matrix, and the Lie
-step's generator coefficients evaluated from the exact field, and the
-exponent draw of ``random_poly`` one ``int`` at a time), kept as
-they were so that tests can require the kernels to agree with them bit
-for bit.
+step's generator coefficients evaluated from the exact field, the
+exponent draw of ``random_poly`` one ``int`` at a time, and the exact
+scalar's arithmetic, generator action and Lie derivative on
+exponent-tuple keys), kept as they were so that tests can require the
+kernels to agree with them bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -43,9 +45,9 @@ from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
 from framewave.fields import (PolyField, d1_axis, d2_axis, fill_ghosts_array, save_snapshot,
                               wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
-from framewave.poly import GaussPoly, Poly, _eval_scalars, random_poly
-from framewave.vecfields import (_FIELD_CACHE, GENERATORS, VectorFieldId, apply_to_scalar,
-                                 lie_multi, parse_multi_index)
+from framewave.poly import GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
+from framewave.vecfields import (_FIELD_CACHE, _JAC_CACHE, GENERATORS, VectorFieldId,
+                                 apply_to_scalar, lie_multi, parse_multi_index)
 from framewave.weights import w_tilde, w_tilde_prime
 
 class RankMismatch(FramewaveError):
@@ -928,6 +930,122 @@ def random_poly_int_keys(rng, degree=2, nterms=4, time_dependent=True):
                 break
         v = int(rng.integers(-3, 4))
         if v:
-            k += (0, 0)
+            k = pack(k + (0, 0))
             c[k] = c.get(k, 0) + v
     return Poly({k: v for k, v in c.items() if v})
+
+
+# --- poly and vecfields: exponent-tuple keys -----------------------------------
+
+
+class TuplePoly:
+    """``poly.Poly`` arithmetic as it was on exponent 6-tuple keys: the
+    +, -, * and diff that set the order of every dict the packed keys must
+    reproduce."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c=None):
+        self.c = dict(c or {})
+
+    @classmethod
+    def of(cls, p):
+        """The tuple-key copy of a Poly, in its dict order."""
+        return cls({unpack(k): v for k, v in p.c.items()})
+
+    def __add__(self, other):
+        if isinstance(other, numbers.Number):
+            other = TuplePoly({(0,) * 6: other} if other != 0 else {})
+        out = dict(self.c)
+        for k, v in other.c.items():
+            w = out.get(k, 0) + v
+            if w == 0:
+                out.pop(k, None)
+            else:
+                out[k] = w
+        return TuplePoly(out)
+
+    def __neg__(self):
+        return TuplePoly({k: -v for k, v in self.c.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, numbers.Number):
+            if other == 0:
+                return TuplePoly()
+            return TuplePoly({k: v * other for k, v in self.c.items()})
+        out = {}
+        for k1, v1 in self.c.items():
+            for k2, v2 in other.c.items():
+                k = (k1[0] + k2[0], k1[1] + k2[1], k1[2] + k2[2], k1[3] + k2[3],
+                     k1[4] + k2[4], k1[5] + k2[5])
+                w = out.get(k, 0) + v1 * v2
+                if w == 0:
+                    out.pop(k, None)
+                else:
+                    out[k] = w
+        return TuplePoly(out)
+
+    def diff(self, axis):
+        out = {}
+        for k, v in self.c.items():
+            e = k[axis]
+            if e:
+                dk = k[:axis] + (e - 1,) + k[axis + 1:]
+                out[dk] = out.get(dk, 0) + e * v
+            for slot in _TUPLE_CHAIN[axis]:
+                a = k[slot]
+                if a:
+                    dk = list(k)
+                    dk[axis] += 1
+                    dk[slot] = a + 2
+                    dk = tuple(dk)
+                    out[dk] = out.get(dk, 0) - a * v
+        return TuplePoly({k: v for k, v in out.items() if v != 0})
+
+
+# the radius slots (4: r, 5: rho12) whose radius depends on each axis
+_TUPLE_CHAIN = ((), (4, 5), (4, 5), (4,))
+
+
+def same_terms(p, q):
+    """A Poly p and a TuplePoly q hold the same (exponents, coefficient)
+    terms, coefficients of the same types, in the same dict order."""
+    return ([(unpack(k), type(v), v) for k, v in p.c.items()]
+            == [(k, type(v), v) for k, v in q.c.items()])
+
+
+def tuple_apply_to_scalar(gen, p):
+    """``vecfields.apply_to_scalar`` as it was: sum over the nonzero
+    components of Z^mu * d_mu p, left to right."""
+    out = None
+    for mu in range(4):
+        coeff = TuplePoly.of(_FIELD_CACHE[gen].comps[mu, 0])
+        if not coeff.c:
+            continue
+        term = coeff * p.diff(mu)
+        out = term if out is None else out + term
+    return out
+
+
+def tuple_lie_derivative(gen, comps, variance):
+    """``vecfields.lie_derivative`` as it was, on an object array of
+    TuplePoly components."""
+    J = _JAC_CACHE[gen]
+    out = np.empty(comps.shape, dtype=object)
+    for idx in np.ndindex(comps.shape):
+        out[idx] = tuple_apply_to_scalar(gen, comps[idx])
+    for slot, var in enumerate(variance):
+        for idx in np.ndindex(comps.shape):
+            acc = out[idx]
+            for lam in range(4):
+                src = list(idx)
+                src[slot] = lam
+                src = tuple(src)
+                coeff = J[lam, idx[slot]] if var == "d" else -J[idx[slot], lam]
+                if coeff:
+                    acc = acc + comps[src] * coeff
+            out[idx] = acc
+    return out

@@ -7,10 +7,11 @@ import time
 import jsonschema
 import pytest
 
-from framewave import certify, cli, energy, estimates, evolve
+from framewave import certify, cli, energy, estimates, evolve, poly
 from framewave.background import make_background
 from framewave.errors import ConstraintError, KinkPoint, NonFiniteResult, SchemaError
 from framewave.fields import GridGeometry
+from framewave.poly import MAX_EXPONENT, Poly, pack
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -679,3 +680,21 @@ def test_bad_multi_index_exits_2_before_any_study(tmp_path, capsys, monkeypatch)
     with pytest.raises(ConstraintError, match="'Q'"):
         cli.mode_commutator(cfg, str(out))
     assert not (out / "commutator.json").exists()
+
+
+@pytest.mark.parametrize("cores", [{0}, {0, 1}])
+def test_exponent_overflow_exits_4(tmp_path, capfd, monkeypatch, cores):
+    """Random data of degree 127 in x1: the commutator's products overflow
+    an exponent key, which ends the run with exit 4 and one stderr line,
+    in this process and in a forked worker alike."""
+    x1_top = Poly({pack((0, MAX_EXPONENT, 0, 0, 0, 0)): 1})
+    monkeypatch.setattr(poly, "random_poly", lambda rng, **kwargs: x1_top)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+    body = {"mode": "commutator", "multi_indices": ["S", "Z12"], "components": ["L"]}
+    out = tmp_path / "out"
+    assert cli.main(["commutator", "--config", _write(tmp_path, body), "--out", str(out)]) == 4
+    err = capfd.readouterr().err
+    assert err.startswith("runtime failure: ExponentOverflow: exponent above 127 in ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (out / "commutator.json").exists()
+    assert multiprocessing.active_children() == []

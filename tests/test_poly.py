@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from framewave import poly as poly_mod
 from framewave.fields import PolyField
-from framewave.poly import R_INV, RHO12_INV, GaussPoly, Poly, measure_order, random_poly
-from oracles import random_poly_int_keys
+from framewave.errors import ExponentOverflow
+from framewave.poly import (MAX_EXPONENT, R_INV, RHO12_INV, GaussPoly, Poly, measure_order,
+                            pack, random_poly, unpack)
+from conftest import exact_scalars
+from oracles import TuplePoly, random_poly_int_keys, same_terms
 
 
 def test_basic_arithmetic_and_diff():
@@ -17,7 +20,7 @@ def test_basic_arithmetic_and_diff():
     assert p.diff(1) == t
     assert (p - p).is_zero()
     assert (p * 0).is_zero()
-    assert list(p.c) == [(1, 1, 0, 0, 0, 0)]
+    assert [unpack(k) for k in p.c] == [(1, 1, 0, 0, 0, 0)]
     q = (t + 1) * (t - 1)
     assert q == t * t - 1
 
@@ -28,7 +31,7 @@ def test_eval_matches_horner(rng):
     vals = p.eval_many(pts)
     for k in range(50):
         expected = sum(
-            float(c) * np.prod([pts[k, a] ** e for a, e in enumerate(key[:4])])
+            float(c) * np.prod([pts[k, a] ** e for a, e in enumerate(unpack(key)[:4])])
             for key, c in p.c.items()
         )
         assert vals[k] == pytest.approx(expected, rel=1e-13, abs=1e-13)
@@ -36,7 +39,7 @@ def test_eval_matches_horner(rng):
 
 def _radii(a, b):
     """r^-a rho12^-b as an exact scalar."""
-    return Poly({(0, 0, 0, 0, a, b): 1})
+    return Poly({pack((0, 0, 0, 0, a, b)): 1})
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,7 +76,7 @@ def test_radical_ring_closure(rng):
     a = random_poly(rng, degree=2, nterms=3) * _radii(1, 1)
     b = random_poly(rng, degree=1, nterms=2) * _radii(0, 2)
     prod = a * b
-    assert {k[4:] for k in prod.c} <= {(1, 3)}
+    assert {unpack(k)[4:] for k in prod.c} <= {(1, 3)}
     s = a + b
     pts = rng.uniform(0.6, 2.0, size=(10, 4))
     assert np.allclose(s.eval_many(pts), a.eval_many(pts) + b.eval_many(pts))
@@ -108,14 +111,14 @@ def test_gausspoly_envelope_mismatch_rejected():
 @pytest.mark.parametrize("opts", [{}, {"degree": 3, "nterms": 5}, {"degree": 1, "nterms": 2},
                                   {"degree": 3, "nterms": 4, "time_dependent": False}])
 def test_random_poly_keeps_the_int_key_draws(opts):
-    """Same draws, same Python-int keys in the same dict order, and the
-    generator left in the same state after every draw."""
+    """Same draws, same keys of Python-int exponents in the same dict
+    order, and the generator left in the same state after every draw."""
     for seed in range(50):
         new_rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
             got, want = random_poly(new_rng, **opts), random_poly_int_keys(old_rng, **opts)
             assert list(got.c.items()) == list(want.c.items())
-            assert all(type(e) is int for k in got.c for e in k)
+            assert all(type(k) is int for k in got.c)
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
 
@@ -141,9 +144,10 @@ def _reference_eval(s, pts):
     val, mag = np.zeros(len(pts)), np.zeros(len(pts))
     for key, c in s.c.items():
         term = np.full(len(pts), float(c))
-        for ax, e in enumerate(key[:4]):
+        exps = unpack(key)
+        for ax, e in enumerate(exps[:4]):
             term = term * pts[:, ax] ** e
-        for radius, e in zip(radii, key[4:]):
+        for radius, e in zip(radii, exps[4:]):
             term = term / radius ** e
         val += term
         mag += np.abs(term)
@@ -181,3 +185,51 @@ def test_batched_eval_matches_per_monomial_reference(n, block, monkeypatch):
         assert vals.shape == (n,) + f.shape
         for idx in np.ndindex(f.shape):
             _assert_matches_reference(vals[(slice(None),) + idx], f.comps[idx], pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=exact_scalars, q=exact_scalars, scale=st.sampled_from([-2, Fraction(1, 3), 0.05]))
+def test_packed_arithmetic_keeps_the_tuple_key_dict_order(p, q, scale):
+    """+, -, *, scaling and every diff build the dict, in the same order
+    and with the same coefficients, that the exponent-tuple arithmetic
+    built: dict order fixes the summation order of every evaluation."""
+    tp, tq = TuplePoly.of(p), TuplePoly.of(q)
+    pairs = [(p + q, tp + tq), (p - q, tp - tq), (p * q, tp * tq), (q * p, tq * tp),
+             (p * scale, tp * scale), (p + 2, tp + 2), ((p + q) - p, (tp + tq) - tp)]
+    pairs += [(p.diff(mu), tp.diff(mu)) for mu in range(4)]
+    pairs += [((p * q).diff(mu), (tp * tq).diff(mu)) for mu in range(4)]
+    for got, want in pairs:
+        assert same_terms(got, want)
+
+
+def test_exponent_127_fits():
+    top = (MAX_EXPONENT,) * 6
+    assert MAX_EXPONENT == 127 and unpack(pack(top)) == top
+    p = Poly({pack((0, MAX_EXPONENT - 1, 0, 0, 0, 0)): 1}) * Poly.var(1)
+    assert [unpack(k) for k in p.c] == [(0, MAX_EXPONENT, 0, 0, 0, 0)]
+
+
+def test_exponent_128_raises_instead_of_carrying():
+    """An exponent outside 0..127 raises ExponentOverflow, a FramewaveError
+    (CLI exit 4), wherever it would arise."""
+    for bad in [(128, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 128), (0, -1, 0, 0, 0, 0)]:
+        with pytest.raises(ExponentOverflow):
+            pack(bad)
+    with pytest.raises(ExponentOverflow):
+        Poly({1 << 7: 1})   # the guard bit of the rho12^-1 field
+    with pytest.raises(ExponentOverflow):
+        Poly({1 << 48: 1})   # beyond the six fields
+    with pytest.raises(ExponentOverflow):
+        Poly({pack((0, MAX_EXPONENT, 0, 0, 0, 0)): 1}) * Poly.var(1)
+    with pytest.raises(TypeError):
+        Poly({(0,) * 6: 1})
+
+
+def test_chain_rule_raises_at_the_edge():
+    # d_1 r^-125 = -125 x1 r^-127 fits; d_1 r^-126 = -126 x1 r^-128 does not
+    d = _radii(MAX_EXPONENT - 2, 0).diff(1)
+    assert [(unpack(k), v) for k, v in d.c.items()] == [((0, 1, 0, 0, 127, 0), -125)]
+    with pytest.raises(ExponentOverflow):
+        _radii(MAX_EXPONENT - 1, 0).diff(1)
+    with pytest.raises(ExponentOverflow):   # x1^127 r^-1: the chain term x1^128 r^-3
+        Poly({pack((0, MAX_EXPONENT, 0, 0, 1, 0)): 1}).diff(1)

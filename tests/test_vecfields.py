@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from framewave.errors import PoleDegenerate, TimeZero
+from framewave.errors import ExponentOverflow, PoleDegenerate, TimeZero
 from framewave.fields import PolyField
 from framewave.geometry import MINKOWSKI
-from framewave.poly import R_INV, Poly, random_poly
+from framewave.poly import MAX_EXPONENT, R_INV, GaussPoly, Poly, pack, random_poly, unpack
 from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
                                  apply_representation, apply_to_scalar, as_field,
                                  commutator, jacobi_residual, lie_derivative,
@@ -13,7 +16,8 @@ from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldI
                                  parse_multi_index, restricted_derivative_as_Z,
                                  restricted_derivative_direct, splittings,
                                  subsequences)
-from conftest import sample_points
+from conftest import exact_scalars, sample_points
+from oracles import TuplePoly, same_terms, tuple_apply_to_scalar, tuple_lie_derivative
 
 
 def _mink_field(variance):
@@ -268,3 +272,59 @@ def test_decay_constants_small(rng):
     c_full, c_tang = measure_decay_constants(phi, (), pts)
     assert 0 < c_full <= 10.0
     assert 0 < c_tang <= 10.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=exact_scalars)
+def test_generator_action_keeps_the_tuple_key_dict_order(f):
+    """The one-pass action of every generator builds the dict, in the same
+    order, that summing Z^mu * d_mu f over the components built."""
+    tf = TuplePoly.of(f)
+    for gen in GENERATORS:
+        assert same_terms(apply_to_scalar(gen, f), tuple_apply_to_scalar(gen, tf)), gen
+
+
+def test_generator_action_reinserts_a_cancelled_monomial_last():
+    """S f: the x1^2 x2^2 x3^2 r^-5 term of x1 d1 f cancels against x2 d2 f
+    and comes back with x3 d3 f, at the end of the dict."""
+    f = Poly({pack((0, 0, 2, 2, 3, 0)): 1, pack((0, 2, 0, 2, 3, 0)): -1,
+              pack((0, 2, 2, 0, 3, 0)): 1})
+    sf = apply_to_scalar(SCALING, f)
+    assert same_terms(sf, tuple_apply_to_scalar(SCALING, TuplePoly.of(f)))
+    assert unpack(list(sf.c)[-1]) == (0, 2, 2, 2, 5, 0)
+
+
+@settings(max_examples=15, deadline=None)
+@given(comps=st.lists(exact_scalars, min_size=32, max_size=32),
+       variance=st.sampled_from([("u",), ("d",), ("u", "u"), ("u", "d"), ("d", "d")]))
+def test_lie_derivative_keeps_the_tuple_key_dict_order(comps, variance):
+    T = PolyField.zero(rank=len(variance), channels=2, variance=variance)
+    tcomps = np.empty(T.shape, dtype=object)
+    for idx, p in zip(np.ndindex(T.shape), comps):
+        T.comps[idx], tcomps[idx] = p, TuplePoly.of(p)
+    for gen in GENERATORS:
+        got, want = lie_derivative(gen, T), tuple_lie_derivative(gen, tcomps, variance)
+        assert all(same_terms(got.comps[i], want[i]) for i in np.ndindex(T.shape)), gen
+
+
+def test_generator_action_on_gausspoly_matches_its_diff(rng):
+    """A GaussPoly takes the diff-multiply-add route: Z(g) at points is
+    sum_mu Z^mu (d_mu g), with d_mu g from GaussPoly.diff."""
+    g = GaussPoly(random_poly(rng, degree=3, nterms=5) * Fraction(1, 2) + R_INV,
+                  center=(0.3, -0.2, 0.5), sigma=1.2)
+    pts = sample_points(rng, 30, rmin=0.5)
+    diffs = [g.diff(mu).eval_many(pts) for mu in range(4)]
+    for gen in GENERATORS:
+        zg = apply_to_scalar(gen, g)
+        assert isinstance(zg, GaussPoly) and (zg.center, zg.sigma) == (g.center, g.sigma)
+        field = as_field(gen)
+        want = sum(field.comps[mu, 0].eval_many(pts) * diffs[mu] for mu in range(4))
+        np.testing.assert_allclose(zg.eval_many(pts), want, rtol=1e-12, atol=1e-12)
+
+
+def test_generator_action_overflow_raises():
+    # Z12 = x2 d1 - x1 d2 on x1 x2^127 makes x2^128
+    f = Poly({pack((0, 1, MAX_EXPONENT, 0, 0, 0)): 1})
+    with pytest.raises(ExponentOverflow):
+        apply_to_scalar(VectorFieldId("Z", 1, 2), f)
+    assert apply_to_scalar(SCALING, f) == f * (MAX_EXPONENT + 1)
