@@ -40,17 +40,17 @@ class CheckResult:
                 "detail": self.detail}
 
 
-def sample_points(rng, n, tmin=-2.0, tmax=2.0, box=3.0, rmin=0.5, chart_z=False):
-    """n random spacetime points with r >= rmin, optionally inside the
-    x3-axis chart region |x3| <= 0.8 r; rejected draws are skipped."""
+def sample_points(rng, n, tmin=-2.0, tmax=2.0, box=3.0, rmin=0.5):
+    """n random spacetime points, t uniform in [tmin, tmax) and x in the
+    cube [-box, box)^3, with r >= rmin; rejected draws are skipped.
+    Callers that need points off the polar caps filter their own."""
     pts = np.empty((n, 4))
     k = 0
     while k < n:
         cand = np.empty(4)
         cand[0] = rng.uniform(tmin, tmax)
         cand[1:] = rng.uniform(-box, box, size=3)
-        r = np.linalg.norm(cand[1:])
-        if r >= rmin and not (chart_z and abs(cand[3]) > 0.8 * r):
+        if np.linalg.norm(cand[1:]) >= rmin:
             pts[k] = cand
             k += 1
     return pts

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PoleDegenerate
-from .fields import (InnerProduct, d1_axis, d2_axis, h_on_box, quadrature_masked,
+from .fields import (InnerProduct, _laplacian, d1_axis, h_on_box, quadrature_masked,
                      tangential_norm_sq, wave_operator)
 from .geometry import MINKOWSKI_INV, TANGENTIAL_NAMES
 from .weights import w, w_hat_prime, w_tilde, w_tilde_prime
@@ -386,23 +386,23 @@ class SliceState:
         return self._get("q", lambda: self.geom.interior(self.geom.q_full(self.t)), self._slice)
 
     def weight(self, fn, params):
-        """fn(q) on the interior nodes (see _weight_eval); 1 where fn or
-        params is None."""
+        """fn(q) on the interior nodes (see _weight_eval); 1 where params
+        is None."""
         return self._get(("weight", fn, params), lambda: _weight_eval(fn, self.q(), params),
                          self._slice)
 
     def wave_op(self):
         """g^{ab} d_a d_b psi using the stored second time derivative.
 
-        The flat part sums three full-cube d2_axis passes; the H part is
-        fields.h_on_box on the support box, the kernel the evolution's
-        right-hand side runs, plus M^{tt} d_tt psi there."""
+        Both parts run the kernels of the evolution's right-hand side:
+        the flat part is fields._laplacian less d_tt psi, so off the
+        radiation shell of a flat source-free run it is exactly 0; the H
+        part is fields.h_on_box on the support box, plus M^{tt} d_tt psi
+        there."""
         def build():
             dx = self.geom.dx
-            out = -self.psi_tt
-            tmp = np.empty(out.shape)
-            for i in (1, 2, 3):
-                out += d2_axis(self.psi, i, dx, out=tmp)
+            out = _laplacian(self.psi, dx)
+            out -= self.psi_tt
             sup = self.support()
             if sup is not None:
                 box, chi, _ = sup
@@ -505,7 +505,7 @@ class SliceState:
 def _weight_eval(fn, q, params):
     """Weight/derivative over arrays, treating exact q = 0 nodes as the
     measure-zero kink set (excluded from quadratures)."""
-    if params is None or fn is None:
+    if params is None:
         return np.ones_like(q)
     qq = np.where(q == 0.0, 1e-30, q)
     return fn(qq, params)
@@ -520,7 +520,7 @@ def _quad(state, density, region, fn, params):
 
 def slice_energy(state: SliceState, region: ExteriorRegion, params, weight="w"):
     """Integral of |d psi|^2 * weight(q) over the exterior slice."""
-    wfun = {"w": w, "wtilde": w_tilde, "one": None}[weight]
+    wfun = {"w": w, "wtilde": w_tilde}[weight]
     return _quad(state, state.grad_norm_sq(), region, wfun, params)
 
 

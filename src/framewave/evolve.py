@@ -20,14 +20,15 @@ Stencils and steps: d1_axis and d2_axis share one kernel that shifts
 along the flat view of an array by the axis stride, in cache-sized
 blocks, summing the five terms in the reference order, so results are
 bit-identical to the whole-array expression.  The Laplacian is one such
-pass over all three axes (fields._laplacian), on every background; it
-differs from the sum of three d2_axis calls by roundoff.  On a bump
-background the H terms (d_j Pi and the mixed and diagonal second
-derivatives of Phi, listed by the background's hessian_terms) come from
-fields.h_on_box, the kernel the monitors' wave operator runs too; they,
-their product with chi and the division by -g^{tt} run on the support
-box of H only, the derivatives from stencils on a copy of the box grown
-by the stencil width; outside the box chi is 0 and g^{tt} is exactly -1.
+pass over all three axes (fields._laplacian), on every background; the
+monitors' wave operator runs it too, so both read one flat part, bit for
+bit.  On a bump background the H terms (d_j Pi and the mixed and
+diagonal second derivatives of Phi, listed by the background's
+hessian_terms) come from fields.h_on_box, the kernel the monitors' wave
+operator runs too; they, their product with chi and the division by
+-g^{tt} run on the support box of H only, the derivatives from stencils
+on a copy of the box grown by the stencil width; outside the box chi is
+0 and g^{tt} is exactly -1.
 The right-hand side writes into caller arrays and the evolver's kept
 work arrays, the schematic source and its every term, the box windows
 and the shell slabs included, so a warm flat or static-bump step
@@ -41,16 +42,17 @@ One grid run uses two cores.  Each evolver keeps one worker thread
 shares the items of each phase with the calling thread, and each phase
 ends in one join.  The phases: the ghost fills and the Laplacian over
 halves of the leading components, with the radiation shell as one more
-item that computes into slab-sized kept arrays, written once d_t Phi
-and d_t Pi are finished; the schematic source's prologue, one item per
-field (the scalar gradient, each frame projection with its gradient);
-the source terms over halves of the mu rows; the division by g^{tt},
-the add into d_t Pi and the d_t Phi copy over halves of the leading
-components; and the RK4 stage and accumulator arithmetic over halves of
-the components.  Every element sees the same operations in the same
+item; the schematic source's prologue, one item per field (the scalar
+gradient, each frame projection with its gradient); the source terms
+over halves of the mu rows; the division by g^{tt}, the add into d_t Pi
+and the d_t Phi copy over halves of the leading components; and the RK4
+stage and accumulator arithmetic over halves of the components.  Every element sees the same operations in the same
 order, so results are bit-identical to a one-core run, which calls the
 same items in a loop.  A field with one component has one item per
-phase and runs in the calling thread, its shell last.
+phase and runs in the calling thread, its shell after the Laplacian and
+the source.  Either way the shell computes each of its six slabs into
+the slab's own kept array, and the slabs are written once d_t Phi and
+d_t Pi are finished.
 
 Steps are sequential and advance the caller's arrays in place.
 Monitors are fed each slice while the run produces it: at t1 and at
@@ -80,8 +82,8 @@ import numpy as np
 from .background import make_background
 from .energy import ExteriorRegion, SliceState, slice_energy, write_series_csv
 from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenerate
-from .fields import (GHOST, GridGeometry, _fresh, _laplacian, d1_axis, d2_axis,
-                     fill_ghosts_array, h_on_box, save_snapshot)
+from .fields import (GHOST, GridGeometry, _fresh, _laplacian, d1_axis, fill_ghosts_array,
+                     h_on_box, save_snapshot)
 from .geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV
 from .poly import GaussPoly, Poly, _eval_scalars
 from .weights import WeightParams
@@ -434,28 +436,16 @@ def _shell_plan(geom):
     return tuple(plan)
 
 
-def _radiation_shell(geom, Phi, Pi, dPhi, dPi, plan=None, work=_fresh):
-    """Overwrite dPhi, dPi on the width-2 interior shell with the outgoing
-    condition d_t U = -x^i/r d_i U - U/r.
-
-    Slab by slab (``plan`` from :func:`_shell_plan`, built here if not
-    given), see :func:`_shell_slabs`.  ``work`` is a (name, shape) ->
-    array callable as for :func:`build_source`; its arrays are sized for
-    the largest slab and shared by all six.
-    """
-    plan = _shell_plan(geom) if plan is None else plan
-    for sl, res in _shell_slabs(geom, Phi, Pi, plan, work):
-        _write_slab(sl, res, Phi.shape[:-3], dPhi, dPi)
-
-
-def _shell_slabs(geom, Phi, Pi, plan, work, keep=False):
+def _shell_slabs(geom, Phi, Pi, plan, work):
     """Yield (slab, d_t of Pi and Phi on its cut) for each slab of the
-    plan: the Pi and Phi windows are copied once into one array, each
-    derivative closure writes its part with ``out=``, and the terms are
-    combined in place in the order of the outgoing condition.  Reads Phi
-    and Pi only.  Each result is one array in the slab layout; with
-    ``keep`` it is the slab's own kept work array, so all six may be
-    written after the last is made, otherwise one array serves all six.
+    plan (:func:`_shell_plan`), from the outgoing condition d_t U =
+    -x^i/r d_i U - U/r: the Pi and Phi windows are copied once into one
+    array, each derivative closure writes its part with ``out=``, and the
+    terms are combined in place in the order of the condition.  Reads Phi
+    and Pi only.  Each result is the slab's own array of ``work`` (a
+    (name, shape) -> array callable as for :func:`build_source`), in the
+    slab layout, so all six may be written (:func:`_write_slab`) after
+    the last is made.
     """
     nc = math.prod(Phi.shape[:-3])
     nf = 2 * nc                     # Pi components, then Phi components
@@ -474,8 +464,7 @@ def _shell_slabs(geom, Phi, Pi, plan, work, keep=False):
                 1 + sl.order[0], 0, 1 + sl.order[1], 1 + sl.order[2]))
         e0, e1, e2 = sl.shape
         size = nf * e0 * e1 * e2
-        out = work(f"shell.out{j}", (size,)) if keep else work("shell.out", (largest,))
-        res = out[:size].reshape(e0, nf, e1, e2)
+        res = work(f"shell.out{j}", (size,)).reshape(e0, nf, e1, e2)
         g = gbuf[:size].reshape(e0, nf, e1, e2)
         # -(x0 g0 + x1 g1 + x2 g2) - U / r, each g_i scaled as it is made
         for i, o_i in enumerate((res, g, g)):
@@ -645,13 +634,15 @@ class Evolver:
         shell = self.boundary != "periodic"
         if shell and self._shell is None:
             self._shell = _shell_plan(geom)
-        # With two halves the shell is one more item, the first claimed (the
-        # longest): it reads no ghost cell, and its slabs are kept and
-        # written once the halves are finished.
-        slabs, alongside = [], []
-        if shell and len(halves) > 1:
-            alongside.append(lambda: slabs.extend(_shell_slabs(
-                geom, Phi, Pi, self._shell, self._buffer, keep=True)))
+        # The shell reads no ghost cell, and its slabs are written once the
+        # halves are finished.  With two halves it is one more item, the
+        # first claimed (the longest); a field of one component computes
+        # it in the calling thread after the halves.
+        slabs = []
+
+        def shell_slabs():
+            slabs.extend(_shell_slabs(geom, Phi, Pi, self._shell, self._buffer))
+        alongside = [shell_slabs] if shell and len(halves) > 1 else []
         fan(_call, alongside + [functools.partial(laplacian, r) for r in halves])
         g00 = -1.0
         sup = self.bg.support(geom, t)
@@ -682,11 +673,10 @@ class Evolver:
             np.copyto(dPhi[r], Pi[r])
 
         fan(finish, halves)
-        if alongside:
-            for sl, res in slabs:
-                _write_slab(sl, res, Phi.shape[:-3], dPhi, dPi)
-        elif shell:     # a field of one component: the shell after the halves
-            _radiation_shell(geom, Phi, Pi, dPhi, dPi, self._shell, self._buffer)
+        if shell and not alongside:
+            shell_slabs()
+        for sl, res in slabs:
+            _write_slab(sl, res, Phi.shape[:-3], dPhi, dPi)
         return dPhi, dPi
 
     def _holds(self, t, Phi, Pi):

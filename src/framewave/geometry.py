@@ -9,14 +9,14 @@ The null frame at a point with r > 0 is
 
     L    = d_t + (x^i/r) d_i,      Lbar = d_t - (x^i/r) d_i,
 
-plus an orthonormal sphere-tangent pair (e1, e2) built from one of two
-overlapping charts: the pair adapted to the x3 axis away from the poles,
-and the pair adapted to the x1 axis inside the polar caps |x3|/r > 0.9.
-Both spans agree where the charts overlap (the projector onto the tangent
-plane is chart independent).  The frame is written once, as
-:func:`frame_arrays` over coordinate arrays; the grid's frame fields
-(``fields.GridGeometry.frame``) and the exact lane's point batches
-(n, 4) both evaluate it.  A single point is a one-row batch.
+plus an orthonormal sphere-tangent pair (e1, e2) built by one rule from
+two overlapping charts: the pair adapted to the x3 axis away from the
+poles, and the pair adapted to the x1 axis inside the polar caps
+|x3|/r > 0.9.  Both spans agree where the charts overlap (the projector
+onto the tangent plane is chart independent).  The frame is written
+once, as :func:`frame_arrays` over coordinate arrays; the grid's frame
+fields (``fields.GridGeometry.frame``) and the exact lane's point
+batches (n, 4) both evaluate it.  A single point is a one-row batch.
 
 Everything here is pure value semantics; nothing is mutated after
 construction, so all operations are safe under unrestricted concurrency.
@@ -55,13 +55,11 @@ def null_vector(r, x1, x2, x3, sign=1.0):
     return out
 
 
-def sphere_frame(xh, chart: str = "auto"):
+def sphere_frame(xh):
     """The sphere half of the frame: (e1, e2), each (4,) + xh.shape[1:],
-    from the unit radial vector xh = x/r (3, ...), e.g. L[1:].
-
-    chart "auto" applies the polar-cap rule; "z" / "x" force one chart;
-    any other chart raises KeyError.
-    """
+    from the unit radial vector xh = x/r (3, ...), e.g. L[1:]: the
+    x3-axis chart's pair, replaced by the x1-axis chart's inside the
+    polar caps."""
     shape = xh.shape[1:]
 
     def pair(axis):
@@ -74,17 +72,10 @@ def sphere_frame(xh, chart: str = "auto"):
         etheta = np.cross(ephi, xh, axis=0)
         return etheta, ephi
 
-    if chart == "z":
-        et, ep = pair(2)
-    elif chart == "x":
-        et, ep = pair(0)
-    elif chart == "auto":
-        et, ep = pair(2)
-        cap = np.abs(xh[2]) > POLAR_CAP
-        for mine, cap_value in zip((et, ep), pair(0)):
-            np.copyto(mine, cap_value, where=cap)
-    else:
-        raise KeyError(chart)
+    et, ep = pair(2)
+    cap = np.abs(xh[2]) > POLAR_CAP
+    for mine, cap_value in zip((et, ep), pair(0)):
+        np.copyto(mine, cap_value, where=cap)
     e1 = np.zeros((4,) + shape)
     e2 = np.zeros((4,) + shape)
     e1[1:] = et
@@ -92,7 +83,7 @@ def sphere_frame(xh, chart: str = "auto"):
     return e1, e2
 
 
-def frame_arrays(x1, x2, x3, chart: str = "auto"):
+def frame_arrays(x1, x2, x3):
     """Vectorized frame over coordinate arrays (any common shape): the
     radial half (:func:`null_vector`) and the sphere half
     (:func:`sphere_frame`) together.
@@ -105,5 +96,5 @@ def frame_arrays(x1, x2, x3, chart: str = "auto"):
     """
     r = radius(x1, x2, x3)
     L = null_vector(r, x1, x2, x3)
-    e1, e2 = sphere_frame(L[1:], chart)
+    e1, e2 = sphere_frame(L[1:])
     return {"L": L, "Lbar": null_vector(r, x1, x2, x3, -1.0), "e1": e1, "e2": e2, "r": r}

@@ -17,10 +17,10 @@ exact_scalars = st.dictionaries(
 ).map(lambda terms: Poly({pack(k): v for k, v in terms.items()}))
 
 
-def frame_at(x, chart="auto"):
+def frame_at(x):
     """The null frame at one spatial point x (3,): frame_arrays on a
     one-row batch, as {"L", "Lbar", "e1", "e2": (4,) vectors, "r": r}."""
-    fr = frame_arrays(*np.asarray(x, dtype=float).reshape(3, 1), chart)
+    fr = frame_arrays(*np.asarray(x, dtype=float).reshape(3, 1))
     return {name: v[..., 0] for name, v in fr.items()}
 
 

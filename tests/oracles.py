@@ -7,12 +7,15 @@ flux and estimate loops over them and the experiment run and
 ``estimate`` mode that store every snapshot (the monitors feed
 ``energy.BudgetPass`` and ``estimates.EstimatePass`` slice by slice
 instead, with d_tt from the run's slope), full-cube
-derivatives of a slice state, point-frame contractions, grid quadrature
-of a grid field, the direct form of the commutator's left side,
-coordinate derivatives of a PolyField and the frame-gradient bound.  And
-the earlier bodies of code that framewave now computes through one
-shared kernel (the coordinate display of T_tt + T_rt, the pointwise
-null frame, the exact wave operator, the decay check's tangential loop,
+derivatives of a slice state, point-frame contractions, the frame of
+one forced sphere chart, the radiation shell by advection over the whole
+cube, grid quadrature of a grid field, the direct form of the
+commutator's left side, coordinate derivatives of a PolyField and the
+frame-gradient bound.  And the earlier bodies of code that framewave now
+computes through one shared kernel (the coordinate display of T_tt +
+T_rt, the one-piece frame arrays and the pointwise null frame, the test
+suite's point sampler, the exact wave operator, the decay check's
+tangential loop,
 the per-point ``Point``/``Frame`` generator representations of slash-d_i
 and e_A with the two certify checks that ran them, the manufactured
 source that read its H terms off the direction matrix, and the Lie
@@ -42,8 +45,8 @@ from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, P
 from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
                                  lbar_radial_residual, lie_component_series,
                                  lie_field_series)
-from framewave.fields import (PolyField, d1_axis, d2_axis, fill_ghosts_array, save_snapshot,
-                              wave_operator)
+from framewave.fields import (GHOST, PolyField, d1_axis, d2_axis, fill_ghosts_array,
+                              save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
 from framewave.poly import GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
 from framewave.vecfields import (_FIELD_CACHE, _JAC_CACHE, GENERATORS, VectorFieldId,
@@ -383,10 +386,51 @@ class Frame:
         return {"L": self.L, "Lbar": self.Lbar, "e1": self.e1, "e2": self.e2}[name]
 
 
+def frame_arrays_in_chart(x1, x2, x3, chart="auto"):
+    """frame_arrays written as one function, with the chart switch that
+    geometry.sphere_frame no longer has: "auto" applies the polar-cap
+    rule, bit for bit as frame_arrays does; "z" and "x" build the sphere
+    pair of the x3-axis and the x1-axis chart everywhere."""
+    r = np.sqrt(x1 ** 2 + x2 ** 2 + x3 ** 2)
+    rs = np.where(r == 0.0, 1.0, r)
+    xh = np.stack([x1 / rs, x2 / rs, x3 / rs])
+    shape = r.shape
+    L = np.zeros((4,) + shape)
+    Lb = np.zeros((4,) + shape)
+    L[0] = 1.0
+    Lb[0] = 1.0
+    L[1:] = xh
+    Lb[1:] = -xh
+
+    def pair(axis):
+        n = np.zeros((3,) + (1,) * len(shape))
+        n[axis] = 1.0
+        u = np.cross(np.broadcast_to(n, (3,) + shape), xh, axis=0)
+        nu = np.sqrt(np.sum(u ** 2, axis=0))
+        nu = np.where(nu == 0.0, 1.0, nu)
+        ephi = u / nu
+        etheta = np.cross(ephi, xh, axis=0)
+        return etheta, ephi
+
+    if chart == "auto":
+        et_z, ep_z = pair(2)
+        et_x, ep_x = pair(0)
+        cap = np.abs(xh[2]) > POLAR_CAP
+        et = np.where(cap, et_x, et_z)
+        ep = np.where(cap, ep_x, ep_z)
+    else:
+        et, ep = pair({"z": 2, "x": 0}[chart])
+    e1 = np.zeros((4,) + shape)
+    e2 = np.zeros((4,) + shape)
+    e1[1:] = et
+    e2[1:] = ep
+    return {"L": L, "Lbar": Lb, "e1": e1, "e2": e2, "r": r}
+
+
 def point_frames(x, chart="auto"):
     """One Frame per row of the spatial points x (n, 3), all from one
-    frame_arrays batch; every row must have r > 0."""
-    fr = frame_arrays(*np.asarray(x, dtype=float).T, chart)
+    frame_arrays_in_chart batch; every row must have r > 0."""
+    fr = frame_arrays_in_chart(*np.asarray(x, dtype=float).T, chart)
     return [Frame(**{name: fr[name][:, k] for name in FULL_NAMES}) for k in range(len(fr["r"]))]
 
 
@@ -472,6 +516,27 @@ def sphere_projector(x):
         raise PoleDegenerate("projector undefined at r = 0")
     xhat = x / r
     return np.eye(3) - np.outer(xhat, xhat)
+
+
+# --- certify: the test suite's point sampler ------------------------------------
+
+
+def frozen_sampler(rng, n, tmin=-2.0, tmax=2.0, box=3.0, rmin=0.5, chart_z=False):
+    """The test suite's sampler before it was merged into
+    certify.sample_points: the same draws, and with ``chart_z`` only the
+    points in the x3-axis chart region |x3| <= 0.8 r."""
+    pts = []
+    while len(pts) < n:
+        cand = np.empty(4)
+        cand[0] = rng.uniform(tmin, tmax)
+        cand[1:] = rng.uniform(-box, box, size=3)
+        r = np.linalg.norm(cand[1:])
+        if r < rmin:
+            continue
+        if chart_z and abs(cand[3]) > 0.8 * r:
+            continue
+        pts.append(cand)
+    return np.array(pts)
 
 
 # --- fields: derivatives, quadrature, the exact wave operator -----------------
@@ -783,7 +848,7 @@ def gradient_frame_bound(Psi, U, V, pts):
         comps[c] = acc
     lhs = _norm_at(PolyField(0, Psi.channels, comps).gradient().eval(pts))
 
-    fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3], chart="z")
+    fr = frame_arrays_in_chart(pts[:, 1], pts[:, 2], pts[:, 3], "z")
     vecs = {n: fr[n].T for n in FULL_NAMES}
     q = fr["r"] - pts[:, 0]
     wt = 1.0 / (1.0 + pts[:, 0] + np.abs(q))
@@ -800,7 +865,50 @@ def gradient_frame_bound(Psi, U, V, pts):
     return float(np.max(lhs[ok] / rhs[ok])) if ok.any() else 0.0
 
 
-# --- evolve: the manufactured source from the direction -------------------------
+# --- evolve: the full-cube radiation shell, the manufactured source from the
+# direction
+
+
+def _full_cube_shell_grad(geom, U):
+    """4th-order gradient over the whole cube, then one-sided (outer
+    layer) and centred second-order (next layer) closures along each
+    axis."""
+    dx = geom.dx
+    out = np.stack([d1_axis(U, i, dx) for i in (1, 2, 3)])
+    nd = U.ndim
+    for i in (1, 2, 3):
+        ax = nd - 3 + (i - 1)
+        n = U.shape[ax]
+
+        def sl(idx, ax=ax):
+            t = [slice(None)] * nd
+            t[ax] = idx
+            return tuple(t)
+
+        lo, hi = GHOST, n - GHOST - 1
+        out[i - 1][sl(lo)] = (-3.0 * U[sl(lo)] + 4.0 * U[sl(lo + 1)] - U[sl(lo + 2)]) / (2 * dx)
+        out[i - 1][sl(lo + 1)] = (U[sl(lo + 2)] - U[sl(lo)]) / (2 * dx)
+        out[i - 1][sl(hi)] = (3.0 * U[sl(hi)] - 4.0 * U[sl(hi - 1)] + U[sl(hi - 2)]) / (2 * dx)
+        out[i - 1][sl(hi - 1)] = (U[sl(hi)] - U[sl(hi - 2)]) / (2 * dx)
+    return out
+
+
+def full_cube_shell(geom, Phi, Pi, dPhi, dPi):
+    """The radiation update d_t U = -x^i/r d_i U - U/r as advection over
+    the whole cube, written into dPhi and dPi on the width-2 interior
+    shell only (the slab form of the right-hand side is its kernel)."""
+    n = geom.n_full
+    idx = np.arange(n)
+    inner = (idx >= GHOST) & (idx < n - GHOST)
+    edge = ((idx < GHOST + 2) | (idx >= n - GHOST - 2)) & inner
+    shell = (edge[:, None, None] | edge[None, :, None] | edge[None, None, :]) \
+        & inner[:, None, None] & inner[None, :, None] & inner[None, None, :]
+    r = geom.r_full()
+    xh = geom.frame("L")[1:]
+    for U, out in ((Pi, dPi), (Phi, dPhi)):
+        g = _full_cube_shell_grad(geom, U)
+        adv = -(xh[0] * g[0] + xh[1] * g[1] + xh[2] * g[2]) - U / r
+        out[...] = np.where(shell, adv, out)
 
 
 def manufactured_source_from_direction(target_comps, background, geom):

@@ -117,7 +117,7 @@ def _dense_rhs(ev, Phi, Pi):
     g00 = -1.0 + H[0, 0]
     dPi, mag = num / (-g00), mag / np.abs(g00)
     dPhi = Pi.copy()
-    evolve._radiation_shell(geom, Phi, Pi, dPhi, dPi)
+    oracles.full_cube_shell(geom, Phi, Pi, dPhi, dPi)
     return dPi, mag
 
 
@@ -129,7 +129,7 @@ def _dense_densities(st, H, dH):
     dr = np.einsum("i...,ic...->c...", xh, g)
     Hr = np.einsum("i...,ia...->a...", xh, H[1:, :])
     wave = [-st.psi_tt, H[0, 0] * st.psi_tt]
-    wave += [hess[i, i] for i in range(3)]
+    wave += [fields._laplacian(st.psi, GEOM.dx)]      # the flat part's one kernel
     wave += [2.0 * H[0, 1 + i] * gt[i] for i in range(3)]
     wave += [H[1 + i, 1 + j] * hess[i, j] for i in range(3) for j in range(3)]
     h_energy = [-0.5 * H[0, 0] * nsq(pt)]
@@ -226,7 +226,7 @@ def test_hessian_terms_rebuild_the_direction(direction):
 def test_rhs_and_wave_op_run_the_one_h_kernel(monkeypatch, kind):
     """Evolver.rhs and SliceState.wave_op take their H terms from
     fields.h_on_box, and wave_op takes no stencil of its own past the
-    three d2_axis passes of its flat part."""
+    one fields._laplacian pass of its flat part."""
     assert evolve.h_on_box is fields.h_on_box and energy.h_on_box is fields.h_on_box
     bg = BumpBackground(**BUMPS[kind])
     ev = evolve.Evolver(GEOM, bg)
@@ -251,7 +251,7 @@ def test_rhs_and_wave_op_run_the_one_h_kernel(monkeypatch, kind):
 
     for module in (evolve, energy):
         monkeypatch.setattr(module, "h_on_box", spy)
-    for name in ("d1_axis", "d2_axis"):
+    for name in ("d1_axis", "_laplacian"):
         monkeypatch.setattr(energy, name, counted(name))
     got_rhs = ev.rhs(T, Phi, Pi)
     assert np.array_equal(st.wave_op(), want_op)
@@ -260,7 +260,7 @@ def test_rhs_and_wave_op_run_the_one_h_kernel(monkeypatch, kind):
     box = bg.support(GEOM, T)[0]
     assert [c[:3] for c in calls] == [(bg.hessian_terms, Phi.shape, box)] * 2
     assert calls[0][3] == ev._buffer and calls[1][3] is fields._fresh
-    assert stencils == ["d2_axis"] * 3
+    assert stencils == ["_laplacian"] and not hasattr(energy, "d2_axis")
 
 
 # --- slice densities on the support box against the full-cube forms ---------
@@ -277,10 +277,8 @@ class _FullCubeSliceState(SliceState):
 
     def wave_op(self):
         def build():
-            out = -self.psi_tt.copy()
+            out = fields._laplacian(self.psi, self.geom.dx) - self.psi_tt
             hess = oracles.hess(self)
-            for i in range(3):
-                out += hess[i, i]
             prof = self._profile()
             if prof is not None:
                 # the Hessian terms in the order of the background's list,

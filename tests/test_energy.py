@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import oracles
-from framewave import energy, evolve
+from framewave import cli, energy, evolve
 from framewave.background import BumpBackground
 from framewave.energy import (BudgetReport, ExteriorRegion, divergence_direct,
                               divergence_display, eval_point_bundle,
@@ -179,6 +181,31 @@ def test_slice_state_derivatives_match_stacked_forms(rng, first):
             mixed = d1_axis(grad[i - 1], j, dx)
             assert np.array_equal(h[i - 1, j - 1], mixed)
             assert np.array_equal(h[j - 1, i - 1], mixed)
+
+
+def test_flat_wave_op_is_zero_off_the_shell(tmp_path):
+    """On a flat, source-free scalar run d_tt psi is the right-hand side's
+    fields._laplacian, the kernel of the wave operator's flat part too, so
+    the live slices' wave operator is exactly 0 on the interior cells off
+    the width-2 radiation shell."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "mode": "evolve", "grid": {"N": 24, "X": 8.0}, "times": {"t1": 0.0, "t2": 0.5},
+        "data": {"family": "gaussian", "rank": 0, "center": [0, 0, 1]},
+        "components": ["scalar"], "monitors": 3}))
+    cfg = cli.parse_config(str(cfg_path))
+    seen = []
+
+    class Probe:
+        def add(self, st, end):
+            off_shell = (Ellipsis,) + (slice(2, -2),) * 3
+            seen.append((st.geom.interior(st.wave_op())[off_shell],
+                         st.geom.interior(st.psi_tt)[off_shell]))
+
+    evolve.run_experiment(cfg, str(tmp_path), passes=(Probe(),))
+    assert len(seen) == 3
+    for op, psi_tt in seen:
+        assert np.all(op == 0.0) and np.max(np.abs(psi_tt)) > 0.1
 
 
 def test_exterior_energy_zero_and_scaling(flat_run):
@@ -532,7 +559,6 @@ def test_slice_state_caches_mask_and_weights(bump_series):
     assert st.q() is st.q() and np.array_equal(st.q(), q)
     assert np.array_equal(wt, energy._weight_eval(energy.w_tilde, q, PARAMS))
     assert np.array_equal(st.weight(energy.w_tilde, None), np.ones_like(q))
-    assert np.array_equal(st.weight(None, PARAMS), np.ones_like(q))
 
 
 def test_csv_and_json_writers(tmp_path):

@@ -17,8 +17,8 @@ from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldI
                                  lie_multi, subsequences)
 from framewave.weights import WeightParams
 from conftest import sample_points
-from oracles import (commutator_exact_lhs, component_series, estimate_pass, g_box,
-                     gen_coeff_arrays, gradient_frame_bound, lie_series,
+from oracles import (commutator_exact_lhs, component_series, estimate_pass, frozen_sampler,
+                     g_box, gen_coeff_arrays, gradient_frame_bound, lie_series,
                      tangential_flux_integral)
 
 Z12 = VectorFieldId("Z", 1, 2)
@@ -87,7 +87,7 @@ def test_identity_scaling_squared_flat_coefficient(rng):
 
 def test_bound_flat_only_flat_family(rng):
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
-    pts = sample_points(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
+    pts = frozen_sampler(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
     for fams in CommutatorStudy(None, phi, (Z12, SCALING)).bound(pts, "L").values():
         assert np.all(fams["t_weighted"] == 0.0)
         assert np.all(fams["q_weighted"] == 0.0)
@@ -97,7 +97,7 @@ def test_bound_flat_only_flat_family(rng):
 def test_bound_zero_field(rng):
     H = _random_H(rng, 0.1)
     phi = PolyField.zero(rank=1, channels=1)
-    pts = sample_points(rng, 10, chart_z=True)
+    pts = frozen_sampler(rng, 10, chart_z=True)
     for fams in CommutatorStudy(H, phi, (SCALING,)).bound(pts, "L").values():
         assert all(np.max(v) == 0.0 for v in fams.values())
 
@@ -121,7 +121,7 @@ def test_bound_h_side_decoupling(rng, V):
     H = _random_H(rng, 0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     I = (Z12, SCALING)
-    pts = sample_points(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
+    pts = frozen_sampler(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
     x1, x2, x3 = Poly.var(1), Poly.var(2), Poly.var(3)
     f = (Poly.const(1.0) + x3 * 0.5) * 0.05
     rotation = [Poly.zero(), x2, -x1, Poly.zero()]
@@ -150,7 +150,7 @@ def test_bound_structural_decoupling(rng):
     for mu in range(4):
         comps[mu, 0] = phi.comps[mu, 0] + Lflat[mu] * w * 0.7
     phi2 = PolyField(1, 1, comps)
-    pts = sample_points(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
+    pts = frozen_sampler(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
     f1 = CommutatorStudy(H, phi, (Z12, SCALING)).bound(pts, "L")["collapsed"]
     f2 = CommutatorStudy(H, phi2, (Z12, SCALING)).bound(pts, "L")["collapsed"]
     scale = max(1.0, float(np.max(f1["q_weighted"])))
@@ -162,7 +162,7 @@ def test_bound_structural_decoupling(rng):
 def test_commutator_report(rng):
     H = _random_H(rng, 0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
-    pts = sample_points(rng, 80, tmin=1.0, tmax=3.0, chart_z=True)
+    pts = frozen_sampler(rng, 80, tmin=1.0, tmax=3.0, chart_z=True)
     rep = commutator_report(CommutatorStudy(H, phi, (Z01,)), "L", pts)
     assert rep["identity_residual"] <= 1e-10
     assert np.isfinite(rep["implied_constant"])
@@ -176,7 +176,7 @@ def test_shared_study_matches_fresh_reports(rng, scale):
     H = _random_H(rng, scale) if scale else None
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     I = (Z01, SCALING)
-    pts = sample_points(rng, 40, tmin=1.0, tmax=3.0, chart_z=True)
+    pts = frozen_sampler(rng, 40, tmin=1.0, tmax=3.0, chart_z=True)
     study = CommutatorStudy(H, phi, I)
     for V in ("L", "e1", "e2", "Lbar"):
         fresh = CommutatorStudy(H, phi, I)
@@ -197,7 +197,7 @@ def test_study_builds_each_lie_derivative_once(rng, monkeypatch):
     H = _random_H(rng, 0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     I = (Z01, SCALING)
-    pts = sample_points(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
+    pts = frozen_sampler(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
     for s in subsequences(I):
         c_hat(s)  # the chat factors are cached per process; warm them first
     calls = []
@@ -217,7 +217,7 @@ def test_study_builds_each_lie_derivative_once(rng, monkeypatch):
 
 
 def test_gradient_frame_bound_cases(rng):
-    pts = sample_points(rng, 50, tmin=1.0, tmax=3.0, chart_z=True)
+    pts = frozen_sampler(rng, 50, tmin=1.0, tmax=3.0, chart_z=True)
     zero = PolyField.zero(rank=2, channels=1)
     assert gradient_frame_bound(zero, "Lbar", "L", pts) == 0.0
     const = PolyField.zero(rank=2, channels=1)

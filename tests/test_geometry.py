@@ -6,8 +6,9 @@ from framewave.errors import PoleDegenerate
 from framewave.estimates import eA_boost_representation, eA_rotation_representation
 from framewave.geometry import MINKOWSKI, POLAR_CAP, frame_arrays
 from conftest import frame_at, sample_points
-from oracles import (Point, RankMismatch, frame_coefficients, frame_component, frobenius_norm,
-                     lower_index, null_frame_at, raise_index, sphere_projector)
+from oracles import (Point, RankMismatch, frame_arrays_in_chart, frame_coefficients,
+                     frame_component, frobenius_norm, lower_index, null_frame_at, raise_index,
+                     sphere_projector)
 
 
 def _m(a, b):
@@ -70,8 +71,8 @@ def test_chart_consistency(rng):
         Pz = np.zeros((3, 3))
         Px = np.zeros((3, 3))
         for chart, target in (("z", Pz), ("x", Px)):
-            fr = frame_at(pt[1:], chart=chart)
-            for e in (fr["e1"], fr["e2"]):
+            fr = null_frame_at(Point(0.0, tuple(pt[1:])), chart)
+            for e in (fr.e1, fr.e2):
                 target += np.outer(e[1:], e[1:])
         assert np.max(np.abs(Pz - Px)) <= 1e-12
         assert np.max(np.abs(Pz - sphere_projector(pt[1:]))) <= 1e-12
@@ -149,47 +150,6 @@ def test_frame_arrays_match_pointwise(rng):
             assert np.allclose(fr[name][:, k], single.by_name(name), atol=1e-13)
 
 
-def _one_piece_frame_arrays(x1, x2, x3, chart="auto"):
-    """The single-function frame_arrays that the radial and sphere halves
-    replaced (its oracle)."""
-    r = np.sqrt(x1 ** 2 + x2 ** 2 + x3 ** 2)
-    rs = np.where(r == 0.0, 1.0, r)
-    xh = np.stack([x1 / rs, x2 / rs, x3 / rs])
-    shape = r.shape
-    L = np.zeros((4,) + shape)
-    Lb = np.zeros((4,) + shape)
-    L[0] = 1.0
-    Lb[0] = 1.0
-    L[1:] = xh
-    Lb[1:] = -xh
-
-    def pair(axis):
-        n = np.zeros((3,) + (1,) * len(shape))
-        n[axis] = 1.0
-        u = np.cross(np.broadcast_to(n, (3,) + shape), xh, axis=0)
-        nu = np.sqrt(np.sum(u ** 2, axis=0))
-        nu = np.where(nu == 0.0, 1.0, nu)
-        ephi = u / nu
-        etheta = np.cross(ephi, xh, axis=0)
-        return etheta, ephi
-
-    if chart == "z":
-        et, ep = pair(2)
-    elif chart == "x":
-        et, ep = pair(0)
-    else:
-        et_z, ep_z = pair(2)
-        et_x, ep_x = pair(0)
-        cap = np.abs(xh[2]) > POLAR_CAP
-        et = np.where(cap, et_x, et_z)
-        ep = np.where(cap, ep_x, ep_z)
-    e1 = np.zeros((4,) + shape)
-    e2 = np.zeros((4,) + shape)
-    e1[1:] = et
-    e2[1:] = ep
-    return {"L": L, "Lbar": Lb, "e1": e1, "e2": e2, "r": r}
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a, b) and \
         np.array_equal(np.signbit(a), np.signbit(b))
@@ -198,15 +158,18 @@ def _same_bits(a, b):
 @pytest.mark.parametrize("N", [12, 24, 33])
 @pytest.mark.parametrize("chart", ["auto", "z", "x"])
 def test_frame_halves_bit_identical_to_one_piece_frame_arrays(N, chart):
+    """frame_arrays against the one-piece frame (its oracle) in the chart
+    the polar-cap rule picks at each node ("auto"), and against the frame
+    of one forced chart on the nodes where the rule picks that chart."""
     # cell centres of an N-cell cube; odd N puts a node at the origin (r = 0)
     axis = -4.0 + (np.arange(N) + 0.5) * (8.0 / N)
     mesh = np.meshgrid(axis, axis, axis, indexing="ij")
-    got, want = frame_arrays(*mesh, chart=chart), _one_piece_frame_arrays(*mesh, chart=chart)
+    got, want = frame_arrays(*mesh), frame_arrays_in_chart(*mesh, chart)
     assert got.keys() == want.keys()
+    cap = np.abs(want["L"][3]) > POLAR_CAP
+    nodes = {"auto": np.ones_like(cap), "z": ~cap, "x": cap}[chart]
+    assert np.any(cap) and np.any(~cap)               # both charts in use
     for name in want:
-        assert _same_bits(got[name], want[name]), name
-    if chart == "auto":
-        xh = want["L"][1:]
-        assert np.any(np.abs(xh[2]) > POLAR_CAP)      # both charts in use
+        assert _same_bits(got[name][..., nodes], want[name][..., nodes]), name
     if N % 2:
         assert np.count_nonzero(want["r"] == 0.0) == 1

@@ -208,47 +208,43 @@ def _cap_points(rng, n):
     return x
 
 
-def test_unknown_chart_raises_for_points_and_batches():
-    with pytest.raises(KeyError):
-        geometry.frame_arrays(*np.array([[1.0], [2.0], [0.5]]), "y")
-    with pytest.raises(KeyError):
-        geometry.frame_arrays(*np.ones((3, 3)), "auto ")
-
-
 def test_eA_check_builds_its_frames_in_one_batch(monkeypatch):
-    calls, seen = [], []
+    seen = []
     batch = certify.frame_arrays
 
-    def keep(x1, x2, x3, chart="auto"):
-        calls.append(chart)
+    def keep(x1, x2, x3):
         seen.append(np.stack([x1, x2, x3], axis=1))
-        return batch(x1, x2, x3, chart)
+        return batch(x1, x2, x3)
     monkeypatch.setattr(certify, "frame_arrays", keep)
     assert certify.check_eA_expansions(n_pts=60).passed
-    assert calls == ["auto"] and len(seen) == 1 and len(seen[0]) == 60
+    assert len(seen) == 1 and len(seen[0]) == 60
 
 
 @pytest.mark.parametrize("chart", ["auto", "z", "x"])
 def test_null_frame_at_against_the_pointwise_sphere_pair(rng, chart):
-    """frame_arrays against the pointwise null frame of the oracles: the
-    radial half is bit-identical; the sphere half normalises with
-    sqrt(sum u^2) where the pointwise frame used np.linalg.norm, which
-    moves some components by at most one unit in the last place of a
-    unit vector."""
+    """frame_arrays against the pointwise null frame of the oracles, in
+    the chart the polar-cap rule picks at each point ("auto"), or in one
+    forced chart on the points where the rule picks it: the radial half
+    is bit-identical; the sphere half normalises with sqrt(sum u^2) where
+    the pointwise frame used np.linalg.norm, which moves some components
+    by at most one unit in the last place of a unit vector."""
     x = np.concatenate([sample_points(rng, 400, rmin=0.05)[:, 1:], _cap_points(rng, 100)])
     eps = np.finfo(float).eps
-    fr = geometry.frame_arrays(*x.T, chart)
-    for k, xk in enumerate(x):
-        want = oracles.null_frame_at(oracles.Point(0.5, tuple(xk)), chart)
+    fr = geometry.frame_arrays(*x.T)
+    cap = np.abs(fr["L"][3]) > POLAR_CAP
+    picked = {"auto": np.ones_like(cap), "z": ~cap, "x": cap}[chart]
+    assert np.count_nonzero(picked) >= 100
+    for k in np.flatnonzero(picked):
+        want = oracles.null_frame_at(oracles.Point(0.5, tuple(x[k])), chart)
         assert np.array_equal(fr["L"][:, k], want.L)
         assert np.array_equal(fr["Lbar"][:, k], want.Lbar)
         for name in ("e1", "e2"):
             assert np.max(np.abs(fr[name][:, k] - want.by_name(name))) <= eps
 
 
-def _pointwise_frame_arrays(x1, x2, x3, chart="auto"):
+def _pointwise_frame_arrays(x1, x2, x3):
     """frame_arrays built from the oracles' pointwise null frame."""
-    frames = [oracles.null_frame_at(oracles.Point(0.0, xk), chart) for xk in zip(x1, x2, x3)]
+    frames = [oracles.null_frame_at(oracles.Point(0.0, xk)) for xk in zip(x1, x2, x3)]
     fr = {name: np.stack([f.by_name(name) for f in frames], axis=1) for name in FULL_NAMES}
     fr["r"] = geometry.radius(x1, x2, x3)
     return fr
@@ -312,9 +308,13 @@ def test_slash_representations_equal_the_pointwise_oracles(rng):
 
 @pytest.mark.parametrize("chart", ["auto", "z", "x"])
 def test_eA_representations_equal_the_pointwise_oracles(rng, chart):
+    """The e_A representations on the package's frame ("auto") and on the
+    frame of one forced chart over the whole sphere (the representations
+    take any orthonormal sphere pair)."""
     pts = _rep_points(rng)
     F = random_poly(rng, degree=3, nterms=5)
-    fr = geometry.frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3], chart)
+    fr = (geometry.frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3]) if chart == "auto"
+          else oracles.frame_arrays_in_chart(pts[:, 1], pts[:, 2], pts[:, 3], chart))
     rot = estimates.eA_rotation_representation(pts, fr)
     boost = estimates.eA_boost_representation(pts, fr)
     values = [[vecfields.apply_representation(rep[a], F, pts) for a in (0, 1)]

@@ -13,6 +13,15 @@ the reader of the ``final_state.bin`` snapshots (``load_snapshot``) and
 A second check asks that every error class of ``errors.py`` is raised by
 some ``raise`` in the package; an import or an ``except`` clause alone
 does not keep a class that nothing can raise any more.
+
+A third asks that every defaulted parameter of a public function or of a
+public method of a public class, ``__init__`` included, is passed by
+some call in the package: by position, by keyword, through
+``functools.partial``, or by any call that spreads ``*args`` or
+``**kwargs``.  A call is matched by the callee's name (the class name
+for ``__init__``).  A parameter that only tests set is an option the
+package does not run; ``UNSET_ALLOWED`` lists the few that stay, each
+with its reason.
 """
 
 import ast
@@ -111,3 +120,100 @@ def unraised_errors():
 
 def test_every_error_class_is_raised_in_the_package():
     assert unraised_errors() == []
+
+
+CHECK_SIZE = "the certify check's size, which the acceptance tests set"
+UNSET_ALLOWED = {
+    "certify.check_weight_lemmas(n_q)": CHECK_SIZE,
+    "certify.check_gradient_decomposition(n_fields)": CHECK_SIZE,
+    "certify.check_gradient_decomposition(n_pts)": CHECK_SIZE,
+    "certify.check_nullframe_rewriting(n_pts)": CHECK_SIZE,
+    "certify.check_divergence_identity(n_pts)": CHECK_SIZE,
+    "certify.check_commutator_identity(n_pts)": CHECK_SIZE,
+    "certify.check_decay_inequalities(n_pts)": CHECK_SIZE,
+    "cli.main(argv)": "the console entry point reads sys.argv; tests pass their own",
+    "evolve.evolve_run(source_fn)": "the manufactured solutions of the solver-verification "
+                                    "criterion drive the run through it",
+    "evolve.gaussian_target(poly)": "a polynomial-times-Gaussian target for the "
+                                    "manufactured solutions",
+    "fields.PolyField.random(time_dependent)": "static random fields for the exact-lane "
+                                               "tests",
+}
+
+
+def _defaulted(fn, bound):
+    """(name, position or None if keyword-only) of fn's defaulted
+    parameters; positions count from the first argument a call passes."""
+    args = fn.args
+    positional = (args.posonlyargs + args.args)[1 if bound else 0:]
+    first = len(positional) - len(args.defaults)
+    out = [(p.arg, k) for k, p in enumerate(positional) if k >= first]
+    out += [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def _public_signatures():
+    """(label, callee name, defaulted parameters) of every public function
+    and every public method or ``__init__`` of a public class."""
+    for path in sorted(SRC.glob("*.py")):
+        mod = path.stem
+        for node in _public(ast.parse(path.read_text()).body):
+            if isinstance(node, ast.FunctionDef):
+                yield f"{mod}.{node.name}", node.name, _defaulted(node, False)
+                continue
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef) and (m.name == "__init__"
+                                                       or not m.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in m.decorator_list)
+                    callee = node.name if m.name == "__init__" else m.name
+                    yield f"{mod}.{node.name}.{m.name}", callee, _defaulted(m, not static)
+
+
+def _callee(expr):
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
+
+
+def _package_calls():
+    """{callee name: [(positional count, keyword names, spreads), ...]} over
+    every call in the package; ``partial(f, ...)`` is a call of f."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name, args = _callee(node.func), node.args
+            if name == "partial" and args:
+                name, args = _callee(args[0]), args[1:]
+            spreads = any(isinstance(a, ast.Starred) for a in args) or \
+                any(k.arg is None for k in node.keywords)
+            out.setdefault(name, []).append((len(args), {k.arg for k in node.keywords},
+                                             spreads))
+    return out
+
+
+def unset_parameters():
+    """'module.function(parameter)' for each defaulted public parameter
+    that no call in the package passes."""
+    calls = _package_calls()
+    found = []
+    for label, callee, params in _public_signatures():
+        for name, pos in params:
+            if not any(spreads or name in keywords or (pos is not None and n_pos > pos)
+                       for n_pos, keywords, spreads in calls.get(callee, ())):
+                found.append(f"{label}({name})")
+    return found
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    assert [f for f in unset_parameters() if f not in UNSET_ALLOWED] == []
+
+
+def test_unset_allow_list_is_still_unset():
+    """An entry that the package now passes, or that names a parameter
+    which is gone, leaves the list."""
+    assert set(UNSET_ALLOWED) <= set(unset_parameters())
