@@ -175,13 +175,14 @@ class BumpBackground:
         return abs(self.epsilon)
 
 
-def make_background(family, epsilon=0.0, **kwargs):
+def make_background(family, epsilon=0.0, center=(0.0, 0.0, 0.0), radius=4.0,
+                    velocity=(0.3, 0.0, 0.0)):
+    """The background of a config family; a static bump ignores the
+    velocity."""
     if family == "zero" or epsilon == 0.0:
         return BumpBackground(0.0)
     if family == "static-bump":
-        kwargs.pop("velocity", None)
-        return BumpBackground(epsilon, **kwargs)
+        return BumpBackground(epsilon, center=center, radius=radius)
     if family == "traveling-bump":
-        kwargs.setdefault("velocity", (0.3, 0.0, 0.0))
-        return BumpBackground(epsilon, **kwargs)
+        return BumpBackground(epsilon, center=center, radius=radius, velocity=velocity)
     raise ValueError(f"unknown background family {family!r}")

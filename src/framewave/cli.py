@@ -198,6 +198,14 @@ def parse_config(path):
         if cfg["region"]["q0"] not in ("-inf", "-infinity"):
             raise SchemaError("region.q0 must be a number or \"-inf\"")
         cfg["region"]["q0"] = float("-inf")
+    _check_constraints(cfg)
+    _multi_indices(cfg)
+    return cfg
+
+
+def _check_constraints(cfg):
+    """Raise ConstraintError naming the first numeric constraint that a
+    default-filled config breaks."""
     w, t, d, bg = cfg["weights"], cfg["times"], cfg["data"], cfg["background"]
     for ok, problem in [
             (w["gamma"] > 0, "gamma must be > 0"),
@@ -219,8 +227,6 @@ def parse_config(path):
              "background.center/velocity and data.center/kvec need 3 entries")]:
         if not ok:
             raise ConstraintError(problem)
-    _multi_indices(cfg)
-    return cfg
 
 
 def _multi_indices(cfg):
@@ -353,13 +359,14 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:   # held to the config's seed constraint
+            cfg["seed"] = args.seed
+            _check_constraints(cfg)
     except (SchemaError, ConstraintError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     if cfg["mode"] != args.command:
         cfg["mode"] = args.command
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     out_dir = args.out or cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     energy.write_json(os.path.join(out_dir, "config_resolved.json"), cfg)

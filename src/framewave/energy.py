@@ -78,8 +78,6 @@ class BudgetReport:
     ball_flux: float
     weight_volume: float
     divergence_volume: float
-    hypothesis_ok: bool = True
-    sup_H: float = 0.0
 
     @property
     def residual(self):
@@ -107,12 +105,6 @@ class BudgetReport:
             "residual": self.residual,
             "relative_residual": self.relative_residual,
         }
-
-    def to_json(self):
-        out = {"t1": self.t1, "t2": self.t2, "sup_H": self.sup_H,
-               "smallness_hypothesis_ok": self.hypothesis_ok}
-        out.update(self.terms())
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +378,7 @@ class SliceState:
         return self._get("q", lambda: self.geom.interior(self.geom.q_full(self.t)), self._slice)
 
     def weight(self, fn, params):
-        """fn(q) on the interior nodes (see _weight_eval); 1 where params
-        is None."""
+        """fn(q, params) on the interior nodes (see _weight_eval)."""
         return self._get(("weight", fn, params), lambda: _weight_eval(fn, self.q(), params),
                          self._slice)
 
@@ -505,8 +496,6 @@ class SliceState:
 def _weight_eval(fn, q, params):
     """Weight/derivative over arrays, treating exact q = 0 nodes as the
     measure-zero kink set (excluded from quadratures)."""
-    if params is None:
-        return np.ones_like(q)
     qq = np.where(q == 0.0, 1e-30, q)
     return fn(qq, params)
 
@@ -577,7 +566,7 @@ def _cone_slice(st, q0, ball, nodes, params):
     geom, rc = st.geom, st.t + q0
     if rc <= ball or rc >= geom.X - 2 * geom.dx:
         return None
-    wq = w_tilde(q0, params) if params is not None else 1.0
+    wq = w_tilde(q0, params)
     return _sphere_integral(geom, geom.interior(st.ttr_density()), rc, *nodes) * wq
 
 
@@ -588,7 +577,7 @@ def _ball_slice(st, region, ball, nodes, params):
     q = ball - st.t
     if np.isfinite(region.q0) and q < region.q0:
         return None
-    wq = _weight_eval(w_tilde, np.array([q]), params)[0] if params is not None else 1.0
+    wq = _weight_eval(w_tilde, np.array([q]), params)[0]
     return -_sphere_integral(st.geom, st.geom.interior(st.trt_density()), ball, *nodes) * wq
 
 
@@ -605,16 +594,15 @@ class BudgetPass:
     ``add`` takes the slice states from t1 to t2 in time order and reads
     every term of a slice from its state, keeping nothing of the state;
     ``end`` marks the slices at t1 and t2, whose slice energies enter the
-    identity.  params None runs the unweighted budget (weight identically
-    1, zero weight-derivative term).  A cone that meets fewer than two
-    slices (q0 = -inf included) contributes 0.
+    identity, each weighted by wtilde(q) or wtilde'(q) of ``params``.  A
+    cone that meets fewer than two slices (q0 = -inf included)
+    contributes 0.
     """
 
-    def __init__(self, region, params=None):
+    def __init__(self, region, params):
         self.region = region
         self.params = params
         self._nodes = _sphere_nodes(16, 32), _sphere_nodes(8, 16)
-        self._bg = None
         self._ts, self._ends, self._wvals, self._dvals, self._cone, self._balls = (
             [], [], [], [], [], [])
 
@@ -624,24 +612,19 @@ class BudgetPass:
         cone_nodes, ball_nodes = self._nodes
         if end:
             self._ends.append(_quad(st, st.energy_density(), region, w_tilde, params))
-        self._wvals.append(_quad(st, st.ttr_density(), region, w_tilde_prime, params)
-                           if params is not None else 0.0)
+        self._wvals.append(_quad(st, st.ttr_density(), region, w_tilde_prime, params))
         self._dvals.append(_quad(st, st.div_t_density(), region, w_tilde, params))
         self._cone.append((st.t, _cone_slice(st, region.q0, ball, cone_nodes, params)))
         self._balls.append((st.t, _ball_slice(st, region, ball, ball_nodes, params)))
         self._ts.append(st.t)
-        self._bg = st.bg
 
     def report(self, t1, t2):
-        """The BudgetReport of the slices added so far.  It records the
-        smallness flag |H| < 1/3 without aborting on violation."""
-        supH = self._bg.sup_abs() if self._bg is not None else 0.0
+        """The BudgetReport of the slices added so far."""
         return BudgetReport(
             t1=t1, t2=t2, slice_t1=self._ends[0], slice_t2=self._ends[-1],
             cone_flux=_surface_integral(self._cone), ball_flux=_surface_integral(self._balls),
             weight_volume=trapz(self._wvals, self._ts),
             divergence_volume=trapz(self._dvals, self._ts),
-            hypothesis_ok=bool(supH < 1.0 / 3.0), sup_H=float(supH),
         )
 
 

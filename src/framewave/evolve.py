@@ -30,12 +30,12 @@ operator runs too; they, their product with chi and the division by
 on a copy of the box grown by the stencil width; outside the box chi is
 0 and g^{tt} is exactly -1.
 The right-hand side writes into caller arrays and the evolver's kept
-work arrays, the schematic source and its every term, the box windows
-and the shell slabs included, so a warm flat or static-bump step
-allocates no full-size array (a manufactured ``source_fn`` returns its
-own).  The RK4 step keeps its stage, slope and accumulator arrays
-between steps, sums ((k1 + 2 k2) + 2 k3) + k4 as the expression form
-does and adds the increment into the state in place.
+work arrays, the source (schematic or manufactured) and its every term,
+the box windows and the shell slabs included, so a warm flat or
+static-bump step allocates no full-size array.  The RK4 step keeps its
+stage, slope and accumulator arrays between steps, sums ((k1 + 2 k2) +
+2 k3) + k4 as the expression form does and adds the increment into the
+state in place.
 
 One grid run uses two cores.  Each evolver keeps one worker thread
 (:class:`_Pair`, ended by ``evolve_run`` or with the evolver) that
@@ -147,15 +147,11 @@ def _halves(n):
     return [slice(0, h), slice(h, n)] if n > 1 else [slice(0, n)]
 
 
-def _in_order(fn, items):
-    return [fn(item) for item in items]
-
-
 def _call(task):
     return task()
 
 
-def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh, fan=_in_order):
+def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work, fan):
     """Assemble the requested schematic terms into a source array.
 
     Phi must be rank 1 (the potential A); returns (4, channels, n, n, n).
@@ -281,11 +277,13 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work=_fresh, fan=_in_or
 
 
 def manufactured_source(target_comps, background, geom):
-    """Source closure reproducing a chosen exact field.
+    """Source reproducing a chosen exact field.
 
     target_comps: object array (4,)*rank + (channels,) of exact scalars
-    (Poly or GaussPoly).  Returns fn(t) -> g^{ab} d_a d_b target sampled
-    on the full cube; evolving with it reproduces the target up to
+    (Poly or GaussPoly).  Returns an evolver's source, ``source(t, Phi,
+    Pi, work, fan)``, which samples g^{ab} d_a d_b target on the full
+    cube into the work array "source.S" and returns it; it reads neither
+    the state nor ``fan``.  Evolving with it reproduces the target up to
     discretization error.  Each call evaluates the distinct Hessian
     entries d_a d_b (a <= b) once: the diagonal alone on a flat
     background, all ten otherwise.  The H part is chi times the sum over
@@ -300,10 +298,10 @@ def manufactured_source(target_comps, background, geom):
     hessians = {idx: [target_comps[idx].diff(a_).diff(b_) for a_, b_ in pairs]
                 for idx in np.ndindex(shape)}
 
-    def source_fn(t):
+    def source(t, Phi, Pi, work, fan):
         pts = geom.points_full(t)
         n = geom.n_full
-        out = np.zeros(shape + (n, n, n))
+        out = work("source.S", shape + (n, n, n))
         chi = background.profile(geom, t)[0] if h_terms else None
         for idx in np.ndindex(shape):
             hs = hessians[idx]
@@ -321,7 +319,7 @@ def manufactured_source(target_comps, background, geom):
             out[idx] = acc
         return out
 
-    return source_fn
+    return source
 
 
 # ---------------------------------------------------------------------------
@@ -579,14 +577,19 @@ class _Pair:
 
 
 class Evolver:
-    """RK4 driver for the first-order reduction on one background."""
+    """RK4 driver for the first-order reduction on one background.
 
-    def __init__(self, geom, background, source_fn=None, schematic=None,
-                 boundary="sommerfeld"):
+    ``source`` is None (S = 0) or ``source(t, Phi, Pi, work, fan)``: the
+    schematic terms (``functools.partial(build_source, spec, geom, bg)``)
+    or :func:`manufactured_source`.  The right-hand side calls it after
+    the ghost fill with its work arrays and thread pair, and divides the
+    S it returns, one of the work arrays, by g^{tt} in place.
+    """
+
+    def __init__(self, geom, background, source=None, boundary="sommerfeld"):
         self.geom = geom
         self.bg = background
-        self.source_fn = source_fn
-        self.schematic = schematic
+        self.source = source
         self.boundary = boundary
         self._ghost_mode = "periodic" if boundary == "periodic" else "zero"
         self._work = {}
@@ -654,18 +657,13 @@ class Evolver:
             on_box = dPi[(Ellipsis,) + box]
             on_box += acc
             on_box /= -gtt
-            if self.source_fn is not None or self.schematic is not None:
+            if self.source is not None:
                 g00 = self._buffer("g00", Phi.shape[-3:])
                 g00.fill(-1.0)
                 g00[box] = gtt
-        src = None if self.source_fn is None else self.source_fn(t)
-        tmp = None if src is None else self._buffer("tmp", Phi.shape)
-        S = None if self.schematic is None else build_source(
-            self.schematic, geom, self.bg, t, Phi, Pi, self._buffer, fan)
+        S = None if self.source is None else self.source(t, Phi, Pi, self._buffer, fan)
 
         def finish(r):
-            if src is not None:
-                dPi[r] += np.divide(src[r], g00, out=tmp[r])
             if S is not None:
                 S_r = S[r]
                 S_r /= g00
@@ -796,9 +794,8 @@ class RunHistory:
         self.dfields.append(Pi.copy())
 
 
-def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, source_fn=None,
-               schematic=None, cfl=0.45, dt=None, boundary="sommerfeld",
-               n_monitors=None, log=None):
+def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, log, source=None, cfl=0.45,
+               dt=None, boundary="sommerfeld", n_monitors=None):
     """Advance the reduction from t1 to t2 in place in Phi and Pi, handing
     each of the uniform monitor slices to a consumer.
 
@@ -810,11 +807,13 @@ def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, source_fn=None,
     next step, so a consumer reads it before it returns.  The last slice
     has no next step and computes its own.
 
+    ``log(event)`` takes the run's structured events (dicts), and
+    ``source`` is the evolver's (see :class:`Evolver`).
+
     dt is derived from the CFL number against the background lightspeed
     unless given explicitly, in which case it is validated (CFLViolation).
     """
-    ev = Evolver(geom, background, source_fn=source_fn, schematic=schematic,
-                 boundary=boundary)
+    ev = Evolver(geom, background, source=source, boundary=boundary)
     c = max_characteristic_speed(geom, background, t1)
     dt_max = CFL_LIMIT * geom.dx / c
     T = t2 - t1
@@ -843,15 +842,13 @@ def evolve_run(geom, background, Phi, Pi, t1, t2, consumer, source_fn=None,
                 # solution cells only: the ghost layers are scratch that the
                 # next ghost fill overwrites
                 max_abs = float(np.max(np.abs(geom.interior(Phi))))
-                if log is not None:
-                    log({"event": "monitor", "step": k + 1, "t": t,
-                         "cfl": dt * c / geom.dx, "max_abs": max_abs})
+                log({"event": "monitor", "step": k + 1, "t": t,
+                     "cfl": dt * c / geom.dx, "max_abs": max_abs})
                 max_abs_pi = float(np.max(np.abs(geom.interior(Pi))))
                 if not (math.isfinite(max_abs) and math.isfinite(max_abs_pi)):
-                    if log is not None:
-                        log({"event": "non_finite", "step": k + 1, "t": t,
-                             "quantity": "fields", "max_abs": max_abs,
-                             "max_abs_pi": max_abs_pi})
+                    log({"event": "non_finite", "step": k + 1, "t": t,
+                         "quantity": "fields", "max_abs": max_abs,
+                         "max_abs_pi": max_abs_pi})
                     raise NonFiniteResult(f"max |Phi| = {max_abs}, max |Pi| = "
                                           f"{max_abs_pi} at t = {t} on the N = {geom.N} grid")
                 consumer(hist, t, Phi, Pi, functools.partial(ev.slope, t, Phi, Pi))
@@ -1000,11 +997,12 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
     files: run_log<tag>.jsonl, energy_series<tag>.csv, final_state<tag>.bin.
     """
     geom, bg, params, region = setup_experiment(cfg)
-    spec = None
+    source = None
     if cfg["source"]["terms"]:
         spec = SourceSpec(terms=tuple(cfg["source"]["terms"]),
                           bigO_degree=cfg["source"]["bigO_degree"],
                           slots=tuple(cfg["source"]["slots"]))
+        source = functools.partial(build_source, spec, geom, bg)
     comps = cfg["components"]
     store = cfg["mode"] == "estimate" and any(text.strip() for text in cfg["multi_indices"])
     last = cfg["monitors"] - 1
@@ -1037,9 +1035,8 @@ def run_experiment(cfg, out_dir, tag="", passes=()):
     try:
         hist = evolve_run(
             geom, bg, Phi, Pi, cfg["times"]["t1"], cfg["times"]["t2"], monitor,
-            schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
-            boundary=cfg["boundary"], n_monitors=cfg["monitors"],
-            log=events.append)
+            events.append, source=source, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
+            boundary=cfg["boundary"], n_monitors=cfg["monitors"])
     finally:
         _write_events(log_path, events)
 

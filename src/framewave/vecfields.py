@@ -403,18 +403,14 @@ def _norm_at(field_vals):
     return np.sqrt(np.sum(field_vals ** 2, axis=tuple(range(1, field_vals.ndim))))
 
 
-def all_multi_indices(max_order):
-    out = [()]
-    for k in range(1, max_order + 1):
-        out.extend(itertools.product(GENERATORS, repeat=k))
-    return out
-
-
 def decay_rhs_sum(phi: PolyField, max_order, pts):
-    """sum_{|J| <= max_order} |L_{Z^J} phi| evaluated at points."""
+    """sum_{|J| <= max_order} |L_{Z^J} phi| evaluated at points, shortest
+    J first, each L_{Z^J} phi from one Lie lattice."""
+    seqs = [J for k in range(max_order + 1) for J in itertools.product(GENERATORS, repeat=k)]
+    lattice = lie_lattice(seqs, {(): phi})
     total = np.zeros(len(pts))
-    for J in all_multi_indices(max_order):
-        total += _norm_at(lie_multi(J, phi).eval(pts))
+    for J in seqs:
+        total += _norm_at(lattice[J].eval(pts))
     return total
 
 

@@ -28,6 +28,7 @@ kernels to agree with them bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import os
@@ -45,7 +46,7 @@ from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, P
 from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
                                  lbar_radial_residual, lie_component_series,
                                  lie_field_series)
-from framewave.fields import (GHOST, PolyField, d1_axis, d2_axis, fill_ghosts_array,
+from framewave.fields import (GHOST, PolyField, _fresh, d1_axis, d2_axis, fill_ghosts_array,
                               save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
 from framewave.poly import GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
@@ -115,18 +116,33 @@ class StoredRun(evolve.RunHistory):
     evolver: evolve.Evolver = None
 
 
-def stored_run(geom, background, Phi0, Pi0, t1, t2, source_fn=None, schematic=None,
-               boundary="sommerfeld", **kwargs):
+def stored_run(geom, background, Phi0, Pi0, t1, t2, source=None, boundary="sommerfeld",
+               log=None, **kwargs):
     """``evolve.evolve_run`` on copies of Phi0 and Pi0 that stores every
     slice, as the run did before it took one consumer path: the
-    reference for the streamed monitors."""
+    reference for the streamed monitors.  Its events go to ``log``, if
+    given."""
     run = evolve.evolve_run(geom, background, Phi0.copy(), Pi0.copy(), t1, t2,
                             lambda run, t, Phi, Pi, slope: run.store(t, Phi, Pi),
-                            source_fn=source_fn, schematic=schematic, boundary=boundary,
-                            **kwargs)
+                            log or [].append, source=source, boundary=boundary, **kwargs)
     return StoredRun(geom, background, boundary, run.times, run.fields, run.dfields,
-                     evolve.Evolver(geom, background, source_fn=source_fn,
-                                    schematic=schematic, boundary=boundary))
+                     evolve.Evolver(geom, background, source=source, boundary=boundary))
+
+
+def in_order(fn, items):
+    """The one-thread map of a source's ``fan``: [fn(item) for item in items]."""
+    return [fn(item) for item in items]
+
+
+def schematic(spec, geom, bg):
+    """The evolver source of the schematic terms of ``spec``, as the
+    experiment runner builds it."""
+    return functools.partial(evolve.build_source, spec, geom, bg)
+
+
+def fresh_source(source, t, Phi=None, Pi=None):
+    """A source evaluated with freshly allocated work arrays on one thread."""
+    return source(t, Phi, Pi, _fresh, in_order)
 
 
 def _projected(history, arr, component):
@@ -197,7 +213,7 @@ def ball_flux(series, region, t1, t2, params, n_theta=8, n_phi=16):
                               for k in range(k1, k2 + 1)])
 
 
-def conservation_budget(series, region, t1, t2, params=None):
+def conservation_budget(series, region, t1, t2, params):
     """Every term of the weighted budget identity over a stored series: one
     BudgetPass over the monitor slices from t1 to t2."""
     k1, k2 = series.index_range(t1, t2)
@@ -913,7 +929,8 @@ def full_cube_shell(geom, Phi, Pi, dPhi, dPi):
 
 def manufactured_source_from_direction(target_comps, background, geom):
     """evolve.manufactured_source as it read the H terms off the direction
-    matrix M before the background listed them (``hessian_terms``)."""
+    matrix M before the background listed them (``hessian_terms``), in
+    the form it had then: ``source_fn(t)`` returns a new array."""
     shape = target_comps.shape
     pairs = [(a_, b_) for a_ in range(4) for b_ in range(a_, 4)]
     if background.is_flat():
@@ -960,19 +977,18 @@ def history_run_experiment(cfg, out_dir, tag="", keep=None):
     series of the component ``keep`` or None)."""
     geom, bg, params, region = evolve.setup_experiment(cfg)
     Phi0, Pi0 = evolve._initial_data(cfg, geom)
-    spec = None
+    source = None
     if cfg["source"]["terms"]:
-        spec = evolve.SourceSpec(terms=tuple(cfg["source"]["terms"]),
-                                 bigO_degree=cfg["source"]["bigO_degree"],
-                                 slots=tuple(cfg["source"]["slots"]))
+        source = schematic(evolve.SourceSpec(terms=tuple(cfg["source"]["terms"]),
+                                             bigO_degree=cfg["source"]["bigO_degree"],
+                                             slots=tuple(cfg["source"]["slots"])), geom, bg)
     log_path = os.path.join(out_dir, f"run_log{tag}.jsonl")
     events = []
     try:
         hist = stored_run(
             geom, bg, Phi0, Pi0, cfg["times"]["t1"], cfg["times"]["t2"],
-            schematic=spec, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
-            boundary=cfg["boundary"], n_monitors=cfg["monitors"],
-            log=events.append)
+            source=source, cfl=cfg["times"]["cfl"], dt=cfg["times"]["dt"],
+            boundary=cfg["boundary"], n_monitors=cfg["monitors"], log=events.append)
     finally:
         evolve._write_events(log_path, events)
 

@@ -132,7 +132,8 @@ def _estimate_run(N, bg, region, params):
         est.add(oracles.live_state(hist, "scalar", t, Phi, Pi, slope),
                 len(est._ts) in (0, n_monitors - 1))
 
-    evolve.evolve_run(geom, bg, Phi0, Pi0, 6.0, 7.0, feed, cfl=0.45, n_monitors=n_monitors)
+    evolve.evolve_run(geom, bg, Phi0, Pi0, 6.0, 7.0, feed, [].append, cfl=0.45,
+                      n_monitors=n_monitors)
     return est
 
 
@@ -270,7 +271,7 @@ def test_criterion_10_solver_verification():
             src = evolve.manufactured_source(comps, bg, geom)
             Phi0, Pi0 = evolve.data_from_target(geom, comps, 0.0)
             hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.8,
-                                     source_fn=src, cfl=0.4, n_monitors=3)
+                                     source=src, cfl=0.4, n_monitors=3)
             ref = evolve.sample_scalars(geom, comps, hist.times[-1])
             errs2.append(float(np.sqrt(np.mean(
                 (geom.interior(hist.fields[-1]) - geom.interior(ref)) ** 2))))

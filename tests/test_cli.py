@@ -13,6 +13,8 @@ from framewave.errors import ConstraintError, KinkPoint, NonFiniteResult, Schema
 from framewave.fields import GridGeometry
 from framewave.poly import MAX_EXPONENT, Poly, pack
 
+import artifact_digests
+
 
 def _write(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
@@ -63,6 +65,17 @@ def test_exit_code_config_error(tmp_path):
     path = _write(tmp_path, {"mode": "evolve", "weights": {"mu": 0.5}})
     rc = cli.main(["evolve", "--config", path, "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("mode", ["certify", "evolve"])
+def test_negative_seed_override_exits_2_before_any_artifact(tmp_path, capsys, mode):
+    # --seed is held to the config's seed >= 0 check before anything is written
+    path = _write(tmp_path, {"mode": mode, **DETERMINISM_CONFIGS[mode]})
+    out = tmp_path / "o"
+    assert cli.main([mode, "--config", path, "--out", str(out), "--seed", "-5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "seed >= 0" in err
+    assert not out.exists()
 
 
 def test_certify_fast_exit_zero(tmp_path):
@@ -140,20 +153,32 @@ DETERMINISM_CONFIGS = {
 }
 
 
+def determinism_run(tmp_path, name, run):
+    """{file name: bytes} of the run ``run`` of DETERMINISM_CONFIGS[name]
+    at --seed 77, in its own output directory."""
+    body = DETERMINISM_CONFIGS[name]
+    mode = body.get("mode", name)
+    path = _write(tmp_path, {"mode": mode, **body}, name=f"{name}.json")
+    extra = ["--refine", "2"] if mode == "conserve" else []
+    out = tmp_path / name / run
+    assert cli.main([mode, "--config", path, "--out", str(out), "--seed", "77", *extra]) == 0
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
 def test_determinism_bit_identical(tmp_path):
-    for name, body in DETERMINISM_CONFIGS.items():
-        mode = body.get("mode", name)
-        path = _write(tmp_path, {"mode": mode, **body}, name=f"{name}.json")
-        extra = ["--refine", "2"] if mode == "conserve" else []
-        outs = []
-        for run in ("a", "b"):
-            out = tmp_path / name / run
-            assert cli.main([mode, "--config", path, "--out", str(out),
-                             "--seed", "77", *extra]) == 0
-            outs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-        assert outs[0].keys() == outs[1].keys(), name
-        for artifact in outs[0]:
-            assert outs[0][artifact] == outs[1][artifact], f"{name}: {artifact} differs"
+    runs = {}
+    for name in DETERMINISM_CONFIGS:
+        a, b = (determinism_run(tmp_path, name, run) for run in ("a", "b"))
+        assert a.keys() == b.keys(), name
+        for artifact in a:
+            assert a[artifact] == b[artifact], f"{name}: {artifact} differs"
+        runs[name] = a
+    # run "a" against the digests committed for the recorded platform
+    recorded = json.loads(artifact_digests.MANIFEST.read_text())
+    other = artifact_digests.platform_difference(recorded)
+    if other:
+        pytest.skip(f"artifact digests not compared: {other}")
+    assert artifact_digests.mismatches(recorded, runs) == []
 
 
 def test_conserve_unmeasured_order_is_null(tmp_path):

@@ -6,14 +6,14 @@ import pytest
 from framewave import evolve
 from framewave.background import BumpBackground, make_background
 from framewave.errors import CFLViolation
-from framewave.fields import (GHOST, GridGeometry, _laplacian, d1_axis, d2_axis,
+from framewave.fields import (GHOST, GridGeometry, _fresh, _laplacian, d1_axis, d2_axis,
                               fill_ghosts_array)
 from framewave.geometry import MINKOWSKI, MINKOWSKI_INV
 from framewave.poly import GaussPoly, Poly, measure_order
 
 import oracles
 from conftest import dense_H
-from oracles import component_series
+from oracles import component_series, fresh_source, in_order, schematic
 
 
 def test_zero_data_stays_zero():
@@ -81,7 +81,7 @@ def test_build_source_constant_cubed():
     Phi = np.full((4, 1, n, n, n), c)
     Pi = np.zeros_like(Phi)
     S = evolve.build_source(evolve.SourceSpec(terms=("A3",)), geom,
-                            BumpBackground(0.0), 0.0, Phi, Pi)
+                            BumpBackground(0.0), 0.0, Phi, Pi, _fresh, in_order)
     assert np.max(np.abs(geom.interior(S) - c ** 3)) <= 1e-15
 
 
@@ -95,7 +95,7 @@ def test_build_source_frame_product_oracle(rng):
     Pi = np.zeros_like(Phi)
     Pi[1, 0] = 0.3 * Phi[1, 0]
     S = evolve.build_source(evolve.SourceSpec(terms=("Ae_dAe",)), geom,
-                            BumpBackground(0.0), 0.0, Phi, Pi)
+                            BumpBackground(0.0), 0.0, Phi, Pi, _fresh, in_order)
     hand = np.zeros_like(S)
     for name in ("e1", "e2"):
         V = geom.frame(name)
@@ -119,7 +119,7 @@ def test_build_source_bigO_linear_in_dA():
     vals = []
     for eps in (0.02, 0.01):
         bg = BumpBackground(eps, center=(0, 0, 0), radius=3.0)
-        S = evolve.build_source(spec, geom, bg, 0.0, Phi, Pi)
+        S = evolve.build_source(spec, geom, bg, 0.0, Phi, Pi, _fresh, in_order)
         vals.append(np.max(np.abs(geom.interior(S)[1, 0])))
     assert vals[0] / vals[1] == pytest.approx(2.0, rel=0.05)
 
@@ -132,10 +132,10 @@ def test_build_source_locality(rng):
     Phi[0, 0] = np.exp(-(X1 ** 2 + X2 ** 2 + X3 ** 2) / 3)
     Pi = np.zeros_like(Phi)
     spec = evolve.SourceSpec(terms=("A3", "AL_dA", "Ae_dAe"))
-    S1 = evolve.build_source(spec, geom, BumpBackground(0.0), 0.0, Phi, Pi)
+    S1 = evolve.build_source(spec, geom, BumpBackground(0.0), 0.0, Phi, Pi, _fresh, in_order)
     Phi2 = Phi.copy()
     Phi2[:, :, -5:, -5:, -5:] += 0.5
-    S2 = evolve.build_source(spec, geom, BumpBackground(0.0), 0.0, Phi2, Pi)
+    S2 = evolve.build_source(spec, geom, BumpBackground(0.0), 0.0, Phi2, Pi, _fresh, in_order)
     assert np.max(np.abs(S1[:, :, 4, 4, 4] - S2[:, :, 4, 4, 4])) == 0.0
 
 
@@ -147,9 +147,9 @@ def test_bad_term_run_emits_component_energies():
     target = evolve.gaussian_target(rank=1, channels=1, amplitude=0.05,
                                     center=(0, 0, 2.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    spec = evolve.SourceSpec(terms=("Ae_dAe", "AL_dA"))
-    hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.4,
-                             schematic=spec, cfl=0.4, n_monitors=5)
+    spec, bg = evolve.SourceSpec(terms=("Ae_dAe", "AL_dA")), BumpBackground(0.0)
+    hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.4,
+                             source=schematic(spec, geom, bg), cfl=0.4, n_monitors=5)
     region = energy.ExteriorRegion(q0=float("-inf"))
     params = WeightParams(0.5, -0.25)
     vals = {}
@@ -196,10 +196,10 @@ def test_manufactured_source_trivial_cases():
     comps = np.empty((1,), dtype=object)
     comps[0] = Poly.zero()
     src = evolve.manufactured_source(comps, BumpBackground(0.0), geom)
-    assert np.all(src(0.3) == 0.0)
+    assert np.all(fresh_source(src, 0.3) == 0.0)
     comps[0] = Poly.var(0) * Poly.var(1)  # t x1 is flat-harmonic
     src = evolve.manufactured_source(comps, BumpBackground(0.0), geom)
-    assert np.max(np.abs(src(0.7))) <= 1e-12
+    assert np.max(np.abs(fresh_source(src, 0.7))) <= 1e-12
 
 
 def test_mms_convergence_single_background():
@@ -212,7 +212,7 @@ def test_mms_convergence_single_background():
                              sigma=1.2)
         src = evolve.manufactured_source(comps, bg, geom)
         Phi0, Pi0 = evolve.data_from_target(geom, comps, 0.0)
-        hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.6, source_fn=src,
+        hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.6, source=src,
                                  cfl=0.4, n_monitors=3)
         ref = evolve.sample_scalars(geom, comps, hist.times[-1])
         errs.append(float(np.sqrt(np.mean(
@@ -273,7 +273,7 @@ def test_rhs_shell_bit_identical_to_full_cube(family, rank, channels, N):
     geom = GridGeometry(N, 4.0)  # N = 8 is the smallest legal grid
     bg = make_background(family, epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
     spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")) if rank == 1 else None
-    ev = evolve.Evolver(geom, bg, schematic=spec)
+    ev = evolve.Evolver(geom, bg, source=None if spec is None else schematic(spec, geom, bg))
     rngl = np.random.default_rng(11 + rank)
     shape = (4,) * rank + (channels,) + (geom.n_full,) * 3
     Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
@@ -361,7 +361,8 @@ def test_evolve_run_consumer_sees_the_stored_slices(monkeypatch):
     spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))
     target = evolve.gaussian_target(rank=1, channels=2, center=(0, 0, 1.5), sigma=0.8)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
-    stored = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.3, schematic=spec, n_monitors=4)
+    stored = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.3, source=schematic(spec, geom, bg),
+                                n_monitors=4)
     made, init = [], evolve.Evolver.__init__
 
     def tracked_init(self, *args, **kwargs):
@@ -378,7 +379,8 @@ def test_evolve_run_consumer_sees_the_stored_slices(monkeypatch):
         assert all(np.array_equal(g, w) for g, w in zip(slope(), want))
         seen.append((t, F, P))
 
-    hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.3, consumer, schematic=spec,
+    hist = evolve.evolve_run(geom, bg, Phi0, Pi0, 0.0, 0.3, consumer, [].append,
+                             source=schematic(spec, geom, bg),
                              n_monitors=4)
     assert hist.times == hist.fields == hist.dfields == []
     assert len(made) == 1 and not made[0]._work   # released after the last slope
@@ -398,7 +400,7 @@ def _slope_case(case):
                                        radius=3.0, velocity=(0.3, 0.0, 0.0)), 0, {}
     else:
         bg, rank = BumpBackground(0.0), 1
-        kw = {"schematic": evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))}
+        kw = {"source": schematic(evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")), geom, bg)}
     shape = (4,) * rank + (2,) + (geom.n_full,) * 3
     Phi, Pi = 0.3 * rngl.normal(size=shape), 0.3 * rngl.normal(size=shape)
     return geom, lambda: evolve.Evolver(geom, bg, **kw), Phi, Pi
@@ -488,7 +490,7 @@ def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
                 return kernel(scalars, p)
 
             monkeypatch.setattr(evolve, "_eval_scalars", counted)
-            got = evolve.manufactured_source(target, bg, geom)(t)
+            got = fresh_source(evolve.manufactured_source(target, bg, geom), t)
             monkeypatch.undo()
             scale = np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -508,7 +510,7 @@ def test_manufactured_source_from_hessian_terms_equals_direction_form(family):
         got = evolve.manufactured_source(target, bg, geom)
         want = oracles.manufactured_source_from_direction(target, bg, geom)
         for t in (0.0, 0.4):
-            assert np.array_equal(got(t), want(t))
+            assert np.array_equal(fresh_source(got, t), want(t))
 
 
 # --- RK4 step with reused work arrays against the expression form ------------
@@ -530,14 +532,16 @@ def test_step_bit_identical_to_expression_rk4(case):
     bump = dict(epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
     spec = evolve.SourceSpec(terms=evolve.SCHEMATIC_TERMS)
     if case == "flat-schematic":
-        ev, lead = evolve.Evolver(geom, BumpBackground(0.0), schematic=spec), (4, 2)
+        bg = BumpBackground(0.0)
+        ev, lead = evolve.Evolver(geom, bg, source=schematic(spec, geom, bg)), (4, 2)
     elif case == "static-bump":
         bg = make_background("static-bump", **bump)
         target = evolve.gaussian_target(center=(0, 0, 1.0), sigma=1.0)
-        ev = evolve.Evolver(geom, bg, source_fn=evolve.manufactured_source(target, bg, geom))
+        ev = evolve.Evolver(geom, bg, source=evolve.manufactured_source(target, bg, geom))
         lead = (1,)
     elif case == "traveling-bump":
-        ev = evolve.Evolver(geom, make_background("traveling-bump", **bump), schematic=spec)
+        bg = make_background("traveling-bump", **bump)
+        ev = evolve.Evolver(geom, bg, source=schematic(spec, geom, bg))
         lead = (4, 1)
     else:
         ev, lead = evolve.Evolver(geom, BumpBackground(0.0), boundary="periodic"), (2,)
@@ -661,7 +665,7 @@ def test_build_source_work_arrays_bit_identical(family, term):
         for geom in (GridGeometry(8, 3.0), GridGeometry(12, 4.0)):
             Phi, Pi = _source_state(geom, rngl)
             want = _build_source_reference(spec, geom, bg, 0.3, Phi, Pi)
-            got = evolve.build_source(spec, geom, bg, 0.3, Phi, Pi, work=work)
+            got = evolve.build_source(spec, geom, bg, 0.3, Phi, Pi, work, in_order)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -760,7 +764,7 @@ def test_static_bump_h_sources_evolve_as_with_dense_h(monkeypatch):
 
     def run():
         events = []
-        hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.4, schematic=spec,
+        hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.4, source=schematic(spec, geom, bg),
                                  cfl=0.4, n_monitors=3, log=events.append)
         series = [component_series(hist, c) for c in ("L", "Lbar", "e1")]
         return events, np.array([[energy.slice_energy(s.state(k), region, params, "w")
@@ -817,7 +821,8 @@ def test_flat_schematic_step_allocates_no_full_array():
 
     geom = GridGeometry(32, 6.0)
     spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))
-    ev = evolve.Evolver(geom, BumpBackground(0.0), schematic=spec)
+    bg = BumpBackground(0.0)
+    ev = evolve.Evolver(geom, bg, source=schematic(spec, geom, bg))
     rngl = np.random.default_rng(9)
     shape = (4, 1) + (geom.n_full,) * 3
     Phi, Pi = 0.3 * rngl.normal(size=shape), 0.3 * rngl.normal(size=shape)
@@ -860,7 +865,8 @@ def test_static_bump_step_allocates_no_full_array():
 def test_flat_sommerfeld_rhs_ghosts_are_positive_zero(rank, channels):
     geom = GridGeometry(12, 4.0)
     spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")) if rank == 1 else None
-    ev = evolve.Evolver(geom, BumpBackground(0.0), schematic=spec)
+    bg = BumpBackground(0.0)
+    ev = evolve.Evolver(geom, bg, source=None if spec is None else schematic(spec, geom, bg))
     shape = (4,) * rank + (channels,) + (geom.n_full,) * 3
     rngl = np.random.default_rng(3)
     Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
@@ -904,10 +910,8 @@ def _rhs_full_cube(ev, t, Phi, Pi, one_pass=False):
     acc *= chi
     dPi += acc
     dPi /= -g00
-    if ev.source_fn is not None:
-        dPi += np.divide(ev.source_fn(t), g00, out=tmp)
-    if ev.schematic is not None:
-        S = evolve.build_source(ev.schematic, geom, ev.bg, t, Phi, Pi)
+    if ev.source is not None:
+        S = fresh_source(ev.source, t, Phi, Pi)
         S /= g00
         dPi += S
     np.copyto(dPhi, Pi)
@@ -932,10 +936,11 @@ def _rhs_case(case, bump):
     rank, channels, kwargs = 0, 1, {}
     if case == "schematic":
         rank, channels = 1, 2
-        kwargs["schematic"] = evolve.SourceSpec(terms=("AL_dA", "dh_tangA", "bigO_h_dA"))
+        kwargs["source"] = schematic(
+            evolve.SourceSpec(terms=("AL_dA", "dh_tangA", "bigO_h_dA")), geom, bg)
     elif case == "manufactured":
         target = evolve.gaussian_target(center=(0.0, 0.5, 1.0), sigma=1.0)
-        kwargs["source_fn"] = evolve.manufactured_source(target, bg, geom)
+        kwargs["source"] = evolve.manufactured_source(target, bg, geom)
     elif case == "periodic":
         channels, kwargs["boundary"] = 2, "periodic"
     shape = (4,) * rank + (channels,) + (geom.n_full,) * 3

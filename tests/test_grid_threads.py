@@ -20,19 +20,20 @@ from framewave.background import BumpBackground, make_background
 from framewave.errors import NonFiniteResult
 from framewave.fields import GridGeometry, fill_ghosts_array
 
+from oracles import schematic
 from test_cli import DETERMINISM_CONFIGS, _write
 
 BUMP = dict(epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
 ALL_TERMS = evolve.SourceSpec(terms=evolve.SCHEMATIC_TERMS)
 
-# name: (background, rank, channels, evolver keywords)
+# name: (background, rank, channels, evolver keywords or the name of the source)
 CASES = {
-    "zero-all-terms-1": ("zero", 1, 1, dict(schematic=ALL_TERMS)),
-    "zero-all-terms-3": ("zero", 1, 3, dict(schematic=ALL_TERMS)),
-    "static-all-terms-1": ("static-bump", 1, 1, dict(schematic=ALL_TERMS)),
-    "static-all-terms-3": ("static-bump", 1, 3, dict(schematic=ALL_TERMS)),
-    "traveling-all-terms-1": ("traveling-bump", 1, 1, dict(schematic=ALL_TERMS)),
-    "traveling-all-terms-3": ("traveling-bump", 1, 3, dict(schematic=ALL_TERMS)),
+    "zero-all-terms-1": ("zero", 1, 1, "all-terms"),
+    "zero-all-terms-3": ("zero", 1, 3, "all-terms"),
+    "static-all-terms-1": ("static-bump", 1, 1, "all-terms"),
+    "static-all-terms-3": ("static-bump", 1, 3, "all-terms"),
+    "traveling-all-terms-1": ("traveling-bump", 1, 1, "all-terms"),
+    "traveling-all-terms-3": ("traveling-bump", 1, 3, "all-terms"),
     "manufactured-rank1": ("static-bump", 1, 1, "manufactured"),
     "manufactured-rank0-3": ("traveling-bump", 0, 3, "manufactured"),
     **{f"{bg}-rank{rank}-{ch}": (bg, rank, ch, {})
@@ -46,10 +47,12 @@ CASES = {
 def _evolver(geom, case):
     family, rank, channels, kw = CASES[case]
     bg = make_background(family, **BUMP)
-    if kw == "manufactured":
+    if kw == "all-terms":
+        kw = dict(source=schematic(ALL_TERMS, geom, bg))
+    elif kw == "manufactured":
         target = evolve.gaussian_target(rank=rank, channels=channels,
                                         center=(0, 0, 1.0), sigma=1.0)
-        kw = dict(source_fn=evolve.manufactured_source(target, bg, geom))
+        kw = dict(source=evolve.manufactured_source(target, bg, geom))
     return evolve.Evolver(geom, bg, **kw), (4,) * rank + (channels,)
 
 
@@ -180,8 +183,10 @@ def test_pair_worker_exception_arrives_with_its_type(monkeypatch):
 def _rank1_run(consumer):
     geom = GridGeometry(8, 3.0)
     Phi, Pi = _state(geom, (4, 1))
-    return evolve.evolve_run(geom, BumpBackground(0.0), Phi, Pi, 0.0, 0.3, consumer,
-                             schematic=evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")),
+    bg = BumpBackground(0.0)
+    return evolve.evolve_run(geom, bg, Phi, Pi, 0.0, 0.3, consumer, [].append,
+                             source=schematic(evolve.SourceSpec(terms=("AL_dA", "Ae_dAe")),
+                                              geom, bg),
                              n_monitors=3)
 
 
@@ -261,7 +266,7 @@ def test_warm_step_allocates_no_full_array(monkeypatch, family):
     monkeypatch.setattr(fields, "_BLOCK", 1 << 10)
     geom = GridGeometry(32, 8.0)
     bg = make_background(family, epsilon=0.1, center=(0.0, 0.0, 2.0), radius=3.0)
-    ev = evolve.Evolver(geom, bg, schematic=ALL_TERMS)
+    ev = evolve.Evolver(geom, bg, source=schematic(ALL_TERMS, geom, bg))
     Phi, Pi = _state(geom, (4, 1))
     dt = 0.4 * geom.dx
     ev.step(0.0, Phi, Pi, dt)  # warm-up: work arrays, the shell plan, the thread

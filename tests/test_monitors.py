@@ -205,7 +205,7 @@ def test_budget_pass_terms_equal_conservation_budget(tmp_path, monkeypatch, kind
     got = budget.report(0.0, 0.3)
     want = conservation_budget(component_series(history_run_experiment(cfg, str(tmp_path))[0],
                                                 comp), region, 0.0, 0.3, params)
-    assert got.to_json() == want.to_json()
+    assert got == want
     # dx = 0.8: the cone r = t + 1.5 clears the origin ball on the last two
     # slices, and the ball sphere lies outside the excluded cone on the first two
     assert all(getattr(got, name) != 0.0 for name in (

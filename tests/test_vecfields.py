@@ -1,16 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from framewave import vecfields
 from framewave.errors import ExponentOverflow, PoleDegenerate, TimeZero
 from framewave.fields import PolyField
 from framewave.geometry import MINKOWSKI
 from framewave.poly import MAX_EXPONENT, R_INV, GaussPoly, Poly, pack, random_poly, unpack
 from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
                                  apply_representation, apply_to_scalar, as_field,
-                                 commutator, jacobi_residual, lie_derivative,
+                                 commutator, decay_rhs_sum, jacobi_residual, lie_derivative,
                                  lie_lattice, lie_minkowski_inverse_factor, lie_multi,
                                  measure_decay_constants, parse_generator,
                                  parse_multi_index, restricted_derivative_as_Z,
@@ -272,6 +274,22 @@ def test_decay_constants_small(rng):
     c_full, c_tang = measure_decay_constants(phi, (), pts)
     assert 0 < c_full <= 10.0
     assert 0 < c_tang <= 10.0
+
+
+def test_decay_sum_builds_each_lie_derivative_once(rng, monkeypatch):
+    # one lattice over every J with |J| <= 2: 11 + 11^2 Lie derivatives,
+    # where building each L_{Z^J} phi from scratch took 11 + 2 * 11^2; the
+    # sum is the one of the from-scratch loop, bit for bit
+    phi = PolyField.random(rng, rank=1, channels=1, degree=3, nterms=4)
+    pts = sample_points(rng, 50, tmin=1.0, tmax=4.0, box=4.0, rmin=0.3)
+    want = np.zeros(len(pts))
+    for J in [()] + [J for k in (1, 2) for J in itertools.product(GENERATORS, repeat=k)]:
+        want += np.sqrt(np.sum(lie_multi(J, phi).eval(pts) ** 2, axis=(1, 2)))
+    calls = []
+    lie = vecfields.lie_derivative
+    monkeypatch.setattr(vecfields, "lie_derivative", lambda g, T: calls.append(g) or lie(g, T))
+    assert np.array_equal(decay_rhs_sum(phi, 2, pts), want)
+    assert len(calls) == 11 + 11 ** 2
 
 
 @settings(max_examples=100, deadline=None)
