@@ -296,8 +296,8 @@ def check_decay_inequalities(seed=31, n_fields=6, n_pts=400):
         rank = int(rng.integers(0, 2))
         phi = PolyField.random(rng, rank=rank, channels=1, degree=3, nterms=4)
         pts = sample_points(rng, n_pts, tmin=1.0, tmax=4.0, box=4.0, rmin=0.3)
-        for I in ((), (GENERATORS[int(rng.integers(0, 11))],)):
-            c_full, c_tang = vecfields.measure_decay_constants(phi, I, pts)
+        Is = ((), (GENERATORS[int(rng.integers(0, 11))],))
+        for c_full, c_tang in vecfields.measure_decay_constants(phi, Is, pts):
             worst = max(worst, c_full, c_tang)
     return CheckResult("decay_inequalities", worst, 10.0, worst <= 10.0)
 

@@ -219,6 +219,11 @@ def _check_constraints(cfg):
              "source.terms need data.rank = 1 (the potential A)"),
             (cfg["grid"]["X"] > 0 and (t["dt"] is None or t["dt"] > 0),
              "grid.X and times.dt must be > 0"),
+            (bg["radius"] > 0 and d["sigma"] > 0,
+             "background.radius and data.sigma must be > 0"),
+            (cfg["region"]["origin_ball_radius"] is None
+             or cfg["region"]["origin_ball_radius"] >= 0,
+             "region.origin_ball_radius must be >= 0"),
             (cfg["source"]["bigO_degree"] >= 1, "source.bigO_degree must be >= 1"),
             (d["rank"] in (0, 1, 2) and d["channels"] >= 1 and cfg["seed"] >= 0,
              "data.rank must be 0, 1 or 2, data.channels >= 1 and seed >= 0"),

@@ -39,9 +39,9 @@ from .fields import (PolyField, d1_axis, fill_ghosts_array, quadrature_masked,
                      tangential_norm_sq, wave_operator)
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, P_ZERO, R_INV, RHO12_INV, Poly
-from .vecfields import (_JAC_CACHE, GENERATORS, VectorFieldId, _norm_at, lie_lattice,
-                        lie_minkowski_inverse_factor, lie_multi, splittings, subsequences,
-                        ksize_plus)
+from .vecfields import (_COMPONENTS, _SLOT_TERMS, GENERATORS, VectorFieldId, _norm_at,
+                        lie_lattice, lie_minkowski_inverse_factor, lie_multi, splittings,
+                        subsequences, ksize_plus)
 from .weights import w_tilde, w_tilde_prime
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -400,44 +400,31 @@ def series_time_derivative(arrays, dt):
     return out
 
 
-def _gen_coeff_arrays(gen, geom, t):
-    """Affine generator coefficients Z^lam = J^lam_mu x^mu, plus 1 in slot
-    a for P_a, on the full cube at time t, shape (4, n, n, n).  Every row
-    of J has at most one nonzero entry; only those are multiplied and no
-    zero product is added, so each value, signed zeros included, is the
-    one the exact coefficient field gives."""
-    x = (t,) + tuple(geom.mesh())
-    J = _JAC_CACHE[gen]
-    Z = np.zeros((4,) + (geom.n_full,) * 3)
-    if gen.kind == "P":
-        Z[gen.a] = 1.0
-    for lam, mu in np.argwhere(J):
-        Z[lam] = J[lam, mu] * x[mu]
-    return Z
-
-
 def _apply_lie_grid(gen, data, data_t, geom, t):
     """One Lie step on a grid tensor snapshot (covariant slots).
 
     data: (4,)*rank + (ch, n, n, n); data_t its exact-or-differenced time
-    derivative.  Uses stencils for spatial transport and the constant
-    generator Jacobian for the slot corrections; refills ghosts.
+    derivative.  Transport sums one product per nonzero component
+    Z^lam = coeff * x^mu of the generator table, in ascending lam: lam = 0
+    reads data_t and each spatial lam takes one stencil, so a translation
+    takes one stencil (P_t none), a rotation two, a boost one and S three.
+    The slot corrections read the same table's Jacobian; ghosts are
+    refilled.
     """
-    J = _JAC_CACHE[gen]
-    Z = _gen_coeff_arrays(gen, geom, t)
-    out = Z[0] * data_t
-    for i in (1, 2, 3):
-        out = out + Z[i] * d1_axis(data, i, geom.dx)
+    x = (t,) + tuple(geom.mesh())
+    out = None
+    for lam, mu, coeff in _COMPONENTS[gen]:
+        d = data_t if lam == 0 else d1_axis(data, lam, geom.dx)
+        term = (coeff if mu is None else coeff * x[mu]) * d
+        out = term if out is None else out + term
     for slot in range(data.ndim - 4):
-        for lam in range(4):
-            for idx_slot in range(4):
-                if J[lam, idx_slot] == 0:
-                    continue
+        for mu, terms in enumerate(_SLOT_TERMS[gen]["d"]):
+            for lam, coeff in terms:
                 src = [slice(None)] * data.ndim
                 dst = [slice(None)] * data.ndim
                 src[slot] = lam
-                dst[slot] = idx_slot
-                out[tuple(dst)] += float(J[lam, idx_slot]) * data[tuple(src)]
+                dst[slot] = mu
+                out[tuple(dst)] += coeff * data[tuple(src)]
     fill_ghosts_array(out, "extrapolate")
     return out
 

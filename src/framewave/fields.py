@@ -90,15 +90,6 @@ class PolyField:
         return cls(0, len(polys), comps)
 
     @classmethod
-    def from_components(cls, comp_dict, rank, variance=None):
-        """Build from {slot tuple: poly} (single channel) entries."""
-        f = cls.zero(rank, 1, variance)
-        for idx, p in comp_dict.items():
-            key = tuple(idx) if isinstance(idx, tuple) else (idx,)
-            f.comps[key + (0,)] = p
-        return f
-
-    @classmethod
     def random(cls, rng, rank=0, channels=1, degree=2, nterms=4,
                variance=None, symmetric=False, time_dependent=True):
         from .poly import random_poly

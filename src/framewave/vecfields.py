@@ -7,6 +7,12 @@ second derivatives of the coefficients vanish and Lie derivatives commute
 with coordinate Hessians on scalars -- the fact every exact identity in
 :mod:`framewave.estimates` leans on.
 
+Each generator is written once, as its nonzero components Z^lam =
+coeff * x^mu (``_components``).  Every other form is read from that one
+table: the exact action on scalars, the Jacobian of the slot terms, the
+augmented matrix of Z = c + J x that the commutators multiply, and the
+coefficients of the grid Lie step in :mod:`framewave.estimates`.
+
 Multi-indices are ordered generator sequences; iterated Lie derivatives
 apply the leftmost generator last (outermost).  A Lie lattice builds each
 L_{Z^s} T once, from its suffix entry, and lives as long as its caller.
@@ -23,7 +29,9 @@ Stateless tables and pure functions throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +40,7 @@ import numpy as np
 from .errors import PoleDegenerate, TimeZero
 from .fields import PolyField, tangential_norm_sq
 from .geometry import MINKOWSKI, TANGENTIAL_NAMES, frame_arrays, radius
-from .poly import P_ONE, ZERO_KEY, Poly, unpack
+from .poly import ZERO_KEY, Poly, pack
 
 
 @dataclass(frozen=True)
@@ -90,53 +98,40 @@ def parse_multi_index(text):
     return tuple(parse_generator(tok) for tok in text.split(","))
 
 
-def as_field(gen: VectorFieldId) -> PolyField:
-    """Contravariant coefficient field of a generator (affine components)."""
-    comps = {}
+# x_mu = _LOWER[mu] x^mu: the lowering convention x_0 = -t, x_i = x^i.
+_LOWER = (-1, 1, 1, 1)
+
+
+def _components(gen: VectorFieldId):
+    """The nonzero components Z^lam = coeff * x^mu of a generator as
+    (lam, mu, coeff) triples in ascending lam, mu None for the constant 1
+    and coeff an int: P_a = d_a, Z_ab = x_b d_a - x_a d_b, S = x^mu d_mu."""
     if gen.kind == "P":
-        comps[(gen.a,)] = P_ONE
-    elif gen.kind == "S":
-        for mu in range(4):
-            comps[(mu,)] = Poly.var(mu)
-    else:
-        a, b = gen.a, gen.b
-        # x_beta = m_{mu beta} x^mu, so x_0 = -t and x_i = x^i.
-        xb = Poly.var(b) * (-1 if b == 0 else 1)
-        xa = Poly.var(a) * (-1 if a == 0 else 1)
-        comps[(a,)] = xb
-        comps[(b,)] = -xa
-    return PolyField.from_components(comps, rank=1, variance=("u",))
-
-
-def jacobian(gen: VectorFieldId):
-    """Constant matrix (d_mu Z^lam) as J[lam, mu], exact integers."""
-    J = np.zeros((4, 4), dtype=int)
+        return ((gen.a, None, 1),)
     if gen.kind == "S":
-        J[:] = np.eye(4, dtype=int)
-    elif gen.kind == "Z":
-        a, b = gen.a, gen.b
-        J[a, b] = -1 if b == 0 else 1
-        J[b, a] = 1 if a == 0 else -1
-    return J
+        return tuple((mu, mu, 1) for mu in range(4))
+    a, b = gen.a, gen.b
+    return ((a, b, _LOWER[b]), (b, a, -_LOWER[a]))
 
 
-_FIELD_CACHE = {g: as_field(g) for g in GENERATORS}
-_JAC_CACHE = {g: jacobian(g) for g in GENERATORS}
+def _augmented(components):
+    """The matrix [[0, 0], [c, J]] (5 x 5, ints) of the affine field
+    Z = c + J x: row 1 + lam holds (c^lam, d_0 Z^lam, ..., d_3 Z^lam)."""
+    M = np.zeros((5, 5), dtype=object)
+    for lam, mu, coeff in components:
+        M[1 + lam, 0 if mu is None else 1 + mu] = coeff
+    return M
 
 
-def _monomial_components(f: PolyField):
-    """(mu, key, coefficient) of each nonzero component of a generator
-    field, every one of which is a single monomial."""
-    out = []
-    for mu in range(4):
-        terms = list(f.comps[mu, 0].c.items())
-        if terms:
-            ((key, coeff),) = terms
-            out.append((mu, key, coeff))
-    return tuple(out)
-
-
-_ACTION_CACHE = {g: _monomial_components(f) for g, f in _FIELD_CACHE.items()}
+# The one generator table and its views: the augmented matrix, the
+# Jacobian J[lam, mu] = d_mu Z^lam as numpy ints, and the (lam, key of
+# x^mu, coeff) triples of Poly.monomial_action (mu None packs to the
+# constant's key).
+_COMPONENTS = {g: _components(g) for g in GENERATORS}
+_AFFINE = {g: _augmented(comps) for g, comps in _COMPONENTS.items()}
+_JAC_CACHE = {g: M[1:, 1:].astype(int) for g, M in _AFFINE.items()}
+_ACTION_CACHE = {g: tuple((lam, pack([int(a == mu) for a in range(6)]), coeff)
+                          for lam, mu, coeff in comps) for g, comps in _COMPONENTS.items()}
 
 
 def _slot_terms(J):
@@ -161,15 +156,8 @@ def apply_to_scalar(gen, p):
     """
     if type(p) is Poly:
         return p.monomial_action(_ACTION_CACHE[gen])
-    zf = _FIELD_CACHE[gen]
-    out = None
-    for mu in range(4):
-        coeff = zf.comps[mu, 0]
-        if coeff.is_zero():
-            continue
-        term = coeff * p.diff(mu)
-        out = term if out is None else out + term
-    return out if out is not None else p.diff(0) * 0
+    return functools.reduce(operator.add, (p.diff(lam) * Poly({key: coeff})
+                                           for lam, key, coeff in _ACTION_CACHE[gen]))
 
 
 def lie_derivative(gen: VectorFieldId, T: PolyField) -> PolyField:
@@ -239,71 +227,41 @@ def ksize_plus(k):
 # Commutators
 
 
-def _affine_parts(f: PolyField):
-    """Constant and linear parts (c^mu, A^mu_nu) of an affine vector field."""
-    c = np.zeros(4, dtype=object)
-    A = np.zeros((4, 4), dtype=object)
-    for mu in range(4):
-        p = f.comps[mu, 0]
-        for k, v in p.c.items():
-            e = unpack(k)
-            s = sum(e)
-            if s == 0:
-                c[mu] = c[mu] + v
-            elif s == 1:
-                nu = e.index(1)
-                A[mu, nu] = A[mu, nu] + v
-            else:
-                raise ValueError("commutator table expects affine fields")
-    return c, A
-
-
 def commutator(z1: VectorFieldId, z2: VectorFieldId):
     """Exact structure constants: [z1, z2] as {generator: coefficient}.
 
     Covers generator pairs including [Z, P_mu], which lands in the span of
     the translations.  The expansion is reconstructed and verified exactly.
     """
-    f1, f2 = _FIELD_CACHE[z1], _FIELD_CACHE[z2]
-    J1, J2 = _JAC_CACHE[z1], _JAC_CACHE[z2]
-    # [Z1, Z2]^mu = Z1(Z2^mu) - Z2(Z1^mu); both results stay affine.
-    comps = {}
-    for mu in range(4):
-        comps[(mu,)] = apply_to_scalar(z1, f2.comps[mu, 0]) - apply_to_scalar(
-            z2, f1.comps[mu, 0]
-        )
-    bracket = PolyField.from_components(comps, rank=1, variance=("u",))
-    c, A = _affine_parts(bracket)
+    # With Z = c + J x, [Z1, Z2] = Z1(Z2^mu) - Z2(Z1^mu) is the affine field
+    # (J2 c1 - J1 c2) + (J2 J1 - J1 J2) x: the commutator of the augmented
+    # matrices, in exact ints.
+    M1, M2 = _AFFINE[z1], _AFFINE[z2]
+    bracket = M2 @ M1 - M1 @ M2
+    c, A = bracket[1:, 0], bracket[1:, 1:]
 
     out = {}
     for mu in range(4):
         if c[mu] != 0:
-            out[TRANSLATIONS[mu]] = out.get(TRANSLATIONS[mu], 0) + c[mu]
+            out[TRANSLATIONS[mu]] = c[mu]
     # Linear part: split m-lowered matrix B = eta A into the symmetric
     # multiple of eta (scaling) and the antisymmetric span of the Z's.
-    eta = np.array([-1, 1, 1, 1], dtype=object)
-    B = np.empty((4, 4), dtype=object)
-    for mu in range(4):
-        for nu in range(4):
-            B[mu, nu] = eta[mu] * A[mu, nu]
+    eta = _LOWER
     trace = sum(A[mu, mu] for mu in range(4))
     cS = Fraction(trace, 4) if trace % 4 else trace // 4
     if cS:
         out[SCALING] = cS
     for a in range(4):
         for b in range(a + 1, 4):
-            anti = B[a, b] - B[b, a]
+            anti = eta[a] * A[a, b] - eta[b] * A[b, a]
             coeff = Fraction(anti, 2) if anti % 2 else anti // 2
             coeff = coeff * (eta[a] * eta[b])  # eta products are +-1
             if coeff:
                 out[VectorFieldId("Z", a, b)] = coeff
     # Exact verification of the reconstruction.
-    recon = PolyField.zero(rank=1, variance=("u",))
-    for gen, coeff in out.items():
-        recon = recon + _FIELD_CACHE[gen].scale(coeff)
-    for mu in range(4):
-        if not (recon.comps[mu, 0] - bracket.comps[mu, 0]).is_zero():
-            raise ValueError(f"[{z1}, {z2}] not in the generator span")
+    recon = sum(coeff * _AFFINE[gen] for gen, coeff in out.items())
+    if not np.all(recon == bracket):
+        raise ValueError(f"[{z1}, {z2}] not in the generator span")
     return out
 
 
@@ -403,47 +361,44 @@ def _norm_at(field_vals):
     return np.sqrt(np.sum(field_vals ** 2, axis=tuple(range(1, field_vals.ndim))))
 
 
-def decay_rhs_sum(phi: PolyField, max_order, pts):
-    """sum_{|J| <= max_order} |L_{Z^J} phi| evaluated at points, shortest
-    J first, each L_{Z^J} phi from one Lie lattice."""
-    seqs = [J for k in range(max_order + 1) for J in itertools.product(GENERATORS, repeat=k)]
-    lattice = lie_lattice(seqs, {(): phi})
-    total = np.zeros(len(pts))
-    for J in seqs:
-        total += _norm_at(lattice[J].eval(pts))
-    return total
-
-
-def measure_decay_constants(phi: PolyField, I, pts):
+def measure_decay_constants(phi: PolyField, Is, pts):
     """Best constants in the pointwise decay inequalities on a sample set.
 
-    Returns (C_full, C_tangential) for
+    Returns one (C_full, C_tangential) per multi-index I of Is for
 
         (1 + |q|)     |d   L_{Z^I} phi| <= C_full * sum_{|J|<=|I|+1} |L_{Z^J} phi|
         (1 + t + |q|) |tan L_{Z^I} phi| <= C_tang * same right-hand side
 
-    with the tangential norm summed over {L, e1, e2}.
+    with the tangential norm summed over {L, e1, e2}.  Every L_{Z^J} phi
+    comes from one Lie lattice of order max |I| + 1, and the right-hand
+    side of each order is a prefix of one running sum, shortest J first.
     """
     pts = np.asarray(pts, dtype=float)
-    lie_phi = lie_multi(tuple(I), phi)
-    grad = lie_phi.gradient().eval(pts)  # (n, 4) + shape
-    full = _norm_at(grad)
+    Is = [tuple(I) for I in Is]
+    top = max(map(len, Is)) + 1
+    lattice = lie_lattice(itertools.product(GENERATORS, repeat=top), {(): phi})
+    rhs_upto, total = [], np.zeros(len(pts))
+    for k in range(top + 1):
+        for J in itertools.product(GENERATORS, repeat=k):
+            total += _norm_at(lattice[J].eval(pts))
+        rhs_upto.append(total.copy())
     fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])
-    # slots and channels fold into one channel axis of the grid layout
-    d = np.moveaxis(grad, 0, -1).reshape(4, -1, len(pts))
-    tang = np.sqrt(tangential_norm_sq(d, (fr[name] for name in TANGENTIAL_NAMES)))
-
-    r = fr["r"]
-    q = r - pts[:, 0]
-    rhs = decay_rhs_sum(phi, len(tuple(I)) + 1, pts)
-    ok = rhs > 1e-12
-    c_full = float(np.max((1.0 + np.abs(q[ok])) * full[ok] / rhs[ok])) if ok.any() else 0.0
-    c_tang = (
-        float(np.max((1.0 + pts[ok, 0] + np.abs(q[ok])) * tang[ok] / rhs[ok]))
-        if ok.any()
-        else 0.0
-    )
-    return c_full, c_tang
+    q = fr["r"] - pts[:, 0]
+    out = []
+    for I in Is:
+        grad = lattice[I].gradient().eval(pts)  # (n, 4) + shape
+        full = _norm_at(grad)
+        # slots and channels fold into one channel axis of the grid layout
+        d = np.moveaxis(grad, 0, -1).reshape(4, -1, len(pts))
+        tang = np.sqrt(tangential_norm_sq(d, (fr[name] for name in TANGENTIAL_NAMES)))
+        rhs = rhs_upto[len(I) + 1]
+        ok = rhs > 1e-12
+        if not ok.any():
+            out.append((0.0, 0.0))
+            continue
+        out.append((float(np.max((1.0 + np.abs(q[ok])) * full[ok] / rhs[ok])),
+                    float(np.max((1.0 + pts[ok, 0] + np.abs(q[ok])) * tang[ok] / rhs[ok]))))
+    return out
 
 
 def lie_minkowski_inverse_factor(I):

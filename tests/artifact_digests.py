@@ -2,11 +2,15 @@
 
 ``test_cli.test_determinism_bit_identical`` runs every
 ``DETERMINISM_CONFIGS`` entry at ``--seed 77`` and compares the files of
-its first run against ``artifact_digests.json``.  The manifest records
-the platform the digests were taken on (Python, numpy, machine); on any
-other the comparison is skipped.  For each CSV, JSON and JSON-lines
-artifact it also keeps every number the file holds, in file order, so
-that a mismatch can say how far the numbers moved.
+its first run against the ``artifacts`` of ``artifact_digests.json``.
+``test_cli.test_benchmark_jobs_match_their_digests`` runs every job of one
+cycle of each benchmark workload (``perfbench/workloads.py``, read as it
+is) at workload seed ``WORKLOAD_SEED`` and compares its files against the
+``workload_artifacts``.  The manifest records the platform the digests
+were taken on (Python, numpy, machine); on any other the comparison is
+skipped.  For each CSV, JSON and JSON-lines artifact it also keeps every
+number the file holds, in file order, so that a mismatch can say how far
+the numbers moved.
 
 Rewrite the manifest from the tree as it is (run from the repository
 root):
@@ -16,6 +20,7 @@ root):
 
 import csv
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -25,6 +30,8 @@ import platform
 import numpy as np
 
 MANIFEST = pathlib.Path(__file__).with_name("artifact_digests.json")
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+WORKLOAD_SEED = 83
 
 
 def platform_record():
@@ -64,8 +71,9 @@ def numbers(name, data):
     return out
 
 
-def manifest(runs):
-    """The manifest of ``runs``, {config name: {file name: bytes}}."""
+def digests(runs):
+    """{"<run>/<file>": digest entry} of ``runs``, {run name: {file name:
+    bytes}}."""
     artifacts = {}
     for name, files in runs.items():
         for file, data in files.items():
@@ -74,7 +82,35 @@ def manifest(runs):
             if values is not None:
                 entry["numbers"] = values
             artifacts[f"{name}/{file}"] = entry
-    return {"platform": platform_record(), "artifacts": artifacts}
+    return artifacts
+
+
+def manifest(runs, workload_runs):
+    """The manifest of the determinism runs and the benchmark jobs."""
+    return {"platform": platform_record(), "artifacts": digests(runs),
+            "workload_artifacts": digests(workload_runs)}
+
+
+def workload_runs(tmp):
+    """{"<workload>/<slot>-<mode>": {file name: bytes}} of every job of one
+    cycle of each benchmark workload at WORKLOAD_SEED, each run in this
+    process into its own directory under ``tmp``."""
+    from framewave import cli
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    runs = {}
+    for name in workloads.WORKLOADS:
+        for slot, job in enumerate(workloads.cycle(name, WORKLOAD_SEED)):
+            key = f"{name}/{slot}-{job.mode}"
+            config, out = tmp / f"{name}-{slot}.json", tmp / name / str(slot)
+            config.write_text(json.dumps(job.config, indent=1, sort_keys=True))
+            rc = cli.main(job.argv(str(config), str(out)))
+            if rc != 0:
+                raise RuntimeError(f"{key} exited with {rc}")
+            runs[key] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+    return runs
 
 
 def largest_relative_change(old, new):
@@ -91,11 +127,11 @@ def largest_relative_change(old, new):
     return worst
 
 
-def mismatches(recorded, runs):
+def mismatches(recorded, runs, section="artifacts"):
     """One line per artifact of ``runs`` whose digest differs from the
-    recorded manifest, or that only one of them has."""
-    got = manifest(runs)["artifacts"]
-    want = recorded["artifacts"]
+    recorded manifest's ``section``, or that only one of them has."""
+    got = digests(runs)
+    want = recorded[section]
     out = [f"{key}: not recorded" for key in sorted(set(got) - set(want))]
     out += [f"{key}: missing" for key in sorted(set(want) - set(got))]
     for key in sorted(set(got) & set(want)):
@@ -123,9 +159,12 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         runs = {name: test_cli.determinism_run(pathlib.Path(tmp), name, "a")
                 for name in test_cli.DETERMINISM_CONFIGS}
-    record = manifest(runs)
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = workload_runs(pathlib.Path(tmp))
+    record = manifest(runs, jobs)
     MANIFEST.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {MANIFEST} ({len(record['artifacts'])} artifacts)")
+    print(f"wrote {MANIFEST} ({len(record['artifacts'])} artifacts, "
+          f"{len(record['workload_artifacts'])} benchmark job artifacts)")
 
 
 if __name__ == "__main__":

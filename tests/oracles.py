@@ -18,17 +18,20 @@ suite's point sampler, the exact wave operator, the decay check's
 tangential loop,
 the per-point ``Point``/``Frame`` generator representations of slash-d_i
 and e_A with the two certify checks that ran them, the manufactured
-source that read its H terms off the direction matrix, and the Lie
-step's generator coefficients evaluated from the exact field, the
-exponent draw of ``random_poly`` one ``int`` at a time, and the exact
-scalar's arithmetic, generator action and Lie derivative on
-exponent-tuple keys), kept as they were so that tests can require the
-kernels to agree with them bit for bit.
+source that read its H terms off the direction matrix, the
+hand-written generator fields and the Lie step that multiplied every
+generator coefficient on the full cube, zero rows included, with the
+coefficients evaluated from those fields, the decay check that built one
+Lie lattice per multi-index, the exponent draw of ``random_poly`` one
+``int`` at a time, and the exact scalar's arithmetic, generator action
+and Lie derivative on exponent-tuple keys), kept as they were so that
+tests can require the kernels to agree with them bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import os
@@ -50,8 +53,8 @@ from framewave.fields import (GHOST, PolyField, _fresh, d1_axis, d2_axis, fill_g
                               save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
 from framewave.poly import GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
-from framewave.vecfields import (_FIELD_CACHE, _JAC_CACHE, GENERATORS, VectorFieldId,
-                                 apply_to_scalar, lie_multi, parse_multi_index)
+from framewave.vecfields import (_JAC_CACHE, GENERATORS, VectorFieldId, _norm_at,
+                                 apply_to_scalar, lie_lattice, lie_multi, parse_multi_index)
 from framewave.weights import w_tilde, w_tilde_prime
 
 class RankMismatch(FramewaveError):
@@ -356,8 +359,31 @@ def estimate_report(history, I, component, t1, t2, region, params, base=None):
 def gen_coeff_arrays(gen, geom, t):
     """Generator coefficients Z^mu on the full cube at time t, (4, n, n, n),
     from the exact coefficient field evaluated at every point."""
-    vals = _FIELD_CACHE[gen].eval(geom.points_full(t))
+    vals = FIELDS[gen].eval(geom.points_full(t))
     return vals[..., 0].T.reshape((4,) + (geom.n_full,) * 3)
+
+
+def apply_lie_grid_full(gen, data, data_t, geom, t):
+    """``estimates._apply_lie_grid`` as it was: every coefficient Z^mu on
+    the full cube, zero rows included, so three stencils for every
+    generator, and the slot corrections from a loop over J."""
+    J = _JAC_CACHE[gen]
+    Z = gen_coeff_arrays(gen, geom, t)
+    out = Z[0] * data_t
+    for i in (1, 2, 3):
+        out = out + Z[i] * d1_axis(data, i, geom.dx)
+    for slot in range(data.ndim - 4):
+        for lam in range(4):
+            for idx_slot in range(4):
+                if J[lam, idx_slot] == 0:
+                    continue
+                src = [slice(None)] * data.ndim
+                dst = [slice(None)] * data.ndim
+                src[slot] = lam
+                dst[slot] = idx_slot
+                out[tuple(dst)] += float(J[lam, idx_slot]) * data[tuple(src)]
+    fill_ghosts_array(out, "extrapolate")
+    return out
 
 
 # --- geometry: point frames and contractions ----------------------------------
@@ -647,6 +673,57 @@ def g_box(H, phi):
 
 
 # --- vecfields and estimates ---------------------------------------------------
+
+
+def as_field(gen):
+    """Contravariant coefficient field of a generator, written out by hand
+    from Z_ab = x_b d_a - x_a d_b (x_0 = -t), S = x^mu d_mu and P_a = d_a."""
+    f = PolyField.zero(rank=1, variance=("u",))
+    if gen.kind == "P":
+        f.comps[gen.a, 0] = Poly.const(1)
+    elif gen.kind == "S":
+        for mu in range(4):
+            f.comps[mu, 0] = Poly.var(mu)
+    else:
+        a, b = gen.a, gen.b
+        # x_beta = m_{mu beta} x^mu, so x_0 = -t and x_i = x^i.
+        xb = Poly.var(b) * (-1 if b == 0 else 1)
+        xa = Poly.var(a) * (-1 if a == 0 else 1)
+        f.comps[a, 0] = xb
+        f.comps[b, 0] = -xa
+    return f
+
+
+FIELDS = {g: as_field(g) for g in GENERATORS}
+
+
+def decay_rhs_sum(phi, max_order, pts):
+    """sum_{|J| <= max_order} |L_{Z^J} phi| evaluated at points, shortest
+    J first, each L_{Z^J} phi from one Lie lattice."""
+    seqs = [J for k in range(max_order + 1) for J in itertools.product(GENERATORS, repeat=k)]
+    lattice = lie_lattice(seqs, {(): phi})
+    total = np.zeros(len(pts))
+    for J in seqs:
+        total += _norm_at(lattice[J].eval(pts))
+    return total
+
+
+def measure_decay_constants(phi, I, pts):
+    """``vecfields.measure_decay_constants`` as it was, for one multi-index
+    I: L_{Z^I} phi from lie_multi and the right-hand side from a lattice
+    of its own."""
+    pts = np.asarray(pts, dtype=float)
+    grad = lie_multi(tuple(I), phi).gradient().eval(pts)
+    full = _norm_at(grad)
+    fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])
+    tang = np.sqrt(decay_tangential(grad, pts))
+    q = fr["r"] - pts[:, 0]
+    rhs = decay_rhs_sum(phi, len(tuple(I)) + 1, pts)
+    ok = rhs > 1e-12
+    if not ok.any():
+        return 0.0, 0.0
+    return (float(np.max((1.0 + np.abs(q[ok])) * full[ok] / rhs[ok])),
+            float(np.max((1.0 + pts[ok, 0] + np.abs(q[ok])) * tang[ok] / rhs[ok])))
 
 
 def commutator_exact_lhs(H, phi, I):
@@ -1146,7 +1223,7 @@ def tuple_apply_to_scalar(gen, p):
     components of Z^mu * d_mu p, left to right."""
     out = None
     for mu in range(4):
-        coeff = TuplePoly.of(_FIELD_CACHE[gen].comps[mu, 0])
+        coeff = TuplePoly.of(FIELDS[gen].comps[mu, 0])
         if not coeff.c:
             continue
         term = coeff * p.diff(mu)

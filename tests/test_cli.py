@@ -181,6 +181,17 @@ def test_determinism_bit_identical(tmp_path):
     assert artifact_digests.mismatches(recorded, runs) == []
 
 
+def test_benchmark_jobs_match_their_digests(tmp_path):
+    # every job of one cycle of each benchmark workload, against the
+    # digests committed for the recorded platform
+    recorded = json.loads(artifact_digests.MANIFEST.read_text())
+    other = artifact_digests.platform_difference(recorded)
+    if other:
+        pytest.skip(f"benchmark job digests not compared: {other}")
+    runs = artifact_digests.workload_runs(tmp_path)
+    assert artifact_digests.mismatches(recorded, runs, "workload_artifacts") == []
+
+
 def test_conserve_unmeasured_order_is_null(tmp_path):
     # zero data: every budget residual is 0, so no order can be measured
     path = _write(tmp_path, {

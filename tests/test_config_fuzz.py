@@ -127,6 +127,11 @@ TINY = {"grid": {"N": 8, "X": 4.0}, "times": {"t1": 0.0, "t2": 0.1}, "monitors":
     ("evolve", {"data": {"rank": 1}, "source": {"terms": ["A3"], "bigO_degree": 0}}),
     ("commutator", {"multi_indices": ["Q"]}),
     ("estimate", {"multi_indices": ["Z21"]}),
+    # configs that ran as something else: a negative bump radius as the
+    # zero background, a negative sigma as its absolute value
+    ("evolve", {"background": {"family": "static-bump", "epsilon": 0.3, "radius": -1.0}}),
+    ("evolve", {"data": {"sigma": -1.0}}),
+    ("conserve", {"region": {"origin_ball_radius": -1.0}}),
 ])
 def test_former_tracebacks_are_config_errors(tmp_path, capsys, mode, body):
     cfg = {"mode": mode, **TINY, **body}

@@ -152,7 +152,7 @@ def test_decay_check_tangential_norm_equals_its_loop(monkeypatch, rng, rank, cha
     pts = sample_points(rng, 120, tmin=1.0, tmax=4.0, box=4.0, rmin=0.3)
     for I in ((), (GENERATORS[4],)):
         seen.clear()
-        measure_decay_constants(phi, I, pts)
+        measure_decay_constants(phi, [I], pts)
         grad = lie_multi(I, phi).gradient().eval(pts)
         assert len(seen) == 1
         assert np.array_equal(seen[0], oracles.decay_tangential(grad, pts))

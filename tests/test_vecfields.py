@@ -10,16 +10,19 @@ from framewave.errors import ExponentOverflow, PoleDegenerate, TimeZero
 from framewave.fields import PolyField
 from framewave.geometry import MINKOWSKI
 from framewave.poly import MAX_EXPONENT, R_INV, GaussPoly, Poly, pack, random_poly, unpack
-from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
-                                 apply_representation, apply_to_scalar, as_field,
-                                 commutator, decay_rhs_sum, jacobi_residual, lie_derivative,
-                                 lie_lattice, lie_minkowski_inverse_factor, lie_multi,
+from framewave.vecfields import (_ACTION_CACHE, _AFFINE, _COMPONENTS, _JAC_CACHE,
+                                 GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
+                                 apply_representation, apply_to_scalar, commutator,
+                                 jacobi_residual, lie_derivative, lie_lattice,
+                                 lie_minkowski_inverse_factor, lie_multi,
                                  measure_decay_constants, parse_generator,
                                  parse_multi_index, restricted_derivative_as_Z,
                                  restricted_derivative_direct, splittings,
                                  subsequences)
 from conftest import exact_scalars, sample_points
-from oracles import TuplePoly, same_terms, tuple_apply_to_scalar, tuple_lie_derivative
+import oracles
+from oracles import (TuplePoly, as_field, same_terms, tuple_apply_to_scalar,
+                     tuple_lie_derivative)
 
 
 def _mink_field(variance):
@@ -40,6 +43,26 @@ def test_as_field_examples():
     Z01 = as_field(VectorFieldId("Z", 0, 1))
     assert Z01.comps[0, 0] == Poly.var(1)
     assert Z01.comps[1, 0] == Poly.var(0)
+
+
+def test_generator_table_is_the_hand_written_field():
+    # every view of the one table: the components, the augmented matrix
+    # [[0, 0], [c, J]], the Jacobian and the monomial-action triples
+    for gen in GENERATORS:
+        want = [as_field(gen).comps[mu, 0] for mu in range(4)]
+        got = [Poly.zero()] * 4
+        for lam, mu, coeff in _COMPONENTS[gen]:
+            got[lam] = (Poly.const(1) if mu is None else Poly.var(mu)) * coeff
+        assert got == want, gen
+        M = _AFFINE[gen]
+        assert all(M[0, k] == 0 for k in range(5)), gen
+        for lam in range(4):
+            assert want[lam].c.get(0, 0) == M[1 + lam, 0], gen
+            for mu in range(4):
+                d = want[lam].diff(mu)
+                assert d == Poly.const(M[1 + lam, 1 + mu]) == Poly.const(_JAC_CACHE[gen][lam, mu])
+        assert [(lam, Poly({key: coeff})) for lam, key, coeff in _ACTION_CACHE[gen]] == [
+            (lam, p) for lam, p in enumerate(want) if not p.is_zero()], gen
 
 
 def test_eleven_generators():
@@ -271,24 +294,28 @@ def test_minkowski_inverse_factors():
 def test_decay_constants_small(rng):
     phi = PolyField.random(rng, rank=1, channels=1, degree=3, nterms=4)
     pts = sample_points(rng, 150, tmin=1.0, tmax=4.0, box=4.0, rmin=0.3)
-    c_full, c_tang = measure_decay_constants(phi, (), pts)
+    ((c_full, c_tang),) = measure_decay_constants(phi, [()], pts)
     assert 0 < c_full <= 10.0
     assert 0 < c_tang <= 10.0
 
 
 def test_decay_sum_builds_each_lie_derivative_once(rng, monkeypatch):
-    # one lattice over every J with |J| <= 2: 11 + 11^2 Lie derivatives,
-    # where building each L_{Z^J} phi from scratch took 11 + 2 * 11^2; the
-    # sum is the one of the from-scratch loop, bit for bit
+    # I = () and I = (g,) from one lattice of order 2: 11 + 11^2 Lie
+    # derivatives, where a lattice per multi-index and lie_multi for
+    # L_{Z^I} phi took 11 + (11 + 11^2 + 1); the constants are the
+    # per-index ones bit for bit, and so is a from-scratch right-hand side
     phi = PolyField.random(rng, rank=1, channels=1, degree=3, nterms=4)
     pts = sample_points(rng, 50, tmin=1.0, tmax=4.0, box=4.0, rmin=0.3)
-    want = np.zeros(len(pts))
+    Is = [(), (GENERATORS[6],)]
+    want = [oracles.measure_decay_constants(phi, I, pts) for I in Is]
+    scratch = np.zeros(len(pts))
     for J in [()] + [J for k in (1, 2) for J in itertools.product(GENERATORS, repeat=k)]:
-        want += np.sqrt(np.sum(lie_multi(J, phi).eval(pts) ** 2, axis=(1, 2)))
+        scratch += np.sqrt(np.sum(lie_multi(J, phi).eval(pts) ** 2, axis=(1, 2)))
+    assert np.array_equal(oracles.decay_rhs_sum(phi, 2, pts), scratch)
     calls = []
     lie = vecfields.lie_derivative
     monkeypatch.setattr(vecfields, "lie_derivative", lambda g, T: calls.append(g) or lie(g, T))
-    assert np.array_equal(decay_rhs_sum(phi, 2, pts), want)
+    assert measure_decay_constants(phi, Is, pts) == want
     assert len(calls) == 11 + 11 ** 2
 
 
