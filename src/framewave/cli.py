@@ -275,7 +275,7 @@ def mode_conserve(cfg, out_dir, refine=3):
         sub["grid"]["N"] = N
         budget = energy.BudgetPass(region, params)   # fed the first component's slices
         run_experiment(sub, out_dir, tag=f"_N{N}", passes=[budget])
-        rep = budget.report(cfg["times"]["t1"], cfg["times"]["t2"])
+        rep = budget.report()
         return rep.residual, rep.terms()
 
     # largest N first: the finest run takes longest and bounds the wall
@@ -341,8 +341,8 @@ def mode_commutator(cfg, out_dir):
 
     def study_reports(item):   # every component's report of one multi-index
         I, H, phi, pts = item
-        study = estimates.CommutatorStudy(H, phi, I)
-        return [estimates.commutator_report(study, V, pts) for V in cfg["components"]]
+        study = estimates.CommutatorStudy(H, phi, I, pts)
+        return [estimates.commutator_report(study, V) for V in cfg["components"]]
 
     reports = [rep for reps in certify_mod._fork_map(study_reports, inputs) for rep in reps]
     energy.write_json(os.path.join(out_dir, "commutator.json"),

@@ -70,8 +70,6 @@ class ExteriorRegion:
 class BudgetReport:
     """Every term of the weighted budget identity, plus the closing defect."""
 
-    t1: float
-    t2: float
     slice_t1: float
     slice_t2: float
     cone_flux: float
@@ -618,10 +616,10 @@ class BudgetPass:
         self._balls.append((st.t, _ball_slice(st, region, ball, ball_nodes, params)))
         self._ts.append(st.t)
 
-    def report(self, t1, t2):
+    def report(self):
         """The BudgetReport of the slices added so far."""
         return BudgetReport(
-            t1=t1, t2=t2, slice_t1=self._ends[0], slice_t2=self._ends[-1],
+            slice_t1=self._ends[0], slice_t2=self._ends[-1],
             cone_flux=_surface_integral(self._cone), ball_flux=_surface_integral(self._balls),
             weight_volume=trapz(self._wvals, self._ts),
             divergence_volume=trapz(self._dvals, self._ts),

@@ -9,10 +9,12 @@ flat-spacetime generators applied to a scalar component phi,
         contraction of (L_{Z^{I4}} H_low) against the Hessian of
         L_{Z^{I2}} phi ],
 
-with chat(J) the proportionality factor of L_{Z^J} m^{-1} against m^{-1}
-(extracted at runtime, never hard-coded).  Both sides are assembled from
-exact polynomial calculus; only the frame contraction itself happens in
-floating point at the sample points, so the residual sits at roundoff.
+with chat(J) the proportionality factor of L_{Z^J} m^{-1} against m^{-1}:
+the product of the metric factors c(Z) that each generator computes from
+its Jacobian (0 for the Killing fields, -2 for S), never hard-coded.
+Both sides are assembled from exact polynomial calculus; only the frame
+contraction itself happens in floating point at the sample points, so
+the residual sits at roundoff.
 
 The decoupled bound regroups the same data into three term families:
 lower-order wave terms, (1+t+|q|)^-1-weighted full components, and
@@ -28,6 +30,7 @@ the expansion and the bound.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -39,9 +42,8 @@ from .fields import (PolyField, d1_axis, fill_ghosts_array, quadrature_masked,
                      tangential_norm_sq, wave_operator)
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, P_ZERO, R_INV, RHO12_INV, Poly
-from .vecfields import (_COMPONENTS, _SLOT_TERMS, GENERATORS, VectorFieldId, _norm_at,
-                        lie_lattice, lie_minkowski_inverse_factor, lie_multi, splittings,
-                        subsequences, ksize_plus)
+from .vecfields import (GENERATORS, _norm_at, lie_lattice, lie_multi, parse_generator,
+                        splittings, subsequences, ksize_plus)
 from .weights import w_tilde, w_tilde_prime
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -86,26 +88,29 @@ def project_component(phi: PolyField, name):
     return PolyField(0, phi.channels, comps)
 
 
-@functools.cache
 def c_hat(I):
-    """Runtime-extracted factor with L_{Z^I} m^{-1} = c_hat(I) m^{-1}."""
-    return lie_minkowski_inverse_factor(I)
+    """The factor with L_{Z^I} m^{-1} = c_hat(I) m^{-1}: since
+    L_Z (c m^{-1}) = c L_Z m^{-1}, the product of the generators' metric
+    factors, 1 for the empty I."""
+    return math.prod(g.c for g in I)
 
 
 class CommutatorStudy:
-    """The commutator expansion and the decoupled bound of one (H, phi, I).
+    """The commutator expansion and the decoupled bound of one (H, phi, I)
+    on one point batch pts (n, 4).
 
     The gradients of L_{Z^s} phi (key None) and of each projected
     L_{Z^s} phi_c (key c) grow from one Lie lattice per field, which keeps
     only the entries a longer sequence can extend; L_{Z^s} H_low and its
     H_LL scalar are built once too, and every frame component of the
     study shares them, while the boxes are kept for one component at a
-    time.  Factor norms are kept for the last point batch.  The
-    commutator mode keeps one study per multi-index.
+    time.  Each factor's norm on pts is evaluated once.  The commutator
+    mode keeps one study per multi-index.
     """
 
-    def __init__(self, H, phi, I):
+    def __init__(self, H, phi, I, pts):
         self.H, self.phi, self.I = H, phi, tuple(I)
+        self.pts = np.atleast_2d(np.asarray(pts, dtype=float))
         self.subs = subsequences(self.I)
         k_exts = set(self.subs)
         for s in self.subs:
@@ -113,14 +118,15 @@ class CommutatorStudy:
                 k_exts.update(s + (g,) for g in GENERATORS)
         self.K_set = sorted(k_exts, key=lambda s: (len(s), tuple(g.name for g in s)))
         self._lattices = {"H": {(): H.lower_all()}} if H is not None else {}
-        self._built, self._batch = {}, (np.empty((0, 4)), {})
+        self._built, self._norms = {}, {}
         # the expansion's terms chat(I1) m dd L_{Z^I2} phi and
-        # chat(I5) chat(I6) (L_{Z^I4} H_low) . dd L_{Z^I2} phi
-        self._flat_terms = [(c_hat(I1), I2) for I1, I2 in splittings(self.I, 2)
-                            if I2 != self.I and c_hat(I1)]
+        # chat(I5) chat(I6) (L_{Z^I4} H_low) . dd L_{Z^I2} phi, with
+        # chat(I5) chat(I6) = chat(I5 I6), the nonzero ones only
+        self._flat_terms = [(c, I2) for I1, I2 in splittings(self.I, 2)
+                            if I2 != self.I and (c := c_hat(I1))]
         self._h_terms = [] if H is None else [
-            (c_hat(I5) * c_hat(I6), I2, I4) for I2, I4, I5, I6 in splittings(self.I, 4)
-            if I2 != self.I and c_hat(I5) * c_hat(I6)]
+            (c, I2, I4) for I2, I4, I5, I6 in splittings(self.I, 4)
+            if I2 != self.I and (c := c_hat(I5 + I6))]
 
     def _grads(self, key, seqs):
         """Build d L_{Z^s} phi (key None) or d L_{Z^s} phi_key for s in seqs."""
@@ -157,20 +163,15 @@ class CommutatorStudy:
             self._built[what, key, s] = val
         return self._built[what, key, s]
 
-    def _norms(self, pts, factors):
-        """{factor: pointwise norm on pts} (|H_LL| for "LL"), each factor
-        evaluated once per point batch."""
-        if not np.array_equal(self._batch[0], pts):
-            self._batch = (pts.copy(), {})
-        norms = self._batch[1]
-        for f in factors:
-            if f not in norms:
-                val = self._factor(*f)
-                vals = val.eval(pts)
-                norms[f] = np.abs(vals[:, 0]) if f[0] == "LL" else _norm_at(vals)
-        return norms
+    def _norm(self, f):
+        """The pointwise norm of factor f on pts (|H_LL| for "LL"),
+        evaluated once."""
+        if f not in self._norms:
+            vals = self._factor(*f).eval(self.pts)
+            self._norms[f] = np.abs(vals[:, 0]) if f[0] == "LL" else _norm_at(vals)
+        return self._norms[f]
 
-    def expansion(self, pts, V=None):
+    def expansion(self, V=None):
         """(lhs, signed sum, summed term magnitudes) of the commutator at
         pts, each (n, channels), for phi_V, the component V of phi, or phi
         itself for V None.
@@ -181,7 +182,7 @@ class CommutatorStudy:
         of every Hessian and H factor.  The Hessians are dropped on return;
         the boxes stay for the bound of V.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = self.pts
         self._grads(V, self.subs)
         hess = {s: self._factor("grad", V, s).gradient() for s in self.subs}
         hlow = {s: self._factor("H", None, s) for s in self.subs} if self.H is not None else {}
@@ -223,7 +224,7 @@ class CommutatorStudy:
             magnitude += abs(float(c56)) * sum(np.abs(p) for p in parts)
         return lhs, signed, magnitude
 
-    def bound(self, pts, V):
+    def bound(self, V):
         """{convention: {family: (n,) values}} of the decoupled bound of
         component V at pts, for the "collapsed" and "nested" conventions.
 
@@ -236,7 +237,7 @@ class CommutatorStudy:
         H_LL and the gradients of the components of V's frame set: all
         four for Lbar, the tangential L, e1, e2 otherwise.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        pts = self.pts
         names = FULL_NAMES if V == "Lbar" else TANGENTIAL_NAMES
         top = len(self.I)
         flat = [("box", V, K) for K in self.subs if len(K) < top]
@@ -256,7 +257,7 @@ class CommutatorStudy:
             self._factor(*f)
         q = np.sqrt(np.sum(pts[:, 1:] ** 2, axis=1)) - pts[:, 0]
         wt, wq = 1.0 / (1.0 + pts[:, 0] + np.abs(q)), 1.0 / (1.0 + np.abs(q))
-        norms = self._norms(pts, factors)
+        norms = {f: self._norm(f) for f in factors}
         flat_fam = np.zeros(len(pts))
         for f in flat:
             flat_fam += norms[f]
@@ -291,17 +292,17 @@ def identity_residual(H, phi, I, pts):
     the expansion's individual terms, so exact cancellations are certified
     relative to the size of what cancels rather than to zero.
     """
-    return _relative_residual(*CommutatorStudy(H, phi, I).expansion(pts))
+    return _relative_residual(*CommutatorStudy(H, phi, I, pts).expansion())
 
 
-def commutator_report(study, V, pts):
+def commutator_report(study, V):
     """The commutator.json report of component V of a study: the exact
-    lhs, its identity residual and the measured bound constants at pts."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lhs, rhs, magnitude = study.expansion(pts, V)
+    lhs, its identity residual and the measured bound constants at the
+    study's points."""
+    lhs, rhs, magnitude = study.expansion(V)
     lhs_vals = np.sqrt(np.sum(lhs ** 2, axis=1))
     bounds = {convention: fams["flat"] + fams["t_weighted"] + fams["q_weighted"]
-              for convention, fams in study.bound(pts, V).items()}
+              for convention, fams in study.bound(V).items()}
 
     def implied(bv):
         ok = bv > 1e-12 * max(1.0, float(np.max(bv, initial=0.0)))
@@ -316,7 +317,7 @@ def commutator_report(study, V, pts):
         "bound_value_sup": float(np.max(bounds["collapsed"])),
         "implied_constant": implied(bounds["collapsed"]),
         "implied_constant_nested": implied(bounds["nested"]),
-        "n_points": len(pts),
+        "n_points": len(study.pts),
     }
 
 
@@ -354,7 +355,7 @@ def eA_rotation_representation(pts, fr):
     x = pts[:, 1:]
     r = fr["r"]
     return [[((a[i - 1] * x[:, j - 1] - a[j - 1] * x[:, i - 1]) / r ** 2,
-              VectorFieldId("Z", i, j)) for i in (1, 2, 3) for j in range(i + 1, 4)]
+              parse_generator(f"Z{i}{j}")) for i in (1, 2, 3) for j in range(i + 1, 4)]
             for a in _sphere_vectors(fr)]
 
 
@@ -367,7 +368,7 @@ def eA_boost_representation(pts, fr):
     t = pts[:, 0]
     if np.any(t == 0.0):
         raise TimeZero("boost representation undefined at t = 0")
-    return [[(a[j - 1] / t, VectorFieldId("Z", 0, j)) for j in (1, 2, 3)] for a in a_pair]
+    return [[(a[j - 1] / t, parse_generator(f"Z0{j}")) for j in (1, 2, 3)] for a in a_pair]
 
 
 # ---------------------------------------------------------------------------
@@ -405,20 +406,20 @@ def _apply_lie_grid(gen, data, data_t, geom, t):
 
     data: (4,)*rank + (ch, n, n, n); data_t its exact-or-differenced time
     derivative.  Transport sums one product per nonzero component
-    Z^lam = coeff * x^mu of the generator table, in ascending lam: lam = 0
+    Z^lam = coeff * x^mu of the generator, in ascending lam: lam = 0
     reads data_t and each spatial lam takes one stencil, so a translation
     takes one stencil (P_t none), a rotation two, a boost one and S three.
-    The slot corrections read the same table's Jacobian; ghosts are
-    refilled.
+    The slot corrections read the generator's covariant slot terms; ghosts
+    are refilled.
     """
     x = (t,) + tuple(geom.mesh())
     out = None
-    for lam, mu, coeff in _COMPONENTS[gen]:
+    for lam, mu, coeff in gen.components:
         d = data_t if lam == 0 else d1_axis(data, lam, geom.dx)
         term = (coeff if mu is None else coeff * x[mu]) * d
         out = term if out is None else out + term
     for slot in range(data.ndim - 4):
-        for mu, terms in enumerate(_SLOT_TERMS[gen]["d"]):
+        for mu, terms in enumerate(gen.slot_terms["d"]):
             for lam, coeff in terms:
                 src = [slice(None)] * data.ndim
                 dst = [slice(None)] * data.ndim

@@ -893,26 +893,29 @@ def data_from_target(geom, comps, t1):
     return Phi0, Pi0
 
 
-def plane_wave_data(geom, kvec=(1, 0, 0), t0=0.0, channels=1):
-    """Exact flat solution sin(k.x - |k| t); periodic boundary required."""
+def plane_wave_data(geom, kvec=(1, 0, 0), t0=0.0, shape=(1,)):
+    """Exact flat solution sin(k.x - |k| t) in every slot and channel of
+    the leading shape ((4,)*rank + (channels,)); periodic boundary
+    required."""
     k = np.asarray(kvec, dtype=float)
     omega = float(np.linalg.norm(k))
     X1, X2, X3 = geom.mesh()
     phase = k[0] * X1 + k[1] * X2 + k[2] * X3 - omega * t0
-    n = geom.n_full
-    Phi0 = np.broadcast_to(np.sin(phase), (channels, n, n, n)).copy()
-    Pi0 = np.broadcast_to(-omega * np.cos(phase), (channels, n, n, n)).copy()
+    full = shape + (geom.n_full,) * 3
+    Phi0 = np.broadcast_to(np.sin(phase), full).copy()
+    Pi0 = np.broadcast_to(-omega * np.cos(phase), full).copy()
 
     def exact(t):
         ph = k[0] * X1 + k[1] * X2 + k[2] * X3 - omega * t
-        return np.broadcast_to(np.sin(ph), (channels, n, n, n)).copy()
+        return np.broadcast_to(np.sin(ph), full).copy()
 
     return Phi0, Pi0, exact
 
 
 def outgoing_pulse_data(geom, t0, amplitude=1.0, q_center=-2.0, sigma=0.5,
-                        channels=1):
-    """Exact flat monopole A f(q)/r with a Gaussian profile f (r > 0).
+                        shape=(1,)):
+    """Exact flat monopole A f(q)/r with a Gaussian profile f (r > 0), in
+    every slot and channel of the leading shape ((4,)*rank + (channels,)).
 
     Purely outgoing: an exact solution of the flat wave equation away from
     the origin; the profile is placed so its tail at the origin is below
@@ -925,9 +928,9 @@ def outgoing_pulse_data(geom, t0, amplitude=1.0, q_center=-2.0, sigma=0.5,
     q = r - t0
     f = amplitude * np.exp(-((q - q_center) / sigma) ** 2)
     fp_over = f * (-2.0 * (q - q_center) / sigma ** 2)
-    n = geom.n_full
-    Phi0 = np.broadcast_to(f / r, (channels, n, n, n)).copy()
-    Pi0 = np.broadcast_to(-fp_over / r, (channels, n, n, n)).copy()
+    full = shape + (geom.n_full,) * 3
+    Phi0 = np.broadcast_to(f / r, full).copy()
+    Pi0 = np.broadcast_to(-fp_over / r, full).copy()
     return Phi0, Pi0
 
 
@@ -950,9 +953,10 @@ def setup_experiment(cfg):
 def _initial_data(cfg, geom):
     d = cfg["data"]
     t1 = cfg["times"]["t1"]
+    shape = (4,) * d["rank"] + (d["channels"],)
     if d["family"] == "zero":
-        shape = (4,) * d["rank"] + (d["channels"],) + (geom.n_full,) * 3
-        return np.zeros(shape), np.zeros(shape)
+        Phi0 = np.zeros(shape + (geom.n_full,) * 3)
+        return Phi0, np.zeros_like(Phi0)
     if d["family"] == "gaussian":
         target = gaussian_target(rank=d["rank"], channels=d["channels"],
                                  amplitude=d["amplitude"],
@@ -960,13 +964,11 @@ def _initial_data(cfg, geom):
         Phi0 = sample_scalars(geom, target, t1)
         return Phi0, np.zeros_like(Phi0)
     if d["family"] == "plane_wave":
-        Phi0, Pi0, _ = plane_wave_data(geom, kvec=tuple(d["kvec"]), t0=t1,
-                                       channels=d["channels"])
+        Phi0, Pi0, _ = plane_wave_data(geom, kvec=tuple(d["kvec"]), t0=t1, shape=shape)
         return Phi0, Pi0
     if d["family"] == "outgoing_pulse":
         return outgoing_pulse_data(geom, t1, amplitude=d["amplitude"],
-                                   q_center=d["q_center"], sigma=d["sigma"],
-                                   channels=d["channels"])
+                                   q_center=d["q_center"], sigma=d["sigma"], shape=shape)
     raise ConstraintError(f"unknown data family {d['family']!r}")
 
 

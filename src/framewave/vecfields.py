@@ -7,11 +7,14 @@ second derivatives of the coefficients vanish and Lie derivatives commute
 with coordinate Hessians on scalars -- the fact every exact identity in
 :mod:`framewave.estimates` leans on.
 
-Each generator is written once, as its nonzero components Z^lam =
-coeff * x^mu (``_components``).  Every other form is read from that one
-table: the exact action on scalars, the Jacobian of the slot terms, the
-augmented matrix of Z = c + J x that the commutators multiply, and the
-coefficients of the grid Lie step in :mod:`framewave.estimates`.
+Each generator is one ``Generator`` object, built once from its nonzero
+components Z^lam = coeff * x^mu, and carries every form read from them:
+the exact action on scalars, the slot terms of its Jacobian, the
+augmented matrix of Z = c + J x that the commutators multiply, and its
+metric factor c with L_Z m^{-1} = c m^{-1} (0 for the Killing fields P
+and Z, -2 for S), computed from J.  The grid Lie step of
+:mod:`framewave.estimates` reads the same components, and its chat(I) is
+the product of the factors c along I.  Each bracket is computed once.
 
 Multi-indices are ordered generator sequences; iterated Lie derivatives
 apply the leftmost generator last (outermost).  A Lie lattice builds each
@@ -24,7 +27,8 @@ combinations on point batches (n, 4): a representation is a list of
 (coefficient array (n,), generator) pairs, evaluated on a scalar by
 :func:`apply_representation`; a single point is a one-row batch.
 
-Stateless tables and pure functions throughout.
+The 11 generators are built once, at import; pure functions throughout,
+and one cache holds the brackets.
 """
 
 from __future__ import annotations
@@ -32,120 +36,99 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import PoleDegenerate, TimeZero
+from .errors import NotProportional, PoleDegenerate, TimeZero
 from .fields import PolyField, tangential_norm_sq
-from .geometry import MINKOWSKI, TANGENTIAL_NAMES, frame_arrays, radius
-from .poly import ZERO_KEY, Poly, pack
+from .geometry import TANGENTIAL_NAMES, frame_arrays, radius
+from .poly import Poly, pack
 
 
-@dataclass(frozen=True)
-class VectorFieldId:
-    """One generator: kind "P" (translation), "Z" (rotation/boost), "S"."""
+# x_mu = _LOWER[mu] x^mu: the lowering convention x_0 = -t, x_i = x^i; the
+# same diagonal is m and m^{-1}.
+_LOWER = (-1, 1, 1, 1)
+_AXIS_NAMES = ("t", "x1", "x2", "x3")
 
-    kind: str
-    a: int = -1
-    b: int = -1
 
-    @property
-    def name(self):
-        if self.kind == "S":
-            return "S"
-        if self.kind == "P":
-            return f"P{_AXIS_NAMES[self.a]}"
-        return f"Z{self.a}{self.b}"
+class Generator:
+    """One affine generator Z = z + J x, built from its nonzero components
+    Z^lam = coeff * x^mu: (lam, mu, coeff) triples in ascending lam, mu
+    None for the constant 1 and coeff an int.
+
+    Every other form is derived once, here: ``affine``, the matrix
+    [[0, 0], [z, J]] (5 x 5, exact ints) whose commutators give the
+    brackets; ``action``, the (lam, key of x^mu, coeff) triples of
+    Poly.monomial_action; ``slot_terms``, for a covariant ("d") and a
+    contravariant ("u") slot holding index mu the (lam, coefficient)
+    pairs of the slot's Lie term with a nonzero coefficient, J[lam, mu]
+    and -J[mu, lam], kept as the numpy ints the Lie terms have always been
+    scaled by; and ``c``, the metric factor with L_Z m^{-1} = c m^{-1}.
+    Raises NotProportional for a field that is not conformal Killing.
+
+    The 11 instances below are the only ones: equality and hashing are
+    by identity, and a pickled generator comes back as the same object.
+    """
+
+    def __init__(self, name, components):
+        self.name, self.components = name, components
+        M = np.zeros((5, 5), dtype=object)
+        for lam, mu, coeff in components:
+            M[1 + lam, 0 if mu is None else 1 + mu] = coeff
+        self.affine = M
+        J = M[1:, 1:].astype(int)
+        self.action = tuple((lam, pack([int(a == mu) for a in range(6)]), coeff)
+                            for lam, mu, coeff in components)
+        self.slot_terms = {
+            "d": tuple(tuple((lam, J[lam, mu]) for lam in range(4) if J[lam, mu])
+                       for mu in range(4)),
+            "u": tuple(tuple((lam, -J[mu, lam]) for lam in range(4) if J[mu, lam])
+                       for mu in range(4))}
+        # L_Z m^{ab} = -(J[a, b] m^{bb} + m^{aa} J[b, a]) for the diagonal m,
+        # in the plain ints of M
+        lie = [[-(M[1 + a, 1 + b] * _LOWER[b] + _LOWER[a] * M[1 + b, 1 + a])
+                for b in range(4)] for a in range(4)]
+        self.c = lie[0][0] * _LOWER[0]
+        if any(lie[a][b] != (self.c * _LOWER[a] if a == b else 0)
+               for a in range(4) for b in range(4)):
+            raise NotProportional(f"L_{name} m^-1 is not a multiple of m^-1")
 
     def __repr__(self):
         return self.name
 
+    def __reduce__(self):
+        return parse_generator, (self.name,)
 
-_AXIS_NAMES = ("t", "x1", "x2", "x3")
 
-TRANSLATIONS = tuple(VectorFieldId("P", a) for a in range(4))
-ROTATIONS = tuple(VectorFieldId("Z", a, b) for a in range(4) for b in range(a + 1, 4))
-SCALING = VectorFieldId("S")
+TRANSLATIONS = tuple(Generator(f"P{_AXIS_NAMES[a]}", ((a, None, 1),)) for a in range(4))
+# Z_ab = x_b d_a - x_a d_b
+ROTATIONS = tuple(Generator(f"Z{a}{b}", ((a, b, _LOWER[b]), (b, a, -_LOWER[a])))
+                  for a in range(4) for b in range(a + 1, 4))
+SCALING = Generator("S", tuple((mu, mu, 1) for mu in range(4)))
 GENERATORS = TRANSLATIONS + ROTATIONS + (SCALING,)
-assert len(GENERATORS) == 11
+_BY_NAME = {g.name: g for g in GENERATORS}
+# the axis of a translation by name or index, after an optional space or "_"
+_AXES = {**{a: a for a in _AXIS_NAMES}, **{str(k): a for k, a in enumerate(_AXIS_NAMES)}}
 
 
 def parse_generator(token):
-    """Parse a generator token: S | Zab | P <axis> (axis in t, x1..x3, 0..3)."""
+    """Parse a generator token: S | Zab (a < b) | P <axis> (axis in t,
+    x1..x3, 0..3)."""
     tok = token.strip()
-    if tok == "S":
-        return SCALING
-    if tok.startswith("Z") and len(tok) == 3 and tok[1:].isdigit():
-        a, b = int(tok[1]), int(tok[2])
-        if not (0 <= a < b <= 3):
-            raise ValueError(f"bad rotation indices in {token!r}")
-        return VectorFieldId("Z", a, b)
     if tok.startswith("P"):
-        rest = tok[1:].strip().lstrip("_")
-        names = {"t": 0, "x1": 1, "x2": 2, "x3": 3, "0": 0, "1": 1, "2": 2, "3": 3}
-        if rest in names:
-            return VectorFieldId("P", names[rest])
-    raise ValueError(f"unknown generator token {token!r}")
+        tok = "P" + _AXES.get(tok[1:].strip().lstrip("_"), "?")
+    if tok not in _BY_NAME:
+        raise ValueError(f"unknown generator token {token!r}")
+    return _BY_NAME[tok]
 
 
 def parse_multi_index(text):
-    """Comma-separated generator names -> tuple of VectorFieldId."""
+    """Comma-separated generator names -> tuple of generators."""
     text = text.strip()
     if not text:
         return ()
     return tuple(parse_generator(tok) for tok in text.split(","))
-
-
-# x_mu = _LOWER[mu] x^mu: the lowering convention x_0 = -t, x_i = x^i.
-_LOWER = (-1, 1, 1, 1)
-
-
-def _components(gen: VectorFieldId):
-    """The nonzero components Z^lam = coeff * x^mu of a generator as
-    (lam, mu, coeff) triples in ascending lam, mu None for the constant 1
-    and coeff an int: P_a = d_a, Z_ab = x_b d_a - x_a d_b, S = x^mu d_mu."""
-    if gen.kind == "P":
-        return ((gen.a, None, 1),)
-    if gen.kind == "S":
-        return tuple((mu, mu, 1) for mu in range(4))
-    a, b = gen.a, gen.b
-    return ((a, b, _LOWER[b]), (b, a, -_LOWER[a]))
-
-
-def _augmented(components):
-    """The matrix [[0, 0], [c, J]] (5 x 5, ints) of the affine field
-    Z = c + J x: row 1 + lam holds (c^lam, d_0 Z^lam, ..., d_3 Z^lam)."""
-    M = np.zeros((5, 5), dtype=object)
-    for lam, mu, coeff in components:
-        M[1 + lam, 0 if mu is None else 1 + mu] = coeff
-    return M
-
-
-# The one generator table and its views: the augmented matrix, the
-# Jacobian J[lam, mu] = d_mu Z^lam as numpy ints, and the (lam, key of
-# x^mu, coeff) triples of Poly.monomial_action (mu None packs to the
-# constant's key).
-_COMPONENTS = {g: _components(g) for g in GENERATORS}
-_AFFINE = {g: _augmented(comps) for g, comps in _COMPONENTS.items()}
-_JAC_CACHE = {g: M[1:, 1:].astype(int) for g, M in _AFFINE.items()}
-_ACTION_CACHE = {g: tuple((lam, pack([int(a == mu) for a in range(6)]), coeff)
-                          for lam, mu, coeff in comps) for g, comps in _COMPONENTS.items()}
-
-
-def _slot_terms(J):
-    """For a covariant ("d") and a contravariant ("u") slot holding index
-    mu: the (lam, coefficient) pairs of the slot's Lie term with a nonzero
-    coefficient, J[lam, mu] and -J[mu, lam] respectively, kept as the
-    numpy ints the Lie terms have always been scaled by."""
-    return {"d": tuple(tuple((lam, J[lam, mu]) for lam in range(4) if J[lam, mu])
-                       for mu in range(4)),
-            "u": tuple(tuple((lam, -J[mu, lam]) for lam in range(4) if J[mu, lam])
-                       for mu in range(4))}
-
-
-_SLOT_TERMS = {g: _slot_terms(J) for g, J in _JAC_CACHE.items()}
 
 
 def apply_to_scalar(gen, p):
@@ -155,21 +138,20 @@ def apply_to_scalar(gen, p):
     GaussPoly sums the products of each component with its derivative.
     """
     if type(p) is Poly:
-        return p.monomial_action(_ACTION_CACHE[gen])
+        return p.monomial_action(gen.action)
     return functools.reduce(operator.add, (p.diff(lam) * Poly({key: coeff})
-                                           for lam, key, coeff in _ACTION_CACHE[gen]))
+                                           for lam, key, coeff in gen.action))
 
 
-def lie_derivative(gen: VectorFieldId, T: PolyField) -> PolyField:
+def lie_derivative(gen: Generator, T: PolyField) -> PolyField:
     """Variance-aware Lie derivative along one generator.
 
     Covariant slots gain + (d_slot Z^lam) T_{..lam..}; contravariant slots
     gain - (d_lam Z^slot) T^{..lam..}.  Exact on polynomial components.
     """
-    slot_terms = _SLOT_TERMS[gen]
     out = T.map(lambda p: apply_to_scalar(gen, p))
     for slot, var in enumerate(T.variance):
-        terms = slot_terms[var]
+        terms = gen.slot_terms[var]
         for idx in np.ndindex(T.shape):
             acc = out.comps[idx]
             for lam, coeff in terms[idx[slot]]:
@@ -227,16 +209,19 @@ def ksize_plus(k):
 # Commutators
 
 
-def commutator(z1: VectorFieldId, z2: VectorFieldId):
+@functools.cache
+def commutator(z1: Generator, z2: Generator):
     """Exact structure constants: [z1, z2] as {generator: coefficient}.
 
     Covers generator pairs including [Z, P_mu], which lands in the span of
     the translations.  The expansion is reconstructed and verified exactly.
+    Each ordered pair is computed once; callers read the returned dict and
+    never write to it.
     """
-    # With Z = c + J x, [Z1, Z2] = Z1(Z2^mu) - Z2(Z1^mu) is the affine field
-    # (J2 c1 - J1 c2) + (J2 J1 - J1 J2) x: the commutator of the augmented
+    # With Z = z + J x, [Z1, Z2] = Z1(Z2^mu) - Z2(Z1^mu) is the affine field
+    # (J2 z1 - J1 z2) + (J2 J1 - J1 J2) x: the commutator of the augmented
     # matrices, in exact ints.
-    M1, M2 = _AFFINE[z1], _AFFINE[z2]
+    M1, M2 = z1.affine, z2.affine
     bracket = M2 @ M1 - M1 @ M2
     c, A = bracket[1:, 0], bracket[1:, 1:]
 
@@ -257,9 +242,9 @@ def commutator(z1: VectorFieldId, z2: VectorFieldId):
             coeff = Fraction(anti, 2) if anti % 2 else anti // 2
             coeff = coeff * (eta[a] * eta[b])  # eta products are +-1
             if coeff:
-                out[VectorFieldId("Z", a, b)] = coeff
+                out[parse_generator(f"Z{a}{b}")] = coeff
     # Exact verification of the reconstruction.
-    recon = sum(coeff * _AFFINE[gen] for gen, coeff in out.items())
+    recon = sum(coeff * gen.affine for gen, coeff in out.items())
     if not np.all(recon == bracket):
         raise ValueError(f"[{z1}, {z2}] not in the generator span")
     return out
@@ -322,15 +307,15 @@ def restricted_derivative_as_Z(i, pts):
             continue
         coeff = x[:, j - 1] / r ** 2
         if i < j:
-            rep_rot.append((coeff, VectorFieldId("Z", i, j)))
+            rep_rot.append((coeff, parse_generator(f"Z{i}{j}")))
         else:
-            rep_rot.append((-coeff, VectorFieldId("Z", j, i)))
+            rep_rot.append((-coeff, parse_generator(f"Z{j}{i}")))
     rep_boost = []
     for j in (1, 2, 3):
         coeff = -(x[:, i - 1] / r) * (x[:, j - 1] / r) / t
         if j == i:
             coeff = coeff + 1.0 / t
-        rep_boost.append((coeff, VectorFieldId("Z", 0, j)))
+        rep_boost.append((coeff, parse_generator(f"Z0{j}")))
     return rep_rot, rep_boost
 
 
@@ -400,35 +385,3 @@ def measure_decay_constants(phi: PolyField, Is, pts):
                     float(np.max((1.0 + pts[ok, 0] + np.abs(q[ok])) * tang[ok] / rhs[ok]))))
     return out
 
-
-def lie_minkowski_inverse_factor(I):
-    """Proportionality factor of L_{Z^I} m^{-1} against m^{-1}.
-
-    Computed, never hard-coded: the iterated Lie derivative of the constant
-    inverse metric is evaluated exactly and compared slotwise.  Raises
-    NotProportional if the result is not a multiple of m^{-1}.
-    """
-    from .errors import NotProportional
-
-    minv = PolyField.zero(rank=2, variance=("u", "u"))
-    for mu in range(4):
-        minv.comps[mu, mu, 0] = Poly.const(int(MINKOWSKI[mu, mu]))
-    out = lie_multi(tuple(I), minv)
-    factor = None
-    for mu in range(4):
-        for nu in range(4):
-            p = out.comps[mu, nu, 0]
-            base = int(MINKOWSKI[mu, nu])
-            if base == 0:
-                if not p.is_zero():
-                    raise NotProportional(f"off-diagonal slot ({mu},{nu}) nonzero")
-                continue
-            val = p.c.get(ZERO_KEY, 0)
-            if len(p.c) > (1 if val else 0):
-                raise NotProportional("non-constant Lie derivative of m^-1")
-            ratio = val * base  # base is +-1
-            if factor is None:
-                factor = ratio
-            elif factor != ratio:
-                raise NotProportional("slotwise factors disagree")
-    return factor if factor is not None else 0

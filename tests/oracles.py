@@ -23,8 +23,9 @@ hand-written generator fields and the Lie step that multiplied every
 generator coefficient on the full cube, zero rows included, with the
 coefficients evaluated from those fields, the decay check that built one
 Lie lattice per multi-index, the exponent draw of ``random_poly`` one
-``int`` at a time, and the exact scalar's arithmetic, generator action
-and Lie derivative on exponent-tuple keys), kept as they were so that
+``int`` at a time, the exact scalar's arithmetic, generator action
+and Lie derivative on exponent-tuple keys, and the factor of
+L_{Z^I} m^{-1} from the exact Lie calculus), kept as they were so that
 tests can require the kernels to agree with them bit for bit.
 """
 
@@ -44,17 +45,17 @@ from framewave.certify import sample_points
 from framewave.energy import (BudgetPass, SliceState, _ball_slice, _cone_slice, _sphere_nodes,
                               _surface_integral, _tangential_slice, slice_energy, trapz,
                               write_json, write_series_csv)
-from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, PoleDegenerate,
-                              TimeZero)
+from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, NotProportional,
+                              PoleDegenerate, TimeZero)
 from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
                                  lbar_radial_residual, lie_component_series,
                                  lie_field_series)
 from framewave.fields import (GHOST, PolyField, _fresh, d1_axis, d2_axis, fill_ghosts_array,
                               save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
-from framewave.poly import GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
-from framewave.vecfields import (_JAC_CACHE, GENERATORS, VectorFieldId, _norm_at,
-                                 apply_to_scalar, lie_lattice, lie_multi, parse_multi_index)
+from framewave.poly import ZERO_KEY, GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
+from framewave.vecfields import (GENERATORS, _norm_at, apply_to_scalar, lie_lattice, lie_multi,
+                                 parse_generator, parse_multi_index)
 from framewave.weights import w_tilde, w_tilde_prime
 
 class RankMismatch(FramewaveError):
@@ -223,7 +224,7 @@ def conservation_budget(series, region, t1, t2, params):
     budget = BudgetPass(region, params)
     for k in range(k1, k2 + 1):
         budget.add(series.state(k), end=k in (k1, k2))
-    return budget.report(t1, t2)
+    return budget.report()
 
 
 def norm_equivalence_bounds(H_samples):
@@ -367,7 +368,7 @@ def apply_lie_grid_full(gen, data, data_t, geom, t):
     """``estimates._apply_lie_grid`` as it was: every coefficient Z^mu on
     the full cube, zero rows included, so three stencils for every
     generator, and the slot corrections from a loop over J."""
-    J = _JAC_CACHE[gen]
+    J = gen.affine[1:, 1:].astype(int)
     Z = gen_coeff_arrays(gen, geom, t)
     out = Z[0] * data_t
     for i in (1, 2, 3):
@@ -679,13 +680,13 @@ def as_field(gen):
     """Contravariant coefficient field of a generator, written out by hand
     from Z_ab = x_b d_a - x_a d_b (x_0 = -t), S = x^mu d_mu and P_a = d_a."""
     f = PolyField.zero(rank=1, variance=("u",))
-    if gen.kind == "P":
-        f.comps[gen.a, 0] = Poly.const(1)
-    elif gen.kind == "S":
+    if gen.name.startswith("P"):
+        f.comps[("t", "x1", "x2", "x3").index(gen.name[1:]), 0] = Poly.const(1)
+    elif gen.name == "S":
         for mu in range(4):
             f.comps[mu, 0] = Poly.var(mu)
     else:
-        a, b = gen.a, gen.b
+        a, b = int(gen.name[1]), int(gen.name[2])
         # x_beta = m_{mu beta} x^mu, so x_0 = -t and x_i = x^i.
         xb = Poly.var(b) * (-1 if b == 0 else 1)
         xa = Poly.var(a) * (-1 if a == 0 else 1)
@@ -695,6 +696,35 @@ def as_field(gen):
 
 
 FIELDS = {g: as_field(g) for g in GENERATORS}
+
+
+def minkowski_inverse_factor(I):
+    """The factor of L_{Z^I} m^{-1} against m^{-1} from the exact Lie
+    calculus: the iterated Lie derivative of the constant inverse metric,
+    compared slot by slot.  Raises NotProportional if the result is not a
+    multiple of m^{-1}."""
+    minv = PolyField.zero(rank=2, variance=("u", "u"))
+    for mu in range(4):
+        minv.comps[mu, mu, 0] = Poly.const(int(MINKOWSKI[mu, mu]))
+    out = lie_multi(tuple(I), minv)
+    factor = None
+    for mu in range(4):
+        for nu in range(4):
+            p = out.comps[mu, nu, 0]
+            base = int(MINKOWSKI[mu, nu])
+            if base == 0:
+                if not p.is_zero():
+                    raise NotProportional(f"off-diagonal slot ({mu},{nu}) nonzero")
+                continue
+            val = p.c.get(ZERO_KEY, 0)
+            if len(p.c) > (1 if val else 0):
+                raise NotProportional("non-constant Lie derivative of m^-1")
+            ratio = val * base  # base is +-1
+            if factor is None:
+                factor = ratio
+            elif factor != ratio:
+                raise NotProportional("slotwise factors disagree")
+    return factor if factor is not None else 0
 
 
 def decay_rhs_sum(phi, max_order, pts):
@@ -750,9 +780,9 @@ def restricted_derivative_as_Z(i, p):
             continue
         coeff = x[j - 1] / r ** 2
         if i < j:
-            rep_rot.append((coeff, VectorFieldId("Z", i, j)))
+            rep_rot.append((coeff, parse_generator(f"Z{i}{j}")))
         else:
-            rep_rot.append((-coeff, VectorFieldId("Z", j, i)))
+            rep_rot.append((-coeff, parse_generator(f"Z{j}{i}")))
     if p.t == 0.0:
         raise TimeZero("boost representation undefined at t = 0")
     rep_boost = []
@@ -761,7 +791,7 @@ def restricted_derivative_as_Z(i, p):
         if j == i:
             coeff += 1.0 / p.t
         if coeff:
-            rep_boost.append((coeff, VectorFieldId("Z", 0, j)))
+            rep_boost.append((coeff, parse_generator(f"Z0{j}")))
     return rep_rot, rep_boost
 
 
@@ -801,7 +831,7 @@ def eA_rotation_representation(p, frame):
             for j in range(i + 1, 4):
                 coeff = (a[i - 1] * p.x[j - 1] - a[j - 1] * p.x[i - 1]) / r ** 2
                 if coeff:
-                    rep.append((coeff, VectorFieldId("Z", i, j)))
+                    rep.append((coeff, parse_generator(f"Z{i}{j}")))
         out.append(rep)
     return out
 
@@ -813,7 +843,7 @@ def eA_boost_representation(p, frame):
     out = []
     for which in ("e1", "e2"):
         a = frame.by_name(which)[1:]
-        rep = [(a[j - 1] / p.t, VectorFieldId("Z", 0, j)) for j in (1, 2, 3) if a[j - 1]]
+        rep = [(a[j - 1] / p.t, parse_generator(f"Z0{j}")) for j in (1, 2, 3) if a[j - 1]]
         out.append(rep)
     return out
 
@@ -826,7 +856,7 @@ def slash_block(F, pts):
     ZF = {}
     for a in range(4):
         for b in range(a + 1, 4):
-            g = VectorFieldId("Z", a, b)
+            g = parse_generator(f"Z{a}{b}")
             ZF[g] = apply_to_scalar(g, F).eval_many(pts)
     x = pts[:, 1:]
     r = np.linalg.norm(x, axis=1)
@@ -840,14 +870,14 @@ def slash_block(F, pts):
             if j == i:
                 continue
             coeff = x[:, j - 1] / r ** 2
-            key = VectorFieldId("Z", min(i, j), max(i, j))
+            key = parse_generator(f"Z{min(i, j)}{max(i, j)}")
             v1 += coeff * ZF[key] * (1 if i < j else -1)
         v2 = np.zeros(n_pts)
         for j in (1, 2, 3):
             coeff = -(x[:, i - 1] / r) * (x[:, j - 1] / r) / t
             if j == i:
                 coeff = coeff + 1.0 / t
-            v2 += coeff * ZF[VectorFieldId("Z", 0, j)]
+            v2 += coeff * ZF[parse_generator(f"Z0{j}")]
         out[i] = direct, v1, v2
     return out
 
@@ -1234,7 +1264,7 @@ def tuple_apply_to_scalar(gen, p):
 def tuple_lie_derivative(gen, comps, variance):
     """``vecfields.lie_derivative`` as it was, on an object array of
     TuplePoly components."""
-    J = _JAC_CACHE[gen]
+    J = gen.affine[1:, 1:].astype(int)
     out = np.empty(comps.shape, dtype=object)
     for idx in np.ndindex(comps.shape):
         out[idx] = tuple_apply_to_scalar(gen, comps[idx])

@@ -17,7 +17,7 @@ from framewave.background import BumpBackground
 from framewave.energy import ExteriorRegion, slice_energy
 from framewave.fields import GridGeometry, PolyField
 from framewave.poly import measure_order
-from framewave.vecfields import SCALING, VectorFieldId
+from framewave.vecfields import SCALING, parse_generator
 from framewave.weights import WeightParams
 from oracles import commutator_exact_lhs, component_series, conservation_budget
 
@@ -186,19 +186,19 @@ def test_criterion_8_decoupled_bound():
     H = PolyField.random(rng, rank=2, channels=1, degree=2, nterms=3,
                          variance=("u", "u"), symmetric=True).scale(0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
-    I = (VectorFieldId("Z", 0, 1), SCALING)
+    I = (parse_generator("Z01"), SCALING)
     consts = []
     for k, spacing in enumerate((0.35, 0.25)):
         pts = _lattice_points(spacing)
         if k == 0:
-            rep = estimates.commutator_report(estimates.CommutatorStudy(H, phi, I), "L", pts)
+            rep = estimates.commutator_report(estimates.CommutatorStudy(H, phi, I, pts), "L")
             assert rep["identity_residual"] <= 1e-10
             consts.append(rep["implied_constant"])
         else:
             phi_L = estimates.project_component(phi, "L")
             lhs = commutator_exact_lhs(H, phi_L, I).eval(pts)
             lv = np.sqrt(np.sum(lhs ** 2, axis=1))
-            fams = estimates.CommutatorStudy(H, phi, I).bound(pts, "L")["collapsed"]
+            fams = estimates.CommutatorStudy(H, phi, I, pts).bound("L")["collapsed"]
             bv = fams["flat"] + fams["t_weighted"] + fams["q_weighted"]
             ok = bv > 1e-12 * np.max(bv)
             consts.append(float(np.max(lv[ok] / bv[ok])))
@@ -215,8 +215,8 @@ def test_criterion_8_decoupled_bound():
         comps[mu, 0] = phi.comps[mu, 0] + Lflat[mu] * (Poly.var(2) + 1) * 0.6
     phi2 = PolyField(1, 1, comps)
     pts = _lattice_points(0.7)
-    f1 = estimates.CommutatorStudy(H, phi, I).bound(pts, "L")["collapsed"]
-    f2 = estimates.CommutatorStudy(H, phi2, I).bound(pts, "L")["collapsed"]
+    f1 = estimates.CommutatorStudy(H, phi, I, pts).bound("L")["collapsed"]
+    f2 = estimates.CommutatorStudy(H, phi2, I, pts).bound("L")["collapsed"]
     scale = max(1.0, float(np.max(f1["q_weighted"])))
     decoupled = np.max(np.abs(f1["q_weighted"] - f2["q_weighted"])) / scale <= 1e-12
     changed = np.max(np.abs(

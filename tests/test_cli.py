@@ -1,4 +1,5 @@
 import collections
+import csv
 import json
 import multiprocessing
 import os
@@ -113,6 +114,31 @@ def test_evolve_zero_data_zero_series(tmp_path):
     assert all(float(r.split(",")[2]) == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("family", ["plane_wave", "outgoing_pulse"])
+@pytest.mark.parametrize("rank, source, components", [
+    (1, ["AL_dA"], ["L", "slot0"]),
+    (2, [], ["slot01", "Lbar,L"]),
+])
+def test_data_families_honour_rank(tmp_path, family, rank, source, components):
+    # every slot carries the family's scalar profile, so a rank-1 source
+    # and the components of the asked rank apply
+    path = _write(tmp_path, {
+        "mode": "evolve",
+        "grid": {"N": 12, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.3},
+        "boundary": "periodic" if family == "plane_wave" else "sommerfeld",
+        "data": {"family": family, "rank": rank},
+        "source": {"terms": source},
+        "components": components,
+        "monitors": 3,
+    })
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 0
+    with open(out / "energy_series.csv", newline="") as fh:
+        terms = {row[1] for row in csv.reader(fh)}
+    assert {term.split(":")[0] for term in terms - {"term"}} == set(components)
+
+
 DETERMINISM_CONFIGS = {
     "evolve": {
         "grid": {"N": 12, "X": 4.0},
@@ -146,6 +172,17 @@ DETERMINISM_CONFIGS = {
     "conserve": {
         "grid": {"N": 8, "X": 4.0},
         "times": {"t1": 0.0, "t2": 0.2},
+        "background": {"family": "static-bump", "epsilon": 0.1, "radius": 2.0},
+        "data": {"family": "gaussian", "center": [0, 0, 1.5], "sigma": 0.8},
+        "monitors": 3,
+    },
+    # q0 = 1.5 puts the cone sphere r = t + q0 outside the origin ball, so
+    # the cone flux integral runs (q0 = -2 with t2 <= 1 never reaches it)
+    "conserve-cone": {
+        "mode": "conserve",
+        "grid": {"N": 12, "X": 4.0},
+        "times": {"t1": 0.0, "t2": 0.3},
+        "region": {"q0": 1.5},
         "background": {"family": "static-bump", "epsilon": 0.1, "radius": 2.0},
         "data": {"family": "gaussian", "center": [0, 0, 1.5], "sigma": 0.8},
         "monitors": 3,

@@ -13,16 +13,16 @@ from framewave.estimates import (CommutatorStudy, c_hat, commutator_report,
                                  project_component, series_time_derivative)
 from framewave.fields import GridGeometry, PolyField
 from framewave.poly import R_INV, GaussPoly, Poly, measure_order
-from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
-                                 lie_multi, subsequences)
+from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, lie_multi,
+                                 parse_generator)
 from framewave.weights import WeightParams
 from conftest import sample_points
 from oracles import (commutator_exact_lhs, component_series, estimate_pass, frozen_sampler,
                      g_box, gradient_frame_bound, lie_series,
                      tangential_flux_integral)
 
-Z12 = VectorFieldId("Z", 1, 2)
-Z01 = VectorFieldId("Z", 0, 1)
+Z12 = parse_generator("Z12")
+Z01 = parse_generator("Z01")
 
 
 def _random_H(rng, scale=1):
@@ -60,7 +60,7 @@ def test_exact_lhs_scaling_double_evaluation(rng):
     assert (lhs.comps[0] - manual.comps[0]).is_zero()
     # and equals the chat-weighted flat term: -2 * box(phi)
     pts = sample_points(np.random.default_rng(0), 10)
-    study_lhs, rhs, _ = CommutatorStudy(None, phi, (SCALING,)).expansion(pts)
+    study_lhs, rhs, _ = CommutatorStudy(None, phi, (SCALING,), pts).expansion()
     assert np.allclose(lhs.eval(pts), study_lhs, rtol=1e-12, atol=1e-12)
     assert np.allclose(lhs.eval(pts), rhs, rtol=1e-12, atol=1e-12)
     assert np.allclose(lhs.eval(pts)[:, 0], -2 * box.eval(pts)[:, 0],
@@ -80,7 +80,7 @@ def test_identity_random(order, rng):
 def test_identity_scaling_squared_flat_coefficient(rng):
     # I = (S, S): the flat-term coefficients come from chat = 4 at I2 = ()
     phi = PolyField.random(rng, rank=0, channels=1, degree=2, nterms=3)
-    study = CommutatorStudy(None, phi, (SCALING, SCALING))
+    study = CommutatorStudy(None, phi, (SCALING, SCALING), sample_points(rng, 1))
     flat_cs = sorted(float(c) for c, _ in study._flat_terms)
     assert flat_cs == [-2.0, -2.0, 4.0]  # two single-S splits and one double
 
@@ -88,7 +88,7 @@ def test_identity_scaling_squared_flat_coefficient(rng):
 def test_bound_flat_only_flat_family(rng):
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     pts = frozen_sampler(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
-    for fams in CommutatorStudy(None, phi, (Z12, SCALING)).bound(pts, "L").values():
+    for fams in CommutatorStudy(None, phi, (Z12, SCALING), pts).bound("L").values():
         assert np.all(fams["t_weighted"] == 0.0)
         assert np.all(fams["q_weighted"] == 0.0)
         assert np.any(fams["flat"] != 0.0)
@@ -98,7 +98,7 @@ def test_bound_zero_field(rng):
     H = _random_H(rng, 0.1)
     phi = PolyField.zero(rank=1, channels=1)
     pts = frozen_sampler(rng, 10, chart_z=True)
-    for fams in CommutatorStudy(H, phi, (SCALING,)).bound(pts, "L").values():
+    for fams in CommutatorStudy(H, phi, (SCALING,), pts).bound("L").values():
         assert all(np.max(v) == 0.0 for v in fams.values())
 
 
@@ -126,11 +126,11 @@ def test_bound_h_side_decoupling(rng, V):
     f = (Poly.const(1.0) + x3 * 0.5) * 0.05
     rotation = [Poly.zero(), x2, -x1, Poly.zero()]
     radial = [Poly.zero(), x1, x2, x3]
-    base = CommutatorStudy(H, phi, I).bound(pts, V)
+    base = CommutatorStudy(H, phi, I, pts).bound(V)
 
     def change(X, family):
         """Relative change of ``family`` under each convention."""
-        fams = CommutatorStudy(_plus_XX(H, f, X), phi, I).bound(pts, V)
+        fams = CommutatorStudy(_plus_XX(H, f, X), phi, I, pts).bound(V)
         return [np.max(np.abs(fams[c][family] - base[c][family]))
                 / np.max(np.abs(base[c][family])) for c in base]
 
@@ -151,8 +151,8 @@ def test_bound_structural_decoupling(rng):
         comps[mu, 0] = phi.comps[mu, 0] + Lflat[mu] * w * 0.7
     phi2 = PolyField(1, 1, comps)
     pts = frozen_sampler(rng, 60, tmin=1.0, tmax=3.0, chart_z=True)
-    f1 = CommutatorStudy(H, phi, (Z12, SCALING)).bound(pts, "L")["collapsed"]
-    f2 = CommutatorStudy(H, phi2, (Z12, SCALING)).bound(pts, "L")["collapsed"]
+    f1 = CommutatorStudy(H, phi, (Z12, SCALING), pts).bound("L")["collapsed"]
+    f2 = CommutatorStudy(H, phi2, (Z12, SCALING), pts).bound("L")["collapsed"]
     scale = max(1.0, float(np.max(f1["q_weighted"])))
     assert np.max(np.abs(f1["q_weighted"] - f2["q_weighted"])) / scale <= 1e-12
     dl = project_component(phi, "Lbar").eval(pts) - project_component(phi2, "Lbar").eval(pts)
@@ -163,7 +163,7 @@ def test_commutator_report(rng):
     H = _random_H(rng, 0.05)
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     pts = frozen_sampler(rng, 80, tmin=1.0, tmax=3.0, chart_z=True)
-    rep = commutator_report(CommutatorStudy(H, phi, (Z01,)), "L", pts)
+    rep = commutator_report(CommutatorStudy(H, phi, (Z01,), pts), "L")
     assert rep["identity_residual"] <= 1e-10
     assert np.isfinite(rep["implied_constant"])
     assert np.isfinite(rep["implied_constant_nested"])
@@ -177,11 +177,11 @@ def test_shared_study_matches_fresh_reports(rng, scale):
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     I = (Z01, SCALING)
     pts = frozen_sampler(rng, 40, tmin=1.0, tmax=3.0, chart_z=True)
-    study = CommutatorStudy(H, phi, I)
+    study = CommutatorStudy(H, phi, I, pts)
     for V in ("L", "e1", "e2", "Lbar"):
-        fresh = CommutatorStudy(H, phi, I)
-        assert commutator_report(study, V, pts) == commutator_report(fresh, V, pts), V
-        shared, own = study.bound(pts, V), fresh.bound(pts, V)
+        fresh = CommutatorStudy(H, phi, I, pts)
+        assert commutator_report(study, V) == commutator_report(fresh, V), V
+        shared, own = study.bound(V), fresh.bound(V)
         assert list(shared) == ["collapsed", "nested"]
         for conv, a in shared.items():
             assert all(np.array_equal(a[f], own[conv][f]) for f in a), (V, conv)
@@ -198,15 +198,13 @@ def test_study_builds_each_lie_derivative_once(rng, monkeypatch):
     phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
     I = (Z01, SCALING)
     pts = frozen_sampler(rng, 20, tmin=1.0, tmax=3.0, chart_z=True)
-    for s in subsequences(I):
-        c_hat(s)  # the chat factors are cached per process; warm them first
     calls = []
     lie = vecfields.lie_derivative
     monkeypatch.setattr(vecfields, "lie_derivative",
                         lambda g, T: calls.append(g) or lie(g, T))
-    study = CommutatorStudy(H, phi, I)
+    study = CommutatorStudy(H, phi, I, pts)
     for V in ("L", "e1", "Lbar"):
-        commutator_report(study, V, pts)
+        commutator_report(study, V)
     # one lattice over the K set for phi, L, e1, e2 and Lbar, one over the
     # subsequences for H_low, and the outer L_{Z^I} of each exact lhs
     lattice_entries = 5 * (len(study.K_set) - 1) + (len(study.subs) - 1)

@@ -191,8 +191,9 @@ def test_divergence_and_commutator_use_the_one_wave_operator(monkeypatch, rng):
     psi = PolyField.random(rng, rank=0, channels=1, degree=2, nterms=4)
     energy.divergence_display(H, psi, sample_points(rng, 5))
     assert calls == ["wave_operator"]
-    estimates.CommutatorStudy(H, psi, (GENERATORS[0],)).expansion(sample_points(rng, 5))
-    estimates.CommutatorStudy(H, psi, (GENERATORS[0],))._factor("box", None, ())
+    pts = sample_points(rng, 5)
+    estimates.CommutatorStudy(H, psi, (GENERATORS[0],), pts).expansion()
+    estimates.CommutatorStudy(H, psi, (GENERATORS[0],), pts)._factor("box", None, ())
     assert calls == ["wave_operator"] * 4
 
 

@@ -202,7 +202,7 @@ def test_budget_pass_terms_equal_conservation_budget(tmp_path, monkeypatch, kind
     monkeypatch.setattr(evolve.Evolver, "__init__", tracked_init)
     evolve.run_experiment(cfg, str(tmp_path), passes=[budget])
     assert len(made) == 1 and not made[0]._work   # released after the last slice's d_tt
-    got = budget.report(0.0, 0.3)
+    got = budget.report()
     want = conservation_budget(component_series(history_run_experiment(cfg, str(tmp_path))[0],
                                                 comp), region, 0.0, 0.3, params)
     assert got == want
@@ -289,7 +289,7 @@ def test_scalar_budget_run_builds_only_L(tmp_path, monkeypatch):
     _, _, params, region = evolve.setup_experiment(cfg)
     budget = energy.BudgetPass(region, params)
     hist = evolve.run_experiment(cfg, str(tmp_path), passes=[budget])[0]
-    assert budget.report(0.0, 0.2).ball_flux != 0.0
+    assert budget.report().ball_flux != 0.0
     assert read and set(read) == {"L"} and sphere == []
     assert set(hist.geom._frames) == {"L"}
 

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -6,15 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framewave import vecfields
-from framewave.errors import ExponentOverflow, PoleDegenerate, TimeZero
+from framewave.errors import ExponentOverflow, NotProportional, PoleDegenerate, TimeZero
+from framewave.estimates import c_hat
 from framewave.fields import PolyField
 from framewave.geometry import MINKOWSKI
 from framewave.poly import MAX_EXPONENT, R_INV, GaussPoly, Poly, pack, random_poly, unpack
-from framewave.vecfields import (_ACTION_CACHE, _AFFINE, _COMPONENTS, _JAC_CACHE,
-                                 GENERATORS, SCALING, TRANSLATIONS, VectorFieldId,
+from framewave.vecfields import (GENERATORS, SCALING, TRANSLATIONS, Generator,
                                  apply_representation, apply_to_scalar, commutator,
-                                 jacobi_residual, lie_derivative, lie_lattice,
-                                 lie_minkowski_inverse_factor, lie_multi,
+                                 jacobi_residual, lie_derivative, lie_lattice, lie_multi,
                                  measure_decay_constants, parse_generator,
                                  parse_multi_index, restricted_derivative_as_Z,
                                  restricted_derivative_direct, splittings,
@@ -35,33 +35,40 @@ def _mink_field(variance):
 def test_as_field_examples():
     S = as_field(SCALING)
     assert [S.comps[mu, 0] for mu in range(4)] == [Poly.var(m) for m in range(4)]
-    Z12 = as_field(VectorFieldId("Z", 1, 2))
+    Z12 = as_field(parse_generator("Z12"))
     assert Z12.comps[0, 0].is_zero() and Z12.comps[3, 0].is_zero()
     assert Z12.comps[1, 0] == Poly.var(2)
     assert Z12.comps[2, 0] == -Poly.var(1)
     # lowering convention x_0 = -t pins the boost components
-    Z01 = as_field(VectorFieldId("Z", 0, 1))
+    Z01 = as_field(parse_generator("Z01"))
     assert Z01.comps[0, 0] == Poly.var(1)
     assert Z01.comps[1, 0] == Poly.var(0)
 
 
 def test_generator_table_is_the_hand_written_field():
-    # every view of the one table: the components, the augmented matrix
-    # [[0, 0], [c, J]], the Jacobian and the monomial-action triples
+    # every form a generator carries: the components, the augmented matrix
+    # [[0, 0], [z, J]], the slot terms of J and the monomial-action triples
     for gen in GENERATORS:
         want = [as_field(gen).comps[mu, 0] for mu in range(4)]
         got = [Poly.zero()] * 4
-        for lam, mu, coeff in _COMPONENTS[gen]:
+        for lam, mu, coeff in gen.components:
             got[lam] = (Poly.const(1) if mu is None else Poly.var(mu)) * coeff
         assert got == want, gen
-        M = _AFFINE[gen]
+        M = gen.affine
         assert all(M[0, k] == 0 for k in range(5)), gen
+        J = [[want[lam].diff(mu) for mu in range(4)] for lam in range(4)]
         for lam in range(4):
             assert want[lam].c.get(0, 0) == M[1 + lam, 0], gen
             for mu in range(4):
-                d = want[lam].diff(mu)
-                assert d == Poly.const(M[1 + lam, 1 + mu]) == Poly.const(_JAC_CACHE[gen][lam, mu])
-        assert [(lam, Poly({key: coeff})) for lam, key, coeff in _ACTION_CACHE[gen]] == [
+                assert J[lam][mu] == Poly.const(M[1 + lam, 1 + mu]), gen
+        for mu in range(4):
+            d, u = gen.slot_terms["d"][mu], gen.slot_terms["u"][mu]
+            assert all(isinstance(coeff, np.integer) for _, coeff in d + u), gen
+            assert [(lam, Poly.const(coeff)) for lam, coeff in d] == [
+                (lam, J[lam][mu]) for lam in range(4) if not J[lam][mu].is_zero()], gen
+            assert [(lam, Poly.const(-coeff)) for lam, coeff in u] == [
+                (lam, J[mu][lam]) for lam in range(4) if not J[mu][lam].is_zero()], gen
+        assert [(lam, Poly({key: coeff})) for lam, key, coeff in gen.action] == [
             (lam, p) for lam, p in enumerate(want) if not p.is_zero()], gen
 
 
@@ -86,7 +93,7 @@ def test_lie_scaling_of_metric():
 
 def test_rotations_are_killing():
     for g in GENERATORS:
-        if g.kind == "Z" or g.kind == "P":
+        if g is not SCALING:
             out = lie_derivative(g, _mink_field(("d", "d")))
             assert all(out.comps[i].is_zero() for i in np.ndindex(out.shape)), g
 
@@ -113,7 +120,7 @@ def test_lie_lattice_matches_lie_multi(rng, rank, variance):
                          variance=variance)
     if rank == 0:  # a radial scalar, as the projected frame components are
         T = PolyField.scalar([p * Poly.var(1) * R_INV for p in T.comps])
-    I = (VectorFieldId("Z", 1, 3), SCALING, TRANSLATIONS[2])
+    I = (parse_generator("Z13"), SCALING, TRANSLATIONS[2])
     subs = subsequences(I)
     seqs = subs + [s + (g,) for s in subs if len(s) < len(I) for g in GENERATORS]
     lattice = lie_lattice(seqs, {(): T})
@@ -168,11 +175,11 @@ def test_componentwise_transport_correction(rng):
 def test_commutator_examples():
     assert commutator(SCALING, TRANSLATIONS[0]) == {TRANSLATIONS[0]: -1}
     assert commutator(TRANSLATIONS[0], TRANSLATIONS[1]) == {}
-    out = commutator(VectorFieldId("Z", 1, 2), VectorFieldId("Z", 2, 3))
-    assert out == {VectorFieldId("Z", 1, 3): -1}
+    out = commutator(parse_generator("Z12"), parse_generator("Z23"))
+    assert out == {parse_generator("Z13"): -1}
     # [Z, d_mu] is a combination of translations only
-    out = commutator(VectorFieldId("Z", 0, 1), TRANSLATIONS[0])
-    assert all(g.kind == "P" for g in out)
+    out = commutator(parse_generator("Z01"), TRANSLATIONS[0])
+    assert out and all(g in TRANSLATIONS for g in out)
 
 
 def test_commutator_polynomial_oracle(rng):
@@ -190,7 +197,11 @@ def test_commutator_polynomial_oracle(rng):
 
 
 def test_jacobi_all_triples():
+    # each of the 119 distinct ordered brackets the 165 triples read is
+    # computed once
+    commutator.cache_clear()
     assert jacobi_residual() == 0
+    assert commutator.cache_info().misses == 119
 
 
 def test_splitting_counts():
@@ -269,26 +280,50 @@ def test_restricted_derivative_errors():
 
 
 def test_generator_grammar():
-    assert parse_generator("S") == SCALING
-    assert parse_generator("Z01") == VectorFieldId("Z", 0, 1)
-    assert parse_generator("P t") == TRANSLATIONS[0]
-    assert parse_generator("Px2") == TRANSLATIONS[2]
-    assert parse_generator("P 3") == TRANSLATIONS[3]
-    assert parse_multi_index("S,Z01,P t") == (SCALING, VectorFieldId("Z", 0, 1),
-                                              TRANSLATIONS[0])
+    assert parse_generator("S") is SCALING
+    assert parse_generator(" Z01 ") is GENERATORS[4]
+    for token, axis in (("P t", 0), ("Pt", 0), ("P_x1", 1), ("Px2", 2), ("P 3", 3),
+                        ("P_0", 0)):
+        assert parse_generator(token) is TRANSLATIONS[axis], token
+    assert parse_multi_index("S,Z01,P t") == (SCALING, GENERATORS[4], TRANSLATIONS[0])
     assert parse_multi_index("") == ()
-    with pytest.raises(ValueError):
-        parse_generator("Z10")
-    with pytest.raises(ValueError):
-        parse_generator("Q")
+    for token in ("Z10", "Z00", "Z 01", "Z014", "Q", "P", "P4", "P x4", "Px", "PPt", "P_ t",
+                  "s", ""):
+        with pytest.raises(ValueError):
+            parse_generator(token)
+
+
+def test_generators_are_the_only_instances():
+    assert [g.name for g in GENERATORS] == ["Pt", "Px1", "Px2", "Px3", "Z01", "Z02", "Z03",
+                                            "Z12", "Z13", "Z23", "S"]
+    for g in GENERATORS:
+        assert parse_generator(g.name) is g
+        assert pickle.loads(pickle.dumps(g)) is g
+    assert pickle.loads(pickle.dumps({GENERATORS[5]: 1})) == {GENERATORS[5]: 1}
+    # equality is identity: a second object with the same components is another field
+    twin = Generator("S", SCALING.components)
+    assert twin != SCALING and len({twin, SCALING}) == 2
+
+
+def test_metric_factor_needs_a_conformal_killing_field():
+    assert [g.c for g in GENERATORS] == [0] * 10 + [-2]
+    with pytest.raises(NotProportional):
+        Generator("X", ((1, 2, 1),))     # Z^1 = x^2 is no conformal Killing field
+    with pytest.raises(NotProportional):
+        Generator("T", ((0, 0, 1),))     # t d_t scales m^00 only
 
 
 def test_minkowski_inverse_factors():
-    assert lie_minkowski_inverse_factor(()) == 1
-    assert lie_minkowski_inverse_factor((SCALING,)) == -2
-    assert lie_minkowski_inverse_factor((SCALING, SCALING)) == 4
-    assert lie_minkowski_inverse_factor((VectorFieldId("Z", 1, 2),)) == 0
-    assert lie_minkowski_inverse_factor((SCALING, TRANSLATIONS[2])) == 0
+    # c_hat(I), the product of the generators' factors, against the exact
+    # Lie derivative of m^{-1} for every multi-index with |I| <= 3
+    assert c_hat(()) == 1
+    assert c_hat((SCALING, SCALING)) == 4
+    assert c_hat((SCALING, TRANSLATIONS[2])) == 0
+    for k in range(4):
+        for I in itertools.product(GENERATORS, repeat=k):
+            want = oracles.minkowski_inverse_factor(I)
+            got = c_hat(I)
+            assert got == want and bool(got) == bool(want), I
 
 
 def test_decay_constants_small(rng):
@@ -371,5 +406,5 @@ def test_generator_action_overflow_raises():
     # Z12 = x2 d1 - x1 d2 on x1 x2^127 makes x2^128
     f = Poly({pack((0, 1, MAX_EXPONENT, 0, 0, 0)): 1})
     with pytest.raises(ExponentOverflow):
-        apply_to_scalar(VectorFieldId("Z", 1, 2), f)
+        apply_to_scalar(parse_generator("Z12"), f)
     assert apply_to_scalar(SCALING, f) == f * (MAX_EXPONENT + 1)
