@@ -243,6 +243,31 @@ def _multi_indices(cfg):
         raise ConstraintError(f"multi_indices: {exc}") from exc
 
 
+def _check_mode(cfg, refine):
+    """Raise ConstraintError for a config that its mode cannot run: a grid
+    run's background and component names, conserve's resolutions and
+    component, the history of an estimate with a Lie series and
+    commutator's frame names.  ``main`` calls it before it writes any
+    file."""
+    mode, comps = cfg["mode"], cfg["components"]
+    if mode in ("conserve", "evolve", "estimate"):
+        evolve.setup_experiment(cfg)   # raises for a bump at or above lightspeed
+        for comp in comps:
+            evolve.component_parts(cfg["data"]["rank"], comp)
+    if mode == "conserve" and refine < 1:
+        raise ConstraintError(f"--refine must be at least 1, got {refine}")
+    if mode == "conserve" and not comps:
+        raise ConstraintError("conserve needs one component")
+    if mode == "estimate" and any(_multi_indices(cfg)) and cfg["monitors"] < 5:
+        raise ConstraintError("a non-empty multi-index needs monitors >= 5: its Lie series "
+                              "is differenced in time over 5 snapshots")
+    if mode == "commutator":
+        for comp in comps:
+            if comp not in FULL_NAMES:
+                raise ConstraintError(f"commutator component {comp!r} is not one of "
+                                      f"{', '.join(FULL_NAMES)}")
+
+
 def _refine_list(N, k):
     out = []
     for j in range(k):
@@ -263,11 +288,7 @@ def mode_certify(cfg, out_dir):
 
 
 def mode_conserve(cfg, out_dir, refine=3):
-    if refine < 1:
-        raise ConstraintError(f"--refine must be at least 1, got {refine}")
     Ns = _refine_list(cfg["grid"]["N"], refine)
-    if not cfg["components"]:
-        raise ConstraintError("conserve needs one component")
     _, bg0, params, region = evolve.setup_experiment(cfg)
 
     def budget_at(N):   # one resolution: its run's files, its residual and terms
@@ -304,9 +325,6 @@ def mode_evolve(cfg, out_dir):
 
 def mode_estimate(cfg, out_dir):
     indices = _multi_indices(cfg)
-    if any(indices) and cfg["monitors"] < 5:
-        raise ConstraintError("a non-empty multi-index needs monitors >= 5: its Lie series "
-                              "is differenced in time over 5 snapshots")
     _, _, params, region = evolve.setup_experiment(cfg)
     passes = [estimates.EstimatePass(region, params) for _ in cfg["components"]]
     hist = run_experiment(cfg, out_dir, passes=passes)[0]   # feeds the I = '' lines
@@ -325,15 +343,11 @@ def mode_estimate(cfg, out_dir):
 def mode_commutator(cfg, out_dir):
     from .fields import PolyField
 
-    for comp in cfg["components"]:
-        if comp not in FULL_NAMES:
-            raise ConstraintError(f"commutator component {comp!r} is not one of "
-                                  f"{', '.join(FULL_NAMES)}")
     rng = np.random.default_rng(cfg["seed"])
     inputs = []   # every draw here, in multi-index order, before any study
     for I in _multi_indices(cfg):
         H = PolyField.random(rng, rank=2, channels=1, degree=2, nterms=3,
-                             variance=("u", "u"), symmetric=True).scale(0.05)
+                             symmetric=True).scale(0.05)
         phi = PolyField.random(rng, rank=1, channels=1, degree=2, nterms=3)
         pts = certify_mod.sample_points(rng, 200, tmin=1.0, tmax=3.0, rmin=0.5)
         pts = pts[np.abs(pts[:, 3]) <= 0.85 * np.linalg.norm(pts[:, 1:], axis=1)]
@@ -367,11 +381,11 @@ def main(argv=None):
         if args.seed is not None:   # held to the config's seed constraint
             cfg["seed"] = args.seed
             _check_constraints(cfg)
+        cfg["mode"] = args.command
+        _check_mode(cfg, args.refine)
     except (SchemaError, ConstraintError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if cfg["mode"] != args.command:
-        cfg["mode"] = args.command
     out_dir = args.out or cfg["out_dir"]
     os.makedirs(out_dir, exist_ok=True)
     energy.write_json(os.path.join(out_dir, "config_resolved.json"), cfg)

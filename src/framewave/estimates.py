@@ -36,14 +36,14 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .energy import SliceState, _tangential_slice, slice_energy, trapz
-from .errors import HistoryMissing, PoleDegenerate, TimeZero
+from .errors import HistoryMissing
 from .evolve import project
 from .fields import (PolyField, d1_axis, fill_ghosts_array, quadrature_masked,
                      tangential_norm_sq, wave_operator)
 from .geometry import FULL_NAMES, MINKOWSKI_INV, TANGENTIAL_NAMES, frame_arrays
 from .poly import P_ONE, P_ZERO, R_INV, RHO12_INV, Poly
-from .vecfields import (GENERATORS, _norm_at, lie_lattice, lie_multi, parse_generator,
-                        splittings, subsequences, ksize_plus)
+from .vecfields import (GENERATORS, _norm_at, lie_lattice, lie_multi, splittings,
+                        subsequences, ksize_plus)
 from .weights import w_tilde, w_tilde_prime
 
 _MSIGN = np.array([-1.0, 1.0, 1.0, 1.0])
@@ -117,7 +117,7 @@ class CommutatorStudy:
             if len(s) < len(self.I):
                 k_exts.update(s + (g,) for g in GENERATORS)
         self.K_set = sorted(k_exts, key=lambda s: (len(s), tuple(g.name for g in s)))
-        self._lattices = {"H": {(): H.lower_all()}} if H is not None else {}
+        self._lattices = {"H": {(): H.lowered()}} if H is not None else {}
         self._built, self._norms = {}, {}
         # the expansion's terms chat(I1) m dd L_{Z^I2} phi and
         # chat(I5) chat(I6) (L_{Z^I4} H_low) . dd L_{Z^I2} phi, with
@@ -322,7 +322,7 @@ def commutator_report(study, V):
 
 
 # ---------------------------------------------------------------------------
-# The e_A expansion identities
+# The outgoing derivative of the radial unit vector
 
 
 def lbar_radial_residual(pts):
@@ -337,38 +337,6 @@ def lbar_radial_residual(pts):
             acc = acc + Lb[mu] * f.diff(mu)
         worst = max(worst, float(np.max(np.abs(acc.eval_many(pts)))))
     return worst
-
-
-def _sphere_vectors(fr):
-    """The spatial parts of e1, e2 from a frame_arrays batch; raises
-    PoleDegenerate if any point has r = 0, where the frame is undefined."""
-    if np.any(fr["r"] == 0.0):
-        raise PoleDegenerate("e_A undefined at r = 0")
-    return [fr[name][1:] for name in ("e1", "e2")]
-
-
-def eA_rotation_representation(pts, fr):
-    """e_A as (1/r) C^{ij}_A Z_{ij} on a point batch pts (n, 4) with its
-    frame_arrays dict fr: for e1 and e2 a list of (coefficient (n,),
-    generator) pairs, every coefficient kept; raises PoleDegenerate if any
-    point has r = 0."""
-    x = pts[:, 1:]
-    r = fr["r"]
-    return [[((a[i - 1] * x[:, j - 1] - a[j - 1] * x[:, i - 1]) / r ** 2,
-              parse_generator(f"Z{i}{j}")) for i in (1, 2, 3) for j in range(i + 1, 4)]
-            for a in _sphere_vectors(fr)]
-
-
-def eA_boost_representation(pts, fr):
-    """e_A as (1/t) C^j_A Z_{0j} on a point batch pts (n, 4) with its
-    frame_arrays dict fr: for e1 and e2 a list of (coefficient (n,),
-    generator) pairs; raises PoleDegenerate if any point has r = 0 and
-    TimeZero if any has t = 0."""
-    a_pair = _sphere_vectors(fr)
-    t = pts[:, 0]
-    if np.any(t == 0.0):
-        raise TimeZero("boost representation undefined at t = 0")
-    return [[(a[j - 1] / t, parse_generator(f"Z0{j}")) for j in (1, 2, 3)] for a in a_pair]
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +387,7 @@ def _apply_lie_grid(gen, data, data_t, geom, t):
         term = (coeff if mu is None else coeff * x[mu]) * d
         out = term if out is None else out + term
     for slot in range(data.ndim - 4):
-        for mu, terms in enumerate(gen.slot_terms["d"]):
+        for mu, terms in enumerate(gen.slot_terms):
             for lam, coeff in terms:
                 src = [slice(None)] * data.ndim
                 dst = [slice(None)] * data.ndim

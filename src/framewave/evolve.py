@@ -85,7 +85,7 @@ from .errors import CFLViolation, ConstraintError, NonFiniteResult, PoleDegenera
 from .fields import (GHOST, GridGeometry, _fresh, _laplacian, d1_axis, fill_ghosts_array,
                      h_on_box, save_snapshot)
 from .geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV
-from .poly import GaussPoly, Poly, _eval_scalars
+from .poly import GaussPoly, _eval_scalars
 from .weights import WeightParams
 
 CFL_LIMIT = 0.5
@@ -741,28 +741,42 @@ class Evolver:
         return Phi, Pi
 
 
-def project(geom, arr, component):
-    """Scalar component of a grid tensor arr, of rank arr.ndim - 4.
+def component_parts(rank, component):
+    """The parts of a component name of a rank-``rank`` grid tensor: a
+    tuple of slot indices (empty for the whole rank-0 field) or a tuple
+    of frame names.
 
     rank 0: "scalar"; rank 1: "slotK" or a frame name; rank 2: "slotAB"
     (two digits) or a comma-joined frame pair ("Lbar,L").  Any other name
     is a config error (ConstraintError).
     """
-    rank = arr.ndim - 4
+    text = str(component)
+    if rank == 0 and component in (None, "scalar"):
+        return ()
     try:
-        if rank == 0 and component in (None, "scalar"):
-            return arr
-        slot = str(component)[4:]
-        if str(component).startswith("slot") and len(slot) == rank:
-            return arr[tuple(int(i) for i in slot)]
-        if rank == 1 and component in FULL_NAMES:
-            return np.einsum("m...,mc...->c...", geom.frame(component), arr)
-        if rank == 2 and "," in str(component):
-            u, v = component.split(",")
-            return np.einsum("m...,k...,mkc...->c...", geom.frame(u), geom.frame(v), arr)
-    except (IndexError, KeyError, ValueError):
+        if text.startswith("slot") and len(text) == 4 + rank:
+            slots = tuple(int(i) for i in text[4:])
+            if all(i < 4 for i in slots):
+                return slots
+    except ValueError:
         pass
+    names = tuple(text.split(","))
+    if len(names) == rank and all(name in FULL_NAMES for name in names):
+        return names
     raise ConstraintError(f"unknown component {component!r} for rank {rank}")
+
+
+def project(geom, arr, component):
+    """Scalar component of a grid tensor arr, of rank arr.ndim - 4, named
+    as :func:`component_parts` reads it."""
+    parts = component_parts(arr.ndim - 4, component)
+    if not parts:
+        return arr
+    if isinstance(parts[0], int):
+        return arr[parts]
+    if len(parts) == 1:
+        return np.einsum("m...,mc...->c...", geom.frame(parts[0]), arr)
+    return np.einsum("m...,k...,mkc...->c...", geom.frame(parts[0]), geom.frame(parts[1]), arr)
 
 
 @dataclass
@@ -872,17 +886,6 @@ def sample_scalars(geom, comps, t):
     return out
 
 
-def gaussian_target(rank=0, channels=1, amplitude=1.0, center=(0, 0, 0),
-                    sigma=1.5, poly=None):
-    """Object array of GaussPoly scalars amplitude * poly * envelope, one
-    per tensor slot and channel (poly None is the constant 1)."""
-    base = Poly.const(amplitude) if poly is None else poly * amplitude
-    comps = np.empty((4,) * rank + (channels,), dtype=object)
-    for idx in np.ndindex(comps.shape):
-        comps[idx] = GaussPoly(base, center=center, sigma=sigma)
-    return comps
-
-
 def data_from_target(geom, comps, t1):
     """(Phi0, Pi0) sampled from an exact target and its time derivative."""
     Phi0 = sample_scalars(geom, comps, t1)
@@ -894,9 +897,9 @@ def data_from_target(geom, comps, t1):
 
 
 def plane_wave_data(geom, kvec=(1, 0, 0), t0=0.0, shape=(1,)):
-    """Exact flat solution sin(k.x - |k| t) in every slot and channel of
-    the leading shape ((4,)*rank + (channels,)); periodic boundary
-    required."""
+    """(Phi0, Pi0) of the exact flat solution sin(k.x - |k| t) at t0, in
+    every slot and channel of the leading shape ((4,)*rank + (channels,));
+    periodic boundary required."""
     k = np.asarray(kvec, dtype=float)
     omega = float(np.linalg.norm(k))
     X1, X2, X3 = geom.mesh()
@@ -904,12 +907,7 @@ def plane_wave_data(geom, kvec=(1, 0, 0), t0=0.0, shape=(1,)):
     full = shape + (geom.n_full,) * 3
     Phi0 = np.broadcast_to(np.sin(phase), full).copy()
     Pi0 = np.broadcast_to(-omega * np.cos(phase), full).copy()
-
-    def exact(t):
-        ph = k[0] * X1 + k[1] * X2 + k[2] * X3 - omega * t
-        return np.broadcast_to(np.sin(ph), full).copy()
-
-    return Phi0, Pi0, exact
+    return Phi0, Pi0
 
 
 def outgoing_pulse_data(geom, t0, amplitude=1.0, q_center=-2.0, sigma=0.5,
@@ -957,15 +955,14 @@ def _initial_data(cfg, geom):
     if d["family"] == "zero":
         Phi0 = np.zeros(shape + (geom.n_full,) * 3)
         return Phi0, np.zeros_like(Phi0)
-    if d["family"] == "gaussian":
-        target = gaussian_target(rank=d["rank"], channels=d["channels"],
-                                 amplitude=d["amplitude"],
-                                 center=tuple(d["center"]), sigma=d["sigma"])
-        Phi0 = sample_scalars(geom, target, t1)
+    if d["family"] == "gaussian":   # one profile, the same in every slot and channel
+        (X1, X2, X3), (c0, c1, c2) = geom.mesh(), d["center"]
+        profile = d["amplitude"] * np.exp(
+            -((X1 - c0) ** 2 + (X2 - c1) ** 2 + (X3 - c2) ** 2) / d["sigma"] ** 2)
+        Phi0 = np.broadcast_to(profile, shape + profile.shape).copy()
         return Phi0, np.zeros_like(Phi0)
     if d["family"] == "plane_wave":
-        Phi0, Pi0, _ = plane_wave_data(geom, kvec=tuple(d["kvec"]), t0=t1, shape=shape)
-        return Phi0, Pi0
+        return plane_wave_data(geom, kvec=tuple(d["kvec"]), t0=t1, shape=shape)
     if d["family"] == "outgoing_pulse":
         return outgoing_pulse_data(geom, t1, amplitude=d["amplitude"],
                                    q_center=d["q_center"], sigma=d["sigma"], shape=shape)

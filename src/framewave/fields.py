@@ -57,28 +57,30 @@ class PolyField:
 
     comps is an object array of shape (4,)*rank + (channels,), entries are
     Poly scalars (inverse radii included, as a frame projection makes
-    them) or, for smooth localized data, GaussPoly scalars.  variance is
-    a tuple of "d"/"u" per slot (covariant by default).
+    them) or, for smooth localized data, GaussPoly scalars.  Slots are
+    covariant, which is what the Lie calculus of :mod:`framewave.vecfields`
+    assumes.  The one exception, by convention, is the background
+    perturbation H, stored with upper slots H^{ab}: the wave operator and
+    the stress densities contract it as it is, and the commutator
+    machinery lowers it once (:meth:`lowered`) before any Lie derivative.
     """
 
-    def __init__(self, rank, channels, comps, variance=None):
+    def __init__(self, rank, channels, comps):
         self.rank = int(rank)
         self.channels = int(channels)
         self.comps = comps
-        self.variance = tuple(variance) if variance is not None else ("d",) * rank
         assert comps.shape == (4,) * self.rank + (self.channels,)
-        assert len(self.variance) == self.rank
 
     @property
     def shape(self):
         return self.comps.shape
 
     @classmethod
-    def zero(cls, rank=0, channels=1, variance=None):
+    def zero(cls, rank=0, channels=1):
         comps = np.empty((4,) * rank + (channels,), dtype=object)
         for idx in np.ndindex(comps.shape):
             comps[idx] = Poly.zero()
-        return cls(rank, channels, comps, variance)
+        return cls(rank, channels, comps)
 
     @classmethod
     def scalar(cls, polys):
@@ -91,10 +93,10 @@ class PolyField:
 
     @classmethod
     def random(cls, rng, rank=0, channels=1, degree=2, nterms=4,
-               variance=None, symmetric=False, time_dependent=True):
+               symmetric=False, time_dependent=True):
         from .poly import random_poly
 
-        f = cls.zero(rank, channels, variance)
+        f = cls.zero(rank, channels)
         for idx in np.ndindex(f.shape):
             f.comps[idx] = random_poly(rng, degree=degree, nterms=nterms,
                                        time_dependent=time_dependent)
@@ -109,14 +111,14 @@ class PolyField:
         comps = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(self.shape):
             comps[idx] = fn(self.comps[idx])
-        return PolyField(self.rank, self.channels, comps, self.variance)
+        return PolyField(self.rank, self.channels, comps)
 
     def __add__(self, other):
-        assert self.shape == other.shape and self.variance == other.variance
+        assert self.shape == other.shape
         comps = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(self.shape):
             comps[idx] = self.comps[idx] + other.comps[idx]
-        return PolyField(self.rank, self.channels, comps, self.variance)
+        return PolyField(self.rank, self.channels, comps)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -125,46 +127,32 @@ class PolyField:
         return self.map(lambda p: p * a)
 
     def gradient(self):
-        """Covariant gradient: new leading covariant slot for d_mu."""
+        """Gradient: new leading slot for d_mu."""
         comps = np.empty((4,) + self.shape, dtype=object)
         for mu in range(4):
             for idx in np.ndindex(self.shape):
                 comps[(mu,) + idx] = self.comps[idx].diff(mu)
-        return PolyField(self.rank + 1, self.channels, comps,
-                         ("d",) + self.variance)
+        return PolyField(self.rank + 1, self.channels, comps)
 
-    def lower_slot(self, slot):
-        """Lower the contravariant ``slot`` with the Minkowski metric, which
-        only negates the time entries."""
-        assert self.variance[slot] == "u"
+    def lowered(self):
+        """Every slot of an upper-slot field (H) lowered with the Minkowski
+        metric, which negates each time entry: each component times
+        (-1)^(its number of time indices)."""
         comps = np.empty(self.shape, dtype=object)
         for idx in np.ndindex(self.shape):
-            sign = -1 if idx[slot] == 0 else 1
-            comps[idx] = self.comps[idx] * sign
-        var = list(self.variance)
-        var[slot] = "d"
-        return PolyField(self.rank, self.channels, comps, var)
-
-    def lower_all(self):
-        f = self
-        for slot, v in enumerate(self.variance):
-            if v == "u":
-                f = f.lower_slot(slot)
-        return f
+            comps[idx] = self.comps[idx] * (-1) ** idx[:self.rank].count(0)
+        return PolyField(self.rank, self.channels, comps)
 
     def eval(self, pts):
         """Evaluate at points (n, 4) -> array (n,) + (4,)*rank + (channels,)."""
         vals = _eval_scalars(self.comps.ravel(), pts)
         return vals.reshape((vals.shape[0],) + self.shape)
 
-    def is_zero(self):
-        return all(self.comps[idx].is_zero() for idx in np.ndindex(self.shape))
-
 
 def wave_operator(H, hess):
     """g^{ab} d_a d_b psi = m^{ab} d_a d_b psi + H^{ab} d_a d_b psi of the
     exact scalar field whose Hessian is hess (slots (b, a, ch)); H is a
-    rank-2 contravariant PolyField or None for flat."""
+    rank-2 upper-slot PolyField or None for flat."""
     comps = np.empty((hess.channels,), dtype=object)
     for c in range(hess.channels):
         acc = None

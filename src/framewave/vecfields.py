@@ -9,23 +9,29 @@ with coordinate Hessians on scalars -- the fact every exact identity in
 
 Each generator is one ``Generator`` object, built once from its nonzero
 components Z^lam = coeff * x^mu, and carries every form read from them:
-the exact action on scalars, the slot terms of its Jacobian, the
-augmented matrix of Z = c + J x that the commutators multiply, and its
+the exact action on scalars, the covariant slot terms of its Jacobian,
+the augmented matrix of Z = c + J x that the commutators multiply, and its
 metric factor c with L_Z m^{-1} = c m^{-1} (0 for the Killing fields P
 and Z, -2 for S), computed from J.  The grid Lie step of
 :mod:`framewave.estimates` reads the same components, and its chat(I) is
 the product of the factors c along I.  Each bracket is computed once.
 
-Multi-indices are ordered generator sequences; iterated Lie derivatives
-apply the leftmost generator last (outermost).  A Lie lattice builds each
+Multi-indices are ordered generator sequences; iterated Lie derivatives,
+of covariant fields only (H is lowered first), apply the leftmost
+generator last (outermost).  A Lie lattice builds each
 L_{Z^s} T once, from its suffix entry, and lives as long as its caller.
 Ordered splittings enumerate all assignments of sequence positions into
 parts, preserving relative order within each part.
 
-The restricted derivatives slash-d_i are written as generator
-combinations on point batches (n, 4): a representation is a list of
-(coefficient array (n,), generator) pairs, evaluated on a scalar by
-:func:`apply_representation`; a single point is a one-row batch.
+Every derivative tangent to the spheres r = const, a^i d_i - b d_r with
+b = a . x / r, is written as a combination of rotations over r^2 and as
+one of boosts over t (Klainerman's vector-field method): the restricted
+derivatives slash-d_i (a = e_i, b = x_i / r) and the sphere vectors e_A
+(a = e_A, b = 0) both read :func:`rotation_representation` and
+:func:`boost_representation`.  A representation lives on a point batch
+(n, 4): a list of (coefficient array (n,), generator) pairs, evaluated on
+a scalar by :func:`apply_representation`; a single point is a one-row
+batch.
 
 The 11 generators are built once, at import; pure functions throughout,
 and one cache holds the brackets.
@@ -60,11 +66,11 @@ class Generator:
     Every other form is derived once, here: ``affine``, the matrix
     [[0, 0], [z, J]] (5 x 5, exact ints) whose commutators give the
     brackets; ``action``, the (lam, key of x^mu, coeff) triples of
-    Poly.monomial_action; ``slot_terms``, for a covariant ("d") and a
-    contravariant ("u") slot holding index mu the (lam, coefficient)
-    pairs of the slot's Lie term with a nonzero coefficient, J[lam, mu]
-    and -J[mu, lam], kept as the numpy ints the Lie terms have always been
-    scaled by; and ``c``, the metric factor with L_Z m^{-1} = c m^{-1}.
+    Poly.monomial_action; ``slot_terms``, for a covariant slot holding
+    index mu the (lam, J[lam, mu]) pairs of the slot's Lie term with a
+    nonzero coefficient, kept as the numpy ints the Lie terms have always
+    been scaled by; and ``c``, the metric factor with
+    L_Z m^{-1} = c m^{-1}.
     Raises NotProportional for a field that is not conformal Killing.
 
     The 11 instances below are the only ones: equality and hashing are
@@ -80,11 +86,8 @@ class Generator:
         J = M[1:, 1:].astype(int)
         self.action = tuple((lam, pack([int(a == mu) for a in range(6)]), coeff)
                             for lam, mu, coeff in components)
-        self.slot_terms = {
-            "d": tuple(tuple((lam, J[lam, mu]) for lam in range(4) if J[lam, mu])
-                       for mu in range(4)),
-            "u": tuple(tuple((lam, -J[mu, lam]) for lam in range(4) if J[mu, lam])
-                       for mu in range(4))}
+        self.slot_terms = tuple(tuple((lam, J[lam, mu]) for lam in range(4) if J[lam, mu])
+                                for mu in range(4))
         # L_Z m^{ab} = -(J[a, b] m^{bb} + m^{aa} J[b, a]) for the diagonal m,
         # in the plain ints of M
         lie = [[-(M[1 + a, 1 + b] * _LOWER[b] + _LOWER[a] * M[1 + b, 1 + a])
@@ -144,17 +147,16 @@ def apply_to_scalar(gen, p):
 
 
 def lie_derivative(gen: Generator, T: PolyField) -> PolyField:
-    """Variance-aware Lie derivative along one generator.
+    """Lie derivative of a covariant field along one generator.
 
-    Covariant slots gain + (d_slot Z^lam) T_{..lam..}; contravariant slots
-    gain - (d_lam Z^slot) T^{..lam..}.  Exact on polynomial components.
+    Each slot gains + (d_slot Z^lam) T_{..lam..}.  Exact on polynomial
+    components.
     """
     out = T.map(lambda p: apply_to_scalar(gen, p))
-    for slot, var in enumerate(T.variance):
-        terms = gen.slot_terms[var]
+    for slot in range(T.rank):
         for idx in np.ndindex(T.shape):
             acc = out.comps[idx]
-            for lam, coeff in terms[idx[slot]]:
+            for lam, coeff in gen.slot_terms[idx[slot]]:
                 acc = acc + T.comps[idx[:slot] + (lam,) + idx[slot + 1:]] * coeff
             out.comps[idx] = acc
     return out
@@ -269,7 +271,7 @@ def jacobi_residual():
 
 
 # ---------------------------------------------------------------------------
-# Restricted (sphere-tangent) derivatives as generator combinations
+# Sphere-tangent derivatives as generator combinations
 
 
 def _radius(pts):
@@ -277,46 +279,45 @@ def _radius(pts):
     point sits at r = 0."""
     r = radius(pts[:, 1], pts[:, 2], pts[:, 3])
     if np.any(r == 0.0):
-        raise PoleDegenerate("restricted derivative undefined at r = 0")
+        raise PoleDegenerate("sphere-tangent derivative undefined at r = 0")
     return r
 
 
-def restricted_derivative_as_Z(i, pts):
-    """Two expansions of the restricted derivative slash-d_i on a point
-    batch pts (n, 4).
-
-    Returns (rep_rotation, rep_boost), each a list of (coefficient (n,),
-    generator) pairs:
-
-        slash-d_i = (x^j / r^2) Z_{ij}
-        slash-d_i = ( -(x_i/r)(x^j/r) Z_{0j} + Z_{0i} ) / t
-
-    using Z_{ij} = -Z_{ji} for the canonical a < b ordering.  Every
-    coefficient is kept, also where it is 0.  Raises PoleDegenerate if any
-    point has r = 0 and TimeZero if any has t = 0.
+def rotation_representation(a, pts):
+    """a^i d_i - b d_r, tangent to the spheres (b = a . x / r), on a point
+    batch pts (n, 4) as (1/r^2) sum_{i<j} (a_i x_j - a_j x_i) Z_ij: a list
+    of (coefficient (n,), Z_ij) pairs, zeros kept.  a holds three spatial
+    components, arrays (n,) or numbers.  Raises PoleDegenerate if any
+    point has r = 0; t = 0 is fine.
     """
-    if i not in (1, 2, 3):
-        raise ValueError("spatial index expected")
-    r = _radius(pts)
-    x, t = pts[:, 1:], pts[:, 0]
+    x, r = pts[:, 1:], _radius(pts)
+    return [((a[i - 1] * x[:, j - 1] - a[j - 1] * x[:, i - 1]) / r ** 2,
+             parse_generator(f"Z{i}{j}")) for i in (1, 2, 3) for j in range(i + 1, 4)]
+
+
+def boost_representation(a, b, pts):
+    """The same derivative as (1/t) sum_j (a_j - b x_j / r) Z_0j, each
+    coefficient summed as -b (x_j / r) / t + a_j / t.  b is passed, not
+    computed, so that e_A's b = 0 stays exact.  Raises PoleDegenerate if
+    any point has r = 0 and TimeZero if any has t = 0.
+    """
+    x, r, t = pts[:, 1:], _radius(pts), pts[:, 0]
     if np.any(t == 0.0):
         raise TimeZero("boost representation undefined at t = 0")
-    rep_rot = []
-    for j in (1, 2, 3):
-        if j == i:
-            continue
-        coeff = x[:, j - 1] / r ** 2
-        if i < j:
-            rep_rot.append((coeff, parse_generator(f"Z{i}{j}")))
-        else:
-            rep_rot.append((-coeff, parse_generator(f"Z{j}{i}")))
-    rep_boost = []
-    for j in (1, 2, 3):
-        coeff = -(x[:, i - 1] / r) * (x[:, j - 1] / r) / t
-        if j == i:
-            coeff = coeff + 1.0 / t
-        rep_boost.append((coeff, parse_generator(f"Z0{j}")))
-    return rep_rot, rep_boost
+    return [(-b * (x[:, j - 1] / r) / t + a[j - 1] / t, parse_generator(f"Z0{j}"))
+            for j in (1, 2, 3)]
+
+
+def restricted_derivative_as_Z(i, pts):
+    """The rotation and the boost representation of the restricted
+    derivative slash-d_i = d_i - (x_i / r) d_r on a point batch pts
+    (n, 4): the case a = e_i, b = x_i / r.  Raises PoleDegenerate if any
+    point has r = 0 and TimeZero if any has t = 0."""
+    if i not in (1, 2, 3):
+        raise ValueError("spatial index expected")
+    e_i = [float(j == i) for j in (1, 2, 3)]
+    return (rotation_representation(e_i, pts),
+            boost_representation(e_i, pts[:, i] / _radius(pts), pts))
 
 
 def apply_representation(rep, scalar, pts):

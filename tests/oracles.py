@@ -10,23 +10,25 @@ instead, with d_tt from the run's slope), full-cube
 derivatives of a slice state, point-frame contractions, the frame of
 one forced sphere chart, the radiation shell by advection over the whole
 cube, grid quadrature of a grid field, the direct form of the
-commutator's left side, coordinate derivatives of a PolyField and the
-frame-gradient bound.  And the earlier bodies of code that framewave now
-computes through one shared kernel (the coordinate display of T_tt +
-T_rt, the one-piece frame arrays and the pointwise null frame, the test
-suite's point sampler, the exact wave operator, the decay check's
-tangential loop,
-the per-point ``Point``/``Frame`` generator representations of slash-d_i
-and e_A with the two certify checks that ran them, the manufactured
+commutator's left side, coordinate derivatives of a PolyField, the
+frame-gradient bound, the exact Gaussian target of the "gaussian" data
+family and the plane wave's exact solution.  And the earlier bodies of
+code that framewave now computes through one shared kernel (the
+coordinate display of T_tt + T_rt, the one-piece frame arrays and the
+pointwise null frame, the test suite's point sampler, the exact wave
+operator, the decay check's tangential loop, the per-point
+``Point``/``Frame`` generator representations of slash-d_i and e_A with
+the two certify checks that ran them, the manufactured
 source that read its H terms off the direction matrix, the
 hand-written generator fields and the Lie step that multiplied every
 generator coefficient on the full cube, zero rows included, with the
 coefficients evaluated from those fields, the decay check that built one
 Lie lattice per multi-index, the exponent draw of ``random_poly`` one
 ``int`` at a time, the exact scalar's arithmetic, generator action
-and Lie derivative on exponent-tuple keys, and the factor of
-L_{Z^I} m^{-1} from the exact Lie calculus), kept as they were so that
-tests can require the kernels to agree with them bit for bit.
+and Lie derivative on exponent-tuple keys, the contravariant slot rule
+included, and the factor of L_{Z^I} m^{-1} from that Lie calculus), kept
+as they were so that tests can require the kernels to agree with them
+bit for bit.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
 from framewave.fields import (GHOST, PolyField, _fresh, d1_axis, d2_axis, fill_ghosts_array,
                               save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
-from framewave.poly import ZERO_KEY, GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
+from framewave.poly import GaussPoly, Poly, _eval_scalars, pack, random_poly, unpack
 from framewave.vecfields import (GENERATORS, _norm_at, apply_to_scalar, lie_lattice, lie_multi,
                                  parse_generator, parse_multi_index)
 from framewave.weights import w_tilde, w_tilde_prime
@@ -676,10 +678,34 @@ def g_box(H, phi):
 # --- vecfields and estimates ---------------------------------------------------
 
 
+def gaussian_target(rank=0, channels=1, amplitude=1.0, center=(0, 0, 0),
+                    sigma=1.5, poly=None):
+    """Object array of GaussPoly scalars amplitude * poly * envelope, one
+    per tensor slot and channel (poly None is the constant 1): the exact
+    form of the "gaussian" data family, whose profile
+    ``evolve._initial_data`` computes on the mesh directly."""
+    base = Poly.const(amplitude) if poly is None else poly * amplitude
+    comps = np.empty((4,) * rank + (channels,), dtype=object)
+    for idx in np.ndindex(comps.shape):
+        comps[idx] = GaussPoly(base, center=center, sigma=sigma)
+    return comps
+
+
+def plane_wave_exact(geom, kvec, t, shape=(1,)):
+    """The exact solution sin(k.x - |k| t) of ``evolve.plane_wave_data``
+    at time t on the full cube, in every slot and channel of shape."""
+    k = np.asarray(kvec, dtype=float)
+    omega = float(np.linalg.norm(k))
+    X1, X2, X3 = geom.mesh()
+    ph = k[0] * X1 + k[1] * X2 + k[2] * X3 - omega * t
+    return np.broadcast_to(np.sin(ph), shape + (geom.n_full,) * 3).copy()
+
+
 def as_field(gen):
-    """Contravariant coefficient field of a generator, written out by hand
-    from Z_ab = x_b d_a - x_a d_b (x_0 = -t), S = x^mu d_mu and P_a = d_a."""
-    f = PolyField.zero(rank=1, variance=("u",))
+    """The components Z^mu of a generator as a rank-1 PolyField (an upper
+    slot, read only as a table of coefficients), written out by hand from
+    Z_ab = x_b d_a - x_a d_b (x_0 = -t), S = x^mu d_mu and P_a = d_a."""
+    f = PolyField.zero(rank=1)
     if gen.name.startswith("P"):
         f.comps[("t", "x1", "x2", "x3").index(gen.name[1:]), 0] = Poly.const(1)
     elif gen.name == "S":
@@ -698,25 +724,34 @@ def as_field(gen):
 FIELDS = {g: as_field(g) for g in GENERATORS}
 
 
+@functools.cache
+def _lie_minkowski_inverse(I):
+    """L_{Z^I} m^{-1} as a (4, 4, 1) object array of TuplePoly, built from
+    L_{Z^{I[1:]}} m^{-1} with the tuple-key rule for two upper slots."""
+    if not I:
+        minv = np.empty((4, 4, 1), dtype=object)
+        for mu, nu in np.ndindex(4, 4):
+            minv[mu, nu, 0] = TuplePoly.of(Poly.const(int(MINKOWSKI[mu, nu])))
+        return minv
+    return tuple_lie_derivative(I[0], _lie_minkowski_inverse(I[1:]), ("u", "u"))
+
+
 def minkowski_inverse_factor(I):
-    """The factor of L_{Z^I} m^{-1} against m^{-1} from the exact Lie
-    calculus: the iterated Lie derivative of the constant inverse metric,
-    compared slot by slot.  Raises NotProportional if the result is not a
-    multiple of m^{-1}."""
-    minv = PolyField.zero(rank=2, variance=("u", "u"))
-    for mu in range(4):
-        minv.comps[mu, mu, 0] = Poly.const(int(MINKOWSKI[mu, mu]))
-    out = lie_multi(tuple(I), minv)
+    """The factor of L_{Z^I} m^{-1} against m^{-1} from the oracles' own
+    Lie calculus (no package Lie code runs): the iterated contravariant
+    Lie derivative of the constant inverse metric, compared slot by slot.
+    Raises NotProportional if the result is not a multiple of m^{-1}."""
+    out = _lie_minkowski_inverse(tuple(I))
     factor = None
     for mu in range(4):
         for nu in range(4):
-            p = out.comps[mu, nu, 0]
+            p = out[mu, nu, 0]
             base = int(MINKOWSKI[mu, nu])
             if base == 0:
-                if not p.is_zero():
+                if p.c:
                     raise NotProportional(f"off-diagonal slot ({mu},{nu}) nonzero")
                 continue
-            val = p.c.get(ZERO_KEY, 0)
+            val = p.c.get((0,) * 6, 0)
             if len(p.c) > (1 if val else 0):
                 raise NotProportional("non-constant Lie derivative of m^-1")
             ratio = val * base  # base is +-1
@@ -1263,7 +1298,9 @@ def tuple_apply_to_scalar(gen, p):
 
 def tuple_lie_derivative(gen, comps, variance):
     """``vecfields.lie_derivative`` as it was, on an object array of
-    TuplePoly components."""
+    TuplePoly components: variance holds "d" (covariant) or "u"
+    (contravariant, - (d_lam Z^slot) T^{..lam..}) per slot; the package
+    runs the covariant rule only."""
     J = gen.affine[1:, 1:].astype(int)
     out = np.empty(comps.shape, dtype=object)
     for idx in np.ndindex(comps.shape):

@@ -333,6 +333,28 @@ def test_conserve_refine_below_one_exits_2(tmp_path, capsys, monkeypatch, refine
     assert not (out / "conserve.json").exists()
 
 
+@pytest.mark.parametrize("mode, body, extra", [
+    ("conserve", DETERMINISM_CONFIGS["conserve"], ["--refine", "0"]),
+    ("conserve", {**DETERMINISM_CONFIGS["conserve"], "components": []}, []),
+    ("commutator", {"multi_indices": ["S"]}, []),   # the default component "scalar"
+    ("commutator", {"multi_indices": ["S"], "components": ["L", "Lbr"]}, []),
+    ("evolve", {**DETERMINISM_CONFIGS["evolve"],
+                "background": {"family": "traveling-bump", "epsilon": 0.1,
+                               "velocity": [0.6, 0.8, 0.0]}}, []),
+    ("evolve", {**DETERMINISM_CONFIGS["evolve"], "components": ["L"]}, []),
+    ("estimate", {**DETERMINISM_CONFIGS["estimate"], "monitors": 4}, []),
+], ids=["refine-0", "no-component", "commutator-scalar", "commutator-typo",
+        "lightspeed-bump", "frame-name-at-rank-0", "short-history"])
+def test_config_errors_exit_2_before_any_file(tmp_path, capsys, mode, body, extra):
+    """Every config error of a mode exits 2 before the output directory
+    is made, as the schema and the constraint checks do."""
+    out = tmp_path / "out"
+    path = _write(tmp_path, {"mode": mode, **body})
+    assert cli.main([mode, "--config", path, "--out", str(out), *extra]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rank, component", [(1, "r"), (2, "r,L"), (1, "slot4")])
 def test_unknown_frame_component_exits_2(tmp_path, capsys, rank, component):
     path = _write(tmp_path, {"mode": "evolve", **DETERMINISM_CONFIGS["evolve"],
@@ -472,8 +494,7 @@ def test_estimate_rejects_short_history_before_the_run(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["estimate", "--config", _write(tmp_path, body), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error")
-    assert sorted(f.name for f in out.iterdir()) == ["config_resolved.json",
-                                                     "config_schema.json"]
+    assert not out.exists()
     body["multi_indices"] = [""]
     assert cli.main(["estimate", "--config", _write(tmp_path, body), "--out", str(out)]) == 0
 

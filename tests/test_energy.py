@@ -23,7 +23,7 @@ PARAMS = WeightParams(0.5, -0.25)
 
 def _random_H(rng, degree=2):
     return PolyField.random(rng, rank=2, channels=1, degree=degree, nterms=3,
-                            variance=("u", "u"), symmetric=True)
+                            symmetric=True)
 
 
 # --- stress tensor ----------------------------------------------------------
@@ -156,7 +156,7 @@ def test_norm_equivalence_bounds(rng):
 @pytest.fixture(scope="module")
 def flat_run():
     geom = GridGeometry(32, 8.0)
-    target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
+    target = oracles.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.75,
                              cfl=0.45, n_monitors=9)
@@ -232,7 +232,7 @@ def test_exterior_energy_refinement_reference():
     vals = {}
     for N in (48, 96):
         geom = GridGeometry(N, 8.0)
-        target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.5)
+        target = oracles.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.5)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
         ev = evolve.Evolver(geom, BumpBackground(0.0))
         series = component_series(oracles.StoredRun(geom, BumpBackground(0.0), "sommerfeld",
@@ -382,7 +382,7 @@ def test_budget_traveling_background_closes():
     # time-dependent H exercises the d_t H piece of the divergence display
     geom = GridGeometry(24, 8.0)
     bg = BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0, velocity=(0.4, 0, 0))
-    target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
+    target = oracles.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
     series = component_series(hist, "scalar")
@@ -393,7 +393,7 @@ def test_budget_traveling_background_closes():
 def test_budget_small_H_closes():
     geom = GridGeometry(24, 8.0)
     bg = BumpBackground(0.1, center=(0, 0, 2.0), radius=3.0)
-    target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
+    target = oracles.gaussian_target(amplitude=1.0, center=(0, 0, 3.5), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.6, cfl=0.45, n_monitors=7)
     series = component_series(hist, "scalar")
@@ -490,7 +490,7 @@ def bump_series():
     """Scalar series on static and traveling bumps: N = 16 (dx = 1, origin
     ball 2), monitors at t = 0, 0.1, ..., 0.4."""
     geom = GridGeometry(16, 8.0)
-    target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 3.0), sigma=1.0)
+    target = oracles.gaussian_target(amplitude=1.0, center=(0, 0, 3.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     out = {}
     for kind, velocity in (("static", (0, 0, 0)), ("traveling", (0.4, 0, 0))):

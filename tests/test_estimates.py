@@ -27,7 +27,7 @@ Z01 = parse_generator("Z01")
 
 def _random_H(rng, scale=1):
     H = PolyField.random(rng, rank=2, channels=1, degree=2, nterms=3,
-                         variance=("u", "u"), symmetric=True)
+                         symmetric=True)
     return H.scale(scale) if scale != 1 else H
 
 
@@ -107,7 +107,7 @@ def _plus_XX(H, f, X):
     comps = np.empty(H.shape, dtype=object)
     for mu, nu in np.ndindex(4, 4):
         comps[mu, nu, 0] = H.comps[mu, nu, 0] + f * X[mu] * X[nu]
-    return PolyField(2, 1, comps, H.variance)
+    return PolyField(2, 1, comps)
 
 
 @pytest.mark.parametrize("V", ["L", "e1", "Lbar"])
@@ -251,7 +251,7 @@ def test_series_time_derivative_quartic_exact():
 @pytest.fixture(scope="module")
 def small_run():
     geom = GridGeometry(16, 6.0)
-    target = evolve.gaussian_target(rank=1, channels=1, amplitude=1.0,
+    target = oracles.gaussian_target(rank=1, channels=1, amplitude=1.0,
                                     center=(0, 0, 2.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     return oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
@@ -393,7 +393,7 @@ def test_lie_series_independent_of_monitor_order():
     # depend on whether a base series (with its wave operator) ran first
     def run():
         geom = GridGeometry(16, 6.0)
-        target = evolve.gaussian_target(rank=1, channels=1, amplitude=1.0,
+        target = oracles.gaussian_target(rank=1, channels=1, amplitude=1.0,
                                         center=(0, 0, 2.0), sigma=1.0)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
         return oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,

@@ -29,11 +29,11 @@ def test_plane_wave_small_grid_order():
     errs, hs = [], []
     for N in (16, 32):
         geom = GridGeometry(N, np.pi)
-        Phi0, Pi0, exact = evolve.plane_wave_data(geom, kvec=(1, 0, 0))
+        Phi0, Pi0 = evolve.plane_wave_data(geom, kvec=(1, 0, 0))
         hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 0.5,
                                  boundary="periodic", cfl=0.4, n_monitors=3)
         num = geom.interior(hist.fields[-1])
-        ref = geom.interior(exact(hist.times[-1]))
+        ref = geom.interior(oracles.plane_wave_exact(geom, (1, 0, 0), hist.times[-1]))
         errs.append(float(np.sqrt(np.mean((num - ref) ** 2))))
         hs.append(geom.dx)
     assert measure_order(hs, errs) >= 3.5
@@ -144,7 +144,7 @@ def test_bad_term_run_emits_component_energies():
     from framewave.weights import WeightParams
 
     geom = GridGeometry(16, 6.0)
-    target = evolve.gaussian_target(rank=1, channels=1, amplitude=0.05,
+    target = oracles.gaussian_target(rank=1, channels=1, amplitude=0.05,
                                     center=(0, 0, 2.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     spec, bg = evolve.SourceSpec(terms=("Ae_dAe", "AL_dA")), BumpBackground(0.0)
@@ -236,7 +236,7 @@ def test_rank2_toy_equation_same_scheme():
     # the metric-perturbation toy equation evolves rank-2 components with
     # the same reduction; degree-2 squared-gradient templates feed it
     geom = GridGeometry(12, 4.0)
-    target = evolve.gaussian_target(rank=2, channels=1, amplitude=0.1,
+    target = oracles.gaussian_target(rank=2, channels=1, amplitude=0.1,
                                     center=(0, 0, 1.0), sigma=0.9)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     assert Phi0.shape[:2] == (4, 4)
@@ -253,7 +253,7 @@ def test_rank2_toy_equation_same_scheme():
 def test_sommerfeld_shell_stable_long_run():
     # a pulse reaching the boundary leaves without blowing up
     geom = GridGeometry(16, 3.0)
-    target = evolve.gaussian_target(amplitude=1.0, center=(0, 0, 0), sigma=0.7)
+    target = oracles.gaussian_target(amplitude=1.0, center=(0, 0, 0), sigma=0.7)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     hist = oracles.stored_run(geom, BumpBackground(0.0), Phi0, Pi0, 0.0, 6.0,
                              cfl=0.4, n_monitors=7)
@@ -359,7 +359,7 @@ def test_evolve_run_consumer_sees_the_stored_slices(monkeypatch):
     bg = make_background("traveling-bump", epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0,
                          velocity=(0.3, 0.0, 0.0))
     spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))
-    target = evolve.gaussian_target(rank=1, channels=2, center=(0, 0, 1.5), sigma=0.8)
+    target = oracles.gaussian_target(rank=1, channels=2, center=(0, 0, 1.5), sigma=0.8)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     stored = oracles.stored_run(geom, bg, Phi0, Pi0, 0.0, 0.3, source=schematic(spec, geom, bg),
                                 n_monitors=4)
@@ -501,7 +501,7 @@ def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
 def test_manufactured_source_from_hessian_terms_equals_direction_form(family):
     geom = GridGeometry(12, 4.0)
     bg = make_background(family, epsilon=0.2, center=(0.0, 0.5, 0.3), radius=3.0)
-    gauss = evolve.gaussian_target(rank=1, channels=2, center=(0.2, -0.1, 0.4), sigma=1.1,
+    gauss = oracles.gaussian_target(rank=1, channels=2, center=(0.2, -0.1, 0.4), sigma=1.1,
                                    poly=Poly.const(1.0) + Poly.var(0) * Poly.var(1))
     poly = np.empty((1,), dtype=object)
     x0, x1, x2, x3 = (Poly.var(a) for a in range(4))
@@ -536,7 +536,7 @@ def test_step_bit_identical_to_expression_rk4(case):
         ev, lead = evolve.Evolver(geom, bg, source=schematic(spec, geom, bg)), (4, 2)
     elif case == "static-bump":
         bg = make_background("static-bump", **bump)
-        target = evolve.gaussian_target(center=(0, 0, 1.0), sigma=1.0)
+        target = oracles.gaussian_target(center=(0, 0, 1.0), sigma=1.0)
         ev = evolve.Evolver(geom, bg, source=evolve.manufactured_source(target, bg, geom))
         lead = (1,)
     elif case == "traveling-bump":
@@ -755,7 +755,7 @@ def test_static_bump_h_sources_evolve_as_with_dense_h(monkeypatch):
 
     geom = GridGeometry(12, 4.0)
     bg = make_background("static-bump", epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
-    target = evolve.gaussian_target(rank=1, channels=1, amplitude=0.1,
+    target = oracles.gaussian_target(rank=1, channels=1, amplitude=0.1,
                                     center=(0, 0, 1.0), sigma=1.0)
     Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
     spec = evolve.SourceSpec(terms=("dh_tangA", "tangh_dA", "dh_TU_sq", "bigO_h_dA"))
@@ -779,15 +779,35 @@ def test_static_bump_h_sources_evolve_as_with_dense_h(monkeypatch):
     assert np.max(np.abs(energies - energies_ref)) <= 1e-13 * np.max(np.abs(energies_ref))
 
 
+@pytest.mark.parametrize("rank, channels, N, data", [
+    (0, 1, 8, {"amplitude": 1, "center": [0, 0, 3], "sigma": 1}),
+    (1, 2, 12, {"amplitude": 0.5, "center": [0.3, -0.1, 3.5], "sigma": 0.8}),
+    (2, 1, 18, {"amplitude": -0.1, "center": [1, 0.25, 0], "sigma": 1.5}),
+    (1, 1, 44, {"amplitude": 0.5, "center": [0.2, -0.4, 3.7], "sigma": 1}),
+])
+def test_gaussian_data_is_the_sampled_gaussian_target(rank, channels, N, data):
+    """The "gaussian" family's one profile equals the exact GaussPoly
+    target sampled on every node, bit for bit (signed zeros included)."""
+    geom = GridGeometry(N, 6.0)
+    cfg = {"data": {"family": "gaussian", "rank": rank, "channels": channels, **data},
+           "times": {"t1": 0.25}}
+    Phi0, Pi0 = evolve._initial_data(cfg, geom)
+    target = oracles.gaussian_target(rank=rank, channels=channels, amplitude=data["amplitude"],
+                                     center=tuple(data["center"]), sigma=data["sigma"])
+    want = evolve.sample_scalars(geom, target, 0.25)
+    assert Phi0.shape == want.shape and np.array_equal(Phi0.view(np.int64), want.view(np.int64))
+    assert not Pi0.any()
+
+
 # --- state update in place, monitors and allocations -------------------------
 
 @pytest.mark.parametrize("boundary", ["sommerfeld", "periodic"])
 def test_monitor_max_abs_reads_solution_cells_only(monkeypatch, boundary):
     geom = GridGeometry(12, 4.0)
     if boundary == "periodic":
-        Phi0, Pi0, _ = evolve.plane_wave_data(geom, kvec=(1, 1, 0))
+        Phi0, Pi0 = evolve.plane_wave_data(geom, kvec=(1, 1, 0))
     else:
-        target = evolve.gaussian_target(amplitude=0.8, center=(0, 0.5, 0), sigma=0.9)
+        target = oracles.gaussian_target(amplitude=0.8, center=(0, 0.5, 0), sigma=0.9)
         Phi0, Pi0 = evolve.data_from_target(geom, target, 0.0)
 
     def run():
@@ -939,7 +959,7 @@ def _rhs_case(case, bump):
         kwargs["source"] = schematic(
             evolve.SourceSpec(terms=("AL_dA", "dh_tangA", "bigO_h_dA")), geom, bg)
     elif case == "manufactured":
-        target = evolve.gaussian_target(center=(0.0, 0.5, 1.0), sigma=1.0)
+        target = oracles.gaussian_target(center=(0.0, 0.5, 1.0), sigma=1.0)
         kwargs["source"] = evolve.manufactured_source(target, bg, geom)
     elif case == "periodic":
         channels, kwargs["boundary"] = 2, "periodic"

@@ -200,7 +200,7 @@ def test_wave_operator_examples():
     assert out.comps[0] == Poly.const(-2)
     g = PolyField.scalar(Poly.var(1) * Poly.var(1))
     assert wave_operator(None, g.gradient().gradient()).comps[0] == Poly.const(2)
-    H = PolyField.zero(rank=2, variance=("u", "u"))
+    H = PolyField.zero(rank=2)
     H.comps[0, 0, 0] = Poly.const(0.25)
     out = wave_operator(H, f.gradient().gradient())
     assert out.comps[0] == Poly.const(-2 + 2 * 0.25)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from framewave.errors import PoleDegenerate
-from framewave.estimates import eA_boost_representation, eA_rotation_representation
 from framewave.geometry import MINKOWSKI, POLAR_CAP, frame_arrays
+from framewave.vecfields import boost_representation, rotation_representation
 from conftest import frame_at, sample_points
 from oracles import (Point, RankMismatch, frame_arrays_in_chart, frame_coefficients,
                      frame_component, frobenius_norm, lower_index, null_frame_at, raise_index,
@@ -81,10 +81,11 @@ def test_chart_consistency(rng):
 def test_pole_degenerate():
     # the frame is undefined at the origin: its exact-lane consumers raise
     pts = np.array([[1.0, 2.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    fr = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])
-    for rep in (eA_rotation_representation, eA_boost_representation):
+    e1 = frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3])["e1"][1:]
+    for rep in (lambda: rotation_representation(e1, pts),
+                lambda: boost_representation(e1, 0, pts)):
         with pytest.raises(PoleDegenerate):
-            rep(pts, fr)
+            rep()
 
 
 def test_frame_component_examples():

@@ -20,7 +20,7 @@ from framewave.background import BumpBackground, make_background
 from framewave.errors import NonFiniteResult
 from framewave.fields import GridGeometry, fill_ghosts_array
 
-from oracles import schematic
+from oracles import gaussian_target, schematic
 from test_cli import DETERMINISM_CONFIGS, _write
 
 BUMP = dict(epsilon=0.2, center=(0.5, 0.0, 0.0), radius=3.0)
@@ -50,7 +50,7 @@ def _evolver(geom, case):
     if kw == "all-terms":
         kw = dict(source=schematic(ALL_TERMS, geom, bg))
     elif kw == "manufactured":
-        target = evolve.gaussian_target(rank=rank, channels=channels,
+        target = gaussian_target(rank=rank, channels=channels,
                                         center=(0, 0, 1.0), sigma=1.0)
         kw = dict(source=evolve.manufactured_source(target, bg, geom))
     return evolve.Evolver(geom, bg, **kw), (4,) * rank + (channels,)

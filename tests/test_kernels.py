@@ -309,25 +309,48 @@ def test_slash_representations_equal_the_pointwise_oracles(rng):
 
 @pytest.mark.parametrize("chart", ["auto", "z", "x"])
 def test_eA_representations_equal_the_pointwise_oracles(rng, chart):
-    """The e_A representations on the package's frame ("auto") and on the
-    frame of one forced chart over the whole sphere (the representations
-    take any orthonormal sphere pair)."""
+    """The e_A representations (a = e_A, b = 0) on the package's frame
+    ("auto") and on the frame of one forced chart over the whole sphere
+    (the representations take any orthonormal sphere pair)."""
     pts = _rep_points(rng)
     F = random_poly(rng, degree=3, nterms=5)
     fr = (geometry.frame_arrays(pts[:, 1], pts[:, 2], pts[:, 3]) if chart == "auto"
           else oracles.frame_arrays_in_chart(pts[:, 1], pts[:, 2], pts[:, 3], chart))
-    rot = estimates.eA_rotation_representation(pts, fr)
-    boost = estimates.eA_boost_representation(pts, fr)
+    reps = [[vecfields.rotation_representation(fr[name][1:], pts) for name in ("e1", "e2")],
+            [vecfields.boost_representation(fr[name][1:], 0, pts) for name in ("e1", "e2")]]
     values = [[vecfields.apply_representation(rep[a], F, pts) for a in (0, 1)]
-              for rep in (rot, boost)]
+              for rep in reps]
     for k, frame in enumerate(oracles.point_frames(pts[:, 1:], chart)):
         p = oracles.Point(pts[k, 0], tuple(pts[k, 1:]))
         wants = (oracles.eA_rotation_representation(p, frame),
                  oracles.eA_boost_representation(p, frame))
-        for rep, got, want in zip((rot, boost), values, wants):
+        for rep, got, want in zip(reps, values, wants):
             for a in (0, 1):
                 assert _at(rep[a], k) == _as_dict(want[a])
                 assert got[a][k] == oracles.apply_representation(want[a], F, p)
+
+
+def test_both_expansions_reproduce_a_general_tangent_derivative(rng):
+    """a^i d_i f - b d_r f with b = a . x / r, for a spatial field a drawn
+    per point (neither a coordinate vector nor tangent), against its
+    direct evaluation: the rotation and the boost expansion both agree to
+    1e-10 relative to |a| |grad f| (the certify checks' tolerance), at
+    points over the whole sphere, both polar caps and both poles
+    included."""
+    poles = np.array([[0.7, 0.0, 0.0, 1.3], [-1.1, 0.0, 0.0, -0.6]])
+    pts = np.concatenate([_rep_points(rng), poles])
+    F = random_poly(rng, degree=3, nterms=5)
+    a = rng.normal(size=(3, len(pts)))
+    x, r = pts[:, 1:], geometry.radius(pts[:, 1], pts[:, 2], pts[:, 3])
+    b = np.einsum("jn,nj->n", a, x) / r
+    assert np.all(b != 0.0) and np.all(np.abs(b) < np.sqrt(np.sum(a ** 2, axis=0)))
+    grad = np.stack([F.diff(mu).eval_many(pts) for mu in range(4)])
+    direct = np.einsum("jn,jn->n", a, grad[1:]) - b * np.einsum("nj,jn->n", x, grad[1:]) / r
+    scale = np.maximum(1.0, np.sqrt(np.sum(a ** 2, axis=0) * np.sum(grad ** 2, axis=0)))
+    for rep in (vecfields.rotation_representation(a, pts),
+                vecfields.boost_representation(a, b, pts)):
+        got = vecfields.apply_representation(rep, F, pts)
+        assert np.max(np.abs(got - direct) / scale) <= 1e-10
 
 
 @pytest.mark.parametrize("suite_seed", [12345, 29])
@@ -348,16 +371,16 @@ def test_representations_raise_on_any_degenerate_point(rng):
     at_origin, at_t0 = pts.copy(), pts.copy()
     at_origin[7, 1:] = 0.0
     at_t0[7, 0] = 0.0
-    fr = geometry.frame_arrays(at_origin[:, 1], at_origin[:, 2], at_origin[:, 3])
+    e1 = geometry.frame_arrays(at_origin[:, 1], at_origin[:, 2], at_origin[:, 3])["e1"][1:]
     for call in (lambda: vecfields.restricted_derivative_as_Z(1, at_origin),
                  lambda: vecfields.restricted_derivative_direct(2, F, at_origin),
-                 lambda: estimates.eA_rotation_representation(at_origin, fr),
-                 lambda: estimates.eA_boost_representation(at_origin, fr)):
+                 lambda: vecfields.rotation_representation(e1, at_origin),
+                 lambda: vecfields.boost_representation(e1, 0, at_origin)):
         with pytest.raises(PoleDegenerate):
             call()
-    fr = geometry.frame_arrays(at_t0[:, 1], at_t0[:, 2], at_t0[:, 3])
+    e1 = geometry.frame_arrays(at_t0[:, 1], at_t0[:, 2], at_t0[:, 3])["e1"][1:]
     for call in (lambda: vecfields.restricted_derivative_as_Z(1, at_t0),
-                 lambda: estimates.eA_boost_representation(at_t0, fr)):
+                 lambda: vecfields.boost_representation(e1, 0, at_t0)):
         with pytest.raises(TimeZero):
             call()
-    estimates.eA_rotation_representation(at_t0, fr)  # divides by r only
+    vecfields.rotation_representation(e1, at_t0)  # divides by r only

@@ -134,8 +134,6 @@ UNSET_ALLOWED = {
     "background.BumpBackground.__init__(direction)": "the M = -I kernel cases of the tests; "
                                                       "every config runs the default M",
     "cli.main(argv)": "the console entry point reads sys.argv; tests pass their own",
-    "evolve.gaussian_target(poly)": "a polynomial-times-Gaussian target for the "
-                                    "manufactured solutions",
     "fields.PolyField.random(time_dependent)": "static random fields for the exact-lane "
                                                "tests",
 }
