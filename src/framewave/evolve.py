@@ -40,19 +40,18 @@ state in place.
 One grid run uses two cores.  Each evolver keeps one worker thread
 (:class:`_Pair`, ended by ``evolve_run`` or with the evolver) that
 shares the items of each phase with the calling thread, and each phase
-ends in one join.  The phases: the ghost fills and the Laplacian over
-halves of the leading components, with the radiation shell as one more
-item; the schematic source's prologue, one item per field (the scalar
-gradient, each frame projection with its gradient); the source terms
-over halves of the mu rows; the division by g^{tt}, the add into d_t Pi
-and the d_t Phi copy over halves of the leading components; and the RK4
-stage and accumulator arithmetic over halves of the components.  Every element sees the same operations in the same
-order, so results are bit-identical to a one-core run, which calls the
-same items in a loop.  A field with one component has one item per
-phase and runs in the calling thread, its shell after the Laplacian and
-the source.  Either way the shell computes each of its six slabs into
-the slab's own kept array, and the slabs are written once d_t Phi and
-d_t Pi are finished.
+ends in one join.  The phases: the ghost fills, the Laplacian and the
+d_t Phi copy over halves of the leading components, with the radiation
+shell as one more item; the schematic source's projections of Phi, one
+item per frame vector; its rows over halves of mu, each summed, divided
+by g^{tt} and added into d_t Pi; and the RK4 stage and accumulator
+arithmetic over halves of the components.  Every element sees the same
+operations in the same order, so results are bit-identical to a
+one-core run, which calls the same items in a loop.  A field with one
+component has one item per phase and runs in the calling thread, its
+shell after the Laplacian and the source.  Either way the shell computes
+each of its six slabs into the slab's own kept array, and the slabs are
+written once d_t Phi and d_t Pi are finished.
 
 Steps are sequential and advance the caller's arrays in place.
 Monitors are fed each slice while the run produces it: at t1 and at
@@ -94,8 +93,27 @@ CFL_LIMIT = 0.5
 # ---------------------------------------------------------------------------
 # Schematic nonlinear sources
 
-SCHEMATIC_TERMS = ("dh_tangA", "tangh_dA", "A_tangA", "dh_A2", "A3",
-                   "AL_dA", "Ae_dAe", "dh_TU_sq", "dAe_sq", "bigO_h_dA")
+# The ten schematic terms as one table.  Each term lists, in order, the
+# (x, y) factor pairs whose products it adds to row mu of S.  x is made
+# once per right-hand side: a projection of A = Phi on a frame vector
+# ("A_L", "A_e1", "A_e2"), the square of the scalar part s = A_0 ("s2"),
+# the L-transport of ds or of dh ("L_ds", "L_dh"), or the h series.  y is
+# row mu of A ("A") or of a 4-gradient: of s ("ds"), of a projection
+# ("dA_e1", "dA_e2") or of the tt component h of g - m ("dh").  A pair
+# without y adds x to row mu once per entry of spec.slots equal to mu.
+TERM_TABLE = {
+    "dh_tangA": (("L_ds", "dh"),),
+    "tangh_dA": (("L_dh", "ds"),),
+    "A_tangA": (("L_ds", "A"),),
+    "dh_A2": (("s2", "dh"),),
+    "A3": (("s2", "A"),),
+    "AL_dA": (("A_L", "ds"),),
+    "Ae_dAe": (("A_e1", "dA_e1"), ("A_e2", "dA_e2")),
+    "dh_TU_sq": (("L_dh_sq", None),),
+    "dAe_sq": (("dA_e_sq", None),),
+    "bigO_h_dA": (("h_series", "ds"),),
+}
+SCHEMATIC_TERMS = tuple(TERM_TABLE)
 
 
 @dataclass(frozen=True)
@@ -151,67 +169,67 @@ def _call(task):
     return task()
 
 
-def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work, fan):
-    """Assemble the requested schematic terms into a source array.
+def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work, fan, dPi, g00):
+    """Add the requested schematic terms S, divided by g^{tt} (``g00``, a
+    number or an (n, n, n) array), into d_t Pi (``dPi``).
 
-    Phi must be rank 1 (the potential A); returns (4, channels, n, n, n).
-    Frame projections use the grid frame arrays, which are defined at all
-    cell centers; the origin exclusion masks them out of any quadrature.
-    Each term is formed in a scratch array and added to the zeroed source
-    in the order of spec.terms, row mu by row mu.
+    Phi must be rank 1 (the potential A).  Row mu of S sums the products
+    of TERM_TABLE in the order of spec.terms from +0.0, is divided by g00
+    and is added into dPi[mu]: each element sees the operations of
+    S /= g00; dPi += S.  Frame projections use the grid frame arrays,
+    which are defined at all cell centers; the origin exclusion masks
+    them out of any quadrature.
 
     ``work`` is a ``(name, shape) -> array`` callable; the evolver passes
-    its kept work arrays.  The source, the scalar gradient, the scratch,
-    the frame projections and their gradients and every product the rows
-    share come from it, and the returned source is one of them.
-
-    ``fan(fn, items)`` maps the two phases (the evolver passes its
-    thread pair, :class:`_Pair`): first the fields the terms read, one item per
-    field (the scalar gradient; each frame projection, with its gradient
-    where a term reads it), then, after the products every row reads,
-    the two halves of the mu rows, each with its own scratch.
+    its kept work arrays, and every factor and scratch array comes from
+    it.  ``fan(fn, items)`` maps the two phases (the evolver passes its
+    thread pair, :class:`_Pair`): the projections of Phi, one item per
+    frame vector, then, after the other x factors, the two halves of the
+    mu rows.  A row makes the 4-gradient rows it reads in its half's
+    scratch; a 4-gradient that an x factor reads in every row (ds under
+    L_ds, dA_e1 and dA_e2 under dA_e_sq) is made whole in the first
+    phase instead.
     """
     if Phi.ndim != 5:
         raise ValueError("schematic sources need a rank-1 evolved field")
-    ch = Phi.shape[1]
-    n, dx = geom.n_full, geom.dx
-    full, comp = (4, ch, n, n, n), (ch, n, n, n)
-    S = work("source.S", full)
-    terms = set(spec.terms)
-    tmp = work("source.tmp", (2,) + comp)      # one scratch per half of the rows
-    s = Phi[0]                       # designated scalar part of A
-    L = geom.frame("L")
-    ds = work("source.ds", full) if terms else None
+    comp, n, dx = Phi.shape[1:], geom.n_full, geom.dx
+    pairs = [pair for term in spec.terms for pair in TERM_TABLE[term]]
+    xs, ys = {x for x, _ in pairs}, {y for _, y in pairs} - {None}
+    whole = {"ds"} if "L_ds" in xs else set()
+    if "dA_e_sq" in xs:
+        whole |= {"dA_e1", "dA_e2"}
+    per_row = sorted(ys - whole - {"A", "dh"})      # 4-gradients made row by row
+    scratch = work("source.rows", (2, 2 + len(per_row)) + comp)   # one per half
+    fields = {"s": Phi[0]}           # the scalar part of A, then its projections
 
     def project(V, U, out):
         return np.einsum("m...,mc...->c...", V, U, out=out)
 
-    def scalar_gradient():
-        ds[0] = Pi[0]
-        for i in (1, 2, 3):
-            d1_axis(s, i, dx, out=ds[i])
+    def gradient_row(name, mu, out):
+        """Row mu of the 4-gradient ``name``, "d" + a field: d_t from Pi
+        (Pi[0] itself for ds), d_i by stencil, into ``out``."""
+        if mu:
+            return d1_axis(fields[name[1:]], mu, dx, out=out)
+        return Pi[0] if name == "ds" else project(geom.frame(name[3:]), Pi, out)
 
-    def frame_gradient(name, V):
-        pv = project(V, Phi, work(f"source.{name}", comp))
-        dp = work(f"source.d{name}", full)
-        project(V, Pi, dp[0])
-        for i in (1, 2, 3):
-            d1_axis(pv, i, dx, out=dp[i])
-        return pv, dp
+    def prepare(f):                  # a projection, then the 4-gradient of f if whole
+        if f != "s":
+            fields[f] = project(geom.frame(f[2:]), Phi, work(f"source.{f}", comp))
+        if "d" + f in whole:
+            grad = work(f"source.d{f}", (4,) + comp)
+            for mu in range(4):
+                grad[mu] = gradient_row("d" + f, mu, grad[mu])   # ds[0] copies Pi[0]
+            return grad
 
-    frames = ("e1", "e2") if {"Ae_dAe", "dAe_sq"} & terms else ()
-    tasks = [functools.partial(frame_gradient, name, geom.frame(name)) for name in frames]
-    tasks += [scalar_gradient] if terms else []
-    if "AL_dA" in terms:
-        tasks.append(lambda: project(L, Phi, work("source.A_L", comp)))
-    done = fan(_call, tasks)     # the longest items first
-    proj = {name: pv for name, (pv, _) in zip(frames, done)}
-    dproj = {name: dp for name, (_, dp) in zip(frames, done)}
-    A_L = done[-1] if "AL_dA" in terms else None
+    made = {x for x in xs if x.startswith("A_")} | {g[1:] for g in ys if g.startswith("dA_")}
+    made = sorted(made | {g[1:] for g in whole},
+                  key=lambda f: ("d" + f not in whole, f))    # the longest items first
+    full = {"d" + f: grad for f, grad in zip(made, fan(_call, [
+        functools.partial(prepare, f) for f in made])) if grad is not None}
+    full["A"] = Phi
 
-    # Products every row reads, made once; tmp[0] is their scratch.
-    if {"A3", "dh_A2"} & terms:
-        ss = np.multiply(s, s, out=work("source.ss", comp))
+    # The x factors, made once; the first half's product scratch is theirs.
+    x, L, tmp = {f: fields[f] for f in xs & set(fields)}, geom.frame("L"), scratch[0, 1]
 
     def transport(D, out, scratch):  # L^mu D_mu, summed in axis order
         np.multiply(L[0], D[0], out=out)
@@ -219,61 +237,48 @@ def build_source(spec: SourceSpec, geom, bg, t, Phi, Pi, work, fan):
             np.add(out, np.multiply(L[i], D[i], out=scratch), out=out)
         return out
 
-    if {"A_tangA", "dh_tangA"} & terms:
-        Ls = transport(ds, work("source.Ls", comp), tmp[0])   # L-derivative of s
-    if {"dh_tangA", "tangh_dA", "dh_A2", "dh_TU_sq", "bigO_h_dA"} & terms:
-        h_tt, dh_tt = _h_component_and_grad(geom, bg, t, work)
+    if "s2" in xs:
+        x["s2"] = np.multiply(Phi[0], Phi[0], out=work("source.s2", comp))
+    if "L_ds" in xs:
+        x["L_ds"] = transport(full["ds"], work("source.L_ds", comp), tmp)
+    if xs & {"L_dh", "L_dh_sq", "h_series"} or "dh" in ys:
+        h_tt, full["dh"] = _h_component_and_grad(geom, bg, t, work)
         # Background is time-analytic; the L-transport of h uses dh directly.
-        Lh = transport(dh_tt, work("source.Lh", (n, n, n)), tmp[0, 0])
-    if "dh_TU_sq" in terms:
-        Lh_sq = np.square(Lh, out=work("source.Lh_sq", (n, n, n)))
-    if "dAe_sq" in terms:
-        val = work("source.dAe_sq", comp)
+        x["L_dh"] = transport(full["dh"], work("source.L_dh", (n, n, n)), tmp[0])
+    if "L_dh_sq" in xs:
+        x["L_dh_sq"] = np.square(x["L_dh"], out=work("source.L_dh_sq", (n, n, n)))
+    if "dA_e_sq" in xs:
+        val = x["dA_e_sq"] = work("source.dA_e_sq", comp)
         val.fill(0.0)
-        for name in frames:
-            val += np.einsum("ac...,ac...->c...", dproj[name], dproj[name], out=tmp[0])
-    if "bigO_h_dA" in terms:
+        for name in ("dA_e1", "dA_e2"):
+            val += np.einsum("ac...,ac...->c...", full[name], full[name], out=tmp)
+    if "h_series" in xs:
         series, power = work("source.series", (n, n, n)), work("source.power", (n, n, n))
         series.fill(0.0)
         power.fill(1.0)
         for _ in range(spec.bigO_degree):
             np.add(series, power, out=series)
             np.multiply(power, h_tt, out=power)
-        h_series = np.multiply(h_tt, series, out=series)
+        x["h_series"] = np.multiply(h_tt, series, out=series)
 
-    def rows(r, scratch):
+    def y_row(name, mu, out):
+        return full[name][mu] if name in full else gradient_row(name, mu, out)
+
+    def rows(r, half):
+        acc, prod, bufs = half[0], half[1], dict(zip(per_row, half[2:]))
         for mu in range(4)[r]:
-            S_mu = S[mu]
-            S_mu.fill(0.0)           # +0.0 everywhere, as np.zeros
-
-            def add(x, y):
-                np.add(S_mu, np.multiply(x, y, out=scratch), out=S_mu)
-
-            for term in spec.terms:
-                if term == "A3":
-                    add(ss, Phi[mu])
-                elif term == "AL_dA":
-                    add(A_L, ds[mu])
-                elif term == "Ae_dAe":
-                    for name in frames:
-                        add(proj[name], dproj[name][mu])
-                elif term == "A_tangA":
-                    add(Phi[mu], Ls)
-                elif term == "dh_tangA":
-                    add(dh_tt[mu], Ls)
-                elif term == "tangh_dA":
-                    add(Lh, ds[mu])
-                elif term == "dh_A2":
-                    add(dh_tt[mu], ss)
-                elif term in ("dh_TU_sq", "dAe_sq"):
-                    x = Lh_sq if term == "dh_TU_sq" else val
+            y = {name: y_row(name, mu, bufs.get(name)) for name in ys}
+            acc.fill(0.0)            # +0.0 everywhere, as np.zeros
+            for x_name, y_name in pairs:
+                if y_name is None:
                     for _ in range(spec.slots.count(mu)):
-                        S_mu += x
-                elif term == "bigO_h_dA":
-                    add(h_series, ds[mu])
+                        acc += x[x_name]
+                else:
+                    np.add(acc, np.multiply(x[x_name], y[y_name], out=prod), out=acc)
+            acc /= g00
+            dPi[mu] += acc
 
-    fan(_call, [functools.partial(rows, r, tmp[i]) for i, r in enumerate(_halves(4))])
-    return S
+    fan(_call, [functools.partial(rows, r, scratch[i]) for i, r in enumerate(_halves(4))])
 
 
 def manufactured_source(target_comps, background, geom):
@@ -281,10 +286,11 @@ def manufactured_source(target_comps, background, geom):
 
     target_comps: object array (4,)*rank + (channels,) of exact scalars
     (Poly or GaussPoly).  Returns an evolver's source, ``source(t, Phi,
-    Pi, work, fan)``, which samples g^{ab} d_a d_b target on the full
-    cube into the work array "source.S" and returns it; it reads neither
-    the state nor ``fan``.  Evolving with it reproduces the target up to
-    discretization error.  Each call evaluates the distinct Hessian
+    Pi, work, fan, dPi, g00)``, which samples S = g^{ab} d_a d_b target
+    on the full cube, one component at a time, divides it by g00 and adds
+    it into dPi, as :func:`build_source` does; it reads neither the state
+    nor ``work`` and ``fan``.  Evolving with it reproduces the target up
+    to discretization error.  Each call evaluates the distinct Hessian
     entries d_a d_b (a <= b) once: the diagonal alone on a flat
     background, all ten otherwise.  The H part is chi times the sum over
     the background's hessian_terms.
@@ -298,10 +304,9 @@ def manufactured_source(target_comps, background, geom):
     hessians = {idx: [target_comps[idx].diff(a_).diff(b_) for a_, b_ in pairs]
                 for idx in np.ndindex(shape)}
 
-    def source(t, Phi, Pi, work, fan):
+    def source(t, Phi, Pi, work, fan, dPi, g00):
         pts = geom.points_full(t)
         n = geom.n_full
-        out = work("source.S", shape + (n, n, n))
         chi = background.profile(geom, t)[0] if h_terms else None
         for idx in np.ndindex(shape):
             hs = hessians[idx]
@@ -316,8 +321,8 @@ def manufactured_source(target_comps, background, geom):
                 acc += MINKOWSKI_INV[a_, a_] * hv[col[a_, a_]]
             if h_terms:
                 acc += chi * sum(m * hv[j] for j, m in h_terms)
-            out[idx] = acc
-        return out
+            acc /= g00
+            dPi[idx] += acc
 
     return source
 
@@ -579,11 +584,12 @@ class _Pair:
 class Evolver:
     """RK4 driver for the first-order reduction on one background.
 
-    ``source`` is None (S = 0) or ``source(t, Phi, Pi, work, fan)``: the
-    schematic terms (``functools.partial(build_source, spec, geom, bg)``)
-    or :func:`manufactured_source`.  The right-hand side calls it after
-    the ghost fill with its work arrays and thread pair, and divides the
-    S it returns, one of the work arrays, by g^{tt} in place.
+    ``source`` is None (S = 0) or ``source(t, Phi, Pi, work, fan, dPi,
+    g00)``: the schematic terms (``functools.partial(build_source, spec,
+    geom, bg)``) or :func:`manufactured_source`.  The right-hand side
+    calls it once the flat and H parts of d_t Pi are in ``dPi``, with its
+    work arrays, its thread pair and g^{tt} (-1.0 off the support box),
+    and the source adds S / g^{tt} into ``dPi``.
     """
 
     def __init__(self, geom, background, source=None, boundary="sommerfeld"):
@@ -633,6 +639,7 @@ class Evolver:
             fill_ghosts_array(Phi[r], self._ghost_mode)
             fill_ghosts_array(Pi[r], self._ghost_mode)
             _laplacian(Phi[r], dx, out=dPi[r])
+            np.copyto(dPhi[r], Pi[r])
 
         shell = self.boundary != "periodic"
         if shell and self._shell is None:
@@ -661,16 +668,8 @@ class Evolver:
                 g00 = self._buffer("g00", Phi.shape[-3:])
                 g00.fill(-1.0)
                 g00[box] = gtt
-        S = None if self.source is None else self.source(t, Phi, Pi, self._buffer, fan)
-
-        def finish(r):
-            if S is not None:
-                S_r = S[r]
-                S_r /= g00
-                dPi[r] += S_r
-            np.copyto(dPhi[r], Pi[r])
-
-        fan(finish, halves)
+        if self.source is not None:
+            self.source(t, Phi, Pi, self._buffer, fan, dPi, g00)
         if shell and not alongside:
             shell_slabs()
         for sl, res in slabs:

@@ -12,14 +12,18 @@ one forced sphere chart, the radiation shell by advection over the whole
 cube, grid quadrature of a grid field, the direct form of the
 commutator's left side, coordinate derivatives of a PolyField, the
 frame-gradient bound, the exact Gaussian target of the "gaussian" data
-family and the plane wave's exact solution.  And the earlier bodies of
+family, the plane wave's exact solution and the schematic term table
+evaluated on exact factors, with a background stub whose h is an exact
+scalar.  And the earlier bodies of
 code that framewave now computes through one shared kernel (the
 coordinate display of T_tt + T_rt, the one-piece frame arrays and the
 pointwise null frame, the test suite's point sampler, the exact wave
 operator, the decay check's tangential loop, the per-point
 ``Point``/``Frame`` generator representations of slash-d_i and e_A with
 the two certify checks that ran them, the manufactured
-source that read its H terms off the direction matrix, the
+source that read its H terms off the direction matrix, the finishing
+of a source's S that the right-hand side did before the sources added
+it into d_t Pi themselves, the
 hand-written generator fields and the Lie step that multiplied every
 generator coefficient on the full cube, zero rows included, with the
 coefficients evaluated from those fields, the decay check that built one
@@ -50,8 +54,8 @@ from framewave.energy import (BudgetPass, SliceState, _ball_slice, _cone_slice, 
 from framewave.errors import (FramewaveError, HistoryMissing, NonFiniteResult, NotProportional,
                               PoleDegenerate, TimeZero)
 from framewave.estimates import (EstimatePass, EstimateReport, _H_frame_arrays,
-                                 lbar_radial_residual, lie_component_series,
-                                 lie_field_series)
+                                 frame_symbolic, lbar_radial_residual, lie_component_series,
+                                 lie_field_series, project_component)
 from framewave.fields import (GHOST, PolyField, _fresh, d1_axis, d2_axis, fill_ghosts_array,
                               save_snapshot, wave_operator)
 from framewave.geometry import FULL_NAMES, MINKOWSKI, MINKOWSKI_INV, POLAR_CAP, frame_arrays
@@ -146,9 +150,71 @@ def schematic(spec, geom, bg):
     return functools.partial(evolve.build_source, spec, geom, bg)
 
 
-def fresh_source(source, t, Phi=None, Pi=None):
-    """A source evaluated with freshly allocated work arrays on one thread."""
-    return source(t, Phi, Pi, _fresh, in_order)
+def fresh_source(source, t, dPi, Phi=None, Pi=None, g00=-1.0):
+    """dPi with a source's S / g00 added, in place: the source evaluated
+    with freshly allocated work arrays on one thread."""
+    source(t, Phi, Pi, _fresh, in_order, dPi, g00)
+    return dPi
+
+
+def finished(S, dPi, g00=-1.0):
+    """dPi with S / g00 added, in place, as the right-hand side finished a
+    source's S before the sources added it themselves: S /= g00; dPi += S."""
+    S /= g00
+    dPi += S
+    return dPi
+
+
+class PolyTT:
+    """A background stub for the schematic source: ``covariant_tt``
+    samples an exact scalar h (the tt component of g - m) and its
+    4-gradient on the whole cube, the only background read of
+    ``evolve.build_source``."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def covariant_tt(self, geom, t):
+        n = geom.n_full
+        vals = _eval_scalars([self.h] + [self.h.diff(mu) for mu in range(4)],
+                             geom.points_full(t))
+        vals = vals.T.reshape(5, n, n, n)
+        return (slice(0, n),) * 3, vals[0], vals[1:]
+
+
+def exact_source(spec, A, h, pts):
+    """S of the schematic terms of ``spec`` at points pts (m, 4), shape
+    (4, channels, m): ``evolve.TERM_TABLE`` evaluated term by term, row by
+    row, on exact factors.  A is the rank-1 PolyField potential (its time
+    slot the scalar part s), h an exact scalar (the tt component of
+    g - m); the frame vectors are ``estimates.frame_symbolic``'s, so this
+    is the x3-axis chart everywhere, off the polar caps the grid's too."""
+    def at(scalars):                 # exact scalars -> values (len, m)
+        return _eval_scalars(list(scalars), pts).T
+
+    ch = A.channels
+    fields = {"s": [A.comps[0, c] for c in range(ch)]}
+    for V in ("L", "e1", "e2"):
+        fields["A_" + V] = list(project_component(A, V).comps)
+    y = {"A": np.stack([at(A.comps[mu]) for mu in range(4)]),
+         "dh": at(h.diff(mu) for mu in range(4))}
+    for f in ("s", "A_e1", "A_e2"):
+        y["d" + f] = np.stack([at(p.diff(mu) for p in fields[f]) for mu in range(4)])
+    L, hv = at(frame_symbolic("L")), at([h])[0]
+    x = {f: at(fields[f]) for f in ("A_L", "A_e1", "A_e2")}
+    x["s2"] = at(fields["s"]) ** 2
+    x["L_ds"] = np.einsum("mp,mcp->cp", L, y["ds"])
+    x["L_dh"] = np.einsum("mp,mp->p", L, y["dh"])
+    x["L_dh_sq"] = x["L_dh"] ** 2
+    x["dA_e_sq"] = (y["dA_e1"] ** 2).sum(axis=0) + (y["dA_e2"] ** 2).sum(axis=0)
+    x["h_series"] = hv * sum(hv ** k for k in range(spec.bigO_degree))
+    S = np.zeros((4, ch, len(pts)))
+    for term in spec.terms:
+        for x_name, y_name in evolve.TERM_TABLE[term]:
+            for mu in range(4):
+                S[mu] += x[x_name] * (spec.slots.count(mu) if y_name is None
+                                      else y[y_name][mu])
+    return S
 
 
 def _projected(history, arr, component):

@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -6,14 +7,14 @@ import pytest
 from framewave import evolve
 from framewave.background import BumpBackground, make_background
 from framewave.errors import CFLViolation
-from framewave.fields import (GHOST, GridGeometry, _fresh, _laplacian, d1_axis, d2_axis,
+from framewave.fields import (GHOST, GridGeometry, PolyField, _laplacian, d1_axis, d2_axis,
                               fill_ghosts_array)
-from framewave.geometry import MINKOWSKI, MINKOWSKI_INV
-from framewave.poly import GaussPoly, Poly, measure_order
+from framewave.geometry import MINKOWSKI, MINKOWSKI_INV, POLAR_CAP
+from framewave.poly import GaussPoly, Poly, measure_order, random_poly
 
 import oracles
 from conftest import dense_H
-from oracles import component_series, fresh_source, in_order, schematic
+from oracles import component_series, finished, fresh_source, in_order, schematic
 
 
 def test_zero_data_stays_zero():
@@ -74,14 +75,18 @@ def test_source_spec_validation():
             evolve.SourceSpec(terms=("dh_TU_sq",), slots=slots)
 
 
+def _schematic_S(spec, geom, bg, Phi, Pi):
+    """S of the schematic terms, read off d_t Pi = 0 - S on a flat g^{tt}."""
+    return -fresh_source(schematic(spec, geom, bg), 0.0, np.zeros_like(Phi), Phi, Pi)
+
+
 def test_build_source_constant_cubed():
     geom = GridGeometry(12, 4.0)
     n = geom.n_full
     c = 0.6
     Phi = np.full((4, 1, n, n, n), c)
     Pi = np.zeros_like(Phi)
-    S = evolve.build_source(evolve.SourceSpec(terms=("A3",)), geom,
-                            BumpBackground(0.0), 0.0, Phi, Pi, _fresh, in_order)
+    S = _schematic_S(evolve.SourceSpec(terms=("A3",)), geom, BumpBackground(0.0), Phi, Pi)
     assert np.max(np.abs(geom.interior(S) - c ** 3)) <= 1e-15
 
 
@@ -94,8 +99,7 @@ def test_build_source_frame_product_oracle(rng):
     Phi[2, 0] = X1 * np.exp(-(X1 ** 2 + X2 ** 2 + X3 ** 2) / 6)
     Pi = np.zeros_like(Phi)
     Pi[1, 0] = 0.3 * Phi[1, 0]
-    S = evolve.build_source(evolve.SourceSpec(terms=("Ae_dAe",)), geom,
-                            BumpBackground(0.0), 0.0, Phi, Pi, _fresh, in_order)
+    S = _schematic_S(evolve.SourceSpec(terms=("Ae_dAe",)), geom, BumpBackground(0.0), Phi, Pi)
     hand = np.zeros_like(S)
     for name in ("e1", "e2"):
         V = geom.frame(name)
@@ -119,7 +123,7 @@ def test_build_source_bigO_linear_in_dA():
     vals = []
     for eps in (0.02, 0.01):
         bg = BumpBackground(eps, center=(0, 0, 0), radius=3.0)
-        S = evolve.build_source(spec, geom, bg, 0.0, Phi, Pi, _fresh, in_order)
+        S = _schematic_S(spec, geom, bg, Phi, Pi)
         vals.append(np.max(np.abs(geom.interior(S)[1, 0])))
     assert vals[0] / vals[1] == pytest.approx(2.0, rel=0.05)
 
@@ -132,11 +136,71 @@ def test_build_source_locality(rng):
     Phi[0, 0] = np.exp(-(X1 ** 2 + X2 ** 2 + X3 ** 2) / 3)
     Pi = np.zeros_like(Phi)
     spec = evolve.SourceSpec(terms=("A3", "AL_dA", "Ae_dAe"))
-    S1 = evolve.build_source(spec, geom, BumpBackground(0.0), 0.0, Phi, Pi, _fresh, in_order)
+    S1 = _schematic_S(spec, geom, BumpBackground(0.0), Phi, Pi)
     Phi2 = Phi.copy()
     Phi2[:, :, -5:, -5:, -5:] += 0.5
-    S2 = evolve.build_source(spec, geom, BumpBackground(0.0), 0.0, Phi2, Pi, _fresh, in_order)
+    S2 = _schematic_S(spec, geom, BumpBackground(0.0), Phi2, Pi)
     assert np.max(np.abs(S1[:, :, 4, 4, 4] - S2[:, :, 4, 4, 4])) == 0.0
+
+
+# --- the term table on the grid against its exact evaluation ------------------
+
+# Fixed before the first run: the roundoff bound of the terms whose grid
+# form is exact on polynomial data of degree <= 4 (its stencils are), and
+# the order floor of the two that difference a frame projection, which is
+# no polynomial.
+TABLE_ROUNDOFF = 1e-11
+TABLE_ORDER = 3.5
+_STENCIL_EXACT = tuple(t for t in evolve.SCHEMATIC_TERMS if t not in ("Ae_dAe", "dAe_sq"))
+
+
+def _table_on_grid(term, N, t=0.3):
+    """(grid S, exact S, geometry) of one schematic term on GridGeometry(N,
+    4.0), from the same degree-4 rank-1 data and h at every N, sampled on
+    the full cube; S read off d_t Pi = 0 - S on a flat g^{tt}."""
+    rngl = np.random.default_rng(41)
+    A = PolyField.random(rngl, rank=1, channels=2, degree=4, nterms=4)
+    h = random_poly(rngl, degree=4, nterms=4) * 0.01
+    spec = evolve.SourceSpec(terms=(term,), bigO_degree=3, slots=(0, 2, 2))
+    geom = GridGeometry(N, 4.0)
+    dA = np.empty(A.shape, dtype=object)
+    for idx in np.ndindex(A.shape):
+        dA[idx] = A.comps[idx].diff(0)
+    Phi, Pi = (evolve.sample_scalars(geom, comps, t) for comps in (A.comps, dA))
+    grid = -fresh_source(schematic(spec, geom, oracles.PolyTT(h)), t, np.zeros_like(Phi),
+                         Phi, Pi)
+    exact = oracles.exact_source(spec, A, h, geom.points_full(t))
+    return grid, exact.reshape(grid.shape), geom
+
+
+@pytest.mark.parametrize("term", _STENCIL_EXACT)
+def test_term_table_matches_exact_evaluation(term):
+    grid, exact, geom = _table_on_grid(term, 16)
+    scale = np.max(np.abs(geom.interior(exact)))
+    assert scale > 0
+    assert np.max(np.abs(geom.interior(grid - exact))) <= TABLE_ROUNDOFF * scale
+
+
+@pytest.mark.parametrize("term", ["Ae_dAe", "dAe_sq"])
+def test_frame_gradient_terms_converge_to_exact_evaluation(term):
+    """The largest error over one set of points, the nodes that N = 16
+    and N = 48 share (node i of the first is node 3i + 1 of the second),
+    at r >= 1 and where no stencil of either grid reads a polar-cap cell:
+    there the grid's sphere frame is the x3-axis chart of the exact one."""
+    keep, errs, hs = True, [], []
+    for N, nodes in ((16, slice(GHOST, -GHOST)), (48, slice(GHOST + 1, -GHOST, 3))):
+        grid, exact, geom = _table_on_grid(term, N)
+        cap = np.abs(geom.mesh()[2]) > POLAR_CAP * geom.r_full()
+        near = cap.copy()      # a cap cell within two cells along some axis
+        for ax in range(3):
+            for d in (-2, -1, 1, 2):
+                near |= np.roll(cap, d, axis=ax)
+        keep = keep & (~near & (geom.r_full() >= 1.0))[nodes, nodes, nodes]
+        errs.append(np.abs(grid - exact)[..., nodes, nodes, nodes])
+        hs.append(geom.dx)
+    assert keep.sum() > 100
+    errs = [np.max(e[..., keep]) for e in errs]
+    assert measure_order(hs, errs) >= TABLE_ORDER
 
 
 def test_bad_term_run_emits_component_energies():
@@ -193,13 +257,14 @@ def test_component_energies_decouple_at_initial_slice():
 
 def test_manufactured_source_trivial_cases():
     geom = GridGeometry(12, 4.0)
+    zeros = np.zeros((1,) + (geom.n_full,) * 3)
     comps = np.empty((1,), dtype=object)
     comps[0] = Poly.zero()
     src = evolve.manufactured_source(comps, BumpBackground(0.0), geom)
-    assert np.all(fresh_source(src, 0.3) == 0.0)
+    assert np.all(fresh_source(src, 0.3, zeros.copy()) == 0.0)
     comps[0] = Poly.var(0) * Poly.var(1)  # t x1 is flat-harmonic
     src = evolve.manufactured_source(comps, BumpBackground(0.0), geom)
-    assert np.max(np.abs(fresh_source(src, 0.7))) <= 1e-12
+    assert np.max(np.abs(fresh_source(src, 0.7, zeros.copy()))) <= 1e-12
 
 
 def test_mms_convergence_single_background():
@@ -490,10 +555,11 @@ def test_manufactured_source_matches_per_entry_evaluation(monkeypatch):
                 return kernel(scalars, p)
 
             monkeypatch.setattr(evolve, "_eval_scalars", counted)
-            got = fresh_source(evolve.manufactured_source(target, bg, geom), t)
+            got = fresh_source(evolve.manufactured_source(target, bg, geom), t,
+                               np.zeros(want.shape))
             monkeypatch.undo()
             scale = np.max(np.abs(want))
-            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+            assert np.max(np.abs(got - finished(want, np.zeros(want.shape)))) <= 1e-12 * scale
             assert columns == [4 if bg.is_flat() else 10] * target.size
 
 
@@ -506,11 +572,16 @@ def test_manufactured_source_from_hessian_terms_equals_direction_form(family):
     poly = np.empty((1,), dtype=object)
     x0, x1, x2, x3 = (Poly.var(a) for a in range(4))
     poly[0] = x0 * x0 * x1 + x2 * x3 * x3 * x3 + x0 * x2
+    rngl = np.random.default_rng(29)
     for target in (gauss, poly):
         got = evolve.manufactured_source(target, bg, geom)
         want = oracles.manufactured_source_from_direction(target, bg, geom)
-        for t in (0.0, 0.4):
-            assert np.array_equal(fresh_source(got, t), want(t))
+        dPi = rngl.normal(size=target.shape + (geom.n_full,) * 3)
+        dPi[..., :3, :, :] = -0.0
+        for t, g00 in ((0.0, -1.0), (0.4, _g00(geom, bg, 0.4))):
+            got_dPi = fresh_source(got, t, dPi.copy(), g00=g00)
+            want_dPi = finished(want(t), dPi.copy(), g00)
+            assert np.array_equal(got_dPi.view(np.int64), want_dPi.view(np.int64))
 
 
 # --- RK4 step with reused work arrays against the expression form ------------
@@ -644,30 +715,41 @@ def _build_source_reference(spec, geom, bg, t, Phi, Pi):
 
 
 def _source_state(geom, rngl):
-    """Random rank-1 state with zero ghosts and blocks of +0.0 and -0.0."""
+    """Random rank-1 state and d_t Pi with zero ghosts and blocks of +0.0
+    and -0.0."""
     shape = (4, 2) + (geom.n_full,) * 3
-    Phi, Pi = 0.4 * rngl.normal(size=shape), 0.4 * rngl.normal(size=shape)
-    for U in (Phi, Pi):
+    Phi, Pi, dPi = (0.4 * rngl.normal(size=shape) for _ in range(3))
+    for U in (Phi, Pi, dPi):
         fill_ghosts_array(U, "zero")
         U[:, :, 3:6, 3:6, :] = 0.0
         U[:, :, -6:-3, :, 3:6] = -0.0
-    return Phi, Pi
+    return Phi, Pi, dPi
+
+
+def _g00(geom, bg, t):
+    """g^{tt} = -1 + chi M^{tt} on the full cube."""
+    return -1.0 + bg.profile(geom, t)[0] * bg.direction[0, 0]
 
 
 @pytest.mark.parametrize("family", ["zero", "traveling-bump"])
 @pytest.mark.parametrize("term", evolve.SCHEMATIC_TERMS + ("all",))
 def test_build_source_work_arrays_bit_identical(family, term):
+    """The source added into d_t Pi with kept work arrays is the allocating
+    form's S finished as the right-hand side finished it (S /= g^{tt};
+    dPi += S), bit for bit, signed zeros included."""
     bg = make_background(family, epsilon=0.2, center=(0.5, 0.0, 0.0), radius=2.5)
     spec = evolve.SourceSpec(terms=evolve.SCHEMATIC_TERMS if term == "all" else (term,))
     work = evolve.Evolver(GridGeometry(8, 3.0), bg)._buffer
     rngl = np.random.default_rng(17)
     for _ in range(2):  # consecutive calls on two interleaved geometries
         for geom in (GridGeometry(8, 3.0), GridGeometry(12, 4.0)):
-            Phi, Pi = _source_state(geom, rngl)
-            want = _build_source_reference(spec, geom, bg, 0.3, Phi, Pi)
-            got = evolve.build_source(spec, geom, bg, 0.3, Phi, Pi, work, in_order)
-            assert np.array_equal(got, want)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            Phi, Pi, dPi = _source_state(geom, rngl)
+            for g00 in (-1.0, _g00(geom, bg, 0.3)):
+                want = finished(_build_source_reference(spec, geom, bg, 0.3, Phi, Pi),
+                                dPi.copy(), g00)
+                got = dPi.copy()
+                evolve.build_source(spec, geom, bg, 0.3, Phi, Pi, work, in_order, got, g00)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --- h and the CFL speed on the support box against the dense tensors --------
@@ -859,6 +941,21 @@ def test_flat_schematic_step_allocates_no_full_array():
     assert got[0] is Phi and got[1] is Pi
 
 
+def test_flat_schematic_source_keeps_13_fields_of_work_arrays():
+    """Rank 1, one channel, AL_dA + Ae_dAe: the three projections and, per
+    half of the rows, the row sum, the product and the rows of ds, dA_e1
+    and dA_e2.  S, the whole 4-gradients and a scratch per half were 21."""
+    geom = GridGeometry(16, 4.0)
+    spec = evolve.SourceSpec(terms=("AL_dA", "Ae_dAe"))
+    bg = BumpBackground(0.0)
+    ev = evolve.Evolver(geom, bg, source=schematic(spec, geom, bg))
+    shape = (4, 1) + (geom.n_full,) * 3
+    rngl = np.random.default_rng(9)
+    ev.step(0.0, 0.3 * rngl.normal(size=shape), 0.3 * rngl.normal(size=shape), 0.4 * geom.dx)
+    kept = sum(a.size for name, a in ev._work.items() if name.startswith("source."))
+    assert kept <= 13 * geom.n_full ** 3
+
+
 def test_static_bump_step_allocates_no_full_array():
     import tracemalloc
 
@@ -898,11 +995,13 @@ def test_flat_sommerfeld_rhs_ghosts_are_positive_zero(rank, channels):
 
 # --- bump right-hand side on the support box against the full-cube form -----
 
-def _rhs_full_cube(ev, t, Phi, Pi, one_pass=False):
+def _rhs_full_cube(ev, source, t, Phi, Pi, one_pass=False):
     """The full-cube bump branch of Evolver.rhs, the oracle for its
     support-box form: every H term, the product with chi and the division
     by -g^{tt} over the whole cube, the flat part from three d2_axis
-    calls (from the one-pass Laplacian if ``one_pass``)."""
+    calls (from the one-pass Laplacian if ``one_pass``), and the S of
+    ``source(t, Phi, Pi)``, an allocating reference of the evolver's
+    source, divided by g^{tt} and added."""
     geom, dx = ev.geom, ev.geom.dx
     fill_ghosts_array(Phi, ev._ghost_mode)
     fill_ghosts_array(Pi, ev._ghost_mode)
@@ -930,10 +1029,8 @@ def _rhs_full_cube(ev, t, Phi, Pi, one_pass=False):
     acc *= chi
     dPi += acc
     dPi /= -g00
-    if ev.source is not None:
-        S = fresh_source(ev.source, t, Phi, Pi)
-        S /= g00
-        dPi += S
+    if source is not None:
+        finished(source(t, Phi, Pi), dPi, g00)
     np.copyto(dPhi, Pi)
     if ev.boundary != "periodic":
         oracles.full_cube_shell(geom, Phi, Pi, dPhi, dPi)
@@ -951,26 +1048,32 @@ RHS_BUMPS = {
 
 
 def _rhs_case(case, bump):
+    """(evolver, field shape, allocating reference of its source or None)."""
     geom = GridGeometry(12, 4.0)
     bg = make_background(radius=3.0, **RHS_BUMPS[bump])
-    rank, channels, kwargs = 0, 1, {}
+    rank, channels, kwargs, ref = 0, 1, {}, None
     if case == "schematic":
         rank, channels = 1, 2
-        kwargs["source"] = schematic(
-            evolve.SourceSpec(terms=("AL_dA", "dh_tangA", "bigO_h_dA")), geom, bg)
+        spec = evolve.SourceSpec(terms=("AL_dA", "dh_tangA", "bigO_h_dA"))
+        kwargs["source"] = schematic(spec, geom, bg)
+        ref = functools.partial(_build_source_reference, spec, geom, bg)
     elif case == "manufactured":
         target = oracles.gaussian_target(center=(0.0, 0.5, 1.0), sigma=1.0)
         kwargs["source"] = evolve.manufactured_source(target, bg, geom)
+        direct = oracles.manufactured_source_from_direction(target, bg, geom)
+
+        def ref(t, Phi, Pi):
+            return direct(t)
     elif case == "periodic":
         channels, kwargs["boundary"] = 2, "periodic"
     shape = (4,) * rank + (channels,) + (geom.n_full,) * 3
-    return evolve.Evolver(geom, bg, **kwargs), shape
+    return evolve.Evolver(geom, bg, **kwargs), shape, ref
 
 
 @pytest.mark.parametrize("case", ["scalar", "schematic", "manufactured", "periodic"])
 @pytest.mark.parametrize("bump", sorted(RHS_BUMPS))
 def test_rhs_support_box_matches_full_cube(case, bump):
-    ev, shape = _rhs_case(case, bump)
+    ev, shape, ref = _rhs_case(case, bump)
     geom = ev.geom
     sup = ev.bg.support(geom, 0.2)
     if bump == "off-grid":
@@ -982,8 +1085,8 @@ def test_rhs_support_box_matches_full_cube(case, bump):
     Phi, Pi = rngl.normal(size=shape), rngl.normal(size=shape)
     dt = 0.4 * geom.dx
     for t in (0.2, 0.2 + 0.5 * dt, 0.2 + dt):  # the RK stage times of one step
-        want = _rhs_full_cube(ev, t, Phi.copy(), Pi.copy())
-        exact = _rhs_full_cube(ev, t, Phi.copy(), Pi.copy(), one_pass=True)
+        want = _rhs_full_cube(ev, ref, t, Phi.copy(), Pi.copy())
+        exact = _rhs_full_cube(ev, ref, t, Phi.copy(), Pi.copy(), one_pass=True)
         U = Phi.copy()
         fill_ghosts_array(U, ev._ghost_mode)
         scale = np.max(np.abs(sum(d2_axis(U, i, geom.dx) for i in (1, 2, 3))))
